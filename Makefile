@@ -90,7 +90,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a c
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## explore flag-compatibility gate: impossible combinations fail loudly (exit 1 + stderr), honored approximations warn
+cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, unwritable output paths fail before the run (exit 124 + stderr)
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/dev/null 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -114,6 +114,12 @@ cli-smoke: ## explore flag-compatibility gate: impossible combinations fail loud
 	expect 1 explore --check timeliness -n 2 --depth 2 --engine snapshot; \
 	stderr_has "breadth-first"; \
 	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 6 --engine snapshot --symmetry --fingerprints; \
+	expect 124 solve --trace-out /nonexistent/x.jsonl; \
+	stderr_has "cannot write the --trace-out file"; \
+	expect 124 solve --backend net --trace-out /nonexistent/x.jsonl; \
+	stderr_has "cannot write the --trace-out file"; \
+	expect 124 fd --metrics-out /nonexistent/m.json; \
+	stderr_has "cannot write the --metrics-out file"; \
 	echo "cli-smoke: ok"
 
 serve-smoke: ## scripted NDJSON session against `setsync serve`: open/run/result/stats/shutdown all reply ok, and the session's result renders

@@ -147,39 +147,59 @@ let metrics_out_arg =
           "Write the run's metrics registry (counters, gauges, histograms) to $(docv) \
            as JSON.")
 
+let chrome_path file =
+  if Filename.check_suffix file ".jsonl" then
+    Filename.chop_suffix file ".jsonl" ^ ".chrome.json"
+  else file ^ ".chrome.json"
+
+(* The output files are written after the run; an unwritable path must
+   fail before it, with a diagnostic rather than a raw [Sys_error] at
+   the end. Opening each file now (creating it) is the check. *)
+let check_writable flag file =
+  match open_out file with
+  | oc -> close_out oc
+  | exception Sys_error e ->
+      Fmt.epr "setsync: cannot write the %s file: %s@." flag e;
+      exit Cmd.Exit.cli_error
+
 let make_obs ?(shards = 1) ~trace_out ~metrics_out () =
+  Option.iter
+    (fun f ->
+      check_writable "--trace-out" f;
+      check_writable "--trace-out" (chrome_path f))
+    trace_out;
+  Option.iter (check_writable "--metrics-out") metrics_out;
   match (trace_out, metrics_out) with
   | None, None -> None
   | _ ->
       let events = if trace_out <> None then Events.memory () else Events.nop in
       Some (Obs.create ~shards ~events ())
 
-let chrome_path file =
-  if Filename.check_suffix file ".jsonl" then
-    Filename.chop_suffix file ".jsonl" ^ ".chrome.json"
-  else file ^ ".chrome.json"
-
 let write_obs ~trace_out ~metrics_out = function
   | None -> ()
-  | Some o ->
-      Option.iter
-        (fun f ->
-          let oc = open_out f in
-          output_string oc (Json.to_string (Metrics.to_json o.Obs.metrics));
-          output_char oc '\n';
-          close_out oc;
-          Fmt.pr "metrics written to %s@." f)
-        metrics_out;
-      Option.iter
-        (fun f ->
-          Events.save_jsonl o.Obs.events f;
-          let cf = chrome_path f in
-          Events.save_chrome o.Obs.events cf;
-          let dropped = Events.dropped o.Obs.events in
-          Fmt.pr "trace written to %s and %s (%d events%s)@." f cf
-            (Events.recorded o.Obs.events)
-            (if dropped > 0 then Fmt.str ", oldest %d dropped" dropped else ""))
-        trace_out
+  | Some o -> (
+      try
+        Option.iter
+          (fun f ->
+            let oc = open_out f in
+            output_string oc (Json.to_string (Metrics.to_json o.Obs.metrics));
+            output_char oc '\n';
+            close_out oc;
+            Fmt.pr "metrics written to %s@." f)
+          metrics_out;
+        Option.iter
+          (fun f ->
+            Events.save_jsonl o.Obs.events f;
+            let cf = chrome_path f in
+            Events.save_chrome o.Obs.events cf;
+            let dropped = Events.dropped o.Obs.events in
+            Fmt.pr "trace written to %s and %s (%d events%s)@." f cf
+              (Events.recorded o.Obs.events)
+              (if dropped > 0 then Fmt.str ", oldest %d dropped" dropped else ""))
+          trace_out
+      with Sys_error e ->
+        Fmt.epr "setsync: writing the trace or metrics failed: %s@." e;
+        exit Cmd.Exit.some_error)
 
 (* ---------------------------------------------------------- figure1 *)
 

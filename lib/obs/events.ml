@@ -7,7 +7,27 @@
    with [enabled], so an un-traced run pays one branch per potential
    event and allocates nothing. The [Mem] sink is a mutex-protected
    ring — events from any domain, bounded memory, oldest events
-   dropped (and counted) on overflow. *)
+   dropped (and counted) on overflow.
+
+   The ring keeps no event records. [emit] encodes each event into two
+   growable rings of unboxed words — an int array and a [Float.Array] —
+   so a recorded event is invisible to the GC: nothing to promote out
+   of the minor heap, nothing to mark. Names, categories, arg keys and
+   string values are interned once per sink. [events] decodes the
+   records back; the writers stream straight from the rings.
+
+   Encoding of one event, in the int ring:
+     (name_id lsl 3) lor phase
+     (cat_id lsl 3) lor presence      presence bits: 1 proc, 2 worker, 4 id
+     nargs
+     proc? worker? id?                only the present ones
+     nargs keyed values
+   and in the float ring: the timestamp, then every [Float] arg in
+   encoding order. A value is a tag word [(key_id lsl 3) lor tag]
+   (key 0 inside lists, unused) followed by its payload: nothing for
+   [Null]/[Bool] (the tag carries the boolean), one word for [Int] and
+   for [String] (its interned id), a float-ring slot for [Float], and
+   for [List]/[Obj] a length word then that many values. *)
 
 type phase = Instant | Begin | End | Async_begin | Async_end
 
@@ -22,12 +42,40 @@ type event = {
   args : (string * Json.t) list;
 }
 
+(* Interned strings: id -> the string, and its JSON literal escaped
+   once. Names and keys are almost always literals, the same physical
+   string at every call, so a small direct-mapped cache compared with
+   [==] answers most lookups before the hash table is consulted. *)
+type names = {
+  ids : (string, int) Hashtbl.t;
+  mutable strs : string array;
+  mutable lits : string array;
+  seen : string array;  (* cache slot -> a string interned as [seen_id] *)
+  seen_id : int array;
+}
+
+let cache_slots = 64
+
+(* fills the cache's empty slots; private, so no caller can pass it *)
+let unset = String.make 1 '\000'
+
+(* A read position in both rings, advanced as a record is consumed *)
+type cursor = { mutable wp : int; mutable fp : int }
+
 type mem = {
   capacity : int;
-  buf : event option array;
-  mutable next : int;  (* total events accepted; next mod capacity is the slot *)
   epoch : float;
   mu : Mutex.t;
+  names : names;
+  mutable next : int;  (* total events accepted; the ring keeps the last [capacity] *)
+  (* Both rings are indexed by absolute position [land] (length - 1),
+     lengths are powers of two; the live words are [head.wp, w_tail),
+     the live floats [head.fp, f_tail). *)
+  mutable words : int array;
+  mutable floats : Float.Array.t;
+  head : cursor;  (* the oldest retained record *)
+  mutable w_tail : int;
+  mutable f_tail : int;
 }
 
 type t = Nop | Mem of mem
@@ -41,22 +89,202 @@ let memory ?(capacity = default_capacity) () =
   Mem
     {
       capacity;
-      buf = Array.make capacity None;
-      next = 0;
       epoch = Unix.gettimeofday ();
       mu = Mutex.create ();
+      names =
+        {
+          ids = Hashtbl.create 16;
+          strs = [||];
+          lits = [||];
+          seen = Array.make cache_slots unset;
+          seen_id = Array.make cache_slots 0;
+        };
+      next = 0;
+      words = [||];
+      floats = Float.Array.create 0;
+      head = { wp = 0; fp = 0 };
+      w_tail = 0;
+      f_tail = 0;
     }
 
 let enabled = function Nop -> false | Mem _ -> true
+
+(* ------------------------------------------------------- encoding *)
+
+let intern_slow tab s =
+  match Hashtbl.find tab.ids s with
+  | id -> id
+  | exception Not_found ->
+      let id = Hashtbl.length tab.ids in
+      if id = Array.length tab.strs then begin
+        let grow a = Array.init (max 16 (2 * id)) (fun i -> if i < id then a.(i) else "") in
+        tab.strs <- grow tab.strs;
+        tab.lits <- grow tab.lits
+      end;
+      tab.strs.(id) <- s;
+      tab.lits.(id) <- Json.escaped s;
+      Hashtbl.add tab.ids s id;
+      id
+
+let intern tab s =
+  let len = String.length s in
+  let slot =
+    if len = 0 then 0
+    else
+      ((len * 7) + (Char.code (String.unsafe_get s 0) * 3)
+      + Char.code (String.unsafe_get s (len - 1)))
+      land (cache_slots - 1)
+  in
+  if Array.unsafe_get tab.seen slot == s then Array.unsafe_get tab.seen_id slot
+  else begin
+    let id = intern_slow tab s in
+    Array.unsafe_set tab.seen slot s;
+    Array.unsafe_set tab.seen_id slot id;
+    id
+  end
+
+let min_ring = 64
+
+(* Doubling keeps absolute positions valid: each live slot moves to
+   its position modulo the new length. *)
+let grow_words m =
+  let len = Array.length m.words in
+  let nlen = max min_ring (2 * len) in
+  let nw = Array.make nlen 0 in
+  for i = m.head.wp to m.w_tail - 1 do
+    Array.unsafe_set nw (i land (nlen - 1)) (Array.unsafe_get m.words (i land (len - 1)))
+  done;
+  m.words <- nw
+
+let grow_floats m =
+  let len = Float.Array.length m.floats in
+  let nlen = max min_ring (2 * len) in
+  let nf = Float.Array.create nlen in
+  for i = m.head.fp to m.f_tail - 1 do
+    Float.Array.unsafe_set nf (i land (nlen - 1)) (Float.Array.unsafe_get m.floats (i land (len - 1)))
+  done;
+  m.floats <- nf
+
+let[@inline] push_word m v =
+  if m.w_tail - m.head.wp = Array.length m.words then grow_words m;
+  let w = m.words in
+  Array.unsafe_set w (m.w_tail land (Array.length w - 1)) v;
+  m.w_tail <- m.w_tail + 1
+
+let[@inline] push_float m f =
+  if m.f_tail - m.head.fp = Float.Array.length m.floats then grow_floats m;
+  let fl = m.floats in
+  Float.Array.unsafe_set fl (m.f_tail land (Float.Array.length fl - 1)) f;
+  m.f_tail <- m.f_tail + 1
+
+let t_null = 0
+and t_false = 1
+and t_true = 2
+and t_int = 3
+and t_float = 4
+and t_string = 5
+and t_list = 6
+and t_obj = 7
+
+let rec push_value m key v =
+  let k = key lsl 3 in
+  match v with
+  | Json.Null -> push_word m (k lor t_null)
+  | Json.Bool b -> push_word m (k lor if b then t_true else t_false)
+  | Json.Int i ->
+      push_word m (k lor t_int);
+      push_word m i
+  | Json.Float f ->
+      push_word m (k lor t_float);
+      push_float m f
+  | Json.String s ->
+      push_word m (k lor t_string);
+      push_word m (intern m.names s)
+  | Json.List xs ->
+      push_word m (k lor t_list);
+      push_word m (List.length xs);
+      List.iter (push_value m 0) xs
+  | Json.Obj kvs ->
+      push_word m (k lor t_obj);
+      push_word m (List.length kvs);
+      push_fields m kvs
+
+and push_fields m = function
+  | [] -> ()
+  | (key, v) :: rest ->
+      push_value m (intern m.names key) v;
+      push_fields m rest
+
+let phase_code = function
+  | Instant -> 0
+  | Begin -> 1
+  | End -> 2
+  | Async_begin -> 3
+  | Async_end -> 4
+
+let phase_of_code = function
+  | 0 -> Instant
+  | 1 -> Begin
+  | 2 -> End
+  | 3 -> Async_begin
+  | _ -> Async_end
+
+let has_proc = 1
+and has_worker = 2
+and has_id = 4
+
+let next_word m c =
+  let v = Array.unsafe_get m.words (c.wp land (Array.length m.words - 1)) in
+  c.wp <- c.wp + 1;
+  v
+
+let next_float m c =
+  let f = Float.Array.unsafe_get m.floats (c.fp land (Float.Array.length m.floats - 1)) in
+  c.fp <- c.fp + 1;
+  f
+
+let rec skip_value m c =
+  let tag = next_word m c land 7 in
+  if tag = t_int || tag = t_string then c.wp <- c.wp + 1
+  else if tag = t_float then c.fp <- c.fp + 1
+  else if tag = t_list || tag = t_obj then
+    for _ = 1 to next_word m c do
+      skip_value m c
+    done
+
+(* Evict the oldest record by moving [head] past it *)
+let drop_oldest m =
+  let c = m.head in
+  c.wp <- c.wp + 1;
+  let presence = next_word m c land 7 in
+  let nargs = next_word m c in
+  (* one word per optional field present *)
+  c.wp <- c.wp + (presence land 1) + ((presence lsr 1) land 1) + (presence lsr 2);
+  c.fp <- c.fp + 1;
+  for _ = 1 to nargs do
+    skip_value m c
+  done
 
 let emit t ?proc ?worker ?id ?(args = []) ?(phase = Instant) ~cat name =
   match t with
   | Nop -> ()
   | Mem m ->
       let ts = Unix.gettimeofday () -. m.epoch in
-      let e = { ts; name; cat; phase; proc; worker; id; args } in
       Mutex.lock m.mu;
-      m.buf.(m.next mod m.capacity) <- Some e;
+      if m.next >= m.capacity then drop_oldest m;
+      let presence =
+        (match proc with Some _ -> has_proc | None -> 0)
+        lor (match worker with Some _ -> has_worker | None -> 0)
+        lor match id with Some _ -> has_id | None -> 0
+      in
+      push_word m ((intern m.names name lsl 3) lor phase_code phase);
+      push_word m ((intern m.names cat lsl 3) lor presence);
+      push_word m (List.length args);
+      (match proc with Some p -> push_word m p | None -> ());
+      (match worker with Some w -> push_word m w | None -> ());
+      (match id with Some i -> push_word m i | None -> ());
+      push_float m ts;
+      push_fields m args;
       m.next <- m.next + 1;
       Mutex.unlock m.mu
 
@@ -72,19 +300,95 @@ let recorded = function Nop -> 0 | Mem m -> m.next
 
 let dropped = function Nop -> 0 | Mem m -> max 0 (m.next - m.capacity)
 
-let events = function
-  | Nop -> []
+(* ------------------------------------------------------- decoding *)
+
+(* The header of the record at [c], with its optional fields *)
+type header = {
+  h_name : int;
+  h_cat : int;
+  h_phase : phase;
+  h_nargs : int;
+  h_proc : int option;
+  h_worker : int option;
+  h_id : int option;
+  h_ts : float;
+}
+
+let read_header m c =
+  let w0 = next_word m c in
+  let w1 = next_word m c in
+  let nargs = next_word m c in
+  let opt bit = if w1 land bit <> 0 then Some (next_word m c) else None in
+  let proc = opt has_proc in
+  let worker = opt has_worker in
+  let id = opt has_id in
+  {
+    h_name = w0 lsr 3;
+    h_cat = w1 lsr 3;
+    h_phase = phase_of_code (w0 land 7);
+    h_nargs = nargs;
+    h_proc = proc;
+    h_worker = worker;
+    h_id = id;
+    h_ts = next_float m c;
+  }
+
+let rec read_value m c tagword =
+  let tag = tagword land 7 in
+  if tag = t_null then Json.Null
+  else if tag = t_false then Json.Bool false
+  else if tag = t_true then Json.Bool true
+  else if tag = t_int then Json.Int (next_word m c)
+  else if tag = t_float then Json.Float (next_float m c)
+  else if tag = t_string then Json.String m.names.strs.(next_word m c)
+  else if tag = t_list then begin
+    let acc = ref [] in
+    for _ = 1 to next_word m c do
+      acc := read_value m c (next_word m c) :: !acc
+    done;
+    Json.List (List.rev !acc)
+  end
+  else Json.Obj (read_fields m c (next_word m c))
+
+and read_fields m c n =
+  let acc = ref [] in
+  for _ = 1 to n do
+    let tagword = next_word m c in
+    let key = m.names.strs.(tagword lsr 3) in
+    acc := (key, read_value m c tagword) :: !acc
+  done;
+  List.rev !acc
+
+(* [f m c] once per retained record, oldest first, each call consuming
+   exactly one record from [c]; under the sink's lock *)
+let iter_records t f =
+  match t with
+  | Nop -> ()
   | Mem m ->
-      Mutex.lock m.mu;
-      let retained = min m.next m.capacity in
-      let out =
-        List.init retained (fun i ->
-            (* oldest retained first *)
-            let slot = (m.next - retained + i) mod m.capacity in
-            m.buf.(slot))
-      in
-      Mutex.unlock m.mu;
-      List.filter_map Fun.id out
+      Mutex.protect m.mu (fun () ->
+          let c = { wp = m.head.wp; fp = m.head.fp } in
+          for _ = 1 to min m.next m.capacity do
+            f m c
+          done)
+
+let events t =
+  let acc = ref [] in
+  iter_records t (fun m c ->
+      let h = read_header m c in
+      let args = read_fields m c h.h_nargs in
+      acc :=
+        {
+          ts = h.h_ts;
+          name = m.names.strs.(h.h_name);
+          cat = m.names.strs.(h.h_cat);
+          phase = h.h_phase;
+          proc = h.h_proc;
+          worker = h.h_worker;
+          id = h.h_id;
+          args;
+        }
+        :: !acc);
+  List.rev !acc
 
 (* ---------------------------------------------------- serialization *)
 
@@ -165,20 +469,126 @@ let event_to_chrome e =
              [ ("id", Json.Int (Option.value e.id ~default:0)) ])
         @ match args with [] -> [] | args -> [ ("args", Json.Obj args) ]))
 
+(* ------------------------------------------- writing from the ring *)
+
+(* The writers below produce, byte for byte, [Json.to_string] of
+   [event_to_json] / [event_to_chrome] applied to the decoded events
+   (pinned by the golden tests), without building either. *)
+
+let rec write_value m c buf tagword =
+  let tag = tagword land 7 in
+  if tag = t_null then Buffer.add_string buf "null"
+  else if tag = t_false then Buffer.add_string buf "false"
+  else if tag = t_true then Buffer.add_string buf "true"
+  else if tag = t_int then Json.add_int buf (next_word m c)
+  else if tag = t_float then Json.add_float buf (next_float m c)
+  else if tag = t_string then Buffer.add_string buf m.names.lits.(next_word m c)
+  else if tag = t_list then begin
+    Buffer.add_char buf '[';
+    for i = 1 to next_word m c do
+      if i > 1 then Buffer.add_char buf ',';
+      write_value m c buf (next_word m c)
+    done;
+    Buffer.add_char buf ']'
+  end
+  else begin
+    Buffer.add_char buf '{';
+    write_fields m c buf ~first:true (next_word m c);
+    Buffer.add_char buf '}'
+  end
+
+(* [n] keyed values as object members, comma-separated *)
+and write_fields m c buf ~first n =
+  for i = 1 to n do
+    if i > 1 || not first then Buffer.add_char buf ',';
+    let tagword = next_word m c in
+    Buffer.add_string buf m.names.lits.(tagword lsr 3);
+    Buffer.add_char buf ':';
+    write_value m c buf tagword
+  done
+
+let add_member buf key v =
+  Buffer.add_string buf key;
+  Json.add_int buf v
+
+let write_json_record m c buf =
+  let h = read_header m c in
+  Buffer.add_string buf "{\"ts\":";
+  Json.add_float buf h.h_ts;
+  Buffer.add_string buf ",\"name\":";
+  Buffer.add_string buf m.names.lits.(h.h_name);
+  Buffer.add_string buf ",\"cat\":";
+  Buffer.add_string buf m.names.lits.(h.h_cat);
+  Buffer.add_string buf ",\"ph\":\"";
+  Buffer.add_string buf (phase_string h.h_phase);
+  Buffer.add_char buf '"';
+  Option.iter (add_member buf ",\"proc\":") h.h_proc;
+  Option.iter (add_member buf ",\"worker\":") h.h_worker;
+  Option.iter (add_member buf ",\"id\":") h.h_id;
+  if h.h_nargs > 0 then begin
+    Buffer.add_string buf ",\"args\":{";
+    write_fields m c buf ~first:true h.h_nargs;
+    Buffer.add_char buf '}'
+  end;
+  Buffer.add_char buf '}'
+
+let write_chrome_record m c buf =
+  let h = read_header m c in
+  Buffer.add_string buf "{\"name\":";
+  Buffer.add_string buf m.names.lits.(h.h_name);
+  Buffer.add_string buf ",\"cat\":";
+  Buffer.add_string buf m.names.lits.(h.h_cat);
+  Buffer.add_string buf ",\"ph\":\"";
+  Buffer.add_string buf (phase_string h.h_phase);
+  Buffer.add_string buf "\",\"ts\":";
+  Json.add_float buf (h.h_ts *. 1e6);
+  Buffer.add_string buf ",\"pid\":1";
+  add_member buf ",\"tid\":"
+    (match (h.h_worker, h.h_proc) with Some w, _ -> w | None, Some p -> p | None, None -> 0);
+  (match h.h_phase with
+  | Instant -> Buffer.add_string buf ",\"s\":\"t\""
+  | Begin | End -> ()
+  | Async_begin | Async_end -> add_member buf ",\"id\":" (Option.value h.h_id ~default:0));
+  if h.h_proc <> None || h.h_worker <> None || h.h_nargs > 0 then begin
+    Buffer.add_string buf ",\"args\":{";
+    let first = ref true in
+    let id_member key v =
+      if not !first then Buffer.add_char buf ',';
+      add_member buf key v;
+      first := false
+    in
+    Option.iter (id_member "\"proc\":") h.h_proc;
+    Option.iter (id_member "\"worker\":") h.h_worker;
+    write_fields m c buf ~first:!first h.h_nargs;
+    Buffer.add_char buf '}'
+  end;
+  Buffer.add_char buf '}'
+
+(* One buffer per write, handed to the channel whenever it passes
+   [chunk] bytes *)
+let chunk = 1 lsl 16
+
+let write_records t oc ~sep record =
+  let buf = Buffer.create chunk in
+  let first = ref true in
+  iter_records t (fun m c ->
+      if not !first then Buffer.add_string buf sep;
+      first := false;
+      record m c buf;
+      if Buffer.length buf >= chunk then begin
+        Buffer.output_buffer oc buf;
+        Buffer.clear buf
+      end);
+  Buffer.output_buffer oc buf
+
 let write_jsonl t oc =
-  List.iter
-    (fun e ->
-      output_string oc (Json.to_string (event_to_json e));
-      output_char oc '\n')
-    (events t)
+  write_records t oc ~sep:"" (fun m c buf ->
+      write_json_record m c buf;
+      Buffer.add_char buf '\n')
 
 let write_chrome t oc =
   output_string oc "[";
-  List.iteri
-    (fun i e ->
-      if i > 0 then output_string oc ",\n";
-      output_string oc (Json.to_string (event_to_chrome e)))
-    (events t);
+  write_records t oc ~sep:",\n" write_chrome_record;
   output_string oc "]\n"
 
 let save_jsonl t path =

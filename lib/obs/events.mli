@@ -10,9 +10,33 @@
     {!emit} returns immediately. Instrumented code guards each emission
     site with {!enabled} so an un-traced run pays one branch and zero
     allocation per potential event — the overhead discipline the P9
-    bench enforces. The {!memory} sink is a bounded mutex-protected
-    ring safe to share across domains; on overflow the oldest events
-    are dropped and counted ({!dropped}). *)
+    bench enforces.
+
+    The {!memory} sink is a bounded mutex-protected ring safe to share
+    across domains; once it holds [capacity] events the oldest are
+    dropped and counted ({!dropped}). It stores no event records:
+    {!emit} encodes each event into two rings of unboxed words owned by
+    the sink, an [int array] and a [Float.Array.t], and keeps no
+    reference to the caller's args list or option boxes. Per event the
+    int ring gets three header words (interned name and phase, interned
+    category and which of [proc]/[worker]/[id] are present, arg count),
+    one word per optional field present, and per arg a tag word (interned
+    key and value kind) plus one payload word for an [Int] or an
+    (interned) [String]; [List]/[Obj] args add a length word and nest.
+    The float ring gets the timestamp and every [Float] arg. A
+    [runtime.step] event is 8 int words and 1 float; a [net.deliver]
+    with its 12 args is 27 and 1 — against 30–110 heap words as a
+    record, which the GC had to promote and mark. Names, categories,
+    keys and string values are interned once per sink.
+
+    Both rings start empty and double on demand (so a fresh sink costs
+    O(1) words, and each ring is at most twice the most it has held),
+    never beyond what [capacity] events need. {!events} decodes the retained
+    events back into {!event} records. {!write_jsonl} and
+    {!write_chrome} stream straight from the rings through one reused
+    buffer, with each interned string escaped once, and write exactly
+    the bytes of {!event_to_json} / {!event_to_chrome} applied to
+    {!events}. *)
 
 type phase = Instant | Begin | End | Async_begin | Async_end
 (** [Async_begin]/[Async_end] pairs are spans that may overlap freely
@@ -37,8 +61,9 @@ val nop : t
 (** Discards everything; [enabled nop = false]. *)
 
 val memory : ?capacity:int -> unit -> t
-(** Ring sink keeping the last [capacity] events (default [2^20]).
-    Raises [Invalid_argument] on a non-positive capacity. *)
+(** Ring sink keeping the last [capacity] events (default [2^20]),
+    allocated as events arrive. Raises [Invalid_argument] on a
+    non-positive capacity. *)
 
 val enabled : t -> bool
 
@@ -72,7 +97,8 @@ val dropped : t -> int
 (** Events evicted by the ring. *)
 
 val events : t -> event list
-(** Retained events, oldest first. *)
+(** Retained events, oldest first, decoded from the ring: fields and
+    args equal what was emitted, floats bit for bit. *)
 
 (** {2 Serialization} *)
 
@@ -88,10 +114,13 @@ val event_to_chrome : event -> Json.t
     worker id (else the process id), [pid] fixed at 1. *)
 
 val write_jsonl : t -> out_channel -> unit
-(** One event per line, oldest first. *)
+(** One event per line, oldest first: the concatenation of
+    [Json.to_string (event_to_json e) ^ "\n"] over {!events}. *)
 
 val write_chrome : t -> out_channel -> unit
-(** A complete JSON array loadable by chrome://tracing / Perfetto. *)
+(** A complete JSON array loadable by chrome://tracing / Perfetto:
+    ["["], then [Json.to_string (event_to_chrome e)] over {!events}
+    separated by [",\n"], then ["]\n"]. *)
 
 val save_jsonl : t -> string -> unit
 val save_chrome : t -> string -> unit

@@ -30,20 +30,108 @@ let escape buf s =
     s;
   Buffer.add_char buf '"'
 
-let float_repr f =
-  if Float.is_nan f then "null"
-  else if f = Float.infinity then "1e308"
-  else if f = Float.neg_infinity then "-1e308"
-  else
-    let s = Printf.sprintf "%.12g" f in
+let escaped s =
+  let buf = Buffer.create (String.length s + 2) in
+  escape buf s;
+  Buffer.contents buf
+
+(* Decimal digits written back to front into a small byte buffer, working
+   on the non-positive value so [min_int] needs no special case. Same
+   bytes as [string_of_int], without its format-string interpretation. *)
+let add_int buf i =
+  if i >= 0 && i < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + i))
+  else begin
+    let b = Bytes.create 20 in
+    let pos = ref 20 and n = ref (if i < 0 then i else -i) in
+    while !n <> 0 do
+      decr pos;
+      Bytes.unsafe_set b !pos (Char.unsafe_chr (48 - (!n mod 10)));
+      n := !n / 10
+    done;
+    if i < 0 then begin
+      decr pos;
+      Bytes.unsafe_set b !pos '-'
+    end;
+    Buffer.add_subbytes buf b !pos (20 - !pos)
+  end
+
+(* The C primitive behind [Printf.sprintf "%.12g"]: for finite floats
+   the two agree byte for byte, and the primitive skips the format
+   interpreter. *)
+external format_float : string -> float -> string = "caml_format_float"
+
+let pow10 =
+  [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15 |]
+
+(* [%.12g] without C's multi-precision formatting, for the values a
+   trace is made of. If 1e-4 <= |x| < 1e12, [%.12g] is fixed notation
+   with the 12 significant digits of [round (|x| * 10^k)], where k
+   puts the product in [1e11, 1e12). 10^k is exact (k <= 15) and the
+   product is within 2^-13 of exact, so [Float.round] rounds it as the
+   exact decimal expansion would unless it lies within 1e-3 of a tie or
+   of the range ends. Those cases, and every other [x], return [false]
+   having written nothing. The JSON float marker [".0"] is added when
+   no fraction digits remain. *)
+let add_fixed12 buf x =
+  let a = Float.abs x in
+  if not (a >= 1e-4 && a < 1e12) then false
+  else begin
+    let k = ref 0 in
+    while a *. pow10.(!k) < 1e11 do
+      incr k
+    done;
+    let y = a *. pow10.(!k) in
+    let r = Float.round y in
+    if y < 1e11 +. 1. || y >= 1e12 -. 1. || Float.abs (y -. r) > 0.499 then false
+    else begin
+      let digits = Bytes.create 12 in
+      let d = ref (int_of_float r) in
+      for i = 11 downto 0 do
+        Bytes.unsafe_set digits i (Char.unsafe_chr (48 + (!d mod 10)));
+        d := !d / 10
+      done;
+      let last = ref 11 in
+      while Bytes.get digits !last = '0' do
+        decr last
+      done;
+      if x < 0. then Buffer.add_char buf '-';
+      let e = 11 - !k in
+      if e >= 0 then begin
+        Buffer.add_subbytes buf digits 0 (e + 1);
+        if !last > e then begin
+          Buffer.add_char buf '.';
+          Buffer.add_subbytes buf digits (e + 1) (!last - e)
+        end
+        else Buffer.add_string buf ".0"
+      end
+      else begin
+        Buffer.add_string buf "0.";
+        for _ = 2 to -e do
+          Buffer.add_char buf '0'
+        done;
+        Buffer.add_subbytes buf digits 0 (!last + 1)
+      end;
+      true
+    end
+  end
+
+let add_float buf f =
+  if Float.is_nan f then Buffer.add_string buf "null"
+  else if f = Float.infinity then Buffer.add_string buf "1e308"
+  else if f = Float.neg_infinity then Buffer.add_string buf "-1e308"
+  else if not (add_fixed12 buf f) then begin
+    let s = format_float "%.12g" f in
+    Buffer.add_string buf s;
     (* keep a float marker so the value parses back as a float *)
-    if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
+    if not (String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s) then
+      Buffer.add_string buf ".0"
+  end
 
 let rec emit buf = function
   | Null -> Buffer.add_string buf "null"
   | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-  | Int i -> Buffer.add_string buf (string_of_int i)
-  | Float f -> Buffer.add_string buf (float_repr f)
+  | Int i -> add_int buf i
+  | Float f -> add_float buf f
   | String s -> escape buf s
   | List xs ->
       Buffer.add_char buf '[';

@@ -23,6 +23,16 @@ val to_string : t -> string
 
 val pp : t Fmt.t
 
+(** {2 Writers} — the pieces {!to_string} is built from, for
+    serializers that write straight into a [Buffer.t] without building
+    a [t] first. Each appends exactly the bytes {!to_string} would. *)
+
+val escaped : string -> string
+(** The quoted, escaped string literal. *)
+
+val add_int : Buffer.t -> int -> unit
+val add_float : Buffer.t -> float -> unit
+
 val of_string : string -> (t, string) result
 (** Strict parse of one JSON value (trailing whitespace allowed,
     trailing garbage is an error). *)

@@ -211,6 +211,201 @@ let test_jsonl_lines_parse () =
       | Error e -> Alcotest.fail ("line did not parse: " ^ e))
     lines
 
+(* The writers and the Json printer share [Json.add_int]/[add_float];
+   pin both against the stdlib formatting they replace. *)
+let test_json_number_writers () =
+  let via f v =
+    let b = Buffer.create 32 in
+    f b v;
+    Buffer.contents b
+  in
+  let ints = [ 0; 1; 9; 10; -1; -9; -10; 99; 100; -100; 123456789; max_int; min_int; min_int + 1 ] in
+  let rng = Random.State.make [| 13 |] in
+  let ints = ints @ List.init 2000 (fun _ -> Random.State.bits rng - Random.State.bits rng) in
+  List.iter
+    (fun i -> Alcotest.(check string) "add_int = string_of_int" (string_of_int i) (via Json.add_int i))
+    (ints @ List.map (fun i -> i * 1_000_003) ints);
+  let reference f =
+    if Float.is_nan f then "null"
+    else if f = Float.infinity then "1e308"
+    else if f = Float.neg_infinity then "-1e308"
+    else
+      let s = Printf.sprintf "%.12g" f in
+      if String.exists (fun c -> c = '.' || c = 'e' || c = 'E') s then s else s ^ ".0"
+  in
+  let floats =
+    [ 0.; -0.; 1.; -1.; 3.0; 0.5; 1e-7; 1e21; 123456789012345.; 1.5e-300; 4.9e-324;
+      Float.max_float; Float.nan; Float.infinity; Float.neg_infinity ]
+    @ List.init 20_000 (fun _ -> Int64.float_of_bits (Random.State.int64 rng Int64.max_int))
+    @ List.init 20_000 (fun _ -> Random.State.float rng 10.)
+    (* magnitudes across the digit path's range [1e-4, 1e12) and past
+       both ends, either sign *)
+    @ List.init 20_000 (fun i ->
+          let f = 10. ** (Random.State.float rng 20. -. 6.) in
+          if i mod 2 = 0 then f else -.f)
+    (* decimal near-ties: a 12-digit mantissa followed by a 5 *)
+    @ List.init 20_000 (fun _ ->
+          float_of_string
+            (Printf.sprintf "%d%011d5e%d" (1 + Random.State.int rng 9)
+               (Random.State.full_int rng 100_000_000_000)
+               (Random.State.int rng 20 - 18)))
+  in
+  List.iter
+    (fun f -> Alcotest.(check string) (Fmt.str "add_float %h" f) (reference f) (via Json.add_float f))
+    floats
+
+(* Structural equality that tells 0.0 from -0.0 and NaN payloads apart:
+   the ring must hand back the exact bits it was given. *)
+let rec json_identical a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal json_identical xs ys
+  | Json.Obj xs, Json.Obj ys ->
+      List.equal (fun (k, v) (k', v') -> String.equal k k' && json_identical v v') xs ys
+  | _ -> a = b
+
+let file_contents write t =
+  let file = Filename.temp_file "setsync_obs" ".out" in
+  write t file;
+  let s = In_channel.with_open_bin file In_channel.input_all in
+  Sys.remove file;
+  s
+
+(* Every shape the encoder distinguishes, on a ring that has wrapped. *)
+let test_writers_byte_identical () =
+  let nested =
+    Json.Obj
+      [
+        ("l", Json.List [ Json.Int 1; Json.Null; Json.List []; Json.Obj []; Json.Float 2.5 ]);
+        ("o", Json.Obj [ ("k\"ey", Json.String "v\\al"); ("b", Json.Bool false) ]);
+      ]
+  in
+  let specimens =
+    [
+      (None, None, None, Events.Instant, []);
+      (Some 0, None, None, Events.Begin, [ ("n", Json.Int 3) ]);
+      (None, Some 2, None, Events.End, [ ("neg", Json.Int (-17)); ("min", Json.Int min_int) ]);
+      (Some 4, Some 5, None, Events.Instant, [ ("max", Json.Int max_int); ("t", Json.Bool true) ]);
+      (Some 1, None, Some 77, Events.Async_begin, [ ("due", Json.Int 12) ]);
+      (Some 1, None, Some 77, Events.Async_end, []);
+      (None, None, None, Events.Async_begin, []);
+      (None, Some 3, Some (-8), Events.Async_end, [ ("z", Json.Float (-0.)) ]);
+      ( None,
+        None,
+        None,
+        Events.Instant,
+        [
+          ("integral", Json.Float 3.0);
+          ("nan", Json.Float Float.nan);
+          ("inf", Json.Float Float.infinity);
+          ("-inf", Json.Float Float.neg_infinity);
+          ("tiny", Json.Float 1.5e-300);
+          ("frac", Json.Float 0.1);
+        ] );
+      ( Some 2,
+        Some 2,
+        Some 2,
+        Events.Instant,
+        [
+          ("q\"uote", Json.String "say \"hi\"");
+          ("back\\slash", Json.String "a\\b");
+          ("ctl", Json.String "\x00\x01\x1f\n\r\t\x7f\xe2\x82\xac");
+          ("null", Json.Null);
+          ("nested", nested);
+          ("empty", Json.String "");
+        ] );
+      (None, None, None, Events.Instant, [ ("dup", Json.Int 1); ("dup", Json.Int 2) ]);
+    ]
+  in
+  let nspec = List.length specimens in
+  let capacity = 7 in
+  let c0 = Unix.gettimeofday () in
+  let t = Events.memory ~capacity () in
+  let c1 = Unix.gettimeofday () in
+  let total = (2 * nspec) + 3 in
+  let emitted =
+    List.init total (fun i ->
+        let proc, worker, id, phase, args = List.nth specimens (i mod nspec) in
+        let name = Fmt.str "ev%d" (i mod 5) and cat = if i mod 2 = 0 then "c\\at" else "cat" in
+        let before = Unix.gettimeofday () in
+        Events.emit t ?proc ?worker ?id ~args ~phase ~cat name;
+        let after = Unix.gettimeofday () in
+        (name, cat, phase, proc, worker, id, args, before, after))
+  in
+  Alcotest.(check int) "recorded" total (Events.recorded t);
+  Alcotest.(check int) "dropped" (total - capacity) (Events.dropped t);
+  let kept = List.filteri (fun i _ -> i >= total - capacity) emitted in
+  let decoded = Events.events t in
+  Alcotest.(check int) "retained" capacity (List.length decoded);
+  List.iter2
+    (fun e (name, cat, phase, proc, worker, id, args, before, after) ->
+      Alcotest.(check string) "name" name e.Events.name;
+      Alcotest.(check string) "cat" cat e.Events.cat;
+      Alcotest.(check bool) "phase" true (e.Events.phase = phase);
+      Alcotest.(check (option int)) "proc" proc e.Events.proc;
+      Alcotest.(check (option int)) "worker" worker e.Events.worker;
+      Alcotest.(check (option int)) "id" id e.Events.id;
+      Alcotest.(check bool) "args bit-identical" true (json_identical (Json.Obj args) (Json.Obj e.Events.args));
+      (* the clock read lies between the bracketing reads; the
+         subtractions are exact, so the bound is too *)
+      Alcotest.(check bool) "ts within its bracket" true
+        (e.Events.ts >= before -. c1 && e.Events.ts <= after -. c0))
+    decoded kept;
+  let jsonl =
+    String.concat "" (List.map (fun e -> Json.to_string (Events.event_to_json e) ^ "\n") decoded)
+  in
+  Alcotest.(check string) "jsonl bytes" jsonl (file_contents Events.save_jsonl t);
+  let chrome =
+    "["
+    ^ String.concat ",\n" (List.map (fun e -> Json.to_string (Events.event_to_chrome e)) decoded)
+    ^ "]\n"
+  in
+  Alcotest.(check string) "chrome bytes" chrome (file_contents Events.save_chrome t);
+  (* the empty ring and the nop sink write what the record-based
+     writers wrote: nothing, and an empty array *)
+  List.iter
+    (fun t ->
+      Alcotest.(check string) "empty jsonl" "" (file_contents Events.save_jsonl t);
+      Alcotest.(check string) "empty chrome" "[]\n" (file_contents Events.save_chrome t))
+    [ Events.memory (); Events.nop ]
+
+(* The ring starts empty and doubles on demand: 2,500 events of mixed
+   sizes through a 1,000-event ring grow both arrays several times,
+   then wrap. *)
+let test_ring_growth () =
+  let t = Events.memory ~capacity:1000 () in
+  let args i =
+    match i mod 3 with
+    | 0 -> [ ("i", Json.Int i) ]
+    | 1 -> [ ("i", Json.Int i); ("f", Json.Float (float_of_int i /. 8.)); ("s", Json.String (string_of_int (i mod 10))) ]
+    | _ -> [ ("i", Json.Int i); ("l", Json.List [ Json.Float 0.25; Json.Int (-i) ]) ]
+  in
+  for i = 1 to 2500 do
+    Events.emit t ?proc:(if i mod 2 = 0 then Some (i mod 7) else None) ~args:(args i) ~cat:"g" "e"
+  done;
+  Alcotest.(check int) "recorded" 2500 (Events.recorded t);
+  Alcotest.(check int) "dropped" 1500 (Events.dropped t);
+  let evs = Events.events t in
+  Alcotest.(check int) "retained" 1000 (List.length evs);
+  List.iteri
+    (fun k e ->
+      let i = 1501 + k in
+      Alcotest.(check bool) (Fmt.str "event %d args" i) true
+        (json_identical (Json.Obj (args i)) (Json.Obj e.Events.args));
+      Alcotest.(check (option int)) "proc" (if i mod 2 = 0 then Some (i mod 7) else None) e.Events.proc)
+    evs;
+  (* creating a default-capacity sink allocates O(1) words, not a
+     2^20-slot ring *)
+  let words () =
+    let s = Gc.quick_stat () in
+    s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
+  in
+  let w0 = words () in
+  let sink = Events.memory () in
+  let allocated = words () -. w0 in
+  Alcotest.(check bool) (Fmt.str "memory () allocated %.0f words" allocated) true (allocated < 1024.);
+  Alcotest.(check int) "nothing recorded" 0 (Events.recorded sink)
+
 (* ------------------------------------------- instrumentation contracts *)
 
 let test_executor_step_counter () =
@@ -336,12 +531,16 @@ let () =
           Alcotest.test_case "roundtrip" `Quick test_json_roundtrip;
           Alcotest.test_case "malformed inputs rejected" `Quick test_json_parse_errors;
           Alcotest.test_case "metrics dump parses" `Quick test_metrics_json_parses;
+          Alcotest.test_case "number writers = stdlib" `Quick test_json_number_writers;
         ] );
       ( "events",
         [
           Alcotest.test_case "ring drop + order" `Quick test_event_ring;
           Alcotest.test_case "span + chrome format" `Quick test_event_span_and_chrome;
           Alcotest.test_case "jsonl lines parse" `Quick test_jsonl_lines_parse;
+          Alcotest.test_case "writers byte-identical (wrapped ring)" `Quick
+            test_writers_byte_identical;
+          Alcotest.test_case "ring grows on demand, then wraps" `Quick test_ring_growth;
         ] );
       ( "instrumentation",
         [
