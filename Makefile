@@ -2,7 +2,7 @@
 
 DUNE_FILES := $(shell git ls-files '*dune' 'dune-project')
 
-.PHONY: all build check test fmt fmt-check bench bench-quick bench-guard obs-check fuzz-smoke net-smoke trace-smoke cli-smoke serve-smoke ci clean
+.PHONY: all build check test fmt fmt-check bench bench-quick bench-guard obs-check fuzz-smoke net-smoke trace-smoke cli-smoke ci clean
 
 all: build
 
@@ -38,7 +38,7 @@ bench:
 bench-quick: ## E11 smoke run (small depth, exploration only)
 	dune exec bench/main.exe -- --quick
 
-bench-guard: ## pinned ceilings: replay amortization (E11e/f), net stabilization (N1), round-batching cost + net-vs-shm verdicts (N2)
+bench-guard: ## pinned ceilings: replay amortization (E11e/f), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
 	dune exec bin/bench_guard.exe -- BENCH_quick.json
 
 obs-check: ## traced exploration; validate the emitted JSONL/Chrome/metrics files
@@ -90,7 +90,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a c
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, unwritable output paths fail before the run (exit 124 + stderr)
+cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, unwritable output paths and bad flag values fail before the run (exit 124 + stderr)
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/dev/null 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -120,32 +120,20 @@ cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1
 	stderr_has "cannot write the --trace-out file"; \
 	expect 124 fd --metrics-out /nonexistent/m.json; \
 	stderr_has "cannot write the --metrics-out file"; \
+	expect 124 fd -n 0; stderr_has "setsync: Proc.check_n"; \
+	expect 124 fd -n 3 -t 5; stderr_has "setsync: Problem.make"; \
+	expect 124 fd --bound=-1; stderr_has "setsync: Scenario: bound"; \
+	expect 124 explore --depth=-1; stderr_has "setsync: --depth must be >= 0"; \
+	expect 124 fuzz -n 1; stderr_has "setsync: Kanti_omega"; \
+	expect 124 fuzz --len=0; stderr_has "setsync: --len must be >= 1"; \
+	expect 124 explore --backend net -n 1; stderr_has "setsync: Adversary.brs_kset"; \
+	expect 124 solve --backend net --solver paxos -n 2 -t 1 -k 1 --delta 0; \
+	stderr_has "setsync: Adversary.make: delta"; \
+	expect 124 figure1 --length=-1; stderr_has "setsync: --length must be >= 0"; \
+	expect 124 analyze --length=-5; stderr_has "setsync: --length must be >= 0"; \
 	echo "cli-smoke: ok"
 
-serve-smoke: ## scripted NDJSON session against `setsync serve`: open/run/result/stats/shutdown all reply ok, and the session's result renders
-	@printf '%s\n' \
-	  '{"op":"hello"}' \
-	  '{"op":"open","spec":{"kind":"spin","max_steps":5000}}' \
-	  '{"op":"run","sid":0}' \
-	  '{"op":"result","sid":0}' \
-	  '{"op":"stats"}' \
-	  '{"op":"shutdown"}' \
-	| dune exec bin/setsync_cli.exe -- serve --quantum 512 \
-	  --metrics-out /tmp/setsync_ci_serve_metrics.json > /tmp/setsync_ci_serve.out
-	@test "$$(wc -l < /tmp/setsync_ci_serve.out)" -eq 6 || { \
-	  echo "serve-smoke: expected 6 replies"; cat /tmp/setsync_ci_serve.out; exit 1; }
-	@if grep -q '"ok":false' /tmp/setsync_ci_serve.out; then \
-	  echo "serve-smoke: a request failed"; cat /tmp/setsync_ci_serve.out; exit 1; fi
-	@grep -q '"schema":"setsync-serve/1"' /tmp/setsync_ci_serve.out || { \
-	  echo "serve-smoke: missing schema handshake"; exit 1; }
-	@grep -q '"result":{"kind":"spin"' /tmp/setsync_ci_serve.out || { \
-	  echo "serve-smoke: missing spin result"; cat /tmp/setsync_ci_serve.out; exit 1; }
-	@grep -q '"serve.sessions_opened":1' /tmp/setsync_ci_serve_metrics.json || { \
-	  echo "serve-smoke: metrics file missing opened counter"; \
-	  cat /tmp/setsync_ci_serve_metrics.json; exit 1; }
-	@echo "serve-smoke: ok"
-
-ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run check, fuzz + net + serve smokes
+ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run check, fuzz + net + trace + CLI smokes
 	$(MAKE) fmt-check
 	dune build
 	dune runtest
@@ -156,7 +144,6 @@ ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run 
 	$(MAKE) net-smoke
 	$(MAKE) trace-smoke
 	$(MAKE) cli-smoke
-	$(MAKE) serve-smoke
 
 clean:
 	dune clean

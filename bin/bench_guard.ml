@@ -37,6 +37,10 @@
    event. ROADMAP item 4's target for this tier is <= 30%; the
    remaining cost is the per-event clock read, lock and encoding.
 
+   The P9 row pins the same nop-sink tier on the shared-memory
+   executor, as the median overhead of alternated run pairs (ceiling
+   15%).
+
    Usage: bench_guard BENCH_quick.json *)
 
 module Json = Setsync_obs.Json
@@ -190,43 +194,6 @@ let () =
       | None -> fail "N1: missing dropped");
       Printf.printf "bench_guard: N1 n=2 ok (stabilized from %d, ceiling %d)\n" stable
         max_stable);
-  (* S1 rows: the serve layer's multiplexing tax. The aggregate rate
-     at 1000 sessions must stay within 2x of the single-session rate
-     (per active domain — the quick rows run one domain), the
-     acceptance bound on the batched-stepping design: a regression to
-     per-session dispatch overhead (allocating per step, re-entering
-     the handler per unit, store scans per quantum) trips it. *)
-  let s1_row sessions =
-    List.find_opt
-      (fun row ->
-        str row "section" = Some "S1"
-        && Option.bind (Json.member "sessions" row) Json.to_int = Some sessions)
-      rows
-  in
-  (match (s1_row 1, s1_row 1_000) with
-  | None, _ | _, None ->
-      fail "%s: missing S1 rows for sessions=1 and sessions=1000 — did bench --quick \
-            change?"
-        file
-  | Some one, Some thousand ->
-      let rate row label =
-        match num row "steps_per_s" with
-        | Some v when v > 0. -> v
-        | Some _ -> fail "S1 %s: zero aggregate rate — serve layer inert?" label
-        | None -> fail "S1 %s: missing steps_per_s" label
-      in
-      let r1 = rate one "sessions=1" in
-      let r1000 = rate thousand "sessions=1000" in
-      let min_ratio = 0.5 in
-      let ratio = r1000 /. r1 in
-      if ratio < min_ratio then
-        fail
-          "S1: 1000 sessions run at %.0f steps/s vs %.0f single-session (%.2fx, need \
-           >= %.1fx) — multiplexing tax regressed"
-          r1000 r1 ratio min_ratio;
-      Printf.printf
-        "bench_guard: S1 ok (1000 sessions at %.2fx of single-session rate, floor %.1fx)\n"
-        ratio min_ratio);
   (* N1t row: the nop-sink obs tier must stay cheap, and the full
      trace must stay well under the record-per-event ring's cost *)
   let n1t_row = List.find_opt (fun row -> str row "section" = Some "N1t") rows in
@@ -259,6 +226,30 @@ let () =
         (max_nop_overhead *. 100.)
         (traced_overhead *. 100.)
         (max_traced_overhead *. 100.));
+  (* P9 row: the executor's nop-sink obs tier on a pause loop, where
+     the per-step counter writes are the whole cost. The bench reports
+     the median overhead of alternated no-obs/nop run pairs; ten quick
+     runs on a 2-vCPU shared host measured -0.0% to 8.7% (median 6.4%),
+     so the 15% ceiling trips on a real regression (events allocated
+     or formatted on the nop path), not on host noise. *)
+  (match List.find_opt (fun row -> str row "section" = Some "P9") rows with
+  | None -> fail "%s: no P9 row — did bench --quick change?" file
+  | Some row ->
+      let max_nop_overhead = 0.15 in
+      let nop_overhead =
+        match num row "nop_overhead_fraction" with
+        | Some v -> v
+        | None -> fail "P9: missing nop_overhead_fraction"
+      in
+      if nop_overhead > max_nop_overhead then
+        fail
+          "P9: nop-sink obs tier costs %.1f%% of executor throughput (ceiling %.0f%%) — \
+           is the nop path allocating?"
+          (nop_overhead *. 100.)
+          (max_nop_overhead *. 100.);
+      Printf.printf "bench_guard: P9 ok (nop-sink overhead %.1f%%, ceiling %.0f%%)\n"
+        (nop_overhead *. 100.)
+        (max_nop_overhead *. 100.));
   (* N2 microbench rows: the round-batching acceptance pins. Every
      batched row must come in at or under 1.5 steps per routed op (the
      measured values are ~1.0 at C=1 and ~0.4 at C=4, so the ceiling

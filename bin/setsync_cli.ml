@@ -11,6 +11,25 @@
 open Cmdliner
 open Setsync
 
+(* ------------------------------------------------------ flag checks *)
+
+(* A bad flag value is a usage error, reported before the run: each
+   subcommand builds its run's inputs (spec, problem, adversary) under
+   [checked], so the libraries' own argument checks reject the value
+   with their message and exit 124, cmdliner's code for usage errors.
+   An [Invalid_argument] raised by the run itself is not caught: it
+   stays an internal error. *)
+let usage_error fmt =
+  Fmt.kstr
+    (fun msg ->
+      Fmt.epr "setsync: %s@." msg;
+      exit Cmd.Exit.cli_error)
+    fmt
+
+let checked f = try f () with Invalid_argument msg -> usage_error "%s" msg
+
+let at_least flag min v = if v < min then usage_error "%s must be >= %d (got %d)" flag min v
+
 (* -------------------------------------------------------------- args *)
 
 let t_arg = Arg.(value & opt int 2 & info [ "t" ] ~docv:"T" ~doc:"Resilience (crashes tolerated).")
@@ -158,9 +177,7 @@ let chrome_path file =
 let check_writable flag file =
   match open_out file with
   | oc -> close_out oc
-  | exception Sys_error e ->
-      Fmt.epr "setsync: cannot write the %s file: %s@." flag e;
-      exit Cmd.Exit.cli_error
+  | exception Sys_error e -> usage_error "cannot write the %s file: %s" flag e
 
 let make_obs ?(shards = 1) ~trace_out ~metrics_out () =
   Option.iter
@@ -205,6 +222,7 @@ let write_obs ~trace_out ~metrics_out = function
 
 let figure1_cmd =
   let run length =
+    at_least "--length" 0 length;
     Fmt.pr "Figure 1 schedule, first %d steps:@.  %a@.@." (min length 60) Schedule.pp_full
       (Source.take (Generators.figure1 ()) (min length 60));
     let q = Procset.singleton 2 in
@@ -230,7 +248,9 @@ let fd_cmd =
     match backend with
     | Backend_shm ->
         let spec = make_spec t k n None None bound seed crashes adversary max_steps in
-        Scenario.validate spec;
+        checked (fun () ->
+            Scenario.validate spec;
+            Kanti_omega.check_params { Kanti_omega.n; t; k });
         let obs = make_obs ~trace_out ~metrics_out () in
         let result, predicted = Scenario.run_detector ?obs spec in
         Fmt.pr "system: S^%d_{%d,%d}  predicted solvable for (%d,%d,%d): %b@."
@@ -245,7 +265,12 @@ let fd_cmd =
            round-robin run, leader timeline summarized as the step the
            last wrong leader disappeared *)
         let gst = Option.value gst ~default:4 in
-        let adversary = Adversary.gst_drop ~delta ~gst in
+        let adversary =
+          checked (fun () ->
+              Proc.check_n n;
+              Adversary.gst_drop ~delta ~gst)
+        in
+        at_least "--max-steps" 0 max_steps;
         let obs = make_obs ~trace_out ~metrics_out () in
         let r =
           Net_systems.run_ct ?obs ~initial_timeout:2 ~clients:n ~adversary ~max_steps ()
@@ -280,7 +305,7 @@ let solve_cmd =
     match backend with
     | Backend_shm ->
         let spec = make_spec t k n i j bound seed crashes adversary max_steps in
-        Scenario.validate spec;
+        checked (fun () -> Scenario.validate spec);
         let obs = make_obs ~trace_out ~metrics_out () in
         let r = Scenario.run_agreement ?obs spec in
         Fmt.pr "%a@." Scenario.pp_report r;
@@ -299,16 +324,18 @@ let solve_cmd =
            the shm reference run (bench section N2 pins them equal) *)
         let gst = Option.value gst ~default:(8 * n) in
         let total = n + owners in
-        if crashes < 0 || crashes > n then begin
-          Fmt.epr
-            "setsync: solve: --crashes %d out of range — the net crash plan names client \
-             processes, so 0 <= crashes <= n (= %d) is required@."
+        if crashes < 0 || crashes > n then
+          usage_error
+            "solve: --crashes %d out of range — the net crash plan names client \
+             processes, so 0 <= crashes <= n (= %d) is required"
             crashes n;
-          exit Cmd.Exit.cli_error
-        end;
+        at_least "--owners" 1 owners;
+        at_least "--max-steps" 0 max_steps;
         let crash_plan = List.init crashes (fun i -> (n - 1 - i, 5 * (i + 1))) in
         let combined =
-          Adversary.crash_brs ~delta ~gst ~total ~k:(max 1 k) ~crashes:crash_plan
+          checked (fun () ->
+              Proc.check_n total;
+              Adversary.crash_brs ~delta ~gst ~total ~k:(max 1 k) ~crashes:crash_plan)
         in
         let resend_after =
           (* default matches the flag's doc: retransmission is the
@@ -319,9 +346,10 @@ let solve_cmd =
           | None -> if gst > 0 then Some (2 * delta) else None
         in
         let solver, problem, values =
-          match solver with
-          | `Paxos -> (`Paxos, Problem.consensus ~t ~n, true)
-          | _ -> (`Auto, Problem.make ~t ~k ~n, false)
+          checked (fun () ->
+              match solver with
+              | `Paxos -> (`Paxos, Problem.consensus ~t ~n, true)
+              | _ -> (`Auto, Problem.make ~t ~k ~n, false))
         in
         let inputs = Problem.distinct_inputs problem in
         let obs = make_obs ~trace_out ~metrics_out () in
@@ -354,7 +382,11 @@ let solve_cmd =
            round-robin run decides within k exactly when GST lands
            before the decision point *)
         let gst = Option.value gst ~default:4 in
-        let adversary = Adversary.brs_kset ~delta ~gst ~n ~k in
+        let adversary =
+          checked (fun () ->
+              Proc.check_n n;
+              Adversary.brs_kset ~delta ~gst ~n ~k)
+        in
         let inputs = net_inputs n in
         let obs = make_obs ~trace_out ~metrics_out () in
         let sut = Net_systems.kset_blind ?obs ~inputs ~adversary () in
@@ -394,6 +426,7 @@ let solve_cmd =
 
 let sweep_cmd =
   let run t k n =
+    checked (fun () -> ignore (Setsync.Characterization.closely_matching ~t ~k ~n));
     Fmt.pr "Theorem 27 for (t=%d, k=%d, n=%d): solvable iff i <= k and j - i >= t+1-k@.@." t k n;
     Fmt.pr "%a@." Setsync.Characterization.pp_grid (Setsync.Characterization.grid ~t ~k ~n);
     let s = Setsync.Characterization.separation ~t ~k ~n in
@@ -409,6 +442,9 @@ let sweep_cmd =
 
 let analyze_cmd =
   let run n seed length bound =
+    checked (fun () -> Proc.check_n n);
+    at_least "--length" 0 length;
+    at_least "--bound" 1 bound;
     let rng = Rng.create ~seed in
     let src = Generators.random_fair ~n ~rng () in
     let s = Source.take src length in
@@ -641,6 +677,8 @@ let explore_cmd =
   let run check n t k depth bound seed bfs max_states max_replay_steps max_seconds
       fingerprints engine_opt symmetry per_state domains backend delta gst trace_out
       metrics_out progress_seconds search_summary =
+    at_least "--depth" 0 depth;
+    at_least "--domains" 1 domains;
     let strategy = if bfs then Explorer.Bfs else Explorer.Dfs in
     let engine =
       match engine_opt with
@@ -730,7 +768,7 @@ let explore_cmd =
     in
     match (check, backend) with
     | Check_kset, Backend_shm ->
-        let problem = Problem.make ~t ~k ~n in
+        let problem = checked (fun () -> Problem.make ~t ~k ~n) in
         let inputs =
           if seed = 1 then Problem.distinct_inputs problem
           else Problem.random_inputs problem ~rng:(Rng.create ~seed) ~spread:(2 * n)
@@ -758,7 +796,11 @@ let explore_cmd =
         (* net replay footprints under-approximate clock reads, so sleep
            sets stay forced off (see Net's exploration caveat);
            fingerprints are opt-in and warned about above *)
-        let adversary = Adversary.brs_kset ~delta ~gst ~n ~k in
+        let adversary =
+          checked (fun () ->
+              Proc.check_n n;
+              Adversary.brs_kset ~delta ~gst ~n ~k)
+        in
         let inputs = net_inputs n in
         let sut = Net_systems.kset_blind ~inputs ~adversary () in
         let properties =
@@ -781,6 +823,7 @@ let explore_cmd =
             List.for_all (fun (_, v) -> v = Explorer.Ok_bounded) r.Explorer.verdicts)
     | Check_detector, Backend_shm ->
         let params = { Kanti_omega.n; t; k } in
+        checked (fun () -> Kanti_omega.check_params params);
         let sut = Explore_systems.kanti_detector ~params () in
         let properties =
           [
@@ -801,7 +844,11 @@ let explore_cmd =
         (* CT timeout detector stabilization after GST; sleep sets off,
            as for net kset. Readiness needs depth >= about 7n after GST
            on round-robin paths — depth 14 covers (n=2, gst=4, delta=1). *)
-        let adversary = Adversary.gst_drop ~delta ~gst in
+        let adversary =
+          checked (fun () ->
+              Proc.check_n n;
+              Adversary.gst_drop ~delta ~gst)
+        in
         let sut = Net_systems.ct_leader ~clients:n ~adversary () in
         let properties = [ Net_systems.ct_stabilized ~delta ] in
         let config =
@@ -827,6 +874,8 @@ let explore_cmd =
                    snapshot engine is depth-first only@.";
           exit 1
         end;
+        checked (fun () -> Proc.check_n n);
+        at_least "--bound" 1 bound;
         let p = Procset.singleton 0 and q = Procset.singleton (n - 1) in
         let sut = Explore_systems.pause_procs ~n in
         let property =
@@ -969,6 +1018,9 @@ let fuzz_cmd =
   in
   let run sut_choice n t k seed execs len stride crashes max_replay_steps max_seconds
       repro backend delta gst trace_out metrics_out progress_seconds =
+    at_least "--len" 1 len;
+    at_least "--stride" 1 stride;
+    at_least "--crashes" 0 crashes;
     let seed = Option.value repro ~default:seed in
     let limits = Budget.limits ~max_states:execs ?max_replay_steps ?max_seconds () in
     let obs = make_obs ~trace_out ~metrics_out () in
@@ -1013,6 +1065,7 @@ let fuzz_cmd =
                  shared-memory systems)@.";
         exit 1
     | Fuzz_seeded_bug, Backend_shm ->
+        checked (fun () -> Kanti_omega.check_params { Kanti_omega.n; t; k });
         Fmt.pr "fuzzing the seeded-bug counter core (n=%d, t=%d, k=%d), seed %d, len %d@."
           n t k seed len;
         go
@@ -1020,6 +1073,7 @@ let fuzz_cmd =
           ~properties:[ Fuzz_systems.winner_argmin () ]
           ()
     | Fuzz_fixed, Backend_shm ->
+        checked (fun () -> Kanti_omega.check_params { Kanti_omega.n; t; k });
         Fmt.pr "fuzzing the faithful counter core (n=%d, t=%d, k=%d), seed %d, len %d@."
           n t k seed len;
         go
@@ -1027,7 +1081,7 @@ let fuzz_cmd =
           ~properties:[ Fuzz_systems.winner_argmin () ]
           ()
     | Fuzz_kset, Backend_shm ->
-        let problem = Problem.make ~t ~k ~n in
+        let problem = checked (fun () -> Problem.make ~t ~k ~n) in
         let inputs = Problem.distinct_inputs problem in
         Fmt.pr "fuzzing %a, inputs %a, seed %d, len %d@." Problem.pp problem
           Fmt.(array ~sep:sp int)
@@ -1047,7 +1101,11 @@ let fuzz_cmd =
            heals: the net_adversary burst schedule is seeded into the
            corpus, so the k-set violation is found and ddmin-shrunk *)
         let gst = Option.value gst ~default:1_000_000 in
-        let adversary = Adversary.brs_kset ~delta ~gst ~n ~k in
+        let adversary =
+          checked (fun () ->
+              Proc.check_n n;
+              Adversary.brs_kset ~delta ~gst ~n ~k)
+        in
         let inputs = net_inputs n in
         let sut = Net_systems.kset_blind ~inputs ~adversary () in
         let burst = (2 * n) + 1 in
@@ -1099,75 +1157,6 @@ let fuzz_cmd =
       $ backend_arg $ delta_arg $ gst_arg $ trace_out_arg $ metrics_out_arg
       $ progress_seconds_arg)
 
-(* -------------------------------------------------------------- serve *)
-
-let serve_cmd =
-  let shards_arg =
-    Arg.(
-      value & opt int 8
-      & info [ "shards" ] ~docv:"S" ~doc:"Lock stripes in the session store.")
-  in
-  let capacity_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "capacity" ] ~docv:"C"
-          ~doc:"Initial session slots per shard (grows by doubling).")
-  in
-  let quantum_arg =
-    Arg.(
-      value & opt int 1024
-      & info [ "quantum" ] ~docv:"Q"
-          ~doc:"Default work units granted per session per batch round.")
-  in
-  let serve_domains_arg =
-    Arg.(
-      value & opt int 1
-      & info [ "domains" ] ~docv:"D"
-          ~doc:"Domains sweeping shard ranges in parallel during rounds.")
-  in
-  let gc_tune_arg =
-    Arg.(
-      value & flag
-      & info [ "gc-tune" ]
-          ~doc:
-            "Apply the serving GC profile: larger minor heap and laxer space \
-             overhead, trading memory for fewer collections on the step path.")
-  in
-  let run shards capacity quantum domains gc_tune trace_out metrics_out =
-    if shards < 1 || capacity < 1 || quantum < 1 || domains < 1 then begin
-      Fmt.epr "serve: --shards, --capacity, --quantum and --domains must be >= 1@.";
-      exit 1
-    end;
-    let server =
-      Setsync_serve.Server.create ~shards ~capacity ~quantum ~domains ~gc_tune
-        ?trace_out ?metrics_out ()
-    in
-    Setsync_serve.Server.run_loop server stdin stdout
-  in
-  Cmd.v
-    (Cmd.info "serve" ~doc:"Multi-tenant scenario server (NDJSON on stdin/stdout)"
-       ~man:
-         [
-           `S Manpage.s_description;
-           `P
-             "Long-running server multiplexing many fd/solve/fuzz/explore sessions \
-              over a sharded session store with batched stepping. Speaks one JSON \
-              object per line on stdin/stdout (schema $(b,setsync-serve/1)): \
-              $(b,hello), $(b,open), $(b,open-batch), $(b,step), $(b,round), \
-              $(b,run), $(b,result), $(b,metrics), $(b,close), $(b,drain), \
-              $(b,stats), $(b,flush), $(b,shutdown). Served runs are \
-              byte-identical to the one-shot subcommands: the same harness code \
-              executes, suspended cooperatively every $(b,--quantum) work units.";
-           `P
-             "With $(b,--trace-out) closing sessions' event rings are appended as \
-              JSONL (each event tagged with its sid) by a dedicated flusher domain \
-              off the step path; $(b,--metrics-out) writes the server registry at \
-              shutdown.";
-         ])
-    Term.(
-      const run $ shards_arg $ capacity_arg $ quantum_arg $ serve_domains_arg
-      $ gc_tune_arg $ trace_out_arg $ metrics_out_arg)
-
 let () =
   let doc = "partial synchrony based on set timeliness (PODC 2009), executable" in
   let info = Cmd.info "setsync" ~version:"1.0.0" ~doc in
@@ -1183,5 +1172,4 @@ let () =
             trace_report_cmd;
             explore_cmd;
             fuzz_cmd;
-            serve_cmd;
           ]))

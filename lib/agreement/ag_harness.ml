@@ -173,12 +173,11 @@ let solve ~problem ~inputs ~source ~max_steps ?fault ?initial_timeout ?solver ?s
   execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost ?substrate
     ?on_step ?obs bundle
 
-let solve_adaptive ~problem ~inputs ~make_source ~max_steps ?fault ?initial_timeout ?on_step
-    ?obs () =
+let solve_adaptive ~problem ~inputs ~make_source ~max_steps ?fault ?initial_timeout ?obs () =
   let store = Store.create () in
   let bundle = make_bundle ~problem ~inputs ?initial_timeout store in
   let source = make_source ~view:bundle.view in
-  execute ~problem ~inputs ~source ~max_steps ?fault ?on_step ?obs bundle
+  execute ~problem ~inputs ~source ~max_steps ?fault ?obs bundle
 
 let ok outcome = Checker.ok outcome.report
 

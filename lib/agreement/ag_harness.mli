@@ -58,8 +58,8 @@ val solve :
     a clients-only source). The source's universe must be [total].
 
     [on_step] is invoked once per executed global step, before the
-    harness's own decision sampling — the multi-tenant serve layer uses
-    it as a deterministic yield point; it must not touch shared state.
+    harness's own decision sampling (e.g. to attribute time per step);
+    it must not perturb the run.
 
     [obs] (also forwarded to the executor) records each decision's
     first-visible step into the [agreement.decision_latency_steps]
@@ -75,7 +75,6 @@ val solve_adaptive :
   max_steps:int ->
   ?fault:Setsync_runtime.Fault.plan ->
   ?initial_timeout:int ->
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   ?obs:Setsync_obs.Obs.t ->
   unit ->
   outcome

@@ -82,7 +82,7 @@ let source_factory spec rng ~contract =
          peeking; for detector-only runs fall back to Exclusive *)
       fun ~live -> Generators.exclusive_timely ~live ~n:spec.n ~contract ~defeat:spec.k ()
 
-let run_agreement ?on_step ?obs spec =
+let run_agreement ?obs spec =
   validate spec;
   let { t; k; n; i; j; max_steps; _ } = spec in
   let rng, witness_p, witness_q, fault = ingredients spec in
@@ -96,11 +96,10 @@ let run_agreement ?on_step ?obs spec =
           Setsync_agreement.Adaptive.source ~live ~n ~contract ~fault_budget:t ~defeat:k
             ~view ()
         in
-        Ag_harness.solve_adaptive ~problem ~inputs ~make_source ~max_steps ~fault ?on_step
-          ?obs ()
+        Ag_harness.solve_adaptive ~problem ~inputs ~make_source ~max_steps ~fault ?obs ()
     | Fair | Exclusive ->
         let source = source_factory spec rng ~contract in
-        Ag_harness.solve ~problem ~inputs ~source ~max_steps ~fault ?on_step ?obs ()
+        Ag_harness.solve ~problem ~inputs ~source ~max_steps ~fault ?obs ()
   in
   {
     spec;
@@ -112,7 +111,7 @@ let run_agreement ?on_step ?obs spec =
     solved = Ag_harness.ok outcome;
   }
 
-let run_detector ?on_step ?obs spec =
+let run_detector ?obs spec =
   validate spec;
   let { t; k; n; i; j; max_steps; _ } = spec in
   let rng, witness_p, witness_q, fault = ingredients spec in
@@ -124,8 +123,7 @@ let run_detector ?on_step ?obs spec =
      starvation phase, so the run always uses its full budget and the
      verdict requires stability through the final tenth. *)
   let result =
-    Fd_harness.run ~params ~source ~max_steps ~fault ~margin:(max_steps / 10) ?on_step ?obs
-      ()
+    Fd_harness.run ~params ~source ~max_steps ~fault ~margin:(max_steps / 10) ?obs ()
   in
   (result, Characterization.solvable ~t ~k ~n ~i ~j)
 

@@ -25,7 +25,6 @@ val run :
   ?initial_timeout:int ->
   ?stop_after_stable:int ->
   ?margin:int ->
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   ?obs:Setsync_obs.Obs.t ->
   unit ->
   result
@@ -36,10 +35,6 @@ val run :
     for fixed-length runs (the methodologically conservative mode used
     by the test-suite's correctness assertions). [margin] is passed to
     the validators.
-
-    [on_step] is invoked once per executed global step, before the
-    harness's own output sampling — the multi-tenant serve layer uses
-    it as a deterministic yield point; it must not touch shared state.
 
     [obs] (also forwarded to the executor) counts runs into
     [detector.runs], records the winner-stabilization step in the

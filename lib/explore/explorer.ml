@@ -1226,8 +1226,7 @@ let rec snapshot_visit ?push eng c ~hb ~progress ~over ~on_truncate ~pending ~de
 
 (* ------------------------------------------------------- sequential *)
 
-let explore_seq ?obs ?on_visit ?on_progress ?(progress_interval = 1.0) ~sut ~properties
-    config =
+let explore_seq ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties config =
   validate_explore ~sut config;
   let meter = Budget.start config.limits in
   let hb = make_heartbeat ?on_progress ~interval:progress_interval obs in
@@ -1274,7 +1273,7 @@ let explore_seq ?obs ?on_visit ?on_progress ?(progress_interval = 1.0) ~sut ~pro
           | Some _ | None ->
               Hashtbl.replace fingerprints fp depth;
               true);
-      e_on_visit = (match on_visit with Some f -> f | None -> fun () -> ());
+      e_on_visit = (fun () -> ());
       e_on_replay = (fun ~steps:_ -> ());
       e_over_visit = (fun () -> Budget.over_visit meter);
       e_over_steps = (fun () -> Budget.over_steps meter);
@@ -1606,15 +1605,10 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
     engine = config.engine;
   }
 
-let explore ?(domains = 1) ?obs ?on_visit ?on_progress ?progress_interval ~sut ~properties
-    config =
+let explore ?(domains = 1) ?obs ?on_progress ?progress_interval ~sut ~properties config =
   if domains < 1 then invalid_arg "Explorer.explore: domains must be >= 1";
-  if domains > 1 && on_visit <> None then
-    invalid_arg
-      "Explorer.explore: on_visit is single-domain only (the parallel engine owns the \
-       visit hook for its global budget)";
   if domains = 1 then
-    explore_seq ?obs ?on_visit ?on_progress ?progress_interval ~sut ~properties config
+    explore_seq ?obs ?on_progress ?progress_interval ~sut ~properties config
   else begin
     (match config.strategy with
     | Custom _ ->

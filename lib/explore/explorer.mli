@@ -217,7 +217,6 @@ type progress = {
 val explore :
   ?domains:int ->
   ?obs:Setsync_obs.Obs.t ->
-  ?on_visit:(unit -> unit) ->
   ?on_progress:(progress -> unit) ->
   ?progress_interval:float ->
   sut:'obs sut ->
@@ -226,12 +225,6 @@ val explore :
   report
 (** Exploration stops when the frontier empties, a budget limit fires
     (stats.truncated), or every property already has a counterexample.
-
-    [on_visit] fires once per visited state — the serve layer's
-    deterministic yield point; it must not perturb the search.
-    Single-domain only: with [domains > 1] the parallel engine owns the
-    visit hook for its global budget, so passing [on_visit] raises
-    [Invalid_argument].
 
     [obs] opts the exploration into observability. Metrics (recorded at
     the end of the run, from the same meters the report prints, so the

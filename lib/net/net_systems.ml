@@ -191,8 +191,7 @@ type ct_run = {
   net_stats : Net.stats;
 }
 
-let run_ct ?obs ?initial_timeout ?backoff ?on_step:caller_on_step ~clients ~adversary
-    ~max_steps () =
+let run_ct ?obs ?initial_timeout ?backoff ~clients ~adversary ~max_steps () =
   Proc.check_n clients;
   let gst_hint = adversary.Adversary.gst in
   let store = Store.create () in
@@ -203,8 +202,7 @@ let run_ct ?obs ?initial_timeout ?backoff ?on_step:caller_on_step ~clients ~adve
   in
   let expected = 0 in
   let last_bad = ref (-1) in
-  let on_step ~global ~proc =
-    (match caller_on_step with Some f -> f ~global ~proc | None -> ());
+  let on_step ~global ~proc:_ =
     if Array.exists (fun d -> Ct_detector.leader d <> expected) dets then
       last_bad := global
   in

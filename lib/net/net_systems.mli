@@ -69,13 +69,10 @@ val run_ct :
   ?obs:Setsync_obs.Obs.t ->
   ?initial_timeout:int ->
   ?backoff:int ->
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   clients:int ->
   adversary:Adversary.t ->
   max_steps:int ->
   unit ->
   ct_run
 (** Round-robin CT run for the CLI and bench §N1: deterministic, so
-    [stabilized_from] is machine-independent for fixed parameters.
-    [on_step] fires once per executed global step — the serve layer's
-    deterministic yield point; it must not perturb the run. *)
+    [stabilized_from] is machine-independent for fixed parameters. *)

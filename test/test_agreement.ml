@@ -15,6 +15,9 @@ module Store = Setsync_memory.Store
 module Shm = Setsync_runtime.Shm
 module Executor = Setsync_runtime.Executor
 module Run = Setsync_runtime.Run
+module Adversary = Setsync_net.Adversary
+module Net = Setsync_net.Net
+module Netmem = Setsync_net.Netmem
 
 (* ------------------------------------------------------------------ *)
 (* Problem *)
@@ -403,6 +406,71 @@ let test_decide_steps_recorded () =
     outcome.Ag_harness.decide_steps
 
 (* ------------------------------------------------------------------ *)
+(* Ag_harness.solve ?on_step: an observer, not a participant *)
+
+(* [solve on_step] runs one fixed instance, with or without the hook.
+   The hook must fire exactly once per executed step, with consecutive
+   global step numbers, and leave the outcome as it was without it. *)
+let check_on_step_inert solve =
+  let plain = solve None in
+  let seen = ref [] in
+  let hooked = solve (Some (fun ~global ~proc:_ -> seen := global :: !seen)) in
+  let steps = Run.total_steps hooked.Ag_harness.run in
+  Alcotest.(check bool) "instance decides" true (Ag_harness.ok plain);
+  Alcotest.(check (list int)) "one call per executed step" (List.init steps Fun.id)
+    (List.rev !seen);
+  Alcotest.(check int) "same run length" (Run.total_steps plain.Ag_harness.run) steps;
+  Alcotest.(check (array (option int))) "same decisions" plain.Ag_harness.decisions
+    hooked.Ag_harness.decisions;
+  Alcotest.(check (array (option int))) "same decide steps" plain.Ag_harness.decide_steps
+    hooked.Ag_harness.decide_steps;
+  Alcotest.(check bool) "same verdict" true (plain.Ag_harness.report = hooked.Ag_harness.report)
+
+let test_on_step_shm () =
+  check_on_step_inert (fun on_step ->
+      let problem = Problem.make ~t:2 ~k:2 ~n:4 in
+      let inputs = Problem.distinct_inputs problem in
+      let rng = Rng.create ~seed:79 in
+      let contract =
+        { Generators.p = Procset.of_list [ 0; 1 ]; q = Procset.of_list [ 2; 3 ]; bound = 3 }
+      in
+      let source ~live = Generators.timely ~live ~n:4 ~contract ~rng () in
+      Ag_harness.solve ~problem ~inputs ~source ~max_steps:5_000_000 ~fault:[ (3, 40) ]
+        ?on_step ())
+
+(* The Theorem 24 solver over batched Netmem under combined crash + BRS
+   loss: n = 5 clients and one register owner, clients-only round robin
+   with owner turns granted by the round policy. *)
+let test_on_step_net () =
+  check_on_step_inert (fun on_step ->
+      let n = 5 and total = 6 in
+      let problem = Problem.make ~t:2 ~k:2 ~n in
+      let inputs = Problem.distinct_inputs problem in
+      let combined =
+        Adversary.crash_brs ~delta:2 ~gst:60 ~total ~k:2 ~crashes:[ (n - 1, 5) ]
+      in
+      let store = Store.create () in
+      let net = Net.create ~store ~n:total ~adversary:combined.Adversary.adversary () in
+      let nm =
+        Netmem.install ~mode:Netmem.Batched ~resend_after:8 ~net ~store ~clients:n ~owners:1
+          ()
+      in
+      let source ~live =
+        let cursor = ref 0 in
+        Source.make ~n:total (fun () ->
+            let rec scan tries =
+              let p = !cursor in
+              cursor := (p + 1) mod n;
+              if live p || tries >= n then Some p else scan (tries + 1)
+            in
+            scan 0)
+      in
+      Ag_harness.solve ~problem ~inputs ~source ~max_steps:200_000
+        ~fault:combined.Adversary.fault ~store ~total
+        ~extra_body:(fun p -> Netmem.owner_body nm p)
+        ~boost:(Netmem.round_policy nm) ~substrate:(Net.substrate net) ?on_step ())
+
+(* ------------------------------------------------------------------ *)
 (* Adaptive adversary: the agreement-level Theorem 27 boundary *)
 
 let adaptive_cell ~i ~j ~seed =
@@ -533,6 +601,11 @@ let () =
           Alcotest.test_case "validation" `Quick test_kset_create_validation;
           Alcotest.test_case "consensus (k=1)" `Quick test_kset_consensus;
           Alcotest.test_case "decide steps" `Quick test_decide_steps_recorded;
+        ] );
+      ( "harness on_step",
+        [
+          Alcotest.test_case "inert on shm" `Quick test_on_step_shm;
+          Alcotest.test_case "inert on batched net" `Quick test_on_step_net;
         ] );
       ( "adaptive",
         [

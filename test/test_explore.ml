@@ -16,6 +16,9 @@ module Explorer = Setsync_explore.Explorer
 module Shrink = Setsync_explore.Shrink
 module Systems = Setsync_explore.Systems
 module Parallel = Setsync_explore.Parallel
+module Obs = Setsync_obs.Obs
+module Metrics = Setsync_obs.Metrics
+module Json = Setsync_obs.Json
 
 let schedule = Alcotest.testable Schedule.pp Schedule.equal
 
@@ -1197,6 +1200,40 @@ let test_pp_stats_line () =
   Alcotest.(check bool) "safety_checked printed nonzero" true (s.Budget.safety_checked > 0)
 
 (* ------------------------------------------------------------------ *)
+(* (l) metrics are scoped to their Obs context: two explores with
+   separate contexts, run one after the other, each end with exactly
+   the counters of the same explore run alone *)
+
+let test_metrics_scoped_to_obs () =
+  let problem = Setsync_agreement.Problem.make ~t:1 ~k:1 ~n:3 in
+  let inputs = Setsync_agreement.Problem.distinct_inputs problem in
+  let decisions st = st.Explorer.obs.Systems.decisions in
+  let explore ~depth obs =
+    ignore
+      (Explorer.explore ~obs
+         ~sut:(Systems.kset_agreement ~problem ~inputs ())
+         ~properties:[ Property.kset_agreement ~k:1 ~decisions ]
+         (Explorer.config ~prune_fingerprints:false ~depth ()))
+  in
+  let counters obs =
+    match Json.member "counters" (Metrics.to_json obs.Obs.metrics) with
+    | Some c -> Json.to_string c
+    | None -> Alcotest.fail "no counters recorded"
+  in
+  let alone depth =
+    let obs = Obs.create () in
+    explore ~depth obs;
+    counters obs
+  in
+  let obs_a = Obs.create () and obs_b = Obs.create () in
+  explore ~depth:5 obs_a;
+  explore ~depth:4 obs_b;
+  let a = counters obs_a and b = counters obs_b in
+  Alcotest.(check string) "A's counters as if run alone" (alone 5) a;
+  Alcotest.(check string) "B's counters as if run alone" (alone 4) b;
+  Alcotest.(check bool) "A and B differ" false (String.equal a b)
+
+(* ------------------------------------------------------------------ *)
 (* (k) check_schedule stays a single replay across skipped steps *)
 
 (* single-writer processes halt after 2 steps, so a schedule naming a
@@ -1403,6 +1440,10 @@ let () =
         ] );
       ( "report line",
         [ Alcotest.test_case "pp_stats pins every counter" `Quick test_pp_stats_line ] );
+      ( "metrics scoping",
+        [
+          Alcotest.test_case "counters scoped to Obs" `Quick test_metrics_scoped_to_obs;
+        ] );
       ( "check_schedule skips",
         [
           Alcotest.test_case "single replay across skipped steps" `Quick

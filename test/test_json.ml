@@ -3,8 +3,8 @@
    and lone surrogates), truncated and trailing-garbage inputs,
    unknown-field tolerance of event_of_json, and seeded round-trip
    fuzzing of both values and events. The parser is what the CI
-   validator and the serve protocol run on, so its failure mode must
-   always be [Error], never an exception or a silent misparse. *)
+   validator and trace-report run on, so its failure mode must always
+   be [Error], never an exception or a silent misparse. *)
 
 module Json = Setsync_obs.Json
 module Events = Setsync_obs.Events
