@@ -129,6 +129,8 @@ cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1
 	expect 124 explore --backend net -n 1; stderr_has "setsync: Adversary.brs_kset"; \
 	expect 124 solve --backend net --solver paxos -n 2 -t 1 -k 1 --delta 0; \
 	stderr_has "setsync: Adversary.make: delta"; \
+	expect 124 solve --backend net --max-steps=-1; \
+	stderr_has "setsync: --max-steps must be >= 0"; \
 	expect 124 figure1 --length=-1; stderr_has "setsync: --length must be >= 0"; \
 	expect 124 analyze --length=-5; stderr_has "setsync: --length must be >= 0"; \
 	echo "cli-smoke: ok"

@@ -701,22 +701,39 @@ let bechamel_benchmarks () =
 (* ------------------------------------------------------------------ *)
 (* P9: observability overhead — the no-sink discipline, enforced *)
 
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+(* [pairs] timed (off, on) run pairs after one warm-up run, with the
+   order swapped every pair: host speed drifts by more than the
+   overheads measured here between two floors taken seconds apart, but
+   it lands on both sides of a pair. The overhead is the median of the
+   per-pair ratios. *)
+let alternated_pairs ~pairs ~off ~on =
+  ignore (off ());
+  List.init pairs (fun i ->
+      if i mod 2 = 0 then
+        let t_off = off () in
+        (t_off, on ())
+      else
+        let t_on = on () in
+        (off (), t_on))
+
+let median_overhead timed = median (List.map (fun (off, on) -> 1. -. (off /. on)) timed)
+
 (* The opt-in contract of setsync_obs: an un-instrumented run (?obs
    absent) and a run with a nop-sink context must both keep the
    executor's step throughput — instrumented-off cost is one [match]
    per step. Manual timing rather than Bechamel: we want the ratio of
    whole-run rates, not per-call estimates, and the same loop shape
-   the explorer drives.
-
-   The no-obs and nop tiers run alternately, pair by pair, with the
-   order swapped every pair, and the overhead is the median of the
-   per-pair ratios: host speed drifts by more than the effect between
-   two floors taken seconds apart, but it lands on both sides of a
-   pair. bin/bench_guard.ml pins the quick row. *)
+   the explorer drives. The no-obs and nop tiers run as alternated
+   pairs; bin/bench_guard.ml pins the quick row. *)
 let p9_obs_overhead () =
   section "P9. Observability overhead: executor step throughput (pause-loop bodies, n=4)";
   let steps = 200_000 and pairs = 9 in
-  let run_once obs =
+  let run_once obs () =
     let body _ () =
       while true do
         Shm.pause ()
@@ -727,24 +744,11 @@ let p9_obs_overhead () =
     ignore (Executor.run ~n:4 ~source ~max_steps:steps ?obs body);
     Unix.gettimeofday () -. t0
   in
-  let median xs =
-    let a = Array.of_list xs in
-    Array.sort compare a;
-    a.(Array.length a / 2)
-  in
-  let nop_obs = Some (Obs.create ()) in
-  ignore (run_once None) (* warm-up *);
   let timed =
-    List.init pairs (fun i ->
-        if i mod 2 = 0 then
-          let off = run_once None in
-          (off, run_once nop_obs)
-        else
-          let nop = run_once nop_obs in
-          (run_once None, nop))
+    alternated_pairs ~pairs ~off:(run_once None) ~on:(run_once (Some (Obs.create ())))
   in
   let traced_obs = Some (Obs.create ~events:(Events.memory ()) ()) in
-  let traced_times = List.init 5 (fun _ -> run_once traced_obs) in
+  let traced_times = List.init 5 (fun _ -> run_once traced_obs ()) in
   let rate label times =
     let r = float_of_int steps /. median times in
     Fmt.pr "  %-36s %12.0f steps/s@." label r;
@@ -753,7 +757,7 @@ let p9_obs_overhead () =
   let off = rate "no obs (pre-PR path)" (List.map fst timed) in
   let nop = rate "obs ctx, nop event sink" (List.map snd timed) in
   let traced = rate "obs ctx, memory sink (full trace)" traced_times in
-  let overhead = median (List.map (fun (off, nop) -> 1. -. (off /. nop)) timed) in
+  let overhead = median_overhead timed in
   Fmt.pr "  nop-sink overhead vs no obs: %.2f%% (median of %d alternated pairs)@."
     (overhead *. 100.) pairs;
   Results.add "P9"
@@ -862,44 +866,49 @@ let n1_net ?(quick = false) () =
    for. Three tiers: plain, an obs context with a nop event sink
    (metrics + delay attribution live, no event allocation), and a full
    memory-sink trace (send/deliver/inflight events with lineage args).
-   bin/bench_guard.ml pins the overhead of both instrumented tiers. *)
+   Each instrumented tier runs in alternated pairs with the plain one,
+   as in P9. bin/bench_guard.ml pins the overhead of both instrumented
+   tiers. *)
 let n1_trace_overhead ?(quick = false) () =
   section "N1t. Net tracing overhead: CT run, plain vs nop-sink obs vs full trace";
   let n = 2 and delta = 1 and gst = 4 in
   let max_steps = if quick then 200_000 else 400_000 in
-  let reps = if quick then 3 else 5 in
+  let pairs = if quick then 9 else 15 and traced_pairs = if quick then 5 else 7 in
   let adversary = Adversary.gst_drop ~delta ~gst in
-  let run_once obs =
+  let run_once obs () =
     let t0 = Unix.gettimeofday () in
     ignore
       (Net_systems.run_ct ?obs ~initial_timeout:2 ~clients:n ~adversary ~max_steps ());
     Unix.gettimeofday () -. t0
   in
-  let rate label obs =
-    (* best of reps — the stable floor, robust to scheduling noise *)
-    let best = ref infinity in
-    for _ = 1 to reps do
-      best := min !best (run_once obs)
-    done;
-    let r = float_of_int max_steps /. !best in
+  let timed =
+    alternated_pairs ~pairs ~off:(run_once None) ~on:(run_once (Some (Obs.create ())))
+  in
+  let traced_timed =
+    alternated_pairs ~pairs:traced_pairs ~off:(run_once None)
+      ~on:(run_once (Some (Obs.create ~events:(Events.memory ()) ())))
+  in
+  let rate label times =
+    let r = float_of_int max_steps /. median times in
     Fmt.pr "  %-36s %12.0f steps/s@." label r;
     r
   in
-  let plain = rate "no obs (fast path)" None in
-  let nop = rate "obs ctx, nop event sink" (Some (Obs.create ())) in
-  let traced =
-    rate "obs ctx, memory sink (full lineage)"
-      (Some (Obs.create ~events:(Events.memory ()) ()))
-  in
-  let nop_overhead = (plain -. nop) /. plain in
-  let traced_overhead = (plain -. traced) /. plain in
-  Fmt.pr "  nop-sink overhead vs no obs: %.2f%% (guard ceiling 35%%)@."
-    (nop_overhead *. 100.);
-  Fmt.pr "  full-trace overhead vs no obs: %.2f%% (guard ceiling 82%%)@."
-    (traced_overhead *. 100.);
+  let plain = rate "no obs (fast path)" (List.map fst timed) in
+  let nop = rate "obs ctx, nop event sink" (List.map snd timed) in
+  let traced = rate "obs ctx, memory sink (full lineage)" (List.map snd traced_timed) in
+  let nop_overhead = median_overhead timed in
+  let traced_overhead = median_overhead traced_timed in
+  Fmt.pr "  nop-sink overhead vs no obs: %.2f%% (median of %d alternated pairs; guard \
+          ceiling 30%%)@."
+    (nop_overhead *. 100.) pairs;
+  Fmt.pr "  full-trace overhead vs no obs: %.2f%% (median of %d alternated pairs; guard \
+          ceiling 82%%)@."
+    (traced_overhead *. 100.) traced_pairs;
   Results.add "N1t"
     [
       ("steps", Json.Int max_steps);
+      ("pairs", Json.Int pairs);
+      ("traced_pairs", Json.Int traced_pairs);
       ("plain_steps_per_s", Json.Float plain);
       ("nop_obs_steps_per_s", Json.Float nop);
       ("traced_steps_per_s", Json.Float traced);

@@ -382,6 +382,7 @@ let solve_cmd =
            round-robin run decides within k exactly when GST lands
            before the decision point *)
         let gst = Option.value gst ~default:4 in
+        at_least "--max-steps" 0 max_steps;
         let adversary =
           checked (fun () ->
               Proc.check_n n;
@@ -390,7 +391,7 @@ let solve_cmd =
         let inputs = net_inputs n in
         let obs = make_obs ~trace_out ~metrics_out () in
         let sut = Net_systems.kset_blind ?obs ~inputs ~adversary () in
-        let len = n * ((2 * n) + 1) in
+        let len = min max_steps (n * ((2 * n) + 1)) in
         let st = Explorer.evaluate ~sut (Source.take (Generators.round_robin ~n ()) len) in
         let decisions = st.Explorer.obs.Explore_systems.decisions in
         Fmt.pr "net backend: blind k-set gossip vs %s (delta=%d, gst=%d), %d processes, \

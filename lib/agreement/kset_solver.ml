@@ -1,7 +1,7 @@
 module Proc = Setsync_schedule.Proc
 module Procset = Setsync_schedule.Procset
 module Store = Setsync_memory.Store
-module Shm = Setsync_runtime.Shm
+module Machine = Setsync_runtime.Machine
 module Kanti_omega = Setsync_detector.Kanti_omega
 
 type t = {
@@ -43,58 +43,17 @@ let create store ~problem ~inputs ?initial_timeout () =
     engagement = Array.make n None;
   }
 
-let body t proc () =
-  let { Problem.k; n; _ } = t.problem in
-  let fd =
-    Kanti_omega.make_process ?initial_timeout:t.initial_timeout t.fd_shared t.fd_params ~proc
-  in
-  t.fd_processes.(proc) <- Some fd;
-  let proposers =
-    Array.init k (fun r -> Paxos.make_proposer t.instances.(r) ~proc ~input:t.inputs.(proc))
-  in
-  let exception Decided of int in
-  let decide v = raise (Decided v) in
-  try
-    while true do
-      (* keep the failure detector running: one full Figure 2 iteration *)
-      Kanti_omega.iterate fd;
-      (* adopt any published decision *)
-      for q = 0 to n - 1 do
-        match Shm.read t.dec.(q) with Some v -> decide v | None -> ()
-      done;
-      (* act as proposer for every rank this process currently holds *)
-      let w = Kanti_omega.winnerset fd in
-      for r = 0 to k - 1 do
-        if (not (Procset.is_empty w)) && Proc.equal (Procset.nth w r) proc then begin
-          t.engagement.(proc) <- Some (r, Paxos.current_ballot proposers.(r));
-          let outcome = Paxos.attempt proposers.(r) in
-          t.engagement.(proc) <- None;
-          match outcome with
-          | Paxos.Decided v -> decide v
-          | Paxos.Interfered -> ()
-        end
-      done
-    done
-  with Decided v ->
-    t.engagement.(proc) <- None;
-    t.decisions.(proc) <- Some v;
-    Shm.write t.dec.(proc) (Some v);
-    (* Stay correct: keep taking (idle) steps so schedule contracts
-       involving this process keep holding; the harness stops the run
-       once every live process has decided. *)
-    while true do
-      Shm.pause ()
-    done
+(* {2 Per-process step}
 
-(* {2 Machine form}
-
-   Explicit-PC composition of the solver loop for the snapshot
-   exploration engine: the same interleaving of detector iterations,
-   decision-gossip scans and Paxos attempts as [body], with the fiber
-   replaced by a per-process PC. Step boundaries mirror the fiber
-   form's exactly — each step runs the local code since the previous
-   shared-memory atomic and performs the next one — so footprints and
-   snapshots coincide. *)
+   The solver loop as a per-process machine, one shared-memory atomic
+   per step: a Figure 2 iteration, a scan of the decision registers,
+   then a Paxos attempt for every rank this process holds in its
+   winnerset; a decided process publishes its decision and then idles
+   (stays correct, so schedule contracts involving it keep holding).
+   Each step runs the local code since the previous atomic and
+   performs the next one through [acc]: [machine_step] passes
+   [Machine.direct] for the snapshot engine, [body] loops it over
+   [Machine.fiber]. *)
 
 type spc =
   | S_fd of Kanti_omega.mpc  (** inside a detector iteration *)
@@ -104,6 +63,68 @@ type spc =
   | S_dec_written  (** published own decision *)
   | S_paused  (** idling decided process *)
 
+let make_fd t proc =
+  let fd =
+    Kanti_omega.make_process ?initial_timeout:t.initial_timeout t.fd_shared t.fd_params ~proc
+  in
+  t.fd_processes.(proc) <- Some fd;
+  fd
+
+let make_proposers t proc =
+  Array.init t.problem.Problem.k (fun r ->
+      Paxos.make_proposer t.instances.(r) ~proc ~input:t.inputs.(proc))
+
+(* adopt or commit a decision: runs in the step that performs the
+   decision-register write *)
+let decide (acc : Machine.access) t proc v =
+  t.engagement.(proc) <- None;
+  t.decisions.(proc) <- Some v;
+  acc.write t.dec.(proc) (Some v);
+  S_dec_written
+
+(* the rank loop from rank [r]: engage the first rank this process
+   holds in [w]; falling off the end starts the next detector
+   iteration. Always performs this step's atomic. *)
+let rec ranks acc t fd props proc w r =
+  if r >= t.problem.Problem.k then S_fd (Kanti_omega.iterate_start acc fd)
+  else if (not (Procset.is_empty w)) && Proc.equal (Procset.nth w r) proc then begin
+    t.engagement.(proc) <- Some (r, Paxos.current_ballot props.(r));
+    match Paxos.attempt_start acc props.(r) with
+    | Paxos.M_more pc -> S_paxos (r, w, pc)
+    | Paxos.M_decided v -> decide acc t proc v
+    | Paxos.M_interfered -> assert false
+  end
+  else ranks acc t fd props proc w (r + 1)
+
+let step (acc : Machine.access) t fd props proc = function
+  | None -> S_fd (Kanti_omega.iterate_start acc fd)
+  | Some (S_fd pc) -> (
+      match Kanti_omega.iterate_resume acc fd pc with
+      | Some pc' -> S_fd pc'
+      | None -> S_dec (0, acc.read t.dec.(0)))
+  | Some (S_dec (_, Some v)) -> decide acc t proc v
+  | Some (S_dec (q, None)) ->
+      if q < t.problem.Problem.n - 1 then S_dec (q + 1, acc.read t.dec.(q + 1))
+      else ranks acc t fd props proc (Kanti_omega.winnerset fd) 0
+  | Some (S_paxos (r, w, pc)) -> (
+      match Paxos.attempt_resume acc props.(r) pc with
+      | Paxos.M_more pc' -> S_paxos (r, w, pc')
+      | Paxos.M_interfered ->
+          t.engagement.(proc) <- None;
+          ranks acc t fd props proc w (r + 1)
+      | Paxos.M_decided v -> decide acc t proc v)
+  | Some (S_dec_written | S_paused) ->
+      acc.pause ();
+      S_paused
+
+let body t proc () =
+  let fd = make_fd t proc in
+  let props = make_proposers t proc in
+  let rec loop pc = loop (Some (step Machine.fiber t fd props proc pc)) in
+  loop None
+
+(* {2 Machine form} *)
+
 type machine = {
   solver : t;
   fds : Kanti_omega.process array;
@@ -112,72 +133,17 @@ type machine = {
 }
 
 let machine t =
-  let { Problem.k; n; _ } = t.problem in
-  let fds =
-    Array.init n (fun proc ->
-        let fd =
-          Kanti_omega.make_process ?initial_timeout:t.initial_timeout t.fd_shared t.fd_params
-            ~proc
-        in
-        t.fd_processes.(proc) <- Some fd;
-        fd)
-  in
-  let props =
-    Array.init n (fun proc ->
-        Array.init k (fun r -> Paxos.make_proposer t.instances.(r) ~proc ~input:t.inputs.(proc)))
-  in
-  { solver = t; fds; props; pcs = Array.make n None }
-
-(* the [Decided] handler of [body]: runs in the step that performs the
-   decision-register write *)
-let machine_decide m proc v =
-  let t = m.solver in
-  t.engagement.(proc) <- None;
-  t.decisions.(proc) <- Some v;
-  Setsync_runtime.Machine.write t.dec.(proc) (Some v);
-  S_dec_written
-
-(* the rank loop of [body] from rank [r]: engage the first rank this
-   process holds in [w]; falling off the end starts the next detector
-   iteration. Always performs this step's atomic. *)
-let rec machine_ranks m proc w r =
-  let t = m.solver in
-  let { Problem.k; _ } = t.problem in
-  if r >= k then S_fd (Kanti_omega.iterate_start m.fds.(proc))
-  else if (not (Procset.is_empty w)) && Proc.equal (Procset.nth w r) proc then begin
-    t.engagement.(proc) <- Some (r, Paxos.current_ballot m.props.(proc).(r));
-    match Paxos.attempt_start m.props.(proc).(r) with
-    | Paxos.M_more pc -> S_paxos (r, w, pc)
-    | Paxos.M_decided v -> machine_decide m proc v
-    | Paxos.M_interfered -> assert false
-  end
-  else machine_ranks m proc w (r + 1)
+  let n = t.problem.Problem.n in
+  {
+    solver = t;
+    fds = Array.init n (make_fd t);
+    props = Array.init n (make_proposers t);
+    pcs = Array.make n None;
+  }
 
 let machine_step m proc =
-  let t = m.solver in
-  let { Problem.n; _ } = t.problem in
-  let pc' =
-    match m.pcs.(proc) with
-    | None -> S_fd (Kanti_omega.iterate_start m.fds.(proc))
-    | Some (S_fd pc) -> (
-        match Kanti_omega.iterate_resume m.fds.(proc) pc with
-        | Some pc' -> S_fd pc'
-        | None -> S_dec (0, Setsync_runtime.Machine.read t.dec.(0)))
-    | Some (S_dec (_, Some v)) -> machine_decide m proc v
-    | Some (S_dec (q, None)) ->
-        if q < n - 1 then S_dec (q + 1, Setsync_runtime.Machine.read t.dec.(q + 1))
-        else machine_ranks m proc (Kanti_omega.winnerset m.fds.(proc)) 0
-    | Some (S_paxos (r, w, pc)) -> (
-        match Paxos.attempt_resume m.props.(proc).(r) pc with
-        | Paxos.M_more pc' -> S_paxos (r, w, pc')
-        | Paxos.M_interfered ->
-            t.engagement.(proc) <- None;
-            machine_ranks m proc w (r + 1)
-        | Paxos.M_decided v -> machine_decide m proc v)
-    | Some S_dec_written -> S_paused
-    | Some S_paused -> S_paused
-  in
-  m.pcs.(proc) <- Some pc'
+  m.pcs.(proc) <-
+    Some (step Machine.direct m.solver m.fds.(proc) m.props.(proc) proc m.pcs.(proc))
 
 let machine_save m =
   let fd_saves = Array.map Kanti_omega.save_process m.fds in

@@ -30,17 +30,22 @@ val create :
     [t < k]) and [inputs] of length [n]. *)
 
 val body : t -> Setsync_schedule.Proc.t -> unit -> unit
-(** Process code for the executor. Returns (halts) once the process
-    has decided. *)
+(** Process code for the executor: the machine form's per-process step
+    looped over {!Setsync_runtime.Machine.fiber}. It never returns:
+    once the process has decided and published its decision it takes
+    pause steps until the harness stops the run. *)
 
 val decisions : t -> int option array
 (** Snapshot of per-process decisions (local records, readable at any
     point; index = process). *)
 
-(** {2 Machine form} — explicit-PC composition of the solver loop for
-    the snapshot exploration engine; per-process steps perform exactly
-    the register operations {!body}'s fiber steps perform, in the same
-    order, so footprints and snapshots coincide across both forms. *)
+(** {2 Machine form} — the solver loop's single definition: a
+    per-process step that runs the local code since the previous
+    shared-memory atomic and performs the next one. The snapshot
+    exploration engine steps it with
+    {!Setsync_runtime.Machine.direct}; {!body} loops the same step over
+    {!Setsync_runtime.Machine.fiber}, so both perform the same register
+    operations in the same order by construction. *)
 
 type machine
 
@@ -53,8 +58,8 @@ val machine : t -> machine
 val machine_step : machine -> Setsync_schedule.Proc.t -> unit
 (** One step of the given process: the local code since its previous
     shared-memory atomic plus the next atomic. Decided processes idle
-    (no register operations), mirroring [body]'s pause loop; no
-    process ever halts. *)
+    (a pause step, with no register operation); no process ever
+    halts. *)
 
 val machine_save : machine -> unit -> unit
 (** Capture all per-process local state (detector locals, proposer

@@ -1,7 +1,6 @@
 module Proc = Setsync_schedule.Proc
 module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
-module Shm = Setsync_runtime.Shm
 module Machine = Setsync_runtime.Machine
 
 (* One block per process: mbal = highest ballot this process has
@@ -38,68 +37,19 @@ let next_ballot ~n ~proc ~floor =
   let rec bump b = if b > floor then b else bump (b + n) in
   bump (proc + 1)
 
-let attempt p =
-  match p.decided with
-  | Some v -> Decided v
-  | None ->
-      let { n; blocks } = p.shared in
-      let b = p.ballot in
-      let interference = ref 0 in
-      let note_interference other =
-        if other.mbal > b then interference := max !interference other.mbal;
-        if other.bal > b then interference := max !interference other.bal
-      in
-      (* phase 1: announce the ballot, then collect *)
-      let own = Shm.read blocks.(p.proc) in
-      Shm.write blocks.(p.proc) { own with mbal = b };
-      let best_bal = ref own.bal in
-      let best_inp = ref own.inp in
-      for q = 0 to n - 1 do
-        if q <> p.proc then begin
-          let blk = Shm.read blocks.(q) in
-          note_interference blk;
-          if blk.bal > !best_bal then begin
-            best_bal := blk.bal;
-            best_inp := blk.inp
-          end
-        end
-      done;
-      if !interference > 0 then begin
-        p.ballot <- next_ballot ~n ~proc:p.proc ~floor:!interference;
-        Interfered
-      end
-      else begin
-        let value = if !best_bal > 0 then !best_inp else p.input in
-        (* phase 2: accept, then confirm no higher ballot interfered *)
-        Shm.write blocks.(p.proc) { mbal = b; bal = b; inp = value };
-        for q = 0 to n - 1 do
-          if q <> p.proc then note_interference (Shm.read blocks.(q))
-        done;
-        if !interference > 0 then begin
-          p.ballot <- next_ballot ~n ~proc:p.proc ~floor:!interference;
-          Interfered
-        end
-        else begin
-          p.decided <- Some value;
-          Decided value
-        end
-      end
-
 let decided p = p.decided
 
 let current_ballot p = p.ballot
 
 (* {2 Machine form}
 
-   Explicit-PC version of [attempt], one register atomic per step, for
-   the snapshot exploration engine. PC values name the atomic just
-   performed, carrying its pending result and the attempt's
-   accumulated locals; the resume function mirrors [attempt]'s code
-   between two consecutive atomics exactly (same read order, same
-   interference accounting), so footprints coincide with the fiber
-   form. [p.ballot] is only read at attempt start and only written at
-   resolution, so carrying [p.ballot] implicitly across a parked
-   attempt is sound. *)
+   One round of the protocol, one register atomic per step, for both
+   engines: PC values name the atomic just performed, carrying its
+   pending result and the attempt's accumulated locals, and the resume
+   function runs the code up to the next atomic, performed through
+   [acc]. [attempt] loops it over [Machine.fiber]. [p.ballot] is only
+   read at attempt start and only written at resolution, so carrying
+   [p.ballot] implicitly across a parked attempt is sound. *)
 
 type mpc =
   | P_own of block  (** read own block; prepare write pending *)
@@ -111,10 +61,10 @@ type mpc =
 
 type mres = M_more of mpc | M_decided of int | M_interfered
 
-let attempt_start p =
+let attempt_start (acc : Machine.access) p =
   match p.decided with
   | Some v -> M_decided v
-  | None -> M_more (P_own (Machine.read p.shared.blocks.(p.proc)))
+  | None -> M_more (P_own (acc.read p.shared.blocks.(p.proc)))
 
 (* first/next other-process index, skipping our own slot *)
 let first_other ~proc = if proc = 0 then 1 else 0
@@ -123,7 +73,7 @@ let next_other ~proc q =
   let q' = q + 1 in
   if q' = proc then q' + 1 else q'
 
-let attempt_resume p pc =
+let attempt_resume (acc : Machine.access) p pc =
   let { n; blocks } = p.shared in
   let b = p.ballot in
   let note intf other =
@@ -136,7 +86,7 @@ let attempt_resume p pc =
   in
   let accept ~best_bal ~best_inp =
     let value = if best_bal > 0 then best_inp else p.input in
-    Machine.write blocks.(p.proc) { mbal = b; bal = b; inp = value };
+    acc.write blocks.(p.proc) { mbal = b; bal = b; inp = value };
     M_more (P_accept_written value)
   in
   let decide value =
@@ -145,7 +95,7 @@ let attempt_resume p pc =
   in
   match pc with
   | P_own own ->
-      Machine.write blocks.(p.proc) { own with mbal = b };
+      acc.write blocks.(p.proc) { own with mbal = b };
       M_more (P_mbal_written own)
   | P_mbal_written own ->
       let q = first_other ~proc:p.proc in
@@ -155,7 +105,7 @@ let attempt_resume p pc =
           (P_phase1
              {
                q;
-               blk = Machine.read blocks.(q);
+               blk = acc.read blocks.(q);
                intf = 0;
                best_bal = own.bal;
                best_inp = own.inp;
@@ -167,19 +117,27 @@ let attempt_resume p pc =
       in
       let q' = next_other ~proc:p.proc q in
       if q' < n then
-        M_more (P_phase1 { q = q'; blk = Machine.read blocks.(q'); intf; best_bal; best_inp })
+        M_more (P_phase1 { q = q'; blk = acc.read blocks.(q'); intf; best_bal; best_inp })
       else if intf > 0 then interfered intf
       else accept ~best_bal ~best_inp
   | P_accept_written value ->
       let q = first_other ~proc:p.proc in
       if q >= n then decide value
-      else M_more (P_phase2 { q; blk = Machine.read blocks.(q); intf = 0; value })
+      else M_more (P_phase2 { q; blk = acc.read blocks.(q); intf = 0; value })
   | P_phase2 { q; blk; intf; value } ->
       let intf = note intf blk in
       let q' = next_other ~proc:p.proc q in
-      if q' < n then M_more (P_phase2 { q = q'; blk = Machine.read blocks.(q'); intf; value })
+      if q' < n then M_more (P_phase2 { q = q'; blk = acc.read blocks.(q'); intf; value })
       else if intf > 0 then interfered intf
       else decide value
+
+let attempt p =
+  let rec go = function
+    | M_more pc -> go (attempt_resume Machine.fiber p pc)
+    | M_decided v -> Decided v
+    | M_interfered -> Interfered
+  in
+  go (attempt_start Machine.fiber p)
 
 let save_proposer p =
   let ballot = p.ballot and decided = p.decided in

@@ -35,8 +35,10 @@ type attempt_result =
 
 val attempt : proposer -> attempt_result
 (** Run one full round (prepare, collect, accept, collect) from inside
-    an executor fiber; costs [2·(n+1)] steps when uncontended. Safe to
-    call repeatedly and to abandon between calls. *)
+    an executor fiber: the machine form below driven over
+    {!Setsync_runtime.Machine.fiber}. Costs [2·(n+1)] steps when
+    uncontended. Safe to call repeatedly and to abandon between
+    calls. *)
 
 val decided : proposer -> int option
 (** Value this proposer knows to be decided (from its own successful
@@ -54,9 +56,11 @@ val peek_decision : shared -> int option
 
 val peek_max_ballot : shared -> int
 
-(** {2 Machine form} — explicit-PC version of {!attempt} for the
-    snapshot exploration engine; steps perform exactly the register
-    operations the fiber form performs, in the same order. *)
+(** {2 Machine form} — the protocol's single definition, one register
+    atomic per step. The snapshot exploration engine steps it with
+    {!Setsync_runtime.Machine.direct}; {!attempt} is this code looped
+    over {!Setsync_runtime.Machine.fiber}, so both perform the same
+    register operations in the same order by construction. *)
 
 type mpc
 (** An in-flight attempt: the atomic just performed plus the
@@ -71,12 +75,14 @@ type mres =
       (** resolved by interference, ballot already raised; no atomic
           was performed — the caller owns the step's atomic *)
 
-val attempt_start : proposer -> mres
+val attempt_start : Setsync_runtime.Machine.access -> proposer -> mres
 (** Begin an attempt: performs its first atomic (the own-block read),
     or resolves immediately (already decided) without an atomic.
     Never returns [M_interfered]. *)
 
-val attempt_resume : proposer -> mpc -> mres
+val attempt_resume : Setsync_runtime.Machine.access -> proposer -> mpc -> mres
+(** Run the local code following [pc]'s atomic, then perform the next
+    atomic or resolve the attempt. *)
 
 val save_proposer : proposer -> unit -> unit
 (** Capture ballot and decision; the returned thunk restores them. *)

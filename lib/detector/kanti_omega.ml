@@ -2,7 +2,6 @@ module Proc = Setsync_schedule.Proc
 module Procset = Setsync_schedule.Procset
 module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
-module Shm = Setsync_runtime.Shm
 module Machine = Setsync_runtime.Machine
 
 type params = { n : int; t : int; k : int }
@@ -78,55 +77,6 @@ let make_process ?(initial_timeout = 1) shared params ~proc =
     iterations = 0;
   }
 
-let iterate p =
-  let { n; t; _ } = p.params in
-  let num_sets = Array.length p.shared.sets in
-  (* lines 2-3: read all badness counters, compute accusation counters *)
-  for a = 0 to num_sets - 1 do
-    for q = 0 to n - 1 do
-      p.cnt.(a).(q) <- Shm.read p.shared.counter.(a).(q)
-    done;
-    p.accusation.(a) <- Order_stat.kth_smallest p.cnt.(a) (t + 1)
-  done;
-  (* line 4: winnerset <- argmin (accusation[A], A); canonical array
-     order is the total order on Π^k_n, so scanning forward and keeping
-     strict minima breaks ties exactly as the paper does *)
-  let best = ref 0 in
-  for a = 1 to num_sets - 1 do
-    if p.accusation.(a) < p.accusation.(!best) then best := a
-  done;
-  p.winnerset <- p.shared.sets.(!best);
-  (* line 5 *)
-  p.fd_output <- Procset.diff (Procset.full ~n) p.winnerset;
-  (* lines 6-7: bump own heartbeat *)
-  p.my_hb <- p.my_hb + 1;
-  Shm.write p.shared.heartbeat.(p.proc) p.my_hb;
-  (* lines 8-13: refresh timers of sets whose members showed a new heartbeat *)
-  for q = 0 to n - 1 do
-    let hbq = Shm.read p.shared.heartbeat.(q) in
-    if hbq > p.prev_heartbeat.(q) then begin
-      for a = 0 to num_sets - 1 do
-        if Procset.mem q p.shared.sets.(a) then p.timer.(a) <- p.timeout.(a)
-      done;
-      p.prev_heartbeat.(q) <- hbq
-    end
-  done;
-  (* lines 14-19: tick timers; on expiry, back off and accuse *)
-  for a = 0 to num_sets - 1 do
-    p.timer.(a) <- p.timer.(a) - 1;
-    if p.timer.(a) = 0 then begin
-      p.timeout.(a) <- p.timeout.(a) + 1;
-      p.timer.(a) <- p.timeout.(a);
-      Shm.write p.shared.counter.(a).(p.proc) (p.cnt.(a).(p.proc) + 1)
-    end
-  done;
-  p.iterations <- p.iterations + 1
-
-let forever p =
-  while true do
-    iterate p
-  done
-
 let fd_output p = p.fd_output
 
 let winnerset p = p.winnerset
@@ -139,14 +89,12 @@ let local_timeout p ~set_index = p.timeout.(set_index)
 
 (* {2 Machine form}
 
-   Explicit-PC version of [iterate], one shared-memory atomic per
-   step, for the snapshot exploration engine (fibers park one-shot
-   continuations and cannot be copied into savepoints). Each PC value
-   names the atomic just performed, carrying its pending result; the
-   resume function runs the local code that follows it in [iterate]
-   and performs the next atomic — exactly the code layout a fiber step
-   executes, so step footprints and snapshots coincide with the fiber
-   form's. *)
+   Figure 2's loop body (lines 2-19), one shared-memory atomic per
+   step. Each PC value names the atomic just performed, carrying its
+   pending result; the resume function runs the local code that
+   follows it and performs the next atomic through [acc]. The snapshot
+   engine steps it with [Machine.direct]; [forever] loops it over
+   [Machine.fiber], so both engines run this code. *)
 
 type mpc =
   | M_cnt of int * int * int  (** read [Counter[a][q]] = v; assignment pending *)
@@ -156,13 +104,13 @@ type mpc =
 
 let num_sets p = Array.length p.shared.sets
 
-let iterate_start p = M_cnt (0, 0, Machine.read p.shared.counter.(0).(0))
+let iterate_start (acc : Machine.access) p = M_cnt (0, 0, acc.read p.shared.counter.(0).(0))
 
 (* lines 14-19 from set index [a0]: tick timers until one expires; the
    expiry's counter write ends the step. Falling off the end runs the
    iteration's trailing code (line 20's loop bookkeeping) and returns
    [None]: the caller owns this step's atomic. *)
-let rec tick_from p a0 =
+let rec tick_from (acc : Machine.access) p a0 =
   if a0 >= num_sets p then begin
     p.iterations <- p.iterations + 1;
     None
@@ -172,13 +120,13 @@ let rec tick_from p a0 =
     if p.timer.(a0) = 0 then begin
       p.timeout.(a0) <- p.timeout.(a0) + 1;
       p.timer.(a0) <- p.timeout.(a0);
-      Machine.write p.shared.counter.(a0).(p.proc) (p.cnt.(a0).(p.proc) + 1);
+      acc.write p.shared.counter.(a0).(p.proc) (p.cnt.(a0).(p.proc) + 1);
       Some (M_cnt_written a0)
     end
-    else tick_from p (a0 + 1)
+    else tick_from acc p (a0 + 1)
   end
 
-let iterate_resume p pc =
+let iterate_resume (acc : Machine.access) p pc =
   let { n; t; _ } = p.params in
   let ns = num_sets p in
   match pc with
@@ -186,7 +134,7 @@ let iterate_resume p pc =
       p.cnt.(a).(q) <- v;
       if q = n - 1 then p.accusation.(a) <- Order_stat.kth_smallest p.cnt.(a) (t + 1);
       let a', q' = if q = n - 1 then (a + 1, 0) else (a, q + 1) in
-      if a' < ns then Some (M_cnt (a', q', Machine.read p.shared.counter.(a').(q')))
+      if a' < ns then Some (M_cnt (a', q', acc.read p.shared.counter.(a').(q')))
       else begin
         (* lines 4-7 *)
         let best = ref 0 in
@@ -196,10 +144,10 @@ let iterate_resume p pc =
         p.winnerset <- p.shared.sets.(!best);
         p.fd_output <- Procset.diff (Procset.full ~n) p.winnerset;
         p.my_hb <- p.my_hb + 1;
-        Machine.write p.shared.heartbeat.(p.proc) p.my_hb;
+        acc.write p.shared.heartbeat.(p.proc) p.my_hb;
         Some M_hb_written
       end
-  | M_hb_written -> Some (M_hb (0, Machine.read p.shared.heartbeat.(0)))
+  | M_hb_written -> Some (M_hb (0, acc.read p.shared.heartbeat.(0)))
   | M_hb (q, hbq) ->
       if hbq > p.prev_heartbeat.(q) then begin
         for a = 0 to ns - 1 do
@@ -207,9 +155,20 @@ let iterate_resume p pc =
         done;
         p.prev_heartbeat.(q) <- hbq
       end;
-      if q < n - 1 then Some (M_hb (q + 1, Machine.read p.shared.heartbeat.(q + 1)))
-      else tick_from p 0
-  | M_cnt_written a -> tick_from p (a + 1)
+      if q < n - 1 then Some (M_hb (q + 1, acc.read p.shared.heartbeat.(q + 1)))
+      else tick_from acc p 0
+  | M_cnt_written a -> tick_from acc p (a + 1)
+
+(* [repeat forever]: an iteration's trailing local code flows into the
+   next iteration's first atomic within the same step *)
+let forever_step acc p = function
+  | None -> iterate_start acc p
+  | Some pc -> (
+      match iterate_resume acc p pc with Some pc' -> pc' | None -> iterate_start acc p)
+
+let forever p =
+  let rec loop pc = loop (Some (forever_step Machine.fiber p pc)) in
+  loop None
 
 let save_process p =
   let fd_output = p.fd_output

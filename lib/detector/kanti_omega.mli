@@ -51,13 +51,10 @@ val make_process :
     higher to shorten warm-up without changing the algorithm's
     self-adjusting behaviour). *)
 
-val iterate : process -> unit
-(** One full iteration of the outer loop (lines 2–19). Performs the
-    iteration's shared-memory steps through the runtime, so it must run
-    inside an executor fiber. *)
-
 val forever : process -> unit
-(** [repeat forever iterate] — the algorithm as written. *)
+(** [repeat forever] lines 2–19 — the algorithm as written, as process
+    code for an executor fiber: {!forever_step} looped over
+    {!Setsync_runtime.Machine.fiber}. *)
 
 (** {2 Observer accessors} — peek at local state between steps; used by
     harnesses and the lemma-level tests. *)
@@ -76,27 +73,34 @@ val local_accusation : process -> set_index:int -> int
 val local_timeout : process -> set_index:int -> int
 (** Current [timeout[A]]. *)
 
-(** {2 Machine form} — explicit-PC version of {!iterate} for the
-    snapshot exploration engine (one-shot fiber continuations cannot
-    be copied into savepoints). Steps perform exactly the register
-    operations the fiber form's steps perform, in the same order, so
-    footprints and snapshots coincide across both forms. *)
+(** {2 Machine form} — Figure 2's single definition, one shared-memory
+    atomic per step. The snapshot exploration engine steps it with
+    {!Setsync_runtime.Machine.direct} (one-shot fiber continuations
+    cannot be copied into savepoints); {!forever} derives the fiber
+    form by looping it over {!Setsync_runtime.Machine.fiber}, so both
+    perform the same register operations in the same order by
+    construction. *)
 
 type mpc
 (** Program counter: the shared-memory atomic just performed, with its
     pending result. *)
 
-val iterate_start : process -> mpc
+val iterate_start : Setsync_runtime.Machine.access -> process -> mpc
 (** Begin an iteration: performs its first atomic (the [Counter[0][0]]
     read of line 2). *)
 
-val iterate_resume : process -> mpc -> mpc option
+val iterate_resume : Setsync_runtime.Machine.access -> process -> mpc -> mpc option
 (** Run the local code following [pc]'s atomic, then perform the next
     atomic of the iteration. [None] means the iteration's trailing
     local code ran and {e no} atomic was performed — the caller owns
     the step's atomic (start the next iteration, or move on, within
-    the same step), mirroring how a fiber step spans the code between
-    two atomics. *)
+    the same step), as a fiber step spans the code between two
+    atomics. *)
+
+val forever_step : Setsync_runtime.Machine.access -> process -> mpc option -> mpc
+(** One step of [repeat forever]: resume [pc] ([None] before the first
+    step) and, when the iteration ends without an atomic, start the
+    next one within the same step. *)
 
 val save_process : process -> unit -> unit
 (** Capture all local variables; the returned thunk restores them. *)

@@ -9,8 +9,6 @@ let create_shared store ~n ~t = Kanti_omega.create_shared store (params ~n ~t)
 let make_process ?initial_timeout shared ~n ~t ~proc =
   Kanti_omega.make_process ?initial_timeout shared (params ~n ~t) ~proc
 
-let iterate = Kanti_omega.iterate
-
 let forever = Kanti_omega.forever
 
 let leader p =

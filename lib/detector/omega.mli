@@ -24,10 +24,8 @@ val make_process :
 
 val create_shared : Setsync_memory.Store.t -> n:int -> t:int -> Kanti_omega.shared
 
-val iterate : process -> unit
-(** One loop iteration (from inside an executor fiber). *)
-
 val forever : process -> unit
+(** {!Kanti_omega.forever}: process code for an executor fiber. *)
 
 val leader : process -> Setsync_schedule.Proc.t
 (** The process's current leader estimate: the unique member of its

@@ -33,7 +33,10 @@ type minstance = {
       (** one step of the given process: the local code since its
           previous shared-memory atomic plus the next atomic — exactly
           the register operations the fiber form's step performs, in
-          the same order, so footprints and snapshots coincide *)
+          the same order, so footprints and snapshots coincide. The
+          library's algorithms define their step code once and derive
+          the fiber from it ({!Setsync_runtime.Machine}), so for them
+          this holds by construction. *)
   m_halted : Setsync_schedule.Proc.t -> bool;
       (** mirrors the fiber body returning (process halted) *)
   m_save : unit -> unit -> unit;
@@ -51,7 +54,9 @@ type minstance = {
 }
 (** Machine form of a system: explicit-PC step functions over the same
     store, required by the snapshot engine (fiber continuations are
-    one-shot and cannot be copied into savepoints). *)
+    one-shot and cannot be copied into savepoints). For Figure 2 and
+    the Theorem-24 solver ({!Systems}), [body] is the same step code
+    looped over {!Setsync_runtime.Machine.fiber}. *)
 
 type 'obs instance = {
   body : Setsync_schedule.Proc.t -> unit -> unit;  (** process code *)

@@ -1,5 +1,6 @@
 module Procset = Setsync_schedule.Procset
 module Shm = Setsync_runtime.Shm
+module Machine = Setsync_runtime.Machine
 module Kanti_omega = Setsync_detector.Kanti_omega
 module Kset_solver = Setsync_agreement.Kset_solver
 
@@ -63,20 +64,11 @@ let kanti_detector ~params ?initial_timeout () =
           Array.init n (fun p ->
               Kanti_omega.make_process ?initial_timeout shared params ~proc:p)
         in
-        (* machine form: one PC per process over the same [procs];
-           [forever] is an unbounded iterate loop, so an iteration's
-           trailing local code flows into the next iteration's first
-           atomic within the same step *)
+        (* machine form: one PC per process over the same [procs],
+           stepped by the code [forever] loops over fibers *)
         let pcs = Array.make n None in
         let m_step p =
-          pcs.(p) <-
-            Some
-              (match pcs.(p) with
-              | None -> Kanti_omega.iterate_start procs.(p)
-              | Some pc -> (
-                  match Kanti_omega.iterate_resume procs.(p) pc with
-                  | Some pc' -> pc'
-                  | None -> Kanti_omega.iterate_start procs.(p)))
+          pcs.(p) <- Some (Kanti_omega.forever_step Machine.direct procs.(p) pcs.(p))
         in
         let m_save () =
           let restores = Array.map Kanti_omega.save_process procs in

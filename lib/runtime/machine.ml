@@ -9,3 +9,13 @@ let write reg v =
   match Register.route reg with
   | None -> Register.write reg v
   | Some r -> r.Register.route_write v
+
+type access = {
+  read : 'a. 'a Register.t -> 'a;
+  write : 'a. 'a Register.t -> 'a -> unit;
+  pause : unit -> unit;
+}
+
+let direct = { read; write; pause = ignore }
+
+let fiber = { read = Shm.read; write = Shm.write; pause = Shm.pause }

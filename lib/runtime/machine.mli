@@ -2,16 +2,17 @@
 
     The snapshot exploration engine cannot use fibers: effect
     continuations are one-shot, so a parked fiber cannot be copied into
-    a savepoint and resumed twice. Algorithms that want replay-free
-    exploration therefore also ship a defunctionalized {e machine} form
-    — an explicit program counter plus a step function — whose steps
-    must perform exactly the register operations the fiber form's steps
-    perform, so footprints, traces and snapshots coincide.
+    a savepoint and resumed twice. Algorithms therefore define their
+    step code once, as a defunctionalized {e machine}: an explicit
+    program counter plus a step function that runs the local code since
+    the previous atomic and performs the next one through an {!access}.
 
-    These helpers are the machine-side counterparts of {!Shm.read} and
-    {!Shm.write}: same counting, tracing and routing behaviour, but no
-    {!Fiber.atomic} wrapper — the machine's own step function is the
-    atomicity boundary. *)
+    The same step code serves both engines. Given {!direct}, a step
+    returns after its atomic; the machine's own step function is the
+    atomicity boundary. Given {!fiber}, the atomic suspends the calling
+    fiber until its next granted step, so the step function looped
+    over it is the fiber form. Footprints, traces and snapshots
+    coincide across the two by construction. *)
 
 val read : 'a Setsync_memory.Register.t -> 'a
 (** Counted, traced, route-respecting read — {!Shm.read} without the
@@ -20,3 +21,19 @@ val read : 'a Setsync_memory.Register.t -> 'a
 val write : 'a Setsync_memory.Register.t -> 'a -> unit
 (** Counted, traced, route-respecting write — {!Shm.write} without the
     fiber suspension. *)
+
+type access = {
+  read : 'a. 'a Setsync_memory.Register.t -> 'a;
+  write : 'a. 'a Setsync_memory.Register.t -> 'a -> unit;
+  pause : unit -> unit;  (** a step with no register access *)
+}
+(** How a machine step performs its atomic. *)
+
+val direct : access
+(** {!read}, {!write} and a no-op [pause]: for the snapshot engine,
+    which calls the step function once per granted step. *)
+
+val fiber : access
+(** {!Shm.read}, {!Shm.write} and {!Shm.pause}: each atomic suspends
+    the executor fiber until its next step (registers with a route
+    forward through it, as {!Shm} does). *)

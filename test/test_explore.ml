@@ -9,6 +9,9 @@ module Trace = Setsync_memory.Trace
 module Fiber = Setsync_runtime.Fiber
 module Shm = Setsync_runtime.Shm
 module Machine = Setsync_runtime.Machine
+module Executor = Setsync_runtime.Executor
+module Kanti_omega = Setsync_detector.Kanti_omega
+module Kset_solver = Setsync_agreement.Kset_solver
 module Run = Setsync_runtime.Run
 module Budget = Setsync_explore.Budget
 module Property = Setsync_explore.Property
@@ -873,6 +876,108 @@ let test_engine_equiv_kset () =
     (path_r.Explorer.stats.Budget.visited + path_r.Explorer.stats.Budget.pruned_sleep)
     path_r.Explorer.stats.Budget.safety_checked
 
+(* fiber ≡ machine past the exploration depth: the fiber forms are
+   the machine forms looped over [Machine.fiber], so driving the same
+   seeded schedule (crashes included) through the executor and through
+   the machine on a second store must agree after every step — store
+   snapshot, decisions and detector outputs — well into the
+   decide-then-pause phase the depth-8 cross-checks above never reach *)
+let lockstep ~label ~n ~seed ~fault ~fiber_body ~machine_step ~observe =
+  let schedule = Source.take (Generators.random_fair ~n ~rng:(Rng.create ~seed) ()) 2_000 in
+  let fiber_store = Store.create () and machine_store = Store.create () in
+  let body = fiber_body fiber_store in
+  let m_step, m_observe = machine_step machine_store in
+  let steps = ref 0 in
+  let on_step ~global:_ ~proc =
+    incr steps;
+    m_step proc;
+    let at what = Printf.sprintf "%s: %s after step %d (p%d)" label what !steps proc in
+    Alcotest.(check (list (pair string string)))
+      (at "store") (Store.snapshot fiber_store) (Store.snapshot machine_store);
+    Alcotest.(check string) (at "observation") (observe ()) (m_observe ())
+  in
+  let run = Executor.replay ~n ~schedule ~fault ~on_step body in
+  Alcotest.(check bool) (label ^ ": a crash was injected") true
+    (not (Procset.is_empty (Run.crashed run)));
+  !steps
+
+let kset_lockstep ~label ~problem ~seed ~fault =
+  let inputs = Setsync_agreement.Problem.distinct_inputs problem in
+  let render solver =
+    let n = problem.Setsync_agreement.Problem.n in
+    Fmt.str "%a|%a|%a"
+      Fmt.(array ~sep:semi (option ~none:(any "-") int))
+      (Kset_solver.decisions solver)
+      Fmt.(array ~sep:semi Procset.pp)
+      (Array.init n (Kset_solver.fd_winnerset solver))
+      Fmt.(array ~sep:semi int)
+      (Kset_solver.fd_iterations solver)
+  in
+  let fiber_solver = ref None in
+  (* machine steps taken when the first decision appeared *)
+  let first_decision = ref None in
+  let steps =
+    lockstep ~label ~n:problem.Setsync_agreement.Problem.n ~seed ~fault
+      ~fiber_body:(fun store ->
+        let s = Kset_solver.create store ~problem ~inputs ~initial_timeout:4 () in
+        fiber_solver := Some s;
+        Kset_solver.body s)
+      ~machine_step:(fun store ->
+        let s = Kset_solver.create store ~problem ~inputs ~initial_timeout:4 () in
+        let m = Kset_solver.machine s in
+        let taken = ref 0 in
+        ( (fun p ->
+            Kset_solver.machine_step m p;
+            incr taken;
+            if !first_decision = None && Array.exists Option.is_some (Kset_solver.decisions s)
+            then first_decision := Some !taken),
+          fun () -> render s ))
+      ~observe:(fun () -> render (Option.get !fiber_solver))
+  in
+  match !first_decision with
+  | None -> Alcotest.failf "%s: no process decided in %d steps" label steps
+  | Some at ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: >= 500 steps after the first decision (%d of %d)" label at steps)
+        true
+        (at + 500 <= steps)
+
+let test_lockstep_kset () =
+  kset_lockstep ~label:"kset n=4 t=2 k=2"
+    ~problem:(Setsync_agreement.Problem.make ~t:2 ~k:2 ~n:4)
+    ~seed:11 ~fault:[ (3, 300); (1, 1_000) ];
+  kset_lockstep ~label:"consensus n=3 t=1 k=1"
+    ~problem:(Setsync_agreement.Problem.make ~t:1 ~k:1 ~n:3)
+    ~seed:12 ~fault:[ (2, 400) ]
+
+let test_lockstep_kanti () =
+  let params = { Kanti_omega.n = 4; t = 2; k = 2 } in
+  let procs store =
+    let shared = Kanti_omega.create_shared store params in
+    Array.init 4 (fun proc -> Kanti_omega.make_process shared params ~proc)
+  in
+  let render procs =
+    Fmt.str "%a|%a|%a"
+      Fmt.(array ~sep:semi Procset.pp)
+      (Array.map Kanti_omega.fd_output procs)
+      Fmt.(array ~sep:semi Procset.pp)
+      (Array.map Kanti_omega.winnerset procs)
+      Fmt.(array ~sep:semi int)
+      (Array.map Kanti_omega.iterations procs)
+  in
+  let fiber_procs = ref [||] in
+  ignore
+    (lockstep ~label:"figure 2 n=4 t=2 k=2" ~n:4 ~seed:13 ~fault:[ (0, 300) ]
+       ~fiber_body:(fun store ->
+         fiber_procs := procs store;
+         fun p () -> Kanti_omega.forever !fiber_procs.(p))
+       ~machine_step:(fun store ->
+         let ps = procs store in
+         let pcs = Array.make 4 None in
+         ( (fun p -> pcs.(p) <- Some (Kanti_omega.forever_step Machine.direct ps.(p) pcs.(p))),
+           fun () -> render ps ))
+       ~observe:(fun () -> render !fiber_procs))
+
 (* the schedule-sensitive regression (e) must hold under the path
    engine in both verdict and accounting: pruned interleavings are
    materialized (classic replays) exactly because the pending safety
@@ -1405,6 +1510,10 @@ let () =
             test_engine_equiv_detector;
           Alcotest.test_case "theorem-24 kset equivalence, ≥3× fewer steps" `Quick
             test_engine_equiv_kset;
+          Alcotest.test_case "fiber ≡ machine over 2000 steps: kset, consensus" `Quick
+            test_lockstep_kset;
+          Alcotest.test_case "fiber ≡ machine over 2000 steps: figure 2" `Quick
+            test_lockstep_kanti;
           Alcotest.test_case "schedule-sensitive safety materialized" `Quick
             test_engine_sched_sensitive_safety;
           Alcotest.test_case "snapshot: schedule-sensitive safety" `Quick

@@ -734,6 +734,39 @@ let test_net_agreement_matches_shm () =
       ("paxos", `Paxos, Problem.consensus ~t:2 ~n, true);
     ]
 
+(* Golden step counts over routed registers: the kset solver and Paxos
+   at n=5 under the crash_brs instance above, batched and per-op. The
+   fiber bodies are derived from the machine forms, and the lockstep
+   tests cannot cover Netmem routes, so any derivation that shifts a
+   step here fails tier-1. *)
+let test_net_agreement_golden_steps () =
+  let n = 5 in
+  let combined =
+    Adversary.crash_brs ~delta:2 ~gst:60 ~total:(n + 1) ~k:2 ~crashes:[ (n - 1, 5) ]
+  in
+  List.iter
+    (fun (label, solver, problem, mode, total, ops, decide_steps) ->
+      let inputs = Problem.distinct_inputs problem in
+      let r =
+        Net_agreement.solve ~solver ~mode ~resend_after:8 ~problem ~inputs ~combined
+          ~max_steps:200_000 ()
+      in
+      let o = r.Net_agreement.outcome in
+      Alcotest.(check int) (label ^ ": total steps") total (Run.total_steps o.Ag_harness.run);
+      Alcotest.(check int) (label ^ ": routed ops") ops r.Net_agreement.ops;
+      Alcotest.(check (array (option int)))
+        (label ^ ": decide steps") decide_steps o.Ag_harness.decide_steps)
+    [
+      ( "kset batched", `Auto, Problem.make ~t:2 ~k:2 ~n, Netmem.Batched, 891, 423,
+        [| Some 617; Some 618; Some 829; Some 890; None |] );
+      ( "kset per-op", `Auto, Problem.make ~t:2 ~k:2 ~n, Netmem.Per_op, 1344, 423,
+        [| Some 880; Some 881; Some 1287; Some 1343; None |] );
+      ( "paxos batched", `Paxos, Problem.consensus ~t:2 ~n, Netmem.Batched, 196, 75,
+        [| Some 162; Some 193; Some 194; Some 195; None |] );
+      ( "paxos per-op", `Paxos, Problem.consensus ~t:2 ~n, Netmem.Per_op, 239, 70,
+        [| Some 220; Some 236; Some 237; Some 238; None |] );
+    ]
+
 (* ------------------------------------------------------- net events *)
 
 let test_net_event_invariants () =
@@ -886,6 +919,8 @@ let () =
           Alcotest.test_case "crash_brs adversary shape" `Quick test_crash_brs_shape;
           Alcotest.test_case "kset + paxos verdicts match shm" `Quick
             test_net_agreement_matches_shm;
+          Alcotest.test_case "golden step counts, batched and per-op" `Quick
+            test_net_agreement_golden_steps;
         ] );
       ( "cross-backend",
         [ Alcotest.test_case "kanti outputs identical" `Quick test_kanti_cross_backend ] );
