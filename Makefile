@@ -90,7 +90,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a c
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, unwritable output paths and bad flag values fail before the run (exit 124 + stderr)
+cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values fail before the run (exit 124 + stderr)
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/dev/null 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -120,6 +120,11 @@ cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1
 	stderr_has "cannot write the --trace-out file"; \
 	expect 124 fd --metrics-out /nonexistent/m.json; \
 	stderr_has "cannot write the --metrics-out file"; \
+	expect 124 explore --check kset -n 2 -t 1 -k 1 --depth 2 --search-summary /nonexistent/s.json; \
+	stderr_has "cannot write the --search-summary file"; \
+	expect 0 fd -n 2 -t 1 -k 1 --trace-out /tmp/setsync_ci_cli_trace.jsonl; \
+	expect 124 trace-report /tmp/setsync_ci_cli_trace.jsonl --json /nonexistent/r.json; \
+	stderr_has "cannot write the --json file"; \
 	expect 124 fd -n 0; stderr_has "setsync: Proc.check_n"; \
 	expect 124 fd -n 3 -t 5; stderr_has "setsync: Problem.make"; \
 	expect 124 fd --bound=-1; stderr_has "setsync: Scenario: bound"; \

@@ -446,12 +446,12 @@ let e11_engines () =
       let properties =
         [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
       in
-      let run path_replay =
+      let run engine =
         Explorer.explore ~sut ~properties
-          (Explorer.config ~prune_fingerprints:false ~path_replay ~depth ())
+          (Explorer.config ~prune_fingerprints:false ~engine ~depth ())
       in
-      let r_state = run false in
-      let r_path = run true in
+      let r_state = run Explorer.Per_state in
+      let r_path = run Explorer.Path in
       let agree =
         r_state.Explorer.verdicts = r_path.Explorer.verdicts
         && r_state.Explorer.stats.Budget.visited = r_path.Explorer.stats.Budget.visited

@@ -469,6 +469,7 @@ let analyze_cmd =
 
 let trace_report_cmd =
   let run file json_out require_stabilized =
+    Option.iter (fun f -> if f <> "-" then check_writable "--json" f) json_out;
     let fatal fmt = Fmt.kstr (fun s -> Fmt.epr "setsync: %s@." s; exit 1) fmt in
     let events =
       match Analyze.load_jsonl file with Ok evs -> evs | Error e -> fatal "%s" e
@@ -619,7 +620,7 @@ let explore_cmd =
   let engine_arg =
     Arg.(
       value
-      & opt (some engine_conv) None
+      & opt engine_conv Explorer.Path
       & info [ "engine" ] ~docv:"E"
           ~doc:
             "State (re)construction engine: $(b,path) (amortized path replay, the \
@@ -638,15 +639,6 @@ let explore_cmd =
             "Process-renaming symmetry reduction: fingerprints are canonicalized over \
              the system's admissible renamings, so states equal up to renaming are \
              explored once. Requires $(b,--engine snapshot) and $(b,--fingerprints).")
-  in
-  let per_state_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "per-state" ]
-          ~doc:
-            "Legacy alias of $(b,--engine per-state) (ignored when $(b,--engine) is \
-             given).")
   in
   let max_seconds_arg =
     Arg.(
@@ -676,16 +668,11 @@ let explore_cmd =
              and restoring).")
   in
   let run check n t k depth bound seed bfs max_states max_replay_steps max_seconds
-      fingerprints engine_opt symmetry per_state domains backend delta gst trace_out
-      metrics_out progress_seconds search_summary =
+      fingerprints engine symmetry domains backend delta gst trace_out metrics_out
+      progress_seconds search_summary =
     at_least "--depth" 0 depth;
     at_least "--domains" 1 domains;
     let strategy = if bfs then Explorer.Bfs else Explorer.Dfs in
-    let engine =
-      match engine_opt with
-      | Some e -> e
-      | None -> if per_state then Explorer.Per_state else Explorer.Path
-    in
     (* flag-compatibility gate: reject inert or impossible combinations
        loudly instead of silently ignoring them *)
     if symmetry && engine <> Explorer.Snapshot then begin
@@ -715,6 +702,9 @@ let explore_cmd =
                not); pruning may merge states that differ in timer state@.";
     let limits = Budget.limits ?max_states ?max_replay_steps ?max_seconds () in
     let obs = make_obs ~shards:domains ~trace_out ~metrics_out () in
+    Option.iter
+      (fun f -> if f <> "-" then check_writable "--search-summary" f)
+      search_summary;
     let gst = Option.value gst ~default:4 in
     (* heartbeat movement counters are engine-appropriate: the snapshot
        engine does zero replays (its movement is machine steps undone by
@@ -939,7 +929,7 @@ let explore_cmd =
     Term.(
       const run $ check_arg $ n_arg $ t_arg $ k_arg $ depth_arg $ bound_arg $ seed_arg
       $ bfs_arg $ max_states_arg $ max_replay_arg $ max_seconds_arg $ fingerprints_arg
-      $ engine_arg $ symmetry_arg $ per_state_arg $ domains_arg $ backend_arg $ delta_arg
+      $ engine_arg $ symmetry_arg $ domains_arg $ backend_arg $ delta_arg
       $ gst_arg $ trace_out_arg $ metrics_out_arg $ progress_seconds_arg
       $ search_summary_arg)
 

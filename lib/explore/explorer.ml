@@ -44,13 +44,7 @@ type 'obs state = {
   obs : 'obs;
 }
 
-type frontier = {
-  push : Proc.t list -> unit;
-  pop : unit -> Proc.t list option;
-  size : unit -> int;
-}
-
-type strategy = Dfs | Bfs | Custom of (unit -> frontier)
+type strategy = Dfs | Bfs
 
 type engine_kind = Per_state | Path | Snapshot
 
@@ -66,15 +60,9 @@ type config = {
   telemetry : bool;
 }
 
-let config ?(strategy = Dfs) ?(prune_fingerprints = true) ?(sleep_sets = true) ?path_replay
-    ?engine ?(symmetry = false) ?(limits = Budget.unlimited) ?(fault = Fault.no_faults)
-    ?(telemetry = false) ~depth () =
-  let engine =
-    match (engine, path_replay) with
-    | Some e, _ -> e
-    | None, Some false -> Per_state
-    | None, (Some true | None) -> Path
-  in
+let config ?(strategy = Dfs) ?(prune_fingerprints = true) ?(sleep_sets = true)
+    ?(engine = Path) ?(symmetry = false) ?(limits = Budget.unlimited)
+    ?(fault = Fault.no_faults) ?(telemetry = false) ~depth () =
   if symmetry && engine <> Snapshot then
     invalid_arg "Explorer.config: symmetry reduction requires the snapshot engine";
   {
@@ -98,6 +86,12 @@ type report = {
 }
 
 (* ---------------------------------------------------------- frontiers *)
+
+type 'a frontier = {
+  push : 'a -> unit;
+  pop : unit -> 'a option;
+  size : unit -> int;
+}
 
 let dfs_frontier () =
   let stack = ref [] in
@@ -126,10 +120,7 @@ let bfs_frontier () =
     size = (fun () -> Queue.length queue);
   }
 
-let make_frontier = function
-  | Dfs -> dfs_frontier ()
-  | Bfs -> bfs_frontier ()
-  | Custom f -> f ()
+let make_frontier = function Dfs -> dfs_frontier () | Bfs -> bfs_frontier ()
 
 (* ------------------------------------------------------------ replays *)
 
@@ -140,51 +131,61 @@ let trace_capacity = 64
 
 let unknown_footprint = [ "*" ]
 
-(* Replay [steps] against a fresh instance, recording the register
-   footprint of each executed step. *)
-let replay_instrumented ~sut ~fault steps =
-  let n = sut.n in
+(* A fresh access trace and its footprint meter: each call of the
+   meter returns the registers accessed since the previous call, sorted
+   and deduplicated. Every engine measures a step's footprint through
+   one of these. *)
+let footprint_meter () =
   let trace = Trace.create ~capacity:trace_capacity in
+  let seen = ref 0 in
+  ( trace,
+    fun () ->
+      let now = Trace.recorded trace in
+      let delta = now - !seen in
+      seen := now;
+      if delta > trace_capacity then unknown_footprint
+      else
+        Trace.recent trace delta
+        |> List.map (fun e -> e.Trace.register)
+        |> List.sort_uniq String.compare )
+
+let snapshot_of store (inst : _ instance) =
+  Store.snapshot store
+  @ match inst.substrate with Some s -> Setsync_runtime.Substrate.snapshot s | None -> []
+
+(* Replay [schedule] against a fresh instance; returns the final state
+   and the footprints of the last two executed steps. *)
+let replay_instrumented ~sut ~fault schedule =
+  let trace, footprint = footprint_meter () in
   let store = Store.create ~trace () in
   let inst = sut.fresh ~store in
-  let len = List.length steps in
-  let touched = Array.make (max len 1) [] in
-  let prev = ref 0 in
-  let on_step ~global ~proc:_ =
-    let now = Trace.recorded trace in
-    let delta = now - !prev in
-    prev := now;
-    if global < len then
-      touched.(global) <-
-        (if delta > trace_capacity then unknown_footprint
-         else
-           Trace.recent trace delta
-           |> List.map (fun e -> e.Trace.register)
-           |> List.sort_uniq String.compare)
+  let fp_prev = ref [] and fp_last = ref [] in
+  let on_step ~global:_ ~proc:_ =
+    fp_prev := !fp_last;
+    fp_last := footprint ()
   in
-  let schedule = Schedule.of_list ~n steps in
-  let run = Executor.replay ~n ~schedule ~fault ?substrate:inst.substrate ~on_step inst.body in
+  let run =
+    Executor.replay ~n:sut.n ~schedule ~fault ?substrate:inst.substrate ~on_step inst.body
+  in
   let obs = inst.observe () in
-  let snapshot =
-    Store.snapshot store
-    @ (match inst.substrate with Some s -> Setsync_runtime.Substrate.snapshot s | None -> [])
-  in
-  (run, obs, snapshot, touched)
+  let snapshot = snapshot_of store inst in
+  ( { depth = Schedule.length schedule; prefix = schedule; run; snapshot; obs },
+    !fp_prev,
+    !fp_last )
 
 let evaluate ~sut ?(fault = Fault.no_faults) schedule =
-  let run, obs, snapshot, _ =
-    replay_instrumented ~sut ~fault (Schedule.to_list schedule)
-  in
-  { depth = Schedule.length schedule; prefix = schedule; run; snapshot; obs }
+  let state, _, _ = replay_instrumented ~sut ~fault schedule in
+  state
 
 (* ------------------------------------------------- replay bookkeeping *)
 
-(* Shared mirror of one live replay: registers and observation are live
-   in the instance; run bookkeeping (halts, per-process step counts,
-   budget crashes) is reconstructed from the executed steps themselves,
-   so a single replay can materialize an exact [state] at any point
-   along its path. The safety probe, [trajectory], and the path-replay
-   descent engine all drive one of these. *)
+(* Shared mirror of one live instance: registers and observation are
+   live in the instance; run bookkeeping (halts, per-process step
+   counts, budget crashes) is reconstructed from the executed steps
+   themselves, so a single replay — or the snapshot engine's machine —
+   can materialize an exact [state] at any point along its path. The
+   safety probe, [trajectory], the path-replay descent engine and the
+   snapshot engine all drive one of these. *)
 module Mirror = struct
   type 'obs m = {
     n : int;
@@ -228,7 +229,15 @@ module Mirror = struct
 
   let skippable m p = m.halted.(p) || crashed m p
 
-  let enabled m = List.filter (fun p -> not (skippable m p)) (Proc.all ~n:m.n)
+  (* capture the bookkeeping; the returned thunk restores it *)
+  let save m =
+    let halted = Array.copy m.halted in
+    let steps_of = Array.copy m.steps_of in
+    let crashes = m.crashes in
+    fun () ->
+      Array.blit halted 0 m.halted 0 m.n;
+      Array.blit steps_of 0 m.steps_of 0 m.n;
+      m.crashes <- crashes
 
   let state m ~depth ~prefix =
     let halted_set = ref Procset.empty in
@@ -247,14 +256,13 @@ module Mirror = struct
         reason = (if all_done then Run.All_halted else Run.Source_exhausted);
       }
     in
-    let snapshot =
-      Store.snapshot m.store
-      @
-      match m.inst.substrate with
-      | Some s -> Setsync_runtime.Substrate.snapshot s
-      | None -> []
-    in
+    let snapshot = snapshot_of m.store m.inst in
     { depth; prefix; run; snapshot; obs = m.inst.observe () }
+
+  (* the state after the executed steps [rev], most recent first *)
+  let state_after m rev =
+    let prefix = Schedule.of_list ~n:m.n (List.rev rev) in
+    state m ~depth:(Schedule.length prefix) ~prefix
 end
 
 (* ------------------------------------------- counterexample re-check *)
@@ -356,7 +364,7 @@ let disjoint_footprints a b =
   && (not (List.mem "*" b))
   && not (List.exists (fun r -> List.mem r b) a)
 
-let fingerprint ~sut ~snapshot ~run ~obs =
+let digest ~sut (st : _ state) =
   let buf = Buffer.create 256 in
   List.iter
     (fun (name, value) ->
@@ -364,17 +372,16 @@ let fingerprint ~sut ~snapshot ~run ~obs =
       Buffer.add_char buf '=';
       Buffer.add_string buf value;
       Buffer.add_char buf ';')
-    snapshot;
-  Buffer.add_string buf "halted:";
-  Procset.iter (fun p -> Buffer.add_string buf (string_of_int p ^ ",")) run.Run.halted;
-  Buffer.add_string buf "crashed:";
-  Procset.iter (fun p -> Buffer.add_string buf (string_of_int p ^ ",")) (Run.crashed run);
+    st.snapshot;
+  let procs label set =
+    Buffer.add_string buf label;
+    Procset.iter (fun p -> Buffer.add_string buf (string_of_int p ^ ",")) set
+  in
+  procs "halted:" st.run.Run.halted;
+  procs "crashed:" (Run.crashed st.run);
   Buffer.add_string buf "obs:";
-  Buffer.add_string buf (sut.obs_fingerprint obs);
+  Buffer.add_string buf (sut.obs_fingerprint st.obs);
   Digest.string (Buffer.contents buf)
-
-let digest ~sut (st : _ state) =
-  fingerprint ~sut ~snapshot:st.snapshot ~run:st.run ~obs:st.obs
 
 (* ----------------------------------------------------- trajectory *)
 
@@ -398,9 +405,7 @@ let trajectory ~sut ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule 
   let rev_taken = ref [] in
   let taken = ref 0 in
   let stopped = ref false in
-  let mk_state () =
-    Mirror.state m ~depth:!taken ~prefix:(Schedule.of_list ~n (List.rev !rev_taken))
-  in
+  let mk_state () = Mirror.state_after m !rev_taken in
   let emit () = if not !stopped then stopped := on_state (mk_state ()) in
   emit ();
   if !stopped then mk_state ()
@@ -419,26 +424,73 @@ let trajectory ~sut ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule 
     mk_state ()
   end
 
-let enabled ~n run =
-  List.filter
-    (fun p ->
-      (not (Procset.mem p run.Run.halted)) && not (Procset.mem p (Run.crashed run)))
-    (Proc.all ~n)
+(* ------------------------------------------------------ verdict table *)
 
-(* One worker's view of the exploration: where stats go, how verdicts
-   are recorded, how fingerprint decisions are made. The sequential
-   explorer and each parallel worker instantiate this differently but
-   run the same per-prefix logic, so the two modes cannot drift. *)
+(* One slot per property, first violation wins. The parallel driver
+   serializes slot writes with [lock] and stops its pool through
+   [on_all_violated]; the sequential driver needs neither. *)
+type 'obs verdicts = {
+  slots : ('obs state Property.t * verdict ref) list;
+  lock : Mutex.t option;
+  on_all_violated : unit -> unit;
+}
+
+let verdict_table ?lock ?(on_all_violated = ignore) properties =
+  { slots = List.map (fun p -> (p, ref Ok_bounded)) properties; lock; on_all_violated }
+
+let all_violated vt =
+  vt.slots <> [] && List.for_all (fun (_, v) -> !v <> Ok_bounded) vt.slots
+
+(* some safety property is still unviolated; [~sched:true] asks only
+   about schedule-sensitive ones, whose pruned interleavings must be
+   materialized before being discarded *)
+let pending_safety ?(sched = false) vt =
+  List.exists
+    (fun ((p : _ Property.t), v) ->
+      p.kind = Property.Safety
+      && ((not sched) || p.sensitivity = Property.Schedule_sensitive)
+      && !v = Ok_bounded)
+    vt.slots
+
+let record vt ~kind state =
+  List.iter
+    (fun ((p : _ Property.t), v) ->
+      (* in parallel the unsynchronized read may be stale — at worst a
+         property already violated elsewhere is re-checked; the write is
+         serialized and first-wins *)
+      if p.kind = kind && !v = Ok_bounded then
+        match p.check state with
+        | Some reason ->
+            let write () =
+              if !v = Ok_bounded then v := Violated { schedule = state.prefix; reason }
+            in
+            (match vt.lock with Some mu -> Mutex.protect mu write | None -> write ());
+            if all_violated vt then vt.on_all_violated ()
+        | None -> ())
+    vt.slots
+
+let report_of vt stats (config : config) =
+  {
+    verdicts = List.map (fun ((p : _ Property.t), v) -> (p.Property.name, !v)) vt.slots;
+    stats;
+    engine = config.engine;
+  }
+
+(* --------------------------------------------------- the shared visit *)
+
+(* One worker's view of the exploration: where stats and events go,
+   the verdict table, how fingerprint and budget decisions are made.
+   The sequential explorer and each parallel worker instantiate this
+   differently. Every engine folds its states in through [visit] and
+   [commute_prune] below, so the per-state bookkeeping is defined once;
+   the engines differ only in how they materialize a state and, hence,
+   in replay accounting. *)
 type 'obs engine = {
   e_sut : 'obs sut;
   e_config : config;
   e_meter : Budget.t;  (* this worker's stats sink *)
   e_lifo : bool;  (* reverse children so LIFO frontiers pop ascending *)
-  e_record : kind:Property.kind -> 'obs state -> unit;
-  e_pending_safety : unit -> bool;
-  e_pending_sched_safety : unit -> bool;
-      (* some pending safety property is schedule-sensitive: pruned
-         interleavings must be materialized before being discarded *)
+  e_verdicts : 'obs verdicts;
   e_fp_check : string -> depth:int -> bool;  (* true = expand *)
   e_on_visit : unit -> unit;  (* global-budget hook *)
   e_on_replay : steps:int -> unit;  (* global-budget hook *)
@@ -454,94 +506,108 @@ type 'obs engine = {
   e_worker : int;  (* worker id stamped on emitted events *)
 }
 
-(* Replay one prefix and fold it into the exploration: check
-   properties, decide expansion, push children. *)
-let process_prefix eng ~push rev_steps =
-  let sut = eng.e_sut and config = eng.e_config and meter = eng.e_meter in
-  let steps = List.rev rev_steps in
-  let depth = List.length steps in
-  let run, obs, snapshot, touched = replay_instrumented ~sut ~fault:config.fault steps in
-  let executed = Run.total_steps run in
-  Budget.note_replay meter ~steps:executed;
-  eng.e_on_replay ~steps:executed;
-  (match eng.e_ev with
-  | Some sink ->
-      Events.emit sink ~worker:eng.e_worker
-        ~args:[ ("depth", Json.Int depth); ("steps", Json.Int executed) ]
-        ~cat:"explorer" "replay"
-  | None -> ());
-  let sleep_pruned =
-    config.sleep_sets && depth >= 2
-    &&
-    match rev_steps with
-    | b :: a :: _ ->
-        b < a && disjoint_footprints touched.(depth - 2) touched.(depth - 1)
-    | _ -> false
+let emit eng name args =
+  match eng.e_ev with
+  | Some sink -> Events.emit sink ~worker:eng.e_worker ~args ~cat:"explorer" name
+  | None -> ()
+
+(* The commutation rule on arrival: a prefix [σ·a·b] whose last two
+   steps ran in descending process order ([b < a]) with disjoint
+   footprints is discarded — its sibling [σ·b·a] reaches the same
+   state. *)
+let arrival_pruned config rev ~prev ~last =
+  config.sleep_sets
+  && match rev with b :: a :: _ -> b < a && disjoint_footprints prev last | _ -> false
+
+let enabled (run : Run.t) =
+  let crashed = Run.crashed run in
+  List.filter
+    (fun p -> not (Procset.mem p run.halted || Procset.mem p crashed))
+    (Proc.all ~n:run.n)
+
+(* Visit a materialized state: count it, check safety everywhere and
+   stabilization at leaves, gate expansion on the fingerprint table.
+   Returns the children to explore (empty at a leaf or a fingerprint
+   prune): [select] may drop some of the enabled processes (the
+   descent engine's synthesized commutation prunes) before the
+   ["expand"] event reports the rest. [fingerprint] defaults to
+   {!digest}. *)
+let visit ?(select = Fun.id) ?fingerprint eng (state : _ state) =
+  let config = eng.e_config and meter = eng.e_meter in
+  let depth = state.depth in
+  Budget.note_state meter;
+  eng.e_on_visit ();
+  Budget.note_depth meter depth;
+  if pending_safety eng.e_verdicts then Budget.note_safety_check meter;
+  record eng.e_verdicts ~kind:Property.Safety state;
+  let en = enabled state.run in
+  let seen_before () =
+    let fp = match fingerprint with Some f -> f () | None -> digest ~sut:eng.e_sut state in
+    not (eng.e_fp_check fp ~depth)
   in
-  if sleep_pruned then begin
-    Budget.note_sleep_prune ~depth meter;
-    (match eng.e_ev with
-    | Some sink ->
-        Events.emit sink ~worker:eng.e_worker
-          ~args:[ ("depth", Json.Int depth) ]
-          ~cat:"explorer" "sleep_prune"
-    | None -> ());
-    (* The replay is already paid for: check safety on its final state
-       before discarding it. The state-equal sibling σ·b·a covers
-       state-based safety, but a violation visible only through this
-       interleaving's observation (a schedule-sensitive property)
-       would otherwise vanish while the report still prints
-       "exhaustive". *)
-    if eng.e_pending_safety () then begin
-      Budget.note_safety_check meter;
-      let state =
-        { depth; prefix = Schedule.of_list ~n:sut.n steps; run; snapshot; obs }
-      in
-      eng.e_record ~kind:Property.Safety state
-    end
+  if depth >= config.depth || en = [] then begin
+    record eng.e_verdicts ~kind:Property.Stabilization state;
+    []
+  end
+  else if config.prune_fingerprints && seen_before () then begin
+    Budget.note_fingerprint_prune ~depth meter;
+    emit eng "fp_prune" [ ("depth", Json.Int depth) ];
+    []
   end
   else begin
-    Budget.note_state meter;
-    eng.e_on_visit ();
-    Budget.note_depth meter depth;
-    let state = { depth; prefix = Schedule.of_list ~n:sut.n steps; run; snapshot; obs } in
-    if eng.e_pending_safety () then Budget.note_safety_check meter;
-    eng.e_record ~kind:Property.Safety state;
-    let en = enabled ~n:sut.n run in
-    if depth >= config.depth || en = [] then
-      eng.e_record ~kind:Property.Stabilization state;
-    let expand =
-      depth < config.depth
-      && en <> []
-      && ((not config.prune_fingerprints)
-         ||
-         let fp = fingerprint ~sut ~snapshot ~run ~obs in
-         if eng.e_fp_check fp ~depth then true
-         else begin
-           Budget.note_fingerprint_prune ~depth meter;
-           (match eng.e_ev with
-           | Some sink ->
-               Events.emit sink ~worker:eng.e_worker
-                 ~args:[ ("depth", Json.Int depth) ]
-                 ~cat:"explorer" "fp_prune"
-           | None -> ());
-           false
-         end)
-    in
-    if expand then begin
-      let children = List.map (fun p -> p :: rev_steps) en in
-      (match eng.e_ev with
-      | Some sink ->
-          Events.emit sink ~worker:eng.e_worker
-            ~args:[ ("depth", Json.Int depth); ("children", Json.Int (List.length children)) ]
-            ~cat:"explorer" "expand"
-      | None -> ());
-      (* LIFO frontiers pop last-pushed first: push descending so
-         children are explored in ascending process order *)
-      List.iter push (if eng.e_lifo then List.rev children else children);
-      Budget.note_frontier meter (eng.e_frontier_size ())
-    end
+    let children = select en in
+    if children <> [] then
+      emit eng "expand"
+        [ ("depth", Json.Int depth); ("children", Json.Int (List.length children)) ];
+    children
   end
+
+(* Discard a commutation-pruned prefix at [depth]. A pending safety
+   property is still checked on the pruned state when [materialize]
+   can produce it: its sibling covers state-based safety, but a
+   violation visible only through this interleaving's observation (a
+   schedule-sensitive property) would otherwise vanish while the
+   report still prints "exhaustive". *)
+let commute_prune eng ~depth materialize =
+  Budget.note_sleep_prune ~depth eng.e_meter;
+  emit eng "sleep_prune" [ ("depth", Json.Int depth) ];
+  if pending_safety eng.e_verdicts then begin
+    Budget.note_safety_check eng.e_meter;
+    Option.iter (fun f -> record eng.e_verdicts ~kind:Property.Safety (f ())) materialize
+  end
+
+(* LIFO frontiers pop last-pushed first: push descending so children
+   are explored in ascending process order *)
+let push_children eng ~push rev children =
+  let items = List.map (fun p -> p :: rev) children in
+  List.iter push (if eng.e_lifo then List.rev items else items);
+  Budget.note_frontier eng.e_meter (eng.e_frontier_size ())
+
+(* one paid-for replay of a prefix, accounted as such *)
+let replay_state eng steps =
+  let ((state, _, _) as r) =
+    replay_instrumented ~sut:eng.e_sut ~fault:eng.e_config.fault
+      (Schedule.of_list ~n:eng.e_sut.n steps)
+  in
+  let executed = Run.total_steps state.run in
+  Budget.note_replay eng.e_meter ~steps:executed;
+  eng.e_on_replay ~steps:executed;
+  r
+
+(* Per-state engine: replay one prefix from scratch and fold it into
+   the exploration. *)
+let process_prefix eng ~push rev_steps =
+  let state, fp_prev, fp_last = replay_state eng (List.rev rev_steps) in
+  emit eng "replay"
+    [ ("depth", Json.Int state.depth); ("steps", Json.Int (Run.total_steps state.run)) ];
+  if arrival_pruned eng.e_config rev_steps ~prev:fp_prev ~last:fp_last then
+    (* the replay is already paid for: hand the state over for the
+       safety check *)
+    commute_prune eng ~depth:state.depth (Some (fun () -> state))
+  else
+    match visit eng state with
+    | [] -> ()
+    | children -> push_children eng ~push rev_steps children
 
 (* ------------------------------------------------ path-replay descents *)
 
@@ -587,32 +653,14 @@ let process_prefix eng ~push rev_steps =
    still happens — while [e_over_steps] (steps/wall) gates continuing
    the descent into the next child; a cut with work still pending marks
    the run truncated and parks the continuation on the frontier. *)
-let process_descent eng ~push ~synthesize rev_start parent_tbl0 =
+let process_descent eng ~push ~synthesize (rev_start, parent_tbl0) =
   let sut = eng.e_sut and config = eng.e_config and meter = eng.e_meter in
   let n = sut.n in
   let fault = config.fault in
-  let trace = Trace.create ~capacity:trace_capacity in
+  let trace, footprint = footprint_meter () in
   let m = Mirror.make ~sut ~fault ~trace () in
-  let emit name args =
-    match eng.e_ev with
-    | Some sink -> Events.emit sink ~worker:eng.e_worker ~args ~cat:"explorer" name
-    | None -> ()
-  in
   (* footprints of the last two executed steps along this path *)
-  let prev_recorded = ref 0 in
   let fp_prev = ref [] and fp_last = ref [] in
-  let measure_fp () =
-    let now = Trace.recorded trace in
-    let delta = now - !prev_recorded in
-    prev_recorded := now;
-    fp_prev := !fp_last;
-    fp_last :=
-      (if delta > trace_capacity then unknown_footprint
-       else
-         Trace.recent trace delta
-         |> List.map (fun e -> e.Trace.register)
-         |> List.sort_uniq String.compare)
-  in
   let cur_rev = ref [] in
   let depth = ref 0 in
   let steps_in = ref 0 in
@@ -621,140 +669,72 @@ let process_descent eng ~push ~synthesize rev_start parent_tbl0 =
   let feed = ref (List.rev rev_start) in
   let fixed = List.length rev_start in
   let pending_child = ref None in
+  let materialize () = Mirror.state_after m !cur_rev in
   (* visit the node the replay just reached; decide the continuation *)
-  let visit () =
+  let visit_here () =
     pending_child := None;
     let d = !depth in
-    let own_pruned =
+    if (not synthesize) && arrival_pruned config !cur_rev ~prev:!fp_prev ~last:!fp_last
+    then
       (* non-synthesizing arrival onto a commutation-pruned node: the
          replay is already paid for, so check pending safety on it
          directly (PR 2 semantics) and end the descent *)
-      (not synthesize) && config.sleep_sets && d >= 2
-      &&
-      match !cur_rev with
-      | b :: a :: _ -> b < a && disjoint_footprints !fp_prev !fp_last
-      | _ -> false
-    in
-    if own_pruned then begin
-      Budget.note_sleep_prune ~depth:d meter;
-      emit "sleep_prune" [ ("depth", Json.Int d) ];
-      if eng.e_pending_safety () then begin
-        Budget.note_safety_check meter;
-        eng.e_record ~kind:Property.Safety
-          (Mirror.state m ~depth:d ~prefix:(Schedule.of_list ~n (List.rev !cur_rev)))
-      end
-    end
+      commute_prune eng ~depth:d (Some materialize)
     else if eng.e_stop_now () then ()
     else if eng.e_over_visit () then Budget.mark_truncated meter
     else begin
-      Budget.note_state meter;
-      eng.e_on_visit ();
-      Budget.note_depth meter d;
-      let state =
-        Mirror.state m ~depth:d ~prefix:(Schedule.of_list ~n (List.rev !cur_rev))
+      let my_tbl = if synthesize then Array.make n None else parent_tbl0 in
+      (* child σ·a·b is pruned iff b < a and the two steps' footprints at
+         σ are disjoint; b's is read from the parent table *)
+      let keep b =
+        match !cur_rev with
+        | a :: _ when synthesize && config.sleep_sets && b < a -> (
+            match !parent_tbl.(b) with
+            | Some fb when disjoint_footprints !fp_last fb ->
+                (* inherited: b's footprint is unchanged across the
+                   disjoint step a *)
+                my_tbl.(b) <- Some fb;
+                (* a pending schedule-sensitive safety property makes
+                   this interleaving a genuinely different input:
+                   materialize it with a classic replay before
+                   discarding (what the per-state engine paid anyway);
+                   state-based safety is settled by the surviving
+                   sibling's visit *)
+                commute_prune eng ~depth:(d + 1)
+                  (if pending_safety ~sched:true eng.e_verdicts then
+                     Some
+                       (fun () ->
+                         let state, _, _ = replay_state eng (List.rev (b :: !cur_rev)) in
+                         state)
+                   else None);
+                false
+            | Some _ | None -> true)
+        | _ -> true
       in
-      if eng.e_pending_safety () then Budget.note_safety_check meter;
-      eng.e_record ~kind:Property.Safety state;
-      let en = Mirror.enabled m in
-      if d >= config.depth || en = [] then
-        eng.e_record ~kind:Property.Stabilization state
-      else begin
-        let expand =
-          (not config.prune_fingerprints)
-          ||
-          let fp =
-            fingerprint ~sut ~snapshot:state.snapshot ~run:state.run ~obs:state.obs
-          in
-          if eng.e_fp_check fp ~depth:d then true
-          else begin
-            Budget.note_fingerprint_prune ~depth:d meter;
-            emit "fp_prune" [ ("depth", Json.Int d) ];
-            false
-          end
-        in
-        if expand then begin
-          let arriving = match !cur_rev with a :: _ -> Some a | [] -> None in
-          let a_fp = !fp_last in
-          let my_tbl = if synthesize then Array.make n None else parent_tbl0 in
-          let synth_prune b =
-            (* child σ·a·b pruned iff b < a and the two steps' footprints
-               at σ are disjoint; b's is read from the parent table *)
-            match arriving with
-            | Some a when synthesize && config.sleep_sets && b < a -> (
-                match !parent_tbl.(b) with
-                | Some fb when disjoint_footprints a_fp fb -> Some fb
-                | Some _ | None -> None)
-            | Some _ | None -> None
-          in
-          let reals =
-            List.filter
-              (fun b ->
-                match synth_prune b with
-                | None -> true
-                | Some fb ->
-                    (* inherited: b's footprint is unchanged across the
-                       disjoint step a *)
-                    my_tbl.(b) <- Some fb;
-                    Budget.note_sleep_prune ~depth:(d + 1) meter;
-                    emit "sleep_prune" [ ("depth", Json.Int (d + 1)) ];
-                    (if eng.e_pending_sched_safety () then begin
-                       (* a schedule-sensitive safety property is still
-                          pending: this interleaving is a genuinely
-                          different input, materialize it with a classic
-                          replay before discarding (what the per-state
-                          engine paid anyway) *)
-                       let steps = List.rev (b :: !cur_rev) in
-                       let run, obs, snapshot, _ =
-                         replay_instrumented ~sut ~fault steps
-                       in
-                       let executed = Run.total_steps run in
-                       Budget.note_replay meter ~steps:executed;
-                       eng.e_on_replay ~steps:executed;
-                       Budget.note_safety_check meter;
-                       eng.e_record ~kind:Property.Safety
-                         {
-                           depth = d + 1;
-                           prefix = Schedule.of_list ~n steps;
-                           run;
-                           snapshot;
-                           obs;
-                         }
-                     end
-                     else if eng.e_pending_safety () then
-                       (* state-based safety only: the pruned state equals
-                          the surviving sibling's, whose visit establishes
-                          the verdict *)
-                       Budget.note_safety_check meter);
-                    false)
-              en
-          in
-          match reals with
-          | [] -> ()
-          | c :: rest ->
-              emit "expand"
-                [ ("depth", Json.Int d); ("children", Json.Int (List.length reals)) ];
-              (* continue the run into the first (ascending) child; the
-                 rest become frontier items, pushed descending so LIFO
-                 pops ascending, sharing this node's table *)
-              List.iter (fun b -> push (b :: !cur_rev) my_tbl) (List.rev rest);
-              (if eng.e_over_steps () then begin
-                 (* the next step would exceed the budget: park the
-                    continuation as a frontier item (pushed last so a
-                    LIFO resume would pop it first) and end the descent *)
-                 Budget.mark_truncated meter;
-                 push (c :: !cur_rev) my_tbl
-               end
-               else begin
-                 parent_tbl := my_tbl;
-                 pending_child := Some c
-               end);
-              Budget.note_frontier meter (eng.e_frontier_size ())
-        end
-      end
+      match visit eng ~select:(List.filter keep) (materialize ()) with
+      | [] -> ()
+      | c :: rest ->
+          (* continue the run into the first (ascending) child; the
+             rest become frontier items, pushed descending so LIFO
+             pops ascending, sharing this node's table *)
+          List.iter (fun b -> push (b :: !cur_rev, my_tbl)) (List.rev rest);
+          (if eng.e_over_steps () then begin
+             (* the next step would exceed the budget: park the
+                continuation as a frontier item (pushed last so a
+                LIFO resume would pop it first) and end the descent *)
+             Budget.mark_truncated meter;
+             push (c :: !cur_rev, my_tbl)
+           end
+           else begin
+             parent_tbl := my_tbl;
+             pending_child := Some c
+           end);
+          Budget.note_frontier meter (eng.e_frontier_size ())
     end
   in
   let on_step ~global ~proc =
-    measure_fp ();
+    fp_prev := !fp_last;
+    fp_last := footprint ();
     cur_rev := proc :: !cur_rev;
     incr depth;
     incr steps_in;
@@ -765,7 +745,7 @@ let process_descent eng ~push ~synthesize rev_start parent_tbl0 =
        the node it departs from (the frontier item's last feed step
        lands in the shared parent table — its siblings need it) *)
     if synthesize && global >= fixed - 1 then !parent_tbl.(proc) <- Some !fp_last;
-    if global >= fixed - 1 then visit ()
+    if global >= fixed - 1 then visit_here ()
   in
   let source ~live:_ =
     Source.make ~n (fun () ->
@@ -778,38 +758,37 @@ let process_descent eng ~push ~synthesize rev_start parent_tbl0 =
             pending_child := None;
             c)
   in
-  if fixed = 0 then visit ();
+  if fixed = 0 then visit_here ();
   ignore
     (Executor.run ~n ~source ~max_steps:max_int ~fault ?substrate:m.Mirror.inst.substrate
        ~on_step (Mirror.body m));
   Budget.note_replay meter ~steps:0;
-  emit "replay" [ ("depth", Json.Int !depth); ("steps", Json.Int !steps_in) ]
+  emit eng "replay" [ ("depth", Json.Int !depth); ("steps", Json.Int !steps_in) ]
+
+let machine_of (inst : _ instance) =
+  match inst.machine with
+  | Some m -> m
+  | None ->
+      invalid_arg
+        "Explorer.explore: the snapshot engine needs a machine-form sut (instance.machine \
+         is None)"
 
 let validate_explore ~sut config =
   if config.depth < 0 then invalid_arg "Explorer.explore: negative depth bound";
   Proc.check_n sut.n;
   Fault.validate ~n:sut.n config.fault;
   if config.engine = Snapshot then begin
-    (match config.strategy with
-    | Dfs -> ()
-    | Bfs | Custom _ ->
-        invalid_arg
-          "Explorer.explore: the snapshot engine is depth-first only (its savepoint stack \
-           is the DFS spine)");
+    if config.strategy <> Dfs then
+      invalid_arg
+        "Explorer.explore: the snapshot engine is depth-first only (its savepoint stack is \
+         the DFS spine)";
     (* probe machine-form support on a throwaway instance so the error
        surfaces on the calling domain, before any worker spawns *)
-    let store = Store.create () in
-    let inst = sut.fresh ~store in
-    match inst.machine with
-    | None ->
-        invalid_arg
-          "Explorer.explore: the snapshot engine needs a machine-form sut \
-           (instance.machine is None)"
-    | Some m ->
-        if config.symmetry && m.m_payload = None then
-          invalid_arg
-            "Explorer.explore: symmetry reduction needs a sut with a symmetry payload \
-             (machine.m_payload is None)"
+    let m = machine_of (sut.fresh ~store:(Store.create ())) in
+    if config.symmetry && m.m_payload = None then
+      invalid_arg
+        "Explorer.explore: symmetry reduction needs a sut with a symmetry payload \
+         (machine.m_payload is None)"
   end
 
 (* -------------------------------------------------- observability *)
@@ -838,10 +817,11 @@ type heartbeat = {
   hb_sink : Events.t;
 }
 
+let engine_sink obs =
+  match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None
+
 let make_heartbeat ?on_progress ~interval obs =
-  let sink =
-    match obs with Some o when Obs.events_on o -> o.Obs.events | Some _ | None -> Events.nop
-  in
+  let sink = Option.value (engine_sink obs) ~default:Events.nop in
   if interval <= 0. then None
   else if Option.is_none on_progress && not (Events.enabled sink) then None
   else
@@ -910,16 +890,14 @@ let record_metrics obs ~shard (s : Budget.stats) =
    restores are deliberately NOT replays/replay_steps (the stats
    record and its pinned rendering stay engine-agnostic); they are
    exported as dedicated metrics instead. *)
-let record_machine_metrics obs ~shard ~machine_steps ~restores =
+let record_machine_metrics obs ~shard (s : Budget.stats) =
   match obs with
   | None -> ()
   | Some o ->
       let m = o.Obs.metrics in
-      Metrics.incr ~shard ~by:machine_steps (Metrics.counter m "explorer.machine_steps");
-      Metrics.incr ~shard ~by:restores (Metrics.counter m "explorer.restores")
-
-let engine_sink obs =
-  match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None
+      Metrics.incr ~shard ~by:s.Budget.machine_steps
+        (Metrics.counter m "explorer.machine_steps");
+      Metrics.incr ~shard ~by:s.Budget.restores (Metrics.counter m "explorer.restores")
 
 (* ---------------------------------------------- snapshot machinery *)
 
@@ -928,38 +906,19 @@ let engine_sink obs =
    store/machine pair, moving down by machine steps and back up by
    restoring savepoints — zero executor replays, zero replay steps. *)
 type 'obs mctx = {
-  mc_n : int;
-  mc_store : Store.t;
-  mc_trace : Trace.t;
-  mc_inst : 'obs instance;
+  mc : 'obs Mirror.m;
+  mc_footprint : unit -> string list;
   mc_m : minstance;
-  mc_halted : bool array;
-  mc_steps_of : int array;
-  mc_budgets : int array;
-  mutable mc_crashes : (Proc.t * int) list;
-  mutable mc_prev_recorded : int;
   (* admissible renamings for symmetry: the machine's, restricted to
      those fixing the fault plan (budgets ∘ perm = budgets) *)
   mc_perms : int array list;
-  mutable mc_machine_steps : int;
-  mutable mc_restores : int;
 }
 
 let mc_make ~(sut : 'obs sut) ~fault () =
-  let n = sut.n in
-  let trace = Trace.create ~capacity:trace_capacity in
-  let store = Store.create ~trace () in
-  let inst = sut.fresh ~store in
-  let m =
-    match inst.machine with
-    | Some m -> m
-    | None ->
-        invalid_arg
-          "Explorer.explore: the snapshot engine needs a machine-form sut (instance.machine \
-           is None)"
-  in
-  let budgets = Array.make n max_int in
-  List.iter (fun (p, s) -> budgets.(p) <- s) fault;
+  let trace, footprint = footprint_meter () in
+  let mc = Mirror.make ~sut ~fault ~trace () in
+  let m = machine_of mc.inst in
+  let budgets = mc.budgets in
   let perms =
     List.filter
       (fun perm ->
@@ -968,102 +927,40 @@ let mc_make ~(sut : 'obs sut) ~fault () =
         !ok)
       m.m_perms
   in
-  {
-    mc_n = n;
-    mc_store = store;
-    mc_trace = trace;
-    mc_inst = inst;
-    mc_m = m;
-    mc_halted = Array.make n false;
-    mc_steps_of = Array.make n 0;
-    mc_budgets = budgets;
-    mc_crashes = List.filter_map (fun (p, s) -> if s = 0 then Some (p, 0) else None) fault;
-    mc_prev_recorded = 0;
-    mc_perms = perms;
-    mc_machine_steps = 0;
-    mc_restores = 0;
-  }
-
-let mc_crashed c p = List.exists (fun (q, _) -> q = p) c.mc_crashes
-
-let mc_skippable c p = c.mc_halted.(p) || mc_crashed c p
-
-let mc_enabled c = List.filter (fun p -> not (mc_skippable c p)) (Proc.all ~n:c.mc_n)
-
-let mc_state c ~depth ~rev =
-  let halted_set = ref Procset.empty in
-  Array.iteri (fun p h -> if h then halted_set := Procset.add p !halted_set) c.mc_halted;
-  let all_done =
-    let rec go p = p >= c.mc_n || (mc_skippable c p && go (p + 1)) in
-    go 0
-  in
-  let prefix = Schedule.of_list ~n:c.mc_n (List.rev rev) in
-  let run =
-    {
-      Run.n = c.mc_n;
-      taken = prefix;
-      steps_of = Array.copy c.mc_steps_of;
-      crashes = c.mc_crashes;
-      halted = !halted_set;
-      reason = (if all_done then Run.All_halted else Run.Source_exhausted);
-    }
-  in
-  let snapshot =
-    Store.snapshot c.mc_store
-    @
-    match c.mc_inst.substrate with
-    | Some s -> Setsync_runtime.Substrate.snapshot s
-    | None -> []
-  in
-  { depth; prefix; run; snapshot; obs = c.mc_inst.observe () }
+  { mc; mc_footprint = footprint; mc_m = m; mc_perms = perms }
 
 (* one machine step of [p] at global index [global]; returns the
    step's register footprint (same measurement as the replay path) *)
 let mc_step c ~global p =
-  (match c.mc_inst.substrate with
+  (match c.mc.inst.substrate with
   | Some s -> Setsync_runtime.Substrate.pre_step s ~global ~proc:p
   | None -> ());
   c.mc_m.m_step p;
-  c.mc_machine_steps <- c.mc_machine_steps + 1;
-  if c.mc_m.m_halted p then c.mc_halted.(p) <- true;
-  c.mc_steps_of.(p) <- c.mc_steps_of.(p) + 1;
-  if c.mc_steps_of.(p) >= c.mc_budgets.(p) && not (mc_crashed c p) then
-    c.mc_crashes <- c.mc_crashes @ [ (p, global) ];
-  let now = Trace.recorded c.mc_trace in
-  let delta = now - c.mc_prev_recorded in
-  c.mc_prev_recorded <- now;
-  if delta > trace_capacity then unknown_footprint
-  else
-    Trace.recent c.mc_trace delta
-    |> List.map (fun e -> e.Trace.register)
-    |> List.sort_uniq String.compare
+  if c.mc_m.m_halted p then c.mc.halted.(p) <- true;
+  Mirror.note_exec c.mc ~proc:p ~at:global;
+  c.mc_footprint ()
 
 let mc_save c =
-  let restore_store = Store.save c.mc_store in
+  let restore_store = Store.save c.mc.store in
   let restore_m = c.mc_m.m_save () in
   let restore_sub =
-    match c.mc_inst.substrate with
+    match c.mc.inst.substrate with
     | Some s -> Setsync_runtime.Substrate.save s
     | None -> fun () -> ()
   in
-  let halted = Array.copy c.mc_halted in
-  let steps_of = Array.copy c.mc_steps_of in
-  let crashes = c.mc_crashes in
+  let restore_mirror = Mirror.save c.mc in
   fun () ->
-    c.mc_restores <- c.mc_restores + 1;
     restore_store ();
     restore_m ();
     restore_sub ();
-    Array.blit halted 0 c.mc_halted 0 (Array.length halted);
-    Array.blit steps_of 0 c.mc_steps_of 0 (Array.length steps_of);
-    c.mc_crashes <- crashes
+    restore_mirror ()
 
 (* Movement metering: every machine step and savepoint restore is
-   counted in the worker's meter — that feeds the live heartbeat and
-   the final search summary. In telemetry mode ([config.telemetry])
-   the movement is also wall-timed; the untimed path adds only one
-   counter increment per step, noise against the step itself, so the
-   pinned snapshot benches are unperturbed. *)
+   counted in the worker's meter — that feeds the live heartbeat, the
+   final search summary and the movement metrics. In telemetry mode
+   ([config.telemetry]) the movement is also wall-timed; the untimed
+   path adds only one counter increment per step, noise against the
+   step itself, so the pinned snapshot benches are unperturbed. *)
 let mc_step_metered meter ~timed c ~global p =
   let fp =
     if timed then begin
@@ -1096,24 +993,18 @@ let restore_metered meter ~timed restore =
    merge). The identity perm is always admissible, so with a trivial
    group this degenerates to plain (differently-keyed) fingerprinting. *)
 let mc_canonical_fp c ~fault =
-  let payload =
-    match c.mc_m.m_payload with
-    | Some f -> f
-    | None ->
-        invalid_arg
-          "Explorer.explore: symmetry reduction needs a sut with a symmetry payload \
-           (machine.m_payload is None)"
-  in
-  let n = c.mc_n in
+  let payload = Option.get c.mc_m.m_payload (* checked by [validate_explore] *) in
+  let mir = c.mc in
+  let n = mir.n in
   let rename_marks perm =
     let buf = Buffer.create 64 in
     let halted = Array.make n false in
     let crashed = Array.make n false in
     let steps = Array.make n 0 in
     for p = 0 to n - 1 do
-      halted.(perm.(p)) <- c.mc_halted.(p);
-      crashed.(perm.(p)) <- mc_crashed c p;
-      steps.(perm.(p)) <- c.mc_steps_of.(p)
+      halted.(perm.(p)) <- mir.halted.(p);
+      crashed.(perm.(p)) <- Mirror.crashed mir p;
+      steps.(perm.(p)) <- mir.steps_of.(p)
     done;
     Buffer.add_string buf "|h:";
     Array.iter (fun h -> Buffer.add_char buf (if h then '1' else '0')) halted;
@@ -1133,96 +1024,47 @@ let mc_canonical_fp c ~fault =
   |> Option.get
 
 (* Recursive snapshot DFS below a materialized node. The node itself
-   is visited here (same bookkeeping as [process_prefix]'s non-pruned
-   branch); each enabled child is gated like a frontier pop
-   ([e_stop_now], then [over] — pop first, test second, so finishing
-   on exactly the budget stays exhaustive), stepped on the live
-   machine, possibly sleep-pruned (same last-two-footprints rule, with
+   is visited here through [visit]; each enabled child is gated like a
+   frontier pop ([e_stop_now], then [over] — pop first, test second,
+   so finishing on exactly the budget stays exhaustive), stepped on the
+   live machine, possibly commutation-pruned (same arrival rule, with
    the pruned state already materialized for safety checks), recursed
    into, and undone with a savepoint restore — never a replay. *)
 let rec snapshot_visit ?push eng c ~hb ~progress ~over ~on_truncate ~pending ~depth ~rev
     ~arrive_fp =
-  let sut = eng.e_sut and config = eng.e_config and meter = eng.e_meter in
-  let emit name args =
-    match eng.e_ev with
-    | Some sink -> Events.emit sink ~worker:eng.e_worker ~args ~cat:"explorer" name
-    | None -> ()
+  let config = eng.e_config and meter = eng.e_meter in
+  let fingerprint =
+    if config.symmetry then Some (fun () -> mc_canonical_fp c ~fault:config.fault) else None
   in
-  Budget.note_state meter;
-  eng.e_on_visit ();
-  Budget.note_depth meter depth;
-  let state = mc_state c ~depth ~rev in
-  if eng.e_pending_safety () then Budget.note_safety_check meter;
-  eng.e_record ~kind:Property.Safety state;
-  let en = mc_enabled c in
-  if depth >= config.depth || en = [] then eng.e_record ~kind:Property.Stabilization state;
-  let expand =
-    depth < config.depth
-    && en <> []
-    && ((not config.prune_fingerprints)
-       ||
-       let fp =
-         if config.symmetry then mc_canonical_fp c ~fault:config.fault
-         else
-           fingerprint ~sut ~snapshot:state.snapshot ~run:state.run ~obs:state.obs
-       in
-       if eng.e_fp_check fp ~depth then true
-       else begin
-         Budget.note_fingerprint_prune ~depth meter;
-         emit "fp_prune" [ ("depth", Json.Int depth) ];
-         false
-       end)
-  in
-  if expand then begin
-    emit "expand" [ ("depth", Json.Int depth); ("children", Json.Int (List.length en)) ];
-    match push with
-    | Some push ->
-        (* parallel split: children become pool items instead of local
-           recursion (each pop rebuilds its prefix by machine steps) *)
-        let children = List.map (fun b -> b :: rev) en in
-        List.iter push (if eng.e_lifo then List.rev children else children);
-        Budget.note_frontier meter (eng.e_frontier_size ())
-    | None ->
-        pending := !pending + List.length en;
-        Budget.note_frontier meter (eng.e_frontier_size ());
-        List.iter
-          (fun b ->
-            decr pending;
-            Budget.note_frontier meter (eng.e_frontier_size ());
-            maybe_beat hb progress;
-            if eng.e_stop_now () then ()
-            else if over () then on_truncate ()
-            else begin
-              let restore = mc_save c in
-              let fp_b =
-                mc_step_metered meter ~timed:config.telemetry c ~global:depth b
-              in
-              let rev' = b :: rev in
-              let pruned =
-                config.sleep_sets
-                && (match rev with
-                   | a :: _ -> b < a && disjoint_footprints arrive_fp fp_b
-                   | [] -> false)
-              in
-              if pruned then begin
-                Budget.note_sleep_prune ~depth:(depth + 1) meter;
-                emit "sleep_prune" [ ("depth", Json.Int (depth + 1)) ];
-                (* the pruned state is already materialized: check pending
-                   safety on it directly before discarding, exactly like
-                   the per-state engine does after its paid-for replay *)
-                if eng.e_pending_safety () then begin
-                  Budget.note_safety_check meter;
-                  eng.e_record ~kind:Property.Safety (mc_state c ~depth:(depth + 1) ~rev:rev')
-                end
-              end
-              else
-                snapshot_visit eng c ~hb ~progress ~over ~on_truncate ~pending
-                  ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
-              restore_metered meter ~timed:config.telemetry restore
-            end)
-          en
-  end
-
+  match (visit eng ?fingerprint (Mirror.state_after c.mc rev), push) with
+  | [], _ -> ()
+  | children, Some push ->
+      (* parallel split: children become pool items instead of local
+         recursion (each pop rebuilds its prefix by machine steps) *)
+      push_children eng ~push rev children
+  | children, None ->
+      pending := !pending + List.length children;
+      Budget.note_frontier meter (eng.e_frontier_size ());
+      List.iter
+        (fun b ->
+          decr pending;
+          Budget.note_frontier meter (eng.e_frontier_size ());
+          maybe_beat hb progress;
+          if eng.e_stop_now () then ()
+          else if over () then on_truncate ()
+          else begin
+            let restore = mc_save c in
+            let fp_b = mc_step_metered meter ~timed:config.telemetry c ~global:depth b in
+            let rev' = b :: rev in
+            if arrival_pruned config rev' ~prev:arrive_fp ~last:fp_b then
+              commute_prune eng ~depth:(depth + 1)
+                (Some (fun () -> Mirror.state_after c.mc rev'))
+            else
+              snapshot_visit eng c ~hb ~progress ~over ~on_truncate ~pending
+                ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
+            restore_metered meter ~timed:config.telemetry restore
+          end)
+        children
 
 (* ------------------------------------------------------- sequential *)
 
@@ -1230,42 +1072,18 @@ let explore_seq ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties co
   validate_explore ~sut config;
   let meter = Budget.start config.limits in
   let hb = make_heartbeat ?on_progress ~interval:progress_interval obs in
+  let shard = match obs with Some o -> o.Obs.shard | None -> 0 in
   let fingerprints : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-  let verdicts = List.map (fun p -> (p, ref Ok_bounded)) properties in
-  let all_violated () =
-    verdicts <> [] && List.for_all (fun (_, v) -> !v <> Ok_bounded) verdicts
-  in
-  let record_violations ~kind state =
-    List.iter
-      (fun ((p : _ Property.t), v) ->
-        if p.Property.kind = kind && !v = Ok_bounded then
-          match p.Property.check state with
-          | Some reason -> v := Violated { schedule = state.prefix; reason }
-          | None -> ())
-      verdicts
-  in
-  let pending_safety () =
-    List.exists
-      (fun ((p : _ Property.t), v) -> p.Property.kind = Property.Safety && !v = Ok_bounded)
-      verdicts
-  in
-  let pending_sched_safety () =
-    List.exists
-      (fun ((p : _ Property.t), v) ->
-        p.Property.kind = Property.Safety
-        && p.Property.sensitivity = Property.Schedule_sensitive
-        && !v = Ok_bounded)
-      verdicts
-  in
+  let verdicts = verdict_table properties in
+  (* set when the snapshot engine runs out of budget mid-recursion *)
+  let hard_stop = ref false in
   let mk_engine ~frontier_size =
     {
       e_sut = sut;
       e_config = config;
       e_meter = meter;
-      e_lifo = (match config.strategy with Dfs -> true | Bfs | Custom _ -> false);
-      e_record = record_violations;
-      e_pending_safety = pending_safety;
-      e_pending_sched_safety = pending_sched_safety;
+      e_lifo = config.strategy = Dfs;
+      e_verdicts = verdicts;
       e_fp_check =
         (fun fp ~depth ->
           match Hashtbl.find_opt fingerprints fp with
@@ -1277,103 +1095,70 @@ let explore_seq ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties co
       e_on_replay = (fun ~steps:_ -> ());
       e_over_visit = (fun () -> Budget.over_visit meter);
       e_over_steps = (fun () -> Budget.over_steps meter);
-      e_stop_now = all_violated;
+      e_stop_now = (fun () -> all_violated verdicts || !hard_stop);
       e_frontier_size = frontier_size;
       e_ev = engine_sink obs;
-      e_worker = (match obs with Some o -> o.Obs.shard | None -> 0);
+      e_worker = shard;
     }
   in
-  let use_path =
-    config.engine = Path && (match config.strategy with Dfs -> true | _ -> false)
+  let progress eng () =
+    progress_of_stats ~frontier:(eng.e_frontier_size ()) (Budget.stats meter)
   in
-  if config.engine = Snapshot then begin
-    (* single live machine instance, savepoint restores, zero replays *)
-    let c = mc_make ~sut ~fault:config.fault () in
-    let pending = ref 0 in
-    let hard_stop = ref false in
-    let eng = mk_engine ~frontier_size:(fun () -> !pending) in
-    let eng = { eng with e_stop_now = (fun () -> all_violated () || !hard_stop) } in
-    let over () = Budget.over meter in
-    let on_truncate () =
-      Budget.mark_truncated meter;
-      hard_stop := true
-    in
-    let progress () =
-      progress_of_stats ~frontier:(eng.e_frontier_size ()) (Budget.stats meter)
-    in
-    Budget.note_frontier meter 1;
-    maybe_beat hb progress;
-    if Budget.over meter then Budget.mark_truncated meter
-    else
-      snapshot_visit eng c ~hb ~progress ~over ~on_truncate ~pending ~depth:0 ~rev:[]
-        ~arrive_fp:[];
-    record_machine_metrics obs
-      ~shard:(match obs with Some o -> o.Obs.shard | None -> 0)
-      ~machine_steps:c.mc_machine_steps ~restores:c.mc_restores
-  end
-  else if use_path then begin
-    (* descent frontier: (reverse prefix, parent's sibling-footprint
-       table); plain LIFO stack, ascending pop order by construction *)
-    let stack = ref [ ([], Array.make sut.n None) ] in
-    let size = ref 1 in
-    let push rev tbl =
-      stack := (rev, tbl) :: !stack;
-      incr size
-    in
-    let eng = mk_engine ~frontier_size:(fun () -> !size) in
+  (* the replay engines' frontier loop *)
+  let drain frontier process =
+    let eng = mk_engine ~frontier_size:frontier.size in
     Budget.note_frontier meter 1;
     let stop = ref false in
     while not !stop do
-      Budget.note_frontier meter !size;
-      maybe_beat hb (fun () -> progress_of_stats ~frontier:!size (Budget.stats meter));
-      if all_violated () then stop := true
+      (* peak on every push/pop cycle, not only after expansions *)
+      Budget.note_frontier meter (frontier.size ());
+      maybe_beat hb (progress eng);
+      if eng.e_stop_now () then stop := true
       else
-        match !stack with
-        | [] -> stop := true
-        | (rev, tbl) :: rest ->
-            stack := rest;
-            decr size;
+        match frontier.pop () with
+        | None -> stop := true
+        | Some item ->
             (* pop first, then test: completing the space on exactly the
                budget is exhaustive, not truncated *)
             if Budget.over meter then begin
               Budget.mark_truncated meter;
               stop := true
             end
-            else process_descent eng ~push ~synthesize:true rev tbl
+            else process eng item
     done
-  end
-  else begin
-    let frontier = make_frontier config.strategy in
-    let eng = mk_engine ~frontier_size:frontier.size in
-    (* prefixes are stored in reverse step order: extension is a cons *)
-    frontier.push [];
-    Budget.note_frontier meter 1;
-    let stop = ref false in
-    while not !stop do
-      (* peak on every push/pop cycle, not only after expansions *)
-      Budget.note_frontier meter (frontier.size ());
-      maybe_beat hb (fun () ->
-          progress_of_stats ~frontier:(frontier.size ()) (Budget.stats meter));
-      if all_violated () then stop := true
+  in
+  (match (config.engine, config.strategy) with
+  | Snapshot, _ ->
+      (* single live machine instance, savepoint restores, zero replays *)
+      let c = mc_make ~sut ~fault:config.fault () in
+      let pending = ref 0 in
+      let eng = mk_engine ~frontier_size:(fun () -> !pending) in
+      let on_truncate () =
+        Budget.mark_truncated meter;
+        hard_stop := true
+      in
+      Budget.note_frontier meter 1;
+      maybe_beat hb (progress eng);
+      if Budget.over meter then Budget.mark_truncated meter
       else
-        match frontier.pop () with
-        | None -> stop := true
-        | Some rev_steps ->
-            (* pop first, then test (see Budget boundary contract) *)
-            if Budget.over meter then begin
-              Budget.mark_truncated meter;
-              stop := true
-            end
-            else process_prefix eng ~push:frontier.push rev_steps
-    done
-  end;
+        snapshot_visit eng c ~hb ~progress:(progress eng)
+          ~over:(fun () -> Budget.over meter)
+          ~on_truncate ~pending ~depth:0 ~rev:[] ~arrive_fp:[];
+      record_machine_metrics obs ~shard (Budget.stats meter)
+  | Path, Dfs ->
+      (* descent frontier: (reverse prefix, parent's sibling-footprint
+         table); LIFO, ascending pop order by construction *)
+      let frontier = dfs_frontier () in
+      frontier.push ([], Array.make sut.n None);
+      drain frontier (fun eng -> process_descent eng ~push:frontier.push ~synthesize:true)
+  | (Per_state | Path), _ ->
+      (* prefixes are stored in reverse step order: extension is a cons *)
+      let frontier = make_frontier config.strategy in
+      frontier.push [];
+      drain frontier (fun eng -> process_prefix eng ~push:frontier.push));
   let stats = Budget.stats meter in
-  record_metrics obs ~shard:(match obs with Some o -> o.Obs.shard | None -> 0) stats;
-  {
-    verdicts = List.map (fun ((p : _ Property.t), v) -> (p.Property.name, !v)) verdicts;
-    stats;
-    engine = config.engine;
-  }
+  record_metrics obs ~shard stats;
+  report_of verdicts stats config
 
 (* --------------------------------------------------------- parallel *)
 
@@ -1398,26 +1183,14 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
   let deadline_hit () =
     match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
   in
-  let over_gauge () =
-    deadline_hit ()
-    || Budget.limits_hit config.limits ~states:(Atomic.get visited_g)
-         ~replay_steps:(Atomic.get replay_steps_g)
-         ~wall_elapsed:0. (* wall handled by the deadline above *)
-  in
-  (* the two halves of [over_gauge], mirroring [Budget.over_visit] /
-     [over_steps] for the descent engine's mid-descent checks *)
-  let over_visit_gauge () =
-    deadline_hit ()
-    || (match config.limits.Budget.max_states with
-       | Some c -> Atomic.get visited_g >= c
-       | None -> false)
-  in
-  let over_steps_gauge () =
-    deadline_hit ()
-    || (match config.limits.Budget.max_replay_steps with
-       | Some c -> Atomic.get replay_steps_g >= c
-       | None -> false)
-  in
+  (* [Budget.over] and its two halves against the global gauge; wall
+     time is the shared deadline *)
+  let hit limit gauge = match limit with Some c -> Atomic.get gauge >= c | None -> false in
+  let states_hit () = hit config.limits.Budget.max_states visited_g in
+  let steps_hit () = hit config.limits.Budget.max_replay_steps replay_steps_g in
+  let over_visit_gauge () = deadline_hit () || states_hit () in
+  let over_steps_gauge () = deadline_hit () || steps_hit () in
+  let over_gauge () = deadline_hit () || states_hit () || steps_hit () in
   let on_steal =
     match obs with
     | None -> None
@@ -1435,40 +1208,10 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
             | None -> ())
   in
   let pool = Parallel.Pool.create ?on_steal ~workers:domains () in
-  let verdict_mu = Mutex.create () in
-  let verdicts = List.map (fun p -> (p, ref Ok_bounded)) properties in
-  let all_violated () =
-    verdicts <> [] && List.for_all (fun (_, v) -> !v <> Ok_bounded) verdicts
-  in
-  let record_violations ~kind state =
-    List.iter
-      (fun ((p : _ Property.t), v) ->
-        (* the unsynchronized read may be stale — at worst a property
-           already violated elsewhere is re-checked; the write is
-           serialized and first-wins *)
-        if p.Property.kind = kind && !v = Ok_bounded then
-          match p.Property.check state with
-          | Some reason ->
-              Mutex.lock verdict_mu;
-              if !v = Ok_bounded then
-                v := Violated { schedule = state.prefix; reason };
-              Mutex.unlock verdict_mu;
-              if all_violated () then Parallel.Pool.stop pool
-          | None -> ())
-      verdicts
-  in
-  let pending_safety () =
-    List.exists
-      (fun ((p : _ Property.t), v) -> p.Property.kind = Property.Safety && !v = Ok_bounded)
-      verdicts
-  in
-  let pending_sched_safety () =
-    List.exists
-      (fun ((p : _ Property.t), v) ->
-        p.Property.kind = Property.Safety
-        && p.Property.sensitivity = Property.Schedule_sensitive
-        && !v = Ok_bounded)
-      verdicts
+  let verdicts =
+    verdict_table ~lock:(Mutex.create ())
+      ~on_all_violated:(fun () -> Parallel.Pool.stop pool)
+      properties
   in
   let fingerprints = Parallel.Shard_tbl.create () in
   let engines =
@@ -1478,9 +1221,7 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
           e_config = config;
           e_meter = meters.(wid);
           e_lifo = true;  (* per-worker deques are LIFO for the owner *)
-          e_record = record_violations;
-          e_pending_safety = pending_safety;
-          e_pending_sched_safety = pending_sched_safety;
+          e_verdicts = verdicts;
           e_fp_check = Parallel.Shard_tbl.check_and_record fingerprints;
           e_on_visit = (fun () -> Atomic.incr visited_g);
           e_on_replay = (fun ~steps -> ignore (Atomic.fetch_and_add replay_steps_g steps));
@@ -1511,20 +1252,14 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
       restores = sum (fun s -> s.Budget.restores);
     }
   in
-  (* snapshot-engine movement counters, per worker (folded into the
-     machine-step/restore metrics after the run) *)
-  let machine_steps_w = Array.make domains 0 in
-  let restores_w = Array.make domains 0 in
   (* pool items stay shallow prefixes (split depth 2, matching the
      other engines' parallel grain); below the split each worker owns
      the whole subtree on its private machine instance *)
   let snapshot_split_depth = 2 in
   let snapshot_pop wid rev_steps =
     let eng = engines.(wid) in
-    let meter = meters.(wid) in
     let c = mc_make ~sut ~fault:config.fault () in
-    let steps = List.rev rev_steps in
-    let depth = List.length steps in
+    let depth = List.length rev_steps in
     (* materialize the popped prefix by machine steps — bookkeeping
        movement, not replays; keep the last two footprints for the
        arrival commutation check *)
@@ -1532,31 +1267,13 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
     List.iteri
       (fun i p ->
         fp_prev := !fp_last;
-        fp_last := mc_step_metered meter ~timed:config.telemetry c ~global:i p)
-      steps;
-    let sleep_pruned =
-      config.sleep_sets && depth >= 2
-      &&
-      match rev_steps with
-      | b :: a :: _ -> b < a && disjoint_footprints !fp_prev !fp_last
-      | _ -> false
-    in
-    if sleep_pruned then begin
-      Budget.note_sleep_prune ~depth meter;
-      (match eng.e_ev with
-      | Some sink ->
-          Events.emit sink ~worker:wid
-            ~args:[ ("depth", Json.Int depth) ]
-            ~cat:"explorer" "sleep_prune"
-      | None -> ());
-      if eng.e_pending_safety () then begin
-        Budget.note_safety_check meter;
-        eng.e_record ~kind:Property.Safety (mc_state c ~depth ~rev:rev_steps)
-      end
-    end
-    else begin
+        fp_last := mc_step_metered meters.(wid) ~timed:config.telemetry c ~global:i p)
+      (List.rev rev_steps);
+    if arrival_pruned config rev_steps ~prev:!fp_prev ~last:!fp_last then
+      commute_prune eng ~depth (Some (fun () -> Mirror.state_after c.mc rev_steps))
+    else
       let on_truncate () =
-        Budget.mark_truncated meter;
+        Budget.mark_truncated meters.(wid);
         Parallel.Pool.stop pool
       in
       let push =
@@ -1567,9 +1284,6 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
         ~hb:(if wid = 0 then hb else None)
         ~progress:par_progress ~over:over_gauge ~on_truncate ~pending:(ref 0) ~depth
         ~rev:rev_steps ~arrive_fp:!fp_last
-    end;
-    machine_steps_w.(wid) <- machine_steps_w.(wid) + c.mc_machine_steps;
-    restores_w.(wid) <- restores_w.(wid) + c.mc_restores
   in
   let worker wid rev_steps =
     if wid = 0 then maybe_beat hb par_progress;
@@ -1578,13 +1292,13 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
       Parallel.Pool.stop pool
     end
     else
+      let push = Parallel.Pool.push pool ~worker:wid in
       match config.engine with
       | Path ->
           process_descent engines.(wid)
-            ~push:(fun rev _tbl -> Parallel.Pool.push pool ~worker:wid rev)
-            ~synthesize:false rev_steps [||]
-      | Per_state ->
-          process_prefix engines.(wid) ~push:(Parallel.Pool.push pool ~worker:wid) rev_steps
+            ~push:(fun (rev, _tbl) -> push rev)
+            ~synthesize:false (rev_steps, [||])
+      | Per_state -> process_prefix engines.(wid) ~push rev_steps
       | Snapshot -> snapshot_pop wid rev_steps
   in
   Parallel.Pool.push pool ~worker:0 [];
@@ -1594,30 +1308,15 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
      before the meters are folded into the parent *)
   Array.iteri (fun wid m -> record_metrics obs ~shard:wid (Budget.stats m)) meters;
   if config.engine = Snapshot then
-    Array.iteri
-      (fun wid ms ->
-        record_machine_metrics obs ~shard:wid ~machine_steps:ms ~restores:restores_w.(wid))
-      machine_steps_w;
+    Array.iteri (fun wid m -> record_machine_metrics obs ~shard:wid (Budget.stats m)) meters;
   Array.iter (fun m -> Budget.absorb ~into:parent m) meters;
-  {
-    verdicts = List.map (fun ((p : _ Property.t), v) -> (p.Property.name, !v)) verdicts;
-    stats = Budget.stats parent;
-    engine = config.engine;
-  }
+  report_of verdicts (Budget.stats parent) config
 
 let explore ?(domains = 1) ?obs ?on_progress ?progress_interval ~sut ~properties config =
   if domains < 1 then invalid_arg "Explorer.explore: domains must be >= 1";
   if domains = 1 then
     explore_seq ?obs ?on_progress ?progress_interval ~sut ~properties config
-  else begin
-    (match config.strategy with
-    | Custom _ ->
-        invalid_arg
-          "Explorer.explore: custom frontiers are single-domain only (the parallel \
-           engine owns its work-stealing frontier)"
-    | Dfs | Bfs -> ());
-    explore_par ?obs ?on_progress ?progress_interval ~domains ~sut ~properties config
-  end
+  else explore_par ?obs ?on_progress ?progress_interval ~domains ~sut ~properties config
 
 (* ----------------------------------------------------- search summary *)
 

@@ -1,15 +1,25 @@
 (** Bounded exploration of schedule prefixes (stateless model checking).
 
-    The engine enumerates schedule prefixes of a system under test up
-    to a depth bound, re-executes each prefix from a fresh instance
-    through {!Setsync_runtime.Executor.replay} (processes are effect
-    fibers, so global states cannot be snapshotted — each prefix is
-    replayed from scratch, the classic stateless-model-checking
-    trade), and checks user-supplied {!Property} verdicts:
+    The explorer enumerates schedule prefixes of a system under test up
+    to a depth bound and checks user-supplied {!Property} verdicts:
 
     - safety properties at every visited state;
     - stabilization properties on maximal prefixes (depth bound
       reached, or every process halted/crashed).
+
+    Three engines materialize the states ({!engine_kind}): [Per_state]
+    replays every prefix from scratch through
+    {!Setsync_runtime.Executor.replay}; [Path] replays once per
+    depth-first descent and visits every interim state of that replay;
+    [Snapshot] steps a machine-form instance ({!minstance}) down and
+    restores typed savepoints on the way back up, with no replay at
+    all. All three share one core: a mirror that rebuilds the run
+    bookkeeping (halts, step counts, budget crashes) from the executed
+    steps, one footprint measurement, one visit routine (counting,
+    property checks, fingerprint gate), one commutation-prune routine
+    and one verdict table. With fingerprinting off their verdicts and
+    visited/pruned counts therefore agree (the cross-check and
+    golden-stats tests pin this); their movement accounting differs.
 
     Two reductions keep the bounded space tractable:
 
@@ -98,19 +108,9 @@ type 'obs state = {
   obs : 'obs;
 }
 
-type frontier = {
-  push : Setsync_schedule.Proc.t list -> unit;
-      (** a prefix in reverse step order (deepest choice first) *)
-  pop : unit -> Setsync_schedule.Proc.t list option;
-  size : unit -> int;
-}
-
 type strategy =
   | Dfs  (** LIFO; children explored in ascending process order *)
   | Bfs  (** FIFO; finds shortest counterexamples first *)
-  | Custom of (unit -> frontier)
-      (** plug your own (priority queues, random restarts, …); must be
-          deterministic for the exploration to be *)
 
 type engine_kind =
   | Per_state
@@ -125,9 +125,9 @@ type engine_kind =
           order are identical to the per-state engine (the cross-check
           tests pin this); replay accounting
           ([stats.replays]/[replay_steps]) is what improves. Applies
-          to [Dfs] sequentially and to every parallel worker; [Bfs]
-          and [Custom] frontiers fall back to the per-state engine
-          (their pop order defeats descent amortization). *)
+          to [Dfs] sequentially and to every parallel worker; a
+          sequential [Bfs] frontier falls back to the per-state engine
+          (its pop order defeats descent amortization). *)
   | Snapshot
       (** replay-free engine: requires a machine-form sut
           ({!instance.machine}); the DFS moves down by single machine
@@ -170,7 +170,6 @@ val config :
   ?strategy:strategy ->
   ?prune_fingerprints:bool ->
   ?sleep_sets:bool ->
-  ?path_replay:bool ->
   ?engine:engine_kind ->
   ?symmetry:bool ->
   ?limits:Budget.limits ->
@@ -180,11 +179,8 @@ val config :
   unit ->
   config
 (** Defaults: DFS, both reductions on, [Path] engine, symmetry off,
-    unlimited budget, no faults, telemetry off. [?path_replay] is the
-    legacy spelling of the engine choice ([true] = [Path], [false] =
-    [Per_state]) and is overridden by [?engine] when both are given.
-    [~symmetry:true] without [~engine:Snapshot] raises
-    [Invalid_argument]. *)
+    unlimited budget, no faults, telemetry off. [~symmetry:true]
+    without [~engine:Snapshot] raises [Invalid_argument]. *)
 
 type verdict =
   | Ok_bounded
@@ -260,15 +256,13 @@ val explore :
     which counterexample is found first and, under fingerprint pruning,
     the exact visited/pruned split (see DESIGN.md §8). Replay
     accounting ([stats.replays]/[replay_steps]) is mode-specific under
-    [path_replay]: sequential descents synthesize commutation prunes
-    from sibling footprints without replaying them, while parallel
-    workers discover prunes on arrival with the replay already paid —
-    both are deterministic per mode, but they are not equal across
-    modes (with [sleep_sets] off the difference vanishes).
-    [config.strategy]
-    must be {!Dfs} or {!Bfs} (both are treated as hints; each worker
-    drains its own deque depth-first) — [Custom] frontiers raise
-    [Invalid_argument]. Budget limits are enforced against global
+    the [Path] engine: sequential descents synthesize commutation
+    prunes from sibling footprints without replaying them, while
+    parallel workers discover prunes on arrival with the replay already
+    paid — both are deterministic per mode, but they are not equal
+    across modes (with [sleep_sets] off the difference vanishes).
+    [config.strategy] is a hint here: each worker drains its own deque
+    depth-first. Budget limits are enforced against global
     counters and the wall clock, so [max_seconds] expires after ~1×
     wall time regardless of the domain count; overshoot of the count
     limits is bounded by the number of in-flight items. *)

@@ -578,7 +578,7 @@ let violated_names (r : Explorer.report) =
     r.Explorer.verdicts
   |> List.sort String.compare
 
-(* visit accounting, without the replay accounting: under [path_replay]
+(* visit accounting, without the replay accounting: under the [Path] engine
    the sequential engine synthesizes commutation prunes from sibling
    footprints (no replay paid) while parallel workers discover them on
    arrival (replay already paid), so replays/replay_steps are
@@ -731,17 +731,7 @@ let test_parallel_invalid_args () =
   let sut = single_writer_sut () in
   Alcotest.check_raises "domains=0 rejected"
     (Invalid_argument "Explorer.explore: domains must be >= 1") (fun () ->
-      ignore (Explorer.explore ~domains:0 ~sut ~properties:[] (Explorer.config ~depth:2 ())));
-  let custom () =
-    { Explorer.push = (fun _ -> ()); pop = (fun () -> None); size = (fun () -> 0) }
-  in
-  Alcotest.check_raises "custom frontier rejected in parallel"
-    (Invalid_argument
-       "Explorer.explore: custom frontiers are single-domain only (the parallel engine \
-        owns its work-stealing frontier)") (fun () ->
-      ignore
-        (Explorer.explore ~domains:2 ~sut ~properties:[]
-           (Explorer.config ~strategy:(Explorer.Custom custom) ~depth:2 ())))
+      ignore (Explorer.explore ~domains:0 ~sut ~properties:[] (Explorer.config ~depth:2 ())))
 
 (* regression: the stripe index must hash the whole key. The stdlib
    default [Hashtbl.hash] stops after 10 meaningful nodes, so
@@ -985,7 +975,7 @@ let test_lockstep_kanti () =
 let test_engine_sched_sensitive_safety () =
   let report =
     Explorer.explore ~sut:(single_writer_sut ()) ~properties:[ no_p2p1_suffix ]
-      (Explorer.config ~prune_fingerprints:false ~sleep_sets:true ~path_replay:true
+      (Explorer.config ~prune_fingerprints:false ~sleep_sets:true ~engine:Explorer.Path
          ~depth:4 ())
   in
   (match verdict_of "no-p2p1-suffix" report with
@@ -1178,18 +1168,19 @@ let test_snapshot_requires_machine () =
 (* ------------------------------------------------------------------ *)
 (* (i) budget boundary semantics: "budget of k means at most k" *)
 
-let explore_single ~path_replay ~limits () =
+let explore_single ~engine ~limits () =
   Explorer.explore ~sut:(single_writer_sut ()) ~properties:[]
-    (Explorer.config ~prune_fingerprints:false ~sleep_sets:false ~path_replay ~limits
+    (Explorer.config ~prune_fingerprints:false ~sleep_sets:false ~engine ~limits
        ~depth:4 ())
 
 let test_budget_boundaries () =
   List.iter
-    (fun path_replay ->
+    (fun engine ->
+      let path_replay = engine = Explorer.Path in
       let label fmt =
         Printf.sprintf "%s (path_replay=%b)" fmt path_replay
       in
-      let run limits = (explore_single ~path_replay ~limits ()).Explorer.stats in
+      let run limits = (explore_single ~engine ~limits ()).Explorer.stats in
       (* the space is exactly 19 states (hand-counted in (a)) *)
       let s = run (Budget.limits ~max_states:0 ()) in
       Alcotest.(check int) (label "max_states=0 visits nothing") 0 s.Budget.visited;
@@ -1230,7 +1221,7 @@ let test_budget_boundaries () =
         Alcotest.(check bool) (label "cap short by >1 replay visits fewer") true
           (s.Budget.visited < 19)
       end)
-    [ false; true ]
+    [ Explorer.Per_state; Explorer.Path ]
 
 (* the snapshot engine enforces the same visit-budget contract; its
    step budget degenerates (no replay steps are ever paid): a positive
@@ -1447,6 +1438,190 @@ let test_evaluate_matches_replay () =
   Alcotest.(check int) "pong" 1 st.Explorer.obs.pong
 
 (* ------------------------------------------------------------------ *)
+(* (k) golden stats: every engine's full counter set, pinned *)
+
+(* The engines share one visit routine, commutation-prune routine and
+   verdict table; this pins what they count, field by field, so a
+   refactor of that core that moves any counter fails here. Rows:
+   system, engine, domains, fingerprints, symmetry, then [visited;
+   fp-pruned; commute-pruned; safety-checked; replays; replay steps;
+   machine steps; restores], then the depth profile as [depth;
+   visited; fp-pruned; commute-pruned] rows. The kset system runs under the crash
+   plan [(p3, 2 steps)] so the budget-crash bookkeeping is exercised;
+   parallel rows run with fingerprints off, where counts are
+   deterministic. *)
+let golden_stats =
+  [
+    ( "detector", Explorer.Per_state, 1, true, false,
+      [ 3; 2; 0; 0; 3; 2; 0; 0 ],
+      [ [ 0; 1; 0; 0 ]; [ 1; 2; 2; 0 ] ] );
+    ( "detector", Explorer.Per_state, 1, false, false,
+      [ 135; 0; 44; 0; 179; 1138; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
+        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+      ] );
+    ( "detector", Explorer.Per_state, 2, false, false,
+      [ 135; 0; 44; 0; 179; 1138; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
+        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+      ] );
+    ( "detector", Explorer.Path, 1, true, false,
+      [ 3; 2; 0; 0; 2; 2; 0; 0 ],
+      [ [ 0; 1; 0; 0 ]; [ 1; 2; 2; 0 ] ] );
+    ( "detector", Explorer.Path, 1, false, false,
+      [ 135; 0; 44; 0; 46; 368; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
+        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+      ] );
+    ( "detector", Explorer.Path, 2, false, false,
+      [ 135; 0; 44; 0; 90; 658; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
+        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+      ] );
+    ( "detector", Explorer.Snapshot, 1, true, false,
+      [ 3; 2; 0; 0; 0; 0; 2; 2 ],
+      [ [ 0; 1; 0; 0 ]; [ 1; 2; 2; 0 ] ] );
+    ( "detector", Explorer.Snapshot, 1, false, false,
+      [ 135; 0; 44; 0; 0; 0; 178; 178 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
+        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+      ] );
+    ( "detector", Explorer.Snapshot, 2, false, false,
+      [ 135; 0; 44; 0; 0; 0; 182; 172 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
+        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+      ] );
+    ( "detector", Explorer.Snapshot, 1, true, true,
+      [ 49; 3; 24; 0; 0; 0; 72; 72 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 1; 0 ]; [ 3; 4; 0; 2 ]; [ 4; 6; 1; 2 ];
+        [ 5; 6; 0; 4 ]; [ 6; 8; 1; 4 ]; [ 7; 8; 0; 6 ]; [ 8; 10; 0; 6 ];
+      ] );
+    ( "kset", Explorer.Per_state, 1, true, false,
+      [ 4; 3; 0; 4; 4; 3; 0; 0 ],
+      [ [ 0; 1; 0; 0 ]; [ 1; 3; 3; 0 ] ] );
+    ( "kset", Explorer.Per_state, 1, false, false,
+      [ 154; 0; 50; 204; 204; 868; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
+        [ 5; 80; 0; 29 ];
+      ] );
+    ( "kset", Explorer.Per_state, 2, false, false,
+      [ 154; 0; 50; 204; 204; 868; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
+        [ 5; 80; 0; 29 ];
+      ] );
+    ( "kset", Explorer.Path, 1, true, false,
+      [ 4; 3; 0; 4; 3; 3; 0; 0 ],
+      [ [ 0; 1; 0; 0 ]; [ 1; 3; 3; 0 ] ] );
+    ( "kset", Explorer.Path, 1, false, false,
+      [ 154; 0; 50; 204; 85; 418; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
+        [ 5; 80; 0; 29 ];
+      ] );
+    ( "kset", Explorer.Path, 2, false, false,
+      [ 154; 0; 50; 204; 130; 623; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
+        [ 5; 80; 0; 29 ];
+      ] );
+    ( "kset", Explorer.Snapshot, 1, true, false,
+      [ 4; 3; 0; 4; 0; 0; 3; 3 ],
+      [ [ 0; 1; 0; 0 ]; [ 1; 3; 3; 0 ] ] );
+    ( "kset", Explorer.Snapshot, 1, false, false,
+      [ 154; 0; 50; 204; 0; 0; 203; 203 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
+        [ 5; 80; 0; 29 ];
+      ] );
+    ( "kset", Explorer.Snapshot, 2, false, false,
+      [ 154; 0; 50; 204; 0; 0; 212; 191 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
+        [ 5; 80; 0; 29 ];
+      ] );
+    ( "kset", Explorer.Snapshot, 1, true, true,
+      [ 60; 10; 28; 88; 0; 0; 87; 87 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 3; 0 ]; [ 3; 11; 2; 6 ]; [ 4; 17; 5; 8 ];
+        [ 5; 19; 0; 14 ];
+      ] );
+  ]
+
+let golden_explore system =
+  match system with
+  | "detector" ->
+      let params = { Setsync_detector.Kanti_omega.n = 2; t = 1; k = 1 } in
+      let properties =
+        [
+          Property.anti_omega_stabilized ~k:1
+            ~outputs:(fun st -> st.Explorer.obs.Systems.fd_outputs)
+            ~correct:(fun st -> Run.correct st.Explorer.run);
+        ]
+      in
+      fun ~domains config ->
+        Explorer.explore ~domains ~sut:(Systems.kanti_detector ~params ()) ~properties
+          (config ~depth:8 ~fault:[])
+  | _ ->
+      let problem = Setsync_agreement.Problem.make ~t:1 ~k:1 ~n:3 in
+      let inputs = Setsync_agreement.Problem.distinct_inputs problem in
+      let decisions st = st.Explorer.obs.Systems.decisions in
+      let properties =
+        [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
+      in
+      fun ~domains config ->
+        Explorer.explore ~domains ~sut:(Systems.kset_agreement ~problem ~inputs ())
+          ~properties
+          (config ~depth:5 ~fault:[ (2, 2) ])
+
+let test_golden_stats () =
+  List.iter
+    (fun (system, engine, domains, fp, symmetry, counts, profile) ->
+      let s =
+        (golden_explore system ~domains (fun ~depth ~fault ->
+             Explorer.config ~prune_fingerprints:fp ~engine ~symmetry ~fault ~depth ()))
+          .Explorer.stats
+      in
+      let label =
+        Printf.sprintf "%s %s domains=%d fp=%b sym=%b" system
+          (match engine with
+          | Explorer.Per_state -> "per_state"
+          | Explorer.Path -> "path"
+          | Explorer.Snapshot -> "snapshot")
+          domains fp symmetry
+      in
+      Alcotest.(check (list int))
+        (label ^ ": visited, fp-pruned, commute-pruned, safety-checked, replays, replay \
+                  steps, machine steps, restores")
+        counts
+        [
+          s.Budget.visited;
+          s.Budget.pruned_fingerprint;
+          s.Budget.pruned_sleep;
+          s.Budget.safety_checked;
+          s.Budget.replays;
+          s.Budget.replay_steps;
+          s.Budget.machine_steps;
+          s.Budget.restores;
+        ];
+      Alcotest.(check (list (list int)))
+        (label ^ ": depth profile") profile
+        (List.map
+           (fun (r : Budget.depth_row) ->
+             [ r.Budget.dr_depth; r.dr_visited; r.dr_fp_pruned; r.dr_sleep_pruned ])
+           s.Budget.depth_profile);
+      Alcotest.(check bool) (label ^ ": exhaustive") false s.Budget.truncated)
+    golden_stats
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "setsync_explore"
@@ -1549,6 +1724,11 @@ let () =
         ] );
       ( "report line",
         [ Alcotest.test_case "pp_stats pins every counter" `Quick test_pp_stats_line ] );
+      ( "golden stats",
+        [
+          Alcotest.test_case "every counter, every engine, figure 2 and kset" `Quick
+            test_golden_stats;
+        ] );
       ( "metrics scoping",
         [
           Alcotest.test_case "counters scoped to Obs" `Quick test_metrics_scoped_to_obs;
