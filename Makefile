@@ -90,9 +90,9 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a c
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values fail before the run (exit 124 + stderr)
+cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values fail before the run (exit 124 + stderr)
 	@set -e; \
-	run() { dune exec bin/setsync_cli.exe -- "$$@" >/dev/null 2>/tmp/setsync_ci_cli.err; }; \
+	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
 	  if run "$$@"; then status=0; else status=$$?; fi; \
 	  if [ $$status -ne $$want ]; then \
@@ -101,6 +101,8 @@ cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1
 	  fi; }; \
 	stderr_has() { grep -q "$$1" /tmp/setsync_ci_cli.err || { \
 	  echo "cli-smoke: stderr missing '$$1'"; cat /tmp/setsync_ci_cli.err; exit 1; }; }; \
+	stdout_has() { grep -q "$$1" /tmp/setsync_ci_cli.out || { \
+	  echo "cli-smoke: stdout missing '$$1'"; cat /tmp/setsync_ci_cli.out; exit 1; }; }; \
 	expect 0 explore --check kset --backend net -n 2 -t 1 -k 1 --depth 2 --fingerprints; \
 	stderr_has "warning: --fingerprints"; \
 	expect 1 explore --check kset --backend net -n 2 -t 1 -k 1 --depth 2 --engine snapshot; \
@@ -114,6 +116,8 @@ cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1
 	expect 1 explore --check timeliness -n 2 --depth 2 --engine snapshot; \
 	stderr_has "breadth-first"; \
 	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 6 --engine snapshot --symmetry --fingerprints; \
+	expect 2 explore --check timeliness -n 2 --depth 4 --progress 0 --search-summary -; \
+	stdout_has '"engine":"per_state"'; \
 	expect 124 solve --trace-out /nonexistent/x.jsonl; \
 	stderr_has "cannot write the --trace-out file"; \
 	expect 124 solve --backend net --trace-out /nonexistent/x.jsonl; \

@@ -101,12 +101,9 @@ let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost
   (* Processes idle (taking pause steps) after deciding, so the run
      must be stopped explicitly: once every process has either decided
      or exhausted its crash budget, nothing further can change. *)
-  let crash_budget = Array.make total max_int in
-  List.iter (fun (p, s) -> crash_budget.(p) <- s) (Option.value fault ~default:[]);
-  let steps_of = Array.make total 0 in
+  let tally = Run.Tally.create ~n:total (Option.value fault ~default:[]) in
   let on_step ~global ~proc =
     (match caller_on_step with Some f -> f ~global ~proc | None -> ());
-    steps_of.(proc) <- steps_of.(proc) + 1;
     (* record the first step at which each decision became visible *)
     let now = bundle.snapshot_decisions () in
     Array.iteri
@@ -115,12 +112,12 @@ let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost
   in
   let stop () =
     let now = bundle.snapshot_decisions () in
-    let settled p = now.(p) <> None || steps_of.(p) >= crash_budget.(p) in
+    let settled p = now.(p) <> None || not (Run.Tally.live tally p) in
     let rec check p = p >= n || (settled p && check (p + 1)) in
     check 0
   in
   let run =
-    Executor.run ~n:total ~source ~max_steps ?fault ?substrate ?boost ~on_step ~stop ?obs body
+    Executor.run ~n:total ~source ~max_steps ~tally ?substrate ?boost ~on_step ~stop ?obs body
   in
   let decisions = bundle.snapshot_decisions () in
   let report =

@@ -31,16 +31,11 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
   let winnersets = History.create ~n in
   (* survivors: processes the fault plan never kills; early stopping
      keys on them because they are the ones that must converge *)
-  let crash_budget = Array.make n max_int in
-  List.iter (fun (p, s) -> crash_budget.(p) <- s) fault;
-  let survivor p = crash_budget.(p) = max_int in
-  let steps_of = Array.make n 0 in
+  let tally = Run.Tally.create ~n fault in
+  let survivor p = Run.Tally.budget tally p = max_int in
   let last_change = ref 0 in
-  let global_now = ref 0 in
   let ev = match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None in
   let on_step ~global ~proc =
-    global_now := global;
-    steps_of.(proc) <- steps_of.(proc) + 1;
     let p = processes.(proc) in
     let w = Kanti_omega.winnerset p in
     (match History.last winnersets ~proc with
@@ -72,12 +67,12 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
                stabilized state reflects the final failure pattern *)
             let crashes_done =
               let rec check p =
-                p >= n || ((survivor p || steps_of.(p) >= crash_budget.(p)) && check (p + 1))
+                p >= n || ((survivor p || not (Run.Tally.live tally p)) && check (p + 1))
               in
               check 0
             in
             crashes_done
-            && !global_now - !last_change >= window
+            && Run.Tally.total_steps tally - 1 - !last_change >= window
             && List.for_all (fun p -> Kanti_omega.iterations processes.(p) >= 1) survivors
             &&
             match survivors with
@@ -89,7 +84,7 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
                   rest)
   in
   let body proc () = Kanti_omega.forever processes.(proc) in
-  let run = Executor.run ~n ~source ~max_steps ~fault ?stop ~on_step ?obs body in
+  let run = Executor.run ~n ~source ~max_steps ~tally ?stop ~on_step ?obs body in
   let crashed = Run.crashed run in
   let total_steps = Run.total_steps run in
   let verdict = Anti_omega.validate ~n ~t ~k ~crashed ~total_steps ?margin ~outputs () in

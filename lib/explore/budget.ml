@@ -78,21 +78,11 @@ let grown a d =
 
 let at a d = if d < Array.length a then a.(d) else 0
 
-let limits_hit lim ~states ~replay_steps ~wall_elapsed =
-  let hit cap value = match cap with Some c -> value >= c | None -> false in
-  hit lim.max_states states
-  || hit lim.max_replay_steps replay_steps
-  || (match lim.max_seconds with Some s -> wall_elapsed >= s | None -> false)
-
 let wall_elapsed t = now_wall () -. t.started_wall
 
 let cpu_elapsed t = Sys.time () -. t.started_cpu
 
 let deadline t = Option.map (fun s -> t.started_wall +. s) t.lim.max_seconds
-
-let over t =
-  limits_hit t.lim ~states:t.visited ~replay_steps:t.replay_steps
-    ~wall_elapsed:(wall_elapsed t)
 
 (* The two halves of [over], for the path-replay engine's mid-descent
    checks: a visit costs one state and no steps, executing the next
@@ -105,6 +95,8 @@ let over_visit t =
 let over_steps t =
   (match t.lim.max_replay_steps with Some c -> t.replay_steps >= c | None -> false)
   || (match t.lim.max_seconds with Some s -> wall_elapsed t >= s | None -> false)
+
+let over t = over_visit t || over_steps t
 
 let mark_truncated t = t.truncated <- true
 

@@ -66,11 +66,6 @@ val over_steps : t -> bool
     step would exceed the budget. Consulted before a descent continues
     into its next child. *)
 
-val limits_hit :
-  limits -> states:int -> replay_steps:int -> wall_elapsed:float -> bool
-(** The raw limit predicate, for callers (the parallel explorer) that
-    aggregate counts outside a single meter. *)
-
 val wall_elapsed : t -> float
 val cpu_elapsed : t -> float
 

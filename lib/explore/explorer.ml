@@ -153,131 +153,76 @@ let snapshot_of store (inst : _ instance) =
   Store.snapshot store
   @ match inst.substrate with Some s -> Setsync_runtime.Substrate.snapshot s | None -> []
 
+(* ------------------------------------------------------------ mirror *)
+
+(* One live instance and the tally of its run: registers and
+   observation live in the instance, run bookkeeping (step counts,
+   halts, budget crashes) in the tally the executor advances — or, for
+   the snapshot engine's machine, that [mc_step] advances — so every
+   path can materialize an exact [state] at any point along its run.
+   Every state the explorer builds comes from [Mirror.state]. *)
+module Mirror = struct
+  type 'obs m = { store : Store.t; inst : 'obs instance; tally : Run.Tally.t }
+
+  let make ~(sut : 'obs sut) ~fault ?trace () =
+    let tally = Run.Tally.create ~n:sut.n fault in
+    let store = Store.create ?trace () in
+    { store; inst = sut.fresh ~store; tally }
+
+  let replay m ?on_step ?stop schedule =
+    Executor.replay ~n:(Run.Tally.n m.tally) ~schedule ~tally:m.tally
+      ?substrate:m.inst.substrate ?on_step ?stop m.inst.body
+
+  (* [requested]: the schedule whose replay reached this point (skipped
+     entries included), when it is not simply the executed steps;
+     [reason]: the executor's, when a run has ended *)
+  let state ?requested ?reason m =
+    let t = m.tally in
+    let reason =
+      match reason with
+      | Some r -> r
+      | None ->
+          let rec all_done p =
+            p >= Run.Tally.n t || ((not (Run.Tally.live t p)) && all_done (p + 1))
+          in
+          if all_done 0 then Run.All_halted else Run.Source_exhausted
+    in
+    let run = Run.Tally.freeze t reason in
+    let prefix = Option.value requested ~default:run.Run.taken in
+    let snapshot = snapshot_of m.store m.inst in
+    { depth = Schedule.length prefix; prefix; run; snapshot; obs = m.inst.observe () }
+end
+
 (* Replay [schedule] against a fresh instance; returns the final state
    and the footprints of the last two executed steps. *)
 let replay_instrumented ~sut ~fault schedule =
   let trace, footprint = footprint_meter () in
-  let store = Store.create ~trace () in
-  let inst = sut.fresh ~store in
+  let m = Mirror.make ~sut ~fault ~trace () in
   let fp_prev = ref [] and fp_last = ref [] in
   let on_step ~global:_ ~proc:_ =
     fp_prev := !fp_last;
     fp_last := footprint ()
   in
-  let run =
-    Executor.replay ~n:sut.n ~schedule ~fault ?substrate:inst.substrate ~on_step inst.body
-  in
-  let obs = inst.observe () in
-  let snapshot = snapshot_of store inst in
-  ( { depth = Schedule.length schedule; prefix = schedule; run; snapshot; obs },
-    !fp_prev,
-    !fp_last )
+  let run = Mirror.replay m ~on_step schedule in
+  (Mirror.state ~requested:schedule ~reason:run.Run.reason m, !fp_prev, !fp_last)
 
 let evaluate ~sut ?(fault = Fault.no_faults) schedule =
   let state, _, _ = replay_instrumented ~sut ~fault schedule in
   state
-
-(* ------------------------------------------------- replay bookkeeping *)
-
-(* Shared mirror of one live instance: registers and observation are
-   live in the instance; run bookkeeping (halts, per-process step
-   counts, budget crashes) is reconstructed from the executed steps
-   themselves, so a single replay — or the snapshot engine's machine —
-   can materialize an exact [state] at any point along its path. The
-   safety probe, [trajectory], the path-replay descent engine and the
-   snapshot engine all drive one of these. *)
-module Mirror = struct
-  type 'obs m = {
-    n : int;
-    store : Store.t;
-    inst : 'obs instance;
-    halted : bool array;
-    steps_of : int array;
-    budgets : int array;
-    mutable crashes : (Proc.t * int) list;
-  }
-
-  let make ~(sut : 'obs sut) ~fault ?trace () =
-    let n = sut.n in
-    let store = Store.create ?trace () in
-    let inst = sut.fresh ~store in
-    let budgets = Array.make n max_int in
-    List.iter (fun (p, s) -> budgets.(p) <- s) fault;
-    {
-      n;
-      store;
-      inst;
-      halted = Array.make n false;
-      steps_of = Array.make n 0;
-      budgets;
-      crashes = List.filter_map (fun (p, s) -> if s = 0 then Some (p, 0) else None) fault;
-    }
-
-  (* the executor must drive this wrapper so halts become visible *)
-  let body m p () =
-    m.inst.body p ();
-    m.halted.(p) <- true
-
-  let crashed m p = List.exists (fun (q, _) -> q = p) m.crashes
-
-  (* call once per executed step; [at] is the position recorded for a
-     budget-exhaustion crash *)
-  let note_exec m ~proc ~at =
-    m.steps_of.(proc) <- m.steps_of.(proc) + 1;
-    if m.steps_of.(proc) >= m.budgets.(proc) && not (crashed m proc) then
-      m.crashes <- m.crashes @ [ (proc, at) ]
-
-  let skippable m p = m.halted.(p) || crashed m p
-
-  (* capture the bookkeeping; the returned thunk restores it *)
-  let save m =
-    let halted = Array.copy m.halted in
-    let steps_of = Array.copy m.steps_of in
-    let crashes = m.crashes in
-    fun () ->
-      Array.blit halted 0 m.halted 0 m.n;
-      Array.blit steps_of 0 m.steps_of 0 m.n;
-      m.crashes <- crashes
-
-  let state m ~depth ~prefix =
-    let halted_set = ref Procset.empty in
-    Array.iteri (fun p h -> if h then halted_set := Procset.add p !halted_set) m.halted;
-    let all_done =
-      let rec go p = p >= m.n || (skippable m p && go (p + 1)) in
-      go 0
-    in
-    let run =
-      {
-        Run.n = m.n;
-        taken = prefix;
-        steps_of = Array.copy m.steps_of;
-        crashes = m.crashes;
-        halted = !halted_set;
-        reason = (if all_done then Run.All_halted else Run.Source_exhausted);
-      }
-    in
-    let snapshot = snapshot_of m.store m.inst in
-    { depth; prefix; run; snapshot; obs = m.inst.observe () }
-
-  (* the state after the executed steps [rev], most recent first *)
-  let state_after m rev =
-    let prefix = Schedule.of_list ~n:m.n (List.rev rev) in
-    state m ~depth:(Schedule.length prefix) ~prefix
-end
 
 (* ------------------------------------------- counterexample re-check *)
 
 (* Safety re-verification used to replay every prefix 0..len from
    scratch — O(len²) steps per call, which made ddmin shrinking
    O(len²) replays per candidate. Instead: one replay with an on-step
-   probe over a [Mirror]. The probe is skip-aware: entries the executor
-   skips (naming a crashed or halted process) leave the state unchanged,
-   so the probe advances its schedule pointer past them — checking the
-   unchanged state at each skipped prefix boundary — and stays exact
-   through arbitrary skips instead of bailing to the per-prefix scan.
-   The scan remains as a defensive fallback for any residual
-   misalignment (e.g. a source-level divergence the mirror cannot
-   predict). *)
+   probe over a [Mirror]. The probe is skip-aware: an entry naming a
+   process that is no longer live (crashed or halted — neither ever
+   revives) is skipped by the executor and leaves the state unchanged,
+   so after each check the probe moves its schedule pointer past such
+   entries, checking the unchanged state at each skipped prefix
+   boundary, and stays exact through arbitrary skips. The per-prefix
+   scan remains as a defensive fallback for a residual misalignment
+   (a skip the tally cannot predict, e.g. a substrate veto). *)
 let check_safety_scan ~sut ~property ~fault schedule =
   let len = Schedule.length schedule in
   let rec scan d =
@@ -292,7 +237,6 @@ let check_safety_scan ~sut ~property ~fault schedule =
   scan 0
 
 let check_safety_probe ~sut ~property ~fault schedule =
-  let n = sut.n in
   let len = Schedule.length schedule in
   let m = Mirror.make ~sut ~fault () in
   let violation = ref None in
@@ -302,52 +246,35 @@ let check_safety_probe ~sut ~property ~fault schedule =
   let consumed = ref 0 in
   let check () =
     match
-      property.Property.check
-        (Mirror.state m ~depth:!consumed ~prefix:(Schedule.prefix schedule !consumed))
+      property.Property.check (Mirror.state ~requested:(Schedule.prefix schedule !consumed) m)
     with
     | Some r -> violation := Some r
     | None -> ()
   in
-  (* [until]: advancing past skipped entries must stop at the entry the
-     executor actually executed — that entry's process may have halted
-     during its own step, making it look skippable in hindsight *)
-  let advance_skips ?until () =
-    let continue_ () =
+  let check_and_skip () =
+    check ();
+    while
       !violation = None && !consumed < len
-      &&
-      let p = Schedule.get schedule !consumed in
-      Mirror.skippable m p && (match until with Some q -> p <> q | None -> true)
-    in
-    while continue_ () do
+      && not (Run.Tally.live m.Mirror.tally (Schedule.get schedule !consumed))
+    do
       incr consumed;
       check ()
     done
   in
-  check ();
-  if !violation <> None then (true, !violation)
-  else if len = 0 then (true, None)
-  else begin
+  check_and_skip ();
+  if !violation = None && !consumed < len then begin
     let on_step ~global:_ ~proc =
-      if !exact && !violation = None then begin
-        advance_skips ~until:proc ();
-        if !violation = None then
-          if !consumed >= len || Schedule.get schedule !consumed <> proc then
-            exact := false
-          else begin
-            Mirror.note_exec m ~proc ~at:!consumed;
-            incr consumed;
-            check ()
-          end
-      end
+      if !exact && !violation = None then
+        if !consumed < len && Schedule.get schedule !consumed = proc then begin
+          incr consumed;
+          check_and_skip ()
+        end
+        else exact := false
     in
     let stop () = (not !exact) || !violation <> None in
-    ignore
-      (Executor.replay ~n ~schedule ~fault ?substrate:m.Mirror.inst.substrate ~on_step ~stop
-         (Mirror.body m));
-    if !exact && !violation = None then advance_skips ();
-    let complete = !consumed = len in
-    ((!exact && (complete || !violation <> None)), !violation)
-  end
+    ignore (Mirror.replay m ~on_step ~stop schedule)
+  end;
+  (!exact && (!consumed = len || !violation <> None), !violation)
 
 let check_schedule ~sut ~property ?(fault = Fault.no_faults) schedule =
   match property.Property.kind with
@@ -389,8 +316,8 @@ let digest ~sut (st : _ state) =
    [on_state] on the interim state after every [stride]-th executed
    step (and on the initial and final states). Unlike
    [check_safety_probe] this never falls back to a per-prefix scan:
-   interim run bookkeeping is reconstructed from the executed steps
-   themselves, so it stays exact even when the replay skips scheduled
+   interim states are built from the executor's own tally, so they
+   stay exact even when the replay skips scheduled
    steps (a mutated schedule naming a crashed/halted process) — the
    interim prefixes are then prefixes of the executed subsequence, not
    of the requested schedule. That is the right notion for fuzzing:
@@ -399,30 +326,17 @@ let digest ~sut (st : _ state) =
    shrinking need. *)
 let trajectory ~sut ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule =
   if stride < 1 then invalid_arg "Explorer.trajectory: stride must be >= 1";
-  let n = sut.n in
-  Fault.validate ~n fault;
   let m = Mirror.make ~sut ~fault () in
-  let rev_taken = ref [] in
-  let taken = ref 0 in
   let stopped = ref false in
-  let mk_state () = Mirror.state_after m !rev_taken in
-  let emit () = if not !stopped then stopped := on_state (mk_state ()) in
+  let emit () = if not !stopped then stopped := on_state (Mirror.state m) in
   emit ();
-  if !stopped then mk_state ()
-  else begin
-    let on_step ~global:_ ~proc =
-      rev_taken := proc :: !rev_taken;
-      incr taken;
-      Mirror.note_exec m ~proc ~at:(!taken - 1);
-      if !taken mod stride = 0 then emit ()
-    in
-    let stop () = !stopped in
-    ignore
-      (Executor.replay ~n ~schedule ~fault ?substrate:m.Mirror.inst.substrate ~on_step ~stop
-         (Mirror.body m));
-    if !taken mod stride <> 0 && not !stopped then ignore (on_state (mk_state ()));
-    mk_state ()
-  end
+  if not !stopped then begin
+    let on_step ~global ~proc:_ = if (global + 1) mod stride = 0 then emit () in
+    ignore (Mirror.replay m ~on_step ~stop:(fun () -> !stopped) schedule);
+    if Run.Tally.total_steps m.Mirror.tally mod stride <> 0 && not !stopped then
+      ignore (on_state (Mirror.state m))
+  end;
+  Mirror.state m
 
 (* ------------------------------------------------------ verdict table *)
 
@@ -469,11 +383,11 @@ let record vt ~kind state =
         | None -> ())
     vt.slots
 
-let report_of vt stats (config : config) =
+let report_of vt stats ~engine =
   {
     verdicts = List.map (fun ((p : _ Property.t), v) -> (p.Property.name, !v)) vt.slots;
     stats;
-    engine = config.engine;
+    engine;
   }
 
 (* --------------------------------------------------- the shared visit *)
@@ -656,24 +570,21 @@ let process_prefix eng ~push rev_steps =
 let process_descent eng ~push ~synthesize (rev_start, parent_tbl0) =
   let sut = eng.e_sut and config = eng.e_config and meter = eng.e_meter in
   let n = sut.n in
-  let fault = config.fault in
   let trace, footprint = footprint_meter () in
-  let m = Mirror.make ~sut ~fault ~trace () in
+  let m = Mirror.make ~sut ~fault:config.fault ~trace () in
   (* footprints of the last two executed steps along this path *)
   let fp_prev = ref [] and fp_last = ref [] in
   let cur_rev = ref [] in
-  let depth = ref 0 in
-  let steps_in = ref 0 in
   (* table of the current node's parent (synthesis mode only) *)
   let parent_tbl = ref parent_tbl0 in
   let feed = ref (List.rev rev_start) in
   let fixed = List.length rev_start in
   let pending_child = ref None in
-  let materialize () = Mirror.state_after m !cur_rev in
+  let materialize () = Mirror.state m in
   (* visit the node the replay just reached; decide the continuation *)
   let visit_here () =
     pending_child := None;
-    let d = !depth in
+    let d = Run.Tally.total_steps m.tally in
     if (not synthesize) && arrival_pruned config !cur_rev ~prev:!fp_prev ~last:!fp_last
     then
       (* non-synthesizing arrival onto a commutation-pruned node: the
@@ -736,11 +647,8 @@ let process_descent eng ~push ~synthesize (rev_start, parent_tbl0) =
     fp_prev := !fp_last;
     fp_last := footprint ();
     cur_rev := proc :: !cur_rev;
-    incr depth;
-    incr steps_in;
     Budget.note_replay_steps meter 1;
     eng.e_on_replay ~steps:1;
-    Mirror.note_exec m ~proc ~at:global;
     (* measured: the executed step's footprint, recorded in the table of
        the node it departs from (the frontier item's last feed step
        lands in the shared parent table — its siblings need it) *)
@@ -760,10 +668,11 @@ let process_descent eng ~push ~synthesize (rev_start, parent_tbl0) =
   in
   if fixed = 0 then visit_here ();
   ignore
-    (Executor.run ~n ~source ~max_steps:max_int ~fault ?substrate:m.Mirror.inst.substrate
-       ~on_step (Mirror.body m));
+    (Executor.run ~n ~source ~max_steps:max_int ~tally:m.tally ?substrate:m.inst.substrate
+       ~on_step m.inst.body);
   Budget.note_replay meter ~steps:0;
-  emit eng "replay" [ ("depth", Json.Int !depth); ("steps", Json.Int !steps_in) ]
+  let steps = Run.Tally.total_steps m.tally in
+  emit eng "replay" [ ("depth", Json.Int steps); ("steps", Json.Int steps) ]
 
 let machine_of (inst : _ instance) =
   match inst.machine with
@@ -901,10 +810,10 @@ let record_machine_metrics obs ~shard (s : Budget.stats) =
 
 (* ---------------------------------------------- snapshot machinery *)
 
-(* One live machine-form instance plus the run bookkeeping mirror:
-   the snapshot engine materializes every state on this single
-   store/machine pair, moving down by machine steps and back up by
-   restoring savepoints — zero executor replays, zero replay steps. *)
+(* One live machine-form instance plus its mirror: the snapshot engine
+   materializes every state on this single store/machine pair, moving
+   down by machine steps and back up by restoring savepoints — zero
+   executor replays, zero replay steps. *)
 type 'obs mctx = {
   mc : 'obs Mirror.m;
   mc_footprint : unit -> string list;
@@ -918,26 +827,27 @@ let mc_make ~(sut : 'obs sut) ~fault () =
   let trace, footprint = footprint_meter () in
   let mc = Mirror.make ~sut ~fault ~trace () in
   let m = machine_of mc.inst in
-  let budgets = mc.budgets in
+  let budget = Run.Tally.budget mc.tally in
   let perms =
     List.filter
       (fun perm ->
         let ok = ref true in
-        Array.iteri (fun p q -> if budgets.(q) <> budgets.(p) then ok := false) perm;
+        Array.iteri (fun p q -> if budget q <> budget p then ok := false) perm;
         !ok)
       m.m_perms
   in
   { mc; mc_footprint = footprint; mc_m = m; mc_perms = perms }
 
-(* one machine step of [p] at global index [global]; returns the
-   step's register footprint (same measurement as the replay path) *)
-let mc_step c ~global p =
+(* one machine step of [p], at the tally's next global index; returns
+   the step's register footprint (same measurement as the replay path) *)
+let mc_step c p =
+  let tally = c.mc.tally in
   (match c.mc.inst.substrate with
-  | Some s -> Setsync_runtime.Substrate.pre_step s ~global ~proc:p
+  | Some s -> Setsync_runtime.Substrate.pre_step s ~global:(Run.Tally.total_steps tally) ~proc:p
   | None -> ());
   c.mc_m.m_step p;
-  if c.mc_m.m_halted p then c.mc.halted.(p) <- true;
-  Mirror.note_exec c.mc ~proc:p ~at:global;
+  if c.mc_m.m_halted p then Run.Tally.halt tally p;
+  ignore (Run.Tally.note_step tally p);
   c.mc_footprint ()
 
 let mc_save c =
@@ -948,12 +858,12 @@ let mc_save c =
     | Some s -> Setsync_runtime.Substrate.save s
     | None -> fun () -> ()
   in
-  let restore_mirror = Mirror.save c.mc in
+  let restore_tally = Run.Tally.save c.mc.tally in
   fun () ->
     restore_store ();
     restore_m ();
     restore_sub ();
-    restore_mirror ()
+    restore_tally ()
 
 (* Movement metering: every machine step and savepoint restore is
    counted in the worker's meter — that feeds the live heartbeat, the
@@ -961,15 +871,15 @@ let mc_save c =
    ([config.telemetry]) the movement is also wall-timed; the untimed
    path adds only one counter increment per step, noise against the
    step itself, so the pinned snapshot benches are unperturbed. *)
-let mc_step_metered meter ~timed c ~global p =
+let mc_step_metered meter ~timed c p =
   let fp =
     if timed then begin
       let t0 = Unix.gettimeofday () in
-      let fp = mc_step c ~global p in
+      let fp = mc_step c p in
       Budget.note_machine_seconds meter (Unix.gettimeofday () -. t0);
       fp
     end
-    else mc_step c ~global p
+    else mc_step c p
   in
   Budget.note_machine_step meter;
   fp
@@ -994,17 +904,17 @@ let restore_metered meter ~timed restore =
    group this degenerates to plain (differently-keyed) fingerprinting. *)
 let mc_canonical_fp c ~fault =
   let payload = Option.get c.mc_m.m_payload (* checked by [validate_explore] *) in
-  let mir = c.mc in
-  let n = mir.n in
+  let tally = c.mc.tally in
+  let n = Run.Tally.n tally in
   let rename_marks perm =
     let buf = Buffer.create 64 in
     let halted = Array.make n false in
     let crashed = Array.make n false in
     let steps = Array.make n 0 in
     for p = 0 to n - 1 do
-      halted.(perm.(p)) <- mir.halted.(p);
-      crashed.(perm.(p)) <- Mirror.crashed mir p;
-      steps.(perm.(p)) <- mir.steps_of.(p)
+      halted.(perm.(p)) <- Run.Tally.halted tally p;
+      crashed.(perm.(p)) <- Run.Tally.crashed tally p;
+      steps.(perm.(p)) <- Run.Tally.steps tally p
     done;
     Buffer.add_string buf "|h:";
     Array.iter (fun h -> Buffer.add_char buf (if h then '1' else '0')) halted;
@@ -1036,7 +946,7 @@ let rec snapshot_visit ?push eng c ~hb ~progress ~over ~on_truncate ~pending ~de
   let fingerprint =
     if config.symmetry then Some (fun () -> mc_canonical_fp c ~fault:config.fault) else None
   in
-  match (visit eng ?fingerprint (Mirror.state_after c.mc rev), push) with
+  match (visit eng ?fingerprint (Mirror.state c.mc), push) with
   | [], _ -> ()
   | children, Some push ->
       (* parallel split: children become pool items instead of local
@@ -1054,11 +964,10 @@ let rec snapshot_visit ?push eng c ~hb ~progress ~over ~on_truncate ~pending ~de
           else if over () then on_truncate ()
           else begin
             let restore = mc_save c in
-            let fp_b = mc_step_metered meter ~timed:config.telemetry c ~global:depth b in
+            let fp_b = mc_step_metered meter ~timed:config.telemetry c b in
             let rev' = b :: rev in
             if arrival_pruned config rev' ~prev:arrive_fp ~last:fp_b then
-              commute_prune eng ~depth:(depth + 1)
-                (Some (fun () -> Mirror.state_after c.mc rev'))
+              commute_prune eng ~depth:(depth + 1) (Some (fun () -> Mirror.state c.mc))
             else
               snapshot_visit eng c ~hb ~progress ~over ~on_truncate ~pending
                 ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
@@ -1127,38 +1036,45 @@ let explore_seq ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties co
             else process eng item
     done
   in
-  (match (config.engine, config.strategy) with
-  | Snapshot, _ ->
-      (* single live machine instance, savepoint restores, zero replays *)
-      let c = mc_make ~sut ~fault:config.fault () in
-      let pending = ref 0 in
-      let eng = mk_engine ~frontier_size:(fun () -> !pending) in
-      let on_truncate () =
-        Budget.mark_truncated meter;
-        hard_stop := true
-      in
-      Budget.note_frontier meter 1;
-      maybe_beat hb (progress eng);
-      if Budget.over meter then Budget.mark_truncated meter
-      else
-        snapshot_visit eng c ~hb ~progress:(progress eng)
-          ~over:(fun () -> Budget.over meter)
-          ~on_truncate ~pending ~depth:0 ~rev:[] ~arrive_fp:[];
-      record_machine_metrics obs ~shard (Budget.stats meter)
-  | Path, Dfs ->
-      (* descent frontier: (reverse prefix, parent's sibling-footprint
-         table); LIFO, ascending pop order by construction *)
-      let frontier = dfs_frontier () in
-      frontier.push ([], Array.make sut.n None);
-      drain frontier (fun eng -> process_descent eng ~push:frontier.push ~synthesize:true)
-  | (Per_state | Path), _ ->
-      (* prefixes are stored in reverse step order: extension is a cons *)
-      let frontier = make_frontier config.strategy in
-      frontier.push [];
-      drain frontier (fun eng -> process_prefix eng ~push:frontier.push));
+  let engine =
+    match (config.engine, config.strategy) with
+    | Snapshot, _ ->
+        (* single live machine instance, savepoint restores, zero replays *)
+        let c = mc_make ~sut ~fault:config.fault () in
+        let pending = ref 0 in
+        let eng = mk_engine ~frontier_size:(fun () -> !pending) in
+        let on_truncate () =
+          Budget.mark_truncated meter;
+          hard_stop := true
+        in
+        Budget.note_frontier meter 1;
+        maybe_beat hb (progress eng);
+        if Budget.over meter then Budget.mark_truncated meter
+        else
+          snapshot_visit eng c ~hb ~progress:(progress eng)
+            ~over:(fun () -> Budget.over meter)
+            ~on_truncate ~pending ~depth:0 ~rev:[] ~arrive_fp:[];
+        record_machine_metrics obs ~shard (Budget.stats meter);
+        Snapshot
+    | Path, Dfs ->
+        (* descent frontier: (reverse prefix, parent's sibling-footprint
+           table); LIFO, ascending pop order by construction *)
+        let frontier = dfs_frontier () in
+        frontier.push ([], Array.make sut.n None);
+        drain frontier (fun eng -> process_descent eng ~push:frontier.push ~synthesize:true);
+        Path
+    | (Per_state | Path), _ ->
+        (* prefixes are stored in reverse step order: extension is a
+           cons. A breadth-first search has no descents to amortize, so
+           [Path] with [Bfs] runs here too and reports [Per_state]. *)
+        let frontier = make_frontier config.strategy in
+        frontier.push [];
+        drain frontier (fun eng -> process_prefix eng ~push:frontier.push);
+        Per_state
+  in
   let stats = Budget.stats meter in
   record_metrics obs ~shard stats;
-  report_of verdicts stats config
+  report_of verdicts stats ~engine
 
 (* --------------------------------------------------------- parallel *)
 
@@ -1264,13 +1180,13 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
        movement, not replays; keep the last two footprints for the
        arrival commutation check *)
     let fp_prev = ref [] and fp_last = ref [] in
-    List.iteri
-      (fun i p ->
+    List.iter
+      (fun p ->
         fp_prev := !fp_last;
-        fp_last := mc_step_metered meters.(wid) ~timed:config.telemetry c ~global:i p)
+        fp_last := mc_step_metered meters.(wid) ~timed:config.telemetry c p)
       (List.rev rev_steps);
     if arrival_pruned config rev_steps ~prev:!fp_prev ~last:!fp_last then
-      commute_prune eng ~depth (Some (fun () -> Mirror.state_after c.mc rev_steps))
+      commute_prune eng ~depth (Some (fun () -> Mirror.state c.mc))
     else
       let on_truncate () =
         Budget.mark_truncated meters.(wid);
@@ -1310,7 +1226,7 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
   if config.engine = Snapshot then
     Array.iteri (fun wid m -> record_machine_metrics obs ~shard:wid (Budget.stats m)) meters;
   Array.iter (fun m -> Budget.absorb ~into:parent m) meters;
-  report_of verdicts (Budget.stats parent) config
+  report_of verdicts (Budget.stats parent) ~engine:config.engine
 
 let explore ?(domains = 1) ?obs ?on_progress ?progress_interval ~sut ~properties config =
   if domains < 1 then invalid_arg "Explorer.explore: domains must be >= 1";

@@ -13,9 +13,11 @@
     depth-first descent and visits every interim state of that replay;
     [Snapshot] steps a machine-form instance ({!minstance}) down and
     restores typed savepoints on the way back up, with no replay at
-    all. All three share one core: a mirror that rebuilds the run
-    bookkeeping (halts, step counts, budget crashes) from the executed
-    steps, one footprint measurement, one visit routine (counting,
+    all. All three share one core: one live instance whose run
+    bookkeeping (halts, step counts, budget crashes) is the
+    {!Setsync_runtime.Run.Tally} the executor — or the snapshot
+    engine's machine step — advances, so every state is built the same
+    way; one footprint measurement, one visit routine (counting,
     property checks, fingerprint gate), one commutation-prune routine
     and one verdict table. With fingerprinting off their verdicts and
     visited/pruned counts therefore agree (the cross-check and
@@ -127,7 +129,8 @@ type engine_kind =
           ([stats.replays]/[replay_steps]) is what improves. Applies
           to [Dfs] sequentially and to every parallel worker; a
           sequential [Bfs] frontier falls back to the per-state engine
-          (its pop order defeats descent amortization). *)
+          (its pop order defeats descent amortization), and the
+          report then names [Per_state]. *)
   | Snapshot
       (** replay-free engine: requires a machine-form sut
           ({!instance.machine}); the DFS moves down by single machine
@@ -299,11 +302,12 @@ val trajectory :
     stops the replay early. Returns the state at the stop point (or
     the final state).
 
-    Interim states are reconstructed from the {e executed} step
-    sequence: if the replay skips scheduled steps (a schedule naming a
-    crashed or halted process), the probed prefixes are prefixes of
-    the executed subsequence — itself a replayable schedule reaching
-    the same states — rather than of the requested schedule. *)
+    Interim states are read from the replay's own run tally, so they
+    follow the {e executed} step sequence: if the replay skips
+    scheduled steps (a schedule naming a crashed or halted process),
+    the probed prefixes are prefixes of the executed subsequence —
+    itself a replayable schedule reaching the same states — rather
+    than of the requested schedule. *)
 
 val check_schedule :
   sut:'obs sut ->
@@ -324,7 +328,11 @@ val check_schedule :
     hand-written, mutated, or shrunk schedules) leave the state
     unchanged, so the probe advances past them, still checking the
     state at every skipped prefix boundary, and stays a single exact
-    replay; a per-prefix scan remains only as a defensive fallback. *)
+    replay; a per-prefix scan remains only as a defensive fallback.
+    Each interim state's [prefix] is the requested schedule's prefix;
+    its [run] is the replay's tally at that point (executed steps, and
+    crashes at their executed indices), as {!evaluate} and
+    {!trajectory} report it. *)
 
 val pp_verdict : verdict Fmt.t
 

@@ -135,51 +135,6 @@ let kanti_register_count params =
   ignore (Kanti_omega.create_shared scratch params);
   Store.register_count scratch
 
-let kanti_over_net ?obs ?initial_timeout ?owners ~params ~adversary () =
-  Kanti_omega.check_params params;
-  let clients = params.Kanti_omega.n in
-  let owners =
-    match owners with Some o -> o | None -> kanti_register_count params
-  in
-  if owners < 1 then invalid_arg "kanti_over_net: owners >= 1";
-  let total = clients + owners in
-  {
-    Explorer.n = total;
-    fresh =
-      (fun ~store ->
-        let net = Net.create ?obs ~store ~n:total ~adversary () in
-        let nm = Netmem.install ~net ~store ~clients ~owners () in
-        let shared = Kanti_omega.create_shared store params in
-        let procs =
-          Array.init clients (fun p ->
-              Kanti_omega.make_process ?initial_timeout shared params ~proc:p)
-        in
-        {
-          Explorer.body =
-            (fun p () ->
-              if p < clients then Kanti_omega.forever procs.(p)
-              else Netmem.owner_body nm p ());
-          observe =
-            (fun () ->
-              {
-                Systems.fd_outputs = Array.map Kanti_omega.fd_output procs;
-                winnersets = Array.map Kanti_omega.winnerset procs;
-                iterations = Array.map Kanti_omega.iterations procs;
-              });
-          substrate = Some (Net.substrate net);
-          machine = None;
-        });
-    obs_fingerprint =
-      (fun o ->
-        Fmt.str "%a|%a|%a"
-          Fmt.(array ~sep:semi Procset.pp)
-          o.Systems.fd_outputs
-          Fmt.(array ~sep:semi Procset.pp)
-          o.Systems.winnersets
-          Fmt.(array ~sep:semi int)
-          o.Systems.iterations);
-  }
-
 (* --------------------------------------------- CLI / bench harness *)
 
 type ct_run = {

@@ -42,20 +42,6 @@ val kanti_register_count : Setsync_detector.Kanti_omega.params -> int
 (** Registers the k-anti-Ω detector allocates for these parameters
     (probed on a scratch store). *)
 
-val kanti_over_net :
-  ?obs:Setsync_obs.Obs.t ->
-  ?initial_timeout:int ->
-  ?owners:int ->
-  params:Setsync_detector.Kanti_omega.params ->
-  adversary:Adversary.t ->
-  unit ->
-  Setsync_explore.Systems.detector_obs Setsync_explore.Explorer.sut
-(** The unchanged shared-memory k-anti-Ω detector running over
-    {!Netmem}-routed registers: processes [0..n-1] run the detector,
-    the next [owners] (default: one per register) serve them. The
-    observation matches {!Setsync_explore.Systems.kanti_detector}, so
-    cross-backend tests compare outputs structurally. *)
-
 type ct_run = {
   steps : int;
   stabilized_from : int option;

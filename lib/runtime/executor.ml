@@ -1,6 +1,4 @@
 module Proc = Setsync_schedule.Proc
-module Procset = Setsync_schedule.Procset
-module Schedule = Setsync_schedule.Schedule
 module Source = Setsync_schedule.Source
 module Obs = Setsync_obs.Obs
 module Metrics = Setsync_obs.Metrics
@@ -15,10 +13,18 @@ type boost = global:int -> next:Proc.t -> Proc.t option
    a row, the run is declared stalled rather than looping forever. *)
 let max_consecutive_skips n = 64 * n
 
-let run ~n ~source ~max_steps ?(fault = Fault.no_faults) ?substrate ?boost ?on_step ?stop ?obs
-    body =
+let run ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs body =
   Proc.check_n n;
   if max_steps < 0 then invalid_arg "Executor.run: negative step budget";
+  let tally =
+    match (tally, fault) with
+    | Some _, Some _ -> invalid_arg "Executor.run: pass either a tally or a fault plan"
+    | Some t, None ->
+        if Run.Tally.n t <> n then invalid_arg "Executor.run: tally universe mismatch";
+        if Run.Tally.total_steps t <> 0 then invalid_arg "Executor.run: the tally is not fresh";
+        t
+    | None, fault -> Run.Tally.create ~n (Option.value fault ~default:Fault.no_faults)
+  in
   (* Instrumentation is resolved once, outside the step loop: the
      un-instrumented path pays one [match] per step on [meters] and
      one on [ev]; metric handles are interned here, never per step. *)
@@ -32,23 +38,14 @@ let run ~n ~source ~max_steps ?(fault = Fault.no_faults) ?substrate ?boost ?on_s
             Metrics.counter o.Obs.metrics "runtime.crashes" )
   in
   let ev = match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None in
-  let fault_state = Fault.start ~n fault in
   let fibers = Array.init n (fun p -> Fiber.spawn (body p)) in
   let substrate_live =
     match substrate with None -> fun _ -> true | Some s -> Substrate.live s
   in
-  let schedulable p =
-    Fault.live fault_state p && (not (Fiber.is_done fibers.(p))) && substrate_live p
-  in
+  let schedulable p = Run.Tally.live tally p && substrate_live p in
   let src = source ~live:schedulable in
   if Source.n src <> n then invalid_arg "Executor.run: source universe mismatch";
-  let taken = ref [] in
-  let steps_of = Array.make n 0 in
-  (* processes with a zero budget are dead before the run starts *)
-  let crashes =
-    ref (List.rev (List.filter_map (fun (p, s) -> if s = 0 then Some (p, 0) else None) fault))
-  in
-  let executed = ref 0 in
+  let executed () = Run.Tally.total_steps tally in
   let skips = ref 0 in
   let reason = ref None in
   let finish r = reason := Some r in
@@ -57,18 +54,14 @@ let run ~n ~source ~max_steps ?(fault = Fault.no_faults) ?substrate ?boost ?on_s
     scan 0
   in
   let execute p =
-    (match substrate with
-    | Some s -> Substrate.pre_step s ~global:!executed ~proc:p
-    | None -> ());
+    let global = executed () in
+    (match substrate with Some s -> Substrate.pre_step s ~global ~proc:p | None -> ());
     (match Fiber.step fibers.(p) with
-    | Fiber.Performed | Fiber.Finished -> ()
+    | Fiber.Performed -> ()
+    | Fiber.Finished -> Run.Tally.halt tally p
     | Fiber.Already_done -> assert false);
     skips := 0;
-    taken := p :: !taken;
-    steps_of.(p) <- steps_of.(p) + 1;
-    let died = Fault.note_step fault_state p in
-    if died then crashes := (p, !executed) :: !crashes;
-    incr executed;
+    let died = Run.Tally.note_step tally p in
     (match meters with
     | Some (shard, steps_c, crashes_c) ->
         Metrics.incr ~shard steps_c;
@@ -80,15 +73,12 @@ let run ~n ~source ~max_steps ?(fault = Fault.no_faults) ?substrate ?boost ?on_s
            the happens-before DAG is (p, pidx-1) -> (p, pidx), explicit
            in the trace so Analyze never has to reconstruct it. *)
         Events.emit sink ~proc:p
-          ~args:
-            [ ("global", Json.Int (!executed - 1)); ("pidx", Json.Int (steps_of.(p) - 1)) ]
+          ~args:[ ("global", Json.Int global); ("pidx", Json.Int (Run.Tally.steps tally p - 1)) ]
           ~cat:"runtime" "step";
         if died then
-          Events.emit sink ~proc:p
-            ~args:[ ("step", Json.Int (!executed - 1)) ]
-            ~cat:"runtime" "crash"
+          Events.emit sink ~proc:p ~args:[ ("step", Json.Int global) ] ~cat:"runtime" "crash"
     | None -> ());
-    (match on_step with Some f -> f ~global:(!executed - 1) ~proc:p | None -> ());
+    (match on_step with Some f -> f ~global ~proc:p | None -> ());
     match stop with Some f when f () -> finish Run.Stopped_early | Some _ | None -> ()
   in
   (match ev with
@@ -96,7 +86,7 @@ let run ~n ~source ~max_steps ?(fault = Fault.no_faults) ?substrate ?boost ?on_s
       Events.emit sink ~phase:Events.Begin ~args:[ ("n", Json.Int n) ] ~cat:"runtime" "run"
   | None -> ());
   while !reason = None do
-    if !executed >= max_steps then finish Run.Step_budget
+    if executed () >= max_steps then finish Run.Step_budget
     else if not (any_schedulable ()) then finish Run.All_halted
     else
       match Source.next src with
@@ -114,14 +104,14 @@ let run ~n ~source ~max_steps ?(fault = Fault.no_faults) ?substrate ?boost ?on_s
             | Some policy ->
                 let budget = ref n in
                 let go = ref true in
-                while !go && !budget > 0 && !reason = None && !executed < max_steps do
-                  match policy ~global:!executed ~next:p with
+                while !go && !budget > 0 && !reason = None && executed () < max_steps do
+                  match policy ~global:(executed ()) ~next:p with
                   | Some q when q <> p && schedulable q ->
                       execute q;
                       decr budget
                   | _ -> go := false
                 done);
-            if !reason = None && !executed < max_steps && schedulable p then execute p
+            if !reason = None && executed () < max_steps && schedulable p then execute p
           end
           else begin
             incr skips;
@@ -130,24 +120,11 @@ let run ~n ~source ~max_steps ?(fault = Fault.no_faults) ?substrate ?boost ?on_s
   done;
   (match ev with
   | Some sink ->
-      Events.emit sink ~phase:Events.End ~args:[ ("steps", Json.Int !executed) ] ~cat:"runtime"
+      Events.emit sink ~phase:Events.End ~args:[ ("steps", Json.Int (executed ())) ] ~cat:"runtime"
         "run"
   | None -> ());
-  let halted =
-    Array.to_list fibers
-    |> List.mapi (fun p fiber -> (p, fiber))
-    |> List.filter (fun (_, fiber) -> Fiber.is_done fiber)
-    |> List.fold_left (fun acc (p, _) -> Procset.add p acc) Procset.empty
-  in
-  {
-    Run.n;
-    taken = Schedule.of_list ~n (List.rev !taken);
-    steps_of;
-    crashes = List.rev !crashes;
-    halted;
-    reason = (match !reason with Some r -> r | None -> assert false);
-  }
+  Run.Tally.freeze tally (match !reason with Some r -> r | None -> assert false)
 
-let replay ~n ~schedule ?fault ?substrate ?on_step ?stop ?obs body =
+let replay ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs body =
   let source ~live:_ = Source.of_schedule schedule in
-  run ~n ~source ~max_steps:max_int ?fault ?substrate ?on_step ?stop ?obs body
+  run ~n ~source ~max_steps:max_int ?fault ?tally ?substrate ?on_step ?stop ?obs body

@@ -27,6 +27,7 @@ val run :
   source:source_factory ->
   max_steps:int ->
   ?fault:Fault.plan ->
+  ?tally:Run.Tally.t ->
   ?substrate:Substrate.t ->
   ?boost:boost ->
   ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
@@ -39,6 +40,11 @@ val run :
 
     - [max_steps] bounds the total number of executed steps.
     - [fault] injects crashes (default: none).
+    - [tally] is the record the run advances, for a caller that reads
+      it live (default: a fresh one over [fault]). It must be fresh,
+      with universe [n], and carries its own fault plan: passing both
+      [tally] and [fault] raises [Invalid_argument]. The returned run
+      is {!Run.Tally.freeze} of it.
     - [substrate] supplies the communication medium's hooks (default:
       shared memory semantics — no liveness veto, no pre-step work).
       Its [live] predicate vetoes steps like a crash does; its
@@ -61,6 +67,7 @@ val replay :
   n:int ->
   schedule:Setsync_schedule.Schedule.t ->
   ?fault:Fault.plan ->
+  ?tally:Run.Tally.t ->
   ?substrate:Substrate.t ->
   ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
   ?stop:(unit -> bool) ->
@@ -68,12 +75,13 @@ val replay :
   (Setsync_schedule.Proc.t -> unit -> unit) ->
   Run.t
 (** Deterministic replay of a fixed finite schedule (steps naming
-    crashed or finished processes are skipped). [stop] and [obs] as in {!run}
-    (used by the explorer's incremental safety probe to cut a replay
-    at the first violation).
+    crashed or finished processes are skipped). [fault], [tally], [stop]
+    and [obs] as in {!run} (the explorer's incremental safety probe
+    reads the tally to build interim states and uses [stop] to cut a
+    replay at the first violation).
 
-    Domain safety: a replay touches no global mutable state — fibers,
-    fault state and step counters are all allocated per call — so
+    Domain safety: a replay touches no global mutable state — fibers
+    and the tally are allocated per call (or owned by the caller) — so
     independent replays may run concurrently on separate domains,
     provided each drives its own store/trace/instance (the explorer's
     parallel mode relies on exactly this). *)

@@ -1,5 +1,4 @@
 module Proc = Setsync_schedule.Proc
-module Procset = Setsync_schedule.Procset
 
 type plan = (Proc.t * int) list
 
@@ -14,30 +13,3 @@ let validate ~n plan =
       if Hashtbl.mem seen p then invalid_arg "Fault.validate: duplicate process in plan";
       Hashtbl.add seen p ())
     plan
-
-type state = { budget : int array; taken : int array; mutable dead : Procset.t }
-
-let start ~n plan =
-  validate ~n plan;
-  let budget = Array.make n max_int in
-  List.iter (fun (p, s) -> budget.(p) <- s) plan;
-  let dead =
-    List.fold_left
-      (fun acc (p, s) -> if s = 0 then Procset.add p acc else acc)
-      Procset.empty plan
-  in
-  { budget; taken = Array.make n 0; dead }
-
-let live t p = not (Procset.mem p t.dead)
-
-let note_step t p =
-  t.taken.(p) <- t.taken.(p) + 1;
-  if t.taken.(p) >= t.budget.(p) && live t p then begin
-    t.dead <- Procset.add p t.dead;
-    true
-  end
-  else false
-
-let crashed t = t.dead
-
-let steps_taken t p = t.taken.(p)

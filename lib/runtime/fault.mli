@@ -3,7 +3,9 @@
     A plan allots each process a budget of its own steps; once the
     budget is exhausted the process crashes (it is never scheduled
     again), modelling the crash faults of the paper. A budget of 0
-    crashes the process before it takes any step (initially dead). *)
+    crashes the process before it takes any step (initially dead).
+    This module only describes and checks plans; {!Run.Tally} applies
+    them as a run goes. *)
 
 type plan = (Setsync_schedule.Proc.t * int) list
 (** [(p, s)]: process [p] crashes after taking [s] steps. Processes not
@@ -14,18 +16,3 @@ val no_faults : plan
 val validate : n:int -> plan -> unit
 (** Raises [Invalid_argument] on out-of-range processes, negative
     budgets, or duplicate entries. *)
-
-type state
-
-val start : n:int -> plan -> state
-
-val live : state -> Setsync_schedule.Proc.t -> bool
-
-val note_step : state -> Setsync_schedule.Proc.t -> bool
-(** Record that the process took one step; returns [true] iff this
-    step exhausted its budget (the process is dead from now on). *)
-
-val crashed : state -> Setsync_schedule.Procset.t
-(** Processes dead so far. *)
-
-val steps_taken : state -> Setsync_schedule.Proc.t -> int

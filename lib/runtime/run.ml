@@ -1,3 +1,4 @@
+module Proc = Setsync_schedule.Proc
 module Schedule = Setsync_schedule.Schedule
 module Procset = Setsync_schedule.Procset
 
@@ -7,7 +8,7 @@ type t = {
   n : int;
   taken : Schedule.t;
   steps_of : int array;
-  crashes : (Setsync_schedule.Proc.t * int) list;
+  crashes : (Proc.t * int) list;
   halted : Procset.t;
   reason : stop_reason;
 }
@@ -29,3 +30,87 @@ let pp_reason ppf = function
 let pp ppf t =
   Fmt.pf ppf "run[n=%d steps=%d reason=%a crashed=%a halted=%a]" t.n (total_steps t)
     pp_reason t.reason Procset.pp (crashed t) Procset.pp t.halted
+
+module Tally = struct
+  type run = t
+
+  (* Every per-step update is a flat array write; lists are touched
+     only when a process crashes. [taken] grows by doubling and only
+     ever appends, so a savepoint needs just its length. *)
+  type t = {
+    n : int;
+    budget : int array;
+    steps : int array;
+    dead : bool array;
+    halted : bool array;
+    mutable crashes : (Proc.t * int) list;  (* most recent first *)
+    mutable taken : Proc.t array;
+    mutable total : int;
+  }
+
+  let create ~n plan =
+    Fault.validate ~n plan;
+    let budget = Array.make n max_int in
+    List.iter (fun (p, s) -> budget.(p) <- s) plan;
+    {
+      n;
+      budget;
+      steps = Array.make n 0;
+      dead = Array.map (fun s -> s = 0) budget;
+      halted = Array.make n false;
+      (* processes with a zero budget are dead before the run starts *)
+      crashes = List.rev (List.filter_map (fun (p, s) -> if s = 0 then Some (p, 0) else None) plan);
+      taken = Array.make 64 0;
+      total = 0;
+    }
+
+  let n t = t.n
+  let total_steps t = t.total
+  let steps t p = t.steps.(p)
+  let budget t p = t.budget.(p)
+  let crashed t p = t.dead.(p)
+  let halted t p = t.halted.(p)
+  let live t p = not (t.dead.(p) || t.halted.(p))
+
+  let note_step t p =
+    if t.total = Array.length t.taken then begin
+      let grown = Array.make (2 * t.total) 0 in
+      Array.blit t.taken 0 grown 0 t.total;
+      t.taken <- grown
+    end;
+    t.taken.(t.total) <- p;
+    let s = t.steps.(p) + 1 in
+    t.steps.(p) <- s;
+    let died = s >= t.budget.(p) && not t.dead.(p) in
+    if died then begin
+      t.dead.(p) <- true;
+      t.crashes <- (p, t.total) :: t.crashes
+    end;
+    t.total <- t.total + 1;
+    died
+
+  let halt t p = t.halted.(p) <- true
+
+  let save t =
+    let steps = Array.copy t.steps and dead = Array.copy t.dead in
+    let halted = Array.copy t.halted in
+    let crashes = t.crashes and total = t.total in
+    fun () ->
+      Array.blit steps 0 t.steps 0 t.n;
+      Array.blit dead 0 t.dead 0 t.n;
+      Array.blit halted 0 t.halted 0 t.n;
+      t.crashes <- crashes;
+      t.total <- total
+
+  let freeze t reason : run =
+    let halted = ref Procset.empty in
+    Array.iteri (fun p h -> if h then halted := Procset.add p !halted) t.halted;
+    {
+      n = t.n;
+      taken = Schedule.of_array ~n:t.n (Array.sub t.taken 0 t.total);
+      steps_of = Array.copy t.steps;
+      crashes = List.rev t.crashes;
+      halted = !halted;
+      reason;
+    }
+end

@@ -3,7 +3,8 @@
     A run (§2.3) pairs an initial configuration with a schedule; the
     executor additionally records why execution stopped, who crashed
     and when, and who halted voluntarily. Validators for failure
-    detectors and agreement read these records. *)
+    detectors and agreement read these records. A run under way is
+    kept in a {!Tally}, which {!Tally.freeze} turns into a record. *)
 
 type stop_reason =
   | Source_exhausted  (** the schedule source ran dry *)
@@ -39,3 +40,49 @@ val pp_reason : stop_reason Fmt.t
 
 val pp : t Fmt.t
 (** One-line summary. *)
+
+(** The live record of a run under way: per-process step counts and
+    budgets, dead and halted flags, crashes with their global positions,
+    and the executed steps. It holds the model's one crash rule: a
+    process crashes when its own step count reaches its budget from the
+    fault plan (budget 0: dead from the start), and the crash is
+    recorded at the global index of the step that used up the budget.
+    The executor advances a tally as it grants steps; the explorer's
+    snapshot engine advances one directly and rewinds it with {!save}. *)
+module Tally : sig
+  type run := t
+  type t
+
+  val create : n:int -> Fault.plan -> t
+  (** A tally before any step; validates the plan ({!Fault.validate}). *)
+
+  val n : t -> int
+
+  val total_steps : t -> int
+  (** Steps so far: the global index of the next step. *)
+
+  val steps : t -> Setsync_schedule.Proc.t -> int
+  (** The process's own step count. *)
+
+  val budget : t -> Setsync_schedule.Proc.t -> int
+  (** [max_int] when the plan never crashes the process. *)
+
+  val crashed : t -> Setsync_schedule.Proc.t -> bool
+  val halted : t -> Setsync_schedule.Proc.t -> bool
+
+  val live : t -> Setsync_schedule.Proc.t -> bool
+  (** Neither crashed nor halted: the process may take another step. *)
+
+  val note_step : t -> Setsync_schedule.Proc.t -> bool
+  (** Record one executed step of the process; [true] iff this step
+      used up its budget (it is crashed from now on). *)
+
+  val halt : t -> Setsync_schedule.Proc.t -> unit
+  (** Record that the process's code ran to completion. *)
+
+  val save : t -> unit -> unit
+  (** Capture the tally; the returned thunk restores it. *)
+
+  val freeze : t -> stop_reason -> run
+  (** The run recorded so far, as an immutable record. *)
+end

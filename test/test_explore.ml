@@ -1042,6 +1042,31 @@ let test_engine_snapshot_fault () =
        (fun ~engine ->
          Explorer.config ~prune_fingerprints:true ~engine ~fault:[ (1, 0) ] ~depth:4 ()))
 
+(* The report names the engine that produced its stats: a sequential
+   breadth-first search asked for [Path] runs the per-state engine —
+   one replay per visited state — and says so. *)
+let test_engine_label () =
+  let run ?(domains = 1) ~strategy engine =
+    Explorer.explore ~domains ~sut:(single_writer_sut ()) ~properties:[]
+      (Explorer.config ~strategy ~engine ~prune_fingerprints:false ~sleep_sets:false ~depth:4 ())
+  in
+  let label = function
+    | Explorer.Per_state -> "per_state"
+    | Explorer.Path -> "path"
+    | Explorer.Snapshot -> "snapshot"
+  in
+  let check name want (r : Explorer.report) =
+    Alcotest.(check string) name (label want) (label r.Explorer.engine)
+  in
+  let bfs_path = run ~strategy:Explorer.Bfs Explorer.Path in
+  check "bfs path runs per-state" Explorer.Per_state bfs_path;
+  Alcotest.(check int) "one replay per visited state" bfs_path.Explorer.stats.Budget.visited
+    bfs_path.Explorer.stats.Budget.replays;
+  check "dfs path" Explorer.Path (run ~strategy:Explorer.Dfs Explorer.Path);
+  check "bfs per-state" Explorer.Per_state (run ~strategy:Explorer.Bfs Explorer.Per_state);
+  check "snapshot" Explorer.Snapshot (run ~strategy:Explorer.Dfs Explorer.Snapshot);
+  check "parallel path" Explorer.Path (run ~domains:2 ~strategy:Explorer.Bfs Explorer.Path)
+
 (* a snapshot run interleaving pauses/restores with crashes must keep
    exact per-process step accounting: budgets hit at the same depths as
    the executor's, pinned through visit-count equality above and the
@@ -1371,6 +1396,97 @@ let test_check_schedule_skips () =
     schedules
 
 (* ------------------------------------------------------------------ *)
+(* one run record: probe, trajectory, evaluate and the executor agree *)
+
+(* Three processes, each writing 1 then 2 into its own register and
+   then halting (write, write, halt). *)
+let triple_writer_sut () =
+  {
+    Explorer.n = 3;
+    fresh =
+      (fun ~store ->
+        let r = Store.array store ~pp:Fmt.int ~name:"r" 3 (fun _ -> 0) in
+        {
+          Explorer.body =
+            (fun p () ->
+              Shm.write r.(p) 1;
+              Shm.write r.(p) 2);
+          observe = (fun () -> Array.map Register.peek r);
+          substrate = None;
+          machine = None;
+        });
+    obs_fingerprint = (fun a -> String.concat "," (Array.to_list (Array.map string_of_int a)));
+  }
+
+(* p0 is dead from the start, p1 crashes on its second step, p2 halts
+   on its third. Entry 0 is skipped before any step runs, so requested
+   and executed indices differ from then on: p1's crash sits at
+   executed index 1 (requested index 2). Entries 6 and 7 name the
+   crashed p1 and the halted p2 and are skipped too. *)
+let test_one_run_record () =
+  let fault = [ (0, 0); (1, 2) ] in
+  let steps = [ 0; 1; 1; 2; 2; 2; 1; 2 ] in
+  let s = Schedule.of_list ~n:3 steps in
+  let sut, count = counting_sut (triple_writer_sut ()) in
+  let bookkeeping (run : Run.t) =
+    ( Schedule.to_list run.Run.taken,
+      (run.Run.crashes, (Array.to_list run.Run.steps_of, Procset.elements run.Run.halted)) )
+  in
+  let record = Alcotest.(pair (list int) (pair (list (pair int int)) (pair (list int) (list int)))) in
+  let direct =
+    let store = Store.create () in
+    let inst = (triple_writer_sut ()).Explorer.fresh ~store in
+    Executor.replay ~n:3 ~schedule:s ~fault inst.Explorer.body
+  in
+  Alcotest.check record "executor's own record"
+    ([ 1; 1; 2; 2; 2 ], ([ (0, 0); (1, 1) ], ([ 0; 2; 3 ], [ 2 ])))
+    (bookkeeping direct);
+  let evaluated = (Explorer.evaluate ~sut:(triple_writer_sut ()) ~fault s).Explorer.run in
+  Alcotest.check record "evaluate = executor" (bookkeeping direct) (bookkeeping evaluated);
+  Alcotest.(check bool) "evaluate keeps the executor's stop reason" true
+    (evaluated.Run.reason = direct.Run.reason);
+  (* the safety probe's interim state after each requested prefix *)
+  let probed = ref [] in
+  let capture =
+    Property.safety ~name:"capture" (fun st ->
+        probed := (Schedule.length st.Explorer.prefix, st.Explorer.run) :: !probed;
+        None)
+  in
+  Alcotest.(check (option string)) "no violation" None
+    (Explorer.check_schedule ~sut ~property:capture ~fault s);
+  Alcotest.(check int) "one replay" 1 !count;
+  Alcotest.(check (list int)) "every prefix boundary probed once"
+    (List.init (List.length steps + 1) Fun.id)
+    (List.rev_map fst !probed);
+  List.iter
+    (fun (len, run) ->
+      let want = Explorer.evaluate ~sut:(triple_writer_sut ()) ~fault (Schedule.prefix s len) in
+      Alcotest.check record
+        (Printf.sprintf "probe = evaluate at prefix %d" len)
+        (bookkeeping want.Explorer.run) (bookkeeping run))
+    !probed;
+  (* trajectory's states follow the executed steps *)
+  let seen = ref [] in
+  let final =
+    Explorer.trajectory ~sut:(triple_writer_sut ()) ~fault
+      ~on_state:(fun st ->
+        seen := st.Explorer.run :: !seen;
+        false)
+      s
+  in
+  Alcotest.check record "trajectory final = executor" (bookkeeping direct)
+    (bookkeeping final.Explorer.run);
+  let executed = direct.Run.taken in
+  List.iter
+    (fun (run : Run.t) ->
+      let len = Run.total_steps run in
+      let want = Explorer.evaluate ~sut:(triple_writer_sut ()) ~fault (Schedule.prefix executed len) in
+      Alcotest.check record
+        (Printf.sprintf "trajectory = evaluate after %d steps" len)
+        (bookkeeping want.Explorer.run) (bookkeeping run))
+    !seen
+
+(* ------------------------------------------------------------------ *)
 (* plumbing the explorer relies on *)
 
 let test_trace_recent () =
@@ -1697,6 +1813,7 @@ let () =
             test_engine_snapshot_fingerprint_counts;
           Alcotest.test_case "snapshot: crash plans equivalent" `Quick
             test_engine_snapshot_fault;
+          Alcotest.test_case "report names the engine that ran" `Quick test_engine_label;
         ] );
       ( "symmetry",
         [
@@ -1737,6 +1854,8 @@ let () =
         [
           Alcotest.test_case "single replay across skipped steps" `Quick
             test_check_schedule_skips;
+          Alcotest.test_case "probe, trajectory, evaluate and executor share one record" `Quick
+            test_one_run_record;
         ] );
       ( "plumbing",
         [

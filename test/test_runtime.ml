@@ -64,21 +64,42 @@ let test_atomic_outside_fiber () =
 (* Fault *)
 
 let test_fault_budgets () =
-  let state = Fault.start ~n:3 [ (1, 2); (2, 0) ] in
-  Alcotest.(check bool) "p3 dead at start" false (Fault.live state 2);
-  Alcotest.(check bool) "p2 alive" true (Fault.live state 1);
-  Alcotest.(check bool) "first step survives" false (Fault.note_step state 1);
-  Alcotest.(check bool) "second step kills" true (Fault.note_step state 1);
-  Alcotest.(check bool) "now dead" false (Fault.live state 1);
-  Alcotest.(check int) "steps recorded" 2 (Fault.steps_taken state 1);
-  Alcotest.(check bool) "unplanned never dies" false (Fault.note_step state 0);
-  Alcotest.(check int) "crashed set" 2 (Procset.cardinal (Fault.crashed state))
+  let tally = Run.Tally.create ~n:3 [ (1, 2); (2, 0) ] in
+  Alcotest.(check bool) "p3 dead at start" false (Run.Tally.live tally 2);
+  Alcotest.(check bool) "p2 alive" true (Run.Tally.live tally 1);
+  Alcotest.(check bool) "first step survives" false (Run.Tally.note_step tally 1);
+  Alcotest.(check bool) "second step kills" true (Run.Tally.note_step tally 1);
+  Alcotest.(check bool) "now dead" false (Run.Tally.live tally 1);
+  Alcotest.(check int) "steps recorded" 2 (Run.Tally.steps tally 1);
+  Alcotest.(check bool) "unplanned never dies" false (Run.Tally.note_step tally 0);
+  let run = Run.Tally.freeze tally Run.Source_exhausted in
+  Alcotest.(check int) "crashed set" 2 (Procset.cardinal (Run.crashed run));
+  (* the dead-at-start crash sits at position 0, the budget crash at
+     the global index of the step that used the budget up *)
+  Alcotest.(check (list (pair int int))) "crash positions" [ (2, 0); (1, 1) ] run.Run.crashes;
+  Alcotest.(check (list int)) "taken" [ 1; 1; 0 ] (Schedule.to_list run.Run.taken)
 
 let test_fault_validate () =
   Alcotest.check_raises "duplicate" (Invalid_argument "Fault.validate: duplicate process in plan")
     (fun () -> Fault.validate ~n:3 [ (0, 1); (0, 2) ]);
   Alcotest.check_raises "negative" (Invalid_argument "Fault.validate: negative step budget")
     (fun () -> Fault.validate ~n:3 [ (0, -1) ])
+
+let test_tally_save_restore () =
+  let tally = Run.Tally.create ~n:2 [ (0, 2) ] in
+  ignore (Run.Tally.note_step tally 1);
+  let restore = Run.Tally.save tally in
+  ignore (Run.Tally.note_step tally 0);
+  Alcotest.(check bool) "budget crash" true (Run.Tally.note_step tally 0);
+  Run.Tally.halt tally 1;
+  Alcotest.(check bool) "p2 halted" false (Run.Tally.live tally 1);
+  restore ();
+  let run = Run.Tally.freeze tally Run.Source_exhausted in
+  Alcotest.(check (list int)) "taken restored" [ 1 ] (Schedule.to_list run.Run.taken);
+  Alcotest.(check (list int)) "steps restored" [ 0; 1 ] (Array.to_list run.Run.steps_of);
+  Alcotest.(check bool) "no crash" true (run.Run.crashes = []);
+  Alcotest.(check bool) "nobody halted" true (Procset.is_empty run.Run.halted);
+  Alcotest.(check bool) "p1 live again" true (Run.Tally.live tally 0)
 
 (* ------------------------------------------------------------------ *)
 (* Executor *)
@@ -150,6 +171,35 @@ let test_executor_crash_injection () =
   match run.Run.crashes with
   | [ (0, global) ] -> Alcotest.(check bool) "crash step sane" true (global < 10)
   | _ -> Alcotest.fail "expected exactly one crash"
+
+(* a caller-supplied tally is the record the executor advances: read
+   live from [on_step], and frozen into the returned run *)
+let test_executor_live_tally () =
+  let body _ () = while true do Shm.pause () done in
+  let source ~live = Generators.round_robin ~live ~n:2 () in
+  let tally = Run.Tally.create ~n:2 [ (1, 2) ] in
+  let seen = ref [] in
+  let on_step ~global ~proc =
+    Alcotest.(check int) "position" (global + 1) (Run.Tally.total_steps tally);
+    seen := (proc, Run.Tally.steps tally proc, Run.Tally.live tally proc) :: !seen
+  in
+  let run = Executor.run ~n:2 ~source ~max_steps:5 ~tally ~on_step body in
+  Alcotest.(check (list (triple int int bool)))
+    "live reads"
+    [ (0, 1, true); (1, 1, true); (0, 2, true); (1, 2, false); (0, 3, true) ]
+    (List.rev !seen);
+  Alcotest.(check (list (pair int int))) "crash at its global index" [ (1, 3) ] run.Run.crashes;
+  Alcotest.(check (list int)) "steps_of" [ 3; 2 ] (Array.to_list run.Run.steps_of);
+  Alcotest.(check (list int)) "run is the tally" (Array.to_list run.Run.steps_of)
+    [ Run.Tally.steps tally 0; Run.Tally.steps tally 1 ];
+  Alcotest.check_raises "tally and fault together"
+    (Invalid_argument "Executor.run: pass either a tally or a fault plan") (fun () ->
+      ignore
+        (Executor.run ~n:2 ~source ~max_steps:5 ~tally:(Run.Tally.create ~n:2 []) ~fault:[]
+           body));
+  Alcotest.check_raises "used tally"
+    (Invalid_argument "Executor.run: the tally is not fresh") (fun () ->
+      ignore (Executor.run ~n:2 ~source ~max_steps:5 ~tally body))
 
 let test_executor_crash_at_zero () =
   let body _ () = while true do Shm.pause () done in
@@ -315,6 +365,7 @@ let () =
         [
           Alcotest.test_case "budgets" `Quick test_fault_budgets;
           Alcotest.test_case "validation" `Quick test_fault_validate;
+          Alcotest.test_case "tally save/restore" `Quick test_tally_save_restore;
         ] );
       ( "executor",
         [
@@ -322,6 +373,7 @@ let () =
           Alcotest.test_case "sequential execution" `Quick test_executor_sequential_no_race;
           Alcotest.test_case "records taken schedule" `Quick test_executor_records_taken_schedule;
           Alcotest.test_case "crash injection" `Quick test_executor_crash_injection;
+          Alcotest.test_case "live tally" `Quick test_executor_live_tally;
           Alcotest.test_case "crash at zero" `Quick test_executor_crash_at_zero;
           Alcotest.test_case "all crash" `Quick test_executor_all_crash;
           Alcotest.test_case "stop predicate" `Quick test_executor_stop_predicate;
