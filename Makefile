@@ -59,7 +59,7 @@ fuzz-smoke: ## fixed-seed fuzz run: the seeded-bug SUT must be found (exit 2)
 	    echo "fuzz-smoke: expected exit 2 (violation found), got $$status"; exit 1; \
 	  fi
 
-net-smoke: ## net backend gate: bounded exploration passes, BRS fuzz finds the k-set violation, traced CT run validates
+net-smoke: ## net backend gate: bounded exploration passes, BRS fuzz finds the k-set violation, traced CT run and traced batched/per-op solves validate
 	dune exec bin/setsync_cli.exe -- explore --backend net --check detector \
 	  -n 2 --depth 14 --delta 1 --gst 4
 	dune exec bin/setsync_cli.exe -- fuzz --backend net --sut kset \
@@ -83,6 +83,12 @@ net-smoke: ## net backend gate: bounded exploration passes, BRS fuzz finds the k
 	dune exec bin/obs_validate.exe -- \
 	  --trace /tmp/setsync_ci_net_solve.jsonl --net-check \
 	  --require send,deliver,drop,gst
+	dune exec bin/setsync_cli.exe -- solve --backend net --solver paxos --net-mode per-op \
+	  -n 7 --crashes 2 --delta 3 --gst 20 \
+	  --trace-out /tmp/setsync_ci_net_perop.jsonl
+	dune exec bin/obs_validate.exe -- \
+	  --trace /tmp/setsync_ci_net_perop.jsonl --net-check \
+	  --require send,deliver,drop,gst
 
 trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a critical path ending at ct_stabilized whose attributed delay telescopes to the stabilization step
 	dune exec bin/setsync_cli.exe -- fd --backend net -n 2 --delta 1 --gst 4 --max-steps 60 \
@@ -90,7 +96,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a c
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values fail before the run (exit 124 + stderr)
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values fail before the run (exit 124 + stderr)
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -115,6 +121,10 @@ cli-smoke: ## CLI gate: impossible explore flag combinations fail loudly (exit 1
 	stderr_has "depth-first only"; \
 	expect 1 explore --check timeliness -n 2 --depth 2 --engine snapshot; \
 	stderr_has "breadth-first"; \
+	expect 1 explore --check kset -n 3 -t 1 -k 1 --depth 8 --engine snapshot --max-replay-steps 1; \
+	stderr_has "never binds"; \
+	expect 1 explore --check timeliness -n 2 --depth 4 --fingerprints; \
+	stderr_has "drop --fingerprints"; \
 	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 6 --engine snapshot --symmetry --fingerprints; \
 	expect 2 explore --check timeliness -n 2 --depth 4 --progress 0 --search-summary -; \
 	stdout_has '"engine":"per_state"'; \

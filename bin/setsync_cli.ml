@@ -585,7 +585,10 @@ let explore_cmd =
     Arg.(
       value
       & opt (some int) None
-      & info [ "max-replay-steps" ] ~docv:"N" ~doc:"Budget: total steps across replays.")
+      & info [ "max-replay-steps" ] ~docv:"N"
+          ~doc:
+            "Budget: total steps across replays. Rejected with $(b,--engine snapshot), \
+             which replays nothing.")
   in
   let fingerprints_arg =
     Arg.(
@@ -597,7 +600,8 @@ let explore_cmd =
              process-local state is not fingerprinted; the default for those checks is \
              sleep-set reduction only, which is exact). With $(b,--backend net) the \
              approximation is coarser still (channel contents are digested but local \
-             timers are not) and a warning is printed.")
+             timers are not) and a warning is printed. Rejected with $(b,--check \
+             timeliness), which always runs without pruning.")
   in
   let domains_arg =
     Arg.(
@@ -688,6 +692,11 @@ let explore_cmd =
     if engine = Explorer.Snapshot && bfs then begin
       Fmt.epr "setsync: --engine snapshot is depth-first only (its savepoint stack is \
                the DFS spine); drop --bfs@.";
+      exit 1
+    end;
+    if engine = Explorer.Snapshot && max_replay_steps <> None then begin
+      Fmt.epr "setsync: --max-replay-steps never binds under --engine snapshot (it \
+               replays nothing); bound the run with --max-states or --max-seconds@.";
       exit 1
     end;
     if engine = Explorer.Snapshot && backend = Backend_net then begin
@@ -863,6 +872,11 @@ let explore_cmd =
         if engine = Explorer.Snapshot then begin
           Fmt.epr "setsync: --check timeliness forces a breadth-first frontier; the \
                    snapshot engine is depth-first only@.";
+          exit 1
+        end;
+        if fingerprints then begin
+          Fmt.epr "setsync: --check timeliness is schedule-sensitive and always runs \
+                   without fingerprint pruning; drop --fingerprints@.";
           exit 1
         end;
         checked (fun () -> Proc.check_n n);

@@ -24,6 +24,11 @@ type t = {
   decide :
     now:int -> src:Setsync_schedule.Proc.t -> dst:Setsync_schedule.Proc.t -> seq:int -> action;
 }
+(** [decide] must be a pure function of [(now, src, dst, seq)]: the
+    same arguments always give the same action. Replay and exploration
+    rebuild runs by re-executing them, and {!Net}'s delivery
+    attribution asks again at a message's send coordinates to recover
+    how its delay was made up. *)
 
 val make :
   ?name:string ->
@@ -35,7 +40,8 @@ val make :
   seq:int ->
   action) ->
   t
-(** Raises [Invalid_argument] unless [delta >= 1] and [gst >= 0]. *)
+(** Raises [Invalid_argument] unless [delta >= 1] and [gst >= 0]. The
+    decision function must be pure (see {!t}). *)
 
 val due :
   t -> now:int -> src:Setsync_schedule.Proc.t -> dst:Setsync_schedule.Proc.t -> seq:int -> int option

@@ -25,14 +25,6 @@ type meters = {
   excess_h : Metrics.histogram;
 }
 
-(* Attribution of one in-flight message, recorded at enqueue and
-   consumed at delivery. [adv]: adversary-chosen ticks that survived
-   the clamps; [forced]: model-imposed ticks (a post-GST drop held for
-   Δ); [fifo]: extra ticks from the no-overtaking clamp; [denied]:
-   requested ticks the model refused (not part of the realized delay);
-   [pre_gst]: sent before GST. *)
-type attr = { adv : int; forced : int; fifo : int; denied : int; pre_gst : bool }
-
 type t = {
   n : int;
   adversary : Adversary.t;
@@ -61,12 +53,6 @@ type t = {
   current : Proc.t option ref;
   meters : meters option;
   ev : Events.t option;
-  (* mid -> attribution for messages currently in flight. Trace-only
-     side state: populated only when instrumented, never part of
-     snapshots or fingerprints. After an exploration restore a lookup
-     may miss (the entry was consumed down another branch); delivery
-     then simply emits without decomposition args. *)
-  attrs : (int, attr) Hashtbl.t;
   (* per-granted-step hook, run at the end of [pre_step] after the
      flush: the round-batched register layer ({!Netmem}) installs its
      pump here so stashed operations move at the owning process's own
@@ -121,7 +107,6 @@ let create ?obs ~store ~n ~adversary () =
     current = ref None;
     meters;
     ev;
-    attrs = Hashtbl.create 64;
     step_hook = None;
   }
 
@@ -145,9 +130,8 @@ let key_args m =
   ]
 
 (* Enqueue or drop one message; runs inside the sender's atomic action.
-   The uninstrumented path (no meters, no sink) takes the plain
-   [Adversary.due] branch and allocates no attribution — the ≤5%
-   overhead ceiling bench §N1 pins is about the instrumented path. *)
+   Nothing about the delay's make-up is stored: delivery re-derives it
+   (see [attribute]). *)
 let enqueue t ~src ~dst payload =
   Proc.check ~n:t.n dst;
   let now = Register.peek t.clock in
@@ -163,19 +147,7 @@ let enqueue t ~src ~dst payload =
         ~args:(key_args m @ [ ("step", Json.Int now) ])
         ~cat:"net" "send"
   | None -> ());
-  let instrumented = t.meters <> None || t.ev <> None in
-  let verdict =
-    if instrumented then Adversary.due_explained t.adversary ~now ~src ~dst ~seq
-    else
-      {
-        Adversary.due_at = Adversary.due t.adversary ~now ~src ~dst ~seq;
-        requested = None;
-        denied = 0;
-        forced = false;
-        pre_gst = false;
-      }
-  in
-  match verdict.Adversary.due_at with
+  match Adversary.due t.adversary ~now ~src ~dst ~seq with
   | None ->
       t.dropped <- t.dropped + 1;
       (match t.meters with Some ms -> Metrics.incr ~shard:ms.shard ms.dropped_c | None -> ());
@@ -193,28 +165,36 @@ let enqueue t ~src ~dst payload =
       in
       Register.write t.chans.(src).(dst) (q @ [ (at, m) ]);
       t.in_flight <- t.in_flight + 1;
-      if instrumented then begin
-        let sched = at0 - now in
-        let attr =
-          {
-            adv = (if verdict.Adversary.forced then 0 else sched);
-            forced = (if verdict.Adversary.forced then sched else 0);
-            fifo = at - at0;
-            denied = verdict.Adversary.denied;
-            pre_gst = verdict.Adversary.pre_gst;
-          }
-        in
-        Hashtbl.replace t.attrs mid attr;
-        match t.ev with
-        | Some sink ->
-            Events.emit sink ~proc:src ~id:mid ~phase:Events.Async_begin
-              ~args:[ ("due", Json.Int at) ]
-              ~cat:"net" "inflight"
-        | None -> ()
-      end;
+      (match t.ev with
+      | Some sink ->
+          Events.emit sink ~proc:src ~id:mid ~phase:Events.Async_begin
+            ~args:[ ("due", Json.Int at) ]
+            ~cat:"net" "inflight"
+      | None -> ());
       (match t.meters with
       | Some ms -> Metrics.set ms.in_flight_g (float_of_int t.in_flight)
       | None -> ())
+
+(* Latency attribution of a message delivered from a channel entry
+   [(at, m)] (DESIGN.md §9). [Adversary.decide] is a pure function of
+   [(now, src, dst, seq)], so asking again at the send's coordinates
+   reproduces the enqueue-time verdict, and [at0] is its unclamped due
+   tick. [adv]: adversary-chosen ticks that survived the clamps;
+   [forced]: model-imposed ticks (a post-GST drop held for Δ); [fifo]:
+   extra ticks from the no-overtaking clamp; [denied]: requested ticks
+   the model refused (not part of the realized delay); [pre_gst]: sent
+   before GST. *)
+let attribute t (at, m) =
+  let v =
+    Adversary.due_explained t.adversary ~now:m.Msg.sent_at ~src:m.Msg.src ~dst:m.Msg.dst
+      ~seq:m.Msg.seq
+  in
+  match v.Adversary.due_at with
+  | None -> invalid_arg "Net: a delivered message re-decides as a drop (impure Adversary.decide)"
+  | Some at0 ->
+      let sched = at0 - m.Msg.sent_at in
+      let adv, forced = if v.Adversary.forced then (0, sched) else (sched, 0) in
+      (adv, forced, at - at0, v.Adversary.denied, v.Adversary.pre_gst)
 
 (* Move every due message to its inbox. Reads are observer [peek]s
    (cheap, untraced); the writes that change behaviour go through
@@ -233,56 +213,43 @@ let flush t ~clock =
             let inbox = Register.peek t.inboxes.(dst) in
             Register.write t.inboxes.(dst) (inbox @ List.map snd due);
             List.iter
-              (fun (_, m) ->
+              (fun ((_, m) as entry) ->
                 t.delivered <- t.delivered + 1;
                 t.in_flight <- t.in_flight - 1;
-                let delay = clock - m.Msg.sent_at in
-                let attr =
-                  match Hashtbl.find_opt t.attrs m.Msg.mid with
-                  | Some a ->
-                      Hashtbl.remove t.attrs m.Msg.mid;
-                      Some a
-                  | None -> None
-                in
-                (match t.meters with
-                | Some ms ->
-                    Metrics.incr ~shard:ms.shard ms.delivered_c;
-                    Metrics.observe ms.delay_h (float_of_int delay);
-                    (match attr with
-                    | Some a ->
-                        Metrics.observe ms.adv_h (float_of_int a.adv);
-                        Metrics.observe ms.forced_h (float_of_int a.forced);
-                        Metrics.observe ms.fifo_h (float_of_int a.fifo);
-                        if a.pre_gst then
-                          Metrics.observe ms.excess_h
-                            (float_of_int (max 0 (delay - t.adversary.Adversary.delta)))
-                    | None -> ())
-                | None -> ());
-                match t.ev with
-                | Some sink ->
-                    let args =
-                      key_args m
-                      @ [
-                          ("step", Json.Int clock);
-                          ("sent", Json.Int m.Msg.sent_at);
-                          ("delay", Json.Int delay);
-                        ]
-                      @
-                      match attr with
-                      | Some a ->
-                          [
-                            ("adv", Json.Int a.adv);
-                            ("forced", Json.Int a.forced);
-                            ("fifo", Json.Int a.fifo);
-                            ("denied", Json.Int a.denied);
-                            ("pre_gst", Json.Bool a.pre_gst);
+                if t.meters <> None || t.ev <> None then begin
+                  let delay = clock - m.Msg.sent_at in
+                  let adv, forced, fifo, denied, pre_gst = attribute t entry in
+                  (match t.meters with
+                  | Some ms ->
+                      Metrics.incr ~shard:ms.shard ms.delivered_c;
+                      Metrics.observe ms.delay_h (float_of_int delay);
+                      Metrics.observe ms.adv_h (float_of_int adv);
+                      Metrics.observe ms.forced_h (float_of_int forced);
+                      Metrics.observe ms.fifo_h (float_of_int fifo);
+                      if pre_gst then
+                        Metrics.observe ms.excess_h
+                          (float_of_int (max 0 (delay - t.adversary.Adversary.delta)))
+                  | None -> ());
+                  match t.ev with
+                  | Some sink ->
+                      let args =
+                        key_args m
+                        @ [
+                            ("step", Json.Int clock);
+                            ("sent", Json.Int m.Msg.sent_at);
+                            ("delay", Json.Int delay);
+                            ("adv", Json.Int adv);
+                            ("forced", Json.Int forced);
+                            ("fifo", Json.Int fifo);
+                            ("denied", Json.Int denied);
+                            ("pre_gst", Json.Bool pre_gst);
                           ]
-                      | None -> []
-                    in
-                    Events.emit sink ~proc:dst ~args ~cat:"net" "deliver";
-                    Events.emit sink ~proc:dst ~id:m.Msg.mid ~phase:Events.Async_end
-                      ~cat:"net" "inflight"
-                | None -> ())
+                      in
+                      Events.emit sink ~proc:dst ~args ~cat:"net" "deliver";
+                      Events.emit sink ~proc:dst ~id:m.Msg.mid ~phase:Events.Async_end
+                        ~cat:"net" "inflight"
+                  | None -> ()
+                end)
               due
           end
     done
@@ -357,32 +324,6 @@ let send t ~dst payload =
       let src = current t in
       enqueue t ~src ~dst payload)
 
-let recv t =
-  Fiber.atomic (fun () ->
-      let p = current t in
-      match Register.read t.inboxes.(p) with
-      | [] -> []
-      | msgs ->
-          Register.write t.inboxes.(p) [];
-          msgs)
-
-let pause _t = Fiber.atomic (fun () -> ())
-
-let step_serve t ~handle =
-  Fiber.atomic (fun () ->
-      let p = current t in
-      let msgs =
-        match Register.read t.inboxes.(p) with
-        | [] -> []
-        | msgs ->
-            Register.write t.inboxes.(p) [];
-            msgs
-      in
-      List.iter
-        (fun m ->
-          List.iter (fun (dst, payload) -> enqueue t ~src:p ~dst payload) (handle m))
-        msgs)
-
 (* Hook-side primitives: the same footprints as their fiber
    counterparts, but callable from inside an already-running atomic
    action or the pre-step hook (no [Fiber.atomic] wrapper, explicit
@@ -396,6 +337,18 @@ let drain_now t p =
   | msgs ->
       Register.write t.inboxes.(p) [];
       msgs
+
+let recv t = Fiber.atomic (fun () -> drain_now t (current t))
+
+let pause _t = Fiber.atomic (fun () -> ())
+
+let step_serve t ~handle =
+  Fiber.atomic (fun () ->
+      let p = current t in
+      List.iter
+        (fun m ->
+          List.iter (fun (dst, payload) -> enqueue t ~src:p ~dst payload) (handle m))
+        (drain_now t p))
 
 let push_back_now t p msgs =
   if msgs <> [] then Register.write t.inboxes.(p) (msgs @ Register.peek t.inboxes.(p))

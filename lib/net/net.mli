@@ -18,10 +18,17 @@
     registers of the run's own {!Setsync_memory.Store}, created by
     {!create} before any router is installed (so they are never proxied
     through themselves). Mirror snapshots and explorer fingerprints
-    therefore capture network state with no extra plumbing. The only
-    state outside the store — per-pair sequence counters and event/stat
-    tallies — is derivable from the channel history and cannot
-    distinguish states the registers don't.
+    therefore capture network state with no extra plumbing. Outside
+    the store live the per-pair sequence counters, the GST latch and
+    the stat tallies. The counters are {e not} derivable from the
+    registers: a dropped message bumps its pair's counter without ever
+    touching a channel, and the adversary keys drops on [seq], so two
+    states with equal registers can have different futures. The
+    substrate's [snapshot] therefore exports the counters and the latch
+    ([NetSeqs]/[NetGst]), and its [save] captures them with the
+    tallies. Nothing trace-only is kept per message: a delivery
+    re-derives its delay decomposition from the message and its
+    channel entry, so it survives a restore.
 
     {b Exploration caveat.} The flush performed in [pre_step] reads
     channels with observer peeks and process code reads the clock with

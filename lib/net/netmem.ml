@@ -9,8 +9,9 @@ exception Unserved of { rid : int; op : int }
 
 type handler = { h_read : unit -> exn * string; h_write : exn -> unit }
 
-(* One routed operation of a batched client: stashed at the call site,
-   transmitted by the pump, retired when its reply is absorbed. *)
+(* One routed operation in flight from a client: issued at the call
+   site, retired when its reply is absorbed. Per-op mode transmits it
+   in its own send step; batched mode stashes it for the pump. *)
 type pending = {
   op : int;  (** run-unique tag, echoed by the owner; dedups resends *)
   p_rid : int;
@@ -20,9 +21,9 @@ type pending = {
 }
 
 type cstate = {
-  mutable outq : pending list;  (** stashed, unsent — program order *)
+  mutable outq : pending list;  (** stashed, unsent — program order (batched) *)
   mutable sent : pending list;  (** in flight, awaiting reply — send order *)
-  mutable got : (int * exn option) list;  (** op -> absorbed read reply *)
+  mutable got : (int * exn option) list;  (** op -> absorbed reply, awaiting its wait loop *)
   mutable blocked : bool;  (** parked in a reply wait loop *)
 }
 
@@ -47,7 +48,7 @@ type t = {
           register's high-water mark is stale — already applied, or
           superseded by an applied successor — and must be re-acked
           without applying, or the register regresses. *)
-  cstates : cstate array;  (** indexed by client proc; batched mode only *)
+  cstates : cstate array;  (** indexed by client proc *)
   mutable op_ctr : int;
   mutable completed : int;
 }
@@ -64,7 +65,7 @@ let fresh_op t =
   t.op_ctr <- t.op_ctr + 1;
   op
 
-(* ------------------------------------------------- batched-mode pump *)
+(* ------------------------------------------------------ client pump *)
 
 (* Transmit stashed ops in program order. An op may only go out while
    every unacked predecessor targets the same owner: per-channel FIFO
@@ -88,10 +89,11 @@ let flush_ready t st ~src =
   go ()
 
 (* Classify one drained inbox: replies matching an in-flight op retire
-   it (writes complete on the spot, read values park in [got] for the
-   wait loop); replies matching nothing are dead retransmission
-   duplicates and are dropped; everything else — heartbeats, native
-   values — is returned for push-back so the fiber still sees it. *)
+   it (a batched write completes on the spot; read values and per-op
+   write acks park in [got] for the wait loop); replies matching
+   nothing are dead retransmission duplicates and are dropped;
+   everything else — heartbeats, native values — is returned for
+   push-back so the fiber still sees it. *)
 let absorb t st msgs =
   List.filter
     (fun m ->
@@ -99,8 +101,8 @@ let absorb t st msgs =
         match List.find_opt (fun s -> s.op = op) st.sent with
         | Some o ->
             st.sent <- List.filter (fun s -> s.op <> op) st.sent;
-            (match o.request with
-            | Msg.Write_req _ -> t.completed <- t.completed + 1
+            (match (o.request, t.mode) with
+            | Msg.Write_req _, Batched -> t.completed <- t.completed + 1
             | _ -> st.got <- (op, value) :: st.got);
             false
         | None -> false (* stale duplicate *)
@@ -124,10 +126,12 @@ let resend t st ~src =
           end)
         st.sent
 
-(* The pump: one full client turn of the round protocol, run inside
-   whatever granted step is executing (the substrate's pre-step hook,
-   or a wait-loop atomic). Absorb first — retiring replies may lift the
-   owner-change barrier — then transmit, then retransmit the overdue. *)
+(* The pump: one full client turn, run inside whatever granted step is
+   executing (batched mode's pre-step hook, or a wait-loop atomic in
+   either mode). Absorb first — retiring replies may lift the
+   owner-change barrier — then transmit, then retransmit the overdue.
+   In per-op mode the stash is always empty, so a pump is a drain,
+   a reply match and at most one retransmission. *)
 let pump t p =
   if p < t.clients then begin
     let st = t.cstates.(p) in
@@ -136,6 +140,58 @@ let pump t p =
     flush_ready t st ~src:p;
     resend t st ~src:p
   end
+
+(* The mode decides when a request leaves. Per-op transmits it in a
+   send step of its own; its retransmission clock starts at the
+   caller's next step, when the fiber resumes. Batched stashes it and
+   returns: this code runs inside the granted step that resumed the
+   fiber, so mutating the client's own state here is race-free, and
+   the pump transmits it at this client's next atomic or pre-step. *)
+let issue t o =
+  match t.mode with
+  | Batched ->
+      let st = t.cstates.(Net.current t.net) in
+      st.outq <- st.outq @ [ o ]
+  | Per_op ->
+      Fiber.atomic (fun () ->
+          let p = Net.current t.net in
+          Net.send_now t.net ~src:p ~dst:o.owner o.request;
+          t.cstates.(p).sent <- t.cstates.(p).sent @ [ o ]);
+      o.last_send <- Net.now t.net
+
+(* The one reply wait loop: each spin is one atomic that pumps, so
+   replies flushed this very step are absorbed. The success check runs
+   BETWEEN atomics: in batched mode the substrate's pre-step hook
+   pumps before the fiber resumes, so a reply delivered this step is
+   already parked in [got] when the resumed code looks — consuming
+   reply k and stashing op k+1 then share one granted step, the hinge
+   that takes C=1 from 1.5 to ~1.0 steps/op (DESIGN.md §10). *)
+let await t o =
+  let rec go spins =
+    let st = t.cstates.(Net.current t.net) in
+    match List.assoc_opt o.op st.got with
+    | Some v ->
+        st.got <- List.remove_assoc o.op st.got;
+        st.blocked <- false;
+        t.completed <- t.completed + 1;
+        v
+    | None ->
+        (match t.max_wait with
+        | Some w when spins >= w ->
+            (* give the op up: withdrawn, it is neither resent nor
+               holds the owner-change barrier for the client's next op *)
+            st.outq <- List.filter (fun s -> s.op <> o.op) st.outq;
+            st.sent <- List.filter (fun s -> s.op <> o.op) st.sent;
+            st.blocked <- false;
+            raise (Unserved { rid = o.p_rid; op = o.op })
+        | _ -> ());
+        Fiber.atomic (fun () ->
+            let p = Net.current t.net in
+            pump t p;
+            t.cstates.(p).blocked <- not (List.mem_assoc o.op t.cstates.(p).got));
+        go (spins + 1)
+  in
+  go 0
 
 (* ---------------------------------------------------------- routing *)
 
@@ -158,142 +214,21 @@ let route_for : type a. t -> a Register.t -> a Register.route option =
       h_write = (fun e -> match e with M.V v -> Register.write reg v | _ -> assert false);
     };
   let owner = owner_of t ~rid in
-  match t.mode with
-  | Per_op ->
-      (* One request per access, one reply awaited before returning.
-         The wait loop drains the inbox inside a single atomic, keeps
-         every message that is not the awaited reply — except replies
-         tagged with a foreign [op], which are this client's own dead
-         retransmission duplicates — and writes the kept list back so
-         the fiber still receives it (see netmem.mli). *)
-      let wait ~op ~on_reply =
-        let sent_at = Net.now t.net in
-        let last = ref sent_at in
-        let spins = ref 0 in
-        let rec go () =
-          let hit =
-            Fiber.atomic (fun () ->
-                let p = Net.current t.net in
-                let msgs = Net.drain_now t.net p in
-                let reply = ref None in
-                let keep =
-                  List.filter
-                    (fun m ->
-                      match m.Msg.payload with
-                      | Msg.Read_reply { rid = r; op = o; v; _ } when r = rid && o = op ->
-                          reply := Some (Some v);
-                          false
-                      | Msg.Write_ack { rid = r; op = o } when r = rid && o = op ->
-                          reply := Some None;
-                          false
-                      | Msg.Read_reply _ | Msg.Write_ack _ -> false
-                      | Msg.Hb | Msg.Value _ | Msg.Read_req _ | Msg.Write_req _ -> true)
-                    msgs
-                in
-                if msgs <> [] then Net.push_back_now t.net p keep;
-                (match (t.resend_after, !reply) with
-                | Some r, None when Net.now t.net - !last >= r ->
-                    last := Net.now t.net;
-                    Net.send_now t.net ~src:p ~dst:owner
-                      (match on_reply with
-                      | `Read -> Msg.Read_req { rid; op }
-                      | `Write req -> req)
-                | _ -> ());
-                !reply)
-          in
-          match hit with
-          | Some v ->
-              t.completed <- t.completed + 1;
-              v
-          | None ->
-              incr spins;
-              (match t.max_wait with
-              | Some w when !spins >= w -> raise (Unserved { rid; op })
-              | _ -> ());
-              go ()
-        in
-        go ()
-      in
-      let route_read () =
-        let op = fresh_op t in
-        Net.send t.net ~dst:owner (Msg.Read_req { rid; op });
-        match wait ~op ~on_reply:`Read with
-        | Some (M.V v) -> v
-        | Some _ -> assert false
-        | None -> assert false
-      in
-      let route_write v =
-        let op = fresh_op t in
-        let req = Msg.Write_req { rid; op; v = M.V v; pr = Register.render reg v } in
-        Net.send t.net ~dst:owner req;
-        match wait ~op ~on_reply:(`Write req) with
-        | None -> ()
-        | Some _ -> assert false
-      in
-      Some { Register.route_read; route_write }
-  | Batched ->
-      (* Writes stash and return — zero steps at the call site; the
-         pump transmits them and their acks retire silently. Reads
-         stash, then spin: each spin is one atomic that pumps (so the
-         request goes out, and replies flushed this very step are
-         absorbed). The success check runs BETWEEN atomics: the
-         substrate's pre-step hook pumps before the fiber resumes, so
-         a reply delivered this step is already parked in [got] when
-         the resumed code looks — consuming reply k and stashing op
-         k+1 then share one granted step, the hinge that takes C=1
-         from 1.5 to ~1.0 steps/op (DESIGN.md §10). *)
-      let route_read () =
-        let op = fresh_op t in
-        let o =
-          { op; p_rid = rid; owner; request = Msg.Read_req { rid; op }; last_send = 0 }
-        in
-        let stashed = ref false in
-        let spins = ref 0 in
-        let rec go () =
-          let st = t.cstates.(Net.current t.net) in
-          match List.assoc_opt op st.got with
-          | Some v ->
-              st.got <- List.remove_assoc op st.got;
-              st.blocked <- false;
-              t.completed <- t.completed + 1;
-              (match v with Some (M.V v) -> v | _ -> assert false)
-          | None ->
-              Fiber.atomic (fun () ->
-                  let p = Net.current t.net in
-                  let st = t.cstates.(p) in
-                  if not !stashed then begin
-                    st.outq <- st.outq @ [ o ];
-                    stashed := true
-                  end;
-                  pump t p;
-                  st.blocked <- not (List.mem_assoc op st.got));
-              incr spins;
-              (match t.max_wait with
-              | Some w when !spins >= w -> raise (Unserved { rid; op })
-              | _ -> ());
-              go ()
-        in
-        go ()
-      in
-      let route_write v =
-        let op = fresh_op t in
-        let o =
-          {
-            op;
-            p_rid = rid;
-            owner;
-            request = Msg.Write_req { rid; op; v = M.V v; pr = Register.render reg v };
-            last_send = 0;
-          }
-        in
-        (* stashed between atomics: this code runs inside the granted
-           step that resumed the fiber, so mutating the client's own
-           state here is race-free; the pump picks it up at this
-           client's next atomic or pre-step. *)
-        let p = Net.current t.net in
-        t.cstates.(p).outq <- t.cstates.(p).outq @ [ o ]
-      in
-      Some { Register.route_read; route_write }
+  let pending request =
+    let op = fresh_op t in
+    { op; p_rid = rid; owner; request = request op; last_send = 0 }
+  in
+  let route_read () =
+    let o = pending (fun op -> Msg.Read_req { rid; op }) in
+    issue t o;
+    match await t o with Some (M.V v) -> v | _ -> assert false
+  in
+  let route_write v =
+    let o = pending (fun op -> Msg.Write_req { rid; op; v = M.V v; pr = Register.render reg v }) in
+    issue t o;
+    if t.mode = Per_op then match await t o with None -> () | Some _ -> assert false
+  in
+  Some { Register.route_read; route_write }
 
 let install ?(mode = Per_op) ?resend_after ?max_wait ~net ~store ~clients ~owners () =
   if clients < 1 then invalid_arg "Netmem.install: need at least one client";

@@ -11,19 +11,25 @@
     access to the underlying cell, and the client waits until the
     reply lands.
 
-    {b Modes.} [Per_op] (the default) issues one request per access
-    and blocks until its reply: under the synchronous adversary
-    (Δ = 1, GST = 0) with ops serialized, one access costs exactly
-    three steps — client send, owner serve, client recv — and the
-    shared-memory emulation schedules used by the cross-backend tests
-    expand each shm step [p] into [p, owner, p] accordingly. [Batched]
-    runs the round protocol: writes are stashed and return in zero
-    steps, a per-step pump transmits stashed ops and absorbs replies,
-    owners answer their whole inbox in one {!serve_batch} step, and
-    {!round_policy} (install as {!Setsync_runtime.Executor.run}'s
-    [boost]) grants owners serve turns while the next client is
-    parked — dropping amortized cost toward one step per op
-    (DESIGN.md §10 states the step-accounting contract).
+    {b One client path, two modes.} Every routed access is a pending
+    op in its client's state: replies are drained, matched to their
+    op, deduplicated and retransmitted by one pump, and a caller
+    awaiting a reply spins in one wait loop whose atomic is that pump.
+    The mode decides only when a request leaves and whether a write
+    waits for its ack. [Per_op] (the default) sends each request in a
+    step of its own and awaits every reply, writes included — a window
+    of one: under the synchronous adversary (Δ = 1, GST = 0) with ops
+    serialized, one access costs exactly three steps — client send,
+    owner serve, client recv — and the shared-memory emulation
+    schedules used by the cross-backend tests expand each shm step [p]
+    into [p, owner, p] accordingly. [Batched] runs the round protocol:
+    writes are stashed and return in zero steps, a per-step pump
+    transmits stashed ops and absorbs replies, owners answer their
+    whole inbox in one {!serve_batch} step, and {!round_policy}
+    (install as {!Setsync_runtime.Executor.run}'s [boost]) grants
+    owners serve turns while the next client is parked — dropping
+    amortized cost toward one step per op (DESIGN.md §10 states the
+    step-accounting contract).
 
     {b Ordering (batched).} Stashed ops are transmitted in program
     order, and an op is only transmitted while every unacked
@@ -52,12 +58,13 @@
     algorithm's register count for a per-register owner, or fewer to
     shard.
 
-    {b Undelivered messages are preserved.} A client's reply wait
-    drains its inbox, consumes the awaited reply, and writes every
-    other message {e back} for the fiber — except replies tagged with
-    a foreign [op], which are by construction this client's own dead
-    retransmission duplicates. Clients that mix routed registers with
-    native messaging (heartbeats, values) therefore lose nothing. *)
+    {b Undelivered messages are preserved.} The pump drains its
+    client's inbox, consumes the replies of that client's in-flight
+    ops, and writes every other message {e back} for the fiber —
+    except replies matching no in-flight op, which are by construction
+    this client's own dead retransmission duplicates. Clients that mix
+    routed registers with native messaging (heartbeats, values)
+    therefore lose nothing. *)
 
 type t
 
@@ -66,7 +73,8 @@ type mode = Per_op | Batched
 exception Unserved of { rid : int; op : int }
 (** Raised by a routed access that waited [max_wait] granted steps
     without a reply — the loud no-wedge path when an owner is crashed
-    or partitioned away for good. *)
+    or partitioned away for good. The op is withdrawn: it is not
+    retransmitted, and a later reply to it is dropped as stale. *)
 
 val install :
   ?mode:mode ->

@@ -631,6 +631,50 @@ let test_batched_owner_crash () =
   Alcotest.(check bool) "second read raised Unserved" true !escaped;
   Alcotest.(check bool) "run ended without wedging" true (Run.total_steps run < 100)
 
+(* An op given up with [Unserved] is withdrawn in both modes: it is
+   not retransmitted to its dead owner, and in batched mode it no
+   longer holds the owner-change barrier, so the client's next read —
+   bound to a live owner — goes out and completes. The only traffic
+   after the give-up is that read's request and its reply. *)
+let test_given_up_op_withdrawn () =
+  List.iter
+    (fun (label, mode) ->
+      let store = Store.create () in
+      let net = Net.create ~store ~n:3 ~adversary:(Adversary.synchronous ~delta:1) () in
+      let nm =
+        Netmem.install ~mode ~resend_after:4 ~max_wait:8 ~net ~store ~clients:1 ~owners:2 ()
+      in
+      let x = Store.register store ~pp:Fmt.int ~name:"X" 5 in
+      let y = Store.register store ~pp:Fmt.int ~name:"Y" 7 in
+      let dead = Option.get (Netmem.owner_of_name nm "X") in
+      Alcotest.(check bool) (label ^ ": X and Y on different owners") true
+        (Netmem.owner_of_name nm "Y" <> Some dead);
+      let gave_up = ref false and second = ref None and sent_after = ref (-1) in
+      let body p () =
+        if p = 0 then begin
+          (try ignore (Shm.read x) with Netmem.Unserved _ -> gave_up := true);
+          let s0 = (Net.stats net).Net.sent in
+          second := Some (Shm.read y);
+          sent_after := (Net.stats net).Net.sent - s0;
+          while true do
+            Shm.pause ()
+          done
+        end
+        else Netmem.owner_body nm p ()
+      in
+      ignore
+        (Executor.run ~n:3
+           ~source:(fun ~live -> Generators.round_robin ~live ~n:3 ())
+           ~max_steps:200 ~fault:[ (dead, 0) ] ~boost:(Netmem.round_policy nm)
+           ~substrate:(Net.substrate net)
+           ~stop:(fun () -> !second <> None)
+           body);
+      Alcotest.(check bool) (label ^ ": read of X gave up") true !gave_up;
+      Alcotest.(check (option int)) (label ^ ": read of Y served") (Some 7) !second;
+      Alcotest.(check int) (label ^ ": only Y's request and reply after the give-up") 2
+        !sent_after)
+    [ ("per-op", Netmem.Per_op); ("batched", Netmem.Batched) ]
+
 (* Regression for the resend write-reorder bug: with retransmission
    on, W1 and W2 to one owner are both unacked in flight; the
    adversary drops W1's first copy, the owner applies W2, and W1's
@@ -864,6 +908,41 @@ let test_substrate_snapshot_save () =
   Alcotest.(check (list (pair string string)))
     "save/restore round-trips the hidden state" snap0 (Substrate.snapshot s)
 
+(* A delivery's delay decomposition is re-derived from the message
+   itself, so it survives an exploration restore: deliver, restore the
+   store and substrate to the savepoint taken while the message was in
+   flight, and deliver again — both deliver events carry the same
+   adv/forced/fifo/denied/pre_gst args. *)
+let test_deliver_after_restore_attributed () =
+  let events = Events.memory ~capacity:64 () in
+  let obs = Obs.create ~events () in
+  let store = Store.create () in
+  let net = Net.create ~obs ~store ~n:2 ~adversary:(Adversary.synchronous ~delta:1) () in
+  let s = Net.substrate net in
+  Net.send_now net ~src:0 ~dst:1 Msg.Hb;
+  let restore_store = Store.save store in
+  let restore_net = Substrate.save s in
+  Substrate.pre_step s ~global:1 ~proc:1;
+  restore_store ();
+  restore_net ();
+  Substrate.pre_step s ~global:1 ~proc:1;
+  let decomposition (e : Events.event) =
+    List.map
+      (fun k ->
+        match List.assoc_opt k e.args with
+        | Some v -> Json.to_string v
+        | None -> Alcotest.failf "deliver event lacks %s" k)
+      [ "adv"; "forced"; "fifo"; "denied"; "pre_gst" ]
+  in
+  let delivers =
+    List.filter (fun (e : Events.event) -> e.cat = "net" && e.name = "deliver")
+      (Events.events events)
+  in
+  Alcotest.(check (list (list string)))
+    "both deliveries decomposed alike"
+    [ [ "1"; "0"; "0"; "0"; "false" ]; [ "1"; "0"; "0"; "0"; "false" ] ]
+    (List.map decomposition delivers)
+
 let test_net_metrics () =
   let obs = Obs.create () in
   let adversary = Adversary.gst_drop ~delta:1 ~gst:4 in
@@ -911,6 +990,8 @@ let () =
           Alcotest.test_case "amortized cost <= 1.5 steps/op" `Quick test_batched_step_cost;
           Alcotest.test_case "owner crash raises Unserved, no wedge" `Quick
             test_batched_owner_crash;
+          Alcotest.test_case "a given-up op is withdrawn, both modes" `Quick
+            test_given_up_op_withdrawn;
           Alcotest.test_case "stale resend after a later write does not regress" `Quick
             test_resend_does_not_regress;
         ] );
@@ -942,5 +1023,7 @@ let () =
         [
           Alcotest.test_case "event invariants" `Quick test_net_event_invariants;
           Alcotest.test_case "counters match stats" `Quick test_net_metrics;
+          Alcotest.test_case "delivery after a restore keeps its delay decomposition" `Quick
+            test_deliver_after_restore_attributed;
         ] );
     ]
