@@ -150,6 +150,10 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stderr_has "setsync: Adversary.make: delta"; \
 	expect 124 solve --backend net --max-steps=-1; \
 	stderr_has "setsync: --max-steps must be >= 0"; \
+	expect 124 solve --backend net --gst 5 --resend-after 0; \
+	stderr_has "setsync: --resend-after must be >= 1"; \
+	expect 124 solve --backend net --solver kset --resend-after=-1; \
+	stderr_has "setsync: --resend-after must be >= 1"; \
 	expect 124 figure1 --length=-1; stderr_has "setsync: --length must be >= 0"; \
 	expect 124 analyze --length=-5; stderr_has "setsync: --length must be >= 0"; \
 	echo "cli-smoke: ok"

@@ -1,7 +1,8 @@
 (* The reproduction harness: regenerates every figure and result
    statement of the paper (sections E1-E11, see DESIGN.md §5 and
-   EXPERIMENTS.md), then runs Bechamel micro-benchmarks of the
-   substrate (P1-P6).
+   EXPERIMENTS.md), then the harness's own profile: fuzz and net
+   throughput (F1, N1, N2), detector convergence (P7), ablations (P8)
+   and the observability-overhead check (P9).
 
    Everything is seeded and deterministic; the experiment sections are
    the "tables and figures" of this reproduction. *)
@@ -598,107 +599,6 @@ let e11_snapshot () =
     ]
 
 (* ------------------------------------------------------------------ *)
-(* P*: performance profile (Bechamel) *)
-
-let bechamel_benchmarks () =
-  section "P1-P6. Substrate micro-benchmarks (Bechamel)";
-  let open Bechamel in
-  let register_ops =
-    Test.make ~name:"register read+write"
-      (Staged.stage (fun () ->
-           let r = Register.make ~name:"r" ~id:0 0 in
-           for _ = 1 to 100 do
-             Register.write r (Register.read r + 1)
-           done))
-  in
-  let executor_throughput =
-    Test.make ~name:"executor 10k steps (n=4)"
-      (Staged.stage (fun () ->
-           let body _ () =
-             while true do
-               Shm.pause ()
-             done
-           in
-           let source ~live = Generators.round_robin ~live ~n:4 () in
-           ignore (Executor.run ~n:4 ~source ~max_steps:10_000 body)))
-  in
-  let fd_iteration =
-    Test.make ~name:"figure-2 run 5k steps (n=4,k=2,t=2)"
-      (Staged.stage (fun () ->
-           let params = { Kanti_omega.n = 4; t = 2; k = 2 } in
-           let source ~live = Generators.round_robin ~live ~n:4 () in
-           ignore (Fd_harness.run ~params ~source ~max_steps:5_000 ())))
-  in
-  let paxos_round =
-    Test.make ~name:"paxos solo round (n=5)"
-      (Staged.stage (fun () ->
-           let store = Store.create () in
-           let shared = Paxos.create_shared store ~n:5 ~name:"b" in
-           let body p () =
-             if p = 0 then
-               ignore (Paxos.attempt (Paxos.make_proposer shared ~proc:0 ~input:1))
-           in
-           let source ~live = Generators.round_robin ~live ~n:5 () in
-           ignore (Executor.run ~n:5 ~source ~max_steps:100 body)))
-  in
-  let timeliness_analysis =
-    let sched =
-      Source.take (Generators.figure1 ()) 10_000
-    in
-    Test.make ~name:"timeliness scan 10k steps"
-      (Staged.stage (fun () ->
-           ignore
-             (Timeliness.observed_bound
-                ~p:(Procset.of_list [ 0; 1 ])
-                ~q:(Procset.singleton 2) sched)))
-  in
-  let safe_agreement_round =
-    Test.make ~name:"safe agreement (3 parties)"
-      (Staged.stage (fun () ->
-           let store = Store.create () in
-           let sa = Safe_agreement.create store ~m:3 ~name:"sa" ~pp:Fmt.int in
-           let body p () =
-             Safe_agreement.propose sa ~party:p p;
-             ignore (Safe_agreement.try_read sa)
-           in
-           let source ~live = Generators.round_robin ~live ~n:3 () in
-           ignore (Executor.run ~n:3 ~source ~max_steps:1_000 body)))
-  in
-  let tests =
-    [
-      register_ops;
-      executor_throughput;
-      fd_iteration;
-      paxos_round;
-      timeliness_analysis;
-      safe_agreement_round;
-    ]
-  in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:300 ~quota:(Time.second 0.5) ~kde:(Some 300) () in
-  List.iter
-    (fun test ->
-      let results =
-        Benchmark.all cfg instances (Test.make_grouped ~name:"g" [ test ])
-      in
-      let name = Test.Elt.name (List.hd (Test.elements test)) in
-      Hashtbl.iter
-        (fun _name raw ->
-          let stats =
-            Analyze.one
-              (Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |])
-              Toolkit.Instance.monotonic_clock raw
-          in
-          match Analyze.OLS.estimates stats with
-          | Some [ est ] ->
-              Results.add "P1-P6"
-                [ ("test", Json.String name); ("ns_per_run", Json.Float est) ];
-              Fmt.pr "  %-40s %12.1f ns/run@." name est
-          | Some _ | None -> Fmt.pr "  %-40s (no estimate)@." name)
-        results)
-    tests
-
-(* ------------------------------------------------------------------ *)
 (* P9: observability overhead — the no-sink discipline, enforced *)
 
 let median xs =
@@ -726,8 +626,8 @@ let median_overhead timed = median (List.map (fun (off, on) -> 1. -. (off /. on)
 (* The opt-in contract of setsync_obs: an un-instrumented run (?obs
    absent) and a run with a nop-sink context must both keep the
    executor's step throughput — instrumented-off cost is one [match]
-   per step. Manual timing rather than Bechamel: we want the ratio of
-   whole-run rates, not per-call estimates, and the same loop shape
+   per step. Timed by hand: we want the ratio of whole-run rates, not
+   per-call estimates, and the same loop shape
    the explorer drives. The no-obs and nop tiers run as alternated
    pairs; bin/bench_guard.ml pins the quick row. *)
 let p9_obs_overhead () =
@@ -1169,7 +1069,7 @@ let ablations () =
 
 let quick () =
   (* `bench --quick`: the E11 smoke run used by `make ci` — small depth,
-     exploration only, no Bechamel sampling — plus the P9 overhead
+     exploration only — plus the P9 overhead
      check so the no-sink discipline is watched on every CI run. *)
   Fmt.pr "setsync bench --quick: E11 smoke (bounded exploration + domains table)@.";
   section "E11. Bounded exploration smoke";
@@ -1207,7 +1107,6 @@ let () =
     convergence_profile ();
     ablations ();
     p9_obs_overhead ();
-    bechamel_benchmarks ();
     Results.write "BENCH_results.json";
     Fmt.pr "@.done.@."
   end

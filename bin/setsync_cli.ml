@@ -302,6 +302,7 @@ let fd_cmd =
 let solve_cmd =
   let run t k n i j bound seed crashes adversary max_steps backend delta gst solver
       net_mode owners resend_after trace_out metrics_out =
+    Option.iter (at_least "--resend-after" 1) resend_after;
     match backend with
     | Backend_shm ->
         let spec = make_spec t k n i j bound seed crashes adversary max_steps in

@@ -3,8 +3,12 @@
    register-over-messages protocol ({!Netmem}). Register values travel
    as [exn] — the universal type trick: each register's router creates
    a local [exception V of a] constructor, so only the matching handler
-   can project the value back out — alongside a pre-rendered [pr]
-   string so queue snapshots stay printable and deterministic. *)
+   can project the value back out — alongside that register's renderer
+   [show], so queue snapshots stay printable and deterministic. The
+   value is rendered only when a channel or inbox is printed, not when
+   it is sent; this prints what a send-time rendering would have
+   printed because register values are immutable (the rule
+   {!Setsync_memory.Store.save} relies on too). *)
 
 module Proc = Setsync_schedule.Proc
 
@@ -12,8 +16,10 @@ type payload =
   | Hb  (** heartbeat, no content *)
   | Value of int  (** native protocol value (e.g. a proposal) *)
   | Read_req of { rid : int; op : int }
-  | Read_reply of { rid : int; op : int; v : exn; pr : string }
-  | Write_req of { rid : int; op : int; v : exn; pr : string }
+  | Read_reply of { rid : int; op : int; v : exn; show : exn -> string }
+      (** [show v] renders [v] with its register's printer; one
+          renderer per register, shared by all its messages *)
+  | Write_req of { rid : int; op : int; v : exn; show : exn -> string }
   | Write_ack of { rid : int; op : int }
 
 type t = {
@@ -39,8 +45,8 @@ let pp_payload ppf = function
      client is parked on, so two channel states differing only in [op]
      can diverge and must fingerprint apart. *)
   | Read_req { rid; op } -> Fmt.pf ppf "rd?%d.%d" rid op
-  | Read_reply { rid; op; pr; _ } -> Fmt.pf ppf "rd!%d.%d=%s" rid op pr
-  | Write_req { rid; op; pr; _ } -> Fmt.pf ppf "wr?%d.%d=%s" rid op pr
+  | Read_reply { rid; op; v; show } -> Fmt.pf ppf "rd!%d.%d=%s" rid op (show v)
+  | Write_req { rid; op; v; show } -> Fmt.pf ppf "wr?%d.%d=%s" rid op (show v)
   | Write_ack { rid; op } -> Fmt.pf ppf "wr!%d.%d" rid op
 
 let pp ppf m =

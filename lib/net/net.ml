@@ -44,6 +44,20 @@ type t = {
      [snapshot]/[save] expose and capture them (and the GST latch)
      for exactly that reason. *)
   seqs : int array array;
+  (* A derived index of the channel registers, so a step pays for the
+     messages that are due rather than for all n² channels. [live]
+     holds the ids [src * n + dst] of the nonempty channels in
+     ascending (src, dst) order, in its first [n_live] slots;
+     [tail_due.(id)] is the due tick of channel [id]'s last entry
+     (meaningful while it is live); [next_due] is the least head due
+     tick over all live channels ([max_int] when none is). Unlike the
+     counters it is a function of the registers, so [snapshot] leaves
+     it out, but [save] captures it: a restore pokes the registers
+     back and must bring the index with them. *)
+  live : int array;
+  mutable n_live : int;
+  tail_due : int array;
+  mutable next_due : int;
   mutable gst_passed : bool;
   (* running tallies for reports; behaviour-invisible *)
   mutable sent : int;
@@ -99,6 +113,10 @@ let create ?obs ~store ~n ~adversary () =
     inboxes;
     clock;
     seqs = Array.make_matrix n n 0;
+    live = Array.make (n * n) 0;
+    n_live = 0;
+    tail_due = Array.make (n * n) 0;
+    next_due = max_int;
     gst_passed = false;
     sent = 0;
     delivered = 0;
@@ -128,6 +146,17 @@ let key_args m =
     ("dst", Json.Int m.Msg.dst);
     ("seq", Json.Int m.Msg.seq);
   ]
+
+(* Insert channel [id], just become nonempty, into [live], keeping
+   the ascending order the flush visits channels in. *)
+let add_live t id =
+  let i = ref t.n_live in
+  while !i > 0 && t.live.(!i - 1) > id do
+    t.live.(!i) <- t.live.(!i - 1);
+    decr i
+  done;
+  t.live.(!i) <- id;
+  t.n_live <- t.n_live + 1
 
 (* Enqueue or drop one message; runs inside the sender's atomic action.
    Nothing about the delay's make-up is stored: delivery re-derives it
@@ -159,10 +188,17 @@ let enqueue t ~src ~dst payload =
       | None -> ())
   | Some at0 ->
       let q = Register.peek t.chans.(src).(dst) in
+      let id = (src * t.n) + dst in
       (* FIFO: never overtake the message already at the tail *)
       let at =
-        match List.rev q with [] -> at0 | (tail_at, _) :: _ -> max at0 tail_at
+        match q with
+        | [] ->
+            add_live t id;
+            if at0 < t.next_due then t.next_due <- at0;
+            at0
+        | _ -> max at0 t.tail_due.(id)
       in
+      t.tail_due.(id) <- at;
       Register.write t.chans.(src).(dst) (q @ [ (at, m) ]);
       t.in_flight <- t.in_flight + 1;
       (match t.ev with
@@ -196,64 +232,85 @@ let attribute t (at, m) =
       let adv, forced = if v.Adversary.forced then (0, sched) else (sched, 0) in
       (adv, forced, at - at0, v.Adversary.denied, v.Adversary.pre_gst)
 
+(* Book one delivered channel entry [(at, m)]: tallies, meters and
+   events. *)
+let book_delivery t ~clock ~dst ((_, m) as entry) =
+  t.delivered <- t.delivered + 1;
+  t.in_flight <- t.in_flight - 1;
+  if t.meters <> None || t.ev <> None then begin
+    let delay = clock - m.Msg.sent_at in
+    let adv, forced, fifo, denied, pre_gst = attribute t entry in
+    (match t.meters with
+    | Some ms ->
+        Metrics.incr ~shard:ms.shard ms.delivered_c;
+        Metrics.observe ms.delay_h (float_of_int delay);
+        Metrics.observe ms.adv_h (float_of_int adv);
+        Metrics.observe ms.forced_h (float_of_int forced);
+        Metrics.observe ms.fifo_h (float_of_int fifo);
+        if pre_gst then
+          Metrics.observe ms.excess_h
+            (float_of_int (max 0 (delay - t.adversary.Adversary.delta)))
+    | None -> ());
+    match t.ev with
+    | Some sink ->
+        let args =
+          key_args m
+          @ [
+              ("step", Json.Int clock);
+              ("sent", Json.Int m.Msg.sent_at);
+              ("delay", Json.Int delay);
+              ("adv", Json.Int adv);
+              ("forced", Json.Int forced);
+              ("fifo", Json.Int fifo);
+              ("denied", Json.Int denied);
+              ("pre_gst", Json.Bool pre_gst);
+            ]
+        in
+        Events.emit sink ~proc:dst ~args ~cat:"net" "deliver";
+        Events.emit sink ~proc:dst ~id:m.Msg.mid ~phase:Events.Async_end ~cat:"net" "inflight"
+    | None -> ()
+  end
+
+(* Split a channel into its due entries and the rest. FIFO keeps due
+   ticks monotone along a channel, so the due part is a prefix. *)
+let split_due clock q =
+  let rec go acc = function
+    | (at, _) as e :: rest when at <= clock -> go (e :: acc) rest
+    | rest -> (List.rev acc, rest)
+  in
+  go [] q
+
 (* Move every due message to its inbox. Reads are observer [peek]s
    (cheap, untraced); the writes that change behaviour go through
    [Register.write] so replay footprints include them. Runs in
    [pre_step], before the granted process's atomic action — a message
-   due at tick [g] is readable by a recv executed at global step [g]. *)
+   due at tick [g] is readable by a recv executed at global step [g].
+   Before [next_due] nothing is due; after it only the live channels
+   are visited, in (src, dst) order, and those left empty drop out. *)
 let flush t ~clock =
-  for src = 0 to t.n - 1 do
-    for dst = 0 to t.n - 1 do
-      match Register.peek t.chans.(src).(dst) with
+  if clock >= t.next_due then begin
+    let kept = ref 0 and next_due = ref max_int in
+    for i = 0 to t.n_live - 1 do
+      let id = t.live.(i) in
+      let src = id / t.n and dst = id mod t.n in
+      let q = Register.peek t.chans.(src).(dst) in
+      let due, rest = split_due clock q in
+      if due <> [] then begin
+        Register.write t.chans.(src).(dst) rest;
+        let inbox = Register.peek t.inboxes.(dst) in
+        Register.write t.inboxes.(dst) (inbox @ List.map snd due);
+        List.iter (book_delivery t ~clock ~dst) due
+      end;
+      match rest with
       | [] -> ()
-      | q ->
-          let due, rest = List.partition (fun (at, _) -> at <= clock) q in
-          if due <> [] then begin
-            Register.write t.chans.(src).(dst) rest;
-            let inbox = Register.peek t.inboxes.(dst) in
-            Register.write t.inboxes.(dst) (inbox @ List.map snd due);
-            List.iter
-              (fun ((_, m) as entry) ->
-                t.delivered <- t.delivered + 1;
-                t.in_flight <- t.in_flight - 1;
-                if t.meters <> None || t.ev <> None then begin
-                  let delay = clock - m.Msg.sent_at in
-                  let adv, forced, fifo, denied, pre_gst = attribute t entry in
-                  (match t.meters with
-                  | Some ms ->
-                      Metrics.incr ~shard:ms.shard ms.delivered_c;
-                      Metrics.observe ms.delay_h (float_of_int delay);
-                      Metrics.observe ms.adv_h (float_of_int adv);
-                      Metrics.observe ms.forced_h (float_of_int forced);
-                      Metrics.observe ms.fifo_h (float_of_int fifo);
-                      if pre_gst then
-                        Metrics.observe ms.excess_h
-                          (float_of_int (max 0 (delay - t.adversary.Adversary.delta)))
-                  | None -> ());
-                  match t.ev with
-                  | Some sink ->
-                      let args =
-                        key_args m
-                        @ [
-                            ("step", Json.Int clock);
-                            ("sent", Json.Int m.Msg.sent_at);
-                            ("delay", Json.Int delay);
-                            ("adv", Json.Int adv);
-                            ("forced", Json.Int forced);
-                            ("fifo", Json.Int fifo);
-                            ("denied", Json.Int denied);
-                            ("pre_gst", Json.Bool pre_gst);
-                          ]
-                      in
-                      Events.emit sink ~proc:dst ~args ~cat:"net" "deliver";
-                      Events.emit sink ~proc:dst ~id:m.Msg.mid ~phase:Events.Async_end
-                        ~cat:"net" "inflight"
-                  | None -> ()
-                end)
-              due
-          end
-    done
-  done;
+      | (head, _) :: _ ->
+          t.live.(!kept) <- id;
+          incr kept;
+          if head < !next_due then next_due := head
+    done;
+    t.n_live <- !kept;
+    t.next_due <- !next_due
+  end;
   match t.meters with
   | Some ms -> Metrics.set ms.in_flight_g (float_of_int t.in_flight)
   | None -> ()
@@ -303,6 +360,9 @@ module Net_substrate = struct
 
   let save t =
     let seqs = Array.map Array.copy t.seqs in
+    let live = Array.sub t.live 0 t.n_live
+    and tail_due = Array.copy t.tail_due
+    and next_due = t.next_due in
     let gst_passed = t.gst_passed in
     let sent = t.sent
     and delivered = t.delivered
@@ -310,6 +370,10 @@ module Net_substrate = struct
     and in_flight = t.in_flight in
     fun () ->
       Array.iteri (fun i row -> Array.blit row 0 t.seqs.(i) 0 (Array.length row)) seqs;
+      Array.blit live 0 t.live 0 (Array.length live);
+      t.n_live <- Array.length live;
+      Array.blit tail_due 0 t.tail_due 0 (Array.length tail_due);
+      t.next_due <- next_due;
       t.gst_passed <- gst_passed;
       t.sent <- sent;
       t.delivered <- delivered;
@@ -356,19 +420,18 @@ let push_back_now t p msgs =
 (* Would a serve step by [dst] at network time [at] do useful work?
    True iff its inbox is nonempty or some channel toward it has a due
    head (FIFO keeps [deliver_at] monotone per channel, so checking the
-   head suffices). Observer peeks only — usable by a scheduling policy
-   without perturbing replay footprints. *)
+   head suffices). Answered from the live-channel index, with observer
+   peeks only — usable by a scheduling policy without perturbing replay
+   footprints. *)
+let rec due_toward t ~dst ~at i =
+  i < t.n_live
+  && ((let id = t.live.(i) in
+       id mod t.n = dst
+       && match Register.peek t.chans.(id / t.n).(dst) with (h, _) :: _ -> h <= at | [] -> false)
+     || due_toward t ~dst ~at (i + 1))
+
 let servable t ~dst ~at =
-  Register.peek t.inboxes.(dst) <> []
-  || begin
-       let due = ref false in
-       for src = 0 to t.n - 1 do
-         match Register.peek t.chans.(src).(dst) with
-         | (h, _) :: _ when h <= at -> due := true
-         | _ -> ()
-       done;
-       !due
-     end
+  Register.peek t.inboxes.(dst) <> [] || (at >= t.next_due && due_toward t ~dst ~at 0)
 
 type stats = { sent : int; delivered : int; dropped : int; in_flight : int }
 

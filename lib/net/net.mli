@@ -26,9 +26,17 @@
     states with equal registers can have different futures. The
     substrate's [snapshot] therefore exports the counters and the latch
     ([NetSeqs]/[NetGst]), and its [save] captures them with the
-    tallies. Nothing trace-only is kept per message: a delivery
-    re-derives its delay decomposition from the message and its
-    channel entry, so it survives a restore.
+    tallies. Also outside the store is a derived index of the
+    channels: which are nonempty (in (src, dst) order), each one's tail
+    due tick, and the least head due tick over all of them. A step
+    before that tick delivers nothing and reads no channel; a later one
+    visits only the nonempty channels. Unlike the counters the index
+    is a function of the channel registers, so [snapshot] leaves it
+    out — two states with equal registers have equal indexes — but
+    [save] captures it, since a restore pokes the registers back
+    without going through the network. Nothing trace-only is kept per
+    message: a delivery re-derives its delay decomposition from the
+    message and its channel entry, so it survives a restore.
 
     {b Exploration caveat.} The flush performed in [pre_step] reads
     channels with observer peeks and process code reads the clock with
@@ -124,7 +132,8 @@ val push_back_now : t -> Setsync_schedule.Proc.t -> Msg.t list -> unit
 val servable : t -> dst:Setsync_schedule.Proc.t -> at:int -> bool
 (** Whether a serve step by [dst] at network time [at] would find work:
     its inbox is nonempty, or some channel toward it has a due head.
-    Observer peeks only — safe for scheduling policy decisions. *)
+    Answered from the channel index with observer peeks only — safe
+    for scheduling policy decisions. *)
 
 type stats = { sent : int; delivered : int; dropped : int; in_flight : int }
 

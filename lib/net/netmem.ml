@@ -7,7 +7,7 @@ type mode = Per_op | Batched
 
 exception Unserved of { rid : int; op : int }
 
-type handler = { h_read : unit -> exn * string; h_write : exn -> unit }
+type handler = { h_read : unit -> exn; h_write : exn -> unit; h_show : exn -> string }
 
 (* One routed operation in flight from a client: issued at the call
    site, retired when its reply is absorbed. Per-op mode transmits it
@@ -204,14 +204,13 @@ let route_for : type a. t -> a Register.t -> a Register.route option =
     exception V of a
   end in
   let rid = Register.id reg in
+  let show = function M.V v -> Register.render reg v | _ -> assert false in
   Hashtbl.replace t.names (Register.name reg) rid;
   Hashtbl.replace t.handlers rid
     {
-      h_read =
-        (fun () ->
-          let v = Register.read reg in
-          (M.V v, Register.render reg v));
+      h_read = (fun () -> M.V (Register.read reg));
       h_write = (fun e -> match e with M.V v -> Register.write reg v | _ -> assert false);
+      h_show = show;
     };
   let owner = owner_of t ~rid in
   let pending request =
@@ -224,7 +223,7 @@ let route_for : type a. t -> a Register.t -> a Register.route option =
     match await t o with Some (M.V v) -> v | _ -> assert false
   in
   let route_write v =
-    let o = pending (fun op -> Msg.Write_req { rid; op; v = M.V v; pr = Register.render reg v }) in
+    let o = pending (fun op -> Msg.Write_req { rid; op; v = M.V v; show }) in
     issue t o;
     if t.mode = Per_op then match await t o with None -> () | Some _ -> assert false
   in
@@ -235,6 +234,9 @@ let install ?(mode = Per_op) ?resend_after ?max_wait ~net ~store ~clients ~owner
   if owners < 1 then invalid_arg "Netmem.install: need at least one owner";
   if clients + owners > Net.n net then
     invalid_arg "Netmem.install: clients + owners exceeds the network size";
+  (match resend_after with
+  | Some r when r < 1 -> invalid_arg "Netmem.install: resend_after must be >= 1"
+  | _ -> ());
   let t =
     {
       net;
@@ -269,8 +271,7 @@ let serve t m =
   match m.Msg.payload with
   | Msg.Read_req { rid; op } ->
       let h = Hashtbl.find t.handlers rid in
-      let v, pr = h.h_read () in
-      [ (m.Msg.src, Msg.Read_reply { rid; op; v; pr }) ]
+      [ (m.Msg.src, Msg.Read_reply { rid; op; v = h.h_read (); show = h.h_show }) ]
   | Msg.Write_req { rid; op; v; _ } ->
       let stale =
         match Hashtbl.find_opt t.applied rid with Some last -> op <= last | None -> false

@@ -93,7 +93,9 @@ val install :
     network ticks; [max_wait] bounds reply waits in granted steps
     (default: wait forever). Batched mode installs a pre-step hook on
     [net] ({!Net.set_step_hook}). Raises [Invalid_argument] if
-    [clients + owners] exceeds the network size. *)
+    [clients + owners] exceeds the network size, or if [resend_after]
+    is given and below 1: at 0 every pump would retransmit every
+    unanswered request, one resend per granted step. *)
 
 val clients : t -> int
 

@@ -256,6 +256,178 @@ module Net_conf = Conformance (struct
     (Net.substrate net, store, body)
 end)
 
+(* ------------------------------------------- indexed flush vs a scan *)
+
+(* The network as a full scan: every channel visited on every step,
+   the due part split off with [List.partition], the FIFO clamp read
+   off the reversed queue. [Net] keeps a live-channel index instead;
+   this is the model it must agree with, register for register. *)
+module Scan_net = struct
+  type t = {
+    n : int;
+    adversary : Adversary.t;
+    chans : (int * Msg.t) list array array;
+    inboxes : Msg.t list array;
+    mutable clock : int;
+    seqs : int array array;
+    mutable sent : int;
+    mutable delivered : int;
+    mutable dropped : int;
+    mutable in_flight : int;
+  }
+
+  (* how often the FIFO clamp and the model's delay caps fired, across
+     every network and restore *)
+  let clamped = ref 0
+  let capped = ref 0
+
+  let create ~n ~adversary =
+    {
+      n;
+      adversary;
+      chans = Array.make_matrix n n [];
+      inboxes = Array.make n [];
+      clock = 0;
+      seqs = Array.make_matrix n n 0;
+      sent = 0;
+      delivered = 0;
+      dropped = 0;
+      in_flight = 0;
+    }
+
+  let copy t =
+    {
+      t with
+      chans = Array.map Array.copy t.chans;
+      inboxes = Array.copy t.inboxes;
+      seqs = Array.map Array.copy t.seqs;
+    }
+
+  let enqueue t ~src ~dst payload =
+    let seq = t.seqs.(src).(dst) in
+    t.seqs.(src).(dst) <- seq + 1;
+    let m = { Msg.mid = t.sent; src; dst; seq; sent_at = t.clock; payload } in
+    t.sent <- t.sent + 1;
+    let v = Adversary.due_explained t.adversary ~now:t.clock ~src ~dst ~seq in
+    if v.Adversary.denied > 0 then incr capped;
+    match v.Adversary.due_at with
+    | None -> t.dropped <- t.dropped + 1
+    | Some at0 ->
+        let q = t.chans.(src).(dst) in
+        let at = match List.rev q with [] -> at0 | (tail, _) :: _ -> max at0 tail in
+        if at > at0 then incr clamped;
+        t.chans.(src).(dst) <- q @ [ (at, m) ];
+        t.in_flight <- t.in_flight + 1
+
+  let flush t ~clock =
+    t.clock <- clock;
+    for src = 0 to t.n - 1 do
+      for dst = 0 to t.n - 1 do
+        let due, rest = List.partition (fun (at, _) -> at <= clock) t.chans.(src).(dst) in
+        if due <> [] then begin
+          t.chans.(src).(dst) <- rest;
+          t.inboxes.(dst) <- t.inboxes.(dst) @ List.map snd due;
+          t.delivered <- t.delivered + List.length due;
+          t.in_flight <- t.in_flight - List.length due
+        end
+      done
+    done
+
+  let servable t ~dst ~at =
+    t.inboxes.(dst) <> []
+    || Array.exists (fun row -> match row.(dst) with (h, _) :: _ -> h <= at | [] -> false) t.chans
+
+  let pp_entry ppf (at, m) = Fmt.pf ppf "%d>%a" at Msg.pp m
+
+  (* what [Store.snapshot] shows of a store holding only this network *)
+  let snapshot t =
+    let chans =
+      List.concat
+        (List.init t.n (fun i ->
+             List.init t.n (fun j ->
+                 ( Printf.sprintf "Chan[%d][%d]" i j,
+                   Fmt.str "%a" Fmt.(brackets (list ~sep:comma pp_entry)) t.chans.(i).(j) ))))
+    in
+    let inboxes =
+      List.init t.n (fun i ->
+          ( Printf.sprintf "Inbox[%d]" i,
+            Fmt.str "%a" Fmt.(brackets (list ~sep:comma Msg.pp)) t.inboxes.(i) ))
+    in
+    chans @ inboxes @ [ ("NetClock", string_of_int t.clock) ]
+
+  let stats t =
+    { Net.sent = t.sent; delivered = t.delivered; dropped = t.dropped; in_flight = t.in_flight }
+end
+
+(* Seeded random senders over n = 3..6 under an adversary mixing
+   delays, drops and pre/post-GST sends, with random savepoints taken
+   and restored: after every flush and every action, the registers,
+   the stats and [servable] for every destination match the scan. *)
+let test_indexed_flush_matches_scan () =
+  let restores = ref 0 in
+  List.iter
+    (fun (n, seed) ->
+      let rng = Random.State.make [| seed |] in
+      let delta = 1 + Random.State.int rng 3 and gst = 10 + Random.State.int rng 40 in
+      let decide ~now ~src ~dst ~seq =
+        let h = Hashtbl.hash (seed, now, src, dst, seq) in
+        if h mod 5 = 0 then Adversary.Drop else Adversary.Deliver (1 + (h / 5 mod (gst / 2)))
+      in
+      let adversary = Adversary.make ~delta ~gst decide in
+      let store = Store.create () in
+      let net = Net.create ~store ~n ~adversary () in
+      let s = Net.substrate net in
+      let scan = ref (Scan_net.create ~n ~adversary) in
+      let check what g =
+        let label = Printf.sprintf "n=%d seed=%d step %d %s" n seed g what in
+        Alcotest.(check (list (pair string string)))
+          (label ^ ": registers") (Scan_net.snapshot !scan) (Store.snapshot store);
+        let st = Net.stats net and want = Scan_net.stats !scan in
+        Alcotest.(check (list int))
+          (label ^ ": stats")
+          [ want.Net.sent; want.Net.delivered; want.Net.dropped; want.Net.in_flight ]
+          [ st.Net.sent; st.Net.delivered; st.Net.dropped; st.Net.in_flight ];
+        for dst = 0 to n - 1 do
+          List.iter
+            (fun at ->
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: servable dst=%d at=%d" label dst at)
+                (Scan_net.servable !scan ~dst ~at) (Net.servable net ~dst ~at))
+            [ g; g + 1; g + delta; gst + delta ]
+        done
+      in
+      let saves = ref [] in
+      for g = 0 to 2 * gst do
+        let p = Random.State.int rng n in
+        Substrate.pre_step s ~global:g ~proc:p;
+        Scan_net.flush !scan ~clock:g;
+        check "after flush" g;
+        for _ = 1 to Random.State.int rng 4 do
+          let dst = Random.State.int rng n and payload = Msg.Value (Random.State.int rng 100) in
+          Net.send_now net ~src:p ~dst payload;
+          Scan_net.enqueue !scan ~src:p ~dst payload
+        done;
+        if Random.State.int rng 3 = 0 then begin
+          ignore (Net.drain_now net p);
+          !scan.Scan_net.inboxes.(p) <- []
+        end;
+        check "after sends" g;
+        match (Random.State.int rng 8, !saves) with
+        | 0, _ -> saves := (Store.save store, Substrate.save s, Scan_net.copy !scan) :: !saves
+        | 1, (_ :: _ as sp) ->
+            let restore_store, restore_net, saved = List.nth sp (Random.State.int rng (List.length sp)) in
+            restore_store ();
+            restore_net ();
+            scan := Scan_net.copy saved;
+            incr restores;
+            check "after restore" g
+        | _ -> ()
+      done)
+    [ (3, 1); (3, 2); (4, 3); (4, 4); (5, 5); (5, 6); (6, 7); (6, 8) ];
+  Alcotest.(check bool) "FIFO clamps fired" true (!Scan_net.clamped > 0);
+  Alcotest.(check bool) "delay caps fired" true (!Scan_net.capped > 0);
+  Alcotest.(check bool) "savepoints restored" true (!restores > 0)
+
 (* ------------------------------------------- registers over messages *)
 
 (* One client, one owner: write 42 then read it back. Under the
@@ -308,6 +480,19 @@ let test_netmem_owner_mapping () =
   (* consecutive rids shard round-robin across the three owners *)
   Alcotest.(check int) "4 registers, 3 distinct owners" 3
     (List.length (List.sort_uniq compare owners))
+
+(* A resend period below one tick would retransmit every unanswered
+   request on every pump, so install refuses it. *)
+let test_netmem_resend_after_positive () =
+  List.iter
+    (fun r ->
+      let store = Store.create () in
+      let net = Net.create ~store ~n:2 ~adversary:(Adversary.synchronous ~delta:1) () in
+      Alcotest.check_raises
+        (Printf.sprintf "resend_after %d" r)
+        (Invalid_argument "Netmem.install: resend_after must be >= 1")
+        (fun () -> ignore (Netmem.install ~resend_after:r ~net ~store ~clients:1 ~owners:1 ())))
+    [ 0; -1 ]
 
 (* -------------------------------------- cross-backend equivalence *)
 
@@ -811,6 +996,64 @@ let test_net_agreement_golden_steps () =
         [| Some 220; Some 236; Some 237; Some 238; None |] );
     ]
 
+(* A seeded batched k-set run at n = 5 under [crash_brs], with resends,
+   built from its public parts as perfbench's traced solve does;
+   [on_snapshot] sees [Store.snapshot] after every step. *)
+let routed_kset_run ~on_snapshot =
+  let n = 5 in
+  let total = n + 1 in
+  let problem = Problem.make ~t:2 ~k:2 ~n in
+  let combined = Adversary.crash_brs ~delta:2 ~gst:40 ~total ~k:2 ~crashes:[ (n - 1, 3) ] in
+  let store = Store.create () in
+  let net = Net.create ~store ~n:total ~adversary:combined.Adversary.adversary () in
+  let nm =
+    Netmem.install ~mode:Netmem.Batched ~resend_after:4 ~net ~store ~clients:n ~owners:1 ()
+  in
+  let source ~live =
+    let cursor = ref 0 in
+    Source.make ~n:total (fun () ->
+        let rec scan tries =
+          let x = !cursor in
+          cursor := (x + 1) mod n;
+          if live x || tries >= n then Some x else scan (tries + 1)
+        in
+        scan 0)
+  in
+  Ag_harness.solve ~problem ~inputs:(Problem.distinct_inputs problem) ~source ~max_steps:20_000
+    ~fault:combined.Adversary.fault ~store ~total ~extra_body:(Netmem.owner_body nm)
+    ~boost:(Netmem.round_policy nm) ~substrate:(Net.substrate net)
+    ~on_step:(fun ~global ~proc:_ -> on_snapshot global (Store.snapshot store))
+    ()
+
+(* Routed values are rendered when a channel or inbox is printed, by
+   their register's renderer, not when they are sent. The digest of
+   every step's snapshot was recorded when payloads carried a string
+   rendered at send time; the pinned step shows a write request on a
+   channel and read replies in inboxes. *)
+let test_routed_payloads_print_as_before () =
+  let render snap = String.concat "\n" (List.map (fun (k, v) -> k ^ "=" ^ v) snap) in
+  let net_nonempty (k, v) =
+    (String.starts_with ~prefix:"Chan" k || String.starts_with ~prefix:"Inbox" k) && v <> "[]"
+  in
+  let digest = ref (Digest.string "") and at_384 = ref [] in
+  let o =
+    routed_kset_run ~on_snapshot:(fun g snap ->
+        digest := Digest.string (!digest ^ render snap);
+        if g = 384 then at_384 := List.filter net_nonempty snap)
+  in
+  Alcotest.(check int) "steps" 869 (Run.total_steps o.Ag_harness.run);
+  Alcotest.(check string) "digest of every step's snapshot" "9cf025aafb882e60199153f369cb5963"
+    (Digest.to_hex !digest);
+  Alcotest.(check (list (pair string string)))
+    "nonempty channels and inboxes after step 384"
+    [
+      ("Chan[2][5]", "[385>p3->p6#50@384:wr?60.180=1, 385>p3->p6#51@384:rd?58.181]");
+      ("Inbox[0]", "[p6->p1#42@381:rd!105.178=0]");
+      ("Inbox[1]", "[p6->p2#42@383:rd!105.179=0]");
+      ("Inbox[3]", "[p6->p4#42@379:rd!105.177=0]");
+    ]
+    !at_384
+
 (* ------------------------------------------------------- net events *)
 
 let test_net_event_invariants () =
@@ -969,6 +1212,11 @@ let () =
           Alcotest.test_case "FIFO: no overtaking" `Quick test_fifo_no_overtaking;
           Alcotest.test_case "authenticated src" `Quick test_authenticated_src;
         ] );
+      ( "indexed flush",
+        [
+          Alcotest.test_case "matches a full scan, across restores" `Quick
+            test_indexed_flush_matches_scan;
+        ] );
       ("conformance", Shm_conf.tests @ Net_conf.tests);
       ( "substrate state",
         [
@@ -980,6 +1228,7 @@ let () =
           Alcotest.test_case "write/read over messages, 3 steps per op" `Quick
             test_netmem_write_read;
           Alcotest.test_case "owner sharding" `Quick test_netmem_owner_mapping;
+          Alcotest.test_case "resend_after must be >= 1" `Quick test_netmem_resend_after_positive;
           Alcotest.test_case "per-op wait pushes back unrelated messages" `Quick
             test_per_op_pushback;
         ] );
@@ -1002,6 +1251,8 @@ let () =
             test_net_agreement_matches_shm;
           Alcotest.test_case "golden step counts, batched and per-op" `Quick
             test_net_agreement_golden_steps;
+          Alcotest.test_case "routed payloads print as before" `Quick
+            test_routed_payloads_print_as_before;
         ] );
       ( "cross-backend",
         [ Alcotest.test_case "kanti outputs identical" `Quick test_kanti_cross_backend ] );
