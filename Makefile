@@ -52,12 +52,26 @@ obs-check: ## traced exploration; validate the emitted JSONL/Chrome/metrics file
 	  --require replay,expand,sleep_prune \
 	  --require-counter explorer.states --require-counter explorer.replay_steps
 
-fuzz-smoke: ## fixed-seed fuzz run: the seeded-bug SUT must be found (exit 2)
-	dune exec bin/setsync_cli.exe -- fuzz --sut seeded-bug --seed 42 --execs 2000 --len 96; \
-	  status=$$?; \
+fuzz-smoke: ## fixed-seed fuzz runs: the seeded-bug SUT must be found (exit 2) and its --repro replay must print the same report apart from the time: line; the faithful control and the Theorem-24 solver (one live machine instance per hunt) must pass (exit 0)
+	dune exec bin/setsync_cli.exe -- fuzz --sut seeded-bug --seed 42 --execs 2000 --len 96 \
+	  >/tmp/setsync_ci_fuzz.out; \
+	  status=$$?; cat /tmp/setsync_ci_fuzz.out; \
 	  if [ $$status -ne 2 ]; then \
 	    echo "fuzz-smoke: expected exit 2 (violation found), got $$status"; exit 1; \
 	  fi
+	dune exec bin/setsync_cli.exe -- fuzz --sut seeded-bug --repro 42 --execs 2000 --len 96 \
+	  >/tmp/setsync_ci_fuzz_repro.out; \
+	  status=$$?; \
+	  if [ $$status -ne 2 ]; then \
+	    echo "fuzz-smoke: --repro expected exit 2, got $$status"; exit 1; \
+	  fi
+	grep -v '^time:' /tmp/setsync_ci_fuzz.out >/tmp/setsync_ci_fuzz.cmp
+	grep -v '^time:' /tmp/setsync_ci_fuzz_repro.out >/tmp/setsync_ci_fuzz_repro.cmp
+	diff /tmp/setsync_ci_fuzz.cmp /tmp/setsync_ci_fuzz_repro.cmp || { \
+	  echo "fuzz-smoke: --repro 42 printed a different report"; exit 1; }
+	dune exec bin/setsync_cli.exe -- fuzz --sut fixed --seed 42 --execs 300 --len 96
+	dune exec bin/setsync_cli.exe -- fuzz --sut kset -n 3 -t 1 -k 1 --crashes 1 --seed 1 \
+	  --execs 300 --len 96
 
 net-smoke: ## net backend gate: bounded exploration passes, BRS fuzz finds the k-set violation, traced CT run and traced batched/per-op solves validate
 	dune exec bin/setsync_cli.exe -- explore --backend net --check detector \
@@ -96,7 +110,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a c
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values fail before the run (exit 124 + stderr)
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets included, fail before the run (exit 124 + stderr)
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -156,6 +170,15 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stderr_has "setsync: --resend-after must be >= 1"; \
 	expect 124 figure1 --length=-1; stderr_has "setsync: --length must be >= 0"; \
 	expect 124 analyze --length=-5; stderr_has "setsync: --length must be >= 0"; \
+	expect 124 fuzz --execs=-1; stderr_has "setsync: --execs must be >= 0"; \
+	expect 124 fuzz --max-replay-steps=-5; \
+	stderr_has "setsync: Budget.limits: max_replay_steps must be >= 0"; \
+	expect 124 fuzz --max-seconds=-1; stderr_has "setsync: Budget.limits: max_seconds must be >= 0"; \
+	expect 124 explore --max-states=-1; stderr_has "setsync: Budget.limits: max_states must be >= 0"; \
+	expect 124 explore --max-replay-steps=-1; \
+	stderr_has "setsync: Budget.limits: max_replay_steps must be >= 0"; \
+	expect 124 explore --max-seconds=-1; \
+	stderr_has "setsync: Budget.limits: max_seconds must be >= 0"; \
 	echo "cli-smoke: ok"
 
 ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run check, fuzz + net + trace + CLI smokes

@@ -710,7 +710,9 @@ let explore_cmd =
       Fmt.epr "setsync: warning: --fingerprints with --backend net is a coarse \
                approximation (channel contents are digested, per-process timers are \
                not); pruning may merge states that differ in timer state@.";
-    let limits = Budget.limits ?max_states ?max_replay_steps ?max_seconds () in
+    let limits =
+      checked (fun () -> Budget.limits ?max_states ?max_replay_steps ?max_seconds ())
+    in
     let obs = make_obs ~shards:domains ~trace_out ~metrics_out () in
     Option.iter
       (fun f -> if f <> "-" then check_writable "--search-summary" f)
@@ -1027,8 +1029,11 @@ let fuzz_cmd =
     at_least "--len" 1 len;
     at_least "--stride" 1 stride;
     at_least "--crashes" 0 crashes;
+    at_least "--execs" 0 execs;
     let seed = Option.value repro ~default:seed in
-    let limits = Budget.limits ~max_states:execs ?max_replay_steps ?max_seconds () in
+    let limits =
+      checked (fun () -> Budget.limits ~max_states:execs ?max_replay_steps ?max_seconds ())
+    in
     let obs = make_obs ~trace_out ~metrics_out () in
     let on_progress (p : Fuzz.progress) =
       Fmt.epr "[%6.1fs] execs %d (%.0f/s)  corpus %d  digests %d@." p.Fuzz.wall

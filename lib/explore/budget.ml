@@ -7,6 +7,17 @@ type limits = {
 let unlimited = { max_states = None; max_replay_steps = None; max_seconds = None }
 
 let limits ?max_states ?max_replay_steps ?max_seconds () =
+  let non_negative name = function
+    | Some v when v < 0 ->
+        invalid_arg (Printf.sprintf "Budget.limits: %s must be >= 0 (got %d)" name v)
+    | Some _ | None -> ()
+  in
+  non_negative "max_states" max_states;
+  non_negative "max_replay_steps" max_replay_steps;
+  (match max_seconds with
+  | Some s when not (s >= 0.) ->
+      invalid_arg (Printf.sprintf "Budget.limits: max_seconds must be >= 0 (got %g)" s)
+  | Some _ | None -> ());
   { max_states; max_replay_steps; max_seconds }
 
 (* Wall clock. [Sys.time] is CPU time summed over every thread of the

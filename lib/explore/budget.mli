@@ -33,6 +33,9 @@ val unlimited : limits
 
 val limits :
   ?max_states:int -> ?max_replay_steps:int -> ?max_seconds:float -> unit -> limits
+(** Raises [Invalid_argument] on a negative limit (or a NaN
+    [max_seconds]): a negative budget would visit nothing and read as a
+    clean bounded pass. *)
 
 type t
 (** A running meter. Single-domain: share one meter per worker, never

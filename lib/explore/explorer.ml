@@ -162,16 +162,29 @@ let snapshot_of store (inst : _ instance) =
    path can materialize an exact [state] at any point along its run.
    Every state the explorer builds comes from [Mirror.state]. *)
 module Mirror = struct
-  type 'obs m = { store : Store.t; inst : 'obs instance; tally : Run.Tally.t }
+  (* A session's live machine-form instance (see [Session]): how its
+     processes step and how its state renders. *)
+  type live = { step : Executor.step; render : unit -> (string * string) list }
+
+  type 'obs m = {
+    store : Store.t;
+    inst : 'obs instance;
+    tally : Run.Tally.t;
+    live : live option;  (* [None]: a fresh instance, stepped as fibers *)
+  }
 
   let make ~(sut : 'obs sut) ~fault ?trace () =
     let tally = Run.Tally.create ~n:sut.n fault in
     let store = Store.create ?trace () in
-    { store; inst = sut.fresh ~store; tally }
+    { store; inst = sut.fresh ~store; tally; live = None }
 
   let replay m ?on_step ?stop schedule =
-    Executor.replay ~n:(Run.Tally.n m.tally) ~schedule ~tally:m.tally
-      ?substrate:m.inst.substrate ?on_step ?stop m.inst.body
+    let n = Run.Tally.n m.tally in
+    let step =
+      match m.live with Some l -> l.step | None -> Executor.fibers ~n m.inst.body
+    in
+    Executor.replay_with ~n ~schedule ~tally:m.tally ?substrate:m.inst.substrate ?on_step
+      ?stop step
 
   (* [requested]: the schedule whose replay reached this point (skipped
      entries included), when it is not simply the executed steps;
@@ -189,8 +202,15 @@ module Mirror = struct
     in
     let run = Run.Tally.freeze t reason in
     let prefix = Option.value requested ~default:run.Run.taken in
-    let snapshot = snapshot_of m.store m.inst in
+    let snapshot =
+      match m.live with Some l -> l.render () | None -> snapshot_of m.store m.inst
+    in
     { depth = Schedule.length prefix; prefix; run; snapshot; obs = m.inst.observe () }
+
+  (* the final state of a replay of [schedule] from [m]'s start *)
+  let final m schedule =
+    let run = replay m schedule in
+    state ~requested:schedule ~reason:run.Run.reason m
 end
 
 (* Replay [schedule] against a fresh instance; returns the final state
@@ -207,8 +227,7 @@ let replay_instrumented ~sut ~fault schedule =
   (Mirror.state ~requested:schedule ~reason:run.Run.reason m, !fp_prev, !fp_last)
 
 let evaluate ~sut ?(fault = Fault.no_faults) schedule =
-  let state, _, _ = replay_instrumented ~sut ~fault schedule in
-  state
+  Mirror.final (Mirror.make ~sut ~fault ()) schedule
 
 (* ------------------------------------------- counterexample re-check *)
 
@@ -223,22 +242,21 @@ let evaluate ~sut ?(fault = Fault.no_faults) schedule =
    boundary, and stays exact through arbitrary skips. The per-prefix
    scan remains as a defensive fallback for a residual misalignment
    (a skip the tally cannot predict, e.g. a substrate veto). *)
-let check_safety_scan ~sut ~property ~fault schedule =
+let check_safety_scan ~mirror ~property schedule =
   let len = Schedule.length schedule in
   let rec scan d =
     if d > len then None
     else
-      match
-        property.Property.check (evaluate ~sut ~fault (Schedule.prefix schedule d))
-      with
+      let prefix = Schedule.prefix schedule d in
+      match property.Property.check (Mirror.final (mirror ()) prefix) with
       | Some reason -> Some reason
       | None -> scan (d + 1)
   in
   scan 0
 
-let check_safety_probe ~sut ~property ~fault schedule =
+let check_safety_probe ~mirror ~property schedule =
   let len = Schedule.length schedule in
-  let m = Mirror.make ~sut ~fault () in
+  let m = mirror () in
   let violation = ref None in
   let exact = ref true in
   (* schedule entries accounted for so far, executed or skipped; the
@@ -276,13 +294,17 @@ let check_safety_probe ~sut ~property ~fault schedule =
   end;
   (!exact && (!consumed = len || !violation <> None), !violation)
 
-let check_schedule ~sut ~property ?(fault = Fault.no_faults) schedule =
+(* [mirror ()]: a mirror at the start of a run *)
+let check_on ~mirror ~property schedule =
   match property.Property.kind with
-  | Property.Stabilization -> property.Property.check (evaluate ~sut ~fault schedule)
+  | Property.Stabilization -> property.Property.check (Mirror.final (mirror ()) schedule)
   | Property.Safety -> (
-      match check_safety_probe ~sut ~property ~fault schedule with
+      match check_safety_probe ~mirror ~property schedule with
       | true, result -> result
-      | false, _ -> check_safety_scan ~sut ~property ~fault schedule)
+      | false, _ -> check_safety_scan ~mirror ~property schedule)
+
+let check_schedule ~sut ~property ?(fault = Fault.no_faults) schedule =
+  check_on ~mirror:(fun () -> Mirror.make ~sut ~fault ()) ~property schedule
 
 (* -------------------------------------------------------- exploration *)
 
@@ -324,19 +346,79 @@ let digest ~sut (st : _ state) =
    the executed sequence is itself a replayable schedule that rebuilds
    the same states, which is what candidate counterexamples and
    shrinking need. *)
-let trajectory ~sut ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule =
+let trajectory_on m ~stride ~on_state schedule =
   if stride < 1 then invalid_arg "Explorer.trajectory: stride must be >= 1";
-  let m = Mirror.make ~sut ~fault () in
   let stopped = ref false in
   let emit () = if not !stopped then stopped := on_state (Mirror.state m) in
   emit ();
-  if not !stopped then begin
+  if !stopped then Mirror.state m
+  else begin
     let on_step ~global ~proc:_ = if (global + 1) mod stride = 0 then emit () in
-    ignore (Mirror.replay m ~on_step ~stop:(fun () -> !stopped) schedule);
+    let run = Mirror.replay m ~on_step ~stop:(fun () -> !stopped) schedule in
+    let final = Mirror.state ~reason:run.Run.reason m in
     if Run.Tally.total_steps m.Mirror.tally mod stride <> 0 && not !stopped then
-      ignore (on_state (Mirror.state m))
-  end;
-  Mirror.state m
+      ignore (on_state final);
+    final
+  end
+
+let trajectory ~sut ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule =
+  trajectory_on (Mirror.make ~sut ~fault ()) ~stride ~on_state schedule
+
+(* ------------------------------------------------------------ session *)
+
+(* Many runs on one live instance. With a machine form, the instance is
+   built once; each run restores its initial savepoint, takes a fresh
+   tally and steps the machine under the executor's rules, and states
+   render through a memoizing renderer (registers re-render only when
+   their value changed). Without one, each run builds a fresh instance
+   and steps fibers, exactly as [trajectory] and [check_schedule] do. *)
+module Session = struct
+  (* the live instance's mirror, and the restore to its initial
+     savepoint *)
+  type 'obs t = { sut : 'obs sut; live : ('obs Mirror.m * (unit -> unit)) option }
+
+  let create ~(sut : 'obs sut) =
+    let store, memo = Store.memoized () in
+    let inst = sut.fresh ~store in
+    match inst.machine with
+    | None -> { sut; live = None }
+    | Some mi ->
+        let restore_store = Store.save store in
+        let restore_m = mi.m_save () in
+        let restore_sub = Option.map Setsync_runtime.Substrate.save inst.substrate in
+        let initial () =
+          restore_store ();
+          restore_m ();
+          Option.iter (fun r -> r ()) restore_sub
+        in
+        let render () =
+          match inst.substrate with
+          | None -> memo ()
+          | Some s -> memo () @ Setsync_runtime.Substrate.snapshot s
+        in
+        let step p =
+          mi.m_step p;
+          mi.m_halted p
+        in
+        let tally = Run.Tally.create ~n:sut.n Fault.no_faults in
+        let m = { Mirror.store; inst; tally; live = Some { step; render } } in
+        { sut; live = Some (m, initial) }
+
+  let on_machine s = Option.is_some s.live
+
+  let mirror s ~fault () =
+    match s.live with
+    | None -> Mirror.make ~sut:s.sut ~fault ()
+    | Some (m, initial) ->
+        initial ();
+        { m with Mirror.tally = Run.Tally.create ~n:s.sut.n fault }
+
+  let trajectory s ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule =
+    trajectory_on (mirror s ~fault ()) ~stride ~on_state schedule
+
+  let check_schedule s ~property ?(fault = Fault.no_faults) schedule =
+    check_on ~mirror:(mirror s ~fault) ~property schedule
+end
 
 (* ------------------------------------------------------ verdict table *)
 

@@ -300,7 +300,7 @@ val trajectory :
     step, and on the final state — all within a {e single} replay, the
     coverage/safety probe of the fuzzer. [on_state] returning [true]
     stops the replay early. Returns the state at the stop point (or
-    the final state).
+    the final state, whose [run.reason] is the executor's).
 
     Interim states are read from the replay's own run tally, so they
     follow the {e executed} step sequence: if the replay skips
@@ -333,6 +333,51 @@ val check_schedule :
     its [run] is the replay's tally at that point (executed steps, and
     crashes at their executed indices), as {!evaluate} and
     {!trajectory} report it. *)
+
+(** Many runs of one sut on one live instance — the fuzzer's hot loop.
+
+    When the sut has a machine form ({!instance.machine}), {!Session.create}
+    builds one instance and takes its initial savepoint
+    ({!Setsync_memory.Store.save}, [m_save], substrate save). Every run
+    then restores that savepoint, takes a fresh
+    {!Setsync_runtime.Run.Tally} and steps the machine through
+    {!Setsync_runtime.Executor.replay_with}, under the same skip, stall,
+    all-halted and stop rules as a fiber replay. The instance lives in
+    a {!Setsync_memory.Store.memoized} store, so a state re-renders
+    only the registers whose value changed. Runs agree with
+    {!trajectory} and {!check_schedule} state for state (digests and
+    run records) exactly when the machine form agrees with the fiber
+    form — which the library's machine forms do by construction.
+
+    Without a machine form each run builds a fresh instance and steps
+    fibers, as {!trajectory} and {!check_schedule} do.
+
+    A session is single-domain mutable state: one per domain. *)
+module Session : sig
+  type 'obs t
+
+  val create : sut:'obs sut -> 'obs t
+
+  val on_machine : 'obs t -> bool
+  (** The runs step one live machine instance. *)
+
+  val trajectory :
+    'obs t ->
+    ?fault:Setsync_runtime.Fault.plan ->
+    ?stride:int ->
+    on_state:('obs state -> bool) ->
+    Setsync_schedule.Schedule.t ->
+    'obs state
+  (** {!Explorer.trajectory} on the session. *)
+
+  val check_schedule :
+    'obs t ->
+    property:'obs state Property.t ->
+    ?fault:Setsync_runtime.Fault.plan ->
+    Setsync_schedule.Schedule.t ->
+    string option
+  (** {!Explorer.check_schedule} on the session. *)
+end
 
 val pp_verdict : verdict Fmt.t
 

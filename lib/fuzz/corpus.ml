@@ -2,11 +2,14 @@ module Rng = Setsync_schedule.Rng
 
 type entry = { novelty : int; cand : Mutate.candidate }
 
-(* Digest filter: a fixed-size open-addressed table of 62-bit digest
-   hashes (0 = empty), probed over a bounded window. Bounding both the
-   table and the probe keeps long fuzz runs at constant memory where
-   the old hashtable grew with every distinct digest, at the price of
-   approximation in both directions:
+(* Digest filter: an open-addressed table of 62-bit digest hashes
+   (0 = empty), probed over a bounded window. The table starts small
+   and doubles, rehashing, whenever it passes half full or a probe
+   window saturates, until it reaches its cap; below the cap it is an
+   exact set (up to hash collisions), and a hunt that sees a few
+   hundred digests holds a table of a few KB. At the cap, memory stays
+   constant where the old hashtable grew with every distinct digest, at
+   the price of approximation in both directions:
 
    - false positives: two digests hashing identically make the second
      read as already-seen (novelty undercount) — with 62-bit hashes,
@@ -21,8 +24,11 @@ type entry = { novelty : int; cand : Mutate.candidate }
    reproduction contract. *)
 let probe_window = 8
 
+let initial_slots = 256
+
 type t = {
-  slots : int array;  (* power-of-two length *)
+  mutable slots : int array;  (* power-of-two length, at most [cap] *)
+  cap : int;
   mutable distinct : int;  (* note_digest calls that returned true *)
   mutable digest_evictions : int;  (* saturated-window overwrites *)
   max_entries : int;
@@ -41,7 +47,8 @@ let create ?(max_entries = 64) ?(digest_slots = 1 lsl 16) () =
     pow2 := !pow2 * 2
   done;
   {
-    slots = Array.make !pow2 0;
+    slots = Array.make (min !pow2 initial_slots) 0;
+    cap = !pow2;
     distinct = 0;
     digest_evictions = 0;
     max_entries;
@@ -60,31 +67,55 @@ let hash_digest d =
   let h = !h land max_int in
   if h = 0 then 1 else h
 
-let note_digest t d =
-  let h = hash_digest d in
-  let mask = Array.length t.slots - 1 in
+type probe = Seen | Placed | Full
+
+(* look [h] up in its window, taking the first empty slot if absent *)
+let probe slots h =
+  let mask = Array.length slots - 1 in
   let home = h land mask in
   let rec go k =
-    if k = probe_window then begin
-      (* saturated window: overwrite the home slot (deterministic
-         eviction — the forgotten digest may later re-count as novel) *)
-      t.slots.(home) <- h;
-      t.digest_evictions <- t.digest_evictions + 1;
-      t.distinct <- t.distinct + 1;
-      true
-    end
+    if k = probe_window then Full
     else
       let idx = (home + k) land mask in
-      let s = t.slots.(idx) in
-      if s = h then false
+      let s = slots.(idx) in
+      if s = h then Seen
       else if s = 0 then begin
-        t.slots.(idx) <- h;
-        t.distinct <- t.distinct + 1;
-        true
+        slots.(idx) <- h;
+        Placed
       end
       else go (k + 1)
   in
   go 0
+
+(* saturated window: overwrite the home slot (deterministic eviction —
+   the forgotten digest may later re-count as novel) *)
+let evict t slots h =
+  slots.(h land (Array.length slots - 1)) <- h;
+  t.digest_evictions <- t.digest_evictions + 1
+
+let grow t =
+  let slots = Array.make (2 * Array.length t.slots) 0 in
+  Array.iter (fun h -> if h <> 0 && probe slots h = Full then evict t slots h) t.slots;
+  t.slots <- slots
+
+let below_cap t = Array.length t.slots < t.cap
+
+let rec note_hash t h =
+  match probe t.slots h with
+  | Seen -> false
+  | Placed ->
+      t.distinct <- t.distinct + 1;
+      if below_cap t && 2 * t.distinct > Array.length t.slots then grow t;
+      true
+  | Full when below_cap t ->
+      grow t;
+      note_hash t h
+  | Full ->
+      evict t t.slots h;
+      t.distinct <- t.distinct + 1;
+      true
+
+let note_digest t d = note_hash t (hash_digest d)
 
 let digests t = t.distinct
 

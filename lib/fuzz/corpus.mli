@@ -10,9 +10,10 @@
     Both stores are bounded: the candidate store is an array of
     [max_entries] slots with O(1) {!pick} and explicit
     {!evictions}/{!rejections} accounting, and the digest set is a
-    fixed-size hash filter rather than an exact table — long fuzz runs
-    hold constant memory, at the price of an {e approximate} novelty
-    signal. A hash collision makes a genuinely new digest read as seen
+    hash filter that starts small and doubles up to a cap rather than
+    an exact table — short hunts hold a small table, long fuzz runs
+    hold constant memory once the cap is reached, at the price of an
+    {e approximate} novelty signal. A hash collision makes a genuinely new digest read as seen
     (false positive, vanishing at 62-bit hashes); a saturated probe
     window deterministically evicts an old digest, which then
     re-counts as novel if revisited (false negative, counted by
@@ -25,9 +26,12 @@ type t
 val create : ?max_entries:int -> ?digest_slots:int -> unit -> t
 (** [max_entries] (default 64) bounds the kept candidates.
     [digest_slots] (default [65536], rounded up to a power of two,
-    minimum 8) bounds the digest filter: beyond ~that many distinct
-    digests the filter starts evicting and the novelty signal degrades
-    gracefully toward re-counting. *)
+    minimum 8) caps the digest filter. The filter starts at 256 slots
+    (or the cap, if smaller) and doubles whenever it passes half full
+    or a probe window saturates, so below the cap it forgets nothing;
+    at the cap it stops growing, and beyond ~that many distinct digests
+    it starts evicting and the novelty signal degrades gracefully
+    toward re-counting. *)
 
 val note_digest : t -> string -> bool
 (** Record one state digest; [true] iff the filter had not seen it
@@ -39,7 +43,8 @@ val digests : t -> int
 
 val digest_evictions : t -> int
 (** Digests forgotten by the bounded filter (saturated-window
-    overwrites). [0] until the filter is near capacity. *)
+    overwrites). [0] until the filter has grown to its cap and is
+    near full there. *)
 
 val add : t -> novelty:int -> Mutate.candidate -> unit
 (** Keep a candidate that contributed [novelty > 0] new digests

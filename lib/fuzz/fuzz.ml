@@ -81,6 +81,9 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
   let env = Mutate.env ~live ~contracts ~max_crashes ~n:sut.Explorer.n ~max_len:len () in
   let rng = Rng.create ~seed in
   let meter = Budget.start limits in
+  (* every candidate, re-verification and ddmin test of the hunt runs
+     on this one session *)
+  let session = Explorer.Session.create ~sut in
   let corpus = Corpus.create () in
   let safety =
     List.filter (fun (p : _ Property.t) -> p.Property.kind = Property.Safety) properties
@@ -153,7 +156,10 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
         safety;
       !hit <> None
     in
-    let final = Explorer.trajectory ~sut ~fault:cand.Mutate.fault ~stride ~on_state cand.Mutate.schedule in
+    let final =
+      Explorer.Session.trajectory session ~fault:cand.Mutate.fault ~stride ~on_state
+        cand.Mutate.schedule
+    in
     Budget.note_replay meter ~steps:final.Explorer.depth;
     Budget.note_depth meter final.Explorer.depth;
     if !hit = None then
@@ -182,12 +188,13 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
     | Some (property, st) -> (
         let found = st.Explorer.prefix in
         let cand_fault = cand.Mutate.fault in
-        match Explorer.check_schedule ~sut ~property ~fault:cand_fault found with
+        let check s =
+          Explorer.Session.check_schedule session ~property ~fault:cand_fault s
+        in
+        match check found with
         | None -> spurious := !spurious + 1
         | Some reason ->
-            let violates s =
-              Explorer.check_schedule ~sut ~property ~fault:cand_fault s <> None
-            in
+            let violates s = check s <> None in
             let r = Shrink.run ~violates found in
             emit "violation"
               [

@@ -10,10 +10,17 @@
     {!Mutate} perturbs corpus picks (structural moves, crash-point
     shifts, contract-preserving suffix regeneration). Safety
     properties are probed along every trajectory in a single replay
-    ({!Setsync_explore.Explorer.trajectory}); stabilization properties
-    are checked on final states. A candidate violation is re-verified
-    exactly with {!Setsync_explore.Explorer.check_schedule} and then
+    ({!Setsync_explore.Explorer.Session.trajectory}); stabilization
+    properties are checked on final states. A candidate violation is
+    re-verified exactly with
+    {!Setsync_explore.Explorer.Session.check_schedule} and then
     minimized through the explorer's ddmin {!Setsync_explore.Shrink}.
+
+    A hunt runs on one {!Setsync_explore.Explorer.Session}: for a sut
+    with a machine form, every execution, re-verification and ddmin
+    test steps the same live instance, restored to its initial
+    savepoint; other suts build a fresh fiber instance per run. Both
+    reach the same states, so the report does not depend on which.
 
     {b Determinism:} with no wall-clock limit, {!run} is a pure
     function of its configuration and [seed] — same seed, same report,

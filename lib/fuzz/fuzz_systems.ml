@@ -1,6 +1,6 @@
 module Procset = Setsync_schedule.Procset
 module Store = Setsync_memory.Store
-module Shm = Setsync_runtime.Shm
+module Machine = Setsync_runtime.Machine
 module Kanti_omega = Setsync_detector.Kanti_omega
 module Order_stat = Setsync_detector.Order_stat
 module Explorer = Setsync_explore.Explorer
@@ -24,11 +24,66 @@ type pstate = {
   proc : int;
   local_cnt : int array;  (** own column per set: Counter[A, proc] *)
   cnt : int array array;  (** last read rows *)
+  acc : int array;  (** accusation per set, this iteration *)
   prev_hb : int array;
   timeout : int array;
   timer : int array;
   mutable my_hb : int;
 }
+
+(* Machine form: each PC value names the atomic just performed,
+   carrying its pending result; resuming runs the local code that
+   follows it up to and including the next atomic. *)
+type pc =
+  | Cnt of int * int * int  (** read [Counter[a][q]] = v; assignment pending *)
+  | Hb of int * int  (** read [Heartbeat[q]] = v; refresh pending *)
+  | Cnt_written of int  (** accused set [a] in the tick loop *)
+  | Hb_written  (** wrote own [Heartbeat]: the iteration is over *)
+
+let save_pstate p =
+  let local_cnt = Array.copy p.local_cnt and cnt = Array.map Array.copy p.cnt in
+  let acc = Array.copy p.acc and prev_hb = Array.copy p.prev_hb in
+  let timeout = Array.copy p.timeout and timer = Array.copy p.timer in
+  let my_hb = p.my_hb in
+  fun () ->
+    Array.blit local_cnt 0 p.local_cnt 0 (Array.length local_cnt);
+    Array.iteri (fun a row -> Array.blit row 0 p.cnt.(a) 0 (Array.length row)) cnt;
+    Array.blit acc 0 p.acc 0 (Array.length acc);
+    Array.blit prev_hb 0 p.prev_hb 0 (Array.length prev_hb);
+    Array.blit timeout 0 p.timeout 0 (Array.length timeout);
+    Array.blit timer 0 p.timer 0 (Array.length timer);
+    p.my_hb <- my_hb
+
+(* decimal digits of [v], without [string_of_int]'s format parsing *)
+let rec add_int buf v =
+  if v < 0 then begin
+    if v = min_int then Buffer.add_string buf (string_of_int v)
+    else begin
+      Buffer.add_char buf '-';
+      add_int buf (-v)
+    end
+  end
+  else begin
+    if v >= 10 then add_int buf (v / 10);
+    Buffer.add_char buf (Char.unsafe_chr (48 + (v mod 10)))
+  end
+
+(* The bytes [Fmt.(array ~sep:semi int)] prints for [a] inside a
+   short [Fmt.str]: every break hint prints as a space, except the
+   output's final one, which [Format]'s flush always turns into a
+   newline — the final separator when [a] is printed [last]. *)
+let add_ints ?(last = false) buf a =
+  let k = Array.length a in
+  Array.iteri
+    (fun i v ->
+      if i > 0 then Buffer.add_string buf (if last && i = k - 1 then ";\n" else "; ");
+      add_int buf v)
+    a
+
+(* Up to this length no break hint but the final one reaches
+   [Format]'s 78-column margin, so [add_ints] writes the same bytes as
+   the [Fmt] rendering; longer observations are printed by [Fmt]. *)
+let one_line = 64
 
 let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
   Kanti_omega.check_params params;
@@ -60,67 +115,99 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
                 proc;
                 local_cnt = Array.make num_sets 0;
                 cnt = Array.make_matrix num_sets n 0;
+                acc = Array.make num_sets 0;
                 prev_hb = Array.make n 0;
                 timeout = Array.make num_sets initial_timeout;
                 timer = Array.make num_sets initial_timeout;
                 my_hb = 0;
               })
         in
-        let iterate p =
-          (* accusation counters: own column from local state, the
-             others read from shared memory (lines 2-3 of Figure 2) *)
-          let acc = Array.make num_sets 0 in
-          for a = 0 to num_sets - 1 do
-            for q = 0 to n - 1 do
-              p.cnt.(a).(q) <-
-                (if q = p.proc then p.local_cnt.(a) else Shm.read counter.(a).(q))
-            done;
-            acc.(a) <- Order_stat.kth_smallest p.cnt.(a) (t + 1)
-          done;
-          (* line 4, with the seeded off-by-one: the buggy scan stops
-             one set short, so sets.(num_sets-1) can never win *)
+        (* accusation counters from row [a], column [q] on: own column
+           from local state, the others read from shared memory (lines
+           2-3 of Figure 2); the scan's end runs the selection *)
+        let rec scan (m : Machine.access) p a q =
+          if a = num_sets then select m p
+          else if q = n then begin
+            p.acc.(a) <- Order_stat.kth_smallest p.cnt.(a) (t + 1);
+            scan m p (a + 1) 0
+          end
+          else if q = p.proc then begin
+            p.cnt.(a).(q) <- p.local_cnt.(a);
+            scan m p a (q + 1)
+          end
+          else Cnt (a, q, m.read counter.(a).(q))
+        (* line 4, with the seeded off-by-one: the buggy scan stops one
+           set short, so sets.(num_sets-1) can never win *)
+        and select m p =
           let hi = if bug then num_sets - 2 else num_sets - 1 in
           let best = ref 0 in
           for a = 1 to hi do
-            if acc.(a) < acc.(!best) then best := a
+            if p.acc.(a) < p.acc.(!best) then best := a
           done;
           o.chosen.(p.proc) <- !best;
-          o.chosen_acc.(p.proc) <- acc.(!best);
-          o.min_acc.(p.proc) <- Array.fold_left min acc.(0) acc;
+          o.chosen_acc.(p.proc) <- p.acc.(!best);
+          o.min_acc.(p.proc) <- Array.fold_left min p.acc.(0) p.acc;
           o.iterations.(p.proc) <- o.iterations.(p.proc) + 1;
-          (* heartbeat-refreshed timers for sets not containing self
-             (lines 8-19, minus the vacuous self-set timers) *)
-          for q = 0 to n - 1 do
-            if q <> p.proc then begin
-              let hbq = Shm.read heartbeat.(q) in
+          heartbeats m p 0
+        (* heartbeat-refreshed timers for sets not containing self
+           (lines 8-19, minus the vacuous self-set timers) *)
+        and heartbeats m p q =
+          if q = n then tick m p 0
+          else if q = p.proc then heartbeats m p (q + 1)
+          else Hb (q, m.read heartbeat.(q))
+        and tick m p a =
+          if a = num_sets then begin
+            p.my_hb <- p.my_hb + 1;
+            m.write heartbeat.(p.proc) p.my_hb;
+            Hb_written
+          end
+          else if Procset.mem p.proc sets.(a) then tick m p (a + 1)
+          else begin
+            p.timer.(a) <- p.timer.(a) - 1;
+            if p.timer.(a) = 0 then begin
+              p.timeout.(a) <- p.timeout.(a) + 1;
+              p.timer.(a) <- p.timeout.(a);
+              p.local_cnt.(a) <- p.local_cnt.(a) + 1;
+              m.write counter.(a).(p.proc) p.local_cnt.(a);
+              Cnt_written a
+            end
+            else tick m p (a + 1)
+          end
+        in
+        let step m p = function
+          | None | Some Hb_written -> scan m p 0 0
+          | Some (Cnt (a, q, v)) ->
+              p.cnt.(a).(q) <- v;
+              scan m p a (q + 1)
+          | Some (Hb (q, hbq)) ->
               if hbq > p.prev_hb.(q) then begin
                 for a = 0 to num_sets - 1 do
                   if Procset.mem q sets.(a) then p.timer.(a) <- p.timeout.(a)
                 done;
                 p.prev_hb.(q) <- hbq
-              end
-            end
-          done;
-          for a = 0 to num_sets - 1 do
-            if not (Procset.mem p.proc sets.(a)) then begin
-              p.timer.(a) <- p.timer.(a) - 1;
-              if p.timer.(a) = 0 then begin
-                p.timeout.(a) <- p.timeout.(a) + 1;
-                p.timer.(a) <- p.timeout.(a);
-                p.local_cnt.(a) <- p.local_cnt.(a) + 1;
-                Shm.write counter.(a).(p.proc) p.local_cnt.(a)
-              end
-            end
-          done;
-          p.my_hb <- p.my_hb + 1;
-          Shm.write heartbeat.(p.proc) p.my_hb
+              end;
+              heartbeats m p (q + 1)
+          | Some (Cnt_written a) -> tick m p (a + 1)
+        in
+        let pcs = Array.make n None in
+        let m_save () =
+          let restores = Array.map save_pstate procs in
+          let saved_pcs = Array.copy pcs in
+          let chosen = Array.copy o.chosen and chosen_acc = Array.copy o.chosen_acc in
+          let min_acc = Array.copy o.min_acc and iterations = Array.copy o.iterations in
+          fun () ->
+            Array.iter (fun r -> r ()) restores;
+            Array.blit saved_pcs 0 pcs 0 n;
+            Array.blit chosen 0 o.chosen 0 n;
+            Array.blit chosen_acc 0 o.chosen_acc 0 n;
+            Array.blit min_acc 0 o.min_acc 0 n;
+            Array.blit iterations 0 o.iterations 0 n
         in
         {
           Explorer.body =
             (fun p () ->
-              while true do
-                iterate procs.(p)
-              done);
+              let rec loop pc = loop (Some (step Machine.fiber procs.(p) pc)) in
+              loop None);
           observe =
             (fun () ->
               {
@@ -130,19 +217,38 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
                 iterations = Array.copy o.iterations;
               });
           substrate = None;
-          machine = None;
+          machine =
+            Some
+              {
+                Explorer.m_step =
+                  (fun p -> pcs.(p) <- Some (step Machine.direct procs.(p) pcs.(p)));
+                m_halted = (fun _ -> false);
+                m_save;
+                m_payload = None;
+                m_perms = [ Array.init n Fun.id ];
+              };
         });
     obs_fingerprint =
       (fun obs ->
-        Fmt.str "%a|%a|%a|%a"
-          Fmt.(array ~sep:semi int)
-          obs.chosen
-          Fmt.(array ~sep:semi int)
-          obs.chosen_acc
-          Fmt.(array ~sep:semi int)
-          obs.min_acc
-          Fmt.(array ~sep:semi int)
-          obs.iterations);
+        let buf = Buffer.create 64 in
+        add_ints buf obs.chosen;
+        Buffer.add_char buf '|';
+        add_ints buf obs.chosen_acc;
+        Buffer.add_char buf '|';
+        add_ints buf obs.min_acc;
+        Buffer.add_char buf '|';
+        add_ints ~last:true buf obs.iterations;
+        if Buffer.length buf < one_line then Buffer.contents buf
+        else
+          Fmt.str "%a|%a|%a|%a"
+            Fmt.(array ~sep:semi int)
+            obs.chosen
+            Fmt.(array ~sep:semi int)
+            obs.chosen_acc
+            Fmt.(array ~sep:semi int)
+            obs.min_acc
+            Fmt.(array ~sep:semi int)
+            obs.iterations);
   }
 
 let winner_argmin () =

@@ -13,7 +13,15 @@
     invariant of the correct scan, violated by the buggy one as soon
     as the dropped set becomes the unique argmin (for the default
     [n=2, t=1, k=1] instance: after 8 consecutive steps of process 1,
-    the minimal counterexample the shrinker must reach). *)
+    the minimal counterexample the shrinker must reach).
+
+    Like the paper's algorithms, the counter core defines its step code
+    once, as a machine form (an explicit PC over
+    {!Setsync_runtime.Machine.access}); its fiber body loops that step
+    over {!Setsync_runtime.Machine.fiber}, so the two forms perform the
+    same register operations in the same order. The machine form is
+    what lets {!Fuzz.run} run a whole hunt on one live instance
+    ({!Setsync_explore.Explorer.Session}). *)
 
 type obs = {
   chosen : int array;  (** per process: winner set index at the last selection *)
@@ -34,7 +42,15 @@ val counter_core :
   obs Setsync_explore.Explorer.sut
 (** [bug] defaults to [true] (the seeded defect); [~bug:false] is the
     faithful control — {!winner_argmin} holds on every schedule.
-    [initial_timeout] defaults to 1. *)
+    [initial_timeout] defaults to 1.
+
+    The instance has a machine form ([m_save] covers every process's
+    locals, the PCs and the observation arrays; no symmetry payload).
+    [obs_fingerprint] covers the observation only — enough for corpus
+    novelty, not for sound fingerprint pruning — and writes, without
+    [Format], the bytes the [Fmt] rendering
+    ["%a|%a|%a|%a"] of the four arrays with [Fmt.(array ~sep:semi int)]
+    prints (long observations fall back to that rendering). *)
 
 val winner_argmin : unit -> obs Setsync_explore.Explorer.state Setsync_explore.Property.t
 (** Safety: for every process, the chosen set's accusation (at

@@ -4,15 +4,28 @@ type view = { view_name : string; render : unit -> string; capture : unit -> uni
 
 type router = { route_for : 'a. 'a Register.t -> 'a Register.route option }
 
+(* A memoized store's cell per register: the value last rendered, and
+   the snapshot entry rendered from it. *)
+type cell =
+  | Cell : {
+      reg : 'a Register.t;
+      print : 'a -> string;
+      mutable seen : 'a;
+      mutable entry : string * string;
+    }
+      -> cell
+
 type t = {
   trace : Trace.t option;
   mutable next_id : int;
   mutable all : counters list;
   mutable views : view list;
   mutable router : router option;
+  mutable cells : cell list option;  (* most recent first; [Some] iff memoized *)
 }
 
-let create ?trace () = { trace; next_id = 0; all = []; views = []; router = None }
+let create ?trace () =
+  { trace; next_id = 0; all = []; views = []; router = None; cells = None }
 
 let set_router t r = t.router <- Some r
 
@@ -54,6 +67,12 @@ let register t ?pp ~name init =
     fun () -> Register.poke reg v
   in
   t.views <- { view_name = name; render; capture } :: t.views;
+  (match t.cells with
+  | None -> ()
+  | Some cells ->
+      let print v = match pp with Some pp -> Fmt.str "%a" pp v | None -> opaque v in
+      let v = Register.peek reg in
+      t.cells <- Some (Cell { reg; print; seen = v; entry = (name, print v) } :: cells));
   reg
 
 let array t ?pp ~name len init =
@@ -72,6 +91,25 @@ let total_reads t = List.fold_left (fun acc c -> acc + c.get_reads ()) 0 t.all
 let total_writes t = List.fold_left (fun acc c -> acc + c.get_writes ()) 0 t.all
 
 let snapshot t = List.rev_map (fun v -> (v.view_name, v.render ())) t.views
+
+(* Re-render a cell only when its register holds a value that is not
+   physically the one it last rendered. *)
+let memoized ?trace () =
+  let t = create ?trace () in
+  t.cells <- Some [];
+  let render () =
+    List.fold_left
+      (fun acc (Cell c) ->
+        let v = Register.peek c.reg in
+        if v != c.seen then begin
+          c.seen <- v;
+          c.entry <- (fst c.entry, c.print v)
+        end;
+        c.entry :: acc)
+      []
+      (Option.value t.cells ~default:[])
+  in
+  (t, render)
 
 let save t =
   let restores = List.rev_map (fun v -> v.capture ()) t.views in

@@ -56,6 +56,18 @@ val snapshot : t -> (string * string) list
     so two distinct pp-less states never collapse to one placeholder
     string and fingerprints built on snapshots stay discriminating. *)
 
+val memoized : ?trace:Trace.t -> unit -> t * (unit -> (string * string) list)
+(** A fresh store, as {!create} makes, plus a memoizing renderer of its
+    {!snapshot}: the store keeps, per register, the value it last
+    rendered and the entry rendered from it, and a call re-renders
+    only the registers whose value is not {e physically} the one last
+    rendered. It returns the same list as {!snapshot} would, registers
+    allocated after the renderer included. Sound under the invariant
+    {!save} relies on — stored values are immutable, so a physically
+    equal value prints the same. The cells live as long as the store:
+    meant for one long-lived instance rendered at many states, such
+    as a fuzzing session's, not for stores built per state. *)
+
 val save : t -> unit -> unit
 (** [save t] captures the current value of every register allocated
     here and returns a restore thunk that pokes them all back

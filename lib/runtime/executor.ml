@@ -13,7 +13,18 @@ type boost = global:int -> next:Proc.t -> Proc.t option
    a row, the run is declared stalled rather than looping forever. *)
 let max_consecutive_skips n = 64 * n
 
-let run ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs body =
+type step = Proc.t -> bool
+
+let fibers ~n body =
+  Proc.check_n n;
+  let fibers = Array.init n (fun p -> Fiber.spawn (body p)) in
+  fun p ->
+    match Fiber.step fibers.(p) with
+    | Fiber.Performed -> false
+    | Fiber.Finished -> true
+    | Fiber.Already_done -> assert false
+
+let run_with ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs step =
   Proc.check_n n;
   if max_steps < 0 then invalid_arg "Executor.run: negative step budget";
   let tally =
@@ -38,7 +49,6 @@ let run ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?ob
             Metrics.counter o.Obs.metrics "runtime.crashes" )
   in
   let ev = match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None in
-  let fibers = Array.init n (fun p -> Fiber.spawn (body p)) in
   let substrate_live =
     match substrate with None -> fun _ -> true | Some s -> Substrate.live s
   in
@@ -56,10 +66,7 @@ let run ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?ob
   let execute p =
     let global = executed () in
     (match substrate with Some s -> Substrate.pre_step s ~global ~proc:p | None -> ());
-    (match Fiber.step fibers.(p) with
-    | Fiber.Performed -> ()
-    | Fiber.Finished -> Run.Tally.halt tally p
-    | Fiber.Already_done -> assert false);
+    if step p then Run.Tally.halt tally p;
     skips := 0;
     let died = Run.Tally.note_step tally p in
     (match meters with
@@ -125,6 +132,13 @@ let run ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?ob
   | None -> ());
   Run.Tally.freeze tally (match !reason with Some r -> r | None -> assert false)
 
-let replay ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs body =
+let run ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs body =
+  run_with ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs
+    (fibers ~n body)
+
+let replay_with ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs step =
   let source ~live:_ = Source.of_schedule schedule in
-  run ~n ~source ~max_steps:max_int ?fault ?tally ?substrate ?on_step ?stop ?obs body
+  run_with ~n ~source ~max_steps:max_int ?fault ?tally ?substrate ?on_step ?stop ?obs step
+
+let replay ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs body =
+  replay_with ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs (fibers ~n body)

@@ -1,11 +1,17 @@
-(** The scheduler: drives process fibers from a schedule source.
+(** The scheduler: drives processes from a schedule source.
 
     One call to {!run} executes one (partial) run of an algorithm: it
     spawns a fiber per process, then repeatedly pulls the next process
     from the source and grants it one step, injecting crashes per the
     fault plan. Crashed and finished processes are skipped without
     consuming schedule steps; the source receives a [live] predicate so
-    crash-aware generators can keep their contracts. *)
+    crash-aware generators can keep their contracts.
+
+    The loop is parametric in how a process takes its step ({!step}):
+    {!run}/{!replay} resume effect fibers, {!run_with}/{!replay_with}
+    take any {!step} — a machine form's step function followed by its
+    halted test, for instance — under the same skip, stall, all-halted,
+    budget and stop rules. *)
 
 type source_factory = live:(Setsync_schedule.Proc.t -> bool) -> Setsync_schedule.Source.t
 (** The executor builds the source with a predicate that is false for
@@ -22,6 +28,30 @@ type boost = global:int -> next:Setsync_schedule.Proc.t -> Setsync_schedule.Proc
     by the net backend's round policy to grant register owners serve
     turns while the next client is parked on a reply. *)
 
+type step = Setsync_schedule.Proc.t -> bool
+(** One granted step of a process: its local code up to and including
+    its next atomic action. [true] iff the process halted in this step
+    (it is then never granted another). *)
+
+val fibers : n:int -> (Setsync_schedule.Proc.t -> unit -> unit) -> step
+(** Spawn one effect fiber per process on [body p]; each step resumes
+    it. A returning body reports its halt in the step that returns. *)
+
+val run_with :
+  n:int ->
+  source:source_factory ->
+  max_steps:int ->
+  ?fault:Fault.plan ->
+  ?tally:Run.Tally.t ->
+  ?substrate:Substrate.t ->
+  ?boost:boost ->
+  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
+  ?stop:(unit -> bool) ->
+  ?obs:Setsync_obs.Obs.t ->
+  step ->
+  Run.t
+(** {!run} over an arbitrary {!step}. *)
+
 val run :
   n:int ->
   source:source_factory ->
@@ -36,7 +66,7 @@ val run :
   (Setsync_schedule.Proc.t -> unit -> unit) ->
   Run.t
 (** [run ~n ~source ~max_steps body] executes [body p] as process [p]
-    for each [p].
+    for each [p], one fiber each ({!fibers}).
 
     - [max_steps] bounds the total number of executed steps.
     - [fault] injects crashes (default: none).
@@ -62,6 +92,19 @@ val run :
     Exceptions raised by process bodies propagate (a process with a bug
     fails the whole run loudly rather than being mistaken for a
     crash). *)
+
+val replay_with :
+  n:int ->
+  schedule:Setsync_schedule.Schedule.t ->
+  ?fault:Fault.plan ->
+  ?tally:Run.Tally.t ->
+  ?substrate:Substrate.t ->
+  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
+  ?stop:(unit -> bool) ->
+  ?obs:Setsync_obs.Obs.t ->
+  step ->
+  Run.t
+(** {!replay} over an arbitrary {!step}. *)
 
 val replay :
   n:int ->

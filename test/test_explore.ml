@@ -428,6 +428,20 @@ let test_deterministic () =
   Alcotest.(check bool) "budget truncated" true first.Explorer.stats.Budget.truncated;
   Alcotest.(check int) "exactly the budget" 40 first.Explorer.stats.Budget.visited
 
+(* A negative budget would visit nothing and read as a clean bounded
+   pass: [Budget.limits] refuses it. Zero stays a valid budget. *)
+let test_negative_budget_refused () =
+  let refused label f =
+    match f () with
+    | (_ : Budget.limits) -> Alcotest.failf "%s: accepted" label
+    | exception Invalid_argument _ -> ()
+  in
+  refused "max_states" (fun () -> Budget.limits ~max_states:(-1) ());
+  refused "max_replay_steps" (fun () -> Budget.limits ~max_replay_steps:(-5) ());
+  refused "max_seconds" (fun () -> Budget.limits ~max_seconds:(-1.) ());
+  refused "max_seconds nan" (fun () -> Budget.limits ~max_seconds:Float.nan ());
+  ignore (Budget.limits ~max_states:0 ~max_replay_steps:0 ~max_seconds:0. ())
+
 let test_exhaustive_when_unbounded () =
   let report =
     Explorer.explore ~sut:(double_writer_sut ()) ~properties:[]
@@ -1765,6 +1779,7 @@ let () =
           Alcotest.test_case "fixed seed and budget" `Quick test_deterministic;
           Alcotest.test_case "unbounded run is exhaustive" `Quick
             test_exhaustive_when_unbounded;
+          Alcotest.test_case "negative budgets refused" `Quick test_negative_budget_refused;
           Alcotest.test_case "wall-clock budget" `Slow test_wall_clock_budget;
         ] );
       ( "sleep-set safety",

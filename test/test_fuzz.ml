@@ -14,6 +14,12 @@ module Mutate = Setsync_fuzz.Mutate
 module Corpus = Setsync_fuzz.Corpus
 module Fuzz = Setsync_fuzz.Fuzz
 module Fuzz_systems = Setsync_fuzz.Fuzz_systems
+module Run = Setsync_runtime.Run
+module Executor = Setsync_runtime.Executor
+module Store = Setsync_memory.Store
+module Systems = Setsync_explore.Systems
+module Kanti_omega = Setsync_detector.Kanti_omega
+module Problem = Setsync_agreement.Problem
 
 let schedule = Alcotest.testable Schedule.pp Schedule.equal
 let set = Procset.of_list
@@ -488,6 +494,331 @@ let test_digest_filter_bounded () =
   Alcotest.(check bool) "fresh repeat is not novel" true
     (Corpus.note_digest c "again" && not (Corpus.note_digest c "again"))
 
+(* Below its cap the growing filter is an exact set: it answers every
+   [note_digest] as a fixed-size table that never saturates does (here
+   a 256-slot table, where the growing one starts), and as an exact
+   hashtable does over a run of 12,000 distinct digests, forgetting
+   none. A hunt-sized run holds a table of a few thousand slots, not
+   the cap's 65,536. *)
+let test_digest_filter_growth () =
+  let digest i = Digest.string (string_of_int i) in
+  let stream ~distinct len =
+    let rng = Random.State.make [| distinct |] in
+    List.init len (fun i -> digest (if i < distinct then i else Random.State.int rng distinct))
+  in
+  let growing = Corpus.create () and fixed = Corpus.create ~digest_slots:256 () in
+  List.iteri
+    (fun i d ->
+      Alcotest.(check bool)
+        (Printf.sprintf "digest %d: as the fixed table" i)
+        (Corpus.note_digest fixed d) (Corpus.note_digest growing d))
+    (stream ~distinct:100 400);
+  Alcotest.(check int) "fixed table never saturated" 0 (Corpus.digest_evictions fixed);
+  Alcotest.(check int) "same digest count" (Corpus.digests fixed) (Corpus.digests growing);
+  let growing = Corpus.create () and exact = Hashtbl.create 1024 in
+  List.iteri
+    (fun i d ->
+      let novel = not (Hashtbl.mem exact d) in
+      Hashtbl.replace exact d ();
+      if novel <> Corpus.note_digest growing d then
+        Alcotest.failf "digest %d: the growing filter answered %b" i (not novel))
+    (stream ~distinct:12_000 30_000);
+  Alcotest.(check int) "every distinct digest counted" 12_000 (Corpus.digests growing);
+  Alcotest.(check int) "nothing forgotten below the cap" 0 (Corpus.digest_evictions growing);
+  let hunt = Corpus.create () in
+  List.iter (fun d -> ignore (Corpus.note_digest hunt d)) (stream ~distinct:753 2_000);
+  let words = Obj.reachable_words (Obj.repr hunt) in
+  Alcotest.(check bool) (Fmt.str "hunt-sized filter (%d words)" words) true (words < 4_096)
+
+(* ------------------------------------------------------------------ *)
+(* The hunt session: every run of a hunt steps one live machine
+   instance restored to its initial savepoint. It must agree, state for
+   state, with a fresh fiber instance replayed through the executor —
+   digests and run records (taken steps, crash indices, halted set,
+   reason) — under skips of crashed processes and stalls too. *)
+
+let run_line (r : Run.t) =
+  Fmt.str "taken=%a crashes=%a halted=%a reason=%a steps=%a"
+    Fmt.(list ~sep:nop int)
+    (Schedule.to_list r.Run.taken)
+    Fmt.(list ~sep:sp (pair ~sep:(any "@") int int))
+    r.Run.crashes Procset.pp r.Run.halted Run.pp_reason r.Run.reason
+    Fmt.(array ~sep:sp int)
+    r.Run.steps_of
+
+(* every probed state, then the final one, as digest + run record *)
+let probe_lines ~sut trajectory =
+  let lines = ref [] in
+  let line (st : _ Explorer.state) =
+    Digest.to_hex (Explorer.digest ~sut st) ^ " " ^ run_line st.Explorer.run
+  in
+  let final =
+    trajectory ~on_state:(fun st ->
+        lines := line st :: !lines;
+        false)
+  in
+  List.rev (("final " ^ line final) :: !lines)
+
+let same_as_fresh ~label ~sut ~session ~properties ~fault schedule =
+  let fresh =
+    probe_lines ~sut (fun ~on_state -> Explorer.trajectory ~sut ~fault ~on_state schedule)
+  in
+  let live =
+    probe_lines ~sut (fun ~on_state ->
+        Explorer.Session.trajectory session ~fault ~on_state schedule)
+  in
+  Alcotest.(check (list string)) (label ^ ": states") fresh live;
+  List.iter
+    (fun (p : _ Property.t) ->
+      Alcotest.(check (option string))
+        (label ^ ": check_schedule " ^ p.Property.name)
+        (Explorer.check_schedule ~sut ~property:p ~fault schedule)
+        (Explorer.Session.check_schedule session ~property:p ~fault schedule))
+    properties
+
+(* A session system: the sut, its properties, and a crash plan. *)
+type 'o system = {
+  name : string;
+  sut : 'o Explorer.sut;
+  properties : 'o Explorer.state Property.t list;
+  fault : Fault.plan;
+}
+
+let session_checks sys =
+  let n = sys.sut.Explorer.n in
+  let session = Explorer.Session.create ~sut:sys.sut in
+  Alcotest.(check bool) (sys.name ^ ": runs on the machine") true
+    (Explorer.Session.on_machine session);
+  let check label ?(fault = sys.fault) schedule =
+    same_as_fresh ~label:(sys.name ^ " " ^ label) ~sut:sys.sut ~session
+      ~properties:sys.properties ~fault schedule
+  in
+  (* a long fair run that keeps naming the crashed process *)
+  check "fair, crashed process named"
+    (Source.take (Generators.random_fair ~n ~rng:(Rng.create ~seed:5) ()) 300);
+  (* p1 crashes at its third step; the schedule then names only p1, so
+     the replay skips more than 64n entries in a row and stalls *)
+  let stall = Schedule.of_list ~n ([ 0; 1; 2; 1; 1 ] @ List.init ((64 * n) + 8) (fun _ -> 1)) in
+  check "stall" ~fault:[ (1, 3) ] stall;
+  let final =
+    Explorer.Session.trajectory session ~fault:[ (1, 3) ] ~on_state:(fun _ -> false) stall
+  in
+  Alcotest.(check bool) (sys.name ^ ": the run stalled") true
+    (final.Explorer.run.Run.reason = Run.Stalled);
+  (* one session across 200 random schedules and crash plans: a
+     savepoint that forgot some state would leak one run into the next *)
+  let rng = Rng.create ~seed:77 in
+  for i = 1 to 200 do
+    let len = 1 + Rng.int rng 120 in
+    let fault = if Rng.bool rng then [] else [ (Rng.int rng n, Rng.int rng 40) ] in
+    check (Printf.sprintf "random schedule %d" i) ~fault
+      (Source.take (Generators.random_fair ~n ~rng ()) len)
+  done
+
+let test_session_counter_core () =
+  session_checks
+    {
+      name = "counter core n=3";
+      sut = Fuzz_systems.counter_core ~params:{ Kanti_omega.n = 3; t = 2; k = 1 } ();
+      properties = [ Fuzz_systems.winner_argmin () ];
+      fault = [ (2, 40) ];
+    }
+
+let test_session_detector () =
+  session_checks
+    {
+      name = "figure 2 n=3";
+      sut = Systems.kanti_detector ~params:{ Kanti_omega.n = 3; t = 1; k = 1 } ();
+      properties = [];
+      fault = [ (0, 25) ];
+    }
+
+let test_session_kset () =
+  let problem = Problem.make ~t:1 ~k:1 ~n:3 in
+  let inputs = Problem.distinct_inputs problem in
+  let decisions st = st.Explorer.obs.Systems.decisions in
+  session_checks
+    {
+      name = "kset n=3";
+      sut = Systems.kset_agreement ~problem ~inputs ();
+      properties = [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ];
+      fault = [ (1, 30) ];
+    }
+
+(* counter_core's fiber form is its machine step looped over
+   [Machine.fiber]: driving one instance by fibers through the executor
+   and a second by machine steps, the stores and observations agree
+   after every step of long seeded runs, crashes included. *)
+let test_counter_core_forms_agree () =
+  let obs_text (o : Fuzz_systems.obs) =
+    Fmt.str "%a|%a|%a|%a"
+      Fmt.(array ~sep:comma int)
+      o.Fuzz_systems.chosen
+      Fmt.(array ~sep:comma int)
+      o.Fuzz_systems.chosen_acc
+      Fmt.(array ~sep:comma int)
+      o.Fuzz_systems.min_acc
+      Fmt.(array ~sep:comma int)
+      o.Fuzz_systems.iterations
+  in
+  List.iter
+    (fun (bug, (params : Kanti_omega.params), seed, fault) ->
+      let label =
+        Printf.sprintf "bug=%b n=%d t=%d k=%d" bug params.Kanti_omega.n params.t params.k
+      in
+      let n = params.Kanti_omega.n in
+      let sut = Fuzz_systems.counter_core ~bug ~params () in
+      let fiber_store = Store.create () and machine_store = Store.create () in
+      let fiber = sut.Explorer.fresh ~store:fiber_store in
+      let inst = sut.Explorer.fresh ~store:machine_store in
+      let machine = Option.get inst.Explorer.machine in
+      let schedule = Source.take (Generators.random_fair ~n ~rng:(Rng.create ~seed) ()) 2_000 in
+      let steps = ref 0 in
+      let on_step ~global:_ ~proc =
+        incr steps;
+        machine.Explorer.m_step proc;
+        let at what = Printf.sprintf "%s: %s after step %d (p%d)" label what !steps proc in
+        Alcotest.(check (list (pair string string)))
+          (at "store") (Store.snapshot fiber_store) (Store.snapshot machine_store);
+        Alcotest.(check string)
+          (at "observation")
+          (obs_text (fiber.Explorer.observe ()))
+          (obs_text (inst.Explorer.observe ()))
+      in
+      ignore (Executor.replay ~n ~schedule ~fault ~on_step fiber.Explorer.body);
+      Alcotest.(check bool) (label ^ ": most steps executed") true (!steps > 1_500))
+    [
+      (true, { Kanti_omega.n = 3; t = 2; k = 1 }, 1, [ (2, 700) ]);
+      (false, { Kanti_omega.n = 3; t = 2; k = 2 }, 2, []);
+      (true, { Kanti_omega.n = 4; t = 2; k = 2 }, 3, [ (0, 300) ]);
+    ]
+
+(* The observation fingerprint is written without [Format], byte for
+   byte what the [Fmt] rendering it replaced prints — long arrays and
+   negative values included. *)
+let test_counter_core_fingerprint_bytes () =
+  let fmt (o : Fuzz_systems.obs) =
+    Fmt.str "%a|%a|%a|%a"
+      Fmt.(array ~sep:semi int)
+      o.Fuzz_systems.chosen
+      Fmt.(array ~sep:semi int)
+      o.Fuzz_systems.chosen_acc
+      Fmt.(array ~sep:semi int)
+      o.Fuzz_systems.min_acc
+      Fmt.(array ~sep:semi int)
+      o.Fuzz_systems.iterations
+  in
+  let sut = Fuzz_systems.counter_core ~params:Fuzz_systems.default_params () in
+  let rng = Random.State.make [| 11 |] in
+  for _ = 1 to 2_000 do
+    let n = 1 + Random.State.int rng 9 in
+    let scale = [| 10; 1_000; 1_000_000; max_int |].(Random.State.int rng 4) in
+    let draw () =
+      Array.init n (fun _ ->
+          let v = Random.State.int rng (min scale (1 lsl 30 - 1)) in
+          if Random.State.int rng 8 = 0 then -v else if scale = max_int then max_int - v else v)
+    in
+    let o =
+      {
+        Fuzz_systems.chosen = draw ();
+        chosen_acc = draw ();
+        min_acc = draw ();
+        iterations = draw ();
+      }
+    in
+    Alcotest.(check string) "fingerprint bytes" (fmt o) (sut.Explorer.obs_fingerprint o)
+  done
+
+(* ------------------------------------------------------------------ *)
+(* Golden hunts, recorded before the hunt session existed: running
+   every candidate and ddmin test on one live machine instance changes
+   no report. counter_core at n=3, t=2, k=1, len 96, 2,000 execs, fuzz
+   seeds 1..12: exec that found the bug, shrunk length, ddmin tests,
+   digests, corpus size, replay steps, and the shrunk schedule. *)
+let golden_hunts =
+  [
+    (1, [ 115; 18; 615; 253; 47; 10927 ], "222222222222222222");
+    (2, [ 103; 18; 445; 284; 48; 9721 ], "222222222222222222");
+    (3, [ 12; 17; 309; 74; 5; 1088 ], "22222212221121111");
+    (4, [ 38; 18; 512; 163; 22; 3579 ], "222222222222222222");
+    (5, [ 2; 18; 398; 32; 1; 129 ], "222222222222222222");
+    (6, [ 120; 18; 2129; 320; 52; 11420 ], "222222222222222222");
+    ( 7,
+      [ 148; 77; 776; 339; 64; 14005 ],
+      "00211000022200200110022220000200022112212021010122120222222002020002020020000" );
+    (8, [ 245; 18; 825; 529; 64; 23300 ], "222222222222222222");
+    (9, [ 55; 17; 298; 181; 26; 4951 ], "12222222222111111");
+    (10, [ 393; 18; 2275; 753; 64; 37371 ], "222222222222222222");
+    (11, [ 374; 17; 298; 557; 64; 35368 ], "22022222220200000");
+    (12, [ 88; 17; 209; 236; 40; 8297 ], "22222220220020000");
+  ]
+
+let test_golden_hunts () =
+  let sut = Fuzz_systems.counter_core ~params:{ Kanti_omega.n = 3; t = 2; k = 1 } () in
+  let property = Fuzz_systems.winner_argmin () in
+  List.iter
+    (fun (seed, counts, shrunk) ->
+      let r =
+        Fuzz.run ~progress_interval:0. ~len:96
+          ~limits:(Budget.limits ~max_states:2_000 ())
+          ~sut ~properties:[ property ] ~seed ()
+      in
+      match r.Fuzz.outcome with
+      | Fuzz.Passed -> Alcotest.failf "seed %d: the seeded bug was not found" seed
+      | Fuzz.Violation v ->
+          Alcotest.(check (list int))
+            (Printf.sprintf "seed %d: exec, shrunk, tests, digests, corpus, replay steps" seed)
+            counts
+            [
+              v.Fuzz.exec;
+              Schedule.length v.Fuzz.shrunk;
+              v.Fuzz.shrink_tests;
+              r.Fuzz.digests;
+              r.Fuzz.corpus;
+              r.Fuzz.stats.Budget.replay_steps;
+            ];
+          Alcotest.(check string)
+            (Printf.sprintf "seed %d: shrunk schedule" seed)
+            shrunk
+            (String.concat "" (List.map string_of_int (to_list v.Fuzz.shrunk))))
+    golden_hunts
+
+(* The same for the Theorem-24 solver at n=3, t=1, k=1 with up to one
+   crash, 300 execs, seeds 1..3: execs, digests, corpus, corpus
+   evictions and rejections, replay steps; no violation. *)
+let test_golden_kset_hunts () =
+  let problem = Problem.make ~t:1 ~k:1 ~n:3 in
+  let inputs = Problem.distinct_inputs problem in
+  let sut = Systems.kset_agreement ~problem ~inputs () in
+  let decisions st = st.Explorer.obs.Systems.decisions in
+  let properties =
+    [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
+  in
+  List.iter
+    (fun (seed, counts) ->
+      let r =
+        Fuzz.run ~progress_interval:0. ~max_crashes:1
+          ~limits:(Budget.limits ~max_states:300 ())
+          ~sut ~properties ~seed ()
+      in
+      Alcotest.(check bool) (Printf.sprintf "seed %d passes" seed) true (r.Fuzz.outcome = Fuzz.Passed);
+      Alcotest.(check (list int))
+        (Printf.sprintf "seed %d: execs, digests, corpus, evictions, rejections, replay steps" seed)
+        counts
+        [
+          r.Fuzz.execs;
+          r.Fuzz.digests;
+          r.Fuzz.corpus;
+          r.Fuzz.corpus_evictions;
+          r.Fuzz.corpus_rejections;
+          r.Fuzz.stats.Budget.replay_steps;
+        ])
+    [
+      (1, [ 300; 323; 64; 8; 8; 24697 ]);
+      (2, [ 300; 318; 64; 14; 4; 25303 ]);
+      (3, [ 300; 280; 64; 6; 4; 26344 ]);
+    ]
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -498,6 +829,22 @@ let () =
           Alcotest.test_case "golden int64 streams" `Quick test_rng_golden_int64;
           Alcotest.test_case "golden derived draws" `Quick test_rng_golden_derived;
           Alcotest.test_case "geometric argument checks" `Quick test_rng_geometric_args;
+        ] );
+      ( "session",
+        [
+          Alcotest.test_case "counter core: session = fresh fibers" `Quick
+            test_session_counter_core;
+          Alcotest.test_case "figure 2: session = fresh fibers" `Quick test_session_detector;
+          Alcotest.test_case "kset: session = fresh fibers" `Quick test_session_kset;
+          Alcotest.test_case "counter core: fiber = machine" `Quick
+            test_counter_core_forms_agree;
+          Alcotest.test_case "counter core: Format-free fingerprint bytes" `Quick
+            test_counter_core_fingerprint_bytes;
+        ] );
+      ( "golden",
+        [
+          Alcotest.test_case "counter core hunts, seeds 1..12" `Quick test_golden_hunts;
+          Alcotest.test_case "kset hunts, seeds 1..3" `Quick test_golden_kset_hunts;
         ] );
       ( "mutate",
         [
@@ -533,6 +880,8 @@ let () =
           Alcotest.test_case "novelty ranking and eviction" `Quick test_corpus;
           Alcotest.test_case "capacity eviction/rejection counters" `Quick
             test_corpus_capacity_counters;
+          Alcotest.test_case "growing digest filter is exact below its cap" `Quick
+            test_digest_filter_growth;
           Alcotest.test_case "bounded digest filter memory" `Quick
             test_digest_filter_bounded;
         ] );

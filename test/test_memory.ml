@@ -133,6 +133,37 @@ let test_trace_unprintable_value () =
   | [ e ] -> Alcotest.(check string) "placeholder" "<value>" e.Trace.value
   | _ -> Alcotest.fail "expected one entry"
 
+(* The memoizing renderer returns exactly [Store.snapshot]'s list after
+   any sequence of writes — printed, pp-less (opaque) and boxed values,
+   physically new but equal values, and registers allocated after the
+   first render — and re-renders only what changed. *)
+let test_store_memoized () =
+  let s, memo = Store.memoized () in
+  let ints = Store.array s ~pp:Fmt.int ~name:"i" 4 (fun i -> i) in
+  let opaque = Store.register s ~name:"o" (Some [ 1; 2 ]) in
+  let pair = Store.register s ~pp:Fmt.(pair ~sep:comma int string) ~name:"p" (0, "a") in
+  let same label =
+    Alcotest.(check (list (pair string string))) label (Store.snapshot s) (memo ())
+  in
+  same "initial";
+  let rng = Random.State.make [| 7 |] in
+  for step = 1 to 200 do
+    (match Random.State.int rng 4 with
+    | 0 -> Register.write ints.(Random.State.int rng 4) (Random.State.int rng 5)
+    | 1 -> Register.write opaque (if Random.State.bool rng then None else Some [ step ])
+    | 2 -> Register.write pair (Random.State.int rng 3, String.make 1 'b')
+    | _ -> Register.poke ints.(0) (Register.peek ints.(0)));
+    same (Printf.sprintf "after write %d" step)
+  done;
+  let late = Store.register s ~pp:Fmt.string ~name:"late" "x" in
+  same "late register picked up";
+  Register.write late "y";
+  same "late register re-rendered";
+  (* an unchanged register keeps its entry: the same physical pair *)
+  let entry name l = List.find (fun (n, _) -> n = name) l in
+  Alcotest.(check bool) "unchanged entry is reused" true
+    (entry "i[1]" (memo ()) == entry "i[1]" (memo ()))
+
 let () =
   Alcotest.run "setsync_memory"
     [
@@ -146,6 +177,7 @@ let () =
         [
           Alcotest.test_case "allocation" `Quick test_store_allocation;
           Alcotest.test_case "array/matrix" `Quick test_store_array_matrix;
+          Alcotest.test_case "memoizing snapshot renderer" `Quick test_store_memoized;
         ] );
       ( "trace",
         [
