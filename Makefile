@@ -38,7 +38,7 @@ bench:
 bench-quick: ## E11 smoke run (small depth, exploration only)
 	dune exec bench/main.exe -- --quick
 
-bench-guard: ## pinned ceilings: replay amortization (E11e/f), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
+bench-guard: ## pinned ceilings: replay amortization (E11e/f), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
 	dune exec bin/bench_guard.exe -- BENCH_quick.json
 
 obs-check: ## traced exploration; validate the emitted JSONL/Chrome/metrics files
@@ -110,7 +110,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a c
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets included, fail before the run (exit 124 + stderr)
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets included, fail before the run (exit 124 + stderr)
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -159,6 +159,8 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	expect 124 explore --depth=-1; stderr_has "setsync: --depth must be >= 0"; \
 	expect 124 fuzz -n 1; stderr_has "setsync: Kanti_omega"; \
 	expect 124 fuzz --len=0; stderr_has "setsync: --len must be >= 1"; \
+	expect 0 fuzz -n 8 --execs 30 --seed 1; stdout_has "no violation found"; \
+	stderr_has "warning: the hunt saw 1 distinct state: --len 96 is likely too short for n=8"; \
 	expect 124 explore --backend net -n 1; stderr_has "setsync: Adversary.brs_kset"; \
 	expect 124 solve --backend net --solver paxos -n 2 -t 1 -k 1 --delta 0; \
 	stderr_has "setsync: Adversary.make: delta"; \

@@ -44,6 +44,9 @@
    executor, as the median overhead of alternated run pairs (ceiling
    15%).
 
+   The F1 row pins the seeded fuzz hunt's search exactly: found, the
+   exec that found it, the shrunk length, execs and replay steps.
+
    Usage: bench_guard BENCH_quick.json *)
 
 module Json = Setsync_obs.Json
@@ -168,6 +171,25 @@ let () =
           min_reduction;
       Printf.printf "bench_guard: E11f symmetry ok (%.2fx fewer states, exhaustive)\n"
         reduction);
+  (* F1 row: one seeded hunt, a pure function of its seed, so every
+     search count is pinned exactly — a change to novelty, mutation or
+     shrinking that alters the search fails here, not only in the test
+     suite *)
+  (match List.find_opt (fun row -> str row "section" = Some "F1") rows with
+  | None -> fail "%s: no F1 row — did bench --quick change?" file
+  | Some row ->
+      (match Json.member "found" row with
+      | Some (Json.Bool true) -> ()
+      | _ -> fail "F1: the seeded bug was not found");
+      List.iter
+        (fun (name, want) ->
+          match Option.bind (Json.member name row) Json.to_int with
+          | Some got when got = want -> ()
+          | Some got -> fail "F1: %s is %d, pinned at %d" name got want
+          | None -> fail "F1: missing %s" name)
+        [ ("find_execs", 3); ("shrunk_len", 8); ("execs", 3); ("replay_steps", 222) ];
+      Printf.printf
+        "bench_guard: F1 ok (found at exec 3, shrunk to 8 steps, 3 execs, 222 replay steps)\n");
   (* N1 quick row: n=2, delta=1, gst=4 — deterministic stabilization *)
   let n1_row =
     List.find_opt

@@ -1052,6 +1052,18 @@ let fuzz_cmd =
       in
       Fmt.pr "%a@." Fuzz.pp_report report;
       Fmt.pr "time: %a@." Budget.pp_times report.Fuzz.stats;
+      (* every run stayed in one state: no schedule got far enough to
+         change the memory or an output *)
+      if
+        report.Fuzz.outcome = Fuzz.Passed && report.Fuzz.execs > 0
+        && report.Fuzz.digests <= 1
+      then
+        Fmt.epr
+          "warning: the hunt saw %d distinct state%s: --len %d is likely too short for \
+           n=%d@."
+          report.Fuzz.digests
+          (if report.Fuzz.digests = 1 then "" else "s")
+          len n;
       write_obs ~trace_out ~metrics_out obs;
       match report.Fuzz.outcome with
       | Fuzz.Passed -> exit 0

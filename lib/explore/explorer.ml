@@ -162,29 +162,39 @@ let snapshot_of store (inst : _ instance) =
    path can materialize an exact [state] at any point along its run.
    Every state the explorer builds comes from [Mirror.state]. *)
 module Mirror = struct
-  (* A session's live machine-form instance (see [Session]): how its
-     processes step and how its state renders. *)
-  type live = { step : Executor.step; render : unit -> (string * string) list }
-
   type 'obs m = {
     store : Store.t;
     inst : 'obs instance;
     tally : Run.Tally.t;
-    live : live option;  (* [None]: a fresh instance, stepped as fibers *)
+    machine : Executor.step option;  (* [None]: step [inst.body] as fibers *)
+    memo : (unit -> (string * string) list) option;
+        (* [store]'s memoizing renderer, when a session built it *)
   }
 
-  let make ~(sut : 'obs sut) ~fault ?trace () =
+  let make ~(sut : 'obs sut) ~fault ?trace ?(memoized = false) () =
     let tally = Run.Tally.create ~n:sut.n fault in
-    let store = Store.create ?trace () in
-    { store; inst = sut.fresh ~store; tally; live = None }
+    let store, memo =
+      if memoized then
+        let store, render = Store.memoized ?trace () in
+        (store, Some render)
+      else (Store.create ?trace (), None)
+    in
+    { store; inst = sut.fresh ~store; tally; machine = None; memo }
+
+  let step m =
+    match m.machine with
+    | Some step -> step
+    | None -> Executor.fibers ~n:(Run.Tally.n m.tally) m.inst.body
 
   let replay m ?on_step ?stop schedule =
-    let n = Run.Tally.n m.tally in
-    let step =
-      match m.live with Some l -> l.step | None -> Executor.fibers ~n m.inst.body
-    in
-    Executor.replay_with ~n ~schedule ~tally:m.tally ?substrate:m.inst.substrate ?on_step
-      ?stop step
+    Executor.replay_with ~n:(Run.Tally.n m.tally) ~schedule ~tally:m.tally
+      ?substrate:m.inst.substrate ?on_step ?stop (step m)
+
+  (* continue the run [m]'s tally records with the entries of
+     [schedule]: [m] is a machine instance back at a savepoint *)
+  let resume m ?on_step ?stop schedule =
+    Executor.resume_with ~n:(Run.Tally.n m.tally) ~schedule ~tally:m.tally ?on_step ?stop
+      (step m)
 
   (* [requested]: the schedule whose replay reached this point (skipped
      entries included), when it is not simply the executed steps;
@@ -203,7 +213,10 @@ module Mirror = struct
     let run = Run.Tally.freeze t reason in
     let prefix = Option.value requested ~default:run.Run.taken in
     let snapshot =
-      match m.live with Some l -> l.render () | None -> snapshot_of m.store m.inst
+      match (m.memo, m.inst.substrate) with
+      | None, _ -> snapshot_of m.store m.inst
+      | Some render, None -> render ()
+      | Some render, Some s -> render () @ Setsync_runtime.Substrate.snapshot s
     in
     { depth = Schedule.length prefix; prefix; run; snapshot; obs = m.inst.observe () }
 
@@ -254,14 +267,19 @@ let check_safety_scan ~mirror ~property schedule =
   in
   scan 0
 
-let check_safety_probe ~mirror ~property schedule =
+(* [start ()]: a mirror at the state after the schedule's first
+   [from] entries — the start of a run, or a savepoint taken right
+   after an executed step — and [from]; [on_exec m consumed] runs after
+   each executed step the probe follows, before that state is
+   checked. *)
+let check_safety_probe ~start ?(on_exec = fun _ _ -> ()) ~property schedule =
   let len = Schedule.length schedule in
-  let m = mirror () in
+  let m, from = start () in
   let violation = ref None in
   let exact = ref true in
   (* schedule entries accounted for so far, executed or skipped; the
      interim state after them is the prefix-[consumed] state *)
-  let consumed = ref 0 in
+  let consumed = ref from in
   let check () =
     match
       property.Property.check (Mirror.state ~requested:(Schedule.prefix schedule !consumed) m)
@@ -285,21 +303,26 @@ let check_safety_probe ~mirror ~property schedule =
       if !exact && !violation = None then
         if !consumed < len && Schedule.get schedule !consumed = proc then begin
           incr consumed;
+          on_exec m !consumed;
           check_and_skip ()
         end
         else exact := false
     in
     let stop () = (not !exact) || !violation <> None in
-    ignore (Mirror.replay m ~on_step ~stop schedule)
+    if from = 0 then ignore (Mirror.replay m ~on_step ~stop schedule)
+    else
+      ignore
+        (Mirror.resume m ~on_step ~stop (Schedule.sub schedule ~pos:from ~len:(len - from)))
   end;
   (!exact && (!consumed = len || !violation <> None), !violation)
 
-(* [mirror ()]: a mirror at the start of a run *)
-let check_on ~mirror ~property schedule =
+(* [mirror ()]: a mirror at the start of a run; [start] and [on_exec]:
+   where the safety probe starts, as in [check_safety_probe] *)
+let check_on ~mirror ?(start = fun () -> (mirror (), 0)) ?on_exec ~property schedule =
   match property.Property.kind with
   | Property.Stabilization -> property.Property.check (Mirror.final (mirror ()) schedule)
   | Property.Safety -> (
-      match check_safety_probe ~mirror ~property schedule with
+      match check_safety_probe ~start ?on_exec ~property schedule with
       | true, result -> result
       | false, _ -> check_safety_scan ~mirror ~property schedule)
 
@@ -368,20 +391,43 @@ let trajectory ~sut ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule 
 
 (* Many runs on one live instance. With a machine form, the instance is
    built once; each run restores its initial savepoint, takes a fresh
-   tally and steps the machine under the executor's rules, and states
-   render through a memoizing renderer (registers re-render only when
-   their value changed). Without one, each run builds a fresh instance
-   and steps fibers, exactly as [trajectory] and [check_schedule] do. *)
+   tally and steps the machine under the executor's rules. Without
+   one, each run builds a fresh instance and steps fibers, exactly as
+   [trajectory] and [check_schedule] do. Either way the instance lives
+   in a memoized store, so a state re-renders only the registers whose
+   value changed, and its novelty key folds their cached hashes. *)
 module Session = struct
-  (* the live instance's mirror, and the restore to its initial
-     savepoint *)
-  type 'obs t = { sut : 'obs sut; live : ('obs Mirror.m * (unit -> unit)) option }
+  (* Savepoints along the last schedule a safety check probed, for one
+     (fault plan, property). Each is taken right after an executed step
+     the probe followed, when every earlier state probed clean, and
+     restores the instance and the track's own tally — whose executed
+     steps only runs of this track write — to that point. *)
+  type 'obs track = {
+    fault : Fault.plan;
+    property : 'obs state Property.t;
+    mirror : 'obs Mirror.m;  (* the live instance, with the track's tally *)
+    mutable schedule : Schedule.t;
+    mutable points : (int * (unit -> unit)) list;
+        (* (entries consumed, restore), deepest first; the last one is
+           the start of a run *)
+  }
+
+  type 'obs t = {
+    sut : 'obs sut;
+    machine : ('obs Mirror.m * (unit -> unit) * (unit -> unit -> unit)) option;
+        (* the live machine instance's mirror, the restore to its
+           initial savepoint, and its [m_save] *)
+    mutable current : 'obs Mirror.m;  (* the instance of the latest run *)
+    mutable track : 'obs track option;
+  }
 
   let create ~(sut : 'obs sut) =
     let store, memo = Store.memoized () in
     let inst = sut.fresh ~store in
+    let tally = Run.Tally.create ~n:sut.n Fault.no_faults in
+    let m = { Mirror.store; inst; tally; machine = None; memo = Some memo } in
     match inst.machine with
-    | None -> { sut; live = None }
+    | None -> { sut; machine = None; current = m; track = None }
     | Some mi ->
         let restore_store = Store.save store in
         let restore_m = mi.m_save () in
@@ -391,33 +437,123 @@ module Session = struct
           restore_m ();
           Option.iter (fun r -> r ()) restore_sub
         in
-        let render () =
-          match inst.substrate with
-          | None -> memo ()
-          | Some s -> memo () @ Setsync_runtime.Substrate.snapshot s
-        in
         let step p =
           mi.m_step p;
           mi.m_halted p
         in
-        let tally = Run.Tally.create ~n:sut.n Fault.no_faults in
-        let m = { Mirror.store; inst; tally; live = Some { step; render } } in
-        { sut; live = Some (m, initial) }
+        let m = { m with Mirror.machine = Some step } in
+        { sut; machine = Some (m, initial, mi.m_save); current = m; track = None }
 
-  let on_machine s = Option.is_some s.live
+  let on_machine s = Option.is_some s.machine
 
   let mirror s ~fault () =
-    match s.live with
-    | None -> Mirror.make ~sut:s.sut ~fault ()
-    | Some (m, initial) ->
-        initial ();
-        { m with Mirror.tally = Run.Tally.create ~n:s.sut.n fault }
+    let m =
+      match s.machine with
+      | None -> Mirror.make ~sut:s.sut ~fault ~memoized:true ()
+      | Some (m, initial, _) ->
+          initial ();
+          { m with Mirror.tally = Run.Tally.create ~n:s.sut.n fault }
+    in
+    s.current <- m;
+    m
 
   let trajectory s ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule =
     trajectory_on (mirror s ~fault ()) ~stride ~on_state schedule
 
+  let mix h x = (h * 0x100000001b3) + x
+
+  let key s (st : _ state) =
+    let m = s.current in
+    let h = Store.key m.Mirror.store in
+    let h =
+      match m.Mirror.inst.substrate with
+      | None -> h
+      | Some sub ->
+          List.fold_left
+            (fun h e -> mix h (Store.entry_hash e))
+            h
+            (Setsync_runtime.Substrate.snapshot sub)
+    in
+    let bits set = Procset.fold (fun p acc -> acc lor (1 lsl p)) set 0 in
+    let h = mix (mix h (bits st.run.Run.halted)) (bits (Run.crashed st.run)) in
+    mix h (Store.entry_hash ("obs", s.sut.obs_fingerprint st.obs))
+
+  (* a savepoint every this many executed steps of a probed run *)
+  let savepoint_every = 16
+
+  (* the track for ([fault], [property]) with its savepoints restored
+     to the deepest one inside [schedule]'s common prefix with the last
+     schedule it checked; [None] without a substrate-free machine *)
+  let track_for s ~fault ~property schedule =
+    match s.machine with
+    | Some (m, initial, m_save) when Option.is_none m.Mirror.inst.substrate ->
+        let tr =
+          match s.track with
+          | Some tr when tr.property == property && tr.fault = fault -> tr
+          | Some _ | None ->
+              let tally = Run.Tally.create ~n:s.sut.n fault in
+              let restore_tally = Run.Tally.save tally in
+              let start () =
+                initial ();
+                restore_tally ()
+              in
+              let tr =
+                {
+                  fault;
+                  property;
+                  mirror = { m with Mirror.tally };
+                  schedule = Schedule.of_list ~n:s.sut.n [];
+                  points = [ (0, start) ];
+                }
+              in
+              s.track <- Some tr;
+              tr
+        in
+        let common =
+          let bound = min (Schedule.length tr.schedule) (Schedule.length schedule) in
+          let rec go i =
+            if i < bound && Schedule.get tr.schedule i = Schedule.get schedule i then go (i + 1)
+            else i
+          in
+          go 0
+        in
+        let rec deepest = function
+          | (consumed, _) :: rest when consumed > common -> deepest rest
+          | points -> points
+        in
+        tr.points <- deepest tr.points;
+        tr.schedule <- schedule;
+        let start () =
+          match tr.points with
+          | (consumed, restore) :: _ ->
+              restore ();
+              s.current <- tr.mirror;
+              (tr.mirror, consumed)
+          | [] -> assert false
+        in
+        let on_exec (m : _ Mirror.m) consumed =
+          if Run.Tally.total_steps m.Mirror.tally mod savepoint_every = 0 then begin
+            let restore_store = Store.save m.Mirror.store and restore_m = m_save () in
+            let restore_tally = Run.Tally.save m.Mirror.tally in
+            let restore () =
+              restore_store ();
+              restore_m ();
+              restore_tally ()
+            in
+            tr.points <- (consumed, restore) :: tr.points
+          end
+        in
+        Some (start, on_exec)
+    | Some _ | None -> None
+
   let check_schedule s ~property ?(fault = Fault.no_faults) schedule =
-    check_on ~mirror:(mirror s ~fault) ~property schedule
+    let mirror = mirror s ~fault in
+    match property.Property.kind with
+    | Property.Safety -> (
+        match track_for s ~fault ~property schedule with
+        | Some (start, on_exec) -> check_on ~mirror ~start ~on_exec ~property schedule
+        | None -> check_on ~mirror ~property schedule)
+    | Property.Stabilization -> check_on ~mirror ~property schedule
 end
 
 (* ------------------------------------------------------ verdict table *)

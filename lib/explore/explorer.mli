@@ -342,15 +342,18 @@ val check_schedule :
     then restores that savepoint, takes a fresh
     {!Setsync_runtime.Run.Tally} and steps the machine through
     {!Setsync_runtime.Executor.replay_with}, under the same skip, stall,
-    all-halted and stop rules as a fiber replay. The instance lives in
-    a {!Setsync_memory.Store.memoized} store, so a state re-renders
-    only the registers whose value changed. Runs agree with
+    all-halted and stop rules as a fiber replay. Runs agree with
     {!trajectory} and {!check_schedule} state for state (digests and
     run records) exactly when the machine form agrees with the fiber
     form — which the library's machine forms do by construction.
 
     Without a machine form each run builds a fresh instance and steps
     fibers, as {!trajectory} and {!check_schedule} do.
+
+    Either way the instance lives in a
+    {!Setsync_memory.Store.memoized} store: a state re-renders only the
+    registers whose value changed, and {!Session.key} gives each state
+    an integer novelty key from the cells' cached hashes.
 
     A session is single-domain mutable state: one per domain. *)
 module Session : sig
@@ -370,13 +373,38 @@ module Session : sig
     'obs state
   (** {!Explorer.trajectory} on the session. *)
 
+  val key : 'obs t -> 'obs state -> int
+  (** The novelty key of a state of the session's latest run, read
+      while the instance is still at that state: inside [on_state], or
+      on a trajectory's final state before the next run. It covers what
+      {!digest} reads — the registers ({!Setsync_memory.Store.key}), the
+      substrate snapshot when there is one, the halted and crashed sets
+      of the state's [run], and a hash of [sut.obs_fingerprint] — so two
+      states get equal keys iff they get equal digests, up to 60-bit
+      hash collisions. It costs O(registers) physical comparisons, a
+      render and a hash per register whose value changed, and the
+      observation's fingerprint — no [Buffer] or MD5 over the whole
+      state. *)
+
   val check_schedule :
     'obs t ->
     property:'obs state Property.t ->
     ?fault:Setsync_runtime.Fault.plan ->
     Setsync_schedule.Schedule.t ->
     string option
-  (** {!Explorer.check_schedule} on the session. *)
+  (** {!Explorer.check_schedule} on the session, with the same verdict.
+
+      A safety check on a machine form without a substrate resumes
+      instead of replaying from step 0. The session keeps savepoints
+      (store, [m_save], tally) every few executed steps along the last
+      schedule it probed, for the last (fault plan, property) pair it
+      checked. Each is taken right after an executed step the probe
+      followed, so every earlier state of that schedule probed clean
+      and the executor's skip and stall accounting restarts exactly
+      there ({!Setsync_runtime.Executor.resume_with}). A later schedule
+      restores the deepest savepoint inside its common prefix with the
+      last one and probes only the rest — ddmin's candidates share long
+      prefixes. The scan fallback is unchanged. *)
 end
 
 val pp_verdict : verdict Fmt.t

@@ -2,7 +2,7 @@ module Rng = Setsync_schedule.Rng
 
 type entry = { novelty : int; cand : Mutate.candidate }
 
-(* Digest filter: an open-addressed table of 62-bit digest hashes
+(* Digest filter: an open-addressed table of 62-bit state keys
    (0 = empty), probed over a bounded window. The table starts small
    and doubles, rehashing, whenever it passes half full or a probe
    window saturates, until it reaches its cap; below the cap it is an
@@ -11,9 +11,9 @@ type entry = { novelty : int; cand : Mutate.candidate }
    constant where the old hashtable grew with every distinct digest, at
    the price of approximation in both directions:
 
-   - false positives: two digests hashing identically make the second
-     read as already-seen (novelty undercount) — with 62-bit hashes,
-     vanishing in practice;
+   - false positives: two distinct states with one key make the second
+     read as already-seen (novelty undercount) — with keys built from
+     60-bit entry hashes, vanishing in practice;
    - false negatives: once a probe window saturates, the home slot is
      deterministically overwritten, forgetting an old digest — if it
      reappears it counts as novel again (novelty overcount).
@@ -58,15 +58,6 @@ let create ?(max_entries = 64) ?(digest_slots = 1 lsl 16) () =
     rejections = 0;
   }
 
-(* 62-bit multiplicative fold, forced nonzero so 0 stays the empty
-   sentinel. Digests are already uniform (explorer fingerprints are
-   MD5), so the fold only needs to spread them over the native range. *)
-let hash_digest d =
-  let h = ref 5381 in
-  String.iter (fun ch -> h := (!h * 33) lxor Char.code ch) d;
-  let h = !h land max_int in
-  if h = 0 then 1 else h
-
 type probe = Seen | Placed | Full
 
 (* look [h] up in its window, taking the first empty slot if absent *)
@@ -100,7 +91,7 @@ let grow t =
 
 let below_cap t = Array.length t.slots < t.cap
 
-let rec note_hash t h =
+let rec note t h =
   match probe t.slots h with
   | Seen -> false
   | Placed ->
@@ -109,13 +100,16 @@ let rec note_hash t h =
       true
   | Full when below_cap t ->
       grow t;
-      note_hash t h
+      note t h
   | Full ->
       evict t t.slots h;
       t.distinct <- t.distinct + 1;
       true
 
-let note_digest t d = note_hash t (hash_digest d)
+(* the sign bit cleared and 0 read as 1, so 0 stays the empty sentinel *)
+let note_hash t h =
+  let h = h land max_int in
+  note t (if h = 0 then 1 else h)
 
 let digests t = t.distinct
 

@@ -1,9 +1,9 @@
 (** Fuzz corpus: interesting candidates ranked by fingerprint novelty.
 
-    The corpus owns the global set of state digests seen across all
-    executions ({!note_digest}); a candidate whose trajectory visited
-    previously-unseen digests is "interesting" and kept, ranked by how
-    many new digests it contributed. {!pick} is rank-biased toward
+    The corpus owns the global set of state keys seen across all
+    executions ({!note_hash}); a candidate whose trajectory visited
+    previously-unseen states is "interesting" and kept, ranked by how
+    many new states it contributed. {!pick} is rank-biased toward
     high-novelty entries. All operations are deterministic functions
     of the call sequence and the supplied {!Setsync_schedule.Rng.t}.
 
@@ -13,10 +13,10 @@
     hash filter that starts small and doubles up to a cap rather than
     an exact table — short hunts hold a small table, long fuzz runs
     hold constant memory once the cap is reached, at the price of an
-    {e approximate} novelty signal. A hash collision makes a genuinely new digest read as seen
-    (false positive, vanishing at 62-bit hashes); a saturated probe
-    window deterministically evicts an old digest, which then
-    re-counts as novel if revisited (false negative, counted by
+    {e approximate} novelty signal. A hash collision makes a genuinely
+    new state read as seen (false positive, vanishing at 60-bit keys);
+    a saturated probe window deterministically evicts an old key, which
+    then re-counts as novel if revisited (false negative, counted by
     {!digest_evictions}). Neither affects soundness — violations are
     exactly re-verified — and both are deterministic, preserving the
     same-seed reproduction contract. *)
@@ -33,13 +33,18 @@ val create : ?max_entries:int -> ?digest_slots:int -> unit -> t
     it starts evicting and the novelty signal degrades gracefully
     toward re-counting. *)
 
-val note_digest : t -> string -> bool
-(** Record one state digest; [true] iff the filter had not seen it
-    (approximately — see the trade-offs above). *)
+val note_hash : t -> int -> bool
+(** Record one state by an integer key — the fuzz loop passes
+    {!Setsync_explore.Explorer.Session.key}, which is equal for two
+    states iff their digests are (up to hash collisions); [true] iff
+    the filter had not seen it (approximately — see the trade-offs
+    above). The key is used as the filter's hash as it is (its sign
+    bit cleared, 0 read as 1), so it must already be spread over the
+    native int range. *)
 
 val digests : t -> int
-(** Number of [true] {!note_digest} results so far (the coverage
-    count; an overcount once {!digest_evictions} is nonzero). *)
+(** Number of [true] {!note_hash} results so far (the coverage count;
+    an overcount once {!digest_evictions} is nonzero). *)
 
 val digest_evictions : t -> int
 (** Digests forgotten by the bounded filter (saturated-window

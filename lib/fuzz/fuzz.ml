@@ -134,7 +134,7 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
       end
     end
   in
-  (* one execution: replay the candidate once, digesting and
+  (* one execution: replay the candidate once, keying and
      safety-checking each interim state; stabilization checks on the
      final state; candidate violations are exactly re-verified before
      shrinking (a probe hit that does not reproduce is counted as
@@ -145,7 +145,7 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
     let novel = ref 0 in
     let hit = ref None in
     let on_state st =
-      (if Corpus.note_digest corpus (Explorer.digest ~sut st) then incr novel);
+      (if Corpus.note_hash corpus (Explorer.Session.key session st) then incr novel);
       if safety <> [] then Budget.note_safety_check meter;
       List.iter
         (fun (p : _ Property.t) ->

@@ -4,14 +4,15 @@ type view = { view_name : string; render : unit -> string; capture : unit -> uni
 
 type router = { route_for : 'a. 'a Register.t -> 'a Register.route option }
 
-(* A memoized store's cell per register: the value last rendered, and
-   the snapshot entry rendered from it. *)
+(* A memoized store's cell per register: the value last rendered, the
+   snapshot entry rendered from it, and that entry's hash. *)
 type cell =
   | Cell : {
       reg : 'a Register.t;
       print : 'a -> string;
       mutable seen : 'a;
       mutable entry : string * string;
+      mutable hash : int;
     }
       -> cell
 
@@ -23,6 +24,11 @@ type t = {
   mutable router : router option;
   mutable cells : cell list option;  (* most recent first; [Some] iff memoized *)
 }
+
+(* Two 30-bit seeded hashes of the whole entry, side by side: 60 bits,
+   so distinct entries of one hunt practically never share a hash. *)
+let entry_hash (e : string * string) =
+  Hashtbl.seeded_hash 1 e lor (Hashtbl.seeded_hash 2 e lsl 30)
 
 let create ?trace () =
   { trace; next_id = 0; all = []; views = []; router = None; cells = None }
@@ -72,7 +78,8 @@ let register t ?pp ~name init =
   | Some cells ->
       let print v = match pp with Some pp -> Fmt.str "%a" pp v | None -> opaque v in
       let v = Register.peek reg in
-      t.cells <- Some (Cell { reg; print; seen = v; entry = (name, print v) } :: cells));
+      let entry = (name, print v) in
+      t.cells <- Some (Cell { reg; print; seen = v; entry; hash = entry_hash entry } :: cells));
   reg
 
 let array t ?pp ~name len init =
@@ -94,22 +101,36 @@ let snapshot t = List.rev_map (fun v -> (v.view_name, v.render ())) t.views
 
 (* Re-render a cell only when its register holds a value that is not
    physically the one it last rendered. *)
+let refresh cells =
+  List.iter
+    (fun (Cell c) ->
+      let v = Register.peek c.reg in
+      if v != c.seen then begin
+        c.seen <- v;
+        c.entry <- (fst c.entry, c.print v);
+        c.hash <- entry_hash c.entry
+      end)
+    cells
+
 let memoized ?trace () =
   let t = create ?trace () in
   t.cells <- Some [];
   let render () =
-    List.fold_left
-      (fun acc (Cell c) ->
-        let v = Register.peek c.reg in
-        if v != c.seen then begin
-          c.seen <- v;
-          c.entry <- (fst c.entry, c.print v)
-        end;
-        c.entry :: acc)
-      []
-      (Option.value t.cells ~default:[])
+    let cells = Option.value t.cells ~default:[] in
+    refresh cells;
+    List.fold_left (fun acc (Cell c) -> c.entry :: acc) [] cells
   in
   (t, render)
+
+(* A polynomial fold of the cells' entry hashes, most recent cell first:
+   the same registers holding the same rendered values give the same
+   key. *)
+let key t =
+  match t.cells with
+  | None -> invalid_arg "Store.key: the store is not memoized"
+  | Some cells ->
+      refresh cells;
+      List.fold_left (fun acc (Cell c) -> (acc * 0x100000001b3) + c.hash) 0 cells
 
 let save t =
   let restores = List.rev_map (fun v -> v.capture ()) t.views in

@@ -59,14 +59,30 @@ val snapshot : t -> (string * string) list
 val memoized : ?trace:Trace.t -> unit -> t * (unit -> (string * string) list)
 (** A fresh store, as {!create} makes, plus a memoizing renderer of its
     {!snapshot}: the store keeps, per register, the value it last
-    rendered and the entry rendered from it, and a call re-renders
-    only the registers whose value is not {e physically} the one last
-    rendered. It returns the same list as {!snapshot} would, registers
-    allocated after the renderer included. Sound under the invariant
-    {!save} relies on — stored values are immutable, so a physically
-    equal value prints the same. The cells live as long as the store:
-    meant for one long-lived instance rendered at many states, such
-    as a fuzzing session's, not for stores built per state. *)
+    rendered, the entry rendered from it and that entry's
+    {!entry_hash}, and a call re-renders (and re-hashes) only the
+    registers whose value is not {e physically} the one last rendered.
+    It returns the same list as {!snapshot} would, registers allocated
+    after the renderer included. Sound under the invariant {!save}
+    relies on — stored values are immutable, so a physically equal
+    value prints the same. The cells live as long as the store: meant
+    for an instance rendered at many states — a fuzzing session's live
+    instance, or one run's fresh instance — not for stores built per
+    state. *)
+
+val key : t -> int
+(** The store's novelty key: a polynomial fold of the memoized cells'
+    entry hashes, after re-rendering the registers whose value
+    changed — so O(registers) physical comparisons plus O(changed
+    registers) renders. Equal snapshots of one store (or of two stores
+    whose registers were allocated alike) give equal keys; distinct
+    snapshots give distinct keys unless 60-bit entry hashes collide.
+    Raises [Invalid_argument] on a store made by {!create}. *)
+
+val entry_hash : string * string -> int
+(** The full-width (60-bit) hash of one rendered [(name, value)] entry
+    that {!key} folds, for callers extending a key with entries of
+    their own. *)
 
 val save : t -> unit -> unit
 (** [save t] captures the current value of every register allocated

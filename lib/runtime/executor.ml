@@ -24,7 +24,10 @@ let fibers ~n body =
     | Fiber.Finished -> true
     | Fiber.Already_done -> assert false
 
-let run_with ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs step =
+(* [resume]: [tally] records a run under way, restored right after one
+   of its executed steps, and the loop continues that run *)
+let drive ~resume ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs
+    step =
   Proc.check_n n;
   if max_steps < 0 then invalid_arg "Executor.run: negative step budget";
   let tally =
@@ -32,7 +35,8 @@ let run_with ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?sto
     | Some _, Some _ -> invalid_arg "Executor.run: pass either a tally or a fault plan"
     | Some t, None ->
         if Run.Tally.n t <> n then invalid_arg "Executor.run: tally universe mismatch";
-        if Run.Tally.total_steps t <> 0 then invalid_arg "Executor.run: the tally is not fresh";
+        if (not resume) && Run.Tally.total_steps t <> 0 then
+          invalid_arg "Executor.run: the tally is not fresh";
         t
     | None, fault -> Run.Tally.create ~n (Option.value fault ~default:Fault.no_faults)
   in
@@ -132,6 +136,10 @@ let run_with ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?sto
   | None -> ());
   Run.Tally.freeze tally (match !reason with Some r -> r | None -> assert false)
 
+let run_with ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs step =
+  drive ~resume:false ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs
+    step
+
 let run ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs body =
   run_with ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs
     (fibers ~n body)
@@ -139,6 +147,10 @@ let run ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?ob
 let replay_with ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs step =
   let source ~live:_ = Source.of_schedule schedule in
   run_with ~n ~source ~max_steps:max_int ?fault ?tally ?substrate ?on_step ?stop ?obs step
+
+let resume_with ~n ~schedule ~tally ?on_step ?stop step =
+  let source ~live:_ = Source.of_schedule schedule in
+  drive ~resume:true ~n ~source ~max_steps:max_int ~tally ?on_step ?stop step
 
 let replay ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs body =
   replay_with ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs (fibers ~n body)

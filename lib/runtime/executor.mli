@@ -106,6 +106,25 @@ val replay_with :
   Run.t
 (** {!replay} over an arbitrary {!step}. *)
 
+val resume_with :
+  n:int ->
+  schedule:Setsync_schedule.Schedule.t ->
+  tally:Run.Tally.t ->
+  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
+  ?stop:(unit -> bool) ->
+  step ->
+  Run.t
+(** {!replay_with} continuing the run [tally] records: [tally] was
+    restored ({!Run.Tally.save}) right after one of its executed steps,
+    [step] drives processes restored to that same point (a machine
+    form and its store back at a savepoint taken there), and
+    [schedule] holds the entries after that step. The loop's skip and
+    stall accounting starts afresh, exactly as it does after any
+    executed step, and [on_step] sees global indices continuing the
+    tally's, so the run is step for step the one a replay of the whole
+    schedule would make. No substrate: a substrate's hidden state is
+    not part of the savepoint. *)
+
 val replay :
   n:int ->
   schedule:Setsync_schedule.Schedule.t ->

@@ -421,10 +421,17 @@ let test_timely_under_crashes () =
 (* ------------------------------------------------------------------ *)
 (* Corpus bookkeeping: novelty ranking, eviction, deterministic picks. *)
 
+(* The filter takes integer keys; these tests note string digests
+   through a 62-bit multiplicative fold. *)
+let note_digest c d =
+  let h = ref 5381 in
+  String.iter (fun ch -> h := (!h * 33) lxor Char.code ch) d;
+  Corpus.note_hash c !h
+
 let test_corpus () =
   let c = Corpus.create ~max_entries:2 () in
-  Alcotest.(check bool) "fresh digest is novel" true (Corpus.note_digest c "a");
-  Alcotest.(check bool) "repeat digest is not" false (Corpus.note_digest c "a");
+  Alcotest.(check bool) "fresh digest is novel" true (note_digest c "a");
+  Alcotest.(check bool) "repeat digest is not" false (note_digest c "a");
   Alcotest.(check int) "digest count" 1 (Corpus.digests c);
   let cand i = { Mutate.schedule = Schedule.of_list ~n:2 [ i mod 2 ]; fault = [] } in
   Corpus.add c ~novelty:0 (cand 0);
@@ -477,7 +484,7 @@ let test_digest_filter_bounded () =
   let c = Corpus.create ~digest_slots:1024 () in
   let novel = ref 0 in
   for i = 1 to 100_000 do
-    if Corpus.note_digest c (Printf.sprintf "digest-%d" i) then incr novel
+    if note_digest c (Printf.sprintf "digest-%d" i) then incr novel
   done;
   Alcotest.(check int) "every distinct digest reads as novel" 100_000 !novel;
   Alcotest.(check int) "coverage count matches" 100_000 (Corpus.digests c);
@@ -492,10 +499,10 @@ let test_digest_filter_bounded () =
     true (words < 10_000);
   (* repeats within the live window are still deduplicated *)
   Alcotest.(check bool) "fresh repeat is not novel" true
-    (Corpus.note_digest c "again" && not (Corpus.note_digest c "again"))
+    (note_digest c "again" && not (note_digest c "again"))
 
 (* Below its cap the growing filter is an exact set: it answers every
-   [note_digest] as a fixed-size table that never saturates does (here
+   [note_hash] as a fixed-size table that never saturates does (here
    a 256-slot table, where the growing one starts), and as an exact
    hashtable does over a run of 12,000 distinct digests, forgetting
    none. A hunt-sized run holds a table of a few thousand slots, not
@@ -511,7 +518,7 @@ let test_digest_filter_growth () =
     (fun i d ->
       Alcotest.(check bool)
         (Printf.sprintf "digest %d: as the fixed table" i)
-        (Corpus.note_digest fixed d) (Corpus.note_digest growing d))
+        (note_digest fixed d) (note_digest growing d))
     (stream ~distinct:100 400);
   Alcotest.(check int) "fixed table never saturated" 0 (Corpus.digest_evictions fixed);
   Alcotest.(check int) "same digest count" (Corpus.digests fixed) (Corpus.digests growing);
@@ -520,13 +527,13 @@ let test_digest_filter_growth () =
     (fun i d ->
       let novel = not (Hashtbl.mem exact d) in
       Hashtbl.replace exact d ();
-      if novel <> Corpus.note_digest growing d then
+      if novel <> note_digest growing d then
         Alcotest.failf "digest %d: the growing filter answered %b" i (not novel))
     (stream ~distinct:12_000 30_000);
   Alcotest.(check int) "every distinct digest counted" 12_000 (Corpus.digests growing);
   Alcotest.(check int) "nothing forgotten below the cap" 0 (Corpus.digest_evictions growing);
   let hunt = Corpus.create () in
-  List.iter (fun d -> ignore (Corpus.note_digest hunt d)) (stream ~distinct:753 2_000);
+  List.iter (fun d -> ignore (note_digest hunt d)) (stream ~distinct:753 2_000);
   let words = Obj.reachable_words (Obj.repr hunt) in
   Alcotest.(check bool) (Fmt.str "hunt-sized filter (%d words)" words) true (words < 4_096)
 
@@ -615,35 +622,145 @@ let session_checks sys =
       (Source.take (Generators.random_fair ~n ~rng ()) len)
   done
 
-let test_session_counter_core () =
-  session_checks
-    {
-      name = "counter core n=3";
-      sut = Fuzz_systems.counter_core ~params:{ Kanti_omega.n = 3; t = 2; k = 1 } ();
-      properties = [ Fuzz_systems.winner_argmin () ];
-      fault = [ (2, 40) ];
-    }
+let key_matches_digest sys =
+  let n = sys.sut.Explorer.n in
+  let session = Explorer.Session.create ~sut:sys.sut in
+  let by_key = Hashtbl.create 1024 and by_digest = Hashtbl.create 1024 in
+  let note (st : _ Explorer.state) =
+    let key = Explorer.Session.key session st and digest = Explorer.digest ~sut:sys.sut st in
+    (match Hashtbl.find_opt by_key key with
+    | Some d when d <> digest -> Alcotest.failf "%s: one key for two digests" sys.name
+    | Some _ -> ()
+    | None -> Hashtbl.add by_key key digest);
+    match Hashtbl.find_opt by_digest digest with
+    | Some k when k <> key -> Alcotest.failf "%s: one digest under two keys" sys.name
+    | Some _ -> ()
+    | None -> Hashtbl.add by_digest digest key
+  in
+  let rng = Rng.create ~seed:31 in
+  for _ = 1 to 150 do
+    let len = 1 + Rng.int rng 150 in
+    let fault =
+      List.sort_uniq compare
+        (List.filter_map
+           (fun p -> if Rng.int rng 3 = 0 then Some (p, Rng.int rng 30) else None)
+           (List.init n Fun.id))
+    in
+    let fault = if List.length fault >= n then List.tl fault else fault in
+    let final =
+      Explorer.Session.trajectory session ~fault
+        ~on_state:(fun st ->
+          note st;
+          false)
+        (Source.take (Generators.random_fair ~n ~rng ()) len)
+    in
+    note final
+  done;
+  Alcotest.(check bool)
+    (Printf.sprintf "%s: many distinct states (%d)" sys.name (Hashtbl.length by_key))
+    true
+    (Hashtbl.length by_key > 100)
 
-let test_session_detector () =
-  session_checks
-    {
-      name = "figure 2 n=3";
-      sut = Systems.kanti_detector ~params:{ Kanti_omega.n = 3; t = 1; k = 1 } ();
-      properties = [];
-      fault = [ (0, 25) ];
-    }
+(* A stream of candidates as ddmin and the fuzz loop issue them —
+   deleted segments, two crash plans, every safety property, with
+   trajectories in between — checked through one resuming session
+   gets, candidate by candidate, the verdict of a fresh
+   [Explorer.check_schedule]. *)
+let resume_matches_fresh sys =
+  let n = sys.sut.Explorer.n in
+  let session = Explorer.Session.create ~sut:sys.sut in
+  let same label ~property ~fault s =
+    Alcotest.(check (option string))
+      (Printf.sprintf "%s: %s %s" sys.name label property.Property.name)
+      (Explorer.check_schedule ~sut:sys.sut ~property ~fault s)
+      (Explorer.Session.check_schedule session ~property ~fault s)
+  in
+  let rng = Rng.create ~seed:13 in
+  let delete s =
+    let l = to_list s in
+    let len = List.length l in
+    if len < 2 then s
+    else
+      let pos = Rng.int rng len in
+      let cut = 1 + Rng.int rng (max 1 ((len - pos) / 2)) in
+      Schedule.of_list ~n (List.filteri (fun i _ -> i < pos || i >= pos + cut) l)
+  in
+  let safety = List.filter (fun (p : _ Property.t) -> p.Property.kind = Property.Safety) sys.properties in
+  List.iter
+    (fun fault ->
+      let base = Source.take (Generators.random_fair ~n ~rng ()) 150 in
+      let cand = ref base in
+      for i = 1 to 150 do
+        cand := if Rng.int rng 4 = 0 then delete base else delete !cand;
+        List.iter (fun property -> same (Printf.sprintf "candidate %d" i) ~property ~fault !cand) safety;
+        if i mod 10 = 0 then
+          ignore
+            (Explorer.Session.trajectory session ~fault ~on_state:(fun _ -> false) !cand)
+      done)
+    [ sys.fault; [] ];
+  (* a real ddmin run: every test the shrinker makes *)
+  match safety with
+  | [] -> ()
+  | property :: _ -> (
+      let r =
+        Fuzz.run ~progress_interval:0. ~len:96
+          ~limits:(Budget.limits ~max_states:2_000 ())
+          ~sut:sys.sut ~properties:[ property ] ~seed:1 ()
+      in
+      match r.Fuzz.outcome with
+      | Fuzz.Passed -> ()
+      | Fuzz.Violation v ->
+          let fault = v.Fuzz.fault in
+          let violates s =
+            let fresh = Explorer.check_schedule ~sut:sys.sut ~property ~fault s in
+            let live = Explorer.Session.check_schedule session ~property ~fault s in
+            Alcotest.(check (option string)) (sys.name ^ ": ddmin test") fresh live;
+            live <> None
+          in
+          let shrunk = Shrink.run ~violates v.Fuzz.found in
+          Alcotest.(check int) (sys.name ^ ": same shrink") v.Fuzz.shrink_tests shrunk.Shrink.tests)
 
-let test_session_kset () =
+let counter_core_system () =
+  {
+    name = "counter core n=3";
+    sut = Fuzz_systems.counter_core ~params:{ Kanti_omega.n = 3; t = 2; k = 1 } ();
+    properties = [ Fuzz_systems.winner_argmin () ];
+    fault = [ (2, 40) ];
+  }
+
+let detector_system () =
+  {
+    name = "figure 2 n=3";
+    sut = Systems.kanti_detector ~params:{ Kanti_omega.n = 3; t = 1; k = 1 } ();
+    properties = [];
+    fault = [ (0, 25) ];
+  }
+
+let kset_system () =
   let problem = Problem.make ~t:1 ~k:1 ~n:3 in
   let inputs = Problem.distinct_inputs problem in
   let decisions st = st.Explorer.obs.Systems.decisions in
-  session_checks
-    {
-      name = "kset n=3";
-      sut = Systems.kset_agreement ~problem ~inputs ();
-      properties = [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ];
-      fault = [ (1, 30) ];
-    }
+  {
+    name = "kset n=3";
+    sut = Systems.kset_agreement ~problem ~inputs ();
+    properties = [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ];
+    fault = [ (1, 30) ];
+  }
+
+let test_session_keys () =
+  key_matches_digest (counter_core_system ());
+  key_matches_digest (detector_system ());
+  key_matches_digest (kset_system ())
+
+let test_session_resume () =
+  resume_matches_fresh (counter_core_system ());
+  resume_matches_fresh (kset_system ())
+
+let test_session_counter_core () = session_checks (counter_core_system ())
+
+let test_session_detector () = session_checks (detector_system ())
+
+let test_session_kset () = session_checks (kset_system ())
 
 (* counter_core's fiber form is its machine step looped over
    [Machine.fiber]: driving one instance by fibers through the executor
@@ -836,6 +953,8 @@ let () =
             test_session_counter_core;
           Alcotest.test_case "figure 2: session = fresh fibers" `Quick test_session_detector;
           Alcotest.test_case "kset: session = fresh fibers" `Quick test_session_kset;
+          Alcotest.test_case "keys = digests on three systems" `Quick test_session_keys;
+          Alcotest.test_case "resumed checks = fresh checks" `Quick test_session_resume;
           Alcotest.test_case "counter core: fiber = machine" `Quick
             test_counter_core_forms_agree;
           Alcotest.test_case "counter core: Format-free fingerprint bytes" `Quick
