@@ -530,6 +530,76 @@ let test_adaptive_golden () =
       4; 0; 1; 2; 3; ]
     (Schedule.to_list (Source.take src 80))
 
+(* Golden pins for the adversary driven by a live solver view: short
+   adaptive runs on a solvable and an unsolvable cell, pinning the run
+   length, every decision step, the first 200 executed steps and a
+   fold over the whole executed schedule. *)
+let test_adaptive_live_golden () =
+  let fold s =
+    let h = ref 0 in
+    Schedule.iteri (fun _ p -> h := ((!h * 31) + p + 1) land 0x3fffffff) s;
+    !h
+  in
+  List.iter
+    (fun (i, j, seed, total, decide_steps, prefix, hash) ->
+      let spec =
+        {
+          Setsync.Scenario.t = 2;
+          k = 2;
+          n = 5;
+          i;
+          j;
+          bound = 3;
+          seed;
+          crashes = 1;
+          adversary = Setsync.Scenario.Adaptive;
+          max_steps = 20_000;
+        }
+      in
+      let o = (Setsync.Scenario.run_agreement spec).Setsync.Scenario.outcome in
+      let cell = Printf.sprintf "S^%d_%d" i j in
+      let taken = o.Ag_harness.run.Run.taken in
+      Alcotest.(check int) (cell ^ " total steps") total (Run.total_steps o.Ag_harness.run);
+      Alcotest.(check (array (option int))) (cell ^ " decide steps") decide_steps
+        o.Ag_harness.decide_steps;
+      Alcotest.(check (list int)) (cell ^ " first 200 steps") prefix
+        (Schedule.to_list (Schedule.prefix taken 200));
+      Alcotest.(check int) (cell ^ " schedule fold") hash (fold taken))
+    [
+      ( 2,
+        3,
+        61,
+        20000,
+        [| Some 5849; Some 5857; Some 5711; Some 5855; None |],
+        [
+          2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3;
+          4; 2; 3; 4; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3;
+          4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2;
+          3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 0; 1; 2;
+          3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4;
+          2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3;
+          4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2;
+          3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0;
+        ],
+        495871730 );
+      ( 2,
+        2,
+        62,
+        20000,
+        [| None; None; None; None; None |],
+        [
+          2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3;
+          4; 2; 3; 4; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3;
+          4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2;
+          3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 0; 1; 2;
+          3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4;
+          2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3;
+          4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2; 3; 4; 2;
+          3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0; 1; 2; 3; 4; 0;
+        ],
+        769233922 );
+    ]
+
 (* safety is never lost, even on unsolvable cells under the adversary *)
 let test_adaptive_safety_everywhere () =
   List.iter
@@ -611,6 +681,7 @@ let () =
         [
           Alcotest.test_case "Theorem 27 boundary" `Slow test_adaptive_boundary;
           Alcotest.test_case "empty-view stream golden" `Quick test_adaptive_golden;
+          Alcotest.test_case "live-view run golden" `Quick test_adaptive_live_golden;
           Alcotest.test_case "safety everywhere" `Slow test_adaptive_safety_everywhere;
         ] );
     ]

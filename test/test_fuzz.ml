@@ -144,6 +144,42 @@ let test_mutate_golden () =
     (Schedule.to_list !cand.Mutate.schedule);
   Alcotest.(check (list (pair int int))) "final fault" [] !cand.Mutate.fault
 
+(* A longer chain under two contracts and a non-live process, recorded
+   before the contract repair and the splice gap were read off the
+   shared gap monitor. *)
+let test_mutate_two_contract_golden () =
+  let c1 = { Generators.p = set [ 0; 1 ]; q = set [ 2; 3 ]; bound = 3 } in
+  let c2 = { Generators.p = set [ 1; 2 ]; q = set [ 0; 3 ]; bound = 4 } in
+  let live p = p <> 4 in
+  let env = Mutate.env ~live ~contracts:[ c1; c2 ] ~max_crashes:1 ~n:5 ~max_len:40 () in
+  let rng = Rng.create ~seed:77 in
+  let cand =
+    ref
+      {
+        Mutate.schedule = Source.take (Generators.round_robin ~live ~n:5 ()) 20;
+        fault = [];
+      }
+  in
+  let names = ref [] in
+  for _ = 1 to 16 do
+    let name, mutant = Mutate.apply env rng !cand in
+    names := name :: !names;
+    cand := mutant
+  done;
+  Alcotest.(check (list string)) "mutator names"
+    [
+      "regen-tail"; "regen-tail"; "delete-seg"; "delete-seg"; "delete-seg"; "swap";
+      "regen-tail"; "crash-shift"; "delete-seg"; "delete-seg"; "crash-shift";
+      "crash-shift"; "crash-shift"; "regen-tail"; "dup-seg"; "dup-seg";
+    ]
+    (List.rev !names);
+  Alcotest.(check (list int)) "final schedule"
+    [
+      1; 2; 2; 0; 2; 0; 2; 2; 0; 2; 0; 2; 2; 0; 2; 1; 2; 2; 0; 2; 3; 1; 3; 3; 1; 1; 1;
+    ]
+    (Schedule.to_list !cand.Mutate.schedule);
+  Alcotest.(check (list (pair int int))) "final fault" [] !cand.Mutate.fault
+
 (* Cross-check [Timeliness.holds]/[observed_bound] boundary agreement
    against the mutator's contract-repair pass: every repaired mutant
    satisfies its contract exactly when its observed bound is within
@@ -969,6 +1005,7 @@ let () =
         [
           Alcotest.test_case "soundness under chaining" `Quick test_mutator_soundness;
           Alcotest.test_case "seeded chain golden" `Quick test_mutate_golden;
+          Alcotest.test_case "two-contract chain golden" `Quick test_mutate_two_contract_golden;
           Alcotest.test_case "timeliness boundary vs contract repair" `Quick
             test_timeliness_boundary_vs_repair;
           Alcotest.test_case "crash plans stay within budget" `Quick

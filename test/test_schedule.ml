@@ -635,6 +635,71 @@ let test_exclusive_timely_golden () =
     ]
     (Schedule.to_list s)
 
+(* Goldens recorded before the phase clock, the cursor scan and the gap
+   monitor were shared: each stream runs through phase and recovery
+   boundaries and loses a process mid-stream. *)
+
+let take_with_death src ~before ~after kill =
+  let first = Source.take src before in
+  kill ();
+  Schedule.to_list first @ Schedule.to_list (Source.take src after)
+
+let test_starvation_golden () =
+  let dead = ref false in
+  let live p = not (!dead && p = 1) in
+  let src = Generators.starvation_adversary ~live ~n:4 ~i:2 () in
+  Alcotest.(check (list int)) "deterministic schedule"
+    [
+      2; 3; 2; 3; 2; 3; 2; 3; 0; 1; 2; 3; 0; 1; 2; 3; 1; 3; 1; 3; 1; 3; 1; 3; 1; 3; 1;
+      3; 1; 3; 1; 3; 0; 1; 2; 3; 0; 1; 2; 3; 0; 3; 0; 3; 0; 3; 0; 3; 0; 3; 0; 3; 0; 3;
+      0; 3; 0; 3; 0; 3; 0; 3; 0; 3; 0; 1; 2; 3; 0; 1; 2; 3; 2; 2; 2; 2; 2; 2; 2; 2; 2;
+      2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 2; 3; 0; 2; 3;
+      0; 2; 3; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2;
+      0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0; 2; 0;
+    ]
+    (take_with_death src ~before:70 ~after:80 (fun () -> dead := true))
+
+let test_exclusive_timely_death_golden () =
+  let dead = ref false in
+  let live p = not (!dead && p = 0) in
+  let contract =
+    { Generators.p = Procset.of_list [ 0; 1 ]; q = Procset.of_list [ 0; 1; 2; 3 ]; bound = 2 }
+  in
+  let src = Generators.exclusive_timely ~live ~n:5 ~contract ~defeat:2 () in
+  Alcotest.(check (list int)) "deterministic schedule"
+    [
+      0; 1; 2; 0; 3; 0; 4; 0; 1; 2; 0; 3; 0; 4; 0; 1; 2; 0; 3; 0; 4; 4; 4; 4; 4; 4; 4;
+      4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 4; 0; 1;
+      2; 1; 3; 1; 4; 0; 1; 2; 1; 3; 1; 4; 0; 1; 2; 1; 3; 1; 4; 1; 3; 1; 4; 1; 3; 1; 4;
+      1; 3; 1; 4; 1; 3; 1; 4; 1; 3; 1; 4; 1; 3; 1; 4; 1; 3; 1; 4; 1; 3; 1; 4; 1; 3; 1;
+      4; 1; 3; 1; 4; 1; 3; 1; 4; 1; 3; 1; 4; 1; 2; 1; 3; 1; 4; 1; 2; 1; 3; 1; 4; 1; 2;
+      1; 3; 1; 4; 1; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3;
+      1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3;
+      1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 3; 1; 4; 1; 2; 1; 3; 1; 4; 1; 2; 1; 3;
+      1; 4; 1; 2; 1; 3; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1;
+      4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2;
+      1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1; 2; 1; 4; 1;
+      2; 1; 4;
+    ]
+    (take_with_death src ~before:120 ~after:180 (fun () -> dead := true))
+
+let test_timely_gap_live_golden () =
+  let dead = ref false in
+  let live p = not (!dead && p = 0) in
+  let contract =
+    { Generators.p = Procset.of_list [ 0; 1 ]; q = Procset.of_list [ 2; 3 ]; bound = 3 }
+  in
+  let src = Generators.timely ~live ~gap:2 ~n:5 ~contract ~rng:(rng_state 17) () in
+  Alcotest.(check (list int)) "seeded schedule"
+    [
+      0; 0; 0; 1; 1; 1; 1; 1; 1; 1; 3; 4; 4; 4; 1; 1; 2; 2; 1; 1; 2; 2; 1; 1; 1; 1; 4;
+      4; 3; 4; 4; 4; 4; 4; 1; 1; 4; 4; 1; 3; 3; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1; 1;
+      1; 1; 2; 2; 1; 4; 4; 4; 4; 4; 2; 1; 2; 4; 4; 4; 4; 4; 1; 2; 3; 1; 1; 3; 2; 1; 1;
+      1; 1; 1; 1; 1; 1; 1; 3; 3; 1; 1; 2; 2; 1; 1; 1; 1; 3; 3; 1; 1; 1; 1; 1; 1; 1; 1;
+      1; 3; 3; 1; 1; 1; 1; 1; 4; 4; 4; 4;
+    ]
+    (take_with_death src ~before:40 ~after:80 (fun () -> dead := true))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_observation2; prop_observation3; prop_observed_bound_least; prop_prefix_monotone;
       prop_observation4 ]
@@ -711,6 +776,10 @@ let () =
           Alcotest.test_case "pick golden" `Quick test_rng_pick_golden;
           Alcotest.test_case "timely golden" `Quick test_timely_golden;
           Alcotest.test_case "exclusive timely golden" `Quick test_exclusive_timely_golden;
+          Alcotest.test_case "starvation adversary golden" `Quick test_starvation_golden;
+          Alcotest.test_case "exclusive timely death golden" `Quick
+            test_exclusive_timely_death_golden;
+          Alcotest.test_case "timely gap+live golden" `Quick test_timely_gap_live_golden;
         ] );
       ("properties", qsuite);
     ]
