@@ -110,7 +110,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a c
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets included, fail before the run (exit 124 + stderr)
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -181,6 +181,19 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stderr_has "setsync: Budget.limits: max_replay_steps must be >= 0"; \
 	expect 124 explore --max-seconds=-1; \
 	stderr_has "setsync: Budget.limits: max_seconds must be >= 0"; \
+	expect 0 figure1 --length 10000; \
+	stdout_has "{p1} wrt {q}         observed bound over 10000 steps: 72"; \
+	stdout_has "{p2} wrt {q}         observed bound over 10000 steps: 72"; \
+	stdout_has "{p1,p2} wrt {q}      observed bound over 10000 steps: 2"; \
+	expect 0 analyze -n 4 --seed 3 --length 5000; \
+	stdout_has "    12    1   12"; \
+	stdout_has "member of S^1_{2,4} at bound 3: false"; \
+	stdout_has "member of S^2_{3,4} at bound 3: false"; \
+	stdout_has "member of S^3_{4,4} at bound 3: false"; \
+	expect 0 solve -i 2 -j 2 --adversary adaptive --max-steps 20000; \
+	stdout_has "S^2_{2,5} \[adaptive, b=3, 0 crashes\]: predicted=false solved=false"; \
+	stdout_has "termination=UNDECIDED {p1,p2,p3,p4,p5} decided=0"; \
+	stdout_has "witness: {p2,p5} timely wrt {p2,p5} (bound 3)"; \
 	echo "cli-smoke: ok"
 
 ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run check, fuzz + net + trace + CLI smokes

@@ -2,6 +2,7 @@ module Proc = Setsync_schedule.Proc
 module Procset = Setsync_schedule.Procset
 module Source = Setsync_schedule.Source
 module Generators = Setsync_schedule.Generators
+module Timeliness = Setsync_schedule.Timeliness
 
 let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contract
     ~fault_budget ~defeat ~(view : Kset_solver.adversary_view) () =
@@ -54,37 +55,30 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
     let a = view.current_argmin () in
     if Procset.cardinal a = defeat then current_target := a
   in
-  let q_since_p = ref 0 in
-  let phase = ref 0 in
-  let pos = ref 0 in
   (* start inside a phase targeting the canonical first set: the
      initial winnerset of every process is exactly that set, and
      letting its leaders land winning ballots before the first phase
      would hand them completed attempts *)
-  let in_recovery = ref false in
-  let cursor = ref 0 in
-  let recovery_len = 4 * n in
-  let phase_len m = phase0 + (growth * m) in
-  let advance () =
-    incr pos;
-    let limit = if !in_recovery then recovery_len else phase_len !phase in
-    if !pos >= limit then begin
-      pos := 0;
-      if !in_recovery then begin
-        in_recovery := false;
-        refresh_target ()
-      end
-      else begin
-        in_recovery := true;
-        incr phase
-      end
-    end
+  let clock =
+    Generators.Phase_clock.create ~on_phase_start:refresh_target ~who:"Adaptive.source" ~phase0
+      ~growth ~recovery:(4 * n) ~start_in_recovery:false ()
   in
+  let monitor = Timeliness.Monitor.create ~p ~q () in
+  let cursor = ref 0 in
   let emit x =
-    if Procset.mem x p then q_since_p := 0
-    else if Procset.mem x q then incr q_since_p;
-    advance ();
+    Timeliness.Monitor.feed monitor x;
+    Generators.Phase_clock.tick clock;
     Some x
+  in
+  (* the cursor also rotates fallback picks through their pool *)
+  let emit_cycling pool =
+    let pool = Array.of_list pool in
+    let x = pool.(!cursor mod Array.length pool) in
+    cursor := (!cursor + 1) mod n;
+    emit x
+  in
+  let phase_victims () =
+    Generators.Phase_clock.starved clock (fun _ -> victim_of !current_target)
   in
   (* Freeze exactly the processes whose in-flight attempt has landed
      its prepare and currently holds its instance's maximum ballot —
@@ -130,15 +124,13 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
   Source.make ~n (fun () ->
       let live_now = List.filter live (Proc.all ~n) in
       if live_now = [] then None
-      else if !q_since_p >= bound - 1 then begin
+      else if Timeliness.Monitor.critical monitor ~bound then begin
         (* Contract enforcement first, as always — in phase-long
            single-member stints (the Figure 1 pattern), so no proper
            subset of p is granted timeliness the contract does not
            promise; the stint member avoids the current phase victim
            when it can. *)
-        let phase_victims =
-          if !in_recovery then Procset.empty else victim_of !current_target
-        in
+        let phase_victims = phase_victims () in
         let members = List.filter live (Procset.elements p) in
         (* Dodge frozen winning proposers whenever p has a spare member
            — possible exactly when the winnerset cannot contain all of
@@ -149,10 +141,6 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
         let frozen_now = frozen () in
         let unfrozen = List.filter (fun x -> not (Procset.mem x frozen_now)) members in
         let best = List.filter (fun x -> not (Procset.mem x phase_victims)) unfrozen in
-        (* when every live member of p is a frozen winning proposer,
-           feeding any of them completes its attempt — instead stop
-           scheduling q (the gap legally stays one step short of the
-           bound until some member unfreezes) and run the others *)
         (* The endgame — every live member of p is a frozen winning
            proposer, so stop scheduling q and keep the gap one step
            short of the bound — perpetually starves p together with
@@ -173,51 +161,32 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
         match (best, unfrozen, outside_q, members) with
         | (_ :: _ as pool), _, _, _ | [], (_ :: _ as pool), _, _ ->
             let pool = Array.of_list pool in
-            emit pool.(!phase mod Array.length pool)
-        | [], [], x0 :: rest, _ ->
-            let pool = Array.of_list (x0 :: rest) in
-            let x = pool.(!cursor mod Array.length pool) in
-            cursor := (!cursor + 1) mod n;
-            advance ();
-            Some x
+            emit pool.(Generators.Phase_clock.phase clock mod Array.length pool)
+        | [], [], (_ :: _ as pool), _ ->
+            (* outside p and q: the gap stays one step short *)
+            emit_cycling pool
         | [], [], [], (_ :: _ as pool) ->
             (* cornered: everyone live is in q or frozen, and all of p
                is frozen *)
             let pool = Array.of_list pool in
-            emit pool.(!phase mod Array.length pool)
+            emit pool.(Generators.Phase_clock.phase clock mod Array.length pool)
         | [], [], [], [] -> None
       end
       else begin
-        let phase_victims =
-          if !in_recovery then Procset.empty else victim_of !current_target
-        in
         let frozen_now = frozen () in
         let victims =
-          Procset.union (Procset.diff phase_victims (releasers frozen_now)) frozen_now
+          Procset.union (Procset.diff (phase_victims ()) (releasers frozen_now)) frozen_now
         in
         let allowed x = live x && not (Procset.mem x victims) in
-        let rec scan tries =
-          if tries >= n then None
-          else begin
-            let x = !cursor in
-            cursor := (!cursor + 1) mod n;
-            if allowed x then Some x else scan (tries + 1)
-          end
-        in
-        match scan 0 with
+        match Generators.next_allowed cursor ~n allowed with
         | Some x -> emit x
         | None ->
             (* Everyone live is a victim: an adversary cannot starve all
                correct processes forever, so degrade to round-robin over
                the live processes outside the frozen set, else anybody. *)
             let frozen_now = frozen () in
-            let pool =
-              Array.of_list
-                (match List.filter (fun x -> not (Procset.mem x frozen_now)) live_now with
-                | [] -> live_now
-                | unfrozen -> unfrozen)
-            in
-            let x = pool.(!cursor mod Array.length pool) in
-            cursor := (!cursor + 1) mod n;
-            emit x
+            emit_cycling
+              (match List.filter (fun x -> not (Procset.mem x frozen_now)) live_now with
+              | [] -> live_now
+              | unfrozen -> unfrozen)
       end)

@@ -47,4 +47,6 @@ val source :
     [k + j - i <= t] — exactly the unsolvable cells. [view] is
     {!Kset_solver.adversary_view} (or
     {!Kset_solver.empty_adversary_view} when the trivial algorithm
-    runs). *)
+    runs). Phases run on {!Setsync_schedule.Generators.Phase_clock}
+    (recovery [4n], starting in phase 0), so [phase0 < 1] or
+    [growth < 0] raises [Invalid_argument]. *)

@@ -32,15 +32,13 @@ let validate spec =
   if crashes < 0 || crashes > t then invalid_arg "Scenario: need 0 <= crashes <= t";
   if max_steps < 1 then invalid_arg "Scenario: need a positive step budget";
   match adversary with
-  | Exclusive ->
-      if k >= n then invalid_arg "Scenario: Exclusive adversary needs k < n";
+  | (Exclusive | Adaptive) as adversary ->
+      let name = if adversary = Exclusive then "Exclusive" else "Adaptive" in
+      if k >= n then invalid_arg (Printf.sprintf "Scenario: %s adversary needs k < n" name);
       (* worst-case phase victim is A ∪ Q with A ⊇ P disjoint from Q∖P *)
       if k + j - i >= n then
-        invalid_arg "Scenario: Exclusive adversary would starve everyone in some phase"
-  | Adaptive ->
-      if k >= n then invalid_arg "Scenario: Adaptive adversary needs k < n";
-      if k + j - i >= n then
-        invalid_arg "Scenario: Adaptive adversary would starve everyone in some phase"
+        invalid_arg
+          (Printf.sprintf "Scenario: %s adversary would starve everyone in some phase" name)
   | Fair -> ()
 
 type report = {
@@ -75,11 +73,10 @@ let ingredients spec =
 let source_factory spec rng ~contract =
   match spec.adversary with
   | Fair -> fun ~live -> Generators.timely ~live ~n:spec.n ~contract ~rng ()
-  | Exclusive ->
-      fun ~live -> Generators.exclusive_timely ~live ~n:spec.n ~contract ~defeat:spec.k ()
-  | Adaptive ->
-      (* meaningful only through run_agreement, which routes winnerset
-         peeking; for detector-only runs fall back to Exclusive *)
+  | Exclusive | Adaptive ->
+      (* Adaptive is meaningful only through run_agreement, which
+         routes winnerset peeking; detector-only runs fall back to
+         Exclusive *)
       fun ~live -> Generators.exclusive_timely ~live ~n:spec.n ~contract ~defeat:spec.k ()
 
 let run_agreement ?obs spec =

@@ -161,15 +161,6 @@ let crash_shift env rng cand =
    suffix from Generators.timely seeded with the prefix's open gap so
    the contract holds across the seam. Without contracts the suffix is
    random-fair. *)
-let open_gap (c : Generators.timely_contract) steps =
-  let rec scan acc = function
-    | [] -> acc
-    | x :: rest ->
-        if Procset.mem x c.Generators.p then acc
-        else scan (acc + if Procset.mem x c.Generators.q then 1 else 0) rest
-  in
-  scan 0 (List.rev steps)
-
 let regen_tail env rng cand =
   let len = Schedule.length cand.schedule in
   let target = max len (env.max_len / 2) in
@@ -181,7 +172,8 @@ let regen_tail env rng cand =
     | [] -> Generators.random_fair ~live:env.live ~n:env.n ~rng ()
     | contracts ->
         let contract = Rng.pick rng contracts in
-        let gap = open_gap contract (Schedule.to_list prefix) in
+        let { Generators.p; q; _ } = contract in
+        let gap = Timeliness.Monitor.open_gap (Timeliness.Monitor.of_schedule ~p ~q prefix) in
         Generators.timely ~live:env.live ~gap ~n:env.n ~contract ~rng ()
   in
   let suffix = Source.take source want in
@@ -206,32 +198,27 @@ let mutators =
    contract allows it. *)
 let enforce_contract env (c : Generators.timely_contract) steps =
   let { Generators.p; q; bound } = c in
-  let live_p = List.filter env.live (Procset.elements p) in
   (* hoisted once per pass: the patch loop indexes this pool on every
      critical gap, so an O(1) array beats a List.nth rescan *)
-  let p_pool = Array.of_list live_p in
+  let p_pool = Array.of_list (List.filter env.live (Procset.elements p)) in
   let cursor = ref 0 in
-  let next_p () =
-    let x = p_pool.(!cursor mod Array.length p_pool) in
-    incr cursor;
-    x
-  in
-  let q_since = ref 0 in
+  let monitor = Timeliness.Monitor.create ~p ~q () in
+  let critical () = Timeliness.Monitor.critical monitor ~bound in
   let out = ref [] in
   let emit x =
-    if Procset.mem x p then q_since := 0
-    else if Procset.mem x q then incr q_since;
+    Timeliness.Monitor.feed monitor x;
     out := x :: !out
   in
   List.iter
     (fun x ->
-      if Procset.mem x p then emit x
-      else if Procset.mem x q then begin
-        if !q_since >= bound - 1 then
-          if live_p <> [] then emit (next_p ()) else ();
-        if !q_since < bound - 1 then emit x
-      end
-      else emit x)
+      if Procset.mem x p || not (Procset.mem x q) then emit x
+      else begin
+        if critical () && Array.length p_pool > 0 then begin
+          emit p_pool.(!cursor mod Array.length p_pool);
+          incr cursor
+        end;
+        if not (critical ()) then emit x
+      end)
     steps;
   List.rev !out
 

@@ -1,29 +1,3 @@
-type t = {
-  p : Procset.t;
-  q : Procset.t;
-  mutable fed : int;
-  mutable worst_gap : int;
-  mutable open_gap : int;
-}
-
-let create ~p ~q = { p; q; fed = 0; worst_gap = 0; open_gap = 0 }
-
-let feed t proc =
-  t.fed <- t.fed + 1;
-  if Procset.mem proc t.p then t.open_gap <- 0
-  else if Procset.mem proc t.q then begin
-    t.open_gap <- t.open_gap + 1;
-    if t.open_gap > t.worst_gap then t.worst_gap <- t.open_gap
-  end
-
-let feed_schedule t s = Schedule.iteri (fun _ proc -> feed t proc) s
-
-let steps t = t.fed
-
-let observed_bound t = t.worst_gap + 1
-
-let current_gap t = t.open_gap
-
 type curve = { lengths : int array; bounds : int array }
 
 let bound_curve ~p ~q ~source ~lengths =
@@ -37,23 +11,26 @@ let bound_curve ~p ~q ~source ~lengths =
         | [ _ ] | [] -> ()
       in
       ascending l);
-  let analyzer = create ~p ~q in
+  let monitor = Timeliness.Monitor.create ~p ~q () in
+  let fed = ref 0 in
   let taken_lengths = ref [] in
   let taken_bounds = ref [] in
   let exhausted = ref false in
   let advance_to target =
-    while (not !exhausted) && steps analyzer < target do
+    while (not !exhausted) && !fed < target do
       match Source.next source with
       | None -> exhausted := true
-      | Some proc -> feed analyzer proc
+      | Some proc ->
+          Timeliness.Monitor.feed monitor proc;
+          incr fed
     done;
-    steps analyzer = target
+    !fed = target
   in
   List.iter
     (fun target ->
       if advance_to target then begin
         taken_lengths := target :: !taken_lengths;
-        taken_bounds := observed_bound analyzer :: !taken_bounds
+        taken_bounds := (Timeliness.Monitor.worst_gap monitor + 1) :: !taken_bounds
       end)
     lengths;
   {
@@ -63,16 +40,16 @@ let bound_curve ~p ~q ~source ~lengths =
 
 let singleton_matrix s =
   let n = Schedule.n s in
-  let analyzers =
+  let monitors =
     Array.init n (fun a ->
         Array.init n (fun b ->
-            create ~p:(Procset.singleton a) ~q:(Procset.singleton b)))
+            Timeliness.Monitor.create ~p:(Procset.singleton a) ~q:(Procset.singleton b) ()))
   in
   Schedule.iteri
     (fun _ proc ->
-      Array.iter (fun row -> Array.iter (fun an -> feed an proc) row) analyzers)
+      Array.iter (fun row -> Array.iter (fun m -> Timeliness.Monitor.feed m proc) row) monitors)
     s;
-  Array.map (Array.map observed_bound) analyzers
+  Array.map (Array.map (fun m -> Timeliness.Monitor.worst_gap m + 1)) monitors
 
 let pp_curve ppf { lengths; bounds } =
   Array.iteri

@@ -1,29 +1,9 @@
-(** Streaming timeliness analysis.
+(** Timeliness over growing prefixes.
 
     Experiments reason about infinite schedules through growing finite
     prefixes; re-scanning a prefix per measurement would be quadratic,
-    so this module maintains the gap statistics of
-    {!Timeliness.observed_bound} incrementally, one step at a time. *)
-
-type t
-(** Incremental analyzer for one (P, Q) pair. *)
-
-val create : p:Procset.t -> q:Procset.t -> t
-
-val feed : t -> Proc.t -> unit
-(** Append one step of the schedule under analysis. *)
-
-val feed_schedule : t -> Schedule.t -> unit
-
-val steps : t -> int
-(** Steps fed so far. *)
-
-val observed_bound : t -> int
-(** Least timeliness bound valid for the prefix fed so far (equals
-    [Timeliness.observed_bound] on the same prefix). *)
-
-val current_gap : t -> int
-(** Number of Q-steps since the last P-step (the open gap). *)
+    so these views feed one {!Timeliness.Monitor} per (P, Q) pair, one
+    step at a time, and read its worst gap where they sample. *)
 
 type curve = { lengths : int array; bounds : int array }
 (** Observed bound as a function of prefix length. *)

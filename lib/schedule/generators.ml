@@ -2,20 +2,51 @@ let all_live (_ : Proc.t) = true
 
 let live_procs ~live ~n = List.filter live (Proc.all ~n)
 
+let next_allowed cursor ~n allowed =
+  let rec scan tries =
+    if tries >= n then None
+    else begin
+      let x = !cursor in
+      cursor := (x + 1) mod n;
+      if allowed x then Some x else scan (tries + 1)
+    end
+  in
+  scan 0
+
+module Phase_clock = struct
+  type t = {
+    phase0 : int;
+    growth : int;
+    recovery : int;
+    on_phase_start : unit -> unit;
+    mutable phase : int;
+    mutable pos : int;
+    mutable in_recovery : bool;
+  }
+
+  let create ?(on_phase_start = ignore) ~who ~phase0 ~growth ~recovery ~start_in_recovery () =
+    if phase0 < 1 || growth < 0 then invalid_arg (who ^ ": bad phase parameters");
+    let in_recovery = start_in_recovery in
+    { phase0; growth; recovery; on_phase_start; phase = 0; pos = 0; in_recovery }
+
+  let phase t = t.phase
+
+  let starved t victims = if t.in_recovery then Procset.empty else victims t.phase
+
+  let tick t =
+    t.pos <- t.pos + 1;
+    let limit = if t.in_recovery then t.recovery else t.phase0 + (t.growth * t.phase) in
+    if t.pos >= limit then begin
+      t.pos <- 0;
+      t.in_recovery <- not t.in_recovery;
+      if t.in_recovery then t.phase <- t.phase + 1 else t.on_phase_start ()
+    end
+end
+
 let round_robin ?(live = all_live) ~n () =
   Proc.check_n n;
   let cursor = ref 0 in
-  Source.make ~n (fun () ->
-      (* scan at most n candidates from the cursor; None if all dead *)
-      let rec scan tries =
-        if tries >= n then None
-        else begin
-          let p = !cursor in
-          cursor := (!cursor + 1) mod n;
-          if live p then Some p else scan (tries + 1)
-        end
-      in
-      scan 0)
+  Source.make ~n (fun () -> next_allowed cursor ~n live)
 
 let figure1 ?(n = 3) ?(p1 = 0) ?(p2 = 1) ?(q = 2) () =
   Proc.check ~n p1;
@@ -96,7 +127,7 @@ let timely ?(live = all_live) ?fairness ?(burstiness = 0.7) ?(gap = 0) ~n ~contr
      and by other starved processes draining first; triggering early by
      this margin keeps the documented cap exact. *)
   let fairness_trigger = fairness - (2 * n) in
-  let q_since_p = ref gap in
+  let monitor = Timeliness.Monitor.create ~gap ~p ~q () in
   (* age.(x) = emitted steps since x was last scheduled *)
   let age = Array.make n 0 in
   let last = ref (-1) in
@@ -107,8 +138,7 @@ let timely ?(live = all_live) ?fairness ?(burstiness = 0.7) ?(gap = 0) ~n ~contr
   let victim_left = ref 0 in
   let emit x =
     Array.iteri (fun y a -> age.(y) <- (if y = x then 0 else a + 1)) age;
-    if Procset.mem x p then q_since_p := 0
-    else if Procset.mem x q then incr q_since_p;
+    Timeliness.Monitor.feed monitor x;
     last := x;
     Some x
   in
@@ -129,10 +159,10 @@ let timely ?(live = all_live) ?fairness ?(burstiness = 0.7) ?(gap = 0) ~n ~contr
         Some x
   in
   (* A step of x is safe iff it cannot complete a bad gap: members of p
-     always are; q-members are safe only while the running gap count
-     stays below bound - 1; everyone else is always safe. *)
+     always are; q-members are safe only while the gap monitor is not
+     critical; everyone else is always safe. *)
   let safe x =
-    Procset.mem x p || (not (Procset.mem x q)) || !q_since_p < bound - 1
+    Procset.mem x p || (not (Procset.mem x q)) || not (Timeliness.Monitor.critical monitor ~bound)
   in
   Source.make ~n (fun () ->
       match live_procs ~live ~n with
@@ -141,7 +171,7 @@ let timely ?(live = all_live) ?fairness ?(burstiness = 0.7) ?(gap = 0) ~n ~contr
           (* Priority 1: the contract. If the gap is one q-step away
              from the bound, a p-member must go next (when possible). *)
           let forced_p =
-            if !q_since_p >= bound - 1 then next_p_member () else None
+            if Timeliness.Monitor.critical monitor ~bound then next_p_member () else None
           in
           (match forced_p with
           | Some x -> emit x
@@ -200,40 +230,26 @@ let exclusive_timely ?(live = all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contra
       if Procset.cardinal (victim_of a) >= n then
         invalid_arg "Generators.exclusive_timely: a phase would starve everyone")
     candidates;
-  let q_since_p = ref 0 in
-  let phase = ref 0 in
-  let pos = ref 0 in
-  let in_recovery = ref true (* start fair *) in
-  let cursor = ref 0 in
-  let recovery_len = 4 * n in
-  let phase_len m = phase0 + (growth * m) in
-  let advance () =
-    incr pos;
-    let limit = if !in_recovery then recovery_len else phase_len !phase in
-    if !pos >= limit then begin
-      pos := 0;
-      if !in_recovery then in_recovery := false
-      else begin
-        in_recovery := true;
-        incr phase
-      end
-    end
+  let clock =
+    Phase_clock.create ~who:"Generators.exclusive_timely" ~phase0 ~growth ~recovery:(4 * n)
+      ~start_in_recovery:true ()
   in
+  let monitor = Timeliness.Monitor.create ~p ~q () in
+  let cursor = ref 0 in
   let emit x =
-    if Procset.mem x p then q_since_p := 0
-    else if Procset.mem x q then incr q_since_p;
-    advance ();
+    Timeliness.Monitor.feed monitor x;
+    Phase_clock.tick clock;
     Some x
   in
   Source.make ~n (fun () ->
       match live_procs ~live ~n with
       | [] -> None
-      | live_now ->
+      | x0 :: _ as live_now ->
           let victim =
-            if !in_recovery then Procset.empty
-            else victim_of candidates.(!phase mod Array.length candidates)
+            Phase_clock.starved clock (fun m ->
+                victim_of candidates.(m mod Array.length candidates))
           in
-          if !q_since_p >= bound - 1 then begin
+          if Timeliness.Monitor.critical monitor ~bound then begin
             (* Contract enforcement in phase-long single-member stints
                (the Figure 1 pattern): rotating through p's members
                step-by-step would make every subset of p timely, which
@@ -246,85 +262,46 @@ let exclusive_timely ?(live = all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contra
             match (preferred, members) with
             | (_ :: _ as pool), _ | [], (_ :: _ as pool) ->
                 let pool = Array.of_list pool in
-                emit pool.(!phase mod Array.length pool)
+                emit pool.(Phase_clock.phase clock mod Array.length pool)
             | [], [] -> (
                 (* p is dead: stop emitting q forever (gap invariant) *)
                 match List.filter (fun x -> not (Procset.mem x q)) live_now with
                 | [] -> None
-                | x :: _ ->
-                    advance ();
-                    Some x)
-          end
-          else begin
-            (* round-robin among live processes outside the victim set *)
-            let allowed x = live x && not (Procset.mem x victim) in
-            let rec scan tries =
-              if tries >= n then None
-              else begin
-                let x = !cursor in
-                cursor := (!cursor + 1) mod n;
-                if allowed x then Some x else scan (tries + 1)
-              end
-            in
-            match scan 0 with
-            | Some x -> emit x
-            | None -> (
-                (* everyone outside the victim set is dead: fall back to
-                   any live process so the run keeps moving *)
-                match live_now with
-                | [] -> None
                 | x :: _ -> emit x)
-          end)
+          end
+          else
+            (* round-robin among live processes outside the victim set;
+               when everyone there is dead, fall back to any live
+               process so the run keeps moving *)
+            let allowed x = live x && not (Procset.mem x victim) in
+            match next_allowed cursor ~n allowed with
+            | Some x -> emit x
+            | None -> emit x0)
 
 let starvation_adversary ?(live = all_live) ?(phase0 = 8) ?(growth = 8) ~n ~i () =
   Proc.check_n n;
   if i < 1 || i >= n then invalid_arg "Generators.starvation_adversary: need 1 <= i < n";
-  if phase0 < 1 || growth < 0 then invalid_arg "Generators.starvation_adversary: bad phase parameters";
-  let targets = Array.of_list (Procset.subsets_of_size ~n i) in
-  let phase = ref 0 in
-  let pos_in_phase = ref 0 in
-  let in_recovery = ref false in
-  let cursor = ref 0 in
-  let phase_len m = phase0 + (growth * m) in
-  let recovery_len = 2 * n in
-  let advance () =
-    incr pos_in_phase;
-    let limit = if !in_recovery then recovery_len else phase_len !phase in
-    if !pos_in_phase >= limit then begin
-      pos_in_phase := 0;
-      if !in_recovery then begin
-        in_recovery := false;
-        incr phase
-      end
-      else in_recovery := true
-    end
+  let clock =
+    Phase_clock.create ~who:"Generators.starvation_adversary" ~phase0 ~growth
+      ~recovery:(2 * n) ~start_in_recovery:false ()
   in
+  let targets = Array.of_list (Procset.subsets_of_size ~n i) in
+  let cursor = ref 0 in
   Source.make ~n (fun () ->
       let starved =
-        if !in_recovery then Procset.empty
-        else targets.(!phase mod Array.length targets)
+        Phase_clock.starved clock (fun m -> targets.(m mod Array.length targets))
       in
       let allowed x = live x && not (Procset.mem x starved) in
-      let rec scan tries =
-        if tries >= n then None
-        else begin
-          let x = !cursor in
-          cursor := (!cursor + 1) mod n;
-          if allowed x then Some x else scan (tries + 1)
-        end
+      let next =
+        match next_allowed cursor ~n allowed with
+        | Some _ as next -> next
+        | None -> (
+            (* everyone allowed is dead; if anybody at all is live, skip
+               the rest of this phase rather than stalling *)
+            match live_procs ~live ~n with [] -> None | x :: _ -> Some x)
       in
-      match scan 0 with
-      | Some x ->
-          advance ();
-          Some x
-      | None ->
-          (* everyone allowed is dead; if anybody at all is live, skip
-             the rest of this phase rather than stalling *)
-          (match live_procs ~live ~n with
-          | [] -> None
-          | x :: _ ->
-              advance ();
-              Some x))
+      if Option.is_some next then Phase_clock.tick clock;
+      next)
 
 let crash_after ~n plan =
   Proc.check_n n;

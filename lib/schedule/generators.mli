@@ -108,8 +108,10 @@ val starvation_adversary :
     [phase0 + growth·m]), schedules only processes outside the current
     [P] (round-robin). Hence every [i]-set has [P]-free gaps with
     unboundedly many steps of every [j]-set ([j > i] forces
-    [Q ⊄ P]). Recovery segments between phases keep every live process
-    taking infinitely many steps. *)
+    [Q ⊄ P]). Recovery segments of [2n] steps between phases keep every
+    live process taking infinitely many steps. Phases and scan come
+    from {!Phase_clock} and {!next_allowed}; raises [Invalid_argument]
+    if [phase0 < 1] or [growth < 0]. *)
 
 val exclusive_timely :
   ?live:(Proc.t -> bool) ->
@@ -125,7 +127,9 @@ val exclusive_timely :
     [defeat] is starved in ever-longer phases (together with
     [contract.q] when [contract.p ⊆ A], so that contract enforcement
     cannot interrupt the starvation), with round-robin recovery
-    segments in between keeping all live processes correct.
+    segments of [4n] steps in between keeping all live processes
+    correct; the run opens with a recovery segment. Phase [m] lasts
+    [phase0 + growth·m] steps ({!Phase_clock}).
 
     Consequences, in the limit: the contract pair is timely at its
     bound; a [defeat]-sized set [A] is timely with respect to a set
@@ -138,7 +142,8 @@ val exclusive_timely :
     needs no randomness).
 
     Raises [Invalid_argument] if a phase could never schedule anyone
-    ([defeat + cardinal contract.q >= n] with disjoint sets). *)
+    ([defeat + cardinal contract.q >= n] with disjoint sets), or if
+    [phase0 < 1] or [growth < 0]. *)
 
 val crash_after : n:int -> (Proc.t * int) list -> (Proc.t -> bool) * (Proc.t -> int -> bool)
 (** [crash_after ~n plan] builds a simple self-contained liveness
@@ -147,3 +152,40 @@ val crash_after : n:int -> (Proc.t * int) list -> (Proc.t -> bool) * (Proc.t -> 
     [observe p own_steps] is to be called each time [p] takes a step
     and flips [live p] to false once [p] has taken the number of steps
     the plan allots it. *)
+
+(** {1 Shared building blocks}
+
+    One cursor scan and one phase clock serve {!round_robin}, the
+    starvation adversaries above and [Setsync_agreement.Adaptive]. *)
+
+val next_allowed : int ref -> n:int -> (Proc.t -> bool) -> Proc.t option
+(** The first allowed process of at most [n] scanned cyclically from
+    [!cursor], which moves past each one scanned. *)
+
+module Phase_clock : sig
+  type t
+  (** Phase [m] lasts [phase0 + growth·m] ticks; a recovery segment of
+      [recovery] ticks sits between consecutive phases. *)
+
+  val create :
+    ?on_phase_start:(unit -> unit) ->
+    who:string ->
+    phase0:int ->
+    growth:int ->
+    recovery:int ->
+    start_in_recovery:bool ->
+    unit ->
+    t
+  (** [on_phase_start] runs whenever a recovery segment gives way to a
+      phase. Raises [Invalid_argument "<who>: bad phase parameters"]
+      if [phase0 < 1] or [growth < 0], which would shrink every phase
+      to one step. *)
+
+  val phase : t -> int
+  (** The current phase, or in recovery the next one. *)
+
+  val starved : t -> (int -> Procset.t) -> Procset.t
+  (** [victims (phase t)] in a phase, empty in recovery. *)
+
+  val tick : t -> unit
+end

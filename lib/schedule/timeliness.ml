@@ -3,18 +3,39 @@
    gap contains at least [b] Q-steps, so a single left-to-right scan
    tracking the Q-count since the last P-step decides everything. *)
 
-let max_gap ~p ~q s =
-  let worst = ref 0 in
-  let current = ref 0 in
-  let record_step proc =
-    if Procset.mem proc p then current := 0
-    else if Procset.mem proc q then begin
-      incr current;
-      if !current > !worst then worst := !current
+module Monitor = struct
+  type t = {
+    p : Procset.t;
+    q : Procset.t;
+    mutable open_gap : int;
+    mutable worst_gap : int;
+  }
+
+  let create ?(gap = 0) ~p ~q () =
+    if gap < 0 then invalid_arg "Timeliness.Monitor.create: negative gap";
+    { p; q; open_gap = gap; worst_gap = gap }
+
+  (* The gap rule: a P-step closes the open gap, a Q∖P step extends it. *)
+  let feed t proc =
+    if Procset.mem proc t.p then t.open_gap <- 0
+    else if Procset.mem proc t.q then begin
+      t.open_gap <- t.open_gap + 1;
+      if t.open_gap > t.worst_gap then t.worst_gap <- t.open_gap
     end
-  in
-  Schedule.iteri (fun _ proc -> record_step proc) s;
-  !worst
+
+  let of_schedule ?gap ~p ~q s =
+    let t = create ?gap ~p ~q () in
+    Schedule.iteri (fun _ proc -> feed t proc) s;
+    t
+
+  let open_gap t = t.open_gap
+
+  let worst_gap t = t.worst_gap
+
+  let critical t ~bound = t.open_gap >= bound - 1
+end
+
+let max_gap ~p ~q s = Monitor.worst_gap (Monitor.of_schedule ~p ~q s)
 
 let observed_bound ~p ~q s = max_gap ~p ~q s + 1
 

@@ -12,7 +12,36 @@
     On finite schedules the existential over [b] is decidable:
     {!observed_bound} computes the least such [b]. On infinite
     schedules one analyzes growing prefixes (see {!Analysis}); our
-    generators instead come with explicit bound contracts. *)
+    generators instead come with explicit bound contracts.
+
+    {!Monitor} is the only home of the gap rule: the checks below fold
+    it over a schedule, and the generators, the adaptive adversary and
+    the fuzzer's contract repair step it. *)
+
+module Monitor : sig
+  type t
+  (** The open and the worst [P]-free gap, in [Q]-steps, of the steps
+      fed so far. *)
+
+  val create : ?gap:int -> p:Procset.t -> q:Procset.t -> unit -> t
+  (** [gap] (default 0, [Invalid_argument] if negative) starts the
+      monitor as if [gap] steps of [Q ∖ P] had been fed: the open gap
+      of a prefix the fed steps continue. *)
+
+  val feed : t -> Proc.t -> unit
+  (** A [P]-step closes the open gap; a [Q ∖ P] step extends it. *)
+
+  val of_schedule : ?gap:int -> p:Procset.t -> q:Procset.t -> Schedule.t -> t
+
+  val open_gap : t -> int
+
+  val worst_gap : t -> int
+  (** [max_gap] of everything fed. *)
+
+  val critical : t -> bound:int -> bool
+  (** [open_gap >= bound - 1]: on steps that keep [holds ~bound], one
+      more [Q ∖ P] step would break it, so an enforcer runs a [P]-member. *)
+end
 
 val holds : bound:int -> p:Procset.t -> q:Procset.t -> Schedule.t -> bool
 (** [holds ~bound ~p ~q s] checks Definition 1 with witness integer

@@ -600,6 +600,19 @@ let test_adaptive_live_golden () =
         769233922 );
     ]
 
+let test_adaptive_phase_parameters_invalid () =
+  let contract =
+    { Generators.p = Procset.of_list [ 0; 1 ]; q = Procset.of_list [ 2; 3 ]; bound = 3 }
+  in
+  let view = Kset_solver.empty_adversary_view ~n:5 in
+  List.iter
+    (fun (phase0, growth) ->
+      Alcotest.check_raises "bad phase parameters"
+        (Invalid_argument "Adaptive.source: bad phase parameters") (fun () ->
+          ignore
+            (Adaptive.source ~phase0 ~growth ~n:5 ~contract ~fault_budget:2 ~defeat:2 ~view ())))
+    [ (0, 16); (32, -1) ]
+
 (* safety is never lost, even on unsolvable cells under the adversary *)
 let test_adaptive_safety_everywhere () =
   List.iter
@@ -682,6 +695,8 @@ let () =
           Alcotest.test_case "Theorem 27 boundary" `Slow test_adaptive_boundary;
           Alcotest.test_case "empty-view stream golden" `Quick test_adaptive_golden;
           Alcotest.test_case "live-view run golden" `Quick test_adaptive_live_golden;
+          Alcotest.test_case "phase parameter validation" `Quick
+            test_adaptive_phase_parameters_invalid;
           Alcotest.test_case "safety everywhere" `Slow test_adaptive_safety_everywhere;
         ] );
     ]

@@ -16,7 +16,17 @@ let test_validation () =
     (fun () -> Scenario.validate (spec ~i:1 ~j:2 ~seed:1 ~crashes:3 ()));
   Alcotest.check_raises "bad system"
     (Invalid_argument "System.make: need 1 <= i(3) <= j(2) <= n(5)") (fun () ->
-      Scenario.validate (spec ~i:3 ~j:2 ~seed:1 ()))
+      Scenario.validate (spec ~i:3 ~j:2 ~seed:1 ()));
+  List.iter
+    (fun (adversary, name) ->
+      Alcotest.check_raises (name ^ " k >= n")
+        (Invalid_argument (Printf.sprintf "Scenario: %s adversary needs k < n" name))
+        (fun () -> Scenario.validate (spec ~k:5 ~i:1 ~j:2 ~seed:1 ~adversary ()));
+      Alcotest.check_raises (name ^ " starves everyone")
+        (Invalid_argument
+           (Printf.sprintf "Scenario: %s adversary would starve everyone in some phase" name))
+        (fun () -> Scenario.validate (spec ~i:1 ~j:4 ~seed:1 ~adversary ())))
+    [ (Scenario.Exclusive, "Exclusive"); (Scenario.Adaptive, "Adaptive") ]
 
 let test_determinism () =
   let run () = Scenario.run_agreement (spec ~i:2 ~j:3 ~seed:42 ~crashes:1 ()) in

@@ -331,6 +331,62 @@ let prop_prefix_monotone =
       let b_full = Timeliness.observed_bound ~p ~q s in
       b_half <= b_full)
 
+(* Definition 1 from scratch, kept apart from the library's gap rule:
+   the most Q-steps in any window free of P-steps (brute force over
+   window starts), and the open gap by the backward scan the fuzzer's
+   splice used before it read the monitor. *)
+let reference_max_gap ~p ~q steps =
+  let a = Array.of_list steps in
+  let len = Array.length a in
+  let worst = ref 0 in
+  for start = 0 to len - 1 do
+    let stop = ref start and count = ref 0 in
+    while !stop < len && not (Procset.mem a.(!stop) p) do
+      if Procset.mem a.(!stop) q then incr count;
+      incr stop
+    done;
+    worst := max !worst !count
+  done;
+  !worst
+
+let reference_open_gap ~p ~q steps =
+  let rec scan acc = function
+    | [] -> acc
+    | x :: rest ->
+        if Procset.mem x p then acc else scan (acc + if Procset.mem x q then 1 else 0) rest
+  in
+  scan 0 (List.rev steps)
+
+(* Schedules lean towards processes outside P so that gaps get long,
+   and a start gap stands for that many Q∖P steps before them. *)
+let prop_monitor_matches_definition =
+  QCheck2.Test.make ~name:"monitor = Definition 1 (worst gap, open gap, critical)"
+    ~count:500
+    QCheck2.Gen.(pair (int_bound 10_000) (int_range 2 6))
+    (fun (seed, n) ->
+      let rng = rng_state (seed + 6) in
+      let p = random_set rng ~n and q = random_set rng ~n in
+      let outside = List.filter (fun x -> not (Procset.mem x p)) (Proc.all ~n) in
+      let steps =
+        List.init (Rng.int rng 60) (fun _ ->
+            if outside <> [] && Rng.int rng 4 > 0 then Rng.pick rng outside else Rng.int rng n)
+      in
+      let q_only = Procset.elements (Procset.diff q p) in
+      let gap = if q_only = [] then 0 else Rng.int rng 4 in
+      let seeded = List.init gap (fun _ -> List.hd q_only) @ steps in
+      let monitor = Timeliness.Monitor.of_schedule ~gap ~p ~q (Schedule.of_list ~n steps) in
+      let holds ~bound steps = Timeliness.holds ~bound ~p ~q (Schedule.of_list ~n steps) in
+      Timeliness.Monitor.worst_gap monitor = reference_max_gap ~p ~q seeded
+      && Timeliness.max_gap ~p ~q (Schedule.of_list ~n seeded) = reference_max_gap ~p ~q seeded
+      && Timeliness.Monitor.open_gap monitor = reference_open_gap ~p ~q seeded
+      && List.for_all
+           (fun bound ->
+             q_only = []
+             || (not (holds ~bound seeded))
+             || Timeliness.Monitor.critical monitor ~bound
+                = not (holds ~bound (seeded @ [ List.hd q_only ])))
+           [ 1; 2; 3; 4; 5; 6 ])
+
 (* ------------------------------------------------------------------ *)
 (* System S^i_{j,n} *)
 
@@ -520,6 +576,22 @@ let test_starvation_adversary () =
     (fun c -> Alcotest.(check bool) "fair in the large" true (c > 10_000))
     (Schedule.steps_per_process s)
 
+(* The three starvation adversaries share one phase clock, which
+   rejects phases that would collapse to a step each. *)
+let test_phase_parameters_invalid () =
+  let contract =
+    { Generators.p = Procset.singleton 0; q = Procset.of_list [ 0; 1 ]; bound = 3 }
+  in
+  List.iter
+    (fun (phase0, growth) ->
+      Alcotest.check_raises "starvation adversary"
+        (Invalid_argument "Generators.starvation_adversary: bad phase parameters") (fun () ->
+          ignore (Generators.starvation_adversary ~phase0 ~growth ~n:4 ~i:1 ()));
+      Alcotest.check_raises "exclusive timely"
+        (Invalid_argument "Generators.exclusive_timely: bad phase parameters") (fun () ->
+          ignore (Generators.exclusive_timely ~phase0 ~growth ~n:5 ~contract ~defeat:2 ())))
+    [ (0, 16); (32, -1) ]
+
 let test_figure1_defaults_invalid () =
   Alcotest.check_raises "bad proc" (Invalid_argument "Proc.check: process 5 not in [0, 3)")
     (fun () -> ignore (Generators.figure1 ~p1:5 ()))
@@ -533,11 +605,11 @@ let test_analyzer_incremental_matches_batch () =
     let n = 3 + Rng.int rng 3 in
     let s = random_schedule rng ~n ~len:300 in
     let p = random_set rng ~n and q = random_set rng ~n in
-    let analyzer = Analysis.create ~p ~q in
-    Analysis.feed_schedule analyzer s;
+    let monitor = Timeliness.Monitor.create ~p ~q () in
+    Schedule.iteri (fun _ proc -> Timeliness.Monitor.feed monitor proc) s;
     Alcotest.(check int) "matches batch"
       (Timeliness.observed_bound ~p ~q s)
-      (Analysis.observed_bound analyzer)
+      (Timeliness.Monitor.worst_gap monitor + 1)
   done
 
 let test_bound_curve () =
@@ -702,7 +774,7 @@ let test_timely_gap_live_golden () =
 
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_observation2; prop_observation3; prop_observed_bound_least; prop_prefix_monotone;
-      prop_observation4 ]
+      prop_observation4; prop_monitor_matches_definition ]
 
 let () =
   Alcotest.run "setsync_schedule"
@@ -760,6 +832,11 @@ let () =
           Alcotest.test_case "exclusive timely" `Quick test_exclusive_timely_contract;
           Alcotest.test_case "starvation adversary" `Quick test_starvation_adversary;
           Alcotest.test_case "figure1 validation" `Quick test_figure1_defaults_invalid;
+          Alcotest.test_case "phase parameter validation" `Quick test_phase_parameters_invalid;
+          Alcotest.test_case "starvation adversary golden" `Quick test_starvation_golden;
+          Alcotest.test_case "exclusive timely death golden" `Quick
+            test_exclusive_timely_death_golden;
+          Alcotest.test_case "timely gap+live golden" `Quick test_timely_gap_live_golden;
         ] );
       ( "analysis",
         [
@@ -776,10 +853,6 @@ let () =
           Alcotest.test_case "pick golden" `Quick test_rng_pick_golden;
           Alcotest.test_case "timely golden" `Quick test_timely_golden;
           Alcotest.test_case "exclusive timely golden" `Quick test_exclusive_timely_golden;
-          Alcotest.test_case "starvation adversary golden" `Quick test_starvation_golden;
-          Alcotest.test_case "exclusive timely death golden" `Quick
-            test_exclusive_timely_death_golden;
-          Alcotest.test_case "timely gap+live golden" `Quick test_timely_gap_live_golden;
         ] );
       ("properties", qsuite);
     ]
