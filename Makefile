@@ -41,7 +41,7 @@ bench-quick: ## E11 smoke run (small depth, exploration only)
 bench-guard: ## pinned ceilings: replay amortization (E11e/f), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
 	dune exec bin/bench_guard.exe -- BENCH_quick.json
 
-obs-check: ## traced exploration; validate the emitted JSONL/Chrome/metrics files
+obs-check: ## traced exploration; validate the emitted JSONL (byte-canonical lines)/Chrome/metrics files
 	dune exec bin/setsync_cli.exe -- explore --check detector -n 2 -t 1 -k 1 \
 	  --depth 6 --domains 2 \
 	  --trace-out /tmp/setsync_ci_trace.jsonl --metrics-out /tmp/setsync_ci_metrics.json
@@ -104,9 +104,10 @@ net-smoke: ## net backend gate: bounded exploration passes, BRS fuzz finds the k
 	  --trace /tmp/setsync_ci_net_perop.jsonl --net-check \
 	  --require send,deliver,drop,gst
 
-trace-smoke: ## causal-tracing gate: traced net CT run -> trace-report finds a critical path ending at ct_stabilized whose attributed delay telescopes to the stabilization step
+trace-smoke: ## causal-tracing gate: traced net CT run -> its JSONL validates (byte-canonical lines) and trace-report finds a critical path ending at ct_stabilized whose attributed delay telescopes to the stabilization step
 	dune exec bin/setsync_cli.exe -- fd --backend net -n 2 --delta 1 --gst 4 --max-steps 60 \
 	  --trace-out /tmp/setsync_ci_tracereport.jsonl
+	dune exec bin/obs_validate.exe -- --trace /tmp/setsync_ci_tracereport.jsonl
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
@@ -186,7 +187,8 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stdout_has "{p2} wrt {q}         observed bound over 10000 steps: 72"; \
 	stdout_has "{p1,p2} wrt {q}      observed bound over 10000 steps: 2"; \
 	expect 0 analyze -n 4 --seed 3 --length 5000; \
-	stdout_has "    12    1   12"; \
+	stdout_has '^steps per process: 1281 1192 1244 1283$$'; \
+	stdout_has '^    12    1   12    9$$'; \
 	stdout_has "member of S^1_{2,4} at bound 3: false"; \
 	stdout_has "member of S^2_{3,4} at bound 3: false"; \
 	stdout_has "member of S^3_{4,4} at bound 3: false"; \

@@ -9,6 +9,14 @@
                   [--require KIND,KIND,...] [--require-counter NAME]
                   [--require-histogram NAME] [--net-check]
 
+   Every trace line must also be canonical: read back through
+   Events.event_of_json and re-rendered through event_to_json and
+   Json.to_string, it reproduces itself byte for byte. The one
+   exception is a Float arg that was +/-infinity: it is written as
+   +/-1e308, which reads back as a finite float, so a line whose
+   re-rendering differs passes if it matches once +/-1e308 floats are
+   mapped back to +/-infinity.
+
    --require asserts that each KIND appears among the trace's event
    names; --require-counter / --require-histogram that the metrics
    dump has that counter / histogram. --net-check validates the net
@@ -23,6 +31,7 @@
    Exit 0 iff every given file parses and every requirement holds. *)
 
 module Json = Setsync_obs.Json
+module Events = Setsync_obs.Events
 
 let fail fmt =
   Format.kasprintf
@@ -53,6 +62,23 @@ let require_num ~what j name =
   | Some _ -> fail "%s: field %S is not a number" what name
   | None -> fail "%s: missing field %S in %s" what name (Json.to_string j)
 
+(* The writers clamp +/-infinity to +/-1e308 *)
+let rec infinities = function
+  | Json.Float f when Float.abs f = 1e308 -> Json.Float (Float.copy_sign Float.infinity f)
+  | Json.List xs -> Json.List (List.map infinities xs)
+  | Json.Obj kvs -> Json.Obj (List.map (fun (k, v) -> (k, infinities v)) kvs)
+  | j -> j
+
+let check_canonical ~what line j =
+  let render j =
+    match Events.event_of_json j with
+    | Ok e -> Json.to_string (Events.event_to_json e)
+    | Error e -> fail "%s: not an event: %s" what e
+  in
+  let again = render j in
+  if again <> line && render (infinities j) <> line then
+    fail "%s: not canonical: re-rendered as\n  %s\nfrom\n  %s" what again line
+
 (* returns the set of event names seen *)
 let check_trace f =
   let names = Hashtbl.create 16 in
@@ -65,6 +91,7 @@ let check_trace f =
         let j = parse ~what f line in
         require_num ~what j "ts";
         ignore (str_field ~what j "cat");
+        check_canonical ~what line j;
         Hashtbl.replace names (str_field ~what j "name") ();
         incr count
       end)

@@ -434,7 +434,7 @@ let sweep_cmd =
     let s = Setsync.Characterization.separation ~t ~k ~n in
     Fmt.pr "@.closely matching system: %a@." System.pp s.Setsync.Characterization.system;
     Fmt.pr "weakest-synchrony frontier: %a@."
-      Fmt.(list ~sep:sp System.pp)
+      Fmt.(list ~sep:(any " ") System.pp)
       (Setsync.Lattice.maximal_solvable ~t ~k ~n)
   in
   Cmd.v (Cmd.info "sweep" ~doc:"Print the Theorem 27 solvability grid")
@@ -451,10 +451,12 @@ let analyze_cmd =
     let src = Generators.random_fair ~n ~rng () in
     let s = Source.take src length in
     Fmt.pr "random fair schedule over %d processes, %d steps (seed %d)@." n length seed;
-    Fmt.pr "steps per process: %a@." Fmt.(array ~sep:sp int) (Schedule.steps_per_process s);
+    Fmt.pr "steps per process: %a@."
+      Fmt.(array ~sep:(any " ") int)
+      (Schedule.steps_per_process s);
     Fmt.pr "singleton timeliness matrix (rows: P, cols: Q, observed bounds):@.";
     let m = Analysis.singleton_matrix s in
-    Array.iter (fun row -> Fmt.pr "  %a@." Fmt.(array ~sep:sp (fmt "%4d")) row) m;
+    Array.iter (fun row -> Fmt.pr "  %a@." Fmt.(array ~sep:(any " ") (fmt "%4d")) row) m;
     List.iter
       (fun sz ->
         let d = System.make ~i:sz ~j:(min n (sz + 1)) ~n in
@@ -790,7 +792,7 @@ let explore_cmd =
             ~limits ~depth ()
         in
         Fmt.pr "exploring %a, inputs %a, depth %d@." Problem.pp problem
-          Fmt.(array ~sep:sp int)
+          Fmt.(array ~sep:(any " ") int)
           inputs depth;
         let report = explore_with ~sut ~properties config in
         finish report (fun r ->
@@ -1107,7 +1109,7 @@ let fuzz_cmd =
         let problem = checked (fun () -> Problem.make ~t ~k ~n) in
         let inputs = Problem.distinct_inputs problem in
         Fmt.pr "fuzzing %a, inputs %a, seed %d, len %d@." Problem.pp problem
-          Fmt.(array ~sep:sp int)
+          Fmt.(array ~sep:(any " ") int)
           inputs seed len;
         go
           ~sut:(Explore_systems.kset_agreement ~problem ~inputs ())

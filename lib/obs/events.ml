@@ -10,11 +10,20 @@
    dropped (and counted) on overflow.
 
    The ring keeps no event records. [emit] encodes each event into two
-   growable rings of unboxed words — an int array and a [Float.Array] —
-   so a recorded event is invisible to the GC: nothing to promote out
-   of the minor heap, nothing to mark. Names, categories, arg keys and
+   rings of unboxed words — an int ring and a [Float.Array] — so a
+   recorded event is invisible to the GC: nothing to promote out of
+   the minor heap, nothing to mark. Names, categories, arg keys and
    string values are interned once per sink. [events] decodes the
    records back; the writers stream straight from the rings.
+
+   The int ring is a table of fixed [chunk_words]-word chunks indexed
+   by absolute position: word [pos] is at [pos land chunk_mask] in the
+   chunk of slot [(pos asr chunk_bits) land (slots - 1)]. A chunk is
+   allocated when the tail first enters its slot; growth doubles the
+   table and moves chunk pointers, never words — except when the head
+   and the tail share a chunk, whose tail part is copied once. The
+   float ring (a timestamp per event, plus [Float] args: an order of
+   magnitude fewer slots) simply doubles.
 
    Encoding of one event, in the int ring:
      (name_id lsl 3) lor phase
@@ -44,8 +53,8 @@ type event = {
 
 (* Interned strings: id -> the string, and its JSON literal escaped
    once. Names and keys are almost always literals, the same physical
-   string at every call, so a small direct-mapped cache compared with
-   [==] answers most lookups before the hash table is consulted. *)
+   string at every call, so a small 2-way cache compared with [==]
+   answers most lookups before the hash table is consulted. *)
 type names = {
   ids : (string, int) Hashtbl.t;
   mutable strs : string array;
@@ -68,11 +77,12 @@ type mem = {
   mu : Mutex.t;
   names : names;
   mutable next : int;  (* total events accepted; the ring keeps the last [capacity] *)
-  (* Both rings are indexed by absolute position [land] (length - 1),
-     lengths are powers of two; the live words are [head.wp, w_tail),
-     the live floats [head.fp, f_tail). *)
-  mutable words : int array;
-  mutable floats : Float.Array.t;
+  (* Both rings are indexed by absolute position; the live words are
+     [head.wp, w_tail), the live floats [head.fp, f_tail). *)
+  mutable chunks : int array array;  (* power-of-two slot table; [no_chunk] until entered *)
+  mutable w_chunk : int array;  (* the chunk holding position [w_tail] *)
+  mutable w_stop : int;  (* the next tail position [enter_words] must see *)
+  mutable floats : Float.Array.t;  (* power-of-two length, indexed [land] (length - 1) *)
   head : cursor;  (* the oldest retained record *)
   mutable w_tail : int;
   mutable f_tail : int;
@@ -83,6 +93,14 @@ type t = Nop | Mem of mem
 let nop = Nop
 
 let default_capacity = 1 lsl 20
+
+let chunk_bits = 12
+
+let chunk_words = 1 lsl chunk_bits
+
+let chunk_mask = chunk_words - 1
+
+let no_chunk : int array = [||]
 
 let memory ?(capacity = default_capacity) () =
   if capacity <= 0 then invalid_arg "Events.memory: capacity must be positive";
@@ -100,7 +118,9 @@ let memory ?(capacity = default_capacity) () =
           seen_id = Array.make cache_slots 0;
         };
       next = 0;
-      words = [||];
+      chunks = [| no_chunk |];
+      w_chunk = no_chunk;
+      w_stop = 0;
       floats = Float.Array.create 0;
       head = { wp = 0; fp = 0 };
       w_tail = 0;
@@ -126,39 +146,74 @@ let intern_slow tab s =
       Hashtbl.add tab.ids s id;
       id
 
+(* 2-way: the cache's slots pair up, and a string is looked for in both
+   slots of its pair. A miss moves the pair's first string to the
+   second slot and takes the first, so the two most recently missed
+   strings of a pair stay cached: ["mid"] and ["forced"], ["dst"] and
+   ["pre_gst"], and ["step"] and ["pidx"] each share a pair, and every
+   net delivery or runtime step interns both. *)
 let intern tab s =
   let len = String.length s in
-  let slot =
+  let pair =
     if len = 0 then 0
     else
       ((len * 7) + (Char.code (String.unsafe_get s 0) * 3)
       + Char.code (String.unsafe_get s (len - 1)))
-      land (cache_slots - 1)
+      land (cache_slots - 2)
   in
-  if Array.unsafe_get tab.seen slot == s then Array.unsafe_get tab.seen_id slot
+  if Array.unsafe_get tab.seen pair == s then Array.unsafe_get tab.seen_id pair
+  else if Array.unsafe_get tab.seen (pair + 1) == s then Array.unsafe_get tab.seen_id (pair + 1)
   else begin
     let id = intern_slow tab s in
-    Array.unsafe_set tab.seen slot s;
-    Array.unsafe_set tab.seen_id slot id;
+    Array.unsafe_set tab.seen (pair + 1) (Array.unsafe_get tab.seen pair);
+    Array.unsafe_set tab.seen_id (pair + 1) (Array.unsafe_get tab.seen_id pair);
+    Array.unsafe_set tab.seen pair s;
+    Array.unsafe_set tab.seen_id pair id;
     id
   end
 
-let min_ring = 64
+(* Double the slot table. Every live chunk index moves to its slot in
+   the new table with its words in place. A full ring whose head is
+   not chunk-aligned spans [slots + 1] chunk indices, the first and the
+   last sharing one chunk; the last gets a fresh chunk holding the
+   tail's part. *)
+let grow_words m =
+  let old = m.chunks in
+  let slots = Array.length old in
+  let table = Array.make (2 * slots) no_chunk in
+  let first = m.head.wp asr chunk_bits and last = (m.w_tail - 1) asr chunk_bits in
+  for k = first to last do
+    table.(k land ((2 * slots) - 1)) <- old.(k land (slots - 1))
+  done;
+  if last - first = slots then begin
+    let fresh = Array.make chunk_words 0 in
+    Array.blit old.(last land (slots - 1)) 0 fresh 0 (m.w_tail - (last lsl chunk_bits));
+    table.(last land ((2 * slots) - 1)) <- fresh
+  end;
+  m.chunks <- table
+
+(* The tail reached [w_stop]: grow a full ring, allocate the chunk the
+   tail enters unless its slot already holds one (evicted, or the
+   head's), and set the next stop: the end of the tail's chunk, or
+   where the tail would catch up with the head. The head only moves
+   forward, so a stop computed from an older head is early, never
+   late. *)
+let enter_words m =
+  let p = m.w_tail in
+  if p - m.head.wp = Array.length m.chunks lsl chunk_bits then grow_words m;
+  let slots = Array.length m.chunks in
+  let slot = (p asr chunk_bits) land (slots - 1) in
+  if Array.length m.chunks.(slot) = 0 then m.chunks.(slot) <- Array.make chunk_words 0;
+  m.w_chunk <- m.chunks.(slot);
+  m.w_stop <- min ((p lor chunk_mask) + 1) (m.head.wp + (slots lsl chunk_bits))
+
+let min_floats = 64
 
 (* Doubling keeps absolute positions valid: each live slot moves to
    its position modulo the new length. *)
-let grow_words m =
-  let len = Array.length m.words in
-  let nlen = max min_ring (2 * len) in
-  let nw = Array.make nlen 0 in
-  for i = m.head.wp to m.w_tail - 1 do
-    Array.unsafe_set nw (i land (nlen - 1)) (Array.unsafe_get m.words (i land (len - 1)))
-  done;
-  m.words <- nw
-
 let grow_floats m =
   let len = Float.Array.length m.floats in
-  let nlen = max min_ring (2 * len) in
+  let nlen = max min_floats (2 * len) in
   let nf = Float.Array.create nlen in
   for i = m.head.fp to m.f_tail - 1 do
     Float.Array.unsafe_set nf (i land (nlen - 1)) (Float.Array.unsafe_get m.floats (i land (len - 1)))
@@ -166,10 +221,10 @@ let grow_floats m =
   m.floats <- nf
 
 let[@inline] push_word m v =
-  if m.w_tail - m.head.wp = Array.length m.words then grow_words m;
-  let w = m.words in
-  Array.unsafe_set w (m.w_tail land (Array.length w - 1)) v;
-  m.w_tail <- m.w_tail + 1
+  let p = m.w_tail in
+  if p = m.w_stop then enter_words m;
+  Array.unsafe_set m.w_chunk (p land chunk_mask) v;
+  m.w_tail <- p + 1
 
 let[@inline] push_float m f =
   if m.f_tail - m.head.fp = Float.Array.length m.floats then grow_floats m;
@@ -234,9 +289,11 @@ and has_worker = 2
 and has_id = 4
 
 let next_word m c =
-  let v = Array.unsafe_get m.words (c.wp land (Array.length m.words - 1)) in
-  c.wp <- c.wp + 1;
-  v
+  let p = c.wp in
+  c.wp <- p + 1;
+  Array.unsafe_get
+    (Array.unsafe_get m.chunks ((p asr chunk_bits) land (Array.length m.chunks - 1)))
+    (p land chunk_mask)
 
 let next_float m c =
   let f = Float.Array.unsafe_get m.floats (c.fp land (Float.Array.length m.floats - 1)) in
@@ -302,37 +359,6 @@ let dropped = function Nop -> 0 | Mem m -> max 0 (m.next - m.capacity)
 
 (* ------------------------------------------------------- decoding *)
 
-(* The header of the record at [c], with its optional fields *)
-type header = {
-  h_name : int;
-  h_cat : int;
-  h_phase : phase;
-  h_nargs : int;
-  h_proc : int option;
-  h_worker : int option;
-  h_id : int option;
-  h_ts : float;
-}
-
-let read_header m c =
-  let w0 = next_word m c in
-  let w1 = next_word m c in
-  let nargs = next_word m c in
-  let opt bit = if w1 land bit <> 0 then Some (next_word m c) else None in
-  let proc = opt has_proc in
-  let worker = opt has_worker in
-  let id = opt has_id in
-  {
-    h_name = w0 lsr 3;
-    h_cat = w1 lsr 3;
-    h_phase = phase_of_code (w0 land 7);
-    h_nargs = nargs;
-    h_proc = proc;
-    h_worker = worker;
-    h_id = id;
-    h_ts = next_float m c;
-  }
-
 let rec read_value m c tagword =
   let tag = tagword land 7 in
   if tag = t_null then Json.Null
@@ -359,36 +385,42 @@ and read_fields m c n =
   done;
   List.rev !acc
 
-(* [f m c] once per retained record, oldest first, each call consuming
-   exactly one record from [c]; under the sink's lock *)
-let iter_records t f =
+(* [f m c n]: a cursor [c] at the oldest of the [n] retained records,
+   under the sink's lock *)
+let with_records t f ~nop =
   match t with
-  | Nop -> ()
+  | Nop -> nop
   | Mem m ->
       Mutex.protect m.mu (fun () ->
-          let c = { wp = m.head.wp; fp = m.head.fp } in
-          for _ = 1 to min m.next m.capacity do
-            f m c
-          done)
+          f m { wp = m.head.wp; fp = m.head.fp } (min m.next m.capacity))
 
 let events t =
-  let acc = ref [] in
-  iter_records t (fun m c ->
-      let h = read_header m c in
-      let args = read_fields m c h.h_nargs in
-      acc :=
-        {
-          ts = h.h_ts;
-          name = m.names.strs.(h.h_name);
-          cat = m.names.strs.(h.h_cat);
-          phase = h.h_phase;
-          proc = h.h_proc;
-          worker = h.h_worker;
-          id = h.h_id;
-          args;
-        }
-        :: !acc);
-  List.rev !acc
+  with_records t ~nop:[] (fun m c n ->
+      let acc = ref [] in
+      for _ = 1 to n do
+        let w0 = next_word m c in
+        let w1 = next_word m c in
+        let nargs = next_word m c in
+        let opt bit = if w1 land bit <> 0 then Some (next_word m c) else None in
+        let proc = opt has_proc in
+        let worker = opt has_worker in
+        let id = opt has_id in
+        let ts = next_float m c in
+        let args = read_fields m c nargs in
+        acc :=
+          {
+            ts;
+            name = m.names.strs.(w0 lsr 3);
+            cat = m.names.strs.(w1 lsr 3);
+            phase = phase_of_code (w0 land 7);
+            proc;
+            worker;
+            id;
+            args;
+          }
+          :: !acc
+      done;
+      List.rev !acc)
 
 (* ---------------------------------------------------- serialization *)
 
@@ -471,124 +503,165 @@ let event_to_chrome e =
 
 (* ------------------------------------------- writing from the ring *)
 
-(* The writers below produce, byte for byte, [Json.to_string] of
-   [event_to_json] / [event_to_chrome] applied to the decoded events
-   (pinned by the golden tests), without building either. *)
+(* One write: a cursor over the ring, the output buffer, and the
+   literals built so far — per (name, category, phase) the record's
+   constant head, per key id its [,"key":] member prefix. A record then
+   costs a few [Buffer.add_string]s plus its numbers, and its bytes are
+   [Json.to_string] of [event_to_json] / [event_to_chrome] applied to
+   the decoded event (pinned by the golden tests), without building
+   either. *)
+type writer = {
+  m : mem;
+  c : cursor;
+  buf : Buffer.t;
+  chrome : bool;
+  heads : (int * string) list array;  (* name id -> ((cat_id lsl 3) lor phase, literal) *)
+  keys : string array;  (* key id -> [,"key":]; "" until first used *)
+}
 
-let rec write_value m c buf tagword =
+(* JSONL: [,"name":N,"cat":C,"ph":"P"], written after the [ts] member.
+   Chrome: [{"name":N,"cat":C,"ph":"P","ts":], before the [ts] value. *)
+let head_literal w w0 w1 =
+  let name = w0 lsr 3 and key = w1 land lnot 7 lor (w0 land 7) in
+  let rec find = function
+    | (k, lit) :: rest -> if k = key then lit else find rest
+    | [] ->
+        let lits = w.m.names.lits in
+        let ph = phase_string (phase_of_code (w0 land 7)) in
+        let fields = [ "\"name\":"; lits.(name); ",\"cat\":"; lits.(w1 lsr 3); ",\"ph\":\""; ph ] in
+        let lit =
+          if w.chrome then String.concat "" (("{" :: fields) @ [ "\",\"ts\":" ])
+          else String.concat "" (("," :: fields) @ [ "\"" ])
+        in
+        w.heads.(name) <- (key, lit) :: w.heads.(name);
+        lit
+  in
+  find w.heads.(name)
+
+let key_literal w id =
+  let k = w.keys.(id) in
+  if String.length k > 0 then k
+  else begin
+    let k = "," ^ w.m.names.lits.(id) ^ ":" in
+    w.keys.(id) <- k;
+    k
+  end
+
+let rec write_value w tagword =
+  let buf = w.buf in
   let tag = tagword land 7 in
   if tag = t_null then Buffer.add_string buf "null"
   else if tag = t_false then Buffer.add_string buf "false"
   else if tag = t_true then Buffer.add_string buf "true"
-  else if tag = t_int then Json.add_int buf (next_word m c)
-  else if tag = t_float then Json.add_float buf (next_float m c)
-  else if tag = t_string then Buffer.add_string buf m.names.lits.(next_word m c)
+  else if tag = t_int then Json.add_int buf (next_word w.m w.c)
+  else if tag = t_float then Json.add_float buf (next_float w.m w.c)
+  else if tag = t_string then Buffer.add_string buf w.m.names.lits.(next_word w.m w.c)
   else if tag = t_list then begin
     Buffer.add_char buf '[';
-    for i = 1 to next_word m c do
+    for i = 1 to next_word w.m w.c do
       if i > 1 then Buffer.add_char buf ',';
-      write_value m c buf (next_word m c)
+      write_value w (next_word w.m w.c)
     done;
     Buffer.add_char buf ']'
   end
   else begin
     Buffer.add_char buf '{';
-    write_fields m c buf ~first:true (next_word m c);
+    write_fields w ~first:true (next_word w.m w.c);
     Buffer.add_char buf '}'
   end
 
-(* [n] keyed values as object members, comma-separated *)
-and write_fields m c buf ~first n =
+(* [n] keyed values as object members, comma-separated; [first]: no
+   member precedes them *)
+and write_fields w ~first n =
   for i = 1 to n do
-    if i > 1 || not first then Buffer.add_char buf ',';
-    let tagword = next_word m c in
-    Buffer.add_string buf m.names.lits.(tagword lsr 3);
-    Buffer.add_char buf ':';
-    write_value m c buf tagword
+    let tagword = next_word w.m w.c in
+    let key = key_literal w (tagword lsr 3) in
+    if first && i = 1 then Buffer.add_substring w.buf key 1 (String.length key - 1)
+    else Buffer.add_string w.buf key;
+    write_value w tagword
   done
+
+let[@inline] has presence bit = presence land bit <> 0
 
 let add_member buf key v =
   Buffer.add_string buf key;
   Json.add_int buf v
 
-let write_json_record m c buf =
-  let h = read_header m c in
-  Buffer.add_string buf "{\"ts\":";
-  Json.add_float buf h.h_ts;
-  Buffer.add_string buf ",\"name\":";
-  Buffer.add_string buf m.names.lits.(h.h_name);
-  Buffer.add_string buf ",\"cat\":";
-  Buffer.add_string buf m.names.lits.(h.h_cat);
-  Buffer.add_string buf ",\"ph\":\"";
-  Buffer.add_string buf (phase_string h.h_phase);
-  Buffer.add_char buf '"';
-  Option.iter (add_member buf ",\"proc\":") h.h_proc;
-  Option.iter (add_member buf ",\"worker\":") h.h_worker;
-  Option.iter (add_member buf ",\"id\":") h.h_id;
-  if h.h_nargs > 0 then begin
-    Buffer.add_string buf ",\"args\":{";
-    write_fields m c buf ~first:true h.h_nargs;
+let write_record w =
+  let m = w.m and c = w.c and buf = w.buf in
+  let w0 = next_word m c in
+  let w1 = next_word m c in
+  let nargs = next_word m c in
+  let head = head_literal w w0 w1 in
+  let ts = next_float m c in
+  if not w.chrome then begin
+    Buffer.add_string buf "{\"ts\":";
+    Json.add_float buf ts;
+    Buffer.add_string buf head;
+    if has w1 has_proc then add_member buf ",\"proc\":" (next_word m c);
+    if has w1 has_worker then add_member buf ",\"worker\":" (next_word m c);
+    if has w1 has_id then add_member buf ",\"id\":" (next_word m c);
+    if nargs > 0 then begin
+      Buffer.add_string buf ",\"args\":{";
+      write_fields w ~first:true nargs;
+      Buffer.add_char buf '}'
+    end;
+    Buffer.add_string buf "}\n"
+  end
+  else begin
+    let proc = if has w1 has_proc then next_word m c else 0 in
+    let worker = if has w1 has_worker then next_word m c else 0 in
+    let id = if has w1 has_id then next_word m c else 0 in
+    Buffer.add_string buf head;
+    Json.add_float buf (ts *. 1e6);
+    add_member buf ",\"pid\":1,\"tid\":" (if has w1 has_worker then worker else proc);
+    (match phase_of_code (w0 land 7) with
+    | Instant -> Buffer.add_string buf ",\"s\":\"t\""
+    | Begin | End -> ()
+    | Async_begin | Async_end -> add_member buf ",\"id\":" id);
+    let ids = w1 land (has_proc lor has_worker) in
+    if ids <> 0 || nargs > 0 then begin
+      Buffer.add_string buf ",\"args\":{";
+      if has w1 has_proc then add_member buf "\"proc\":" proc;
+      if has w1 has_worker then
+        add_member buf (if has w1 has_proc then ",\"worker\":" else "\"worker\":") worker;
+      write_fields w ~first:(ids = 0) nargs;
+      Buffer.add_char buf '}'
+    end;
     Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}'
+  end
 
-let write_chrome_record m c buf =
-  let h = read_header m c in
-  Buffer.add_string buf "{\"name\":";
-  Buffer.add_string buf m.names.lits.(h.h_name);
-  Buffer.add_string buf ",\"cat\":";
-  Buffer.add_string buf m.names.lits.(h.h_cat);
-  Buffer.add_string buf ",\"ph\":\"";
-  Buffer.add_string buf (phase_string h.h_phase);
-  Buffer.add_string buf "\",\"ts\":";
-  Json.add_float buf (h.h_ts *. 1e6);
-  Buffer.add_string buf ",\"pid\":1";
-  add_member buf ",\"tid\":"
-    (match (h.h_worker, h.h_proc) with Some w, _ -> w | None, Some p -> p | None, None -> 0);
-  (match h.h_phase with
-  | Instant -> Buffer.add_string buf ",\"s\":\"t\""
-  | Begin | End -> ()
-  | Async_begin | Async_end -> add_member buf ",\"id\":" (Option.value h.h_id ~default:0));
-  if h.h_proc <> None || h.h_worker <> None || h.h_nargs > 0 then begin
-    Buffer.add_string buf ",\"args\":{";
-    let first = ref true in
-    let id_member key v =
-      if not !first then Buffer.add_char buf ',';
-      add_member buf key v;
-      first := false
-    in
-    Option.iter (id_member "\"proc\":") h.h_proc;
-    Option.iter (id_member "\"worker\":") h.h_worker;
-    write_fields m c buf ~first:!first h.h_nargs;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}'
+(* The buffer is handed to the channel whenever it passes [flush_bytes] *)
+let flush_bytes = 1 lsl 16
 
-(* One buffer per write, handed to the channel whenever it passes
-   [chunk] bytes *)
-let chunk = 1 lsl 16
+let write t oc ~chrome =
+  with_records t ~nop:() (fun m c n ->
+      let ids = Hashtbl.length m.names.ids in
+      let w =
+        {
+          m;
+          c;
+          buf = Buffer.create flush_bytes;
+          chrome;
+          heads = Array.make ids [];
+          keys = Array.make ids "";
+        }
+      in
+      for i = 1 to n do
+        if chrome && i > 1 then Buffer.add_string w.buf ",\n";
+        write_record w;
+        if Buffer.length w.buf >= flush_bytes then begin
+          Buffer.output_buffer oc w.buf;
+          Buffer.clear w.buf
+        end
+      done;
+      Buffer.output_buffer oc w.buf)
 
-let write_records t oc ~sep record =
-  let buf = Buffer.create chunk in
-  let first = ref true in
-  iter_records t (fun m c ->
-      if not !first then Buffer.add_string buf sep;
-      first := false;
-      record m c buf;
-      if Buffer.length buf >= chunk then begin
-        Buffer.output_buffer oc buf;
-        Buffer.clear buf
-      end);
-  Buffer.output_buffer oc buf
-
-let write_jsonl t oc =
-  write_records t oc ~sep:"" (fun m c buf ->
-      write_json_record m c buf;
-      Buffer.add_char buf '\n')
+let write_jsonl t oc = write t oc ~chrome:false
 
 let write_chrome t oc =
   output_string oc "[";
-  write_records t oc ~sep:",\n" write_chrome_record;
+  write t oc ~chrome:true;
   output_string oc "]\n"
 
 let save_jsonl t path =

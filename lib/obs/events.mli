@@ -29,14 +29,19 @@
     record, which the GC had to promote and mark. Names, categories,
     keys and string values are interned once per sink.
 
-    Both rings start empty and double on demand (so a fresh sink costs
-    O(1) words, and each ring is at most twice the most it has held),
-    never beyond what [capacity] events need. {!events} decodes the retained
-    events back into {!event} records. {!write_jsonl} and
+    Both rings start empty and grow on demand, never beyond what
+    [capacity] events need, so a fresh sink costs O(1) words. The int
+    ring is a table of fixed 4,096-word chunks, each allocated when the
+    ring first reaches it; growing doubles the table of chunk pointers
+    and copies no words (bar one shared chunk when the oldest record
+    starts mid-chunk), so the ring holds its live words plus at most
+    one partly filled chunk. The float ring doubles. {!events} decodes
+    the retained events back into {!event} records. {!write_jsonl} and
     {!write_chrome} stream straight from the rings through one reused
-    buffer, with each interned string escaped once, and write exactly
-    the bytes of {!event_to_json} / {!event_to_chrome} applied to
-    {!events}. *)
+    buffer: per write they build one literal for each (name, category,
+    phase) record head and one ["key":] literal for each arg key, and
+    write digits straight into the buffer. They write exactly the bytes
+    of {!event_to_json} / {!event_to_chrome} applied to {!events}. *)
 
 type phase = Instant | Begin | End | Async_begin | Async_end
 (** [Async_begin]/[Async_end] pairs are spans that may overlap freely
@@ -61,9 +66,11 @@ val nop : t
 (** Discards everything; [enabled nop = false]. *)
 
 val memory : ?capacity:int -> unit -> t
-(** Ring sink keeping the last [capacity] events (default [2^20]),
-    allocated as events arrive. Raises [Invalid_argument] on a
-    non-positive capacity. *)
+(** Ring sink keeping the last [capacity] events (default [2^20]). Its
+    storage is allocated as events arrive, a 4,096-word chunk at a
+    time: creating a sink allocates O(1) words, and a sink holds about
+    the words its retained events encode, plus one chunk. Raises
+    [Invalid_argument] on a non-positive capacity. *)
 
 val enabled : t -> bool
 

@@ -35,25 +35,42 @@ let escaped s =
   escape buf s;
   Buffer.contents buf
 
-(* Decimal digits written back to front into a small byte buffer, working
-   on the non-positive value so [min_int] needs no special case. Same
-   bytes as [string_of_int], without its format-string interpretation. *)
-let add_int buf i =
-  if i >= 0 && i < 10 then Buffer.add_char buf (Char.unsafe_chr (48 + i))
-  else begin
-    let b = Bytes.create 20 in
-    let pos = ref 20 and n = ref (if i < 0 then i else -i) in
-    while !n <> 0 do
-      decr pos;
-      Bytes.unsafe_set b !pos (Char.unsafe_chr (48 - (!n mod 10)));
-      n := !n / 10
-    done;
-    if i < 0 then begin
-      decr pos;
-      Bytes.unsafe_set b !pos '-'
-    end;
-    Buffer.add_subbytes buf b !pos (20 - !pos)
+(* The pairs 00..99 in one string literal, so initialising the module
+   allocates nothing: numbers are written most significant first, a
+   pair per [Buffer.add_uint16_be], straight into the buffer. *)
+let digit_pairs =
+  "00010203040506070809101112131415161718192021222324252627282930313233343536373839\
+   40414243444546474849505152535455565758596061626364656667686970717273747576777879\
+   8081828384858687888990919293949596979899"
+
+let[@inline] add_pair buf d = Buffer.add_uint16_be buf (String.get_uint16_be digit_pairs (2 * d))
+
+(* The digits of [-n] for [n <= 0]; working on the non-positive value
+   lets [min_int] through without a special case *)
+let rec add_digits buf n =
+  if n <= -100 then begin
+    add_digits buf (n / 100);
+    add_pair buf (-(n mod 100))
   end
+  else if n <= -10 then add_pair buf (-n)
+  else Buffer.add_char buf (Char.unsafe_chr (48 - n))
+
+(* Same bytes as [string_of_int], without its format-string
+   interpretation or a staging string *)
+let add_int buf i =
+  if i >= 0 then add_digits buf (-i)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf i
+  end
+
+(* [d] as exactly [n] digits, zero-padded *)
+let rec add_n_digits buf d n =
+  if n >= 2 then begin
+    add_n_digits buf (d / 100) (n - 2);
+    add_pair buf (d mod 100)
+  end
+  else if n = 1 then Buffer.add_char buf (Char.unsafe_chr (48 + d))
 
 (* The C primitive behind [Printf.sprintf "%.12g"]: for finite floats
    the two agree byte for byte, and the primitive skips the format
@@ -63,13 +80,15 @@ external format_float : string -> float -> string = "caml_format_float"
 let pow10 =
   [| 1.; 1e1; 1e2; 1e3; 1e4; 1e5; 1e6; 1e7; 1e8; 1e9; 1e10; 1e11; 1e12; 1e13; 1e14; 1e15 |]
 
+let int_pow10 = Array.init 12 (fun i -> int_of_float pow10.(i))
+
 (* [%.12g] without C's multi-precision formatting, for the values a
    trace is made of. If 1e-4 <= |x| < 1e12, [%.12g] is fixed notation
    with the 12 significant digits of [round (|x| * 10^k)], where k
    puts the product in [1e11, 1e12). 10^k is exact (k <= 15) and the
-   product is within 2^-13 of exact, so [Float.round] rounds it as the
-   exact decimal expansion would unless it lies within 1e-3 of a tie or
-   of the range ends. Those cases, and every other [x], return [false]
+   product is within 2^-13 of exact, so rounding it agrees with the
+   exact decimal expansion unless it lies within 1e-3 of a tie or of
+   the range ends. Those cases, and every other [x], return [false]
    having written nothing. The JSON float marker [".0"] is added when
    no fraction digits remain. *)
 let add_fixed12 buf x =
@@ -81,35 +100,39 @@ let add_fixed12 buf x =
       incr k
     done;
     let y = a *. pow10.(!k) in
-    let r = Float.round y in
-    if y < 1e11 +. 1. || y >= 1e12 -. 1. || Float.abs (y -. r) > 0.499 then false
+    (* y + 0.5 is exact below 2^40, so this rounds half up *)
+    let r = int_of_float (y +. 0.5) in
+    if y < 1e11 +. 1. || y >= 1e12 -. 1. || Float.abs (y -. float_of_int r) > 0.499 then false
     else begin
-      let digits = Bytes.create 12 in
-      let d = ref (int_of_float r) in
-      for i = 11 downto 0 do
-        Bytes.unsafe_set digits i (Char.unsafe_chr (48 + (!d mod 10)));
-        d := !d / 10
-      done;
-      let last = ref 11 in
-      while Bytes.get digits !last = '0' do
-        decr last
-      done;
       if x < 0. then Buffer.add_char buf '-';
       let e = 11 - !k in
       if e >= 0 then begin
-        Buffer.add_subbytes buf digits 0 (e + 1);
-        if !last > e then begin
+        (* the integer part, then the fraction's digits up to its
+           last nonzero one, or ".0" when it is zero *)
+        let p = int_pow10.(11 - e) in
+        add_digits buf (-(r / p));
+        let frac = ref (r mod p) and n = ref (11 - e) in
+        if !frac = 0 then Buffer.add_string buf ".0"
+        else begin
+          while !frac mod 10 = 0 do
+            frac := !frac / 10;
+            decr n
+          done;
           Buffer.add_char buf '.';
-          Buffer.add_subbytes buf digits (e + 1) (!last - e)
+          add_n_digits buf !frac !n
         end
-        else Buffer.add_string buf ".0"
       end
       else begin
         Buffer.add_string buf "0.";
         for _ = 2 to -e do
           Buffer.add_char buf '0'
         done;
-        Buffer.add_subbytes buf digits 0 (!last + 1)
+        let d = ref r and n = ref 12 in
+        while !d mod 10 = 0 do
+          d := !d / 10;
+          decr n
+        done;
+        add_n_digits buf !d !n
       end;
       true
     end

@@ -369,9 +369,9 @@ let test_writers_byte_identical () =
       Alcotest.(check string) "empty chrome" "[]\n" (file_contents Events.save_chrome t))
     [ Events.memory (); Events.nop ]
 
-(* The ring starts empty and doubles on demand: 2,500 events of mixed
-   sizes through a 1,000-event ring grow both arrays several times,
-   then wrap. *)
+(* The ring starts empty and grows on demand: 2,500 events of mixed
+   sizes through a 1,000-event ring cross several word chunks and
+   double the float ring several times, then wrap. *)
 let test_ring_growth () =
   let t = Events.memory ~capacity:1000 () in
   let args i =
@@ -405,6 +405,134 @@ let test_ring_growth () =
   let allocated = words () -. w0 in
   Alcotest.(check bool) (Fmt.str "memory () allocated %.0f words" allocated) true (allocated < 1024.);
   Alcotest.(check int) "nothing recorded" 0 (Events.recorded sink)
+
+(* Words one event takes in the int ring: three header words, one per
+   optional field present, and per arg a tag word plus its payload
+   (Events' encoding; a float's payload is in the float ring). *)
+let rec value_words = function
+  | Json.Null | Json.Bool _ | Json.Float _ -> 1
+  | Json.Int _ | Json.String _ -> 2
+  | Json.List xs -> 2 + List.fold_left (fun a x -> a + value_words x) 0 xs
+  | Json.Obj kvs -> 2 + List.fold_left (fun a (_, v) -> a + value_words v) 0 kvs
+
+(* After 100k events the sink holds the encoded words, at most one
+   partly filled chunk and the chunk table, the float ring, and what a
+   one-event sink holds besides (names, bookkeeping, its first chunk) —
+   no slack from doubling the word ring. *)
+let test_ring_footprint () =
+  let emit t i =
+    Events.emit t ~proc:(i land 7)
+      ~args:[ ("global", Json.Int i); ("pidx", Json.Int (i / 8)) ]
+      ~cat:"runtime" "step"
+  in
+  let footprint t = Obj.reachable_words (Obj.repr t) in
+  let one = Events.memory () in
+  emit one 0;
+  let n = 100_000 in
+  let t = Events.memory () in
+  for i = 1 to n do
+    emit t i
+  done;
+  let encoded = n * (3 + 1 + value_words (Json.Int 0) + value_words (Json.Int 0)) in
+  let chunks = (encoded + 4095) / 4096 in
+  (* a power-of-two table, at most twice the chunks; a doubling float
+     ring of one timestamp per event, at most twice that *)
+  let table = (2 * chunks) + 1 and floats = (2 * n) + 1 in
+  let bound = footprint one + encoded + table + floats in
+  let words = footprint t in
+  Alcotest.(check bool)
+    (Fmt.str "%d words held, bound %d" words bound)
+    true (words <= bound)
+
+(* Random event streams through sinks whose word ring crosses many
+   4,096-word chunks, wraps, and grows while wrapped: a run of small
+   events fills the capacity and starts evicting, then larger events
+   (15+ args) make the retained window several times bigger, growing
+   the ring with the head wherever the last eviction left it. Streams
+   are drawn from a seed (QCheck's own generators build a shrink tree
+   per value, too slow for streams of thousands of events). *)
+let random_stream rs ~capacity =
+  let pick xs = List.nth xs (Random.State.int rs (List.length xs)) in
+  let str () =
+    if Random.State.bool rs then pick [ "a"; ""; "q\"u\\o\n"; "\xe2\x82\xac" ]
+    else String.init (Random.State.int rs 7) (fun _ -> Char.chr (Random.State.int rs 256))
+  in
+  let key () =
+    if Random.State.bool rs then pick [ "mid"; "forced"; "dst"; "pre_gst"; "k\"ey" ] else str ()
+  in
+  let leaf () =
+    match Random.State.int rs 5 with
+    | 0 -> Json.Null
+    | 1 -> Json.Bool (Random.State.bool rs)
+    | 2 ->
+        Json.Int
+          (if Random.State.bool rs then Random.State.int rs 200 - 100
+           else Random.State.bits rs - Random.State.bits rs)
+    | 3 ->
+        Json.Float
+          (match Random.State.int rs 3 with
+          | 0 -> Int64.float_of_bits (Random.State.int64 rs Int64.max_int)
+          | 1 -> Random.State.float rs 2e4 -. 1e4
+          | _ -> pick [ Float.nan; Float.infinity; Float.neg_infinity; -0.; 4.9e-324; 3.0 ])
+    | _ -> Json.String (str ())
+  in
+  let rec value budget =
+    if budget <= 1 || Random.State.int rs 5 < 3 then leaf ()
+    else
+      let items () = List.init (Random.State.int rs 5) (fun _ -> value (budget / 3)) in
+      if Random.State.bool rs then Json.List (items ())
+      else Json.Obj (List.map (fun v -> (key (), v)) (items ()))
+  in
+  let opt f = if Random.State.bool rs then Some (f ()) else None in
+  let event ~nargs ~budget =
+    ( (if Random.State.bool rs then pick [ "step"; "deliver"; "e\"v" ] else str ()),
+      pick [ "runtime"; "net"; "c\\at" ],
+      pick Events.[ Instant; Begin; End; Async_begin; Async_end ],
+      opt (fun () -> Random.State.int rs 20 - 2),
+      opt (fun () -> Random.State.int rs 8),
+      opt (fun () -> Random.State.bits rs - Random.State.bits rs),
+      List.init nargs (fun _ -> (key (), value budget)) )
+  in
+  let small =
+    List.init (capacity + 1 + Random.State.int rs capacity) (fun _ ->
+        event ~nargs:(Random.State.int rs 4) ~budget:3)
+  in
+  let large =
+    List.init (capacity + Random.State.int rs capacity) (fun _ ->
+        event ~nargs:(15 + Random.State.int rs 11) ~budget:9)
+  in
+  small @ large
+
+let prop_chunked_ring =
+  QCheck2.Test.make ~name:"chunked ring: events and writers over wrap and growth" ~count:20
+    ~print:(fun (capacity, seed) -> Fmt.str "capacity %d, seed %d" capacity seed)
+    QCheck2.Gen.(pair (int_range 200 1000) nat)
+    (fun (capacity, seed) ->
+      let evs = random_stream (Random.State.make [| seed |]) ~capacity in
+      let t = Events.memory ~capacity () in
+      List.iter
+        (fun (name, cat, phase, proc, worker, id, args) ->
+          Events.emit t ?proc ?worker ?id ~args ~phase ~cat name)
+        evs;
+      let total = List.length evs in
+      let kept = List.filteri (fun i _ -> i >= total - capacity) evs in
+      let decoded = Events.events t in
+      List.length decoded = capacity
+      && Events.dropped t = total - capacity
+      && List.for_all2
+           (fun e (name, cat, phase, proc, worker, id, args) ->
+             e.Events.name = name && e.Events.cat = cat && e.Events.phase = phase
+             && e.Events.proc = proc && e.Events.worker = worker && e.Events.id = id
+             && json_identical (Json.Obj args) (Json.Obj e.Events.args))
+           decoded kept
+      && file_contents Events.save_jsonl t
+         = String.concat ""
+             (List.map (fun e -> Json.to_string (Events.event_to_json e) ^ "\n") decoded)
+      && file_contents Events.save_chrome t
+         = "["
+           ^ String.concat ",\n"
+               (List.map (fun e -> Json.to_string (Events.event_to_chrome e)) decoded)
+           ^ "]\n")
 
 (* ------------------------------------------- instrumentation contracts *)
 
@@ -541,6 +669,8 @@ let () =
           Alcotest.test_case "writers byte-identical (wrapped ring)" `Quick
             test_writers_byte_identical;
           Alcotest.test_case "ring grows on demand, then wraps" `Quick test_ring_growth;
+          Alcotest.test_case "ring footprint: no doubling slack" `Quick test_ring_footprint;
+          QCheck_alcotest.to_alcotest prop_chunked_ring;
         ] );
       ( "instrumentation",
         [
