@@ -52,7 +52,7 @@ obs-check: ## traced exploration; validate the emitted JSONL (byte-canonical lin
 	  --require replay,expand,sleep_prune \
 	  --require-counter explorer.states --require-counter explorer.replay_steps
 
-fuzz-smoke: ## fixed-seed fuzz runs: the seeded-bug SUT must be found (exit 2) and its --repro replay must print the same report apart from the time: line; the faithful control and the Theorem-24 solver (one live machine instance per hunt) must pass (exit 0)
+fuzz-smoke: ## fixed-seed fuzz runs: the seeded-bug SUT must be found (exit 2) and its --repro replay must print the same report apart from the time: line, at --len 96 and at --len 384 (a 176-step found prefix, so runs view a tally buffer that keeps growing); the faithful control and the Theorem-24 solver (one live machine instance per hunt) must pass (exit 0)
 	dune exec bin/setsync_cli.exe -- fuzz --sut seeded-bug --seed 42 --execs 2000 --len 96 \
 	  >/tmp/setsync_ci_fuzz.out; \
 	  status=$$?; cat /tmp/setsync_ci_fuzz.out; \
@@ -72,6 +72,24 @@ fuzz-smoke: ## fixed-seed fuzz runs: the seeded-bug SUT must be found (exit 2) a
 	dune exec bin/setsync_cli.exe -- fuzz --sut fixed --seed 42 --execs 300 --len 96
 	dune exec bin/setsync_cli.exe -- fuzz --sut kset -n 3 -t 1 -k 1 --crashes 1 --seed 1 \
 	  --execs 300 --len 96
+	dune exec bin/setsync_cli.exe -- fuzz --sut seeded-bug -n 3 -t 2 -k 1 --seed 42 \
+	  --execs 2000 --len 384 >/tmp/setsync_ci_fuzz_long.out; \
+	  status=$$?; cat /tmp/setsync_ci_fuzz_long.out; \
+	  if [ $$status -ne 2 ]; then \
+	    echo "fuzz-smoke: long hunt expected exit 2 (violation found), got $$status"; exit 1; \
+	  fi
+	dune exec bin/setsync_cli.exe -- fuzz --sut seeded-bug -n 3 -t 2 -k 1 --repro 42 \
+	  --execs 2000 --len 384 >/tmp/setsync_ci_fuzz_long_repro.out; \
+	  status=$$?; \
+	  if [ $$status -ne 2 ]; then \
+	    echo "fuzz-smoke: long --repro expected exit 2, got $$status"; exit 1; \
+	  fi
+	grep -v '^time:' /tmp/setsync_ci_fuzz_long.out >/tmp/setsync_ci_fuzz_long.cmp
+	grep -v '^time:' /tmp/setsync_ci_fuzz_long_repro.out >/tmp/setsync_ci_fuzz_long_repro.cmp
+	diff /tmp/setsync_ci_fuzz_long.cmp /tmp/setsync_ci_fuzz_long_repro.cmp || { \
+	  echo "fuzz-smoke: long --repro 42 printed a different report"; exit 1; }
+	dune exec bin/setsync_cli.exe -- fuzz --sut fixed -n 3 -t 2 -k 1 --seed 42 --execs 200 \
+	  --len 384
 
 net-smoke: ## net backend gate: bounded exploration passes, BRS fuzz finds the k-set violation, traced CT run and traced batched/per-op solves validate
 	dune exec bin/setsync_cli.exe -- explore --backend net --check detector \

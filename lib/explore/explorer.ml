@@ -40,7 +40,7 @@ type 'obs state = {
   depth : int;
   prefix : Schedule.t;
   run : Run.t;
-  snapshot : (string * string) list;
+  snapshot : (string * string) list Lazy.t;
   obs : 'obs;
 }
 
@@ -162,22 +162,29 @@ let snapshot_of store (inst : _ instance) =
    path can materialize an exact [state] at any point along its run.
    Every state the explorer builds comes from [Mirror.state]. *)
 module Mirror = struct
+  (* A session's memoizing renderer, which renders the instance as it is
+     now, and the session's count of moves that can take the instance
+     back or elsewhere (a new run, a savepoint restore). A state stays
+     current while that count and its tally's step count stand still. *)
+  type memo = { render : unit -> (string * string) list; moves : int ref }
+
   type 'obs m = {
     store : Store.t;
     inst : 'obs instance;
     tally : Run.Tally.t;
     machine : Executor.step option;  (* [None]: step [inst.body] as fibers *)
-    memo : (unit -> (string * string) list) option;
-        (* [store]'s memoizing renderer, when a session built it *)
+    memo : memo option;  (* when a session built [store] *)
   }
 
-  let make ~(sut : 'obs sut) ~fault ?trace ?(memoized = false) () =
+  (* [moves]: the count of the session building the mirror, if any *)
+  let make ~(sut : 'obs sut) ~fault ?trace ?moves () =
     let tally = Run.Tally.create ~n:sut.n fault in
     let store, memo =
-      if memoized then
-        let store, render = Store.memoized ?trace () in
-        (store, Some render)
-      else (Store.create ?trace (), None)
+      match moves with
+      | Some moves ->
+          let store, render = Store.memoized ?trace () in
+          (store, Some { render; moves })
+      | None -> (Store.create ?trace (), None)
     in
     { store; inst = sut.fresh ~store; tally; machine = None; memo }
 
@@ -213,10 +220,17 @@ module Mirror = struct
     let run = Run.Tally.freeze t reason in
     let prefix = Option.value requested ~default:run.Run.taken in
     let snapshot =
-      match (m.memo, m.inst.substrate) with
-      | None, _ -> snapshot_of m.store m.inst
-      | Some render, None -> render ()
-      | Some render, Some s -> render () @ Setsync_runtime.Substrate.snapshot s
+      match m.memo with
+      | None -> Lazy.from_val (snapshot_of m.store m.inst)
+      | Some { render; moves } ->
+          (* rendered on demand, from the instance as it is then *)
+          let at = !moves and total = Run.Tally.total_steps t in
+          lazy
+            (if !moves <> at || Run.Tally.total_steps t <> total then
+               invalid_arg "Explorer.Session: snapshot of a state the session has moved past";
+             match m.inst.substrate with
+             | None -> render ()
+             | Some s -> render () @ Setsync_runtime.Substrate.snapshot s)
     in
     { depth = Schedule.length prefix; prefix; run; snapshot; obs = m.inst.observe () }
 
@@ -344,7 +358,7 @@ let digest ~sut (st : _ state) =
       Buffer.add_char buf '=';
       Buffer.add_string buf value;
       Buffer.add_char buf ';')
-    st.snapshot;
+    (Lazy.force st.snapshot);
   let procs label set =
     Buffer.add_string buf label;
     Procset.iter (fun p -> Buffer.add_string buf (string_of_int p ^ ",")) set
@@ -419,15 +433,15 @@ module Session = struct
            initial savepoint, and its [m_save] *)
     mutable current : 'obs Mirror.m;  (* the instance of the latest run *)
     mutable track : 'obs track option;
+    moves : int ref;  (* runs started and savepoints restored *)
   }
 
   let create ~(sut : 'obs sut) =
-    let store, memo = Store.memoized () in
-    let inst = sut.fresh ~store in
-    let tally = Run.Tally.create ~n:sut.n Fault.no_faults in
-    let m = { Mirror.store; inst; tally; machine = None; memo = Some memo } in
+    let moves = ref 0 in
+    let m = Mirror.make ~sut ~fault:Fault.no_faults ~moves () in
+    let store = m.Mirror.store and inst = m.Mirror.inst in
     match inst.machine with
-    | None -> { sut; machine = None; current = m; track = None }
+    | None -> { sut; machine = None; current = m; track = None; moves }
     | Some mi ->
         let restore_store = Store.save store in
         let restore_m = mi.m_save () in
@@ -442,14 +456,15 @@ module Session = struct
           mi.m_halted p
         in
         let m = { m with Mirror.machine = Some step } in
-        { sut; machine = Some (m, initial, mi.m_save); current = m; track = None }
+        { sut; machine = Some (m, initial, mi.m_save); current = m; track = None; moves }
 
   let on_machine s = Option.is_some s.machine
 
   let mirror s ~fault () =
+    incr s.moves;
     let m =
       match s.machine with
-      | None -> Mirror.make ~sut:s.sut ~fault ~memoized:true ()
+      | None -> Mirror.make ~sut:s.sut ~fault ~moves:s.moves ()
       | Some (m, initial, _) ->
           initial ();
           { m with Mirror.tally = Run.Tally.create ~n:s.sut.n fault }
@@ -526,6 +541,7 @@ module Session = struct
         let start () =
           match tr.points with
           | (consumed, restore) :: _ ->
+              incr s.moves;
               restore ();
               s.current <- tr.mirror;
               (tr.mirror, consumed)

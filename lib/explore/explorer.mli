@@ -106,7 +106,14 @@ type 'obs state = {
   depth : int;  (** number of extension choices = [Schedule.length prefix] *)
   prefix : Setsync_schedule.Schedule.t;  (** the interleaving reaching this state *)
   run : Setsync_runtime.Run.t;  (** replay record (halted, crashed, …) *)
-  snapshot : (string * string) list;  (** printed register values *)
+  snapshot : (string * string) list Lazy.t;
+      (** printed register values. The explorer's engines, {!evaluate},
+          {!trajectory} and {!check_schedule} render them eagerly. A
+          {!Session} state renders them when first forced ({!digest}
+          forces it), from the session's live instance: it is valid
+          only while the state is current — inside [on_state], or on a
+          final state before the session's next run — and forcing it
+          later raises [Invalid_argument]. *)
   obs : 'obs;
 }
 
@@ -332,7 +339,12 @@ val check_schedule :
     Each interim state's [prefix] is the requested schedule's prefix;
     its [run] is the replay's tally at that point (executed steps, and
     crashes at their executed indices), as {!evaluate} and
-    {!trajectory} report it. *)
+    {!trajectory} report it. Both are views that share arrays
+    ({!Setsync_schedule.Schedule.prefix},
+    {!Setsync_runtime.Run.Tally.freeze}), so building an interim state
+    costs O(n) words plus its register snapshot, whatever the
+    schedule's length — O(n) words in all on a {!Session}, which
+    renders the snapshot only on demand. *)
 
 (** Many runs of one sut on one live instance — the fuzzer's hot loop.
 

@@ -29,7 +29,7 @@ let initial_slots = 256
 type t = {
   mutable slots : int array;  (* power-of-two length, at most [cap] *)
   cap : int;
-  mutable distinct : int;  (* note_digest calls that returned true *)
+  mutable distinct : int;  (* note_hash calls that returned true *)
   mutable digest_evictions : int;  (* saturated-window overwrites *)
   max_entries : int;
   mutable arr : entry array;  (* novelty-descending, ties in insertion order *)

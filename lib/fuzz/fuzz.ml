@@ -149,12 +149,12 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
       if safety <> [] then Budget.note_safety_check meter;
       List.iter
         (fun (p : _ Property.t) ->
-          if !hit = None then
+          if Option.is_none !hit then
             match p.Property.check st with
             | Some _ -> hit := Some (p, st)
             | None -> ())
         safety;
-      !hit <> None
+      Option.is_some !hit
     in
     let final =
       Explorer.Session.trajectory session ~fault:cand.Mutate.fault ~stride ~on_state
@@ -162,10 +162,10 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
     in
     Budget.note_replay meter ~steps:final.Explorer.depth;
     Budget.note_depth meter final.Explorer.depth;
-    if !hit = None then
+    if Option.is_none !hit then
       List.iter
         (fun (p : _ Property.t) ->
-          if !hit = None then
+          if Option.is_none !hit then
             match p.Property.check final with
             | Some _ -> hit := Some (p, final)
             | None -> ())
@@ -243,7 +243,7 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
             else snd (Mutate.apply env rng (Corpus.pick corpus rng))
       in
       execute cand;
-      if !outcome <> Passed then stop := true
+      (match !outcome with Passed -> () | Violation _ -> stop := true)
     end
   done;
   let stats = Budget.stats meter in

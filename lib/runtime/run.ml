@@ -35,8 +35,11 @@ module Tally = struct
   type run = t
 
   (* Every per-step update is a flat array write; lists are touched
-     only when a process crashes. [taken] grows by doubling and only
-     ever appends, so a savepoint needs just its length. *)
+     only when a process crashes. [taken] grows by doubling and a
+     savepoint needs just its length. Frozen runs view [taken] instead
+     of copying it, so an entry below [viewed] is never overwritten:
+     the first step after a restore below [viewed] moves the live
+     prefix [0, total) to a fresh buffer first (copy-on-rewind). *)
   type t = {
     n : int;
     budget : int array;
@@ -46,6 +49,7 @@ module Tally = struct
     mutable crashes : (Proc.t * int) list;  (* most recent first *)
     mutable taken : Proc.t array;
     mutable total : int;
+    mutable viewed : int;  (* entries of [taken] some frozen run shows *)
   }
 
   let create ~n plan =
@@ -62,6 +66,7 @@ module Tally = struct
       crashes = List.rev (List.filter_map (fun (p, s) -> if s = 0 then Some (p, 0) else None) plan);
       taken = Array.make 64 0;
       total = 0;
+      viewed = 0;
     }
 
   let n t = t.n
@@ -73,10 +78,11 @@ module Tally = struct
   let live t p = not (t.dead.(p) || t.halted.(p))
 
   let note_step t p =
-    if t.total = Array.length t.taken then begin
-      let grown = Array.make (2 * t.total) 0 in
-      Array.blit t.taken 0 grown 0 t.total;
-      t.taken <- grown
+    if t.total = Array.length t.taken || t.total < t.viewed then begin
+      let fresh = Array.make (max 8 (2 * t.total)) 0 in
+      Array.blit t.taken 0 fresh 0 t.total;
+      t.taken <- fresh;
+      t.viewed <- 0
     end;
     t.taken.(t.total) <- p;
     let s = t.steps.(p) + 1 in
@@ -105,9 +111,10 @@ module Tally = struct
   let freeze t reason : run =
     let halted = ref Procset.empty in
     Array.iteri (fun p h -> if h then halted := Procset.add p !halted) t.halted;
+    t.viewed <- max t.viewed t.total;
     {
       n = t.n;
-      taken = Schedule.of_array ~n:t.n (Array.sub t.taken 0 t.total);
+      taken = Schedule.share ~n:t.n t.taken ~len:t.total;
       steps_of = Array.copy t.steps;
       crashes = List.rev t.crashes;
       halted = !halted;

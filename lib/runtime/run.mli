@@ -84,5 +84,12 @@ module Tally : sig
   (** Capture the tally; the returned thunk restores it. *)
 
   val freeze : t -> stop_reason -> run
-  (** The run recorded so far, as an immutable record. *)
+  (** The run recorded so far, as an immutable record, in O(n) words:
+      its [taken] shares the tally's executed-steps buffer
+      ({!Setsync_schedule.Schedule.share}) rather than copying it. The
+      run never changes afterwards: once a {!save} restore rewinds the
+      tally below a step some frozen run shows, the next {!note_step}
+      first moves the live steps to a fresh buffer (copy-on-rewind, one
+      copy of the live prefix per rewind), and growth always moves to
+      a fresh buffer. *)
 end

@@ -798,6 +798,135 @@ let test_session_detector () = session_checks (detector_system ())
 
 let test_session_kset () = session_checks (kset_system ())
 
+(* A state's run views its tally's executed-steps buffer, and its
+   prefix views the probed schedule. Savepoint restores rewind the
+   tally under those views; the frozen runs must not see the steps
+   written after a rewind. A spy property records every state one
+   session probes — trajectories, and checks of random-deletion
+   candidates that restore savepoints — and each is compared, after all
+   the runs, with a fresh replay of its prefix. *)
+let test_frozen_runs_never_change () =
+  let sys = counter_core_system () in
+  let n = sys.sut.Explorer.n in
+  let session = Explorer.Session.create ~sut:sys.sut in
+  let seen = ref [] in
+  let record st = seen := st :: !seen in
+  let spy =
+    Property.safety ~name:"spy" (fun st ->
+        record st;
+        None)
+  in
+  let states = ref [] in
+  let rng = Rng.create ~seed:23 in
+  List.iter
+    (fun fault ->
+      seen := [];
+      let base = Source.take (Generators.random_fair ~n ~rng ()) 120 in
+      let cand = ref base in
+      for i = 1 to 40 do
+        let l = to_list (if Rng.int rng 4 = 0 then base else !cand) in
+        let len = List.length l in
+        let pos = Rng.int rng (max 1 len) in
+        let cut = 1 + Rng.int rng (max 1 ((len - pos) / 3)) in
+        cand := Schedule.of_list ~n (List.filteri (fun i _ -> i < pos || i >= pos + cut) l);
+        ignore (Explorer.Session.check_schedule session ~property:spy ~fault !cand);
+        if i mod 8 = 0 then
+          record
+            (Explorer.Session.trajectory session ~fault
+               ~on_state:(fun st ->
+                 record st;
+                 false)
+               !cand)
+      done;
+      states := List.map (fun st -> (fault, st)) !seen @ !states)
+    [ sys.fault; [] ];
+  Alcotest.(check bool)
+    (Printf.sprintf "many probed states (%d)" (List.length !states))
+    true
+    (List.length !states > 4_000);
+  List.iter
+    (fun (fault, (st : _ Explorer.state)) ->
+      let fresh = Explorer.evaluate ~sut:sys.sut ~fault st.Explorer.prefix in
+      Alcotest.check schedule "prefix" fresh.Explorer.prefix st.Explorer.prefix;
+      Alcotest.(check string) "run" (run_line fresh.Explorer.run) (run_line st.Explorer.run))
+    !states
+
+(* Probing a state costs O(n) words on a session, whatever the length
+   of the schedule: the state's prefix and run share arrays, and its
+   snapshot is rendered only on demand. [Gc.allocated_bytes] rather
+   than [minor_words]: arrays over 256 words bypass the minor heap.
+   Each reading follows a minor collection, which brings the counters
+   up to date. *)
+let test_words_per_probed_state () =
+  let sut = Fuzz_systems.counter_core ~bug:false ~params:{ Kanti_omega.n = 3; t = 2; k = 1 } () in
+  let session = Explorer.Session.create ~sut in
+  let argmin = Fuzz_systems.winner_argmin () in
+  let probes = ref 0 in
+  let property =
+    { argmin with Property.check = (fun st -> incr probes; argmin.Property.check st) }
+  in
+  let words_per_state len =
+    let schedules =
+      List.init 6 (fun seed ->
+          Source.take (Generators.random_fair ~n:3 ~rng:(Rng.create ~seed:(seed + 1)) ()) len)
+    in
+    (* the first check builds the session's track *)
+    ignore (Explorer.Session.check_schedule session ~property (List.hd schedules));
+    probes := 0;
+    Gc.minor ();
+    let before = Gc.allocated_bytes () in
+    List.iter
+      (fun s ->
+        Alcotest.(check (option string)) "clean" None
+          (Explorer.Session.check_schedule session ~property s))
+      (List.tl schedules);
+    Gc.minor ();
+    let bytes = Gc.allocated_bytes () -. before in
+    bytes /. float_of_int (Sys.word_size / 8) /. float_of_int !probes
+  in
+  let short = words_per_state 96 and long = words_per_state 384 in
+  Alcotest.(check bool)
+    (Printf.sprintf "words per state: %.0f at length 96, %.0f at length 384" short long)
+    true
+    (long <= 1.25 *. short && short <= 1.25 *. long)
+
+(* A session state's snapshot is rendered from the live instance when
+   forced, so forcing it once the session has moved on raises; states
+   that are still current digest as a fresh replay does. *)
+let test_stale_snapshots_raise () =
+  let sys = counter_core_system () in
+  let n = sys.sut.Explorer.n in
+  let session = Explorer.Session.create ~sut:sys.sut in
+  let digest st = Explorer.digest ~sut:sys.sut st in
+  let stale label st =
+    match digest st with
+    | _ -> Alcotest.failf "%s: a stale snapshot was rendered" label
+    | exception Invalid_argument _ -> ()
+  in
+  let schedule = Source.take (Generators.random_fair ~n ~rng:(Rng.create ~seed:3) ()) 40 in
+  let early = ref None in
+  let final =
+    Explorer.Session.trajectory session
+      ~on_state:(fun st ->
+        if st.Explorer.depth = 5 then early := Some st;
+        false)
+      schedule
+  in
+  stale "earlier in the run" (Option.get !early);
+  let next = Explorer.Session.trajectory session ~on_state:(fun _ -> false) schedule in
+  stale "an earlier run's final state" final;
+  let fresh = Explorer.evaluate ~sut:sys.sut next.Explorer.prefix in
+  Alcotest.(check string) "the current final state" (digest fresh) (digest next);
+  let probed = ref None in
+  let spy =
+    Property.safety ~name:"spy" (fun (st : _ Explorer.state) ->
+        if st.Explorer.depth = 20 then probed := Some st;
+        None)
+  in
+  ignore (Explorer.Session.check_schedule session ~property:spy schedule);
+  ignore (Explorer.Session.check_schedule session ~property:spy (Schedule.prefix schedule 30));
+  stale "a probed state after a savepoint restore" (Option.get !probed)
+
 (* counter_core's fiber form is its machine step looped over
    [Machine.fiber]: driving one instance by fibers through the executor
    and a second by machine steps, the stores and observations agree
@@ -991,6 +1120,10 @@ let () =
           Alcotest.test_case "kset: session = fresh fibers" `Quick test_session_kset;
           Alcotest.test_case "keys = digests on three systems" `Quick test_session_keys;
           Alcotest.test_case "resumed checks = fresh checks" `Quick test_session_resume;
+          Alcotest.test_case "frozen runs never change" `Quick test_frozen_runs_never_change;
+          Alcotest.test_case "words per probed state do not grow with length" `Quick
+            test_words_per_probed_state;
+          Alcotest.test_case "stale snapshots raise" `Quick test_stale_snapshots_raise;
           Alcotest.test_case "counter core: fiber = machine" `Quick
             test_counter_core_forms_agree;
           Alcotest.test_case "counter core: Format-free fingerprint bytes" `Quick

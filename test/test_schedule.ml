@@ -772,9 +772,77 @@ let test_timely_gap_live_golden () =
     ]
     (take_with_death src ~before:40 ~after:80 (fun () -> dead := true))
 
+(* Schedules are views: a length over a backing array that may hold
+   slack past it. Every operation on a view with slack must agree with
+   the same operation on a plain list. *)
+let prop_views_match_lists =
+  QCheck2.Test.make ~name:"views with slack behave as their lists" ~count:300
+    QCheck2.Gen.(pair (int_bound 10_000) (int_range 1 5))
+    (fun (seed, n) ->
+      let rng = rng_state (seed + 1) in
+      let draw len = List.init len (fun _ -> Rng.int rng n) in
+      (* a view of [model] over an array with random slack, built either
+         by [share] or as a prefix of a longer schedule *)
+      let view model =
+        let slack = draw (Rng.int rng 20) in
+        let arr = Array.of_list (model @ slack) in
+        if Rng.bool rng then Schedule.share ~n arr ~len:(List.length model)
+        else Schedule.prefix (Schedule.of_array ~n arr) (List.length model)
+      in
+      let la = draw (Rng.int rng 45) and lb = draw (Rng.int rng 12) in
+      let a = view la and b = view lb in
+      let len = List.length la in
+      let rec take k = function x :: r when k > 0 -> x :: take (k - 1) r | _ -> [] in
+      let rec drop k l = if k = 0 then l else drop (k - 1) (List.tl l) in
+      let is model s = Schedule.length s = List.length model && Schedule.to_list s = model in
+      let render model = String.concat "\xc2\xb7" (List.map (Fmt.str "%a" Proc.pp) model) in
+      let count p model = List.length (List.filter (Int.equal p) model) in
+      let last p model =
+        List.fold_left (fun acc (i, q) -> if q = p then Some i else acc) None
+          (List.mapi (fun i q -> (i, q)) model)
+      in
+      let raises_schedule f =
+        match f () with
+        | _ -> false
+        | exception Invalid_argument msg -> String.starts_with ~prefix:"Schedule." msg
+      in
+      let l = Rng.int rng (len + 4) in
+      let pos = if len = 0 then 0 else 1 + Rng.int rng len in
+      let pos = min pos len in
+      let w = Rng.int rng (len - pos + 1) in
+      let m = Rng.int rng 4 in
+      let acc = ref [] in
+      Schedule.iteri (fun i p -> acc := (i, p) :: !acc) a;
+      is la a
+      && is (take l la) (Schedule.prefix a l)
+      && is (take w la) (Schedule.sub a ~pos:0 ~len:w)
+      && is (take w (drop pos la)) (Schedule.sub a ~pos ~len:w)
+      && is (la @ lb) (Schedule.append a b)
+      && is (lb @ la @ lb) (Schedule.concat ~n [ b; a; b ])
+      && is (List.concat (List.init m (fun _ -> la))) (Schedule.repeat a m)
+      && Schedule.equal a (Schedule.of_list ~n la)
+      && Schedule.equal a (view la)
+      && Schedule.equal a b = (la = lb)
+      && Schedule.equal (Schedule.prefix a l) (Schedule.of_list ~n (take l la))
+      && Schedule.fold (fun acc p -> p :: acc) [] a = List.rev la
+      && List.rev !acc = List.mapi (fun i p -> (i, p)) la
+      && Fmt.str "%a" Schedule.pp_full a = render la
+      && Fmt.str "%a" Schedule.pp a
+         = (if len <= 32 then render la
+            else render (take 32 la) ^ Printf.sprintf "\xc2\xb7\xe2\x80\xa6(%d steps)" len)
+      && List.for_all
+           (fun p -> Schedule.occurrences a p = count p la && Schedule.last_occurrence a p = last p la)
+           (Proc.all ~n)
+      && Array.to_list (Schedule.steps_per_process a) = List.map (fun p -> count p la) (Proc.all ~n)
+      && raises_schedule (fun () -> Schedule.get a len)
+      && raises_schedule (fun () -> Schedule.get a (-1))
+      && raises_schedule (fun () -> Schedule.sub a ~pos:len ~len:1)
+      && raises_schedule (fun () -> Schedule.sub a ~pos:(-1) ~len:1)
+      && raises_schedule (fun () -> Schedule.prefix a (-1)))
+
 let qsuite = List.map QCheck_alcotest.to_alcotest
     [ prop_observation2; prop_observation3; prop_observed_bound_least; prop_prefix_monotone;
-      prop_observation4; prop_monitor_matches_definition ]
+      prop_observation4; prop_monitor_matches_definition; prop_views_match_lists ]
 
 let () =
   Alcotest.run "setsync_schedule"
