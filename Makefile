@@ -38,12 +38,12 @@ bench:
 bench-quick: ## E11 smoke run (small depth, exploration only)
 	dune exec bench/main.exe -- --quick
 
-bench-guard: ## pinned ceilings: replay amortization (E11e/f), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
+bench-guard: ## pinned rows: the path-replay descent's exact counts on net CT against per-state (E11e), zero-replay snapshot runs against a per-state reference plus the symmetry reduction (E11f), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
 	dune exec bin/bench_guard.exe -- BENCH_quick.json
 
-obs-check: ## traced exploration; validate the emitted JSONL (byte-canonical lines)/Chrome/metrics files
+obs-check: ## traced explorations, per-state (replay events) and default (snapshot: machine steps); validate the emitted JSONL (byte-canonical lines)/Chrome/metrics files
 	dune exec bin/setsync_cli.exe -- explore --check detector -n 2 -t 1 -k 1 \
-	  --depth 6 --domains 2 \
+	  --depth 6 --domains 2 --engine per-state \
 	  --trace-out /tmp/setsync_ci_trace.jsonl --metrics-out /tmp/setsync_ci_metrics.json
 	dune exec bin/obs_validate.exe -- \
 	  --trace /tmp/setsync_ci_trace.jsonl \
@@ -51,6 +51,16 @@ obs-check: ## traced exploration; validate the emitted JSONL (byte-canonical lin
 	  --metrics /tmp/setsync_ci_metrics.json \
 	  --require replay,expand,sleep_prune \
 	  --require-counter explorer.states --require-counter explorer.replay_steps
+	dune exec bin/setsync_cli.exe -- explore --check detector -n 2 -t 1 -k 1 \
+	  --depth 6 --domains 2 \
+	  --trace-out /tmp/setsync_ci_trace_default.jsonl \
+	  --metrics-out /tmp/setsync_ci_metrics_default.json
+	dune exec bin/obs_validate.exe -- \
+	  --trace /tmp/setsync_ci_trace_default.jsonl \
+	  --chrome /tmp/setsync_ci_trace_default.chrome.json \
+	  --metrics /tmp/setsync_ci_metrics_default.json \
+	  --require expand,sleep_prune \
+	  --require-counter explorer.states --require-counter explorer.machine_steps
 
 fuzz-smoke: ## fixed-seed fuzz runs: the seeded-bug SUT must be found (exit 2) and its --repro replay must print the same report apart from the time: line, at --len 96 and at --len 384 (a 176-step found prefix, so runs view a tally buffer that keeps growing); the faithful control and the Theorem-24 solver (one live machine instance per hunt) must pass (exit 0)
 	dune exec bin/setsync_cli.exe -- fuzz --sut seeded-bug --seed 42 --execs 2000 --len 96 \

@@ -324,6 +324,28 @@ let e10_separation () =
 (* ------------------------------------------------------------------ *)
 (* E11: bounded model checking of small instances *)
 
+(* verdicts compared through [Schedule.equal]: a counterexample
+   schedule is a view over a shared array, so polymorphic [=] would
+   also compare the array's unused slack *)
+let same_verdicts a b =
+  List.equal
+    (fun (n1, v1) (n2, v2) ->
+      String.equal n1 n2
+      &&
+      match (v1, v2) with
+      | Explorer.Ok_bounded, Explorer.Ok_bounded -> true
+      | Explorer.Violated x, Explorer.Violated y ->
+          Schedule.equal x.schedule y.schedule && String.equal x.reason y.reason
+      | Explorer.Ok_bounded, Explorer.Violated _ | Explorer.Violated _, Explorer.Ok_bounded ->
+          false)
+    a b
+
+let engine_label (r : Explorer.report) =
+  match r.Explorer.engine with
+  | Explorer.Per_state -> "state"
+  | Explorer.Path -> "path"
+  | Explorer.Snapshot -> "snapshot"
+
 let e11_explore () =
   section "E11. Bounded exploration: exhaustive small-instance checking (setsync_explore)";
   subsection "a. k-set-agreement safety, every interleaving to depth 7 (t=1,k=1,n=3)";
@@ -392,7 +414,10 @@ let e11_domains ?(depth = 12) () =
       (fun (name, v) -> match v with Explorer.Violated _ -> Some name | Explorer.Ok_bounded -> None)
       r.Explorer.verdicts
   in
-  Fmt.pr "  %-8s %-26s %-9s %-9s %s@." "domains" "wall / cpu" "visited" "steps/v" "verdicts";
+  (* the default engine runs snapshot here: its movement is machine
+     steps, not replay steps *)
+  Fmt.pr "  %-8s %-26s %-9s %-9s %-9s %s@." "domains" "wall / cpu" "visited" "engine" "moves/v"
+    "verdicts";
   let baseline = ref None in
   List.iter
     (fun domains ->
@@ -405,96 +430,93 @@ let e11_domains ?(depth = 12) () =
             "baseline"
         | Some b -> if violated = b then "same as 1 domain" else "VERDICT MISMATCH"
       in
-      let steps_per_visited =
-        float_of_int r.Explorer.stats.Budget.replay_steps
-        /. float_of_int (max 1 r.Explorer.stats.Budget.visited)
+      let s = r.Explorer.stats in
+      let moves_per_visited =
+        float_of_int (s.Budget.replay_steps + s.Budget.machine_steps)
+        /. float_of_int (max 1 s.Budget.visited)
       in
-      Fmt.pr "  %-8d %-26s %-9d %-9s %s@." domains
-        (Fmt.str "%a" Budget.pp_times r.Explorer.stats)
-        r.Explorer.stats.Budget.visited
-        (Fmt.str "%.2f" steps_per_visited)
+      Fmt.pr "  %-8d %-26s %-9d %-9s %-9s %s@." domains
+        (Fmt.str "%a" Budget.pp_times s)
+        s.Budget.visited (engine_label r)
+        (Fmt.str "%.2f" moves_per_visited)
         agrees;
       Results.add "E11d"
         [
           ("domains", Json.Int domains);
           ("depth", Json.Int depth);
-          ("wall_seconds", Json.Float r.Explorer.stats.Budget.wall_seconds);
-          ("cpu_seconds", Json.Float r.Explorer.stats.Budget.cpu_seconds);
-          ("visited", Json.Int r.Explorer.stats.Budget.visited);
-          ("replay_steps", Json.Int r.Explorer.stats.Budget.replay_steps);
-          ("steps_per_visited", Json.Float steps_per_visited);
+          ("wall_seconds", Json.Float s.Budget.wall_seconds);
+          ("cpu_seconds", Json.Float s.Budget.cpu_seconds);
+          ("visited", Json.Int s.Budget.visited);
+          ("engine", Json.String (engine_label r));
+          ("replay_steps", Json.Int s.Budget.replay_steps);
+          ("machine_steps", Json.Int s.Budget.machine_steps);
+          ("moves_per_visited", Json.Float moves_per_visited);
           ("verdicts_agree", Json.Bool (agrees <> "VERDICT MISMATCH"));
         ])
     [ 1; 2; 4 ]
 
-(* E11e: the replay-amortization claim behind the path-replay engine —
-   one DFS descent replays a maximal schedule once and visits every
-   interim state from it, so replay steps per visited state drop from
-   O(depth) to amortized O(1). Run both engines on the same k-set
-   instances (fingerprints off so visited counts are mode-independent)
-   and report the ratio; `make ci` pins ceilings on the quick run's
-   numbers (bin/bench_guard.ml). *)
+(* E11e: the replay amortization of the path-replay descent, on the
+   system it still serves: the CT timeout detector over the net
+   substrate, which has no machine form (machine-form systems run on
+   the snapshot engine, E11f). One descent replays a maximal schedule
+   once and visits every interim state from it, so replay steps per
+   visited state drop from O(depth) to amortized O(1). Both engines
+   explore the same tree (sleep sets off, as for every net check, and
+   fingerprints off), a pure function of the instance, so `make ci`
+   pins every count exactly (bin/bench_guard.ml). *)
 let e11_engines () =
-  subsection "e. replay amortization: path-replay vs per-state engine (k-set, fp off)";
+  subsection "e. replay amortization: path-replay descent vs per-state engine (net CT, fp off)";
   Fmt.pr "  %-18s %-9s %-9s %-9s %-13s %-9s %s@." "instance" "engine" "visited"
     "replays" "replay_steps" "steps/v" "vs state";
-  List.iter
-    (fun (n, depth) ->
-      let problem = Problem.make ~t:1 ~k:1 ~n in
-      let inputs = Problem.distinct_inputs problem in
-      let sut = Explore_systems.kset_agreement ~problem ~inputs () in
-      let decisions st = st.Explorer.obs.Explore_systems.decisions in
-      let properties =
-        [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
-      in
-      let run engine =
-        Explorer.explore ~sut ~properties
-          (Explorer.config ~prune_fingerprints:false ~engine ~depth ())
-      in
-      let r_state = run Explorer.Per_state in
-      let r_path = run Explorer.Path in
-      let agree =
-        r_state.Explorer.verdicts = r_path.Explorer.verdicts
-        && r_state.Explorer.stats.Budget.visited = r_path.Explorer.stats.Budget.visited
-      in
-      let ratio =
-        float_of_int r_state.Explorer.stats.Budget.replay_steps
-        /. float_of_int (max 1 r_path.Explorer.stats.Budget.replay_steps)
-      in
-      let instance = Fmt.str "t=1,k=1,n=%d @%d" n depth in
-      let row engine (r : Explorer.report) note =
-        let s = r.Explorer.stats in
-        let spv =
-          float_of_int s.Budget.replay_steps /. float_of_int (max 1 s.Budget.visited)
-        in
-        Fmt.pr "  %-18s %-9s %-9d %-9d %-13d %-9s %s@." instance engine s.Budget.visited
-          s.Budget.replays s.Budget.replay_steps
-          (Fmt.str "%.2f" spv)
-          note;
-        Results.add "E11e"
-          [
-            ("engine", Json.String engine);
-            ("n", Json.Int n);
-            ("depth", Json.Int depth);
-            ("visited", Json.Int s.Budget.visited);
-            ("replays", Json.Int s.Budget.replays);
-            ("replay_steps", Json.Int s.Budget.replay_steps);
-            ("steps_per_visited", Json.Float spv);
-            ("ratio_vs_state", Json.Float ratio);
-            ("equivalent", Json.Bool agree);
-          ]
-      in
-      row "state" r_state "baseline";
-      row "path" r_path
-        (Fmt.str "%.2fx fewer steps%s" ratio
-           (if agree then ", same verdicts+visited" else ", ENGINE MISMATCH")))
-    [ (2, 8); (3, 8) ]
+  let n = 2 and depth = 12 and delta = 1 and gst = 4 in
+  let run engine =
+    let sut = Net_systems.ct_leader ~clients:n ~adversary:(Adversary.gst_drop ~delta ~gst) () in
+    Explorer.explore ~sut ~properties:[ Net_systems.ct_stabilized ~delta ]
+      (Explorer.config ~prune_fingerprints:false ~sleep_sets:false ~engine ~depth ())
+  in
+  let r_state = run Explorer.Per_state in
+  let r_path = run Explorer.Path in
+  let agree =
+    same_verdicts r_state.Explorer.verdicts r_path.Explorer.verdicts
+    && r_state.Explorer.stats.Budget.visited = r_path.Explorer.stats.Budget.visited
+  in
+  let ratio =
+    float_of_int r_state.Explorer.stats.Budget.replay_steps
+    /. float_of_int (max 1 r_path.Explorer.stats.Budget.replay_steps)
+  in
+  let instance = Fmt.str "CT n=%d @%d" n depth in
+  let row (r : Explorer.report) note =
+    let s = r.Explorer.stats in
+    let spv = float_of_int s.Budget.replay_steps /. float_of_int (max 1 s.Budget.visited) in
+    Fmt.pr "  %-18s %-9s %-9d %-9d %-13d %-9s %s@." instance (engine_label r)
+      s.Budget.visited s.Budget.replays s.Budget.replay_steps
+      (Fmt.str "%.2f" spv)
+      note;
+    Results.add "E11e"
+      [
+        ("engine", Json.String (engine_label r));
+        ("system", Json.String "ct");
+        ("n", Json.Int n);
+        ("depth", Json.Int depth);
+        ("visited", Json.Int s.Budget.visited);
+        ("replays", Json.Int s.Budget.replays);
+        ("replay_steps", Json.Int s.Budget.replay_steps);
+        ("steps_per_visited", Json.Float spv);
+        ("ratio_vs_state", Json.Float ratio);
+        ("equivalent", Json.Bool agree);
+      ]
+  in
+  row r_state "baseline";
+  row r_path
+    (Fmt.str "%.2fx fewer steps%s" ratio
+       (if agree then ", same verdicts+visited" else ", ENGINE MISMATCH"))
 
-(* E11f: the snapshot engine and symmetry reduction. Part one re-runs
-   the E11e instances on the snapshot engine (fingerprints off, so
-   visited counts are engine-independent): replay steps drop to exactly
-   zero — state reconstruction is typed copy/restore, accounted
-   separately as machine steps and restores. Part two checks a
+(* E11f: the snapshot engine and symmetry reduction. Part one runs the
+   k-set instances on the snapshot engine and on the per-state
+   reference (fingerprints off, so visited counts are
+   engine-independent): replay steps drop to exactly zero — state
+   reconstruction is typed copy/restore, accounted separately as
+   machine steps and restores. Part two checks a
    symmetric instance (equal inputs, so the admissible renaming group
    is non-trivial) at depth 10 with canonical renaming-minimal
    fingerprints: still exhaustive, and the visited-state count drops by
@@ -518,9 +540,9 @@ let e11_snapshot () =
       let properties =
         [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
       in
-      let r_path =
+      let r_state =
         Explorer.explore ~sut ~properties
-          (Explorer.config ~prune_fingerprints:false ~engine:Explorer.Path ~depth ())
+          (Explorer.config ~prune_fingerprints:false ~engine:Explorer.Per_state ~depth ())
       in
       let obs = Obs.create () in
       let r_snap =
@@ -529,24 +551,27 @@ let e11_snapshot () =
       in
       let machine_steps, restores = machine_metrics obs in
       let agree =
-        r_snap.Explorer.verdicts = r_path.Explorer.verdicts
-        && r_snap.Explorer.stats.Budget.visited = r_path.Explorer.stats.Budget.visited
+        same_verdicts r_snap.Explorer.verdicts r_state.Explorer.verdicts
+        && r_snap.Explorer.stats.Budget.visited = r_state.Explorer.stats.Budget.visited
+        && r_snap.Explorer.stats.Budget.pruned_sleep
+           = r_state.Explorer.stats.Budget.pruned_sleep
       in
       let instance = Fmt.str "t=1,k=1,n=%d @%d" n depth in
-      Fmt.pr "  %-20s %-9s %-9d %-13d %-14s %-9s %s@." instance "path"
-        r_path.Explorer.stats.Budget.visited r_path.Explorer.stats.Budget.replay_steps "-"
+      Fmt.pr "  %-20s %-9s %-9d %-13d %-14s %-9s %s@." instance (engine_label r_state)
+        r_state.Explorer.stats.Budget.visited r_state.Explorer.stats.Budget.replay_steps "-"
         "-" "baseline";
       Fmt.pr "  %-20s %-9s %-9d %-13d %-14d %-9d %s@." instance "snapshot"
         r_snap.Explorer.stats.Budget.visited r_snap.Explorer.stats.Budget.replay_steps
         machine_steps restores
-        (if agree then "same verdicts+visited, 0 replay steps" else "ENGINE MISMATCH");
+        (if agree then "same verdicts+visited+pruned, 0 replay steps" else "ENGINE MISMATCH");
       Results.add "E11f"
         [
           ("kind", Json.String "engine");
           ("n", Json.Int n);
           ("depth", Json.Int depth);
           ("visited", Json.Int r_snap.Explorer.stats.Budget.visited);
-          ("path_replay_steps", Json.Int r_path.Explorer.stats.Budget.replay_steps);
+          ("reference", Json.String (engine_label r_state));
+          ("reference_replay_steps", Json.Int r_state.Explorer.stats.Budget.replay_steps);
           ("replay_steps", Json.Int r_snap.Explorer.stats.Budget.replay_steps);
           ("machine_steps", Json.Int machine_steps);
           ("restores", Json.Int restores);
@@ -572,7 +597,7 @@ let e11_snapshot () =
   let v_full = r_full.Explorer.stats.Budget.visited in
   let v_sym = r_sym.Explorer.stats.Budget.visited in
   let reduction = float_of_int v_full /. float_of_int (max 1 v_sym) in
-  let agree = r_full.Explorer.verdicts = r_sym.Explorer.verdicts in
+  let agree = same_verdicts r_full.Explorer.verdicts r_sym.Explorer.verdicts in
   let exhaustive =
     (not r_full.Explorer.stats.Budget.truncated)
     && not r_sym.Explorer.stats.Budget.truncated

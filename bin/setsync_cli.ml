@@ -630,12 +630,15 @@ let explore_cmd =
       & opt engine_conv Explorer.Path
       & info [ "engine" ] ~docv:"E"
           ~doc:
-            "State (re)construction engine: $(b,path) (amortized path replay, the \
-             default), $(b,per-state) (replay every state's prefix from scratch; the \
-             comparison baseline), or $(b,snapshot) (typed copy/restore along the DFS \
-             spine — zero replay steps; needs a machine-form shm system and a \
-             depth-first frontier, so it excludes $(b,--backend net), $(b,--bfs) and \
-             $(b,--check timeliness)).")
+            "State (re)construction engine: $(b,path) (the default: the snapshot \
+             engine where it applies — a machine-form shm system, a depth-first \
+             search and no $(b,--max-replay-steps) — and otherwise amortized path \
+             replay, one replay per depth-first descent, or per-state replay under \
+             $(b,--bfs); the report names the engine that ran), $(b,per-state) \
+             (replay every state's prefix from scratch; the comparison baseline), or \
+             $(b,snapshot) (typed copy/restore along the DFS spine — zero replay \
+             steps; needs a machine-form shm system and a depth-first frontier, so it \
+             excludes $(b,--backend net), $(b,--bfs) and $(b,--check timeliness)).")
   in
   let symmetry_arg =
     Arg.(
@@ -720,12 +723,13 @@ let explore_cmd =
       (fun f -> if f <> "-" then check_writable "--search-summary" f)
       search_summary;
     let gst = Option.value gst ~default:4 in
-    (* heartbeat movement counters are engine-appropriate: the snapshot
-       engine does zero replays (its movement is machine steps undone by
-       savepoint restores), so printing replay steps there would show a
-       frozen 0 forever *)
+    (* heartbeat movement counters are those of the engine that runs —
+       which [--engine path] resolves at run time: the snapshot engine
+       does zero replays (its movement is machine steps undone by
+       savepoint restores) and the replay engines no machine steps, so
+       the counter that moves names the engine *)
     let on_progress (p : Explorer.progress) =
-      if engine = Explorer.Snapshot then
+      if p.Explorer.machine_steps > 0 then
         Fmt.epr
           "[%6.1fs] states %d  machine %d steps (%d restores)  frontier %d  fp-pruned \
            %d  max depth %d@."

@@ -589,16 +589,9 @@ let verdict_table ?lock ?(on_all_violated = ignore) properties =
 let all_violated vt =
   vt.slots <> [] && List.for_all (fun (_, v) -> !v <> Ok_bounded) vt.slots
 
-(* some safety property is still unviolated; [~sched:true] asks only
-   about schedule-sensitive ones, whose pruned interleavings must be
-   materialized before being discarded *)
-let pending_safety ?(sched = false) vt =
-  List.exists
-    (fun ((p : _ Property.t), v) ->
-      p.kind = Property.Safety
-      && ((not sched) || p.sensitivity = Property.Schedule_sensitive)
-      && !v = Ok_bounded)
-    vt.slots
+(* some safety property is still unviolated *)
+let pending_safety vt =
+  List.exists (fun ((p : _ Property.t), v) -> p.kind = Property.Safety && !v = Ok_bounded) vt.slots
 
 let record vt ~kind state =
   List.iter
@@ -632,7 +625,7 @@ let report_of vt stats ~engine =
    differently. Every engine folds its states in through [visit] and
    [commute_prune] below, so the per-state bookkeeping is defined once;
    the engines differ only in how they materialize a state and, hence,
-   in replay accounting. *)
+   in movement accounting. *)
 type 'obs engine = {
   e_sut : 'obs sut;
   e_config : config;
@@ -676,11 +669,8 @@ let enabled (run : Run.t) =
 (* Visit a materialized state: count it, check safety everywhere and
    stabilization at leaves, gate expansion on the fingerprint table.
    Returns the children to explore (empty at a leaf or a fingerprint
-   prune): [select] may drop some of the enabled processes (the
-   descent engine's synthesized commutation prunes) before the
-   ["expand"] event reports the rest. [fingerprint] defaults to
-   {!digest}. *)
-let visit ?(select = Fun.id) ?fingerprint eng (state : _ state) =
+   prune). [fingerprint] defaults to {!digest}. *)
+let visit ?fingerprint eng (state : _ state) =
   let config = eng.e_config and meter = eng.e_meter in
   let depth = state.depth in
   Budget.note_state meter;
@@ -703,25 +693,22 @@ let visit ?(select = Fun.id) ?fingerprint eng (state : _ state) =
     []
   end
   else begin
-    let children = select en in
-    if children <> [] then
-      emit eng "expand"
-        [ ("depth", Json.Int depth); ("children", Json.Int (List.length children)) ];
-    children
+    emit eng "expand" [ ("depth", Json.Int depth); ("children", Json.Int (List.length en)) ];
+    en
   end
 
-(* Discard a commutation-pruned prefix at [depth]. A pending safety
-   property is still checked on the pruned state when [materialize]
-   can produce it: its sibling covers state-based safety, but a
-   violation visible only through this interleaving's observation (a
-   schedule-sensitive property) would otherwise vanish while the
-   report still prints "exhaustive". *)
+(* Discard a commutation-pruned prefix at [depth], whose state every
+   engine has already reached. A pending safety property is still
+   checked on it: its sibling covers state-based safety, but a
+   violation visible only through this interleaving (a property that
+   reads the prefix) would otherwise vanish while the report still
+   prints "exhaustive". *)
 let commute_prune eng ~depth materialize =
   Budget.note_sleep_prune ~depth eng.e_meter;
   emit eng "sleep_prune" [ ("depth", Json.Int depth) ];
   if pending_safety eng.e_verdicts then begin
     Budget.note_safety_check eng.e_meter;
-    Option.iter (fun f -> record eng.e_verdicts ~kind:Property.Safety (f ())) materialize
+    record eng.e_verdicts ~kind:Property.Safety (materialize ())
   end
 
 (* LIFO frontiers pop last-pushed first: push descending so children
@@ -731,27 +718,21 @@ let push_children eng ~push rev children =
   List.iter push (if eng.e_lifo then List.rev items else items);
   Budget.note_frontier eng.e_meter (eng.e_frontier_size ())
 
-(* one paid-for replay of a prefix, accounted as such *)
-let replay_state eng steps =
-  let ((state, _, _) as r) =
+(* Per-state engine: replay one prefix from scratch and fold it into
+   the exploration. *)
+let process_prefix eng ~push rev_steps =
+  let state, fp_prev, fp_last =
     replay_instrumented ~sut:eng.e_sut ~fault:eng.e_config.fault
-      (Schedule.of_list ~n:eng.e_sut.n steps)
+      (Schedule.of_list ~n:eng.e_sut.n (List.rev rev_steps))
   in
   let executed = Run.total_steps state.run in
   Budget.note_replay eng.e_meter ~steps:executed;
   eng.e_on_replay ~steps:executed;
-  r
-
-(* Per-state engine: replay one prefix from scratch and fold it into
-   the exploration. *)
-let process_prefix eng ~push rev_steps =
-  let state, fp_prev, fp_last = replay_state eng (List.rev rev_steps) in
-  emit eng "replay"
-    [ ("depth", Json.Int state.depth); ("steps", Json.Int (Run.total_steps state.run)) ];
+  emit eng "replay" [ ("depth", Json.Int state.depth); ("steps", Json.Int executed) ];
   if arrival_pruned eng.e_config rev_steps ~prev:fp_prev ~last:fp_last then
     (* the replay is already paid for: hand the state over for the
        safety check *)
-    commute_prune eng ~depth:state.depth (Some (fun () -> state))
+    commute_prune eng ~depth:state.depth (fun () -> state)
   else
     match visit eng state with
     | [] -> ()
@@ -759,39 +740,19 @@ let process_prefix eng ~push rev_steps =
 
 (* ------------------------------------------------ path-replay descents *)
 
-(* Amortized engine: one executor run per *descent*. The replay feeds a
-   fixed prefix, then keeps extending in place — every interim state is
-   visited (properties, fingerprint, frontier bookkeeping) from the
-   single live [Mirror], and the run continues into the first unpruned
-   child; the remaining children become frontier items, each costing
-   one fresh replay of its prefix when popped. Replay steps per visited
-   state drop from O(depth) to the amortized cost of the descent paths
-   (see DESIGN.md §8).
-
-   Two modes share this function:
-
-   - [synthesize = true] (sequential DFS): the commutation prune for a
-     child [σ·a·b] (b < a) needs the footprints of [a] and [b] taken
-     *from σ* — and by the footprint-commutation property (disjoint
-     steps leave each other's reads untouched) those decide the prune
-     without executing [b]. Each node keeps a table mapping process to
-     the footprint of its outgoing step; entries are *measured* when a
-     child's step executes (descent continuation, or a frontier item's
-     last feed step written back into the shared parent table) and
-     *inherited* when a child is pruned (the pruned step's footprint at
-     the child equals its footprint at the parent, exactly because the
-     prune established disjointness). In LIFO ascending-order DFS every
-     sibling entry the rule needs has already been filled when it is
-     consulted.
-
-   - [synthesize = false] (parallel workers): tables would be shared
-     across domains, so instead a descent simply runs until the arrival
-     step itself completes a commutable pair (own-path last-two check,
-     as [process_prefix] does) — the pruned state is then already
-     materialized and is safety-checked directly (PR 2 semantics).
-     Counts (visited / pruned / safety-checked) match the sequential
-     engine; replay accounting differs, since sequential synthesis
-     avoids materializing pruned prefixes.
+(* Amortized engine: one executor run per *descent* — what a [Path]
+   request runs on a system without a machine form or under a
+   replay-step cap (the snapshot engine serves the rest). The
+   replay feeds a fixed prefix, then keeps extending in place — every
+   interim state is visited (properties, fingerprint, frontier
+   bookkeeping) from the single live [Mirror], and the run continues
+   into the first child; the remaining children become frontier items,
+   each costing one fresh replay of its prefix when popped. Replay
+   steps per visited state drop from O(depth) to the amortized cost of
+   the descent paths (see DESIGN.md §8). A descent ends when its last
+   step completes a commutable pair (the same arrival rule as
+   [process_prefix]): the pruned state is already materialized, so it
+   is safety-checked directly.
 
    Budget: one [note_replay ~steps:0] per descent plus an incremental
    [note_replay_steps] per executed step, so [max_replay_steps] cuts
@@ -801,7 +762,7 @@ let process_prefix eng ~push rev_steps =
    still happens — while [e_over_steps] (steps/wall) gates continuing
    the descent into the next child; a cut with work still pending marks
    the run truncated and parks the continuation on the frontier. *)
-let process_descent eng ~push ~synthesize (rev_start, parent_tbl0) =
+let process_descent eng ~push rev_start =
   let sut = eng.e_sut and config = eng.e_config and meter = eng.e_meter in
   let n = sut.n in
   let trace, footprint = footprint_meter () in
@@ -809,73 +770,33 @@ let process_descent eng ~push ~synthesize (rev_start, parent_tbl0) =
   (* footprints of the last two executed steps along this path *)
   let fp_prev = ref [] and fp_last = ref [] in
   let cur_rev = ref [] in
-  (* table of the current node's parent (synthesis mode only) *)
-  let parent_tbl = ref parent_tbl0 in
   let feed = ref (List.rev rev_start) in
   let fixed = List.length rev_start in
   let pending_child = ref None in
-  let materialize () = Mirror.state m in
   (* visit the node the replay just reached; decide the continuation *)
   let visit_here () =
     pending_child := None;
-    let d = Run.Tally.total_steps m.tally in
-    if (not synthesize) && arrival_pruned config !cur_rev ~prev:!fp_prev ~last:!fp_last
-    then
-      (* non-synthesizing arrival onto a commutation-pruned node: the
-         replay is already paid for, so check pending safety on it
-         directly (PR 2 semantics) and end the descent *)
-      commute_prune eng ~depth:d (Some materialize)
+    if arrival_pruned config !cur_rev ~prev:!fp_prev ~last:!fp_last then
+      commute_prune eng ~depth:(Run.Tally.total_steps m.tally) (fun () -> Mirror.state m)
     else if eng.e_stop_now () then ()
     else if eng.e_over_visit () then Budget.mark_truncated meter
-    else begin
-      let my_tbl = if synthesize then Array.make n None else parent_tbl0 in
-      (* child σ·a·b is pruned iff b < a and the two steps' footprints at
-         σ are disjoint; b's is read from the parent table *)
-      let keep b =
-        match !cur_rev with
-        | a :: _ when synthesize && config.sleep_sets && b < a -> (
-            match !parent_tbl.(b) with
-            | Some fb when disjoint_footprints !fp_last fb ->
-                (* inherited: b's footprint is unchanged across the
-                   disjoint step a *)
-                my_tbl.(b) <- Some fb;
-                (* a pending schedule-sensitive safety property makes
-                   this interleaving a genuinely different input:
-                   materialize it with a classic replay before
-                   discarding (what the per-state engine paid anyway);
-                   state-based safety is settled by the surviving
-                   sibling's visit *)
-                commute_prune eng ~depth:(d + 1)
-                  (if pending_safety ~sched:true eng.e_verdicts then
-                     Some
-                       (fun () ->
-                         let state, _, _ = replay_state eng (List.rev (b :: !cur_rev)) in
-                         state)
-                   else None);
-                false
-            | Some _ | None -> true)
-        | _ -> true
-      in
-      match visit eng ~select:(List.filter keep) (materialize ()) with
+    else
+      match visit eng (Mirror.state m) with
       | [] -> ()
       | c :: rest ->
           (* continue the run into the first (ascending) child; the
              rest become frontier items, pushed descending so LIFO
-             pops ascending, sharing this node's table *)
-          List.iter (fun b -> push (b :: !cur_rev, my_tbl)) (List.rev rest);
+             pops ascending *)
+          List.iter (fun b -> push (b :: !cur_rev)) (List.rev rest);
           (if eng.e_over_steps () then begin
              (* the next step would exceed the budget: park the
                 continuation as a frontier item (pushed last so a
                 LIFO resume would pop it first) and end the descent *)
              Budget.mark_truncated meter;
-             push (c :: !cur_rev, my_tbl)
+             push (c :: !cur_rev)
            end
-           else begin
-             parent_tbl := my_tbl;
-             pending_child := Some c
-           end);
+           else pending_child := Some c);
           Budget.note_frontier meter (eng.e_frontier_size ())
-    end
   in
   let on_step ~global ~proc =
     fp_prev := !fp_last;
@@ -883,10 +804,6 @@ let process_descent eng ~push ~synthesize (rev_start, parent_tbl0) =
     cur_rev := proc :: !cur_rev;
     Budget.note_replay_steps meter 1;
     eng.e_on_replay ~steps:1;
-    (* measured: the executed step's footprint, recorded in the table of
-       the node it departs from (the frontier item's last feed step
-       lands in the shared parent table — its siblings need it) *)
-    if synthesize && global >= fixed - 1 then !parent_tbl.(proc) <- Some !fp_last;
     if global >= fixed - 1 then visit_here ()
   in
   let source ~live:_ =
@@ -916,23 +833,38 @@ let machine_of (inst : _ instance) =
         "Explorer.explore: the snapshot engine needs a machine-form sut (instance.machine \
          is None)"
 
+(* Check the arguments and resolve the engine; returns the config the
+   run uses. [Path] is the default request: it runs on the snapshot
+   engine wherever that engine applies — a machine-form system, a
+   depth-first search and no replay-step cap for it to ignore — and on
+   the replay descent (or, under sequential BFS, per-state replay)
+   elsewhere. Machine-form support is probed on a throwaway instance,
+   so errors surface on the calling domain, before any worker spawns. *)
 let validate_explore ~sut config =
   if config.depth < 0 then invalid_arg "Explorer.explore: negative depth bound";
   Proc.check_n sut.n;
   Fault.validate ~n:sut.n config.fault;
+  let probe = lazy (sut.fresh ~store:(Store.create ())) in
+  let config =
+    if
+      config.engine = Path && config.strategy = Dfs
+      && config.limits.Budget.max_replay_steps = None
+      && Option.is_some (Lazy.force probe).machine
+    then { config with engine = Snapshot }
+    else config
+  in
   if config.engine = Snapshot then begin
     if config.strategy <> Dfs then
       invalid_arg
         "Explorer.explore: the snapshot engine is depth-first only (its savepoint stack is \
          the DFS spine)";
-    (* probe machine-form support on a throwaway instance so the error
-       surfaces on the calling domain, before any worker spawns *)
-    let m = machine_of (sut.fresh ~store:(Store.create ())) in
+    let m = machine_of (Lazy.force probe) in
     if config.symmetry && m.m_payload = None then
       invalid_arg
         "Explorer.explore: symmetry reduction needs a sut with a symmetry payload \
          (machine.m_payload is None)"
-  end
+  end;
+  config
 
 (* -------------------------------------------------- observability *)
 
@@ -1201,7 +1133,7 @@ let rec snapshot_visit ?push eng c ~hb ~progress ~over ~on_truncate ~pending ~de
             let fp_b = mc_step_metered meter ~timed:config.telemetry c b in
             let rev' = b :: rev in
             if arrival_pruned config rev' ~prev:arrive_fp ~last:fp_b then
-              commute_prune eng ~depth:(depth + 1) (Some (fun () -> Mirror.state c.mc))
+              commute_prune eng ~depth:(depth + 1) (fun () -> Mirror.state c.mc)
             else
               snapshot_visit eng c ~hb ~progress ~over ~on_truncate ~pending
                 ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
@@ -1212,7 +1144,6 @@ let rec snapshot_visit ?push eng c ~hb ~progress ~over ~on_truncate ~pending ~de
 (* ------------------------------------------------------- sequential *)
 
 let explore_seq ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties config =
-  validate_explore ~sut config;
   let meter = Budget.start config.limits in
   let hb = make_heartbeat ?on_progress ~interval:progress_interval obs in
   let shard = match obs with Some o -> o.Obs.shard | None -> 0 in
@@ -1291,11 +1222,11 @@ let explore_seq ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties co
         record_machine_metrics obs ~shard (Budget.stats meter);
         Snapshot
     | Path, Dfs ->
-        (* descent frontier: (reverse prefix, parent's sibling-footprint
-           table); LIFO, ascending pop order by construction *)
+        (* descent frontier of reverse prefixes; LIFO, ascending pop
+           order by construction *)
         let frontier = dfs_frontier () in
-        frontier.push ([], Array.make sut.n None);
-        drain frontier (fun eng -> process_descent eng ~push:frontier.push ~synthesize:true);
+        frontier.push [];
+        drain frontier (fun eng -> process_descent eng ~push:frontier.push);
         Path
     | (Per_state | Path), _ ->
         (* prefixes are stored in reverse step order: extension is a
@@ -1323,7 +1254,6 @@ let explore_seq ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties co
    (see DESIGN.md §8). *)
 let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~properties
     config =
-  validate_explore ~sut config;
   let parent = Budget.start config.limits in
   let deadline = Budget.deadline parent in
   let meters = Array.init domains (fun _ -> Budget.start Budget.unlimited) in
@@ -1420,7 +1350,7 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
         fp_last := mc_step_metered meters.(wid) ~timed:config.telemetry c p)
       (List.rev rev_steps);
     if arrival_pruned config rev_steps ~prev:!fp_prev ~last:!fp_last then
-      commute_prune eng ~depth (Some (fun () -> Mirror.state c.mc))
+      commute_prune eng ~depth (fun () -> Mirror.state c.mc)
     else
       let on_truncate () =
         Budget.mark_truncated meters.(wid);
@@ -1444,10 +1374,7 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
     else
       let push = Parallel.Pool.push pool ~worker:wid in
       match config.engine with
-      | Path ->
-          process_descent engines.(wid)
-            ~push:(fun (rev, _tbl) -> push rev)
-            ~synthesize:false (rev_steps, [||])
+      | Path -> process_descent engines.(wid) ~push rev_steps
       | Per_state -> process_prefix engines.(wid) ~push rev_steps
       | Snapshot -> snapshot_pop wid rev_steps
   in
@@ -1464,6 +1391,7 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
 
 let explore ?(domains = 1) ?obs ?on_progress ?progress_interval ~sut ~properties config =
   if domains < 1 then invalid_arg "Explorer.explore: domains must be >= 1";
+  let config = validate_explore ~sut config in
   if domains = 1 then
     explore_seq ?obs ?on_progress ?progress_interval ~sut ~properties config
   else explore_par ?obs ?on_progress ?progress_interval ~domains ~sut ~properties config

@@ -13,7 +13,8 @@
     depth-first descent and visits every interim state of that replay;
     [Snapshot] steps a machine-form instance ({!minstance}) down and
     restores typed savepoints on the way back up, with no replay at
-    all. All three share one core: one live instance whose run
+    all. The default request, [Path], runs on [Snapshot] wherever that
+    engine applies. All three share one core: one live instance whose run
     bookkeeping (halts, step counts, budget crashes) is the
     {!Setsync_runtime.Run.Tally} the executor — or the snapshot
     engine's machine step — advances, so every state is built the same
@@ -126,18 +127,23 @@ type engine_kind =
       (** one fresh replay per visited state — the naive baseline
           (bench E11e's comparison point) *)
   | Path
-      (** amortized path-replay engine (default): one executor run per
-          DFS {e descent} visits every interim state from a single
-          live replay and continues into the first unpruned child, so
-          replay steps per visited state are amortized O(1) instead of
-          O(depth). Verdicts, visited/pruned counts and the DFS visit
-          order are identical to the per-state engine (the cross-check
-          tests pin this); replay accounting
-          ([stats.replays]/[replay_steps]) is what improves. Applies
-          to [Dfs] sequentially and to every parallel worker; a
-          sequential [Bfs] frontier falls back to the per-state engine
-          (its pop order defeats descent amortization), and the
-          report then names [Per_state]. *)
+      (** the default request. It runs the [Snapshot] engine when the
+          sut has a machine form ({!instance.machine}), the search is
+          [Dfs] and no [max_replay_steps] cap is set (the snapshot
+          engine replays nothing, so the cap would never bind).
+          Otherwise it runs the amortized path-replay engine: one
+          executor run per DFS {e descent} visits every interim state
+          from a single live replay and continues into the first child,
+          so replay steps per visited state are amortized O(1) instead
+          of O(depth); a descent ends on arriving at a commutation-pruned
+          state. Verdicts, visited/pruned counts and the DFS visit order
+          are identical to the per-state engine (the cross-check tests
+          pin this); replay accounting ([stats.replays]/[replay_steps])
+          is what improves. The descent applies to [Dfs] sequentially
+          and to every parallel worker; a sequential [Bfs] frontier
+          falls back to the per-state engine (its pop order defeats
+          descent amortization). The report's [engine] names the engine
+          that ran. *)
   | Snapshot
       (** replay-free engine: requires a machine-form sut
           ({!instance.machine}); the DFS moves down by single machine
@@ -188,7 +194,8 @@ val config :
   depth:int ->
   unit ->
   config
-(** Defaults: DFS, both reductions on, [Path] engine, symmetry off,
+(** Defaults: DFS, both reductions on, the [Path] request (the snapshot
+    engine where it applies, see {!engine_kind}), symmetry off,
     unlimited budget, no faults, telemetry off. [~symmetry:true]
     without [~engine:Snapshot] raises [Invalid_argument]. *)
 
@@ -202,7 +209,9 @@ type verdict =
 type report = {
   verdicts : (string * verdict) list;
   stats : Budget.stats;
-  engine : engine_kind;  (** the engine that produced the stats *)
+  engine : engine_kind;
+      (** the engine that produced the stats: [Path] only when the
+          path-replay descent ran *)
 }
 (** One verdict per property, in the order given; plus the exploration
     report. *)
@@ -264,13 +273,10 @@ val explore :
     fingerprint pruning off its visited/pruned/safety-checked counts
     are identical; what is {e not} reproducible across parallel runs is
     which counterexample is found first and, under fingerprint pruning,
-    the exact visited/pruned split (see DESIGN.md §8). Replay
-    accounting ([stats.replays]/[replay_steps]) is mode-specific under
-    the [Path] engine: sequential descents synthesize commutation
-    prunes from sibling footprints without replaying them, while
-    parallel workers discover prunes on arrival with the replay already
-    paid — both are deterministic per mode, but they are not equal
-    across modes (with [sleep_sets] off the difference vanishes).
+    the exact visited/pruned split (see DESIGN.md §8). With fingerprint
+    pruning off, sequential and parallel descents also pay the same
+    replays; a parallel snapshot run pays more machine steps, since
+    each popped pool item is rebuilt by machine steps.
     [config.strategy] is a hint here: each worker drains its own deque
     depth-first. Budget limits are enforced against global
     counters and the wall clock, so [max_seconds] expires after ~1×

@@ -3,20 +3,11 @@ module Timeliness = Setsync_schedule.Timeliness
 
 type kind = Safety | Stabilization
 
-type sensitivity = State_based | Schedule_sensitive
+type 'state t = { name : string; kind : kind; check : 'state -> string option }
 
-type 'state t = {
-  name : string;
-  kind : kind;
-  sensitivity : sensitivity;
-  check : 'state -> string option;
-}
+let safety ~name check = { name; kind = Safety; check }
 
-let safety ?(sensitivity = Schedule_sensitive) ~name check =
-  { name; kind = Safety; sensitivity; check }
-
-let stabilization ~name check =
-  { name; kind = Stabilization; sensitivity = State_based; check }
+let stabilization ~name check = { name; kind = Stabilization; check }
 
 let distinct_decided decisions =
   Array.to_list decisions
@@ -24,7 +15,7 @@ let distinct_decided decisions =
   |> List.sort_uniq Int.compare
 
 let kset_agreement ~k ~decisions =
-  safety ~sensitivity:State_based
+  safety
     ~name:(Fmt.str "kset-agreement(k=%d)" k)
     (fun st ->
       let values = distinct_decided (decisions st) in
@@ -37,7 +28,7 @@ let kset_agreement ~k ~decisions =
              values k))
 
 let validity ~inputs ~decisions =
-  safety ~sensitivity:State_based ~name:"validity" (fun st ->
+  safety ~name:"validity" (fun st ->
       let bad = ref None in
       Array.iteri
         (fun p d ->

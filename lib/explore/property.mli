@@ -22,38 +22,17 @@
 
 type kind = Safety | Stabilization
 
-(** What a safety check actually reads. The explorer's commutation
-    reduction discards prefix [σ·a·b] when the swapped [σ·b·a] reaches
-    the same memory state and is explored instead.
-
-    - [State_based]: the check depends only on the reached state
-      (snapshot / observation / per-process step counts) — so checking
-      the surviving twin establishes the verdict for the pruned prefix
-      too, and the path-replay engine may prune {e without} replaying.
-    - [Schedule_sensitive]: the check may read the prefix itself (e.g.
-      {!set_timely} reads step ordering), so the pruned interleaving is
-      a genuinely different input — the engine must materialize it with
-      a classic replay before discarding it (PR 2 semantics).
-
-    [Schedule_sensitive] is the conservative default for {!safety};
-    mark a property [State_based] only when its check provably ignores
-    [prefix] (and anything derived from step order). *)
-type sensitivity = State_based | Schedule_sensitive
-
 type 'state t = {
   name : string;
   kind : kind;
-  sensitivity : sensitivity;
-      (** meaningful for [Safety]; [Stabilization] checks run only on
-          maximal prefixes, which are never pruned, so the field is
-          [State_based] by construction and never consulted *)
   check : 'state -> string option;
       (** [None] when the state conforms; [Some reason] on violation. *)
 }
 
-val safety :
-  ?sensitivity:sensitivity -> name:string -> ('state -> string option) -> 'state t
-(** [sensitivity] defaults to [Schedule_sensitive] (conservative). *)
+val safety : name:string -> ('state -> string option) -> 'state t
+(** The check may read the state's prefix as well as its memory: every
+    engine materializes a commutation-pruned state and checks the
+    pending safety properties on it before discarding it. *)
 
 val stabilization : name:string -> ('state -> string option) -> 'state t
 
@@ -63,11 +42,10 @@ val stabilization : name:string -> ('state -> string option) -> 'state t
     system under test's observation type. *)
 
 val kset_agreement : k:int -> decisions:('state -> int option array) -> 'state t
-(** Safety, [State_based]: at most [k] distinct values are decided. *)
+(** Safety: at most [k] distinct values are decided. *)
 
 val validity : inputs:int array -> decisions:('state -> int option array) -> 'state t
-(** Safety, [State_based]: every decided value is some process's
-    input. *)
+(** Safety: every decided value is some process's input. *)
 
 val set_timely :
   p:Setsync_schedule.Procset.t ->

@@ -395,8 +395,10 @@ let test_ring_growth () =
       Alcotest.(check (option int)) "proc" (if i mod 2 = 0 then Some (i mod 7) else None) e.Events.proc)
     evs;
   (* creating a default-capacity sink allocates O(1) words, not a
-     2^20-slot ring *)
+     2^20-slot ring. [Gc.quick_stat] counts minor-heap words only as of
+     the last minor collection, so collect before each reading. *)
   let words () =
+    Gc.minor ();
     let s = Gc.quick_stat () in
     s.Gc.minor_words +. s.Gc.major_words -. s.Gc.promoted_words
   in
@@ -605,8 +607,10 @@ let explorer_metrics_match domains () =
     Explorer.explore ~domains ~obs ~sut ~properties
       (* fingerprints off: the exact-reduction configuration the CLI
          uses for this check, which makes counts domain-independent
-         and guarantees sleep prunes occur at this depth *)
-      (Explorer.config ~prune_fingerprints:false ~depth:6 ())
+         and guarantees sleep prunes occur at this depth; the
+         per-state engine, because the default runs on snapshot here
+         and would emit no replay events *)
+      (Explorer.config ~prune_fingerprints:false ~engine:Explorer.Per_state ~depth:6 ())
   in
   let stats = report.Explorer.stats in
   let counter name = Metrics.counter_value (Metrics.counter obs.Obs.metrics name) in
@@ -638,6 +642,7 @@ let test_explore_without_obs_unchanged () =
     let report = Explorer.explore ?obs ~sut ~properties (Explorer.config ~depth:6 ()) in
     ( report.Explorer.stats.Budget.visited,
       report.Explorer.stats.Budget.replay_steps,
+      report.Explorer.stats.Budget.machine_steps,
       List.map fst report.Explorer.verdicts )
   in
   Alcotest.(check bool) "same exploration" true
