@@ -139,7 +139,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> its JSONL validates (b
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run), unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -171,6 +171,10 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 6 --engine snapshot --symmetry --fingerprints; \
 	expect 2 explore --check timeliness -n 2 --depth 4 --progress 0 --search-summary -; \
 	stdout_has '"engine":"per_state"'; \
+	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 4 --bfs --domains 2 --progress 0 --search-summary -; \
+	stdout_has '"engine":"per_state"'; \
+	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 4 --domains 2 --progress 0 --search-summary -; \
+	stdout_has '"engine":"snapshot"'; \
 	expect 124 solve --trace-out /nonexistent/x.jsonl; \
 	stderr_has "cannot write the --trace-out file"; \
 	expect 124 solve --backend net --trace-out /nonexistent/x.jsonl; \

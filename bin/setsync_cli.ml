@@ -612,7 +612,9 @@ let explore_cmd =
       & opt int 1
       & info [ "domains" ] ~docv:"D"
           ~doc:
-            "Worker domains exploring in parallel (default 1 = sequential). Verdicts \
+            "Worker domains exploring in parallel (default 1: one worker in the calling \
+             domain, in sequential search order; $(b,--bfs) is breadth-first at every \
+             domain count). Verdicts \
              are equivalent across domain counts; which counterexample is reported \
              first, and the visited/pruned split under $(b,--fingerprints), are not.")
   in

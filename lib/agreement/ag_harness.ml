@@ -140,8 +140,8 @@ let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost
           match step with
           | None -> ()
           | Some step ->
-              Metrics.incr ~shard:o.Obs.shard decided_c;
-              Metrics.observe ~shard:o.Obs.shard latency (float_of_int step);
+              Metrics.incr decided_c;
+              Metrics.observe latency (float_of_int step);
               (match ev with
               | Some sink ->
                   Events.emit sink ~proc:p

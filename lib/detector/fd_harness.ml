@@ -93,10 +93,10 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
   in
   (match obs with
   | Some o -> (
-      Metrics.incr ~shard:o.Obs.shard (Metrics.counter o.Obs.metrics "detector.runs");
+      Metrics.incr (Metrics.counter o.Obs.metrics "detector.runs");
       match winner_verdict with
       | Anti_omega.Winner_stable { winner; stable_from } ->
-          Metrics.observe ~shard:o.Obs.shard
+          Metrics.observe
             (Metrics.histogram o.Obs.metrics "detector.stabilization_steps")
             (float_of_int stable_from);
           if Events.enabled o.Obs.events then

@@ -46,7 +46,7 @@ type t = {
   mutable d_fp : int array;
   mutable d_sleep : int array;
   (* snapshot-engine movement: live machine steps / savepoint restores
-     (NOT replays — the pinned pp_stats line stays engine-agnostic) *)
+     (NOT replays; pp_stats prints whichever movement happened) *)
   mutable machine_steps : int;
   mutable restores : int;
   (* accumulated only when the caller times the movement (telemetry
@@ -95,19 +95,10 @@ let cpu_elapsed t = Sys.time () -. t.started_cpu
 
 let deadline t = Option.map (fun s -> t.started_wall +. s) t.lim.max_seconds
 
-(* The two halves of [over], for the path-replay engine's mid-descent
-   checks: a visit costs one state and no steps, executing the next
-   step costs steps and no state — checking the wrong cap at either
-   point would truncate a run that completes on exactly its budget. *)
-let over_visit t =
+let over t =
   (match t.lim.max_states with Some c -> t.visited >= c | None -> false)
-  || (match t.lim.max_seconds with Some s -> wall_elapsed t >= s | None -> false)
-
-let over_steps t =
-  (match t.lim.max_replay_steps with Some c -> t.replay_steps >= c | None -> false)
-  || (match t.lim.max_seconds with Some s -> wall_elapsed t >= s | None -> false)
-
-let over t = over_visit t || over_steps t
+  || (match t.lim.max_replay_steps with Some c -> t.replay_steps >= c | None -> false)
+  || match t.lim.max_seconds with Some s -> wall_elapsed t >= s | None -> false
 
 let mark_truncated t = t.truncated <- true
 
@@ -246,12 +237,19 @@ let stats (t : t) : stats =
     restore_seconds = t.restore_seconds;
   }
 
+(* the movement of the engine that ran: machine steps and restores if
+   the snapshot engine moved, replays otherwise *)
+let pp_movement ppf s =
+  if s.machine_steps > 0 || s.restores > 0 then
+    Fmt.pf ppf "machine %d steps, %d restores" s.machine_steps s.restores
+  else Fmt.pf ppf "replays %d/%d steps" s.replays s.replay_steps
+
 let pp_stats ppf s =
   Fmt.pf ppf
-    "visited %d (fp-pruned %d, commute-pruned %d, safety-checked %d) replays %d/%d steps, \
-     max depth %d, frontier peak %d, %s"
-    s.visited s.pruned_fingerprint s.pruned_sleep s.safety_checked s.replays s.replay_steps
-    s.max_depth s.frontier_peak
+    "visited %d (fp-pruned %d, commute-pruned %d, safety-checked %d) %a, max depth %d, \
+     frontier peak %d, %s"
+    s.visited s.pruned_fingerprint s.pruned_sleep s.safety_checked pp_movement s s.max_depth
+    s.frontier_peak
     (if s.truncated then "TRUNCATED by budget" else "exhaustive")
 
 let pp_times ppf s = Fmt.pf ppf "%.3fs wall / %.3fs cpu" s.wall_seconds s.cpu_seconds

@@ -7,11 +7,11 @@
     pruned by fingerprint and by commutation, replay effort, depth and
     frontier high-water marks).
 
-    In parallel explorations ({!Explorer.explore} with [~domains] > 1)
-    each worker accumulates into its own meter — the meters are plain
-    single-domain mutable state — and the parent meter {!absorb}s them
-    into the final report; only the parent's clocks are read, so the
-    reported times span the whole exploration. *)
+    In an exploration ({!Explorer.explore}) each pool worker
+    accumulates into its own meter — the meters are plain single-domain
+    mutable state — and the parent meter {!absorb}s them into the final
+    report; only the parent's clocks are read, so the reported times
+    span the whole exploration. *)
 
 type limits = {
   max_states : int option;  (** cap on states visited (property-checked) *)
@@ -58,17 +58,6 @@ val over : t -> bool
     truncated. [Some 0] therefore visits nothing and is truncated
     whenever any work was pending. *)
 
-val over_visit : t -> bool
-(** The states/wall half of {!over}: true when visiting one more state
-    would exceed the budget. The path-replay engine consults this
-    before each mid-descent visit — a visit costs no replay steps, so
-    the step cap must not veto it. *)
-
-val over_steps : t -> bool
-(** The replay-steps/wall half of {!over}: true when executing one more
-    step would exceed the budget. Consulted before a descent continues
-    into its next child. *)
-
 val wall_elapsed : t -> float
 val cpu_elapsed : t -> float
 
@@ -111,8 +100,8 @@ val note_frontier : t -> int -> unit
 (** {3 Snapshot-engine movement}
 
     Machine steps and savepoint restores are the snapshot engine's
-    work units — deliberately not folded into [replays]/[replay_steps]
-    (whose pinned rendering stays engine-agnostic). The [_seconds]
+    work units — deliberately not folded into [replays]/[replay_steps];
+    {!pp_stats} prints them in place of the replays. The [_seconds]
     accumulators are fed only when the caller times the movement
     (telemetry mode); they stay [0.] otherwise. *)
 
@@ -167,8 +156,8 @@ type stats = {
   wall_seconds : float;  (** real elapsed time ([Unix.gettimeofday] delta) *)
   depth_profile : depth_row list;
       (** per-depth breakdown, ascending from depth 0; empty when no
-          depth was ever noted. In parallel explorations rows are the
-          elementwise sums of the worker profiles ({!absorb}). *)
+          depth was ever noted. Rows are the elementwise sums of the
+          worker profiles ({!absorb}). *)
   machine_steps : int;  (** snapshot engine: live machine steps taken *)
   restores : int;  (** snapshot engine: savepoint restores performed *)
   machine_seconds : float;
@@ -184,7 +173,10 @@ val stats : t -> stats
 val pp_stats : stats Fmt.t
 (** One-line report, e.g.
     ["visited 4121 (fp-pruned 310, commute-pruned 988, safety-checked 5109) replays 5109/31880 steps, max depth 7, frontier peak 24, exhaustive"].
-    Deliberately omits the times so that reports of deterministic
+    The movement clause is that of the engine that ran: when the stats
+    show machine movement ([machine_steps] or [restores] non-zero) it
+    reads ["machine 1155 steps, 1155 restores"] in place of the
+    replays. Deliberately omits the times so that reports of deterministic
     explorations print identically across runs; print {!pp_times}
     separately when the timing matters. *)
 

@@ -85,43 +85,6 @@ type report = {
   engine : engine_kind;
 }
 
-(* ---------------------------------------------------------- frontiers *)
-
-type 'a frontier = {
-  push : 'a -> unit;
-  pop : unit -> 'a option;
-  size : unit -> int;
-}
-
-let dfs_frontier () =
-  let stack = ref [] in
-  let count = ref 0 in
-  {
-    push =
-      (fun x ->
-        stack := x :: !stack;
-        incr count);
-    pop =
-      (fun () ->
-        match !stack with
-        | [] -> None
-        | x :: rest ->
-            stack := rest;
-            decr count;
-            Some x);
-    size = (fun () -> !count);
-  }
-
-let bfs_frontier () =
-  let queue = Queue.create () in
-  {
-    push = (fun x -> Queue.add x queue);
-    pop = (fun () -> Queue.take_opt queue);
-    size = (fun () -> Queue.length queue);
-  }
-
-let make_frontier = function Dfs -> dfs_frontier () | Bfs -> bfs_frontier ()
-
 (* ------------------------------------------------------------ replays *)
 
 (* Enough retained entries to cover the register accesses of any
@@ -574,17 +537,12 @@ end
 
 (* ------------------------------------------------------ verdict table *)
 
-(* One slot per property, first violation wins. The parallel driver
-   serializes slot writes with [lock] and stops its pool through
-   [on_all_violated]; the sequential driver needs neither. *)
-type 'obs verdicts = {
-  slots : ('obs state Property.t * verdict ref) list;
-  lock : Mutex.t option;
-  on_all_violated : unit -> unit;
-}
+(* One slot per property, first violation wins; workers serialize slot
+   writes with [lock]. *)
+type 'obs verdicts = { slots : ('obs state Property.t * verdict ref) list; lock : Mutex.t }
 
-let verdict_table ?lock ?(on_all_violated = ignore) properties =
-  { slots = List.map (fun p -> (p, ref Ok_bounded)) properties; lock; on_all_violated }
+let verdict_table properties =
+  { slots = List.map (fun p -> (p, ref Ok_bounded)) properties; lock = Mutex.create () }
 
 let all_violated vt =
   vt.slots <> [] && List.for_all (fun (_, v) -> !v <> Ok_bounded) vt.slots
@@ -593,23 +551,6 @@ let all_violated vt =
 let pending_safety vt =
   List.exists (fun ((p : _ Property.t), v) -> p.kind = Property.Safety && !v = Ok_bounded) vt.slots
 
-let record vt ~kind state =
-  List.iter
-    (fun ((p : _ Property.t), v) ->
-      (* in parallel the unsynchronized read may be stale — at worst a
-         property already violated elsewhere is re-checked; the write is
-         serialized and first-wins *)
-      if p.kind = kind && !v = Ok_bounded then
-        match p.check state with
-        | Some reason ->
-            let write () =
-              if !v = Ok_bounded then v := Violated { schedule = state.prefix; reason }
-            in
-            (match vt.lock with Some mu -> Mutex.protect mu write | None -> write ());
-            if all_violated vt then vt.on_all_violated ()
-        | None -> ())
-    vt.slots
-
 let report_of vt stats ~engine =
   {
     verdicts = List.map (fun ((p : _ Property.t), v) -> (p.Property.name, !v)) vt.slots;
@@ -617,40 +558,183 @@ let report_of vt stats ~engine =
     engine;
   }
 
+(* -------------------------------------------------- observability *)
+
+type progress = {
+  wall : float;  (* seconds since exploration start *)
+  states : int;
+  replays : int;
+  replay_steps : int;
+  frontier : int;
+  fp_pruned : int;
+  sleep_pruned : int;
+  max_depth : int;
+  machine_steps : int;  (* snapshot engine's movement; 0 elsewhere *)
+  restores : int;
+}
+
+(* Periodic heartbeat: a wall-clock-gated callback plus a "heartbeat"
+   trace event, driven by worker 0. The gettimeofday check costs ~25 ns
+   per visited state — noise next to the work each state costs. *)
+type heartbeat = {
+  hb_interval : float;
+  mutable hb_last : float;
+  hb_cb : (progress -> unit) option;
+  hb_sink : Events.t;
+  hb_progress : unit -> progress;
+}
+
+let engine_sink obs =
+  match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None
+
+let make_heartbeat ?on_progress ~interval obs progress =
+  let sink = Option.value (engine_sink obs) ~default:Events.nop in
+  if interval <= 0. then None
+  else if Option.is_none on_progress && not (Events.enabled sink) then None
+  else
+    Some
+      {
+        hb_interval = interval;
+        hb_last = Unix.gettimeofday ();
+        hb_cb = on_progress;
+        hb_sink = sink;
+        hb_progress = progress;
+      }
+
+let maybe_beat = function
+  | None -> ()
+  | Some hb ->
+      let now = Unix.gettimeofday () in
+      if now -. hb.hb_last >= hb.hb_interval then begin
+        hb.hb_last <- now;
+        let p = hb.hb_progress () in
+        (match hb.hb_cb with Some f -> f p | None -> ());
+        if Events.enabled hb.hb_sink then
+          Events.emit hb.hb_sink
+            ~args:
+              [
+                ("states", Json.Int p.states);
+                ("replay_steps", Json.Int p.replay_steps);
+                ("machine_steps", Json.Int p.machine_steps);
+                ("restores", Json.Int p.restores);
+                ("frontier", Json.Int p.frontier);
+                ("fp_pruned", Json.Int p.fp_pruned);
+                ("max_depth", Json.Int p.max_depth);
+              ]
+            ~cat:"explorer" "heartbeat"
+      end
+
+(* Fold one worker's final stats into the sharded explorer counters.
+   The counters are written from Budget's own meters, so the merged
+   metrics snapshot is numerically identical to the printed
+   [Budget.stats] — the acceptance contract of the metrics export. The
+   snapshot engine's machine steps and savepoint restores are not
+   replays/replay_steps (the stats record stays engine-agnostic); they
+   are exported as dedicated counters instead. *)
+let record_metrics obs ~engine ~shard (s : Budget.stats) =
+  match obs with
+  | None -> ()
+  | Some o ->
+      let m = o.Obs.metrics in
+      let c name v = Metrics.incr ~shard ~by:v (Metrics.counter m name) in
+      if engine = Snapshot then begin
+        c "explorer.machine_steps" s.Budget.machine_steps;
+        c "explorer.restores" s.Budget.restores
+      end;
+      c "explorer.states" s.Budget.visited;
+      c "explorer.safety_checked" s.Budget.safety_checked;
+      c "explorer.fp_pruned" s.Budget.pruned_fingerprint;
+      c "explorer.sleep_pruned" s.Budget.pruned_sleep;
+      c "explorer.replays" s.Budget.replays;
+      c "explorer.replay_steps" s.Budget.replay_steps;
+      Metrics.set_max (Metrics.gauge m "explorer.max_depth") (float_of_int s.Budget.max_depth);
+      Metrics.set_max
+        (Metrics.gauge m "explorer.frontier_peak")
+        (float_of_int s.Budget.frontier_peak)
+
+(* ------------------------------------------------------------ budget *)
+
+(* The budget every worker spends from: the run's count limits against
+   counters all workers share, and one wall-clock deadline, so a limit
+   binds the whole exploration whatever the domain count. A worker's
+   own [Budget.t] meter only accumulates its statistics. *)
+type gauge = {
+  g_limits : Budget.limits;
+  g_deadline : float option;
+  g_visited : int Atomic.t;
+  g_replay_steps : int Atomic.t;
+}
+
+let hit limit count = match limit with Some c -> Atomic.get count >= c | None -> false
+
+let past_deadline g =
+  match g.g_deadline with Some d -> Unix.gettimeofday () >= d | None -> false
+
+(* The two halves of [over], for the path-replay engine's mid-descent
+   checks: a visit costs one state and no steps, executing the next
+   step costs steps and no state — checking the wrong cap at either
+   point would truncate a run that completes on exactly its budget. *)
+let over_visit g = hit g.g_limits.Budget.max_states g.g_visited || past_deadline g
+
+let over_steps g = hit g.g_limits.Budget.max_replay_steps g.g_replay_steps || past_deadline g
+
+let over g = over_visit g || over_steps g
+
 (* --------------------------------------------------- the shared visit *)
 
-(* One worker's view of the exploration: where stats and events go,
-   the verdict table, how fingerprint and budget decisions are made.
-   The sequential explorer and each parallel worker instantiate this
-   differently. Every engine folds its states in through [visit] and
-   [commute_prune] below, so the per-state bookkeeping is defined once;
-   the engines differ only in how they materialize a state and, hence,
-   in movement accounting. *)
+(* One worker's view of the exploration: where its stats and events go,
+   and the state every worker shares — verdict table, budget gauge,
+   pool and fingerprint table. Every engine folds its states in through
+   [visit] and [commute_prune] below, so the per-state bookkeeping is
+   defined once; the engines differ only in how they materialize a
+   state and, hence, in movement accounting. *)
 type 'obs engine = {
   e_sut : 'obs sut;
   e_config : config;
   e_meter : Budget.t;  (* this worker's stats sink *)
-  e_lifo : bool;  (* reverse children so LIFO frontiers pop ascending *)
   e_verdicts : 'obs verdicts;
-  e_fp_check : string -> depth:int -> bool;  (* true = expand *)
-  e_on_visit : unit -> unit;  (* global-budget hook *)
-  e_on_replay : steps:int -> unit;  (* global-budget hook *)
-  e_over_visit : unit -> bool;
-      (* states/wall budget check, consulted before each visit (a visit
-         costs one state and no steps — the step cap must not veto it) *)
-  e_over_steps : unit -> bool;
-      (* steps/wall budget check, consulted before a descent continues
-         into its next child (the next step costs steps, not states) *)
-  e_stop_now : unit -> bool;  (* external stop (all violated / pool stop) *)
-  e_frontier_size : unit -> int;
+  e_gauge : gauge;
+  e_pool : Proc.t list Parallel.Pool.t;  (* frontier items: reverse prefixes *)
+  e_fingerprints : Parallel.Shard_tbl.t;
+  e_pending : int ref;  (* children this worker's snapshot recursion still owes *)
+  e_hb : heartbeat option;  (* worker 0's *)
   e_ev : Events.t option;  (* event sink, [None] when tracing is off *)
-  e_worker : int;  (* worker id stamped on emitted events *)
+  e_worker : int;  (* worker id: its deque, metric shard and event stamp *)
 }
 
 let emit eng name args =
   match eng.e_ev with
   | Some sink -> Events.emit sink ~worker:eng.e_worker ~args ~cat:"explorer" name
   | None -> ()
+
+let push eng item = Parallel.Pool.push eng.e_pool ~worker:eng.e_worker item
+
+let frontier_size eng = Parallel.Pool.frontier_size eng.e_pool + !(eng.e_pending)
+
+let stopped eng = Parallel.Pool.stopped eng.e_pool
+
+(* a limit fired with work still pending: stop every worker *)
+let truncate_run eng =
+  Budget.mark_truncated eng.e_meter;
+  Parallel.Pool.stop eng.e_pool
+
+(* Check the properties of [kind] on [state]; the last property to be
+   violated stops the pool. *)
+let record eng ~kind state =
+  let vt = eng.e_verdicts in
+  List.iter
+    (fun ((p : _ Property.t), v) ->
+      (* the unsynchronized read may be stale — at worst a property
+         already violated by another worker is re-checked; the write is
+         serialized and first-wins *)
+      if p.kind = kind && !v = Ok_bounded then
+        match p.check state with
+        | Some reason ->
+            Mutex.protect vt.lock (fun () ->
+                if !v = Ok_bounded then v := Violated { schedule = state.prefix; reason });
+            if all_violated vt then Parallel.Pool.stop eng.e_pool
+        | None -> ())
+    vt.slots
 
 (* The commutation rule on arrival: a prefix [σ·a·b] whose last two
    steps ran in descending process order ([b < a]) with disjoint
@@ -674,17 +758,17 @@ let visit ?fingerprint eng (state : _ state) =
   let config = eng.e_config and meter = eng.e_meter in
   let depth = state.depth in
   Budget.note_state meter;
-  eng.e_on_visit ();
+  Atomic.incr eng.e_gauge.g_visited;
   Budget.note_depth meter depth;
   if pending_safety eng.e_verdicts then Budget.note_safety_check meter;
-  record eng.e_verdicts ~kind:Property.Safety state;
+  record eng ~kind:Property.Safety state;
   let en = enabled state.run in
   let seen_before () =
     let fp = match fingerprint with Some f -> f () | None -> digest ~sut:eng.e_sut state in
-    not (eng.e_fp_check fp ~depth)
+    not (Parallel.Shard_tbl.check_and_record eng.e_fingerprints fp ~depth)
   in
   if depth >= config.depth || en = [] then begin
-    record eng.e_verdicts ~kind:Property.Stabilization state;
+    record eng ~kind:Property.Stabilization state;
     []
   end
   else if config.prune_fingerprints && seen_before () then begin
@@ -708,26 +792,27 @@ let commute_prune eng ~depth materialize =
   emit eng "sleep_prune" [ ("depth", Json.Int depth) ];
   if pending_safety eng.e_verdicts then begin
     Budget.note_safety_check eng.e_meter;
-    record eng.e_verdicts ~kind:Property.Safety (materialize ())
+    record eng ~kind:Property.Safety (materialize ())
   end
 
-(* LIFO frontiers pop last-pushed first: push descending so children
-   are explored in ascending process order *)
-let push_children eng ~push rev children =
+(* A depth-first pool takes last-pushed first: push descending so
+   children are explored in ascending process order. A breadth-first
+   one takes oldest first: push ascending. *)
+let push_children eng rev children =
   let items = List.map (fun p -> p :: rev) children in
-  List.iter push (if eng.e_lifo then List.rev items else items);
-  Budget.note_frontier eng.e_meter (eng.e_frontier_size ())
+  List.iter (push eng) (if eng.e_config.strategy = Dfs then List.rev items else items);
+  Budget.note_frontier eng.e_meter (frontier_size eng)
 
 (* Per-state engine: replay one prefix from scratch and fold it into
    the exploration. *)
-let process_prefix eng ~push rev_steps =
+let process_prefix eng rev_steps =
   let state, fp_prev, fp_last =
     replay_instrumented ~sut:eng.e_sut ~fault:eng.e_config.fault
       (Schedule.of_list ~n:eng.e_sut.n (List.rev rev_steps))
   in
   let executed = Run.total_steps state.run in
   Budget.note_replay eng.e_meter ~steps:executed;
-  eng.e_on_replay ~steps:executed;
+  ignore (Atomic.fetch_and_add eng.e_gauge.g_replay_steps executed);
   emit eng "replay" [ ("depth", Json.Int state.depth); ("steps", Json.Int executed) ];
   if arrival_pruned eng.e_config rev_steps ~prev:fp_prev ~last:fp_last then
     (* the replay is already paid for: hand the state over for the
@@ -736,7 +821,7 @@ let process_prefix eng ~push rev_steps =
   else
     match visit eng state with
     | [] -> ()
-    | children -> push_children eng ~push rev_steps children
+    | children -> push_children eng rev_steps children
 
 (* ------------------------------------------------ path-replay descents *)
 
@@ -747,22 +832,23 @@ let process_prefix eng ~push rev_steps =
    interim state is visited (properties, fingerprint, frontier
    bookkeeping) from the single live [Mirror], and the run continues
    into the first child; the remaining children become frontier items,
-   each costing one fresh replay of its prefix when popped. Replay
+   each costing one fresh replay of its prefix when taken. Replay
    steps per visited state drop from O(depth) to the amortized cost of
    the descent paths (see DESIGN.md §8). A descent ends when its last
    step completes a commutable pair (the same arrival rule as
    [process_prefix]): the pruned state is already materialized, so it
-   is safety-checked directly.
+   is safety-checked directly. Depth-first only: [Path] under [Bfs]
+   runs per-state.
 
    Budget: one [note_replay ~steps:0] per descent plus an incremental
    [note_replay_steps] per executed step, so [max_replay_steps] cuts
    mid-descent. The boundary contract splits the check by what the next
-   unit of work costs: [e_over_visit] (states/wall) gates each visit —
+   unit of work costs: [over_visit] (states/wall) gates each visit —
    a visit after exactly the step budget costs no further steps and
-   still happens — while [e_over_steps] (steps/wall) gates continuing
+   still happens — while [over_steps] (steps/wall) gates continuing
    the descent into the next child; a cut with work still pending marks
    the run truncated and parks the continuation on the frontier. *)
-let process_descent eng ~push rev_start =
+let process_descent eng rev_start =
   let sut = eng.e_sut and config = eng.e_config and meter = eng.e_meter in
   let n = sut.n in
   let trace, footprint = footprint_meter () in
@@ -778,32 +864,32 @@ let process_descent eng ~push rev_start =
     pending_child := None;
     if arrival_pruned config !cur_rev ~prev:!fp_prev ~last:!fp_last then
       commute_prune eng ~depth:(Run.Tally.total_steps m.tally) (fun () -> Mirror.state m)
-    else if eng.e_stop_now () then ()
-    else if eng.e_over_visit () then Budget.mark_truncated meter
+    else if stopped eng then ()
+    else if over_visit eng.e_gauge then Budget.mark_truncated meter
     else
       match visit eng (Mirror.state m) with
       | [] -> ()
       | c :: rest ->
           (* continue the run into the first (ascending) child; the
-             rest become frontier items, pushed descending so LIFO
-             pops ascending *)
-          List.iter (fun b -> push (b :: !cur_rev)) (List.rev rest);
-          (if eng.e_over_steps () then begin
+             rest become frontier items, pushed descending so the LIFO
+             pool takes them ascending *)
+          List.iter (fun b -> push eng (b :: !cur_rev)) (List.rev rest);
+          (if over_steps eng.e_gauge then begin
              (* the next step would exceed the budget: park the
                 continuation as a frontier item (pushed last so a
-                LIFO resume would pop it first) and end the descent *)
+                LIFO resume would take it first) and end the descent *)
              Budget.mark_truncated meter;
-             push (c :: !cur_rev)
+             push eng (c :: !cur_rev)
            end
            else pending_child := Some c);
-          Budget.note_frontier meter (eng.e_frontier_size ())
+          Budget.note_frontier meter (frontier_size eng)
   in
   let on_step ~global ~proc =
     fp_prev := !fp_last;
     fp_last := footprint ();
     cur_rev := proc :: !cur_rev;
     Budget.note_replay_steps meter 1;
-    eng.e_on_replay ~steps:1;
+    Atomic.incr eng.e_gauge.g_replay_steps;
     if global >= fixed - 1 then visit_here ()
   in
   let source ~live:_ =
@@ -836,22 +922,25 @@ let machine_of (inst : _ instance) =
 (* Check the arguments and resolve the engine; returns the config the
    run uses. [Path] is the default request: it runs on the snapshot
    engine wherever that engine applies — a machine-form system, a
-   depth-first search and no replay-step cap for it to ignore — and on
-   the replay descent (or, under sequential BFS, per-state replay)
-   elsewhere. Machine-form support is probed on a throwaway instance,
-   so errors surface on the calling domain, before any worker spawns. *)
+   depth-first search and no replay-step cap for it to ignore — on the
+   replay descent under the other depth-first searches, and on
+   per-state replay under [Bfs] (a breadth-first search has no descents
+   to amortize). Machine-form support is probed on a throwaway
+   instance, so errors surface on the calling domain, before any worker
+   spawns. *)
 let validate_explore ~sut config =
   if config.depth < 0 then invalid_arg "Explorer.explore: negative depth bound";
   Proc.check_n sut.n;
   Fault.validate ~n:sut.n config.fault;
   let probe = lazy (sut.fresh ~store:(Store.create ())) in
   let config =
-    if
-      config.engine = Path && config.strategy = Dfs
-      && config.limits.Budget.max_replay_steps = None
-      && Option.is_some (Lazy.force probe).machine
-    then { config with engine = Snapshot }
-    else config
+    match (config.engine, config.strategy) with
+    | Path, Dfs
+      when config.limits.Budget.max_replay_steps = None
+           && Option.is_some (Lazy.force probe).machine ->
+        { config with engine = Snapshot }
+    | Path, Bfs -> { config with engine = Per_state }
+    | (Per_state | Path | Snapshot), _ -> config
   in
   if config.engine = Snapshot then begin
     if config.strategy <> Dfs then
@@ -865,115 +954,6 @@ let validate_explore ~sut config =
          (machine.m_payload is None)"
   end;
   config
-
-(* -------------------------------------------------- observability *)
-
-type progress = {
-  wall : float;  (* seconds since exploration start *)
-  states : int;
-  replays : int;
-  replay_steps : int;
-  frontier : int;
-  fp_pruned : int;
-  sleep_pruned : int;
-  max_depth : int;
-  machine_steps : int;  (* snapshot engine's movement; 0 elsewhere *)
-  restores : int;
-}
-
-(* Periodic heartbeat: a wall-clock-gated callback plus a "heartbeat"
-   trace event, driven from the exploration loop (sequential) or from
-   worker 0 (parallel). The gettimeofday check costs ~25 ns per
-   visited state — noise next to the replay each state costs. *)
-type heartbeat = {
-  hb_interval : float;
-  mutable hb_last : float;
-  hb_cb : (progress -> unit) option;
-  hb_sink : Events.t;
-}
-
-let engine_sink obs =
-  match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None
-
-let make_heartbeat ?on_progress ~interval obs =
-  let sink = Option.value (engine_sink obs) ~default:Events.nop in
-  if interval <= 0. then None
-  else if Option.is_none on_progress && not (Events.enabled sink) then None
-  else
-    Some { hb_interval = interval; hb_last = Unix.gettimeofday (); hb_cb = on_progress; hb_sink = sink }
-
-let maybe_beat hb snapshot =
-  match hb with
-  | None -> ()
-  | Some hb ->
-      let now = Unix.gettimeofday () in
-      if now -. hb.hb_last >= hb.hb_interval then begin
-        hb.hb_last <- now;
-        let p : progress = snapshot () in
-        (match hb.hb_cb with Some f -> f p | None -> ());
-        if Events.enabled hb.hb_sink then
-          Events.emit hb.hb_sink
-            ~args:
-              [
-                ("states", Json.Int p.states);
-                ("replay_steps", Json.Int p.replay_steps);
-                ("machine_steps", Json.Int p.machine_steps);
-                ("restores", Json.Int p.restores);
-                ("frontier", Json.Int p.frontier);
-                ("fp_pruned", Json.Int p.fp_pruned);
-                ("max_depth", Json.Int p.max_depth);
-              ]
-            ~cat:"explorer" "heartbeat"
-      end
-
-let progress_of_stats ~frontier (s : Budget.stats) : progress =
-  {
-    wall = s.Budget.wall_seconds;
-    states = s.Budget.visited;
-    replays = s.Budget.replays;
-    replay_steps = s.Budget.replay_steps;
-    frontier;
-    fp_pruned = s.Budget.pruned_fingerprint;
-    sleep_pruned = s.Budget.pruned_sleep;
-    max_depth = s.Budget.max_depth;
-    machine_steps = s.Budget.machine_steps;
-    restores = s.Budget.restores;
-  }
-
-(* Fold one worker's final stats into the sharded explorer counters.
-   The counters are written from Budget's own meters, so the merged
-   metrics snapshot is numerically identical to the printed
-   [Budget.stats] — the acceptance contract of the metrics export. *)
-let record_metrics obs ~shard (s : Budget.stats) =
-  match obs with
-  | None -> ()
-  | Some o ->
-      let m = o.Obs.metrics in
-      let c name v = Metrics.incr ~shard ~by:v (Metrics.counter m name) in
-      c "explorer.states" s.Budget.visited;
-      c "explorer.safety_checked" s.Budget.safety_checked;
-      c "explorer.fp_pruned" s.Budget.pruned_fingerprint;
-      c "explorer.sleep_pruned" s.Budget.pruned_sleep;
-      c "explorer.replays" s.Budget.replays;
-      c "explorer.replay_steps" s.Budget.replay_steps;
-      Metrics.set_max (Metrics.gauge m "explorer.max_depth") (float_of_int s.Budget.max_depth);
-      Metrics.set_max
-        (Metrics.gauge m "explorer.frontier_peak")
-        (float_of_int s.Budget.frontier_peak)
-
-(* Snapshot-engine movement counters. Machine steps and savepoint
-   restores are deliberately NOT replays/replay_steps (the stats
-   record and its pinned rendering stay engine-agnostic); they are
-   exported as dedicated metrics instead. *)
-let record_machine_metrics obs ~shard (s : Budget.stats) =
-  match obs with
-  | None -> ()
-  | Some o ->
-      let m = o.Obs.metrics in
-      Metrics.incr ~shard ~by:s.Budget.machine_steps
-        (Metrics.counter m "explorer.machine_steps");
-      Metrics.incr ~shard ~by:s.Budget.restores (Metrics.counter m "explorer.restores")
-
 (* ---------------------------------------------- snapshot machinery *)
 
 (* One live machine-form instance plus its mirror: the snapshot engine
@@ -1100,181 +1080,100 @@ let mc_canonical_fp c ~fault =
   |> Option.get
 
 (* Recursive snapshot DFS below a materialized node. The node itself
-   is visited here through [visit]; each enabled child is gated like a
-   frontier pop ([e_stop_now], then [over] — pop first, test second,
-   so finishing on exactly the budget stays exhaustive), stepped on the
-   live machine, possibly commutation-pruned (same arrival rule, with
-   the pruned state already materialized for safety checks), recursed
-   into, and undone with a savepoint restore — never a replay. *)
-let rec snapshot_visit ?push eng c ~hb ~progress ~over ~on_truncate ~pending ~depth ~rev
-    ~arrive_fp =
+   is visited here through [visit]; above the split depth its children
+   become pool items (each take rebuilds its prefix by machine steps),
+   below it each enabled child is gated like a pool take ([stopped],
+   then [over] — take first, test second, so finishing on exactly the
+   budget stays exhaustive), stepped on the live machine, possibly
+   commutation-pruned (same arrival rule, with the pruned state already
+   materialized for safety checks), recursed into, and undone with a
+   savepoint restore — never a replay. *)
+let rec snapshot_visit eng c ~depth ~rev ~arrive_fp =
   let config = eng.e_config and meter = eng.e_meter in
   let fingerprint =
     if config.symmetry then Some (fun () -> mc_canonical_fp c ~fault:config.fault) else None
   in
-  match (visit eng ?fingerprint (Mirror.state c.mc), push) with
-  | [], _ -> ()
-  | children, Some push ->
-      (* parallel split: children become pool items instead of local
-         recursion (each pop rebuilds its prefix by machine steps) *)
-      push_children eng ~push rev children
-  | children, None ->
+  (* pool items stay shallow prefixes (split depth 2, matching the
+     other engines' parallel grain), so below the split each worker
+     owns a whole subtree on its private machine instance; a single
+     worker has no one to share with and recurses from the root *)
+  let split_depth = if Parallel.Pool.workers eng.e_pool > 1 then 2 else 0 in
+  match visit eng ?fingerprint (Mirror.state c.mc) with
+  | [] -> ()
+  | children when depth < split_depth -> push_children eng rev children
+  | children ->
+      let pending = eng.e_pending in
       pending := !pending + List.length children;
-      Budget.note_frontier meter (eng.e_frontier_size ());
+      Budget.note_frontier meter (frontier_size eng);
       List.iter
         (fun b ->
           decr pending;
-          Budget.note_frontier meter (eng.e_frontier_size ());
-          maybe_beat hb progress;
-          if eng.e_stop_now () then ()
-          else if over () then on_truncate ()
+          Budget.note_frontier meter (frontier_size eng);
+          maybe_beat eng.e_hb;
+          if stopped eng then ()
+          else if over eng.e_gauge then truncate_run eng
           else begin
             let restore = mc_save c in
             let fp_b = mc_step_metered meter ~timed:config.telemetry c b in
             let rev' = b :: rev in
             if arrival_pruned config rev' ~prev:arrive_fp ~last:fp_b then
               commute_prune eng ~depth:(depth + 1) (fun () -> Mirror.state c.mc)
-            else
-              snapshot_visit eng c ~hb ~progress ~over ~on_truncate ~pending
-                ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
+            else snapshot_visit eng c ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
             restore_metered meter ~timed:config.telemetry restore
           end)
         children
 
-(* ------------------------------------------------------- sequential *)
+(* Snapshot engine, one pool item: build a fresh machine instance,
+   materialize the prefix by machine steps — bookkeeping movement, not
+   replays — keeping the last two footprints for the arrival
+   commutation check, then explore below it. *)
+let snapshot_take eng rev_steps =
+  let config = eng.e_config in
+  let c = mc_make ~sut:eng.e_sut ~fault:config.fault () in
+  let depth = List.length rev_steps in
+  let fp_prev = ref [] and fp_last = ref [] in
+  List.iter
+    (fun p ->
+      fp_prev := !fp_last;
+      fp_last := mc_step_metered eng.e_meter ~timed:config.telemetry c p)
+    (List.rev rev_steps);
+  if arrival_pruned config rev_steps ~prev:!fp_prev ~last:!fp_last then
+    commute_prune eng ~depth (fun () -> Mirror.state c.mc)
+  else snapshot_visit eng c ~depth ~rev:rev_steps ~arrive_fp:!fp_last
 
-let explore_seq ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties config =
-  let meter = Budget.start config.limits in
-  let hb = make_heartbeat ?on_progress ~interval:progress_interval obs in
-  let shard = match obs with Some o -> o.Obs.shard | None -> 0 in
-  let fingerprints : (string, int) Hashtbl.t = Hashtbl.create 1024 in
-  let verdicts = verdict_table properties in
-  (* set when the snapshot engine runs out of budget mid-recursion *)
-  let hard_stop = ref false in
-  let mk_engine ~frontier_size =
+(* ----------------------------------------------------------- explore *)
+
+(* Every exploration runs on a pool of [domains] workers; one domain is
+   a pool of one worker, which runs in the calling domain. Replays are
+   embarrassingly parallel (each drives a fresh store/trace/fiber
+   instance); the shared state is the frontier (work-stealing deques),
+   the fingerprint table (lock-striped), the verdict table (one mutex,
+   written once per property), and the budget gauge (atomics + a
+   wall-clock deadline). Owners take their newest item under [Dfs] and
+   their oldest under [Bfs], so one worker runs the sequential search
+   order. With more workers verdicts are the same — same violated
+   set — but which counterexample is reported first, and the
+   visited/pruned counts under fingerprint pruning, depend on the work
+   interleaving (see DESIGN.md §8). *)
+let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties
+    config =
+  if domains < 1 then invalid_arg "Explorer.explore: domains must be >= 1";
+  let config = validate_explore ~sut config in
+  let parent = Budget.start config.limits in
+  let meters = Array.init domains (fun _ -> Budget.start Budget.unlimited) in
+  let pending = Array.init domains (fun _ -> ref 0) in
+  let gauge =
     {
-      e_sut = sut;
-      e_config = config;
-      e_meter = meter;
-      e_lifo = config.strategy = Dfs;
-      e_verdicts = verdicts;
-      e_fp_check =
-        (fun fp ~depth ->
-          match Hashtbl.find_opt fingerprints fp with
-          | Some d0 when d0 <= depth -> false
-          | Some _ | None ->
-              Hashtbl.replace fingerprints fp depth;
-              true);
-      e_on_visit = (fun () -> ());
-      e_on_replay = (fun ~steps:_ -> ());
-      e_over_visit = (fun () -> Budget.over_visit meter);
-      e_over_steps = (fun () -> Budget.over_steps meter);
-      e_stop_now = (fun () -> all_violated verdicts || !hard_stop);
-      e_frontier_size = frontier_size;
-      e_ev = engine_sink obs;
-      e_worker = shard;
+      g_limits = config.limits;
+      g_deadline = Budget.deadline parent;
+      g_visited = Atomic.make 0;
+      g_replay_steps = Atomic.make 0;
     }
   in
-  let progress eng () =
-    progress_of_stats ~frontier:(eng.e_frontier_size ()) (Budget.stats meter)
-  in
-  (* the replay engines' frontier loop *)
-  let drain frontier process =
-    let eng = mk_engine ~frontier_size:frontier.size in
-    Budget.note_frontier meter 1;
-    let stop = ref false in
-    while not !stop do
-      (* peak on every push/pop cycle, not only after expansions *)
-      Budget.note_frontier meter (frontier.size ());
-      maybe_beat hb (progress eng);
-      if eng.e_stop_now () then stop := true
-      else
-        match frontier.pop () with
-        | None -> stop := true
-        | Some item ->
-            (* pop first, then test: completing the space on exactly the
-               budget is exhaustive, not truncated *)
-            if Budget.over meter then begin
-              Budget.mark_truncated meter;
-              stop := true
-            end
-            else process eng item
-    done
-  in
-  let engine =
-    match (config.engine, config.strategy) with
-    | Snapshot, _ ->
-        (* single live machine instance, savepoint restores, zero replays *)
-        let c = mc_make ~sut ~fault:config.fault () in
-        let pending = ref 0 in
-        let eng = mk_engine ~frontier_size:(fun () -> !pending) in
-        let on_truncate () =
-          Budget.mark_truncated meter;
-          hard_stop := true
-        in
-        Budget.note_frontier meter 1;
-        maybe_beat hb (progress eng);
-        if Budget.over meter then Budget.mark_truncated meter
-        else
-          snapshot_visit eng c ~hb ~progress:(progress eng)
-            ~over:(fun () -> Budget.over meter)
-            ~on_truncate ~pending ~depth:0 ~rev:[] ~arrive_fp:[];
-        record_machine_metrics obs ~shard (Budget.stats meter);
-        Snapshot
-    | Path, Dfs ->
-        (* descent frontier of reverse prefixes; LIFO, ascending pop
-           order by construction *)
-        let frontier = dfs_frontier () in
-        frontier.push [];
-        drain frontier (fun eng -> process_descent eng ~push:frontier.push);
-        Path
-    | (Per_state | Path), _ ->
-        (* prefixes are stored in reverse step order: extension is a
-           cons. A breadth-first search has no descents to amortize, so
-           [Path] with [Bfs] runs here too and reports [Per_state]. *)
-        let frontier = make_frontier config.strategy in
-        frontier.push [];
-        drain frontier (fun eng -> process_prefix eng ~push:frontier.push);
-        Per_state
-  in
-  let stats = Budget.stats meter in
-  record_metrics obs ~shard stats;
-  report_of verdicts stats ~engine
-
-(* --------------------------------------------------------- parallel *)
-
-(* Replays are embarrassingly parallel (each drives a fresh
-   store/trace/fiber instance); the shared state is the frontier
-   (work-stealing deques), the fingerprint table (lock-striped), the
-   verdict table (one mutex, written once per property), and the
-   budget gauge (atomics + a wall-clock deadline). Verdicts are
-   equivalent to the sequential explorer's — same violated set — but
-   which counterexample is reported first, and the visited/pruned
-   counts under fingerprint pruning, depend on the work interleaving
-   (see DESIGN.md §8). *)
-let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~properties
-    config =
-  let parent = Budget.start config.limits in
-  let deadline = Budget.deadline parent in
-  let meters = Array.init domains (fun _ -> Budget.start Budget.unlimited) in
-  let hb = make_heartbeat ?on_progress ~interval:progress_interval obs in
-  let visited_g = Atomic.make 0 in
-  let replay_steps_g = Atomic.make 0 in
-  let deadline_hit () =
-    match deadline with Some d -> Unix.gettimeofday () >= d | None -> false
-  in
-  (* [Budget.over] and its two halves against the global gauge; wall
-     time is the shared deadline *)
-  let hit limit gauge = match limit with Some c -> Atomic.get gauge >= c | None -> false in
-  let states_hit () = hit config.limits.Budget.max_states visited_g in
-  let steps_hit () = hit config.limits.Budget.max_replay_steps replay_steps_g in
-  let over_visit_gauge () = deadline_hit () || states_hit () in
-  let over_steps_gauge () = deadline_hit () || steps_hit () in
-  let over_gauge () = deadline_hit () || states_hit () || steps_hit () in
   let on_steal =
     match obs with
-    | None -> None
-    | Some o ->
+    | Some o when domains > 1 ->
+        (* a single worker never steals: no counter for it *)
         let steals = Metrics.counter o.Obs.metrics "explorer.steals" in
         let sink = engine_sink obs in
         Some
@@ -1286,37 +1185,16 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
                   ~args:[ ("victim", Json.Int victim) ]
                   ~cat:"explorer" "steal"
             | None -> ())
+    | Some _ | None -> None
   in
-  let pool = Parallel.Pool.create ?on_steal ~workers:domains () in
-  let verdicts =
-    verdict_table ~lock:(Mutex.create ())
-      ~on_all_violated:(fun () -> Parallel.Pool.stop pool)
-      properties
+  let pool =
+    Parallel.Pool.create ?on_steal ~fifo:(config.strategy = Bfs) ~workers:domains ()
   in
-  let fingerprints = Parallel.Shard_tbl.create () in
-  let engines =
-    Array.init domains (fun wid ->
-        {
-          e_sut = sut;
-          e_config = config;
-          e_meter = meters.(wid);
-          e_lifo = true;  (* per-worker deques are LIFO for the owner *)
-          e_verdicts = verdicts;
-          e_fp_check = Parallel.Shard_tbl.check_and_record fingerprints;
-          e_on_visit = (fun () -> Atomic.incr visited_g);
-          e_on_replay = (fun ~steps -> ignore (Atomic.fetch_and_add replay_steps_g steps));
-          e_over_visit = over_visit_gauge;
-          e_over_steps = over_steps_gauge;
-          e_stop_now = (fun () -> Parallel.Pool.stopped pool);
-          e_frontier_size = (fun () -> Parallel.Pool.frontier_size pool);
-          e_ev = engine_sink obs;
-          e_worker = wid;
-        })
-  in
+  let verdicts = verdict_table properties in
   (* Racy progress snapshot over the live worker meters: counts may be
      mid-update, but each field is a single int read — good enough for
      a heartbeat, never used for control. *)
-  let par_progress () =
+  let progress () =
     let ss = Array.map Budget.stats meters in
     let sum f = Array.fold_left (fun acc s -> acc + f s) 0 ss in
     {
@@ -1324,7 +1202,8 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
       states = sum (fun s -> s.Budget.visited);
       replays = sum (fun s -> s.Budget.replays);
       replay_steps = sum (fun s -> s.Budget.replay_steps);
-      frontier = Parallel.Pool.frontier_size pool;
+      frontier =
+        Array.fold_left (fun acc p -> acc + !p) (Parallel.Pool.frontier_size pool) pending;
       fp_pruned = sum (fun s -> s.Budget.pruned_fingerprint);
       sleep_pruned = sum (fun s -> s.Budget.pruned_sleep);
       max_depth = Array.fold_left (fun acc s -> max acc s.Budget.max_depth) 0 ss;
@@ -1332,69 +1211,46 @@ let explore_par ?obs ?on_progress ?(progress_interval = 1.0) ~domains ~sut ~prop
       restores = sum (fun s -> s.Budget.restores);
     }
   in
-  (* pool items stay shallow prefixes (split depth 2, matching the
-     other engines' parallel grain); below the split each worker owns
-     the whole subtree on its private machine instance *)
-  let snapshot_split_depth = 2 in
-  let snapshot_pop wid rev_steps =
-    let eng = engines.(wid) in
-    let c = mc_make ~sut ~fault:config.fault () in
-    let depth = List.length rev_steps in
-    (* materialize the popped prefix by machine steps — bookkeeping
-       movement, not replays; keep the last two footprints for the
-       arrival commutation check *)
-    let fp_prev = ref [] and fp_last = ref [] in
-    List.iter
-      (fun p ->
-        fp_prev := !fp_last;
-        fp_last := mc_step_metered meters.(wid) ~timed:config.telemetry c p)
-      (List.rev rev_steps);
-    if arrival_pruned config rev_steps ~prev:!fp_prev ~last:!fp_last then
-      commute_prune eng ~depth (fun () -> Mirror.state c.mc)
-    else
-      let on_truncate () =
-        Budget.mark_truncated meters.(wid);
-        Parallel.Pool.stop pool
-      in
-      let push =
-        if depth < snapshot_split_depth then Some (Parallel.Pool.push pool ~worker:wid)
-        else None
-      in
-      snapshot_visit ?push eng c
-        ~hb:(if wid = 0 then hb else None)
-        ~progress:par_progress ~over:over_gauge ~on_truncate ~pending:(ref 0) ~depth
-        ~rev:rev_steps ~arrive_fp:!fp_last
+  let hb = make_heartbeat ?on_progress ~interval:progress_interval obs progress in
+  let fingerprints = Parallel.Shard_tbl.create () in
+  let engines =
+    Array.init domains (fun wid ->
+        {
+          e_sut = sut;
+          e_config = config;
+          e_meter = meters.(wid);
+          e_verdicts = verdicts;
+          e_gauge = gauge;
+          e_pool = pool;
+          e_fingerprints = fingerprints;
+          e_pending = pending.(wid);
+          e_hb = (if wid = 0 then hb else None);
+          e_ev = engine_sink obs;
+          e_worker = wid;
+        })
   in
-  let worker wid rev_steps =
-    if wid = 0 then maybe_beat hb par_progress;
-    if over_gauge () then begin
-      Budget.mark_truncated meters.(wid);
-      Parallel.Pool.stop pool
-    end
+  let work wid rev_steps =
+    let eng = engines.(wid) in
+    maybe_beat eng.e_hb;
+    (* take first, then test: completing the space on exactly the
+       budget is exhaustive, not truncated *)
+    if over gauge then truncate_run eng
     else
-      let push = Parallel.Pool.push pool ~worker:wid in
       match config.engine with
-      | Path -> process_descent engines.(wid) ~push rev_steps
-      | Per_state -> process_prefix engines.(wid) ~push rev_steps
-      | Snapshot -> snapshot_pop wid rev_steps
+      | Path -> process_descent eng rev_steps
+      | Per_state -> process_prefix eng rev_steps
+      | Snapshot -> snapshot_take eng rev_steps
   in
   Parallel.Pool.push pool ~worker:0 [];
   Budget.note_frontier meters.(0) 1;
-  Parallel.Pool.run pool worker;
+  Parallel.Pool.run pool work;
   (* per-worker stats land in that worker's metric shard, recorded
      before the meters are folded into the parent *)
-  Array.iteri (fun wid m -> record_metrics obs ~shard:wid (Budget.stats m)) meters;
-  if config.engine = Snapshot then
-    Array.iteri (fun wid m -> record_machine_metrics obs ~shard:wid (Budget.stats m)) meters;
+  Array.iteri
+    (fun wid m -> record_metrics obs ~engine:config.engine ~shard:wid (Budget.stats m))
+    meters;
   Array.iter (fun m -> Budget.absorb ~into:parent m) meters;
   report_of verdicts (Budget.stats parent) ~engine:config.engine
-
-let explore ?(domains = 1) ?obs ?on_progress ?progress_interval ~sut ~properties config =
-  if domains < 1 then invalid_arg "Explorer.explore: domains must be >= 1";
-  let config = validate_explore ~sut config in
-  if domains = 1 then
-    explore_seq ?obs ?on_progress ?progress_interval ~sut ~properties config
-  else explore_par ?obs ?on_progress ?progress_interval ~domains ~sut ~properties config
 
 (* ----------------------------------------------------- search summary *)
 

@@ -139,9 +139,8 @@ type engine_kind =
           state. Verdicts, visited/pruned counts and the DFS visit order
           are identical to the per-state engine (the cross-check tests
           pin this); replay accounting ([stats.replays]/[replay_steps])
-          is what improves. The descent applies to [Dfs] sequentially
-          and to every parallel worker; a sequential [Bfs] frontier
-          falls back to the per-state engine (its pop order defeats
+          is what improves. Under [Bfs], at every domain count, it runs
+          the per-state engine instead (a FIFO take order defeats
           descent amortization). The report's [engine] names the engine
           that ran. *)
   | Snapshot
@@ -252,36 +251,38 @@ val explore :
     [explorer.states], [explorer.safety_checked], [explorer.fp_pruned],
     [explorer.sleep_pruned], [explorer.replays], [explorer.replay_steps],
     [explorer.steals] (parallel only), gauges [explorer.max_depth] and
-    [explorer.frontier_peak]. In parallel mode each worker's counts land
-    in metric shard [wid] — create the registry with
+    [explorer.frontier_peak]. Each worker's counts land in metric
+    shard [wid] — create the registry with
     [~shards:domains] to keep per-worker counts separable. When [obs]
     carries a recording event sink, per-prefix events are emitted
     (category ["explorer"]): ["replay"], ["expand"], ["fp_prune"],
     ["sleep_prune"], ["steal"], and periodic ["heartbeat"] instants.
 
     [on_progress] is called at most once per [progress_interval]
-    seconds (default 1.0; <= 0 disables) from the exploration loop
-    (worker 0 in parallel mode) — the CLI uses it to print a progress
+    seconds (default 1.0; <= 0 disables) from worker 0's loop — the
+    CLI uses it to print a progress
     line. Heartbeat events follow the same clock.
 
-    [domains] (default 1) > 1 runs the exploration on a pool of OCaml
-    domains: each worker owns a work-stealing deque of prefixes,
-    replays are independent (every prefix drives a fresh
-    store/trace/fiber instance), and the fingerprint table is
-    lock-striped. The parallel run is {e verdict-equivalent} to the
-    sequential one — the same set of properties is violated — and with
-    fingerprint pruning off its visited/pruned/safety-checked counts
-    are identical; what is {e not} reproducible across parallel runs is
-    which counterexample is found first and, under fingerprint pruning,
-    the exact visited/pruned split (see DESIGN.md §8). With fingerprint
-    pruning off, sequential and parallel descents also pay the same
-    replays; a parallel snapshot run pays more machine steps, since
-    each popped pool item is rebuilt by machine steps.
-    [config.strategy] is a hint here: each worker drains its own deque
-    depth-first. Budget limits are enforced against global
-    counters and the wall clock, so [max_seconds] expires after ~1×
-    wall time regardless of the domain count; overshoot of the count
-    limits is bounded by the number of in-flight items. *)
+    [domains] (default 1) is the size of the worker pool that runs
+    every exploration: each worker owns a work-stealing deque of
+    prefixes, and replays are independent (every prefix drives a fresh
+    store/trace/fiber instance). One domain is a pool of one worker in
+    the calling domain, taking items in the sequential order: newest
+    first under [Dfs], oldest first under [Bfs] (FIFO at every domain
+    count); the snapshot engine splits the tree into pool items at
+    depth 2 only with more than one worker. More domains are
+    {e verdict-equivalent} to one — the same set of properties is
+    violated — and with fingerprint pruning off the visited, pruned,
+    safety-checked and replay counts are identical; what is {e not}
+    reproducible is which counterexample is found first, the
+    visited/pruned split under fingerprint pruning (see DESIGN.md §8),
+    and the snapshot engine's machine steps (each pool item is rebuilt
+    by machine steps). [stats.frontier_peak] is the largest frontier
+    one worker saw: the pool's items plus its pending snapshot
+    siblings. Budget limits are enforced against global counters and
+    the wall clock, so [max_seconds] expires after ~1× wall time
+    regardless of the domain count; overshoot of the count limits is
+    bounded by the number of in-flight items. *)
 
 val evaluate :
   sut:'obs sut ->

@@ -106,8 +106,7 @@ module Shard_tbl = struct
   let full_hash v = Hashtbl.hash_param 256 256 v
 
   (* [true] = caller should expand: the fingerprint was not yet seen at
-     this depth or shallower. Records the new minimal depth either
-     way, mirroring the sequential explorer's Hashtbl logic. *)
+     this depth or shallower. Records the new minimal depth either way. *)
   let check_and_record t key ~depth =
     let i = full_hash key land t.mask in
     Mutex.lock t.locks.(i);
@@ -137,9 +136,10 @@ module Pool = struct
     on_steal : (thief:int -> victim:int -> unit) option;
         (* observability hook, called on the thief's domain after each
            successful steal *)
+    fifo : bool;  (* owners take their oldest item, as thieves do *)
   }
 
-  let create ?on_steal ~workers () =
+  let create ?on_steal ?(fifo = false) ~workers () =
     if workers < 1 then invalid_arg "Parallel.Pool.create: workers must be >= 1";
     {
       deques = Array.init workers (fun _ -> Ws_deque.create ());
@@ -147,6 +147,7 @@ module Pool = struct
       stopped = Atomic.make false;
       error = Atomic.make None;
       on_steal;
+      fifo;
     }
 
   let workers t = Array.length t.deques
@@ -162,7 +163,8 @@ module Pool = struct
   let stopped t = Atomic.get t.stopped
 
   let take t wid =
-    match Ws_deque.pop t.deques.(wid) with
+    let own = if t.fifo then Ws_deque.steal else Ws_deque.pop in
+    match own t.deques.(wid) with
     | Some _ as r -> r
     | None ->
         let w = Array.length t.deques in

@@ -6,7 +6,8 @@
     frontier (who explores which prefix), the fingerprint table (who
     has seen which state), and the stop/budget flags; this module
     provides exactly those three, generically. {!Explorer.explore}
-    with [~domains] > 1 composes them. *)
+    composes them at every domain count: one domain is a pool of one
+    worker, which runs in the calling domain and spawns nothing. *)
 
 (** Per-worker work-stealing deque. The owner pushes/pops LIFO at the
     top (depth-first local order); thieves steal FIFO from the bottom,
@@ -29,9 +30,8 @@ module Ws_deque : sig
 end
 
 (** Lock-striped [fingerprint -> minimal depth] table. Lookup-and-record
-    is atomic per stripe, preserving the sequential explorer's
-    "prune iff seen at the same or a shallower depth" decision without
-    a global lock. *)
+    is atomic per stripe, so the explorer's "prune iff seen at the same
+    or a shallower depth" decision needs no global lock. *)
 module Shard_tbl : sig
   type t
 
@@ -60,11 +60,17 @@ end
 module Pool : sig
   type 'a t
 
-  val create : ?on_steal:(thief:int -> victim:int -> unit) -> workers:int -> unit -> 'a t
+  val create :
+    ?on_steal:(thief:int -> victim:int -> unit) -> ?fifo:bool -> workers:int -> unit -> 'a t
   (** [on_steal] is an observability hook invoked on the thief's domain
       after every successful steal (the explorer routes it to steal
       events and per-worker steal counters). It runs outside the deque
-      locks; keep it cheap and thread-safe. *)
+      locks; keep it cheap and thread-safe.
+
+      [fifo] (default [false]) makes each owner take its {e oldest}
+      item ({!Ws_deque.steal} on its own deque) instead of its newest:
+      a one-worker FIFO pool drains in push order (breadth-first), a
+      LIFO one in reverse push order (depth-first). *)
 
   val workers : 'a t -> int
 

@@ -251,7 +251,7 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
   | None -> ()
   | Some o ->
       let m = o.Obs.metrics in
-      let c name v = Metrics.incr ~shard:o.Obs.shard ~by:v (Metrics.counter m name) in
+      let c name v = Metrics.incr ~by:v (Metrics.counter m name) in
       c "fuzz.execs" !execs;
       c "fuzz.replay_steps" stats.Budget.replay_steps;
       c "fuzz.novel" !novel_total;

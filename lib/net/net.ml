@@ -9,7 +9,6 @@ module Events = Setsync_obs.Events
 module Json = Setsync_obs.Json
 
 type meters = {
-  shard : int;
   sent_c : Metrics.counter;
   delivered_c : Metrics.counter;
   dropped_c : Metrics.counter;
@@ -93,7 +92,6 @@ let create ?obs ~store ~n ~adversary () =
     | Some o ->
         Some
           {
-            shard = o.Obs.shard;
             sent_c = Metrics.counter o.Obs.metrics "net.sent";
             delivered_c = Metrics.counter o.Obs.metrics "net.delivered";
             dropped_c = Metrics.counter o.Obs.metrics "net.dropped";
@@ -169,7 +167,7 @@ let enqueue t ~src ~dst payload =
   let mid = t.sent in
   let m = { Msg.mid; src; dst; seq; sent_at = now; payload } in
   t.sent <- t.sent + 1;
-  (match t.meters with Some ms -> Metrics.incr ~shard:ms.shard ms.sent_c | None -> ());
+  (match t.meters with Some ms -> Metrics.incr ms.sent_c | None -> ());
   (match t.ev with
   | Some sink ->
       Events.emit sink ~proc:src
@@ -179,7 +177,7 @@ let enqueue t ~src ~dst payload =
   match Adversary.due t.adversary ~now ~src ~dst ~seq with
   | None ->
       t.dropped <- t.dropped + 1;
-      (match t.meters with Some ms -> Metrics.incr ~shard:ms.shard ms.dropped_c | None -> ());
+      (match t.meters with Some ms -> Metrics.incr ms.dropped_c | None -> ());
       (match t.ev with
       | Some sink ->
           Events.emit sink ~proc:src
@@ -242,7 +240,7 @@ let book_delivery t ~clock ~dst ((_, m) as entry) =
     let adv, forced, fifo, denied, pre_gst = attribute t entry in
     (match t.meters with
     | Some ms ->
-        Metrics.incr ~shard:ms.shard ms.delivered_c;
+        Metrics.incr ms.delivered_c;
         Metrics.observe ms.delay_h (float_of_int delay);
         Metrics.observe ms.adv_h (float_of_int adv);
         Metrics.observe ms.forced_h (float_of_int forced);

@@ -1,14 +1,11 @@
-(* The context handed to instrumented layers: a metrics registry, an
-   event sink, and the shard id under which this holder updates
-   sharded metrics. Instrumented entry points take [?obs:Obs.t]
+(* The context handed to instrumented layers: a metrics registry and
+   an event sink. Instrumented entry points take [?obs:Obs.t]
    defaulting to [None] — absence of a context is the true zero-cost
    path (one [match] per potential instrumentation point). *)
 
-type t = { metrics : Metrics.t; events : Events.t; shard : int }
+type t = { metrics : Metrics.t; events : Events.t }
 
 let create ?(shards = 1) ?(events = Events.nop) () =
-  { metrics = Metrics.create ~shards (); events; shard = 0 }
-
-let with_shard t shard = { t with shard }
+  { metrics = Metrics.create ~shards (); events }
 
 let events_on t = Events.enabled t.events

@@ -48,8 +48,7 @@ let drive ~resume ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step
     | None -> None
     | Some o ->
         Some
-          ( o.Obs.shard,
-            Metrics.counter o.Obs.metrics "runtime.steps",
+          ( Metrics.counter o.Obs.metrics "runtime.steps",
             Metrics.counter o.Obs.metrics "runtime.crashes" )
   in
   let ev = match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None in
@@ -74,9 +73,9 @@ let drive ~resume ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step
     skips := 0;
     let died = Run.Tally.note_step tally p in
     (match meters with
-    | Some (shard, steps_c, crashes_c) ->
-        Metrics.incr ~shard steps_c;
-        if died then Metrics.incr ~shard crashes_c
+    | Some (steps_c, crashes_c) ->
+        Metrics.incr steps_c;
+        if died then Metrics.incr crashes_c
     | None -> ());
     (match ev with
     | Some sink ->

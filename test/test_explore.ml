@@ -760,6 +760,21 @@ let test_parallel_invalid_args () =
     (Invalid_argument "Explorer.explore: domains must be >= 1") (fun () ->
       ignore (Explorer.explore ~domains:0 ~sut ~properties:[] (Explorer.config ~depth:2 ())))
 
+(* A one-worker pool is the sequential frontier: FIFO drains in push
+   order (breadth-first), LIFO in reverse push order (depth-first). *)
+let test_pool_one_worker_order () =
+  let drain ~fifo =
+    let pool = Parallel.Pool.create ~fifo ~workers:1 () in
+    List.iter (Parallel.Pool.push pool ~worker:0) [ 1; 2; 3; 4; 5 ];
+    let taken = ref [] in
+    Parallel.Pool.run pool (fun wid x ->
+        Alcotest.(check int) "runs as worker 0" 0 wid;
+        taken := x :: !taken);
+    List.rev !taken
+  in
+  Alcotest.(check (list int)) "fifo: push order" [ 1; 2; 3; 4; 5 ] (drain ~fifo:true);
+  Alcotest.(check (list int)) "lifo: reverse push order" [ 5; 4; 3; 2; 1 ] (drain ~fifo:false)
+
 (* regression: the stripe index must hash the whole key. The stdlib
    default [Hashtbl.hash] stops after 10 meaningful nodes, so
    structured values differing only past that horizon collide — here
@@ -1092,9 +1107,9 @@ let test_engine_snapshot_fault () =
 (* The report names the engine that produced its stats. [Path], the
    default, runs on the snapshot engine for a machine-form system
    searched depth-first without a replay-step cap; otherwise a
-   depth-first search runs the path-replay descent and a sequential
-   breadth-first search the per-state engine — one replay per visited
-   state. *)
+   depth-first search runs the path-replay descent and a breadth-first
+   search, at every domain count, the per-state engine — one replay per
+   visited state. *)
 let test_engine_label () =
   let run ?(domains = 1) ?(mk_sut = single_writer_sut) ?limits ~strategy engine =
     Explorer.explore ~domains ~sut:(mk_sut ()) ~properties:[]
@@ -1131,7 +1146,14 @@ let test_engine_label () =
   check "parallel dfs path without a machine form" Explorer.Path
     (run ~domains:2 ~mk_sut:(fiber_only single_writer_sut) ~strategy:Explorer.Dfs
        Explorer.Path);
-  check "parallel bfs path" Explorer.Path (run ~domains:2 ~strategy:Explorer.Bfs Explorer.Path)
+  check "parallel bfs path" Explorer.Per_state
+    (run ~domains:2 ~strategy:Explorer.Bfs Explorer.Path);
+  let par_bfs =
+    run ~domains:2 ~mk_sut:(fiber_only single_writer_sut) ~strategy:Explorer.Bfs Explorer.Path
+  in
+  check "parallel bfs path without a machine form" Explorer.Per_state par_bfs;
+  Alcotest.(check int) "parallel bfs: one replay per visited state"
+    par_bfs.Explorer.stats.Budget.visited par_bfs.Explorer.stats.Budget.replays
 
 (* a snapshot run interleaving pauses/restores with crashes must keep
    exact per-process step accounting: budgets hit at the same depths as
@@ -1377,11 +1399,12 @@ let test_budget_boundary_parallel () =
    safety_checked was invisible in every report) *)
 
 let test_pp_stats_line () =
-  let report =
-    Explorer.explore ~sut:(single_writer_sut ()) ~properties:[ no_p2p1_suffix ]
-      (Explorer.config ~prune_fingerprints:false ~sleep_sets:true ~depth:4 ())
+  let stats engine =
+    stats_of
+      (Explorer.explore ~sut:(single_writer_sut ()) ~properties:[ no_p2p1_suffix ]
+         (Explorer.config ~engine ~prune_fingerprints:false ~sleep_sets:true ~depth:4 ()))
   in
-  let s = stats_of report in
+  let s = stats Explorer.Per_state in
   Alcotest.(check string)
     "pinned report line"
     (Printf.sprintf
@@ -1392,7 +1415,20 @@ let test_pp_stats_line () =
        s.Budget.frontier_peak)
     (Fmt.str "%a" Budget.pp_stats s);
   (* and the counter is live, not a zero placeholder *)
-  Alcotest.(check bool) "safety_checked printed nonzero" true (s.Budget.safety_checked > 0)
+  Alcotest.(check bool) "safety_checked printed nonzero" true (s.Budget.safety_checked > 0);
+  (* the snapshot engine's line carries its own movement in place of
+     the replays it never makes *)
+  let s = stats Explorer.Snapshot in
+  Alcotest.(check string)
+    "pinned snapshot report line"
+    (Printf.sprintf
+       "visited %d (fp-pruned %d, commute-pruned %d, safety-checked %d) machine %d steps, \
+        %d restores, max depth %d, frontier peak %d, exhaustive"
+       s.Budget.visited s.Budget.pruned_fingerprint s.Budget.pruned_sleep
+       s.Budget.safety_checked s.Budget.machine_steps s.Budget.restores s.Budget.max_depth
+       s.Budget.frontier_peak)
+    (Fmt.str "%a" Budget.pp_stats s);
+  Alcotest.(check bool) "machine steps printed nonzero" true (s.Budget.machine_steps > 0)
 
 (* ------------------------------------------------------------------ *)
 (* (l) metrics are scoped to their Obs context: two explores with
@@ -1853,6 +1889,8 @@ let () =
           Alcotest.test_case "invalid arguments" `Quick test_parallel_invalid_args;
           Alcotest.test_case "stripe hash is full-width" `Quick
             test_stripe_hash_full_width;
+          Alcotest.test_case "one-worker pool: fifo and lifo order" `Quick
+            test_pool_one_worker_order;
         ] );
       ( "path-replay engine",
         [
