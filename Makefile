@@ -156,8 +156,13 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stderr_has "warning: --fingerprints"; \
 	expect 1 explore --check kset --backend net -n 2 -t 1 -k 1 --depth 2 --engine snapshot; \
 	stderr_has "machine-form"; \
-	expect 1 explore --check kset --depth 2 --symmetry --fingerprints; \
-	stderr_has "requires --engine snapshot"; \
+	expect 0 explore --check kset --depth 2 --symmetry --fingerprints; \
+	expect 1 explore --check kset --depth 2 --symmetry --fingerprints --bfs; \
+	stderr_has "symmetry reduction requires the snapshot engine"; \
+	expect 1 explore --check kset --depth 2 --symmetry --fingerprints --max-replay-steps 1000; \
+	stderr_has "symmetry reduction requires the snapshot engine"; \
+	expect 1 explore --check kset --backend net -n 2 -t 1 -k 1 --depth 2 --symmetry --fingerprints; \
+	stderr_has "symmetry reduction requires the snapshot engine"; \
 	expect 1 explore --check kset --depth 2 --engine snapshot --symmetry; \
 	stderr_has "add --fingerprints"; \
 	expect 1 explore --check kset --depth 2 --engine snapshot --bfs; \

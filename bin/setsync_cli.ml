@@ -18,7 +18,10 @@ open Setsync
    [checked], so the libraries' own argument checks reject the value
    with their message and exit 124, cmdliner's code for usage errors.
    An [Invalid_argument] raised by the run itself is not caught: it
-   stays an internal error. *)
+   stays an internal error, except the explorer's own request checks
+   ([Explorer.explore: ...]), which refuse flag combinations its
+   engine resolution cannot serve: [explore] exits 1 on those, like
+   its other flag gates. *)
 let usage_error fmt =
   Fmt.kstr
     (fun msg ->
@@ -179,7 +182,7 @@ let check_writable flag file =
   | oc -> close_out oc
   | exception Sys_error e -> usage_error "cannot write the %s file: %s" flag e
 
-let make_obs ?(shards = 1) ~trace_out ~metrics_out () =
+let make_obs ~trace_out ~metrics_out () =
   Option.iter
     (fun f ->
       check_writable "--trace-out" f;
@@ -190,7 +193,7 @@ let make_obs ?(shards = 1) ~trace_out ~metrics_out () =
   | None, None -> None
   | _ ->
       let events = if trace_out <> None then Events.memory () else Events.nop in
-      Some (Obs.create ~shards ~events ())
+      Some (Obs.create ~events ())
 
 let write_obs ~trace_out ~metrics_out = function
   | None -> ()
@@ -650,7 +653,9 @@ let explore_cmd =
           ~doc:
             "Process-renaming symmetry reduction: fingerprints are canonicalized over \
              the system's admissible renamings, so states equal up to renaming are \
-             explored once. Requires $(b,--engine snapshot) and $(b,--fingerprints).")
+             explored once. Requires $(b,--fingerprints) and a run on the snapshot \
+             engine: the default on a depth-first shm check without \
+             $(b,--max-replay-steps), or $(b,--engine snapshot).")
   in
   let max_seconds_arg =
     Arg.(
@@ -687,11 +692,6 @@ let explore_cmd =
     let strategy = if bfs then Explorer.Bfs else Explorer.Dfs in
     (* flag-compatibility gate: reject inert or impossible combinations
        loudly instead of silently ignoring them *)
-    if symmetry && engine <> Explorer.Snapshot then begin
-      Fmt.epr "setsync: --symmetry requires --engine snapshot (canonical fingerprints \
-               are computed from the machine-form state)@.";
-      exit 1
-    end;
     if symmetry && not fingerprints then begin
       Fmt.epr "setsync: --symmetry reduces the fingerprint table and does nothing \
                without it; add --fingerprints@.";
@@ -720,7 +720,7 @@ let explore_cmd =
     let limits =
       checked (fun () -> Budget.limits ?max_states ?max_replay_steps ?max_seconds ())
     in
-    let obs = make_obs ~shards:domains ~trace_out ~metrics_out () in
+    let obs = make_obs ~trace_out ~metrics_out () in
     Option.iter
       (fun f -> if f <> "-" then check_writable "--search-summary" f)
       search_summary;
@@ -762,8 +762,19 @@ let explore_cmd =
       (* timing the snapshot movement costs two clock reads per machine
          step; couple it to the explicit summary request *)
       let config = { config with Explorer.telemetry = search_summary <> None } in
-      Explorer.explore ~domains ?obs ~on_progress ~progress_interval:progress_seconds
-        ~sut ~properties config
+      match
+        Explorer.explore ~domains ?obs ~on_progress ~progress_interval:progress_seconds
+          ~sut ~properties config
+      with
+      | report -> report
+      | exception Invalid_argument msg when String.starts_with ~prefix:"Explorer.explore:" msg
+        ->
+          (* the explorer refuses a request its resolved engine cannot
+             serve (--symmetry on a run that is not on the snapshot
+             engine) before the run starts: an impossible flag
+             combination, reported like the gates above *)
+          Fmt.epr "setsync: %s@." msg;
+          exit 1
     in
     (* exit codes: 0 = no property violated; 2 = some property violated
        (counting timeliness counterexamples, which that mode goes
@@ -824,7 +835,7 @@ let explore_cmd =
         in
         let config =
           Explorer.config ~strategy ~prune_fingerprints:fingerprints ~sleep_sets:false
-            ~engine ~limits ~depth ()
+            ~engine ~symmetry ~limits ~depth ()
         in
         Fmt.pr
           "exploring blind k-set gossip vs %s (n=%d, k=%d, delta=%d, gst=%d), depth %d@."
@@ -864,7 +875,7 @@ let explore_cmd =
         let properties = [ Net_systems.ct_stabilized ~delta ] in
         let config =
           Explorer.config ~strategy ~prune_fingerprints:fingerprints ~sleep_sets:false
-            ~engine ~limits ~depth ()
+            ~engine ~symmetry ~limits ~depth ()
         in
         Fmt.pr "exploring CT timeout detector (n=%d, delta=%d, gst=%d), depth %d@." n
           delta gst depth;

@@ -19,7 +19,6 @@ module Analysis = Setsync_schedule.Analysis
 (* shared memory *)
 module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
-module Trace = Setsync_memory.Trace
 
 (* execution engine *)
 module Fiber = Setsync_runtime.Fiber

@@ -3,7 +3,6 @@ module Procset = Setsync_schedule.Procset
 module Schedule = Setsync_schedule.Schedule
 module Source = Setsync_schedule.Source
 module Store = Setsync_memory.Store
-module Trace = Setsync_memory.Trace
 module Fault = Setsync_runtime.Fault
 module Run = Setsync_runtime.Run
 module Executor = Setsync_runtime.Executor
@@ -63,8 +62,6 @@ type config = {
 let config ?(strategy = Dfs) ?(prune_fingerprints = true) ?(sleep_sets = true)
     ?(engine = Path) ?(symmetry = false) ?(limits = Budget.unlimited)
     ?(fault = Fault.no_faults) ?(telemetry = false) ~depth () =
-  if symmetry && engine <> Snapshot then
-    invalid_arg "Explorer.config: symmetry reduction requires the snapshot engine";
   {
     depth;
     strategy;
@@ -87,30 +84,31 @@ type report = {
 
 (* ------------------------------------------------------------ replays *)
 
-(* Enough retained entries to cover the register accesses of any
-   single step; a step exceeding this is treated as touching an
-   unknown footprint (never commutes). *)
-let trace_capacity = 64
+(* Enough buffered accesses to cover any single step; a step exceeding
+   this is treated as touching an unknown footprint (never commutes). *)
+let meter_capacity = 64
 
-let unknown_footprint = [ "*" ]
+(* register ids are never negative: this one stands for every
+   register *)
+let unknown_register = -1
 
-(* A fresh access trace and its footprint meter: each call of the
-   meter returns the registers accessed since the previous call, sorted
-   and deduplicated. Every engine measures a step's footprint through
-   one of these. *)
+(* A store access hook and its footprint meter: each call of the meter
+   returns the ids of the registers accessed since the previous call,
+   sorted and deduplicated. The hook allocates nothing. Every engine
+   measures a step's footprint through one of these. *)
 let footprint_meter () =
-  let trace = Trace.create ~capacity:trace_capacity in
-  let seen = ref 0 in
-  ( trace,
+  let buf = Array.make meter_capacity 0 and count = ref 0 in
+  let hook id =
+    let c = !count in
+    if c < meter_capacity then buf.(c) <- id;
+    count := c + 1
+  in
+  ( hook,
     fun () ->
-      let now = Trace.recorded trace in
-      let delta = now - !seen in
-      seen := now;
-      if delta > trace_capacity then unknown_footprint
-      else
-        Trace.recent trace delta
-        |> List.map (fun e -> e.Trace.register)
-        |> List.sort_uniq String.compare )
+      let c = !count in
+      count := 0;
+      if c > meter_capacity then [ unknown_register ]
+      else List.sort_uniq Int.compare (List.init c (Array.get buf)) )
 
 let snapshot_of store (inst : _ instance) =
   Store.snapshot store
@@ -140,14 +138,14 @@ module Mirror = struct
   }
 
   (* [moves]: the count of the session building the mirror, if any *)
-  let make ~(sut : 'obs sut) ~fault ?trace ?moves () =
+  let make ~(sut : 'obs sut) ~fault ?hook ?moves () =
     let tally = Run.Tally.create ~n:sut.n fault in
     let store, memo =
       match moves with
       | Some moves ->
-          let store, render = Store.memoized ?trace () in
+          let store, render = Store.memoized ?hook () in
           (store, Some { render; moves })
-      | None -> (Store.create ?trace (), None)
+      | None -> (Store.create ?hook (), None)
     in
     { store; inst = sut.fresh ~store; tally; machine = None; memo }
 
@@ -206,8 +204,8 @@ end
 (* Replay [schedule] against a fresh instance; returns the final state
    and the footprints of the last two executed steps. *)
 let replay_instrumented ~sut ~fault schedule =
-  let trace, footprint = footprint_meter () in
-  let m = Mirror.make ~sut ~fault ~trace () in
+  let hook, footprint = footprint_meter () in
+  let m = Mirror.make ~sut ~fault ~hook () in
   let fp_prev = ref [] and fp_last = ref [] in
   let on_step ~global:_ ~proc:_ =
     fp_prev := !fp_last;
@@ -309,8 +307,8 @@ let check_schedule ~sut ~property ?(fault = Fault.no_faults) schedule =
 (* -------------------------------------------------------- exploration *)
 
 let disjoint_footprints a b =
-  (not (List.mem "*" a))
-  && (not (List.mem "*" b))
+  (not (List.mem unknown_register a))
+  && (not (List.mem unknown_register b))
   && not (List.exists (fun r -> List.mem r b) a)
 
 let digest ~sut (st : _ state) =
@@ -624,19 +622,19 @@ let maybe_beat = function
             ~cat:"explorer" "heartbeat"
       end
 
-(* Fold one worker's final stats into the sharded explorer counters.
-   The counters are written from Budget's own meters, so the merged
+(* Add one worker's final stats to the explorer counters. The
+   counters are written from Budget's own meters, so the summed
    metrics snapshot is numerically identical to the printed
    [Budget.stats] — the acceptance contract of the metrics export. The
    snapshot engine's machine steps and savepoint restores are not
    replays/replay_steps (the stats record stays engine-agnostic); they
    are exported as dedicated counters instead. *)
-let record_metrics obs ~engine ~shard (s : Budget.stats) =
+let record_metrics obs ~engine (s : Budget.stats) =
   match obs with
   | None -> ()
   | Some o ->
       let m = o.Obs.metrics in
-      let c name v = Metrics.incr ~shard ~by:v (Metrics.counter m name) in
+      let c name v = Metrics.incr ~by:v (Metrics.counter m name) in
       if engine = Snapshot then begin
         c "explorer.machine_steps" s.Budget.machine_steps;
         c "explorer.restores" s.Budget.restores
@@ -699,7 +697,7 @@ type 'obs engine = {
   e_pending : int ref;  (* children this worker's snapshot recursion still owes *)
   e_hb : heartbeat option;  (* worker 0's *)
   e_ev : Events.t option;  (* event sink, [None] when tracing is off *)
-  e_worker : int;  (* worker id: its deque, metric shard and event stamp *)
+  e_worker : int;  (* worker id: its deque and event stamp *)
 }
 
 let emit eng name args =
@@ -851,8 +849,8 @@ let process_prefix eng rev_steps =
 let process_descent eng rev_start =
   let sut = eng.e_sut and config = eng.e_config and meter = eng.e_meter in
   let n = sut.n in
-  let trace, footprint = footprint_meter () in
-  let m = Mirror.make ~sut ~fault:config.fault ~trace () in
+  let hook, footprint = footprint_meter () in
+  let m = Mirror.make ~sut ~fault:config.fault ~hook () in
   (* footprints of the last two executed steps along this path *)
   let fp_prev = ref [] and fp_last = ref [] in
   let cur_rev = ref [] in
@@ -925,7 +923,8 @@ let machine_of (inst : _ instance) =
    depth-first search and no replay-step cap for it to ignore — on the
    replay descent under the other depth-first searches, and on
    per-state replay under [Bfs] (a breadth-first search has no descents
-   to amortize). Machine-form support is probed on a throwaway
+   to amortize). Symmetry reduction needs the resolved engine to be
+   the snapshot one. Machine-form support is probed on a throwaway
    instance, so errors surface on the calling domain, before any worker
    spawns. *)
 let validate_explore ~sut config =
@@ -942,6 +941,10 @@ let validate_explore ~sut config =
     | Path, Bfs -> { config with engine = Per_state }
     | (Per_state | Path | Snapshot), _ -> config
   in
+  if config.symmetry && config.engine <> Snapshot then
+    invalid_arg
+      "Explorer.explore: symmetry reduction requires the snapshot engine (a depth-first \
+       search of a machine-form sut with no replay-step cap)";
   if config.engine = Snapshot then begin
     if config.strategy <> Dfs then
       invalid_arg
@@ -962,7 +965,7 @@ let validate_explore ~sut config =
    executor replays, zero replay steps. *)
 type 'obs mctx = {
   mc : 'obs Mirror.m;
-  mc_footprint : unit -> string list;
+  mc_footprint : unit -> int list;
   mc_m : minstance;
   (* admissible renamings for symmetry: the machine's, restricted to
      those fixing the fault plan (budgets ∘ perm = budgets) *)
@@ -970,8 +973,8 @@ type 'obs mctx = {
 }
 
 let mc_make ~(sut : 'obs sut) ~fault () =
-  let trace, footprint = footprint_meter () in
-  let mc = Mirror.make ~sut ~fault ~trace () in
+  let hook, footprint = footprint_meter () in
+  let mc = Mirror.make ~sut ~fault ~hook () in
   let m = machine_of mc.inst in
   let budget = Run.Tally.budget mc.tally in
   let perms =
@@ -1145,7 +1148,7 @@ let snapshot_take eng rev_steps =
 
 (* Every exploration runs on a pool of [domains] workers; one domain is
    a pool of one worker, which runs in the calling domain. Replays are
-   embarrassingly parallel (each drives a fresh store/trace/fiber
+   embarrassingly parallel (each drives a fresh store/fiber
    instance); the shared state is the frontier (work-stealing deques),
    the fingerprint table (lock-striped), the verdict table (one mutex,
    written once per property), and the budget gauge (atomics + a
@@ -1170,22 +1173,29 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
       g_replay_steps = Atomic.make 0;
     }
   in
-  let on_steal =
+  (* a single worker never steals: no counter for it. Each thief
+     counts in its own slot; the sum lands in the counter after the
+     join. *)
+  let steals = Array.make domains 0 in
+  let steal_counter =
     match obs with
-    | Some o when domains > 1 ->
-        (* a single worker never steals: no counter for it *)
-        let steals = Metrics.counter o.Obs.metrics "explorer.steals" in
+    | Some o when domains > 1 -> Some (Metrics.counter o.Obs.metrics "explorer.steals")
+    | Some _ | None -> None
+  in
+  let on_steal =
+    match steal_counter with
+    | None -> None
+    | Some _ ->
         let sink = engine_sink obs in
         Some
           (fun ~thief ~victim ->
-            Metrics.incr ~shard:thief steals;
+            steals.(thief) <- steals.(thief) + 1;
             match sink with
             | Some s ->
                 Events.emit s ~worker:thief
                   ~args:[ ("victim", Json.Int victim) ]
                   ~cat:"explorer" "steal"
             | None -> ())
-    | Some _ | None -> None
   in
   let pool =
     Parallel.Pool.create ?on_steal ~fifo:(config.strategy = Bfs) ~workers:domains ()
@@ -1244,11 +1254,10 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
   Parallel.Pool.push pool ~worker:0 [];
   Budget.note_frontier meters.(0) 1;
   Parallel.Pool.run pool work;
-  (* per-worker stats land in that worker's metric shard, recorded
-     before the meters are folded into the parent *)
-  Array.iteri
-    (fun wid m -> record_metrics obs ~engine:config.engine ~shard:wid (Budget.stats m))
-    meters;
+  Option.iter (Metrics.incr ~by:(Array.fold_left ( + ) 0 steals)) steal_counter;
+  (* per-worker stats are recorded before the meters are folded into
+     the parent *)
+  Array.iter (fun m -> record_metrics obs ~engine:config.engine (Budget.stats m)) meters;
   Array.iter (fun m -> Budget.absorb ~into:parent m) meters;
   report_of verdicts (Budget.stats parent) ~engine:config.engine
 

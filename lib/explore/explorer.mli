@@ -35,7 +35,8 @@
       reflected in registers (see DESIGN.md §6).
     - {b sleep-set-style commutation}: a prefix [σ·a·b] whose last two
       steps belong to different processes, touch disjoint register
-      sets (recovered from {!Setsync_memory.Trace}), and are ordered
+      sets (the register ids each step reported to its store's access
+      hook, {!Setsync_memory.Register.hook}), and are ordered
       [b < a], is discarded — the swapped prefix [σ·b·a] reaches the
       same state and is generated as a sibling. Sound for state-based
       properties; unsound for schedule-sensitive ones
@@ -195,8 +196,9 @@ val config :
   config
 (** Defaults: DFS, both reductions on, the [Path] request (the snapshot
     engine where it applies, see {!engine_kind}), symmetry off,
-    unlimited budget, no faults, telemetry off. [~symmetry:true]
-    without [~engine:Snapshot] raises [Invalid_argument]. *)
+    unlimited budget, no faults, telemetry off. [~symmetry:true] is
+    checked by {!explore}: it needs a request that resolves to the
+    snapshot engine. *)
 
 type verdict =
   | Ok_bounded
@@ -244,6 +246,11 @@ val explore :
   report
 (** Exploration stops when the frontier empties, a budget limit fires
     (stats.truncated), or every property already has a counterexample.
+    A request the resolved engine cannot serve raises [Invalid_argument]
+    before any worker starts: the snapshot engine under [Bfs] or on a
+    sut without a machine form, or [symmetry] on a request that does
+    not resolve to the snapshot engine or on a sut without
+    [m_payload].
 
     [obs] opts the exploration into observability. Metrics (recorded at
     the end of the run, from the same meters the report prints, so the
@@ -251,9 +258,8 @@ val explore :
     [explorer.states], [explorer.safety_checked], [explorer.fp_pruned],
     [explorer.sleep_pruned], [explorer.replays], [explorer.replay_steps],
     [explorer.steals] (parallel only), gauges [explorer.max_depth] and
-    [explorer.frontier_peak]. Each worker's counts land in metric
-    shard [wid] — create the registry with
-    [~shards:domains] to keep per-worker counts separable. When [obs]
+    [explorer.frontier_peak]. Workers count in their own meters, which
+    are added to the registry after they have joined. When [obs]
     carries a recording event sink, per-prefix events are emitted
     (category ["explorer"]): ["replay"], ["expand"], ["fp_prune"],
     ["sleep_prune"], ["steal"], and periodic ["heartbeat"] instants.
@@ -266,7 +272,7 @@ val explore :
     [domains] (default 1) is the size of the worker pool that runs
     every exploration: each worker owns a work-stealing deque of
     prefixes, and replays are independent (every prefix drives a fresh
-    store/trace/fiber instance). One domain is a pool of one worker in
+    store/fiber instance). One domain is a pool of one worker in
     the calling domain, taking items in the sequential order: newest
     first under [Dfs], oldest first under [Bfs] (FIFO at every domain
     count); the snapshot engine splits the tree into pool items at

@@ -1,4 +1,4 @@
-type hook = kind:Trace.kind -> register:string -> value:string -> unit
+type hook = int -> unit
 
 type 'a route = { route_read : unit -> 'a; route_write : 'a -> unit }
 
@@ -20,22 +20,16 @@ let name t = t.name
 
 let id t = t.id
 
-let print_value t v =
-  match t.pp with Some pp -> Fmt.str "%a" pp v | None -> "<value>"
-
-let notify t kind v =
-  match t.hook with
-  | None -> ()
-  | Some hook -> hook ~kind ~register:t.name ~value:(print_value t v)
+let notify t = match t.hook with None -> () | Some hook -> hook t.id
 
 let read t =
   t.reads <- t.reads + 1;
-  notify t Trace.Read t.value;
+  notify t;
   t.value
 
 let write t v =
   t.writes <- t.writes + 1;
-  notify t Trace.Write v;
+  notify t;
   t.value <- v
 
 let peek t = t.value
@@ -46,7 +40,7 @@ let set_route t r = t.route <- Some r
 
 let route t = t.route
 
-let render t v = print_value t v
+let render t v = match t.pp with Some pp -> Fmt.str "%a" pp v | None -> "<value>"
 
 let reads t = t.reads
 

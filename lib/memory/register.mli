@@ -8,13 +8,16 @@
     ({!Setsync_runtime.Shm}); direct {!read}/{!write} here is for the
     runtime itself and for tests.
 
-    Registers are allocated through {!Store}, which assigns ids and
-    wires the optional trace. *)
+    Registers are allocated through {!Store}, which assigns each a
+    store-unique integer id and wires the store's optional access
+    hook. *)
 
 type 'a t
 
-type hook = kind:Trace.kind -> register:string -> value:string -> unit
-(** Trace callback invoked on every access. *)
+type hook = int -> unit
+(** Access callback: receives the register's {!id} on every counted
+    {!read} and {!write} (never on {!peek} or {!poke}). It is how the
+    explorer measures which registers a step touched. *)
 
 type 'a route = { route_read : unit -> 'a; route_write : 'a -> unit }
 (** An access route that replaces the local cell as the target of the
@@ -23,28 +26,28 @@ type 'a route = { route_read : unit -> 'a; route_write : 'a -> unit }
     instead of touching the cell directly. A message-passing backend
     installs routes that forward each operation to the register's
     owner process, which applies the {e authoritative} {!read}/{!write}
-    on the cell — so the cell, its counters, and its trace entries stay
+    on the cell — so the cell, its counters, and its access hook stay
     the single source of truth while the route decides {e who} performs
     the access and at what step cost. Validators ({!peek}/{!poke}) and
     {!Store.snapshot} always see the cell and bypass routes. *)
 
 val make : ?pp:'a Fmt.t -> ?hook:hook -> name:string -> id:int -> 'a -> 'a t
 (** [make ~name ~id init] creates a register holding [init]. [pp] is
-    used to print values into traces (defaults to an opaque
-    placeholder). *)
+    used by {!render} (defaults to an opaque placeholder); [hook] is
+    called with [id] on every counted access. *)
 
 val name : 'a t -> string
 
 val id : 'a t -> int
 
 val read : 'a t -> 'a
-(** Atomic read (counted, traced). *)
+(** Atomic read (counted, reported to the hook). *)
 
 val write : 'a t -> 'a -> unit
-(** Atomic write (counted, traced). *)
+(** Atomic write (counted, reported to the hook). *)
 
 val peek : 'a t -> 'a
-(** Observer read: does not count as a step, not traced. For run
+(** Observer read: does not count as a step, not hooked. For run
     validators and tests only — never from process code. *)
 
 val poke : 'a t -> 'a -> unit
@@ -64,4 +67,4 @@ val route : 'a t -> 'a route option
 
 val render : 'a t -> 'a -> string
 (** Print a value with the register's own printer (the placeholder
-    when none was supplied) — what traces and snapshots show. *)
+    [<value>] when none was supplied). *)

@@ -1,5 +1,3 @@
-type counters = { get_reads : unit -> int; get_writes : unit -> int }
-
 type view = { view_name : string; render : unit -> string; capture : unit -> unit -> unit }
 
 type router = { route_for : 'a. 'a Register.t -> 'a Register.route option }
@@ -17,9 +15,8 @@ type cell =
       -> cell
 
 type t = {
-  trace : Trace.t option;
+  hook : Register.hook option;
   mutable next_id : int;
-  mutable all : counters list;
   mutable views : view list;
   mutable router : router option;
   mutable cells : cell list option;  (* most recent first; [Some] iff memoized *)
@@ -30,29 +27,20 @@ type t = {
 let entry_hash (e : string * string) =
   Hashtbl.seeded_hash 1 e lor (Hashtbl.seeded_hash 2 e lsl 30)
 
-let create ?trace () =
-  { trace; next_id = 0; all = []; views = []; router = None; cells = None }
+let create ?hook () = { hook; next_id = 0; views = []; router = None; cells = None }
 
 let set_router t r = t.router <- Some r
-
-let hook_of t =
-  match t.trace with
-  | None -> None
-  | Some tr -> Some (fun ~kind ~register ~value -> Trace.record tr ~register ~kind ~value)
 
 let register t ?pp ~name init =
   let id = t.next_id in
   t.next_id <- id + 1;
-  let reg = Register.make ?pp ?hook:(hook_of t) ~name ~id init in
+  let reg = Register.make ?pp ?hook:t.hook ~name ~id init in
   (match t.router with
   | None -> ()
   | Some r -> (
       match r.route_for reg with
       | None -> ()
       | Some route -> Register.set_route reg route));
-  t.all <-
-    { get_reads = (fun () -> Register.reads reg); get_writes = (fun () -> Register.writes reg) }
-    :: t.all;
   (* Snapshots must be total: a pp-less register still has to render a
      string that distinguishes distinct values, or fingerprint pruning
      built on snapshots becomes unsound. Marshal the value and digest
@@ -93,10 +81,6 @@ let matrix t ?pp ~name ~rows ~cols init =
 
 let register_count t = t.next_id
 
-let total_reads t = List.fold_left (fun acc c -> acc + c.get_reads ()) 0 t.all
-
-let total_writes t = List.fold_left (fun acc c -> acc + c.get_writes ()) 0 t.all
-
 let snapshot t = List.rev_map (fun v -> (v.view_name, v.render ())) t.views
 
 (* Re-render a cell only when its register holds a value that is not
@@ -112,8 +96,8 @@ let refresh cells =
       end)
     cells
 
-let memoized ?trace () =
-  let t = create ?trace () in
+let memoized ?hook () =
+  let t = create ?hook () in
   t.cells <- Some [];
   let render () =
     let cells = Option.value t.cells ~default:[] in
@@ -135,5 +119,3 @@ let key t =
 let save t =
   let restores = List.rev_map (fun v -> v.capture ()) t.views in
   fun () -> List.iter (fun restore -> restore ()) restores
-
-let trace t = t.trace

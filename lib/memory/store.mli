@@ -1,15 +1,16 @@
 (** Register allocation and accounting.
 
     A store is the concrete [Ξ] of one system instance: every register
-    of a run is allocated here, so aggregate statistics (total reads,
-    writes, register count) and the optional operation trace cover the
-    whole shared memory. *)
+    of a run is allocated here, under an id unique within the store, so
+    the register count, snapshots, savepoints and the optional access
+    hook cover the whole shared memory. *)
 
 type t
 
-val create : ?trace:Trace.t -> unit -> t
-(** A fresh, empty shared memory. When [trace] is given, every access
-    to every register allocated here is recorded into it. *)
+val create : ?hook:Register.hook -> unit -> t
+(** A fresh, empty shared memory. When [hook] is given, every counted
+    access to a register allocated here calls it with the register's
+    id (see {!Register.hook}). *)
 
 type router = { route_for : 'a. 'a Register.t -> 'a Register.route option }
 (** Decides, per register, whether step-disciplined access should be
@@ -42,21 +43,16 @@ val matrix :
 
 val register_count : t -> int
 
-val total_reads : t -> int
-(** Sum of counted reads over all registers allocated here. *)
-
-val total_writes : t -> int
-
 val snapshot : t -> (string * string) list
 (** Current [(name, printed value)] of every register allocated here,
-    in allocation order, via observer reads (not counted, not traced).
+    in allocation order, via observer reads (not counted, not hooked).
     Snapshots are total: registers allocated without a [pp] render as a
     structural digest of the stored value (marshaled bytes, with a
     full-width [Hashtbl.hash_param] fallback for unmarshalable values),
     so two distinct pp-less states never collapse to one placeholder
     string and fingerprints built on snapshots stay discriminating. *)
 
-val memoized : ?trace:Trace.t -> unit -> t * (unit -> (string * string) list)
+val memoized : ?hook:Register.hook -> unit -> t * (unit -> (string * string) list)
 (** A fresh store, as {!create} makes, plus a memoizing renderer of its
     {!snapshot}: the store keeps, per register, the value it last
     rendered, the entry rendered from it and that entry's
@@ -87,11 +83,9 @@ val entry_hash : string * string -> int
 val save : t -> unit -> unit
 (** [save t] captures the current value of every register allocated
     here and returns a restore thunk that pokes them all back
-    (observer writes: not counted, not traced, routes bypassed).
+    (observer writes: not counted, not hooked, routes bypassed).
     Register values are captured by reference, which is a deep copy
     exactly when stored values are immutable data — true for every
     in-tree system; a register holding mutable state would need its
     own copying discipline. Read/write counters are cumulative
     instrumentation and are deliberately not restored. *)
-
-val trace : t -> Trace.t option

@@ -279,7 +279,7 @@ let split_due clock q =
   go [] q
 
 (* Move every due message to its inbox. Reads are observer [peek]s
-   (cheap, untraced); the writes that change behaviour go through
+   (cheap, uncounted); the writes that change behaviour go through
    [Register.write] so replay footprints include them. Runs in
    [pre_step], before the granted process's atomic action — a message
    due at tick [g] is readable by a recv executed at global step [g].

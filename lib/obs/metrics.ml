@@ -1,14 +1,10 @@
 (* Metrics registry: counters, gauges, histograms with fixed log-scale
    (power-of-two) buckets.
 
-   Every counter and histogram is an array of per-domain cells indexed
-   by a shard id (the explorer passes its worker id). A hot-path
-   update is one unsynchronized read-modify-write of the caller's own
-   cell — no atomics, no locks — which is race-free as long as each
-   shard id is used by at most one domain at a time (the explorer's
-   worker ids satisfy this by construction). Reads merge the cells,
-   so a snapshot taken while workers run is approximate; a snapshot
-   taken after the workers joined is exact. *)
+   Every metric is one cell, and a hot-path update is one
+   unsynchronized read-modify-write of it — no atomics, no locks. The
+   registry is updated from one domain: a parallel exploration counts
+   in its workers' own meters and records them after the join. *)
 
 let bucket_count = 64
 
@@ -31,11 +27,11 @@ let bucket_upper_bound i =
   else if i >= bucket_count - 1 then infinity
   else Float.ldexp 1.0 i
 
-type counter = { c_name : string; c_cells : int array }
+type counter = { mutable c_value : int }
 
 type gauge = { g_name : string; mutable g_value : float; mutable g_set : bool }
 
-type hcell = {
+type histogram = {
   mutable h_count : int;
   mutable h_sum : float;
   mutable h_min : float;
@@ -43,22 +39,15 @@ type hcell = {
   h_buckets : int array;
 }
 
-type histogram = { h_name : string; h_cells : hcell array }
-
 type metric = Counter of counter | Gauge of gauge | Histogram of histogram
 
 type t = {
-  shards : int;
   mu : Mutex.t;  (* guards registration only, never updates *)
   tbl : (string, metric) Hashtbl.t;
   mutable order : string list;  (* registration order, newest first *)
 }
 
-let create ?(shards = 1) () =
-  if shards < 1 then invalid_arg "Metrics.create: shards must be >= 1";
-  { shards; mu = Mutex.create (); tbl = Hashtbl.create 32; order = [] }
-
-let shards t = t.shards
+let create () = { mu = Mutex.create (); tbl = Hashtbl.create 32; order = [] }
 
 let intern t name make get =
   Mutex.lock t.mu;
@@ -80,7 +69,7 @@ let counter t name =
     | Gauge _ | Histogram _ ->
         invalid_arg (Printf.sprintf "Metrics.counter: %S is not a counter" name)
   in
-  intern t name (fun () -> Counter { c_name = name; c_cells = Array.make t.shards 0 }) get
+  intern t name (fun () -> Counter { c_value = 0 }) get
 
 let gauge t name =
   let get = function
@@ -90,15 +79,6 @@ let gauge t name =
   in
   intern t name (fun () -> Gauge { g_name = name; g_value = 0.; g_set = false }) get
 
-let fresh_hcell () =
-  {
-    h_count = 0;
-    h_sum = 0.;
-    h_min = infinity;
-    h_max = neg_infinity;
-    h_buckets = Array.make bucket_count 0;
-  }
-
 let histogram t name =
   let get = function
     | Histogram h -> h
@@ -106,18 +86,20 @@ let histogram t name =
         invalid_arg (Printf.sprintf "Metrics.histogram: %S is not a histogram" name)
   in
   intern t name
-    (fun () -> Histogram { h_name = name; h_cells = Array.init t.shards (fun _ -> fresh_hcell ()) })
+    (fun () ->
+      Histogram
+        {
+          h_count = 0;
+          h_sum = 0.;
+          h_min = infinity;
+          h_max = neg_infinity;
+          h_buckets = Array.make bucket_count 0;
+        })
     get
 
 (* ---------------------------------------------------------- updates *)
 
-let[@inline] cell_index cells shard =
-  let n = Array.length cells in
-  if shard >= 0 && shard < n then shard else ((shard mod n) + n) mod n
-
-let incr ?(shard = 0) ?(by = 1) c =
-  let i = cell_index c.c_cells shard in
-  c.c_cells.(i) <- c.c_cells.(i) + by
+let incr ?(by = 1) c = c.c_value <- c.c_value + by
 
 let set g v =
   g.g_value <- v;
@@ -125,19 +107,17 @@ let set g v =
 
 let set_max g v = if (not g.g_set) || v > g.g_value then set g v
 
-let observe ?(shard = 0) h v =
-  let i = cell_index h.h_cells shard in
-  let cell = h.h_cells.(i) in
-  cell.h_count <- cell.h_count + 1;
-  cell.h_sum <- cell.h_sum +. v;
-  if v < cell.h_min then cell.h_min <- v;
-  if v > cell.h_max then cell.h_max <- v;
+let observe h v =
+  h.h_count <- h.h_count + 1;
+  h.h_sum <- h.h_sum +. v;
+  if v < h.h_min then h.h_min <- v;
+  if v > h.h_max then h.h_max <- v;
   let b = bucket_of v in
-  cell.h_buckets.(b) <- cell.h_buckets.(b) + 1
+  h.h_buckets.(b) <- h.h_buckets.(b) + 1
 
 (* ------------------------------------------------------------ reads *)
 
-let counter_value c = Array.fold_left ( + ) 0 c.c_cells
+let counter_value c = c.c_value
 
 let gauge_value g = if g.g_set then Some g.g_value else None
 
@@ -146,32 +126,17 @@ type hsnap = {
   sum : float;
   min : float;  (** meaningless when [count = 0] *)
   max : float;  (** meaningless when [count = 0] *)
-  buckets : int array;  (** length {!bucket_count}, merged over shards *)
+  buckets : int array;  (** length {!bucket_count} *)
 }
 
 let histogram_snapshot h =
-  let snap =
-    {
-      count = 0;
-      sum = 0.;
-      min = infinity;
-      max = neg_infinity;
-      buckets = Array.make bucket_count 0;
-    }
-  in
-  Array.fold_left
-    (fun acc cell ->
-      Array.iteri (fun i b -> acc.buckets.(i) <- acc.buckets.(i) + b) cell.h_buckets;
-      {
-        acc with
-        count = acc.count + cell.h_count;
-        sum = acc.sum +. cell.h_sum;
-        min = Float.min acc.min cell.h_min;
-        max = Float.max acc.max cell.h_max;
-      })
-    snap h.h_cells
-
-let counter_value_of_shard c shard = c.c_cells.(cell_index c.c_cells shard)
+  {
+    count = h.h_count;
+    sum = h.h_sum;
+    min = h.h_min;
+    max = h.h_max;
+    buckets = Array.copy h.h_buckets;
+  }
 
 (* ------------------------------------------------------------- dump *)
 

@@ -1,13 +1,10 @@
 (** Metrics registry: counters, gauges, and fixed log-scale histograms.
 
-    Counters and histograms are backed by {e per-domain sharded cells}:
-    the registry allocates one cell per shard (pass the worker/domain
-    id as [?shard]) and a hot-path update is a single unsynchronized
-    increment of the caller's own cell — no atomics, no locks. Cells
-    are merged on read. This is race-free as long as each shard id is
-    driven by one domain at a time (the explorer's worker ids); a
-    snapshot taken while workers are running is approximate, one taken
-    after they joined is exact.
+    Every metric is a single cell and a hot-path update is one
+    unsynchronized increment — no atomics, no locks — so a registry is
+    updated from one domain at a time. A parallel exploration keeps its
+    counts in per-worker meters and records them here after its
+    workers have joined.
 
     Metrics are interned by name: [counter t "x"] returns the same
     counter every time, so instruments can look their metrics up
@@ -20,11 +17,7 @@ type counter
 type gauge
 type histogram
 
-val create : ?shards:int -> unit -> t
-(** [shards] (default 1) is the number of independent update cells per
-    counter/histogram — use the worker/domain count. *)
-
-val shards : t -> int
+val create : unit -> t
 
 val counter : t -> string -> counter
 (** Get-or-create. Raises [Invalid_argument] if [name] is already a
@@ -33,9 +26,9 @@ val counter : t -> string -> counter
 val gauge : t -> string -> gauge
 val histogram : t -> string -> histogram
 
-(** {2 Updates} (hot path; unsynchronized per shard) *)
+(** {2 Updates} (hot path; unsynchronized) *)
 
-val incr : ?shard:int -> ?by:int -> counter -> unit
+val incr : ?by:int -> counter -> unit
 
 val set : gauge -> float -> unit
 (** Gauges are single-cell: last write wins (racy across domains, which
@@ -44,17 +37,16 @@ val set : gauge -> float -> unit
 val set_max : gauge -> float -> unit
 (** High-water-mark update: keeps the max of all values set. *)
 
-val observe : ?shard:int -> histogram -> float -> unit
+val observe : histogram -> float -> unit
 (** Record one sample. Bucketing is exact powers of two: bucket 0 holds
     values < 1, bucket [i] holds [[2^(i-1), 2^i)], the last bucket
     overflows to infinity. Boundary values land in the upper bucket
     ([observe 8.] lands in the bucket starting at 8), computed via
     [Float.frexp], so no rounding at the boundary. *)
 
-(** {2 Reads} (merge shards) *)
+(** {2 Reads} *)
 
 val counter_value : counter -> int
-val counter_value_of_shard : counter -> int -> int
 val gauge_value : gauge -> float option
 
 type hsnap = {
@@ -62,7 +54,7 @@ type hsnap = {
   sum : float;
   min : float;  (** meaningless when [count = 0] *)
   max : float;  (** meaningless when [count = 0] *)
-  buckets : int array;  (** length {!bucket_count}, merged over shards *)
+  buckets : int array;  (** length {!bucket_count} *)
 }
 
 val histogram_snapshot : histogram -> hsnap

@@ -5,7 +5,6 @@
 
 type t = { metrics : Metrics.t; events : Events.t }
 
-let create ?(shards = 1) ?(events = Events.nop) () =
-  { metrics = Metrics.create ~shards (); events }
+let create ?(events = Events.nop) () = { metrics = Metrics.create (); events }
 
 let events_on t = Events.enabled t.events

@@ -11,15 +11,15 @@
     returns after its atomic; the machine's own step function is the
     atomicity boundary. Given {!fiber}, the atomic suspends the calling
     fiber until its next granted step, so the step function looped
-    over it is the fiber form. Footprints, traces and snapshots
-    coincide across the two by construction. *)
+    over it is the fiber form. Footprints and snapshots coincide
+    across the two by construction. *)
 
 val read : 'a Setsync_memory.Register.t -> 'a
-(** Counted, traced, route-respecting read — {!Shm.read} without the
+(** Counted, hooked, route-respecting read — {!Shm.read} without the
     fiber suspension. *)
 
 val write : 'a Setsync_memory.Register.t -> 'a -> unit
-(** Counted, traced, route-respecting write — {!Shm.write} without the
+(** Counted, hooked, route-respecting write — {!Shm.write} without the
     fiber suspension. *)
 
 type access = {

@@ -5,7 +5,6 @@
 open Setsync_schedule
 module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
-module Trace = Setsync_memory.Trace
 module Fiber = Setsync_runtime.Fiber
 module Shm = Setsync_runtime.Shm
 module Machine = Setsync_runtime.Machine
@@ -254,6 +253,70 @@ let test_count_sleep () =
   let s = stats_of report in
   Alcotest.(check int) "visited" 9 s.Budget.visited;
   Alcotest.(check int) "sleep pruned" 4 s.Budget.pruned_sleep
+
+(* Two never-halting processes: every step of p0 reads the [width]
+   registers [wide] (one step: the reads, then a pause as its atomic),
+   every step of p1 writes its own register [own], which p0 never
+   reads. The footprint meter keeps 64 accesses per step; a step with
+   more has an unknown footprint, which never commutes. *)
+let wide_reader_sut ~width =
+  {
+    Explorer.n = 2;
+    fresh =
+      (fun ~store ->
+        let wide = Store.array store ~pp:Fmt.int ~name:"wide" width (fun _ -> 0) in
+        let own = Store.register store ~pp:Fmt.int ~name:"own" 0 in
+        let step (a : Machine.access) p =
+          if p = 0 then begin
+            Array.iter (fun r -> ignore (Machine.read r)) wide;
+            a.Machine.pause ()
+          end
+          else a.Machine.write own 1
+        in
+        {
+          Explorer.body =
+            (fun p () ->
+              while true do
+                step Machine.fiber p
+              done);
+          observe = (fun () -> ());
+          substrate = None;
+          machine =
+            Some
+              {
+                Explorer.m_step = step Machine.direct;
+                m_halted = (fun _ -> false);
+                m_save = (fun () -> fun () -> ());
+                m_payload = None;
+                m_perms = [ [| 0; 1 |] ];
+              };
+        });
+    obs_fingerprint = (fun () -> "");
+  }
+
+(* Depth 2, no fingerprints: the root, [0], [1] and the four length-2
+   prefixes. [1;0] (p1's write, then p0's reads) is the descending
+   pair: with 64 reads p0's footprint is known and disjoint from p1's,
+   so [1;0] is commutation-pruned (6 visited, 1 pruned); with 65 it is
+   unknown and [1;0] is visited (7 visited, 0 pruned). *)
+let test_count_footprint_overflow () =
+  List.iter
+    (fun (width, visited, pruned) ->
+      List.iter
+        (fun engine ->
+          let s =
+            stats_of
+              (Explorer.explore ~sut:(wide_reader_sut ~width) ~properties:[]
+                 (Explorer.config ~prune_fingerprints:false ~engine ~depth:2 ()))
+          in
+          let label =
+            Fmt.str "%d reads, %s" width
+              (if engine = Explorer.Snapshot then "snapshot" else "per-state")
+          in
+          Alcotest.(check int) (label ^ ": visited") visited s.Budget.visited;
+          Alcotest.(check int) (label ^ ": commute-pruned") pruned s.Budget.pruned_sleep)
+        [ Explorer.Snapshot; Explorer.Per_state ])
+    [ (64, 6, 1); (65, 7, 0) ]
 
 (* Double-writer system (3-step processes), depth 4, brute force:
    sequences of length <= 4 with at most 3 steps per process,
@@ -1249,10 +1312,36 @@ let test_symmetry_kset () =
     "same violated set" (violated_names off) (violated_names on_);
   Alcotest.(check int) "zero replay steps" 0 (stats_of on_).Budget.replay_steps
 
+(* symmetry follows the engine resolution: the default request takes
+   it where it resolves to the snapshot engine, and every request that
+   resolves elsewhere is refused before the run *)
 let test_symmetry_requires_snapshot () =
-  Alcotest.check_raises "config rejects symmetry without snapshot engine"
-    (Invalid_argument "Explorer.config: symmetry reduction requires the snapshot engine")
-    (fun () -> ignore (Explorer.config ~symmetry:true ~depth:4 ()))
+  let params = { Setsync_detector.Kanti_omega.n = 2; t = 1; k = 1 } in
+  let machine_sut = Systems.kanti_detector ~params () in
+  let machineless =
+    let (sut : _ Explorer.sut) = Systems.kanti_detector ~params () in
+    {
+      sut with
+      Explorer.fresh = (fun ~store -> { (sut.Explorer.fresh ~store) with machine = None });
+    }
+  in
+  let explore ?strategy ?(limits = Budget.unlimited) sut =
+    Explorer.explore ~sut ~properties:[]
+      (Explorer.config ?strategy ~limits ~symmetry:true ~depth:3 ())
+  in
+  Alcotest.(check bool) "default request runs on snapshot" true
+    ((explore machine_sut).Explorer.engine = Explorer.Snapshot);
+  let refused run =
+    match run () with
+    | exception Invalid_argument msg ->
+        Alcotest.(check bool) msg true
+          (String.starts_with
+             ~prefix:"Explorer.explore: symmetry reduction requires the snapshot engine" msg)
+    | _ -> Alcotest.fail "symmetry accepted off the snapshot engine"
+  in
+  refused (fun () -> explore machineless);
+  refused (fun () -> explore ~strategy:Explorer.Bfs machine_sut);
+  refused (fun () -> explore ~limits:(Budget.limits ~max_replay_steps:1000 ()) machine_sut)
 
 let test_snapshot_requires_machine () =
   (* a sut without a machine form must be refused up front *)
@@ -1599,20 +1688,6 @@ let test_one_run_record () =
 (* ------------------------------------------------------------------ *)
 (* plumbing the explorer relies on *)
 
-let test_trace_recent () =
-  let tr = Trace.create ~capacity:4 in
-  Alcotest.(check bool) "empty" true (Trace.last tr = None);
-  Trace.record tr ~register:"a" ~kind:Trace.Write ~value:"1";
-  Trace.record tr ~register:"b" ~kind:Trace.Read ~value:"2";
-  Trace.record tr ~register:"c" ~kind:Trace.Write ~value:"3";
-  (match Trace.last tr with
-  | Some e -> Alcotest.(check string) "last is newest" "c" e.Trace.register
-  | None -> Alcotest.fail "expected an entry");
-  Alcotest.(check (list string)) "recent newest-first" [ "c"; "b" ]
-    (List.map (fun e -> e.Trace.register) (Trace.recent tr 2));
-  Alcotest.(check (list string)) "recent capped by recorded" [ "c"; "b"; "a" ]
-    (List.map (fun e -> e.Trace.register) (Trace.recent tr 10))
-
 let test_store_snapshot () =
   let store = Store.create () in
   let a = Store.register store ~pp:Fmt.int ~name:"a" 7 in
@@ -1841,6 +1916,8 @@ let () =
         [
           Alcotest.test_case "brute force, hand-counted" `Quick test_count_brute;
           Alcotest.test_case "commutation reduction" `Quick test_count_sleep;
+          Alcotest.test_case "footprint overflow at 65 accesses" `Quick
+            test_count_footprint_overflow;
           Alcotest.test_case "double writer, brute" `Quick test_count_double_brute;
           Alcotest.test_case "double writer, fingerprints" `Quick
             test_count_double_fingerprint;
@@ -1957,7 +2034,6 @@ let () =
         ] );
       ( "plumbing",
         [
-          Alcotest.test_case "trace last/recent" `Quick test_trace_recent;
           Alcotest.test_case "store snapshot" `Quick test_store_snapshot;
           Alcotest.test_case "pp-less snapshot digests distinct" `Quick
             test_store_snapshot_ppless_distinct;

@@ -6,7 +6,6 @@
 open Setsync_schedule
 module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
-module Trace = Setsync_memory.Trace
 module Fault = Setsync_runtime.Fault
 module Run = Setsync_runtime.Run
 module Executor = Setsync_runtime.Executor
@@ -503,17 +502,18 @@ let test_netmem_resend_after_positive () =
 let test_kanti_cross_backend () =
   let params = { Kanti_omega.n = 2; t = 1; k = 1 } in
   let shm_len = 40 in
-  (* shared-memory run, tracing one register access per step *)
-  let trace = Trace.create ~capacity:4 in
-  let store = Store.create ~trace () in
+  (* shared-memory run, noting one register access per step *)
+  let last = ref (-1) in
+  let store = Store.create ~hook:(fun id -> last := id) () in
   let shared = Kanti_omega.create_shared store params in
   let procs = Array.init 2 (fun p -> Kanti_omega.make_process shared params ~proc:p) in
+  (* register ids are allocation indices, the snapshot's order *)
+  let names = Array.of_list (List.map fst (Store.snapshot store)) in
   let sched = Schedule.to_list (Source.take (Generators.round_robin ~n:2 ()) shm_len) in
   let touched = Array.make shm_len "" in
   let on_step ~global ~proc:_ =
-    match Trace.last trace with
-    | Some e -> touched.(global) <- e.Trace.register
-    | None -> Alcotest.fail "step without register access"
+    if !last < 0 then Alcotest.fail "step without register access";
+    touched.(global) <- names.(!last)
   in
   ignore
     (Executor.replay ~n:2 ~schedule:(Schedule.of_list ~n:2 sched) ~on_step (fun p () ->

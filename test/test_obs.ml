@@ -1,8 +1,7 @@
-(* Tests for setsync_obs: histogram bucketing, sharded-cell merging
-   (including real multi-domain updates), the JSON emitter/parser, the
-   event ring, and the end-to-end instrumentation contracts — executor
-   step counters, detector stabilization histograms, agreement decision
-   latencies, and explorer metrics matching Budget.stats. *)
+(* Tests for setsync_obs: histogram bucketing, the JSON emitter/parser,
+   the event ring, and the end-to-end instrumentation contracts —
+   executor step counters, detector stabilization histograms, agreement
+   decision latencies, and explorer metrics matching Budget.stats. *)
 
 module Json = Setsync_obs.Json
 module Metrics = Setsync_obs.Metrics
@@ -52,44 +51,6 @@ let test_histogram_observe () =
   Alcotest.(check int) "bucket 2 ([2,4))" 1 s.Metrics.buckets.(2);
   Alcotest.(check int) "bucket 7 ([64,128))" 1 s.Metrics.buckets.(7)
 
-(* Per-domain shards merged on read equal the same updates applied
-   sequentially — the registry's core contract under --domains. *)
-let test_shard_merge_equals_sequential () =
-  let domains = 4 in
-  let sharded = Metrics.create ~shards:domains () in
-  let seq = Metrics.create () in
-  let sc = Metrics.counter sharded "c" and qc = Metrics.counter seq "c" in
-  let sh = Metrics.histogram sharded "h" and qh = Metrics.histogram seq "h" in
-  let work shard = List.init 500 (fun i -> float_of_int (((shard + 1) * i) mod 97)) in
-  (* sequential reference *)
-  for shard = 0 to domains - 1 do
-    List.iter
-      (fun v ->
-        Metrics.incr qc;
-        Metrics.observe qh v)
-      (work shard)
-  done;
-  (* one real domain per shard *)
-  let spawned =
-    Array.init domains (fun shard ->
-        Domain.spawn (fun () ->
-            List.iter
-              (fun v ->
-                Metrics.incr ~shard sc;
-                Metrics.observe ~shard sh v)
-              (work shard)))
-  in
-  Array.iter Domain.join spawned;
-  Alcotest.(check int) "counter merged" (Metrics.counter_value qc)
-    (Metrics.counter_value sc);
-  Alcotest.(check int) "per-shard count" 500 (Metrics.counter_value_of_shard sc 2);
-  let a = Metrics.histogram_snapshot sh and b = Metrics.histogram_snapshot qh in
-  Alcotest.(check int) "hist count" b.Metrics.count a.Metrics.count;
-  Alcotest.(check (float 1e-6)) "hist sum" b.Metrics.sum a.Metrics.sum;
-  Alcotest.(check (float 1e-9)) "hist min" b.Metrics.min a.Metrics.min;
-  Alcotest.(check (float 1e-9)) "hist max" b.Metrics.max a.Metrics.max;
-  Alcotest.(check bool) "buckets equal" true (a.Metrics.buckets = b.Metrics.buckets)
-
 let test_metric_kind_clash () =
   let m = Metrics.create () in
   ignore (Metrics.counter m "x");
@@ -126,7 +87,7 @@ let test_json_parse_errors () =
     [ ""; "{"; "[1,]"; "{\"a\":}"; "tru"; "\"unterminated"; "1 2"; "{\"a\" 1}" ]
 
 let test_metrics_json_parses () =
-  let m = Metrics.create ~shards:2 () in
+  let m = Metrics.create () in
   Metrics.incr ~by:3 (Metrics.counter m "c");
   Metrics.set (Metrics.gauge m "g") 2.5;
   Metrics.observe (Metrics.histogram m "h") 5.0;
@@ -594,7 +555,7 @@ let test_agreement_decision_latency () =
 (* The acceptance contract of the explorer metrics: exported counters
    are numerically the printed Budget.stats, sequential and parallel. *)
 let explorer_metrics_match domains () =
-  let obs = Obs.create ~shards:domains ~events:(Events.memory ()) () in
+  let obs = Obs.create ~events:(Events.memory ()) () in
   let sut = Explore_systems.kanti_detector ~params:{ Kanti_omega.n = 2; t = 1; k = 1 } () in
   let properties =
     [
@@ -655,8 +616,6 @@ let () =
         [
           Alcotest.test_case "histogram bucket boundaries" `Quick test_bucket_boundaries;
           Alcotest.test_case "histogram observe" `Quick test_histogram_observe;
-          Alcotest.test_case "shard merge = sequential (4 domains)" `Quick
-            test_shard_merge_equals_sequential;
           Alcotest.test_case "kind clash / interning" `Quick test_metric_kind_clash;
         ] );
       ( "json",
