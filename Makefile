@@ -139,7 +139,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> its JSONL validates (b
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run), unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run), explore --progress prints the run's counts ([Ns] visited ..., frontier peak F), unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets and k > t kset requests included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -168,7 +168,7 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	expect 1 explore --check kset --depth 2 --engine snapshot --bfs; \
 	stderr_has "depth-first only"; \
 	expect 1 explore --check timeliness -n 2 --depth 2 --engine snapshot; \
-	stderr_has "breadth-first"; \
+	stderr_has "depth-first only"; \
 	expect 1 explore --check kset -n 3 -t 1 -k 1 --depth 8 --engine snapshot --max-replay-steps 1; \
 	stderr_has "never binds"; \
 	expect 1 explore --check timeliness -n 2 --depth 4 --fingerprints; \
@@ -180,6 +180,10 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stdout_has '"engine":"per_state"'; \
 	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 4 --domains 2 --progress 0 --search-summary -; \
 	stdout_has '"engine":"snapshot"'; \
+	expect 0 explore --check kset -n 3 -t 1 -k 1 --depth 7 --progress 0.000001; \
+	stderr_has '^\[ *[0-9.]*s\] visited [0-9]* (fp-pruned .*) .*, frontier peak [0-9]*$$'; \
+	expect 124 explore --check kset -t 1 -k 2 -n 3 --depth 8; stderr_has "k <= t"; \
+	expect 124 fuzz --sut kset -t 1 -k 2 -n 3 --execs 10; stderr_has "k <= t"; \
 	expect 124 solve --trace-out /nonexistent/x.jsonl; \
 	stderr_has "cannot write the --trace-out file"; \
 	expect 124 solve --backend net --trace-out /nonexistent/x.jsonl; \

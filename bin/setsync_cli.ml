@@ -14,9 +14,10 @@ open Setsync
 (* ------------------------------------------------------ flag checks *)
 
 (* A bad flag value is a usage error, reported before the run: each
-   subcommand builds its run's inputs (spec, problem, adversary) under
-   [checked], so the libraries' own argument checks reject the value
-   with their message and exit 124, cmdliner's code for usage errors.
+   subcommand builds its run's inputs (spec, problem, adversary,
+   system) under [checked], so the libraries' own argument checks
+   reject the value with their message and exit 124, cmdliner's code
+   for usage errors.
    An [Invalid_argument] raised by the run itself is not caught: it
    stays an internal error, except the explorer's own request checks
    ([Explorer.explore: ...]), which refuse flag combinations its
@@ -48,6 +49,13 @@ let j_arg = Arg.(value & opt (some int) None & info [ "j" ] ~docv:"J" ~doc:"Obse
 let bound_arg = Arg.(value & opt int 3 & info [ "bound" ] ~docv:"B" ~doc:"Timeliness bound of the witness contract.")
 
 let seed_arg = Arg.(value & opt int 1 & info [ "seed" ] ~docv:"SEED" ~doc:"Deterministic seed.")
+
+let progress_seconds_arg =
+  Arg.(
+    value
+    & opt float 2.0
+    & info [ "progress" ] ~docv:"S"
+        ~doc:"Print a progress heartbeat to stderr every $(docv) seconds (0 disables).")
 
 let crashes_arg = Arg.(value & opt int 0 & info [ "crashes" ] ~docv:"C" ~doc:"Crashes to inject (at most t).")
 
@@ -663,13 +671,6 @@ let explore_cmd =
       & opt (some float) None
       & info [ "max-seconds" ] ~docv:"S" ~doc:"Budget: wall-clock seconds.")
   in
-  let progress_seconds_arg =
-    Arg.(
-      value
-      & opt float 2.0
-      & info [ "progress" ] ~docv:"S"
-          ~doc:"Print a progress heartbeat to stderr every $(docv) seconds (0 disables).")
-  in
   let search_summary_arg =
     Arg.(
       value
@@ -697,20 +698,9 @@ let explore_cmd =
                without it; add --fingerprints@.";
       exit 1
     end;
-    if engine = Explorer.Snapshot && bfs then begin
-      Fmt.epr "setsync: --engine snapshot is depth-first only (its savepoint stack is \
-               the DFS spine); drop --bfs@.";
-      exit 1
-    end;
     if engine = Explorer.Snapshot && max_replay_steps <> None then begin
       Fmt.epr "setsync: --max-replay-steps never binds under --engine snapshot (it \
                replays nothing); bound the run with --max-states or --max-seconds@.";
-      exit 1
-    end;
-    if engine = Explorer.Snapshot && backend = Backend_net then begin
-      Fmt.epr "setsync: --engine snapshot needs a machine-form system; --backend net \
-               systems step through the substrate and have none (use the path or \
-               per-state engine)@.";
       exit 1
     end;
     if fingerprints && backend = Backend_net then
@@ -725,24 +715,8 @@ let explore_cmd =
       (fun f -> if f <> "-" then check_writable "--search-summary" f)
       search_summary;
     let gst = Option.value gst ~default:4 in
-    (* heartbeat movement counters are those of the engine that runs —
-       which [--engine path] resolves at run time: the snapshot engine
-       does zero replays (its movement is machine steps undone by
-       savepoint restores) and the replay engines no machine steps, so
-       the counter that moves names the engine *)
-    let on_progress (p : Explorer.progress) =
-      if p.Explorer.machine_steps > 0 then
-        Fmt.epr
-          "[%6.1fs] states %d  machine %d steps (%d restores)  frontier %d  fp-pruned \
-           %d  max depth %d@."
-          p.Explorer.wall p.Explorer.states p.Explorer.machine_steps p.Explorer.restores
-          p.Explorer.frontier p.Explorer.fp_pruned p.Explorer.max_depth
-      else
-        Fmt.epr
-          "[%6.1fs] states %d  replays %d (%d steps)  frontier %d  fp-pruned %d  max \
-           depth %d@."
-          p.Explorer.wall p.Explorer.states p.Explorer.replays p.Explorer.replay_steps
-          p.Explorer.frontier p.Explorer.fp_pruned p.Explorer.max_depth
+    let on_progress (s : Budget.stats) =
+      Fmt.epr "[%6.1fs] %a@." s.Budget.wall_seconds Budget.pp_counts s
     in
     let write_search_summary report =
       match search_summary with
@@ -770,9 +744,10 @@ let explore_cmd =
       | exception Invalid_argument msg when String.starts_with ~prefix:"Explorer.explore:" msg
         ->
           (* the explorer refuses a request its resolved engine cannot
-             serve (--symmetry on a run that is not on the snapshot
-             engine) before the run starts: an impossible flag
-             combination, reported like the gates above *)
+             serve (--engine snapshot under --bfs or on --backend net,
+             --symmetry on a run that is not on the snapshot engine)
+             before the run starts: an impossible flag combination,
+             reported like the gates above *)
           Fmt.epr "setsync: %s@." msg;
           exit 1
     in
@@ -795,7 +770,7 @@ let explore_cmd =
           if seed = 1 then Problem.distinct_inputs problem
           else Problem.random_inputs problem ~rng:(Rng.create ~seed) ~spread:(2 * n)
         in
-        let sut = Explore_systems.kset_agreement ~problem ~inputs () in
+        let sut = checked (fun () -> Explore_systems.kset_agreement ~problem ~inputs ()) in
         let properties =
           [
             Property.kset_agreement ~k ~decisions:(fun st ->
@@ -890,12 +865,8 @@ let explore_cmd =
            Figure 1 family, so exploration must find a counterexample;
            schedule-sensitive, so both reductions are off. The frontier
            is forced breadth-first (shortest counterexample first),
-           which the depth-first-only snapshot engine cannot serve. *)
-        if engine = Explorer.Snapshot then begin
-          Fmt.epr "setsync: --check timeliness forces a breadth-first frontier; the \
-                   snapshot engine is depth-first only@.";
-          exit 1
-        end;
+           which the explorer refuses under the depth-first-only
+           snapshot engine. *)
         if fingerprints then begin
           Fmt.epr "setsync: --check timeliness is schedule-sensitive and always runs \
                    without fingerprint pruning; drop --fingerprints@.";
@@ -1036,13 +1007,6 @@ let fuzz_cmd =
              the identical violation block byte-for-byte (the loop is a pure function \
              of its seed).")
   in
-  let progress_seconds_arg =
-    Arg.(
-      value
-      & opt float 2.0
-      & info [ "progress" ] ~docv:"S"
-          ~doc:"Print a progress heartbeat to stderr every $(docv) seconds (0 disables).")
-  in
   let run sut_choice n t k seed execs len stride crashes max_replay_steps max_seconds
       repro backend delta gst trace_out metrics_out progress_seconds =
     at_least "--len" 1 len;
@@ -1054,9 +1018,10 @@ let fuzz_cmd =
       checked (fun () -> Budget.limits ~max_states:execs ?max_replay_steps ?max_seconds ())
     in
     let obs = make_obs ~trace_out ~metrics_out () in
-    let on_progress (p : Fuzz.progress) =
-      Fmt.epr "[%6.1fs] execs %d (%.0f/s)  corpus %d  digests %d@." p.Fuzz.wall
-        p.Fuzz.execs p.Fuzz.execs_per_s p.Fuzz.corpus p.Fuzz.digests
+    let on_progress (r : Fuzz.report) =
+      let wall = r.Fuzz.stats.Budget.wall_seconds in
+      Fmt.epr "[%6.1fs] execs %d (%.0f/s)  corpus %d  digests %d@." wall r.Fuzz.execs
+        (Fuzz.execs_per_s r) r.Fuzz.corpus r.Fuzz.digests
     in
     let sut_name =
       match sut_choice with
@@ -1125,11 +1090,11 @@ let fuzz_cmd =
     | Fuzz_kset, Backend_shm ->
         let problem = checked (fun () -> Problem.make ~t ~k ~n) in
         let inputs = Problem.distinct_inputs problem in
+        let sut = checked (fun () -> Explore_systems.kset_agreement ~problem ~inputs ()) in
         Fmt.pr "fuzzing %a, inputs %a, seed %d, len %d@." Problem.pp problem
           Fmt.(array ~sep:(any " ") int)
           inputs seed len;
-        go
-          ~sut:(Explore_systems.kset_agreement ~problem ~inputs ())
+        go ~sut
           ~properties:
             [
               Property.kset_agreement ~k ~decisions:(fun st ->

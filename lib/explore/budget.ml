@@ -1,3 +1,5 @@
+module Json = Setsync_obs.Json
+
 type limits = {
   max_states : int option;
   max_replay_steps : int option;
@@ -55,11 +57,12 @@ type t = {
   mutable restore_seconds : float;
 }
 
-let start lim =
+(* a meter with zero counts on the given clocks *)
+let zero lim ~cpu ~wall =
   {
     lim;
-    started_cpu = Sys.time ();
-    started_wall = now_wall ();
+    started_cpu = cpu;
+    started_wall = wall;
     visited = 0;
     safety_checked = 0;
     pruned_fingerprint = 0;
@@ -77,6 +80,8 @@ let start lim =
     machine_seconds = 0.;
     restore_seconds = 0.;
   }
+
+let start lim = zero lim ~cpu:(Sys.time ()) ~wall:(now_wall ())
 
 (* grow-on-demand for the per-depth counter arrays *)
 let grown a d =
@@ -237,6 +242,22 @@ let stats (t : t) : stats =
     restore_seconds = t.restore_seconds;
   }
 
+let sum ~clock meters =
+  let into = zero clock.lim ~cpu:clock.started_cpu ~wall:clock.started_wall in
+  Array.iter (absorb ~into) meters;
+  stats into
+
+let heartbeat ~interval beat =
+  if not (interval > 0.) then fun () -> ()
+  else
+    let last = ref (now_wall ()) in
+    fun () ->
+      let now = now_wall () in
+      if now -. !last >= interval then begin
+        last := now;
+        beat ()
+      end
+
 (* the movement of the engine that ran: machine steps and restores if
    the snapshot engine moved, replays otherwise *)
 let pp_movement ppf s =
@@ -244,12 +265,42 @@ let pp_movement ppf s =
     Fmt.pf ppf "machine %d steps, %d restores" s.machine_steps s.restores
   else Fmt.pf ppf "replays %d/%d steps" s.replays s.replay_steps
 
-let pp_stats ppf s =
+let pp_counts ppf s =
   Fmt.pf ppf
     "visited %d (fp-pruned %d, commute-pruned %d, safety-checked %d) %a, max depth %d, \
-     frontier peak %d, %s"
+     frontier peak %d"
     s.visited s.pruned_fingerprint s.pruned_sleep s.safety_checked pp_movement s s.max_depth
     s.frontier_peak
-    (if s.truncated then "TRUNCATED by budget" else "exhaustive")
+
+let pp_stats ppf s =
+  Fmt.pf ppf "%a, %s" pp_counts s (if s.truncated then "TRUNCATED by budget" else "exhaustive")
 
 let pp_times ppf s = Fmt.pf ppf "%.3fs wall / %.3fs cpu" s.wall_seconds s.cpu_seconds
+
+let stats_to_json s =
+  let row d =
+    Json.Obj
+      [
+        ("depth", Json.Int d.dr_depth);
+        ("visited", Json.Int d.dr_visited);
+        ("fp_pruned", Json.Int d.dr_fp_pruned);
+        ("sleep_pruned", Json.Int d.dr_sleep_pruned);
+      ]
+  in
+  [
+    ("visited", Json.Int s.visited);
+    ("safety_checked", Json.Int s.safety_checked);
+    ("fp_pruned", Json.Int s.pruned_fingerprint);
+    ("sleep_pruned", Json.Int s.pruned_sleep);
+    ("replays", Json.Int s.replays);
+    ("replay_steps", Json.Int s.replay_steps);
+    ("machine_steps", Json.Int s.machine_steps);
+    ("restores", Json.Int s.restores);
+    ("machine_seconds", Json.Float s.machine_seconds);
+    ("restore_seconds", Json.Float s.restore_seconds);
+    ("max_depth", Json.Int s.max_depth);
+    ("frontier_peak", Json.Int s.frontier_peak);
+    ("truncated", Json.Bool s.truncated);
+    ("wall_seconds", Json.Float s.wall_seconds);
+    ("depth_profile", Json.List (List.map row s.depth_profile));
+  ]

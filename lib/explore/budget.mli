@@ -9,9 +9,9 @@
 
     In an exploration ({!Explorer.explore}) each pool worker
     accumulates into its own meter — the meters are plain single-domain
-    mutable state — and the parent meter {!absorb}s them into the final
-    report; only the parent's clocks are read, so the reported times
-    span the whole exploration. *)
+    mutable state — and {!sum} merges them on the parent meter's clocks,
+    so the reported times span the whole exploration. The same call
+    builds the live progress view and the final report. *)
 
 type limits = {
   max_states : int option;  (** cap on states visited (property-checked) *)
@@ -57,9 +57,6 @@ val over : t -> bool
     bounded space using exactly its budget is exhaustive, not
     truncated. [Some 0] therefore visits nothing and is truncated
     whenever any work was pending. *)
-
-val wall_elapsed : t -> float
-val cpu_elapsed : t -> float
 
 val deadline : t -> float option
 (** Absolute wall-clock time ([Unix.gettimeofday] scale) at which the
@@ -110,12 +107,6 @@ val note_restore : t -> unit
 val note_machine_seconds : t -> float -> unit
 val note_restore_seconds : t -> float -> unit
 
-val absorb : into:t -> t -> unit
-(** Merge a worker meter's counters into a parent meter: counts are
-    summed, high-water marks maxed, [truncated] or-ed. Clocks are not
-    touched — {!stats} on the parent reports the parent's own
-    elapsed times. *)
-
 (** {2 Report} *)
 
 type depth_row = {
@@ -157,7 +148,7 @@ type stats = {
   depth_profile : depth_row list;
       (** per-depth breakdown, ascending from depth 0; empty when no
           depth was ever noted. Rows are the elementwise sums of the
-          worker profiles ({!absorb}). *)
+          worker profiles ({!sum}). *)
   machine_steps : int;  (** snapshot engine: live machine steps taken *)
   restores : int;  (** snapshot engine: savepoint restores performed *)
   machine_seconds : float;
@@ -169,6 +160,30 @@ type stats = {
 val stats : t -> stats
 (** Reads the clocks at call time; every other field is a plain copy
     of the meter. *)
+
+val sum : clock:t -> t array -> stats
+(** The stats of several meters merged: counts and per-depth rows are
+    summed, high-water marks maxed, [truncated] or-ed. The times are
+    [clock]'s, read at call time; [clock]'s own counts are not
+    included. Safe to call while other domains are still writing the
+    meters: each count is then a racy single-word read — good for a
+    progress view, exact once the writers have joined. *)
+
+val heartbeat : interval:float -> (unit -> unit) -> unit -> unit
+(** [heartbeat ~interval beat] is a tick: calling it runs [beat] when
+    at least [interval] wall-clock seconds have passed since the last
+    beat (or since the tick was made). An [interval <= 0.] never
+    beats. A tick is single-domain state. *)
+
+val stats_to_json : stats -> (string * Setsync_obs.Json.t) list
+(** Every field but [cpu_seconds], in order, as JSON object members
+    named as in the search summary: [pruned_fingerprint] is
+    [fp_pruned], [pruned_sleep] is [sleep_pruned]. *)
+
+val pp_counts : stats Fmt.t
+(** The counts of {!pp_stats} without its exhaustive/truncated tail,
+    e.g. ["visited 4121 (fp-pruned 310, commute-pruned 988, safety-checked 5109) machine 1155 steps, 1155 restores, max depth 7, frontier peak 24"]:
+    the line a live progress view prints. *)
 
 val pp_stats : stats Fmt.t
 (** One-line report, e.g.

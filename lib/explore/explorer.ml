@@ -199,6 +199,26 @@ module Mirror = struct
   let final m schedule =
     let run = replay m schedule in
     state ~requested:schedule ~reason:run.Run.reason m
+
+  (* A savepoint of a machine-form instance and its tally: the
+     registers, the machine, the substrate and the run bookkeeping.
+     Returns the restore. *)
+  let save m =
+    let restore_store = Store.save m.store in
+    let restore_m =
+      match m.inst.machine with Some mi -> mi.m_save () | None -> fun () -> ()
+    in
+    let restore_sub =
+      match m.inst.substrate with
+      | Some s -> Setsync_runtime.Substrate.save s
+      | None -> fun () -> ()
+    in
+    let restore_tally = Run.Tally.save m.tally in
+    fun () ->
+      restore_store ();
+      restore_m ();
+      restore_sub ();
+      restore_tally ()
 end
 
 (* Replay [schedule] against a fresh instance; returns the final state
@@ -389,9 +409,9 @@ module Session = struct
 
   type 'obs t = {
     sut : 'obs sut;
-    machine : ('obs Mirror.m * (unit -> unit) * (unit -> unit -> unit)) option;
-        (* the live machine instance's mirror, the restore to its
-           initial savepoint, and its [m_save] *)
+    machine : ('obs Mirror.m * (unit -> unit)) option;
+        (* the live machine instance's mirror and the restore to its
+           initial savepoint *)
     mutable current : 'obs Mirror.m;  (* the instance of the latest run *)
     mutable track : 'obs track option;
     moves : int ref;  (* runs started and savepoints restored *)
@@ -400,24 +420,15 @@ module Session = struct
   let create ~(sut : 'obs sut) =
     let moves = ref 0 in
     let m = Mirror.make ~sut ~fault:Fault.no_faults ~moves () in
-    let store = m.Mirror.store and inst = m.Mirror.inst in
-    match inst.machine with
+    match m.Mirror.inst.machine with
     | None -> { sut; machine = None; current = m; track = None; moves }
     | Some mi ->
-        let restore_store = Store.save store in
-        let restore_m = mi.m_save () in
-        let restore_sub = Option.map Setsync_runtime.Substrate.save inst.substrate in
-        let initial () =
-          restore_store ();
-          restore_m ();
-          Option.iter (fun r -> r ()) restore_sub
-        in
         let step p =
           mi.m_step p;
           mi.m_halted p
         in
         let m = { m with Mirror.machine = Some step } in
-        { sut; machine = Some (m, initial, mi.m_save); current = m; track = None; moves }
+        { sut; machine = Some (m, Mirror.save m); current = m; track = None; moves }
 
   let on_machine s = Option.is_some s.machine
 
@@ -426,7 +437,7 @@ module Session = struct
     let m =
       match s.machine with
       | None -> Mirror.make ~sut:s.sut ~fault ~moves:s.moves ()
-      | Some (m, initial, _) ->
+      | Some (m, initial) ->
           initial ();
           { m with Mirror.tally = Run.Tally.create ~n:s.sut.n fault }
     in
@@ -462,24 +473,23 @@ module Session = struct
      schedule it checked; [None] without a substrate-free machine *)
   let track_for s ~fault ~property schedule =
     match s.machine with
-    | Some (m, initial, m_save) when Option.is_none m.Mirror.inst.substrate ->
+    | Some (m, initial) when Option.is_none m.Mirror.inst.substrate ->
         let tr =
           match s.track with
           | Some tr when tr.property == property && tr.fault = fault -> tr
           | Some _ | None ->
-              let tally = Run.Tally.create ~n:s.sut.n fault in
-              let restore_tally = Run.Tally.save tally in
-              let start () =
-                initial ();
-                restore_tally ()
-              in
+              (* its first savepoint is the start of a run: the
+                 initial instance with the track's fresh tally *)
+              let mirror = { m with Mirror.tally = Run.Tally.create ~n:s.sut.n fault } in
+              incr s.moves;
+              initial ();
               let tr =
                 {
                   fault;
                   property;
-                  mirror = { m with Mirror.tally };
+                  mirror;
                   schedule = Schedule.of_list ~n:s.sut.n [];
-                  points = [ (0, start) ];
+                  points = [ (0, Mirror.save mirror) ];
                 }
               in
               s.track <- Some tr;
@@ -509,16 +519,8 @@ module Session = struct
           | [] -> assert false
         in
         let on_exec (m : _ Mirror.m) consumed =
-          if Run.Tally.total_steps m.Mirror.tally mod savepoint_every = 0 then begin
-            let restore_store = Store.save m.Mirror.store and restore_m = m_save () in
-            let restore_tally = Run.Tally.save m.Mirror.tally in
-            let restore () =
-              restore_store ();
-              restore_m ();
-              restore_tally ()
-            in
-            tr.points <- (consumed, restore) :: tr.points
-          end
+          if Run.Tally.total_steps m.Mirror.tally mod savepoint_every = 0 then
+            tr.points <- (consumed, Mirror.save m) :: tr.points
         in
         Some (start, on_exec)
     | Some _ | None -> None
@@ -558,77 +560,16 @@ let report_of vt stats ~engine =
 
 (* -------------------------------------------------- observability *)
 
-type progress = {
-  wall : float;  (* seconds since exploration start *)
-  states : int;
-  replays : int;
-  replay_steps : int;
-  frontier : int;
-  fp_pruned : int;
-  sleep_pruned : int;
-  max_depth : int;
-  machine_steps : int;  (* snapshot engine's movement; 0 elsewhere *)
-  restores : int;
-}
-
-(* Periodic heartbeat: a wall-clock-gated callback plus a "heartbeat"
-   trace event, driven by worker 0. The gettimeofday check costs ~25 ns
-   per visited state — noise next to the work each state costs. *)
-type heartbeat = {
-  hb_interval : float;
-  mutable hb_last : float;
-  hb_cb : (progress -> unit) option;
-  hb_sink : Events.t;
-  hb_progress : unit -> progress;
-}
-
 let engine_sink obs =
   match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None
 
-let make_heartbeat ?on_progress ~interval obs progress =
-  let sink = Option.value (engine_sink obs) ~default:Events.nop in
-  if interval <= 0. then None
-  else if Option.is_none on_progress && not (Events.enabled sink) then None
-  else
-    Some
-      {
-        hb_interval = interval;
-        hb_last = Unix.gettimeofday ();
-        hb_cb = on_progress;
-        hb_sink = sink;
-        hb_progress = progress;
-      }
-
-let maybe_beat = function
-  | None -> ()
-  | Some hb ->
-      let now = Unix.gettimeofday () in
-      if now -. hb.hb_last >= hb.hb_interval then begin
-        hb.hb_last <- now;
-        let p = hb.hb_progress () in
-        (match hb.hb_cb with Some f -> f p | None -> ());
-        if Events.enabled hb.hb_sink then
-          Events.emit hb.hb_sink
-            ~args:
-              [
-                ("states", Json.Int p.states);
-                ("replay_steps", Json.Int p.replay_steps);
-                ("machine_steps", Json.Int p.machine_steps);
-                ("restores", Json.Int p.restores);
-                ("frontier", Json.Int p.frontier);
-                ("fp_pruned", Json.Int p.fp_pruned);
-                ("max_depth", Json.Int p.max_depth);
-              ]
-            ~cat:"explorer" "heartbeat"
-      end
-
-(* Add one worker's final stats to the explorer counters. The
-   counters are written from Budget's own meters, so the summed
-   metrics snapshot is numerically identical to the printed
-   [Budget.stats] — the acceptance contract of the metrics export. The
-   snapshot engine's machine steps and savepoint restores are not
-   replays/replay_steps (the stats record stays engine-agnostic); they
-   are exported as dedicated counters instead. *)
+(* Add the run's final stats to the explorer counters. The counters
+   are written from the stats the report prints, so the metrics
+   snapshot is numerically identical to them — the acceptance contract
+   of the metrics export. The snapshot engine's machine steps and
+   savepoint restores are not replays/replay_steps (the stats record
+   stays engine-agnostic); they are exported as dedicated counters
+   instead. *)
 let record_metrics obs ~engine (s : Budget.stats) =
   match obs with
   | None -> ()
@@ -695,7 +636,7 @@ type 'obs engine = {
   e_pool : Proc.t list Parallel.Pool.t;  (* frontier items: reverse prefixes *)
   e_fingerprints : Parallel.Shard_tbl.t;
   e_pending : int ref;  (* children this worker's snapshot recursion still owes *)
-  e_hb : heartbeat option;  (* worker 0's *)
+  e_tick : unit -> unit;  (* the progress heartbeat: worker 0's, a no-op elsewhere *)
   e_ev : Events.t option;  (* event sink, [None] when tracing is off *)
   e_worker : int;  (* worker id: its deque and event stamp *)
 }
@@ -999,21 +940,6 @@ let mc_step c p =
   ignore (Run.Tally.note_step tally p);
   c.mc_footprint ()
 
-let mc_save c =
-  let restore_store = Store.save c.mc.store in
-  let restore_m = c.mc_m.m_save () in
-  let restore_sub =
-    match c.mc.inst.substrate with
-    | Some s -> Setsync_runtime.Substrate.save s
-    | None -> fun () -> ()
-  in
-  let restore_tally = Run.Tally.save c.mc.tally in
-  fun () ->
-    restore_store ();
-    restore_m ();
-    restore_sub ();
-    restore_tally ()
-
 (* Movement metering: every machine step and savepoint restore is
    counted in the worker's meter — that feeds the live heartbeat, the
    final search summary and the movement metrics. In telemetry mode
@@ -1112,11 +1038,11 @@ let rec snapshot_visit eng c ~depth ~rev ~arrive_fp =
         (fun b ->
           decr pending;
           Budget.note_frontier meter (frontier_size eng);
-          maybe_beat eng.e_hb;
+          eng.e_tick ();
           if stopped eng then ()
           else if over eng.e_gauge then truncate_run eng
           else begin
-            let restore = mc_save c in
+            let restore = Mirror.save c.mc in
             let fp_b = mc_step_metered meter ~timed:config.telemetry c b in
             let rev' = b :: rev in
             if arrival_pruned config rev' ~prev:arrive_fp ~last:fp_b then
@@ -1201,27 +1127,20 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
     Parallel.Pool.create ?on_steal ~fifo:(config.strategy = Bfs) ~workers:domains ()
   in
   let verdicts = verdict_table properties in
-  (* Racy progress snapshot over the live worker meters: counts may be
-     mid-update, but each field is a single int read — good enough for
-     a heartbeat, never used for control. *)
-  let progress () =
-    let ss = Array.map Budget.stats meters in
-    let sum f = Array.fold_left (fun acc s -> acc + f s) 0 ss in
-    {
-      wall = Budget.wall_elapsed parent;
-      states = sum (fun s -> s.Budget.visited);
-      replays = sum (fun s -> s.Budget.replays);
-      replay_steps = sum (fun s -> s.Budget.replay_steps);
-      frontier =
-        Array.fold_left (fun acc p -> acc + !p) (Parallel.Pool.frontier_size pool) pending;
-      fp_pruned = sum (fun s -> s.Budget.pruned_fingerprint);
-      sleep_pruned = sum (fun s -> s.Budget.pruned_sleep);
-      max_depth = Array.fold_left (fun acc s -> max acc s.Budget.max_depth) 0 ss;
-      machine_steps = sum (fun s -> s.Budget.machine_steps);
-      restores = sum (fun s -> s.Budget.restores);
-    }
+  (* Worker 0 beats the heartbeat: the run's stats so far, summed over
+     the live worker meters (racy reads, never used for control) *)
+  let tick =
+    match (on_progress, engine_sink obs) with
+    | None, None -> fun () -> ()
+    | _, sink ->
+        Budget.heartbeat ~interval:progress_interval (fun () ->
+            let s = Budget.sum ~clock:parent meters in
+            Option.iter (fun f -> f s) on_progress;
+            Option.iter
+              (fun sink ->
+                Events.emit sink ~args:(Budget.stats_to_json s) ~cat:"explorer" "heartbeat")
+              sink)
   in
-  let hb = make_heartbeat ?on_progress ~interval:progress_interval obs progress in
   let fingerprints = Parallel.Shard_tbl.create () in
   let engines =
     Array.init domains (fun wid ->
@@ -1234,14 +1153,14 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
           e_pool = pool;
           e_fingerprints = fingerprints;
           e_pending = pending.(wid);
-          e_hb = (if wid = 0 then hb else None);
+          e_tick = (if wid = 0 then tick else fun () -> ());
           e_ev = engine_sink obs;
           e_worker = wid;
         })
   in
   let work wid rev_steps =
     let eng = engines.(wid) in
-    maybe_beat eng.e_hb;
+    eng.e_tick ();
     (* take first, then test: completing the space on exactly the
        budget is exhaustive, not truncated *)
     if over gauge then truncate_run eng
@@ -1255,11 +1174,9 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
   Budget.note_frontier meters.(0) 1;
   Parallel.Pool.run pool work;
   Option.iter (Metrics.incr ~by:(Array.fold_left ( + ) 0 steals)) steal_counter;
-  (* per-worker stats are recorded before the meters are folded into
-     the parent *)
-  Array.iter (fun m -> record_metrics obs ~engine:config.engine (Budget.stats m)) meters;
-  Array.iter (fun m -> Budget.absorb ~into:parent m) meters;
-  report_of verdicts (Budget.stats parent) ~engine:config.engine
+  let stats = Budget.sum ~clock:parent meters in
+  record_metrics obs ~engine:config.engine stats;
+  report_of verdicts stats ~engine:config.engine
 
 (* ----------------------------------------------------- search summary *)
 
@@ -1275,55 +1192,10 @@ let engine_name = function
    visited/pruned breakdown. Schema is versioned like the other JSON
    blocks so downstream readers can detect drift. *)
 let search_summary_to_json (r : report) =
-  let s = r.stats in
-  let row (d : Budget.depth_row) =
-    Json.Obj
-      [
-        ("depth", Json.Int d.Budget.dr_depth);
-        ("visited", Json.Int d.Budget.dr_visited);
-        ("fp_pruned", Json.Int d.Budget.dr_fp_pruned);
-        ("sleep_pruned", Json.Int d.Budget.dr_sleep_pruned);
-      ]
-  in
   Json.Obj
-    [
-      ("schema", Json.String "setsync-search-summary/1");
-      ("engine", Json.String (engine_name r.engine));
-      ("visited", Json.Int s.Budget.visited);
-      ("safety_checked", Json.Int s.Budget.safety_checked);
-      ("fp_pruned", Json.Int s.Budget.pruned_fingerprint);
-      ("sleep_pruned", Json.Int s.Budget.pruned_sleep);
-      ("replays", Json.Int s.Budget.replays);
-      ("replay_steps", Json.Int s.Budget.replay_steps);
-      ("machine_steps", Json.Int s.Budget.machine_steps);
-      ("restores", Json.Int s.Budget.restores);
-      ("machine_seconds", Json.Float s.Budget.machine_seconds);
-      ("restore_seconds", Json.Float s.Budget.restore_seconds);
-      ("max_depth", Json.Int s.Budget.max_depth);
-      ("frontier_peak", Json.Int s.Budget.frontier_peak);
-      ("truncated", Json.Bool s.Budget.truncated);
-      ("wall_seconds", Json.Float s.Budget.wall_seconds);
-      ("depth_profile", Json.List (List.map row s.Budget.depth_profile));
-    ]
-
-let pp_search_summary ppf (r : report) =
-  let s = r.stats in
-  Fmt.pf ppf "engine %s" (engine_name r.engine);
-  (match r.engine with
-  | Snapshot ->
-      Fmt.pf ppf ", machine %d steps, %d restores" s.Budget.machine_steps
-        s.Budget.restores;
-      if s.Budget.machine_seconds > 0. || s.Budget.restore_seconds > 0. then
-        Fmt.pf ppf " (%.3fs stepping, %.3fs restoring)" s.Budget.machine_seconds
-          s.Budget.restore_seconds
-  | Per_state | Path ->
-      Fmt.pf ppf ", replays %d/%d steps" s.Budget.replays s.Budget.replay_steps);
-  List.iter
-    (fun (d : Budget.depth_row) ->
-      Fmt.pf ppf "@.  depth %2d: visited %d, fp-pruned %d, commute-pruned %d"
-        d.Budget.dr_depth d.Budget.dr_visited d.Budget.dr_fp_pruned
-        d.Budget.dr_sleep_pruned)
-    s.Budget.depth_profile
+    (("schema", Json.String "setsync-search-summary/1")
+    :: ("engine", Json.String (engine_name r.engine))
+    :: Budget.stats_to_json r.stats)
 
 (* ----------------------------------------------------------- printing *)
 

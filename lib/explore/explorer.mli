@@ -217,28 +217,10 @@ type report = {
 (** One verdict per property, in the order given; plus the exploration
     report. *)
 
-type progress = {
-  wall : float;  (** seconds since exploration start *)
-  states : int;
-  replays : int;
-  replay_steps : int;
-  frontier : int;
-  fp_pruned : int;
-  sleep_pruned : int;
-  max_depth : int;
-  machine_steps : int;
-      (** snapshot engine's live movement counter; 0 under the replay
-          engines (whose movement is [replays]/[replay_steps]) *)
-  restores : int;  (** snapshot engine's savepoint restores; 0 elsewhere *)
-}
-(** Periodic progress snapshot (see [?on_progress] below). In parallel
-    explorations the counts are racy sums over the live worker meters —
-    monitoring only, never exact until the run ends. *)
-
 val explore :
   ?domains:int ->
   ?obs:Setsync_obs.Obs.t ->
-  ?on_progress:(progress -> unit) ->
+  ?on_progress:(Budget.stats -> unit) ->
   ?progress_interval:float ->
   sut:'obs sut ->
   properties:'obs state Property.t list ->
@@ -252,22 +234,28 @@ val explore :
     not resolve to the snapshot engine or on a sut without
     [m_payload].
 
-    [obs] opts the exploration into observability. Metrics (recorded at
-    the end of the run, from the same meters the report prints, so the
-    exported counters match {!Budget.stats} exactly): counters
+    [obs] opts the exploration into observability. Metrics (recorded
+    once at the end of the run, from the stats the report prints, so
+    the exported counters match {!Budget.stats} exactly): counters
     [explorer.states], [explorer.safety_checked], [explorer.fp_pruned],
     [explorer.sleep_pruned], [explorer.replays], [explorer.replay_steps],
-    [explorer.steals] (parallel only), gauges [explorer.max_depth] and
-    [explorer.frontier_peak]. Workers count in their own meters, which
-    are added to the registry after they have joined. When [obs]
-    carries a recording event sink, per-prefix events are emitted
-    (category ["explorer"]): ["replay"], ["expand"], ["fp_prune"],
-    ["sleep_prune"], ["steal"], and periodic ["heartbeat"] instants.
+    [explorer.machine_steps] and [explorer.restores] (snapshot engine
+    only), [explorer.steals] (parallel only), gauges
+    [explorer.max_depth] and [explorer.frontier_peak]. Workers count in
+    their own meters, which {!Budget.sum} merges after they have
+    joined. When [obs] carries a recording event sink, per-prefix
+    events are emitted (category ["explorer"]): ["replay"], ["expand"],
+    ["fp_prune"], ["sleep_prune"], ["steal"], and periodic
+    ["heartbeat"] instants whose args are the run's stats so far
+    ({!Budget.stats_to_json}, the members of {!search_summary_to_json}).
 
-    [on_progress] is called at most once per [progress_interval]
-    seconds (default 1.0; <= 0 disables) from worker 0's loop — the
-    CLI uses it to print a progress
-    line. Heartbeat events follow the same clock.
+    [on_progress] receives the run's stats so far, at most once per
+    [progress_interval] seconds (default 1.0; <= 0 disables), from
+    worker 0's loop — the CLI prints them with {!Budget.pp_counts}.
+    Heartbeat events follow the same clock. The live stats are
+    {!Budget.sum} over the worker meters while the workers run: in
+    parallel explorations each count is a racy read, for monitoring
+    only; the final report is exact.
 
     [domains] (default 1) is the size of the worker pool that runs
     every exploration: each worker owns a work-stealing deque of
@@ -438,12 +426,9 @@ val pp_report : report Fmt.t
 
 val search_summary_to_json : report -> Setsync_obs.Json.t
 (** Machine-readable search-telemetry block (schema
-    ["setsync-search-summary/1"]): the engine that ran,
-    engine-appropriate movement totals — [replays]/[replay_steps] for
-    the replay engines, [machine_steps]/[restores] (plus seconds when
-    the run had [telemetry]) for the snapshot engine — and the
-    per-depth visited/fp-pruned/commute-pruned profile. *)
-
-val pp_search_summary : report Fmt.t
-(** Human rendering of the same block: one header line with the
-    engine and its movement counters, then one line per depth. *)
+    ["setsync-search-summary/1"]): the engine that ran, then the
+    members of {!Budget.stats_to_json} — the counts, engine-appropriate
+    movement totals ([replays]/[replay_steps] for the replay engines,
+    [machine_steps]/[restores], plus seconds when the run had
+    [telemetry], for the snapshot engine) and the per-depth
+    visited/fp-pruned/commute-pruned profile. *)

@@ -111,7 +111,8 @@ let kanti_detector ~params ?initial_timeout () =
 type kset_obs = { decisions : int option array }
 
 let kset_agreement ~problem ~inputs ?initial_timeout () =
-  let n = (problem : Setsync_agreement.Problem.t).n in
+  let { Setsync_agreement.Problem.t; k; n } = problem in
+  if k > t then invalid_arg "Systems.kset_agreement: requires k <= t (use Trivial when t < k)";
   {
     Explorer.n;
     fresh =

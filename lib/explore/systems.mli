@@ -40,7 +40,8 @@ val kset_agreement :
   ?initial_timeout:int ->
   unit ->
   kset_obs Explorer.sut
-(** The Theorem 24 solver ({!Setsync_agreement.Kset_solver}; requires
-    [k <= t]). Same caveat as {!kanti_detector}: local Paxos state is
+(** The Theorem 24 solver ({!Setsync_agreement.Kset_solver}). Raises
+    [Invalid_argument] unless [k <= t], when called rather than when the
+    first instance is built. Same caveat as {!kanti_detector}: local Paxos state is
     not in the observation, so exhaustive runs should disable
     fingerprint pruning. *)

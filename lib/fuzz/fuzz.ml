@@ -38,13 +38,9 @@ type report = {
   seed : int;
 }
 
-type progress = {
-  wall : float;
-  execs : int;
-  execs_per_s : float;
-  corpus : int;
-  digests : int;
-}
+let execs_per_s r =
+  let wall = r.stats.Budget.wall_seconds in
+  if wall > 0. then float_of_int r.execs /. wall else 0.
 
 (* initial candidates executed before any mutation: a deterministic
    round-robin, contract-respecting adversarial schedules when
@@ -106,33 +102,36 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
   let emit name args =
     match sink with Some s -> Events.emit s ~args ~cat:"fuzz" name | None -> ()
   in
-  let hb_last = ref (Unix.gettimeofday ()) in
-  let snapshot () =
-    let wall = Budget.wall_elapsed meter in
+  (* the hunt's report as it stands: live in the heartbeat, final at
+     the end *)
+  let report () =
     {
-      wall;
+      outcome = !outcome;
       execs = !execs;
-      execs_per_s = (if wall > 0. then float_of_int !execs /. wall else 0.);
+      spurious = !spurious;
       corpus = Corpus.size corpus;
+      corpus_evictions = Corpus.evictions corpus;
+      corpus_rejections = Corpus.rejections corpus;
       digests = Corpus.digests corpus;
+      digest_evictions = Corpus.digest_evictions corpus;
+      stats = Budget.stats meter;
+      seed;
     }
   in
-  let maybe_beat () =
-    if progress_interval > 0. && (Option.is_some on_progress || sink <> None) then begin
-      let now = Unix.gettimeofday () in
-      if now -. !hb_last >= progress_interval then begin
-        hb_last := now;
-        let p = snapshot () in
-        (match on_progress with Some f -> f p | None -> ());
-        emit "heartbeat"
-          [
-            ("execs", Json.Int p.execs);
-            ("corpus", Json.Int p.corpus);
-            ("digests", Json.Int p.digests);
-            ("execs_per_s", Json.Float p.execs_per_s);
-          ]
-      end
-    end
+  let tick =
+    match (on_progress, sink) with
+    | None, None -> fun () -> ()
+    | _ ->
+        Budget.heartbeat ~interval:progress_interval (fun () ->
+            let r = report () in
+            Option.iter (fun f -> f r) on_progress;
+            emit "heartbeat"
+              [
+                ("execs", Json.Int r.execs);
+                ("corpus", Json.Int r.corpus);
+                ("digests", Json.Int r.digests);
+                ("execs_per_s", Json.Float (execs_per_s r));
+              ])
   in
   (* one execution: replay the candidate once, keying and
      safety-checking each interim state; stabilization checks on the
@@ -222,7 +221,7 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
   let init = ref (seeded @ initial_candidates ~env ~fault ~len rng) in
   let stop = ref false in
   while not !stop do
-    maybe_beat ();
+    tick ();
     if Budget.over meter then begin
       Budget.mark_truncated meter;
       stop := true
@@ -246,35 +245,24 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
       (match !outcome with Passed -> () | Violation _ -> stop := true)
     end
   done;
-  let stats = Budget.stats meter in
+  let r = report () in
   (match obs with
   | None -> ()
   | Some o ->
       let m = o.Obs.metrics in
       let c name v = Metrics.incr ~by:v (Metrics.counter m name) in
-      c "fuzz.execs" !execs;
-      c "fuzz.replay_steps" stats.Budget.replay_steps;
+      c "fuzz.execs" r.execs;
+      c "fuzz.replay_steps" r.stats.Budget.replay_steps;
       c "fuzz.novel" !novel_total;
       c "fuzz.corpus_adds" !corpus_adds;
-      c "fuzz.corpus_evictions" (Corpus.evictions corpus);
-      c "fuzz.corpus_rejections" (Corpus.rejections corpus);
-      c "fuzz.digest_evictions" (Corpus.digest_evictions corpus);
-      c "fuzz.spurious" !spurious;
-      c "fuzz.violations" (match !outcome with Passed -> 0 | Violation _ -> 1);
-      Metrics.set (Metrics.gauge m "fuzz.corpus") (float_of_int (Corpus.size corpus));
-      Metrics.set (Metrics.gauge m "fuzz.digests") (float_of_int (Corpus.digests corpus)));
-  {
-    outcome = !outcome;
-    execs = !execs;
-    spurious = !spurious;
-    corpus = Corpus.size corpus;
-    corpus_evictions = Corpus.evictions corpus;
-    corpus_rejections = Corpus.rejections corpus;
-    digests = Corpus.digests corpus;
-    digest_evictions = Corpus.digest_evictions corpus;
-    stats;
-    seed;
-  }
+      c "fuzz.corpus_evictions" r.corpus_evictions;
+      c "fuzz.corpus_rejections" r.corpus_rejections;
+      c "fuzz.digest_evictions" r.digest_evictions;
+      c "fuzz.spurious" r.spurious;
+      c "fuzz.violations" (match r.outcome with Passed -> 0 | Violation _ -> 1);
+      Metrics.set (Metrics.gauge m "fuzz.corpus") (float_of_int r.corpus);
+      Metrics.set (Metrics.gauge m "fuzz.digests") (float_of_int r.digests));
+  r
 
 (* ---------------------------------------------------------- printing *)
 

@@ -56,17 +56,9 @@ type report = {
   seed : int;
 }
 
-type progress = {
-  wall : float;
-  execs : int;
-  execs_per_s : float;
-  corpus : int;
-  digests : int;
-}
-
 val run :
   ?obs:Setsync_obs.Obs.t ->
-  ?on_progress:(progress -> unit) ->
+  ?on_progress:(report -> unit) ->
   ?progress_interval:float ->
   ?live:(Setsync_schedule.Proc.t -> bool) ->
   ?contracts:Setsync_schedule.Generators.timely_contract list ->
@@ -106,9 +98,17 @@ val run :
     [fuzz.digest_evictions], [fuzz.spurious], [fuzz.violations]; gauges
     [fuzz.corpus] and [fuzz.digests]. With a recording event sink,
     events (category ["fuzz"]): ["corpus_add"] per kept candidate,
-    ["violation"], and periodic ["heartbeat"] instants on the
-    [on_progress] clock ([progress_interval] seconds, default 1.0,
-    <= 0 disables). *)
+    ["violation"], and periodic ["heartbeat"] instants (args [execs],
+    [corpus], [digests], [execs_per_s]) on the [on_progress] clock.
+
+    [on_progress] receives the hunt's report as it stands, at most
+    once per [progress_interval] seconds (default 1.0; <= 0 disables):
+    the same builder makes the returned report, so a live report's
+    [outcome] is [Passed] and its counts only grow. *)
+
+val execs_per_s : report -> float
+(** Executions per wall-clock second of the report's stats ([0.] before
+    any time has passed). *)
 
 val pp_violation : violation Fmt.t
 (** The violation block the CLI prints — stable across runs of the

@@ -671,5 +671,3 @@ let save_jsonl t path =
 let save_chrome t path =
   let oc = open_out path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> write_chrome t oc)
-
-let pp_event ppf e = Json.pp ppf (event_to_json e)

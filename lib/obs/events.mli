@@ -131,5 +131,3 @@ val write_chrome : t -> out_channel -> unit
 
 val save_jsonl : t -> string -> unit
 val save_chrome : t -> string -> unit
-
-val pp_event : event Fmt.t

@@ -1908,6 +1908,144 @@ let test_golden_stats () =
     golden_stats
 
 (* ------------------------------------------------------------------ *)
+(* (m) live progress: the heartbeat hands out the run's own stats *)
+
+let progress_explore ?obs ~domains ~interval on_progress =
+  let problem = Setsync_agreement.Problem.make ~t:1 ~k:1 ~n:3 in
+  let inputs = Setsync_agreement.Problem.distinct_inputs problem in
+  let decisions st = st.Explorer.obs.Systems.decisions in
+  Explorer.explore ~domains ?obs ~on_progress ~progress_interval:interval
+    ~sut:(Systems.kset_agreement ~problem ~inputs ())
+    ~properties:[ Property.kset_agreement ~k:1 ~decisions ]
+    (Explorer.config ~prune_fingerprints:false ~depth:7 ())
+
+(* [visited] never decreases from one beat to the next and never
+   exceeds the final report's *)
+let check_live_visited label ~final seen =
+  ignore
+    (List.fold_left
+       (fun prev v ->
+         if v < prev then Alcotest.failf "%s: visited fell from %d to %d" label prev v;
+         if v > final then Alcotest.failf "%s: visited %d above the final %d" label v final;
+         v)
+       0 seen)
+
+let test_progress_on_progress () =
+  List.iter
+    (fun domains ->
+      let label = Printf.sprintf "domains=%d" domains in
+      let seen = ref [] in
+      let r =
+        progress_explore ~domains ~interval:1e-9 (fun s ->
+            seen := s.Budget.visited :: !seen)
+      in
+      let seen = List.rev !seen in
+      Alcotest.(check bool) (label ^ ": on_progress called") true (seen <> []);
+      check_live_visited label ~final:r.Explorer.stats.Budget.visited seen;
+      let calls = ref 0 in
+      ignore (progress_explore ~domains ~interval:0. (fun _ -> incr calls));
+      Alcotest.(check int) (label ^ ": interval 0 never calls") 0 !calls)
+    [ 1; 2 ]
+
+let test_progress_heartbeat_events () =
+  List.iter
+    (fun domains ->
+      let label = Printf.sprintf "domains=%d" domains in
+      let obs = Obs.create ~events:(Setsync_obs.Events.memory ()) () in
+      let r = progress_explore ~obs ~domains ~interval:1e-9 (fun _ -> ()) in
+      let seen =
+        List.filter_map
+          (fun (e : Setsync_obs.Events.event) ->
+            if e.name = "heartbeat" && e.cat = "explorer" then
+              match List.assoc_opt "visited" e.args with
+              | Some (Json.Int v) -> Some v
+              | _ -> Alcotest.failf "%s: heartbeat without an int visited arg" label
+            else None)
+          (Setsync_obs.Events.events obs.Obs.events)
+      in
+      Alcotest.(check bool) (label ^ ": heartbeat events emitted") true (seen <> []);
+      check_live_visited label ~final:r.Explorer.stats.Budget.visited seen)
+    [ 1; 2 ]
+
+let test_budget_heartbeat () =
+  let beats = ref 0 in
+  let beat () = incr beats in
+  List.iter
+    (fun interval ->
+      let tick = Budget.heartbeat ~interval beat in
+      for _ = 1 to 1000 do
+        tick ()
+      done)
+    [ 0.; -1.; Float.nan ];
+  Alcotest.(check int) "a non-positive interval never beats" 0 !beats;
+  let tick = Budget.heartbeat ~interval:3600. beat in
+  tick ();
+  Alcotest.(check int) "no beat before the interval" 0 !beats;
+  let tick = Budget.heartbeat ~interval:1e-6 beat in
+  Unix.sleepf 0.002;
+  tick ();
+  Alcotest.(check int) "one beat once the interval passed" 1 !beats
+
+let test_budget_sum () =
+  let clock = Budget.start Budget.unlimited in
+  Budget.note_state clock;
+  let a = Budget.start Budget.unlimited and b = Budget.start Budget.unlimited in
+  List.iter
+    (fun d ->
+      Budget.note_state a;
+      Budget.note_depth a d)
+    [ 0; 1 ];
+  Budget.note_fingerprint_prune ~depth:1 a;
+  Budget.note_replay a ~steps:5;
+  Budget.note_frontier a 3;
+  Budget.note_state b;
+  Budget.note_depth b 2;
+  Budget.note_safety_check b;
+  Budget.note_sleep_prune ~depth:2 b;
+  Budget.note_machine_step b;
+  Budget.note_restore b;
+  Budget.note_frontier b 5;
+  Budget.mark_truncated b;
+  let s = Budget.sum ~clock [| a; b |] in
+  Alcotest.(check (list int))
+    "counts added, high-water marks maxed, clock's counts left out"
+    [ 3; 1; 1; 1; 1; 5; 1; 1; 2; 5 ]
+    Budget.
+      [
+        s.visited;
+        s.safety_checked;
+        s.pruned_fingerprint;
+        s.pruned_sleep;
+        s.replays;
+        s.replay_steps;
+        s.machine_steps;
+        s.restores;
+        s.max_depth;
+        s.frontier_peak;
+      ];
+  Alcotest.(check bool) "truncated or-ed" true s.Budget.truncated;
+  Alcotest.(check (list (list int)))
+    "depth rows added"
+    [ [ 0; 1; 0; 0 ]; [ 1; 1; 1; 0 ]; [ 2; 1; 0; 1 ] ]
+    (List.map
+       (fun (r : Budget.depth_row) ->
+         [ r.Budget.dr_depth; r.dr_visited; r.dr_fp_pruned; r.dr_sleep_pruned ])
+       s.Budget.depth_profile);
+  Alcotest.(check bool)
+    "untruncated meters stay untruncated" false
+    (Budget.sum ~clock [| a |]).Budget.truncated
+
+let test_kset_refuses_k_above_t () =
+  let problem = Setsync_agreement.Problem.make ~t:1 ~k:2 ~n:3 in
+  Alcotest.check_raises "k > t refused when called"
+    (Invalid_argument "Systems.kset_agreement: requires k <= t (use Trivial when t < k)")
+    (fun () ->
+      ignore
+        (Systems.kset_agreement ~problem
+           ~inputs:(Setsync_agreement.Problem.distinct_inputs problem)
+           ()))
+
+(* ------------------------------------------------------------------ *)
 
 let () =
   Alcotest.run "setsync_explore"
@@ -2021,6 +2159,15 @@ let () =
           Alcotest.test_case "every counter, every engine, figure 2 and kset" `Quick
             test_golden_stats;
         ] );
+      ( "progress",
+        [
+          Alcotest.test_case "on_progress sees the run's stats (1 and 2 domains)" `Quick
+            test_progress_on_progress;
+          Alcotest.test_case "heartbeat events carry the run's stats" `Quick
+            test_progress_heartbeat_events;
+          Alcotest.test_case "Budget.heartbeat ticks" `Quick test_budget_heartbeat;
+          Alcotest.test_case "Budget.sum merges meters" `Quick test_budget_sum;
+        ] );
       ( "metrics scoping",
         [
           Alcotest.test_case "counters scoped to Obs" `Quick test_metrics_scoped_to_obs;
@@ -2040,5 +2187,7 @@ let () =
           Alcotest.test_case "store save/restore" `Quick test_store_save_restore;
           Alcotest.test_case "evaluate replays faithfully" `Quick
             test_evaluate_matches_replay;
+          Alcotest.test_case "kset_agreement refuses k > t when called" `Quick
+            test_kset_refuses_k_above_t;
         ] );
     ]

@@ -277,6 +277,36 @@ let test_seed_matters () =
   in
   Alcotest.(check bool) "digest counts differ across seeds" true (go 1 <> go 2)
 
+(* The live progress view is the hunt's report as it stands: it shows
+   [Passed] until the hunt ends (here, by finding the seeded bug), and
+   its exec count only grows, up to the final report's. *)
+let test_live_reports () =
+  let sut = Fuzz_systems.counter_core ~params:Fuzz_systems.default_params () in
+  let live = ref [] in
+  let final =
+    Fuzz.run ~progress_interval:1e-9
+      ~on_progress:(fun r -> live := r :: !live)
+      ~limits:(Budget.limits ~max_states:2_000 ())
+      ~sut
+      ~properties:[ Fuzz_systems.winner_argmin () ]
+      ~seed:42 ()
+  in
+  let live = List.rev !live in
+  Alcotest.(check bool) "on_progress called" true (live <> []);
+  (match final.Fuzz.outcome with
+  | Fuzz.Violation _ -> ()
+  | Fuzz.Passed -> Alcotest.fail "expected the hunt to find the seeded bug");
+  ignore
+    (List.fold_left
+       (fun prev (r : Fuzz.report) ->
+         if r.Fuzz.outcome <> Fuzz.Passed then Alcotest.fail "a live report shows a violation";
+         if r.Fuzz.execs < prev then
+           Alcotest.failf "live execs fell from %d to %d" prev r.Fuzz.execs;
+         if r.Fuzz.execs > final.Fuzz.execs then
+           Alcotest.failf "live execs %d above the final %d" r.Fuzz.execs final.Fuzz.execs;
+         r.Fuzz.execs)
+       0 live)
+
 (* ------------------------------------------------------------------ *)
 (* The acceptance hunt: with the documented seed (42) and budget, the
    fuzzer finds the planted argmin off-by-one, the shrunk
@@ -1148,6 +1178,8 @@ let () =
         [
           Alcotest.test_case "same seed, same report" `Quick test_seed_determinism;
           Alcotest.test_case "different seeds differ" `Quick test_seed_matters;
+          Alcotest.test_case "live reports grow toward the final one" `Quick
+            test_live_reports;
         ] );
       ( "hunt",
         [
