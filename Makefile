@@ -38,7 +38,7 @@ bench:
 bench-quick: ## E11 smoke run (small depth, exploration only)
 	dune exec bench/main.exe -- --quick
 
-bench-guard: ## pinned rows: the path-replay descent's exact counts on net CT against per-state (E11e), zero-replay snapshot runs against a per-state reference plus the symmetry reduction (E11f), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
+bench-guard: ## pinned rows: the path-replay descent's exact counts on net CT against per-state (E11e), zero-replay snapshot runs against a per-state reference plus the symmetry reduction (E11f), an exhaustive k-set check deep enough to decide (E11h), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
 	dune exec bin/bench_guard.exe -- BENCH_quick.json
 
 obs-check: ## traced explorations, per-state (replay events) and default (snapshot: machine steps); validate the emitted JSONL (byte-canonical lines)/Chrome/metrics files
@@ -139,7 +139,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> its JSONL validates (b
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run), explore --progress prints the run's counts ([Ns] visited ..., frontier peak F), unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets and k > t kset requests included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run), explore --progress prints the run's counts ([Ns] visited ..., frontier peak F) with the movement of the engine that ran from its first line, exact fingerprints visit the pinned count on a kset check, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets and k > t kset requests included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -157,12 +157,12 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	expect 1 explore --check kset --backend net -n 2 -t 1 -k 1 --depth 2 --engine snapshot; \
 	stderr_has "machine-form"; \
 	expect 0 explore --check kset --depth 2 --symmetry --fingerprints; \
-	expect 1 explore --check kset --depth 2 --symmetry --fingerprints --bfs; \
-	stderr_has "symmetry reduction requires the snapshot engine"; \
-	expect 1 explore --check kset --depth 2 --symmetry --fingerprints --max-replay-steps 1000; \
-	stderr_has "symmetry reduction requires the snapshot engine"; \
+	expect 0 explore --check kset --depth 2 --symmetry --fingerprints --bfs; \
+	expect 0 explore --check kset --depth 2 --symmetry --fingerprints --max-replay-steps 1000; \
 	expect 1 explore --check kset --backend net -n 2 -t 1 -k 1 --depth 2 --symmetry --fingerprints; \
-	stderr_has "symmetry reduction requires the snapshot engine"; \
+	stderr_has "symmetry reduction needs a sut with a symmetry payload"; \
+	expect 0 explore --check kset -n 3 -t 1 -k 1 --depth 12 --fingerprints; \
+	stdout_has "^visited 533 (fp-pruned "; \
 	expect 1 explore --check kset --depth 2 --engine snapshot --symmetry; \
 	stderr_has "add --fingerprints"; \
 	expect 1 explore --check kset --depth 2 --engine snapshot --bfs; \
@@ -182,6 +182,11 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stdout_has '"engine":"snapshot"'; \
 	expect 0 explore --check kset -n 3 -t 1 -k 1 --depth 7 --progress 0.000001; \
 	stderr_has '^\[ *[0-9.]*s\] visited [0-9]* (fp-pruned .*) .*, frontier peak [0-9]*$$'; \
+	if grep -q "replays" /tmp/setsync_ci_cli.err; then \
+	  echo "cli-smoke: a snapshot run's progress names replays"; cat /tmp/setsync_ci_cli.err; exit 1; fi; \
+	stderr_has '^\[ *[0-9.]*s\] visited 0 (.*) machine 0 steps, 0 restores,'; \
+	expect 0 explore --check kset -n 3 -t 1 -k 1 --depth 0; \
+	stdout_has '^visited 1 (.*) machine 0 steps, 0 restores, max depth 0'; \
 	expect 124 explore --check kset -t 1 -k 2 -n 3 --depth 8; stderr_has "k <= t"; \
 	expect 124 fuzz --sut kset -t 1 -k 2 -n 3 --execs 10; stderr_has "k <= t"; \
 	expect 124 solve --trace-out /nonexistent/x.jsonl; \

@@ -518,11 +518,12 @@ let e11_engines () =
    reconstruction is typed copy/restore, accounted separately as
    machine steps and restores. Part two checks a
    symmetric instance (equal inputs, so the admissible renaming group
-   is non-trivial) at depth 10 with canonical renaming-minimal
-   fingerprints: still exhaustive, and the visited-state count drops by
-   a pinned factor against the fp-off baseline. `make ci` pins
-   replay_steps = 0, engine equivalence, and a floor on the reduction
-   factor (bin/bench_guard.ml). *)
+   is non-trivial) at depth 10 with fingerprints keyed by the machine
+   payload, first under the identity alone and then minimised over the
+   renamings: still exhaustive, and the visited-state count drops by a
+   pinned factor against the fp-off baseline. `make ci` pins
+   replay_steps = 0, engine equivalence, a floor on the reduction
+   factor and sym <= plain <= fp-off (bin/bench_guard.ml). *)
 let e11_snapshot () =
   subsection "f. snapshot engine: zero replay steps; symmetry reduction (canonical fp)";
   Fmt.pr "  %-20s %-9s %-9s %-13s %-14s %-9s %s@." "instance" "engine" "visited"
@@ -593,18 +594,26 @@ let e11_snapshot () =
          ~depth ())
   in
   let r_full = run ~prune:false ~symmetry:false in
+  let r_plain = run ~prune:true ~symmetry:false in
   let r_sym = run ~prune:true ~symmetry:true in
   let v_full = r_full.Explorer.stats.Budget.visited in
+  let v_plain = r_plain.Explorer.stats.Budget.visited in
   let v_sym = r_sym.Explorer.stats.Budget.visited in
   let reduction = float_of_int v_full /. float_of_int (max 1 v_sym) in
-  let agree = same_verdicts r_full.Explorer.verdicts r_sym.Explorer.verdicts in
+  let agree =
+    same_verdicts r_full.Explorer.verdicts r_sym.Explorer.verdicts
+    && same_verdicts r_full.Explorer.verdicts r_plain.Explorer.verdicts
+  in
   let exhaustive =
-    (not r_full.Explorer.stats.Budget.truncated)
-    && not r_sym.Explorer.stats.Budget.truncated
+    List.for_all
+      (fun (r : Explorer.report) -> not r.Explorer.stats.Budget.truncated)
+      [ r_full; r_plain; r_sym ]
   in
   let instance = Fmt.str "t=1,k=1,n=%d @%d =in" n depth in
   Fmt.pr "  %-20s %-9s %-9d %-13d %-14s %-9s %s@." instance "snapshot" v_full
     r_full.Explorer.stats.Budget.replay_steps "-" "-" "fp off (exhaustive baseline)";
+  Fmt.pr "  %-20s %-9s %-9d %-13d %-14s %-9s %s@." instance "plain fp" v_plain
+    r_plain.Explorer.stats.Budget.replay_steps "-" "-" "payload fingerprints, no renaming";
   Fmt.pr "  %-20s %-9s %-9d %-13d %-14s %-9s %s@." instance "sym" v_sym
     r_sym.Explorer.stats.Budget.replay_steps "-" "-"
     (Fmt.str "%.2fx fewer states%s%s" reduction
@@ -616,11 +625,60 @@ let e11_snapshot () =
       ("n", Json.Int n);
       ("depth", Json.Int depth);
       ("visited_full", Json.Int v_full);
+      ("visited_plain", Json.Int v_plain);
       ("visited_sym", Json.Int v_sym);
       ("replay_steps", Json.Int r_sym.Explorer.stats.Budget.replay_steps);
       ("reduction", Json.Float reduction);
       ("equivalent", Json.Bool agree);
       ("exhaustive", Json.Bool exhaustive);
+    ]
+
+(* E11h: an explored k-set check that reaches decisions. The
+   Theorem-24 solver (t=1, k=1, n=3, distinct inputs) first decides at
+   depth 27, so every shallower check meets agreement and validity
+   only on states where nobody has decided. With exact fingerprints the
+   exhaustive check at depth 30 is cheap; the row counts the
+   safety-checked states in which some process had decided. `make ci`
+   pins the visited count and requires decisions, an exhaustive run
+   and clean verdicts (bin/bench_guard.ml). *)
+let e11_decided () =
+  let n = 3 and depth = 30 in
+  subsection
+    (Fmt.str "h. an explored k-set check past the first decision (t=1,k=1,n=%d @%d, fp on)" n
+       depth);
+  let problem = Problem.make ~t:1 ~k:1 ~n in
+  let inputs = Problem.distinct_inputs problem in
+  let decisions st = st.Explorer.obs.Explore_systems.decisions in
+  let decided = ref 0 in
+  let count_decided =
+    Property.safety ~name:"count decided" (fun st ->
+        if Array.exists Option.is_some (decisions st) then incr decided;
+        None)
+  in
+  let r =
+    Explorer.explore
+      ~sut:(Explore_systems.kset_agreement ~problem ~inputs ())
+      ~properties:
+        [
+          count_decided;
+          Property.kset_agreement ~k:1 ~decisions;
+          Property.validity ~inputs ~decisions;
+        ]
+      (Explorer.config ~depth ())
+  in
+  let s = r.Explorer.stats in
+  let ok = List.for_all (fun (_, v) -> v = Explorer.Ok_bounded) r.Explorer.verdicts in
+  Fmt.pr "%a@.  states with a decision: %d (%a)@." Explorer.pp_report r !decided
+    Budget.pp_times s;
+  Results.add "E11h"
+    [
+      ("n", Json.Int n);
+      ("depth", Json.Int depth);
+      ("visited", Json.Int s.Budget.visited);
+      ("decided", Json.Int !decided);
+      ("verdicts_ok", Json.Bool ok);
+      ("exhaustive", Json.Bool (not s.Budget.truncated));
+      ("wall_seconds", Json.Float s.Budget.wall_seconds);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -1101,6 +1159,7 @@ let quick () =
   e11_domains ~depth:8 ();
   e11_engines ();
   e11_snapshot ();
+  e11_decided ();
   f1_fuzz ();
   n1_net ~quick:true ();
   n1_trace_overhead ~quick:true ();
@@ -1125,6 +1184,7 @@ let () =
     e11_domains ();
     e11_engines ();
     e11_snapshot ();
+    e11_decided ();
     f1_fuzz ();
     n1_net ();
     n1_trace_overhead ();

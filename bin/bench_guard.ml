@@ -17,7 +17,14 @@
    replay, and on the symmetric
    equal-inputs instance (n=3, depth 10) the canonical-fingerprint
    symmetry reduction must stay exhaustive and shrink the visited-state
-   count by at least 20x against the fp-off baseline (measured 31.5x).
+   count by at least 20x against the fp-off baseline (measured 31.5x),
+   visiting no more than the plain payload fingerprints, which visit no
+   more than the fp-off run (measured 206 <= 341 <= 6,480).
+
+   The E11h row pins an explored k-set check that reaches decisions:
+   the exhaustive n=3 check at depth 30 with exact fingerprints visits
+   exactly 24,340 states, some of them with a decision (the solver
+   first decides at depth 27), and every verdict is ok.
 
    And the net backend's N1 quick row: the round-robin CT run
    (n=2, delta=1, gst=4) is fully deterministic, so its stabilization
@@ -165,8 +172,35 @@ let () =
       if reduction < min_reduction then
         fail "E11f symmetry: only %.2fx fewer visited states (need %.1fx)" reduction
           min_reduction;
+      (match (int row "visited_sym", int row "visited_plain", int row "visited_full") with
+      | Some sym, Some plain, Some full when sym <= plain && plain <= full -> ()
+      | Some sym, Some plain, Some full ->
+          fail
+            "E11f symmetry: visited sym %d, plain %d, fp-off %d (want sym <= plain <= fp-off)"
+            sym plain full
+      | _ -> fail "E11f symmetry: missing visited_sym/visited_plain/visited_full");
       Printf.printf "bench_guard: E11f symmetry ok (%.2fx fewer states, exhaustive)\n"
         reduction);
+  (* E11h row: a k-set check deep enough to decide *)
+  (match List.find_opt (fun row -> str row "section" = Some "E11h") rows with
+  | None -> fail "%s: no E11h row — did bench --quick change?" file
+  | Some row ->
+      let want = 24_340 in
+      (match int row "visited" with
+      | Some v when v = want -> ()
+      | Some v -> fail "E11h: visited %d, pinned at %d" v want
+      | None -> fail "E11h: missing visited");
+      let decided =
+        match int row "decided" with
+        | Some d when d > 0 -> d
+        | Some _ -> fail "E11h: no explored state has a decision"
+        | None -> fail "E11h: missing decided"
+      in
+      (match (Json.member "exhaustive" row, Json.member "verdicts_ok" row) with
+      | Some (Json.Bool true), Some (Json.Bool true) -> ()
+      | _ -> fail "E11h: run truncated or a verdict violated");
+      Printf.printf "bench_guard: E11h ok (visited %d, %d with a decision, exhaustive)\n" want
+        decided);
   (* F1 row: one seeded hunt, a pure function of its seed, so every
      search count is pinned exactly — a change to novelty, mutation or
      shrinking that alters the search fails here, not only in the test

@@ -20,9 +20,9 @@ open Setsync
    for usage errors.
    An [Invalid_argument] raised by the run itself is not caught: it
    stays an internal error, except the explorer's own request checks
-   ([Explorer.explore: ...]), which refuse flag combinations its
-   engine resolution cannot serve: [explore] exits 1 on those, like
-   its other flag gates. *)
+   ([Explorer.explore: ...]), which refuse flag combinations the
+   explorer cannot serve: [explore] exits 1 on those, like its other
+   flag gates. *)
 let usage_error fmt =
   Fmt.kstr
     (fun msg ->
@@ -610,12 +610,12 @@ let explore_cmd =
       & flag
       & info [ "fingerprints" ]
           ~doc:
-            "Enable fingerprint memoization for $(b,kset)/$(b,detector) (approximate: \
-             process-local state is not fingerprinted; the default for those checks is \
-             sleep-set reduction only, which is exact). With $(b,--backend net) the \
-             approximation is coarser still (channel contents are digested but local \
-             timers are not) and a warning is printed. Rejected with $(b,--check \
-             timeliness), which always runs without pruning.")
+            "Enable fingerprint memoization for $(b,kset)/$(b,detector) (the default for \
+             those checks is sleep-set reduction only). Exact on the shm systems: a \
+             state is keyed by its machine's full rendering, process-local state \
+             included. Approximate with $(b,--backend net), where channel contents are \
+             digested but local timers are not, and a warning is printed. Rejected with \
+             $(b,--check timeliness), which always runs without pruning.")
   in
   let domains_arg =
     Arg.(
@@ -651,7 +651,9 @@ let explore_cmd =
              (replay every state's prefix from scratch; the comparison baseline), or \
              $(b,snapshot) (typed copy/restore along the DFS spine — zero replay \
              steps; needs a machine-form shm system and a depth-first frontier, so it \
-             excludes $(b,--backend net), $(b,--bfs) and $(b,--check timeliness)).")
+             excludes $(b,--backend net), $(b,--bfs) and $(b,--check timeliness)). \
+             Every engine steps a shm system's machine form; fingerprints and \
+             $(b,--symmetry) key states the same way on each.")
   in
   let symmetry_arg =
     Arg.(
@@ -661,9 +663,8 @@ let explore_cmd =
           ~doc:
             "Process-renaming symmetry reduction: fingerprints are canonicalized over \
              the system's admissible renamings, so states equal up to renaming are \
-             explored once. Requires $(b,--fingerprints) and a run on the snapshot \
-             engine: the default on a depth-first shm check without \
-             $(b,--max-replay-steps), or $(b,--engine snapshot).")
+             explored once. Requires $(b,--fingerprints) and a shm system, whose \
+             machine form renders its state under a renaming; runs on every engine.")
   in
   let max_seconds_arg =
     Arg.(
@@ -743,11 +744,11 @@ let explore_cmd =
       | report -> report
       | exception Invalid_argument msg when String.starts_with ~prefix:"Explorer.explore:" msg
         ->
-          (* the explorer refuses a request its resolved engine cannot
-             serve (--engine snapshot under --bfs or on --backend net,
-             --symmetry on a run that is not on the snapshot engine)
-             before the run starts: an impossible flag combination,
-             reported like the gates above *)
+          (* the explorer refuses a request it cannot serve
+             (--engine snapshot under --bfs or on --backend net,
+             --symmetry on a system with nothing to rename) before the
+             run starts: an impossible flag combination, reported like
+             the gates above *)
           Fmt.epr "setsync: %s@." msg;
           exit 1
     in

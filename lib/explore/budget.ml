@@ -30,8 +30,12 @@ let limits ?max_states ?max_replay_steps ?max_seconds () =
    semantics only need approximate wall time. *)
 let now_wall = Unix.gettimeofday
 
+(* the movement an engine pays to reach a state *)
+type movement = Replays | Machine
+
 type t = {
   lim : limits;
+  movement : movement;
   started_cpu : float;
   started_wall : float;
   mutable visited : int;
@@ -48,7 +52,7 @@ type t = {
   mutable d_fp : int array;
   mutable d_sleep : int array;
   (* snapshot-engine movement: live machine steps / savepoint restores
-     (NOT replays; pp_stats prints whichever movement happened) *)
+     (NOT replays; pp_stats prints the meter's [movement]) *)
   mutable machine_steps : int;
   mutable restores : int;
   (* accumulated only when the caller times the movement (telemetry
@@ -58,9 +62,10 @@ type t = {
 }
 
 (* a meter with zero counts on the given clocks *)
-let zero lim ~cpu ~wall =
+let zero lim ~movement ~cpu ~wall =
   {
     lim;
+    movement;
     started_cpu = cpu;
     started_wall = wall;
     visited = 0;
@@ -81,7 +86,8 @@ let zero lim ~cpu ~wall =
     restore_seconds = 0.;
   }
 
-let start lim = zero lim ~cpu:(Sys.time ()) ~wall:(now_wall ())
+let start ?(movement = Replays) lim =
+  zero lim ~movement ~cpu:(Sys.time ()) ~wall:(now_wall ())
 
 (* grow-on-demand for the per-depth counter arrays *)
 let grown a d =
@@ -182,6 +188,7 @@ type depth_row = {
 }
 
 type stats = {
+  movement : movement;
   visited : int;
   safety_checked : int;
   pruned_fingerprint : int;
@@ -224,6 +231,7 @@ let depth_profile_of t =
 
 let stats (t : t) : stats =
   {
+    movement = t.movement;
     visited = t.visited;
     safety_checked = t.safety_checked;
     pruned_fingerprint = t.pruned_fingerprint;
@@ -243,7 +251,9 @@ let stats (t : t) : stats =
   }
 
 let sum ~clock meters =
-  let into = zero clock.lim ~cpu:clock.started_cpu ~wall:clock.started_wall in
+  let into =
+    zero clock.lim ~movement:clock.movement ~cpu:clock.started_cpu ~wall:clock.started_wall
+  in
   Array.iter (absorb ~into) meters;
   stats into
 
@@ -258,12 +268,10 @@ let heartbeat ~interval beat =
         beat ()
       end
 
-(* the movement of the engine that ran: machine steps and restores if
-   the snapshot engine moved, replays otherwise *)
 let pp_movement ppf s =
-  if s.machine_steps > 0 || s.restores > 0 then
-    Fmt.pf ppf "machine %d steps, %d restores" s.machine_steps s.restores
-  else Fmt.pf ppf "replays %d/%d steps" s.replays s.replay_steps
+  match s.movement with
+  | Machine -> Fmt.pf ppf "machine %d steps, %d restores" s.machine_steps s.restores
+  | Replays -> Fmt.pf ppf "replays %d/%d steps" s.replays s.replay_steps
 
 let pp_counts ppf s =
   Fmt.pf ppf

@@ -37,13 +37,19 @@ val limits :
     [max_seconds]): a negative budget would visit nothing and read as a
     clean bounded pass. *)
 
+type movement =
+  | Replays  (** the replay engines: [replays] and [replay_steps] *)
+  | Machine  (** the snapshot engine: [machine_steps] and [restores] *)
+(** The work an engine pays to reach a state, which the report prints. *)
+
 type t
 (** A running meter. Single-domain: share one meter per worker, never
     one meter across workers. *)
 
-val start : limits -> t
+val start : ?movement:movement -> limits -> t
 (** Starts both clocks (CPU via [Sys.time], wall via
-    [Unix.gettimeofday]). *)
+    [Unix.gettimeofday]). [movement] (default [Replays]) is the clause
+    {!pp_stats} prints. *)
 
 val over : t -> bool
 (** Some limit has been reached ([max_seconds] against the wall
@@ -119,6 +125,7 @@ type depth_row = {
 }
 
 type stats = {
+  movement : movement;  (** the meter's, or for {!sum} the clock's *)
   visited : int;
       (** states evaluated and property-checked (commutation-pruned
           replays are not visits) *)
@@ -188,10 +195,9 @@ val pp_counts : stats Fmt.t
 val pp_stats : stats Fmt.t
 (** One-line report, e.g.
     ["visited 4121 (fp-pruned 310, commute-pruned 988, safety-checked 5109) replays 5109/31880 steps, max depth 7, frontier peak 24, exhaustive"].
-    The movement clause is that of the engine that ran: when the stats
-    show machine movement ([machine_steps] or [restores] non-zero) it
+    The movement clause is the stats' [movement]: for [Machine] it
     reads ["machine 1155 steps, 1155 restores"] in place of the
-    replays. Deliberately omits the times so that reports of deterministic
+    replays, from the first progress line on. Deliberately omits the times so that reports of deterministic
     explorations print identically across runs; print {!pp_times}
     separately when the timing matters. *)
 

@@ -12,8 +12,9 @@ module Events = Setsync_obs.Events
 module Json = Setsync_obs.Json
 
 (* Machine form of a system: explicit-PC step functions over the same
-   store, for the snapshot engine (fiber continuations are one-shot
-   and cannot be copied into savepoints). *)
+   store. Every engine steps it where it exists; the snapshot engine
+   needs it (fiber continuations are one-shot and cannot be copied
+   into savepoints). *)
 type minstance = {
   m_step : Proc.t -> unit;
   m_halted : Proc.t -> bool;
@@ -118,10 +119,11 @@ let snapshot_of store (inst : _ instance) =
 
 (* One live instance and the tally of its run: registers and
    observation live in the instance, run bookkeeping (step counts,
-   halts, budget crashes) in the tally the executor advances — or, for
-   the snapshot engine's machine, that [mc_step] advances — so every
-   path can materialize an exact [state] at any point along its run.
-   Every state the explorer builds comes from [Mirror.state]. *)
+   halts, budget crashes) in the tally the executor — or the snapshot
+   engine's [advance] — moves, so every path can materialize an exact
+   [state] at any point along its run. The instance steps its machine
+   form when it has one and fibers otherwise. Every state the explorer
+   builds comes from [Mirror.state]. *)
 module Mirror = struct
   (* A session's memoizing renderer, which renders the instance as it is
      now, and the session's count of moves that can take the instance
@@ -133,7 +135,7 @@ module Mirror = struct
     store : Store.t;
     inst : 'obs instance;
     tally : Run.Tally.t;
-    machine : Executor.step option;  (* [None]: step [inst.body] as fibers *)
+    step : Executor.step;  (* the machine form's, or fibers over [inst.body] *)
     memo : memo option;  (* when a session built [store] *)
   }
 
@@ -147,22 +149,36 @@ module Mirror = struct
           (store, Some { render; moves })
       | None -> (Store.create ?hook (), None)
     in
-    { store; inst = sut.fresh ~store; tally; machine = None; memo }
-
-  let step m =
-    match m.machine with
-    | Some step -> step
-    | None -> Executor.fibers ~n:(Run.Tally.n m.tally) m.inst.body
+    let inst = sut.fresh ~store in
+    let step =
+      match inst.machine with
+      | Some mi ->
+          fun p ->
+            mi.m_step p;
+            mi.m_halted p
+      | None -> Executor.fibers ~n:sut.n inst.body
+    in
+    { store; inst; tally; step; memo }
 
   let replay m ?on_step ?stop schedule =
     Executor.replay_with ~n:(Run.Tally.n m.tally) ~schedule ~tally:m.tally
-      ?substrate:m.inst.substrate ?on_step ?stop (step m)
+      ?substrate:m.inst.substrate ?on_step ?stop m.step
 
   (* continue the run [m]'s tally records with the entries of
      [schedule]: [m] is a machine instance back at a savepoint *)
   let resume m ?on_step ?stop schedule =
     Executor.resume_with ~n:(Run.Tally.n m.tally) ~schedule ~tally:m.tally ?on_step ?stop
-      (step m)
+      m.step
+
+  (* one step of [p] at the tally's next global index, under the
+     executor's rules but outside its loop: the snapshot engine's move *)
+  let advance m p =
+    let t = m.tally in
+    (match m.inst.substrate with
+    | Some s -> Setsync_runtime.Substrate.pre_step s ~global:(Run.Tally.total_steps t) ~proc:p
+    | None -> ());
+    if m.step p then Run.Tally.halt t p;
+    ignore (Run.Tally.note_step t p)
 
   (* [requested]: the schedule whose replay reached this point (skipped
      entries included), when it is not simply the executed steps;
@@ -220,19 +236,6 @@ module Mirror = struct
       restore_sub ();
       restore_tally ()
 end
-
-(* Replay [schedule] against a fresh instance; returns the final state
-   and the footprints of the last two executed steps. *)
-let replay_instrumented ~sut ~fault schedule =
-  let hook, footprint = footprint_meter () in
-  let m = Mirror.make ~sut ~fault ~hook () in
-  let fp_prev = ref [] and fp_last = ref [] in
-  let on_step ~global:_ ~proc:_ =
-    fp_prev := !fp_last;
-    fp_last := footprint ()
-  in
-  let run = Mirror.replay m ~on_step schedule in
-  (Mirror.state ~requested:schedule ~reason:run.Run.reason m, !fp_prev, !fp_last)
 
 let evaluate ~sut ?(fault = Fault.no_faults) schedule =
   Mirror.final (Mirror.make ~sut ~fault ()) schedule
@@ -420,15 +423,8 @@ module Session = struct
   let create ~(sut : 'obs sut) =
     let moves = ref 0 in
     let m = Mirror.make ~sut ~fault:Fault.no_faults ~moves () in
-    match m.Mirror.inst.machine with
-    | None -> { sut; machine = None; current = m; track = None; moves }
-    | Some mi ->
-        let step p =
-          mi.m_step p;
-          mi.m_halted p
-        in
-        let m = { m with Mirror.machine = Some step } in
-        { sut; machine = Some (m, Mirror.save m); current = m; track = None; moves }
+    let machine = Option.map (fun _ -> (m, Mirror.save m)) m.Mirror.inst.machine in
+    { sut; machine; current = m; track = None; moves }
 
   let on_machine s = Option.is_some s.machine
 
@@ -635,6 +631,7 @@ type 'obs engine = {
   e_gauge : gauge;
   e_pool : Proc.t list Parallel.Pool.t;  (* frontier items: reverse prefixes *)
   e_fingerprints : Parallel.Shard_tbl.t;
+  e_perms : int array list;  (* the renaming group fingerprints are minimised over *)
   e_pending : int ref;  (* children this worker's snapshot recursion still owes *)
   e_tick : unit -> unit;  (* the progress heartbeat: worker 0's, a no-op elsewhere *)
   e_ev : Events.t option;  (* event sink, [None] when tracing is off *)
@@ -689,11 +686,48 @@ let enabled (run : Run.t) =
     (fun p -> not (Procset.mem p run.halted || Procset.mem p crashed))
     (Proc.all ~n:run.n)
 
-(* Visit a materialized state: count it, check safety everywhere and
-   stabilization at leaves, gate expansion on the fingerprint table.
-   Returns the children to explore (empty at a leaf or a fingerprint
-   prune). [fingerprint] defaults to {!digest}. *)
-let visit ?fingerprint eng (state : _ state) =
+(* The identity of the state [m] is at. On a machine form with a
+   payload it is the payload plus the run's marks — the halted and
+   crashed sets, and under a fault plan the per-process step counts,
+   which decide when the plan crashes a process (without one they are
+   drift that would block every merge) — minimised over the
+   exploration's renaming group: the identity alone, or the admissible
+   renamings under symmetry. Any other state keys on its [digest]. *)
+let fingerprint eng (m : _ Mirror.m) state =
+  match m.inst.machine with
+  | Some { m_payload = Some payload; _ } ->
+      let t = m.tally in
+      let n = Run.Tally.n t in
+      let key perm =
+        let halted = Bytes.make n '0' and crashed = Bytes.make n '0' in
+        let steps = Array.make n 0 in
+        for p = 0 to n - 1 do
+          if Run.Tally.halted t p then Bytes.set halted perm.(p) '1';
+          if Run.Tally.crashed t p then Bytes.set crashed perm.(p) '1';
+          steps.(perm.(p)) <- Run.Tally.steps t p
+        done;
+        let buf = Buffer.create 64 in
+        Buffer.add_string buf (payload ~perm);
+        Buffer.add_string buf "|h:";
+        Buffer.add_bytes buf halted;
+        Buffer.add_string buf "|c:";
+        Buffer.add_bytes buf crashed;
+        if eng.e_config.fault <> [] then begin
+          Buffer.add_string buf "|s:";
+          Array.iter (fun s -> Buffer.add_string buf (string_of_int s ^ ",")) steps
+        end;
+        Digest.string (Buffer.contents buf)
+      in
+      (match eng.e_perms with
+      | first :: rest -> List.fold_left (fun best perm -> min best (key perm)) (key first) rest
+      | [] -> invalid_arg "Explorer: empty renaming group")
+  | Some { m_payload = None; _ } | None -> digest ~sut:eng.e_sut state
+
+(* Visit a materialized state — the one [m] is at: count it, check
+   safety everywhere and stabilization at leaves, gate expansion on the
+   fingerprint table. Returns the children to explore (empty at a leaf
+   or a fingerprint prune). *)
+let visit eng m (state : _ state) =
   let config = eng.e_config and meter = eng.e_meter in
   let depth = state.depth in
   Budget.note_state meter;
@@ -703,8 +737,8 @@ let visit ?fingerprint eng (state : _ state) =
   record eng ~kind:Property.Safety state;
   let en = enabled state.run in
   let seen_before () =
-    let fp = match fingerprint with Some f -> f () | None -> digest ~sut:eng.e_sut state in
-    not (Parallel.Shard_tbl.check_and_record eng.e_fingerprints fp ~depth)
+    not
+      (Parallel.Shard_tbl.check_and_record eng.e_fingerprints (fingerprint eng m state) ~depth)
   in
   if depth >= config.depth || en = [] then begin
     record eng ~kind:Property.Stabilization state;
@@ -745,20 +779,27 @@ let push_children eng rev children =
 (* Per-state engine: replay one prefix from scratch and fold it into
    the exploration. *)
 let process_prefix eng rev_steps =
-  let state, fp_prev, fp_last =
-    replay_instrumented ~sut:eng.e_sut ~fault:eng.e_config.fault
-      (Schedule.of_list ~n:eng.e_sut.n (List.rev rev_steps))
+  let hook, footprint = footprint_meter () in
+  let m = Mirror.make ~sut:eng.e_sut ~fault:eng.e_config.fault ~hook () in
+  (* the footprints of the last two executed steps *)
+  let fp_prev = ref [] and fp_last = ref [] in
+  let on_step ~global:_ ~proc:_ =
+    fp_prev := !fp_last;
+    fp_last := footprint ()
   in
+  let schedule = Schedule.of_list ~n:eng.e_sut.n (List.rev rev_steps) in
+  let run = Mirror.replay m ~on_step schedule in
+  let state = Mirror.state ~requested:schedule ~reason:run.Run.reason m in
   let executed = Run.total_steps state.run in
   Budget.note_replay eng.e_meter ~steps:executed;
   ignore (Atomic.fetch_and_add eng.e_gauge.g_replay_steps executed);
   emit eng "replay" [ ("depth", Json.Int state.depth); ("steps", Json.Int executed) ];
-  if arrival_pruned eng.e_config rev_steps ~prev:fp_prev ~last:fp_last then
+  if arrival_pruned eng.e_config rev_steps ~prev:!fp_prev ~last:!fp_last then
     (* the replay is already paid for: hand the state over for the
        safety check *)
     commute_prune eng ~depth:state.depth (fun () -> state)
   else
-    match visit eng state with
+    match visit eng m state with
     | [] -> ()
     | children -> push_children eng rev_steps children
 
@@ -806,7 +847,7 @@ let process_descent eng rev_start =
     else if stopped eng then ()
     else if over_visit eng.e_gauge then Budget.mark_truncated meter
     else
-      match visit eng (Mirror.state m) with
+      match visit eng m (Mirror.state m) with
       | [] -> ()
       | c :: rest ->
           (* continue the run into the first (ascending) child; the
@@ -844,101 +885,65 @@ let process_descent eng rev_start =
   in
   if fixed = 0 then visit_here ();
   ignore
-    (Executor.run ~n ~source ~max_steps:max_int ~tally:m.tally ?substrate:m.inst.substrate
-       ~on_step m.inst.body);
+    (Executor.run_with ~n ~source ~max_steps:max_int ~tally:m.tally
+       ?substrate:m.inst.substrate ~on_step m.step);
   Budget.note_replay meter ~steps:0;
   let steps = Run.Tally.total_steps m.tally in
   emit eng "replay" [ ("depth", Json.Int steps); ("steps", Json.Int steps) ]
 
-let machine_of (inst : _ instance) =
-  match inst.machine with
-  | Some m -> m
-  | None ->
-      invalid_arg
-        "Explorer.explore: the snapshot engine needs a machine-form sut (instance.machine \
-         is None)"
-
 (* Check the arguments and resolve the engine; returns the config the
-   run uses. [Path] is the default request: it runs on the snapshot
-   engine wherever that engine applies — a machine-form system, a
-   depth-first search and no replay-step cap for it to ignore — on the
-   replay descent under the other depth-first searches, and on
-   per-state replay under [Bfs] (a breadth-first search has no descents
-   to amortize). Symmetry reduction needs the resolved engine to be
-   the snapshot one. Machine-form support is probed on a throwaway
-   instance, so errors surface on the calling domain, before any worker
+   run uses and the renaming group its fingerprints are minimised over.
+   [Path] is the default request: it runs on the snapshot engine
+   wherever that engine applies — a machine-form system, a depth-first
+   search and no replay-step cap for it to ignore — on the replay
+   descent under the other depth-first searches, and on per-state
+   replay under [Bfs] (a breadth-first search has no descents to
+   amortize). Symmetry reduction needs a payload to rename; its group
+   is the machine's renamings that fix the fault plan (budgets ∘ perm
+   = budgets). Machine-form support is probed on a throwaway instance,
+   so errors surface on the calling domain, before any worker
    spawns. *)
 let validate_explore ~sut config =
   if config.depth < 0 then invalid_arg "Explorer.explore: negative depth bound";
   Proc.check_n sut.n;
   Fault.validate ~n:sut.n config.fault;
-  let probe = lazy (sut.fresh ~store:(Store.create ())) in
+  let machine = lazy (sut.fresh ~store:(Store.create ())).machine in
   let config =
     match (config.engine, config.strategy) with
     | Path, Dfs
-      when config.limits.Budget.max_replay_steps = None
-           && Option.is_some (Lazy.force probe).machine ->
+      when config.limits.Budget.max_replay_steps = None && Option.is_some (Lazy.force machine)
+      ->
         { config with engine = Snapshot }
     | Path, Bfs -> { config with engine = Per_state }
     | (Per_state | Path | Snapshot), _ -> config
   in
-  if config.symmetry && config.engine <> Snapshot then
-    invalid_arg
-      "Explorer.explore: symmetry reduction requires the snapshot engine (a depth-first \
-       search of a machine-form sut with no replay-step cap)";
   if config.engine = Snapshot then begin
     if config.strategy <> Dfs then
       invalid_arg
         "Explorer.explore: the snapshot engine is depth-first only (its savepoint stack is \
          the DFS spine)";
-    let m = machine_of (Lazy.force probe) in
-    if config.symmetry && m.m_payload = None then
+    if Lazy.force machine = None then
       invalid_arg
-        "Explorer.explore: symmetry reduction needs a sut with a symmetry payload \
-         (machine.m_payload is None)"
+        "Explorer.explore: the snapshot engine needs a machine-form sut (instance.machine \
+         is None)"
   end;
-  config
-(* ---------------------------------------------- snapshot machinery *)
-
-(* One live machine-form instance plus its mirror: the snapshot engine
-   materializes every state on this single store/machine pair, moving
-   down by machine steps and back up by restoring savepoints — zero
-   executor replays, zero replay steps. *)
-type 'obs mctx = {
-  mc : 'obs Mirror.m;
-  mc_footprint : unit -> int list;
-  mc_m : minstance;
-  (* admissible renamings for symmetry: the machine's, restricted to
-     those fixing the fault plan (budgets ∘ perm = budgets) *)
-  mc_perms : int array list;
-}
-
-let mc_make ~(sut : 'obs sut) ~fault () =
-  let hook, footprint = footprint_meter () in
-  let mc = Mirror.make ~sut ~fault ~hook () in
-  let m = machine_of mc.inst in
-  let budget = Run.Tally.budget mc.tally in
   let perms =
-    List.filter
-      (fun perm ->
-        let ok = ref true in
-        Array.iteri (fun p q -> if budget q <> budget p then ok := false) perm;
-        !ok)
-      m.m_perms
+    if not config.symmetry then [ Array.init sut.n Fun.id ]
+    else
+      match Lazy.force machine with
+      | Some { m_payload = Some _; m_perms; _ } ->
+          let budget = Run.Tally.budget (Run.Tally.create ~n:sut.n config.fault) in
+          List.filter
+            (fun perm -> Array.for_all Fun.id (Array.mapi (fun p q -> budget q = budget p) perm))
+            m_perms
+      | Some { m_payload = None; _ } | None ->
+          invalid_arg
+            "Explorer.explore: symmetry reduction needs a sut with a symmetry payload (a \
+             machine form with m_payload)"
   in
-  { mc; mc_footprint = footprint; mc_m = m; mc_perms = perms }
+  (config, perms)
 
-(* one machine step of [p], at the tally's next global index; returns
-   the step's register footprint (same measurement as the replay path) *)
-let mc_step c p =
-  let tally = c.mc.tally in
-  (match c.mc.inst.substrate with
-  | Some s -> Setsync_runtime.Substrate.pre_step s ~global:(Run.Tally.total_steps tally) ~proc:p
-  | None -> ());
-  c.mc_m.m_step p;
-  if c.mc_m.m_halted p then Run.Tally.halt tally p;
-  ignore (Run.Tally.note_step tally p);
-  c.mc_footprint ()
+(* ---------------------------------------------- snapshot machinery *)
 
 (* Movement metering: every machine step and savepoint restore is
    counted in the worker's meter — that feeds the live heartbeat, the
@@ -946,18 +951,15 @@ let mc_step c p =
    ([config.telemetry]) the movement is also wall-timed; the untimed
    path adds only one counter increment per step, noise against the
    step itself, so the pinned snapshot benches are unperturbed. *)
-let mc_step_metered meter ~timed c p =
-  let fp =
-    if timed then begin
-      let t0 = Unix.gettimeofday () in
-      let fp = mc_step c p in
-      Budget.note_machine_seconds meter (Unix.gettimeofday () -. t0);
-      fp
-    end
-    else mc_step c p
-  in
-  Budget.note_machine_step meter;
-  fp
+let advance_metered eng m p =
+  let meter = eng.e_meter in
+  if eng.e_config.telemetry then begin
+    let t0 = Unix.gettimeofday () in
+    Mirror.advance m p;
+    Budget.note_machine_seconds meter (Unix.gettimeofday () -. t0)
+  end
+  else Mirror.advance m p;
+  Budget.note_machine_step meter
 
 let restore_metered meter ~timed restore =
   if timed then begin
@@ -968,66 +970,24 @@ let restore_metered meter ~timed restore =
   else restore ();
   Budget.note_restore meter
 
-(* Canonical fingerprint under the admissible renaming group: the
-   lexicographic minimum, over admissible perms, of the digest of the
-   renamed machine payload plus renamed run bookkeeping. Per-process
-   step counts only discriminate when a fault plan is active (they are
-   otherwise derivable drift that would block no merges but also
-   carries no safety information — and renaming them would demand
-   step-count equality between symmetric interleavings, killing every
-   merge). The identity perm is always admissible, so with a trivial
-   group this degenerates to plain (differently-keyed) fingerprinting. *)
-let mc_canonical_fp c ~fault =
-  let payload = Option.get c.mc_m.m_payload (* checked by [validate_explore] *) in
-  let tally = c.mc.tally in
-  let n = Run.Tally.n tally in
-  let rename_marks perm =
-    let buf = Buffer.create 64 in
-    let halted = Array.make n false in
-    let crashed = Array.make n false in
-    let steps = Array.make n 0 in
-    for p = 0 to n - 1 do
-      halted.(perm.(p)) <- Run.Tally.halted tally p;
-      crashed.(perm.(p)) <- Run.Tally.crashed tally p;
-      steps.(perm.(p)) <- Run.Tally.steps tally p
-    done;
-    Buffer.add_string buf "|h:";
-    Array.iter (fun h -> Buffer.add_char buf (if h then '1' else '0')) halted;
-    Buffer.add_string buf "|c:";
-    Array.iter (fun h -> Buffer.add_char buf (if h then '1' else '0')) crashed;
-    if fault <> [] then begin
-      Buffer.add_string buf "|s:";
-      Array.iter (fun s -> Buffer.add_string buf (string_of_int s ^ ",")) steps
-    end;
-    Buffer.contents buf
-  in
-  List.fold_left
-    (fun acc perm ->
-      let d = Digest.string (payload ~perm ^ rename_marks perm) in
-      match acc with Some best when best <= d -> acc | _ -> Some d)
-    None c.mc_perms
-  |> Option.get
-
-(* Recursive snapshot DFS below a materialized node. The node itself
-   is visited here through [visit]; above the split depth its children
-   become pool items (each take rebuilds its prefix by machine steps),
-   below it each enabled child is gated like a pool take ([stopped],
-   then [over] — take first, test second, so finishing on exactly the
-   budget stays exhaustive), stepped on the live machine, possibly
-   commutation-pruned (same arrival rule, with the pruned state already
-   materialized for safety checks), recursed into, and undone with a
-   savepoint restore — never a replay. *)
-let rec snapshot_visit eng c ~depth ~rev ~arrive_fp =
+(* Recursive snapshot DFS below a materialized node, on one live
+   machine instance [m] whose steps [footprint] measures. The node
+   itself is visited here through [visit]; above the split depth its
+   children become pool items (each take rebuilds its prefix by machine
+   steps), below it each enabled child is gated like a pool take
+   ([stopped], then [over] — take first, test second, so finishing on
+   exactly the budget stays exhaustive), stepped on the live machine,
+   possibly commutation-pruned (same arrival rule, with the pruned
+   state already materialized for safety checks), recursed into, and
+   undone with a savepoint restore — never a replay. *)
+let rec snapshot_visit eng m ~footprint ~depth ~rev ~arrive_fp =
   let config = eng.e_config and meter = eng.e_meter in
-  let fingerprint =
-    if config.symmetry then Some (fun () -> mc_canonical_fp c ~fault:config.fault) else None
-  in
   (* pool items stay shallow prefixes (split depth 2, matching the
      other engines' parallel grain), so below the split each worker
      owns a whole subtree on its private machine instance; a single
      worker has no one to share with and recurses from the root *)
   let split_depth = if Parallel.Pool.workers eng.e_pool > 1 then 2 else 0 in
-  match visit eng ?fingerprint (Mirror.state c.mc) with
+  match visit eng m (Mirror.state m) with
   | [] -> ()
   | children when depth < split_depth -> push_children eng rev children
   | children ->
@@ -1042,12 +1002,13 @@ let rec snapshot_visit eng c ~depth ~rev ~arrive_fp =
           if stopped eng then ()
           else if over eng.e_gauge then truncate_run eng
           else begin
-            let restore = Mirror.save c.mc in
-            let fp_b = mc_step_metered meter ~timed:config.telemetry c b in
+            let restore = Mirror.save m in
+            advance_metered eng m b;
+            let fp_b = footprint () in
             let rev' = b :: rev in
             if arrival_pruned config rev' ~prev:arrive_fp ~last:fp_b then
-              commute_prune eng ~depth:(depth + 1) (fun () -> Mirror.state c.mc)
-            else snapshot_visit eng c ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
+              commute_prune eng ~depth:(depth + 1) (fun () -> Mirror.state m)
+            else snapshot_visit eng m ~footprint ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
             restore_metered meter ~timed:config.telemetry restore
           end)
         children
@@ -1057,18 +1018,19 @@ let rec snapshot_visit eng c ~depth ~rev ~arrive_fp =
    replays — keeping the last two footprints for the arrival
    commutation check, then explore below it. *)
 let snapshot_take eng rev_steps =
-  let config = eng.e_config in
-  let c = mc_make ~sut:eng.e_sut ~fault:config.fault () in
+  let hook, footprint = footprint_meter () in
+  let m = Mirror.make ~sut:eng.e_sut ~fault:eng.e_config.fault ~hook () in
   let depth = List.length rev_steps in
   let fp_prev = ref [] and fp_last = ref [] in
   List.iter
     (fun p ->
+      advance_metered eng m p;
       fp_prev := !fp_last;
-      fp_last := mc_step_metered eng.e_meter ~timed:config.telemetry c p)
+      fp_last := footprint ())
     (List.rev rev_steps);
-  if arrival_pruned config rev_steps ~prev:!fp_prev ~last:!fp_last then
-    commute_prune eng ~depth (fun () -> Mirror.state c.mc)
-  else snapshot_visit eng c ~depth ~rev:rev_steps ~arrive_fp:!fp_last
+  if arrival_pruned eng.e_config rev_steps ~prev:!fp_prev ~last:!fp_last then
+    commute_prune eng ~depth (fun () -> Mirror.state m)
+  else snapshot_visit eng m ~footprint ~depth ~rev:rev_steps ~arrive_fp:!fp_last
 
 (* ----------------------------------------------------------- explore *)
 
@@ -1087,8 +1049,12 @@ let snapshot_take eng rev_steps =
 let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~properties
     config =
   if domains < 1 then invalid_arg "Explorer.explore: domains must be >= 1";
-  let config = validate_explore ~sut config in
-  let parent = Budget.start config.limits in
+  let config, perms = validate_explore ~sut config in
+  let parent =
+    Budget.start
+      ~movement:(if config.engine = Snapshot then Budget.Machine else Budget.Replays)
+      config.limits
+  in
   let meters = Array.init domains (fun _ -> Budget.start Budget.unlimited) in
   let pending = Array.init domains (fun _ -> ref 0) in
   let gauge =
@@ -1152,6 +1118,7 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
           e_gauge = gauge;
           e_pool = pool;
           e_fingerprints = fingerprints;
+          e_perms = perms;
           e_pending = pending.(wid);
           e_tick = (if wid = 0 then tick else fun () -> ());
           e_ev = engine_sink obs;

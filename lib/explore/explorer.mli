@@ -8,31 +8,36 @@
       reached, or every process halted/crashed).
 
     Three engines materialize the states ({!engine_kind}): [Per_state]
-    replays every prefix from scratch through
-    {!Setsync_runtime.Executor.replay}; [Path] replays once per
+    replays every prefix from scratch through the executor
+    ({!Setsync_runtime.Executor.replay_with}); [Path] replays once per
     depth-first descent and visits every interim state of that replay;
     [Snapshot] steps a machine-form instance ({!minstance}) down and
     restores typed savepoints on the way back up, with no replay at
     all. The default request, [Path], runs on [Snapshot] wherever that
-    engine applies. All three share one core: one live instance whose run
-    bookkeeping (halts, step counts, budget crashes) is the
+    engine applies. All three share one core: one live instance, which
+    steps its machine form when it has one and fibers otherwise, and
+    whose run bookkeeping (halts, step counts, budget crashes) is the
     {!Setsync_runtime.Run.Tally} the executor — or the snapshot
-    engine's machine step — advances, so every state is built the same
-    way; one footprint measurement, one visit routine (counting,
-    property checks, fingerprint gate), one commutation-prune routine
-    and one verdict table. With fingerprinting off their verdicts and
-    visited/pruned counts therefore agree (the cross-check and
-    golden-stats tests pin this); their movement accounting differs.
+    engine's single step — advances, so every state is built the same
+    way; one footprint measurement, one fingerprint, one visit routine
+    (counting, property checks, fingerprint gate), one
+    commutation-prune routine and one verdict table. Their verdicts
+    therefore agree, and so do their visited/pruned counts in a
+    one-domain depth-first search (the cross-check and golden-stats
+    tests pin this); their movement accounting differs.
 
     Two reductions keep the bounded space tractable:
 
-    - {b fingerprint memoization}: a digest of the register snapshot,
-      the halted/crashed sets, and the system's own observation
-      contribution; a state whose fingerprint was already seen at the
-      same or a shallower depth is not expanded. Sound exactly when
-      the fingerprint determines future behaviour — i.e. when
-      {!sut.obs_fingerprint} covers all process-local state not
-      reflected in registers (see DESIGN.md §6).
+    - {b fingerprint memoization}: a state whose fingerprint was
+      already seen at the same or a shallower depth is not expanded.
+      On a machine form with a payload ([m_payload]) the fingerprint
+      is the payload plus the halted/crashed marks (and the
+      per-process step counts under a fault plan): the machine's full
+      state, so pruning is exact. On any other sut it is {!digest}:
+      the register snapshot, the halted/crashed sets and
+      {!sut.obs_fingerprint}, sound exactly when [obs_fingerprint]
+      covers all process-local state not reflected in registers (see
+      DESIGN.md §8).
     - {b sleep-set-style commutation}: a prefix [σ·a·b] whose last two
       steps belong to different processes, touch disjoint register
       sets (the register ids each step reported to its store's access
@@ -58,19 +63,23 @@ type minstance = {
           thunk restores it. Register state is restored separately via
           {!Setsync_memory.Store.save}. *)
   m_payload : (perm:int array -> string) option;
-      (** deterministic rendering of the full machine state under a
-          process renaming, for symmetry-canonical fingerprints
-          ([None] = no symmetry support) *)
+      (** deterministic rendering of the full machine state — the
+          registers and every process's PC and locals — under a process
+          renaming: the state's fingerprint, under the identity or
+          minimised over [m_perms] with [symmetry] ([None] = fingerprint
+          by {!digest}, no symmetry support) *)
   m_perms : int array list;
       (** admissible process renamings (must contain the identity);
           the engine further restricts them to renamings fixing the
           fault plan *)
 }
 (** Machine form of a system: explicit-PC step functions over the same
-    store, required by the snapshot engine (fiber continuations are
-    one-shot and cannot be copied into savepoints). For Figure 2 and
-    the Theorem-24 solver ({!Systems}), [body] is the same step code
-    looped over {!Setsync_runtime.Machine.fiber}. *)
+    store. Every engine, {!evaluate}, {!trajectory},
+    {!check_schedule} and {!Session} step it where it exists; the
+    snapshot engine requires it (fiber continuations are one-shot and
+    cannot be copied into savepoints). For Figure 2 and the Theorem-24
+    solver ({!Systems}), [body] is the same step code looped over
+    {!Setsync_runtime.Machine.fiber}. *)
 
 type 'obs instance = {
   body : Setsync_schedule.Proc.t -> unit -> unit;  (** process code *)
@@ -87,8 +96,8 @@ type 'obs instance = {
   machine : minstance option;
       (** machine form over the same instance state ([None] = fiber
           only; the snapshot engine then refuses the sut). When
-          present, drive a given instance through [body] or the
-          machine, never both. *)
+          present, the explorer steps it and never [body]; a given
+          instance is driven through one of them, never both. *)
 }
 
 type 'obs sut = {
@@ -98,10 +107,11 @@ type 'obs sut = {
           [store] (the engine owns the store so it can trace register
           footprints and snapshot values) *)
   obs_fingerprint : 'obs -> string;
-      (** the observation's contribution to the state fingerprint.
-          Return [""] if the register snapshot already determines the
-          full state; include any process-local state otherwise, or
-          disable fingerprint pruning. *)
+      (** the observation's contribution to {!digest} (the fingerprint
+          of a sut without [m_payload]) and to {!Session.key}. Return
+          [""] if the register snapshot already determines the full
+          state; include any process-local state otherwise, or disable
+          fingerprint pruning. *)
 }
 
 type 'obs state = {
@@ -163,13 +173,13 @@ type config = {
   sleep_sets : bool;
   engine : engine_kind;
   symmetry : bool;
-      (** process-renaming symmetry reduction (snapshot engine only):
-          fingerprints are canonicalized to the lexicographic minimum
-          over the sut's admissible renaming group ([m_perms] ∩
-          fault-plan-fixing ∩ [m_payload] renderings), so symmetric
-          states merge in the fingerprint table. Soundness matches the
-          payload's fidelity — validated by the symmetry cross-check
-          tests (sym-on/off verdict equality). *)
+      (** process-renaming symmetry reduction, on every engine:
+          fingerprints are minimised over the sut's admissible renaming
+          group ([m_perms] ∩ fault-plan-fixing, computed once per
+          exploration) instead of the identity alone, so symmetric
+          states merge in the fingerprint table. Needs [m_payload].
+          Soundness matches the payload's fidelity — validated by the
+          symmetry cross-check tests (sym-on/off verdict equality). *)
   limits : Budget.limits;
   fault : Setsync_runtime.Fault.plan;
       (** crash plan applied to every replay (same schedule-space with
@@ -197,8 +207,7 @@ val config :
 (** Defaults: DFS, both reductions on, the [Path] request (the snapshot
     engine where it applies, see {!engine_kind}), symmetry off,
     unlimited budget, no faults, telemetry off. [~symmetry:true] is
-    checked by {!explore}: it needs a request that resolves to the
-    snapshot engine. *)
+    checked by {!explore}: it needs a sut with [m_payload]. *)
 
 type verdict =
   | Ok_bounded
@@ -228,10 +237,9 @@ val explore :
   report
 (** Exploration stops when the frontier empties, a budget limit fires
     (stats.truncated), or every property already has a counterexample.
-    A request the resolved engine cannot serve raises [Invalid_argument]
+    A request the explorer cannot serve raises [Invalid_argument]
     before any worker starts: the snapshot engine under [Bfs] or on a
-    sut without a machine form, or [symmetry] on a request that does
-    not resolve to the snapshot engine or on a sut without
+    sut without a machine form, or [symmetry] on a sut without
     [m_payload].
 
     [obs] opts the exploration into observability. Metrics (recorded
@@ -285,16 +293,16 @@ val evaluate :
   'obs state
 (** Replay one schedule against a fresh instance and return the final
     state (the counterexample-reproduction entry point: the schedule is
-    driven through [Executor.replay] exactly as during exploration). *)
+    driven through the executor exactly as during exploration, on the
+    machine form where there is one). *)
 
 val digest : sut:'obs sut -> 'obs state -> string
-(** The state's fingerprint digest — the same function the explorer's
-    fingerprint memoization uses (register snapshot + halted/crashed
-    sets + [sut.obs_fingerprint]). Exposed so the fuzzer can rank
-    corpus entries by novelty against exploration-equivalent
-    fingerprints. Same approximation caveat as pruning: the digest
-    determines future behaviour only when [obs_fingerprint] covers all
-    process-local state. *)
+(** A digest of the register snapshot, the halted/crashed sets and
+    [sut.obs_fingerprint]: the explorer's fingerprint for a sut without
+    [m_payload] (a machine form keys on its payload), and what
+    {!Session.key} equals up to hash collisions. It determines future
+    behaviour only when [obs_fingerprint] covers all process-local
+    state. *)
 
 val trajectory :
   sut:'obs sut ->
@@ -353,12 +361,9 @@ val check_schedule :
     builds one instance and takes its initial savepoint
     ({!Setsync_memory.Store.save}, [m_save], substrate save). Every run
     then restores that savepoint, takes a fresh
-    {!Setsync_runtime.Run.Tally} and steps the machine through
-    {!Setsync_runtime.Executor.replay_with}, under the same skip, stall,
-    all-halted and stop rules as a fiber replay. Runs agree with
-    {!trajectory} and {!check_schedule} state for state (digests and
-    run records) exactly when the machine form agrees with the fiber
-    form — which the library's machine forms do by construction.
+    {!Setsync_runtime.Run.Tally} and steps the machine, as
+    {!trajectory} and {!check_schedule} do on a fresh instance, so runs
+    agree with them state for state (digests and run records).
 
     Without a machine form each run builds a fresh instance and steps
     fibers, as {!trajectory} and {!check_schedule} do.

@@ -26,11 +26,9 @@ val kanti_detector :
   detector_obs Explorer.sut
 (** The Figure 2 k-anti-Ω detector, one {!Setsync_detector.Kanti_omega}
     process per fiber. The observation exposes what
-    {!Property.anti_omega_stabilized} needs. The observation does not
-    capture every process-local variable (timers, accusation arrays,
-    loop position), so fingerprint pruning over this system is an
-    approximation — explore with [prune_fingerprints = false] when the
-    run must be exhaustive. *)
+    {!Property.anti_omega_stabilized} needs. Its machine form's payload
+    renders every process-local variable (timers, accusation arrays,
+    loop position), so fingerprint pruning over this system is exact. *)
 
 type kset_obs = { decisions : int option array }
 
@@ -42,6 +40,6 @@ val kset_agreement :
   kset_obs Explorer.sut
 (** The Theorem 24 solver ({!Setsync_agreement.Kset_solver}). Raises
     [Invalid_argument] unless [k <= t], when called rather than when the
-    first instance is built. Same caveat as {!kanti_detector}: local Paxos state is
-    not in the observation, so exhaustive runs should disable
-    fingerprint pruning. *)
+    first instance is built. As for {!kanti_detector}, the payload
+    renders the local Paxos state too, so fingerprint pruning is
+    exact. *)

@@ -4,9 +4,9 @@
     The fuzzer drives the same [sut]/{!Setsync_explore.Property}
     abstractions as the bounded explorer, but instead of enumerating
     the prefix tree it executes whole random schedules and mutates the
-    interesting ones: each execution's trajectory is digested with the
-    explorer's fingerprint ({!Setsync_explore.Explorer.digest}), a
-    candidate that reached unseen digests joins the {!Corpus}, and
+    interesting ones: each state of an execution's trajectory gets a
+    novelty key ({!Setsync_explore.Explorer.Session.key}), a
+    candidate that reached unseen keys joins the {!Corpus}, and
     {!Mutate} perturbs corpus picks (structural moves, crash-point
     shifts, contract-preserving suffix regeneration). Safety
     properties are probed along every trajectory in a single replay

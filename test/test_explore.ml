@@ -1266,10 +1266,7 @@ let test_symmetry_double_writer () =
     ((stats_of on_).Budget.visited < (stats_of off).Budget.visited);
   Alcotest.(check int) "zero replay steps" 0 (stats_of on_).Budget.replay_steps
 
-(* soundness only: with symmetry off the plain fingerprint keys on the
-   (approximate) observation while the canonical fingerprint keys on
-   the exact machine payload, so the visited counts are incomparable
-   by construction — what must agree is the verdict set *)
+(* soundness: symmetry on and off give the same verdict set *)
 let test_symmetry_detector () =
   let params = { Setsync_detector.Kanti_omega.n = 3; t = 2; k = 2 } in
   let properties =
@@ -1312,36 +1309,50 @@ let test_symmetry_kset () =
     "same violated set" (violated_names off) (violated_names on_);
   Alcotest.(check int) "zero replay steps" 0 (stats_of on_).Budget.replay_steps
 
-(* symmetry follows the engine resolution: the default request takes
-   it where it resolves to the snapshot engine, and every request that
-   resolves elsewhere is refused before the run *)
-let test_symmetry_requires_snapshot () =
+(* symmetry is a property of the fingerprint, not of an engine: every
+   engine of a machine-form sut takes it, with the same verdicts, and
+   the depth-first ones visit the same states; a sut with no payload to
+   rename is refused before the run *)
+let test_symmetry_any_engine () =
   let params = { Setsync_detector.Kanti_omega.n = 2; t = 1; k = 1 } in
-  let machine_sut = Systems.kanti_detector ~params () in
-  let machineless =
-    let (sut : _ Explorer.sut) = Systems.kanti_detector ~params () in
-    {
-      sut with
-      Explorer.fresh = (fun ~store -> { (sut.Explorer.fresh ~store) with machine = None });
-    }
+  let mk_sut () = Systems.kanti_detector ~params () in
+  let properties =
+    [
+      Property.anti_omega_stabilized ~k:1
+        ~outputs:(fun st -> st.Explorer.obs.Systems.fd_outputs)
+        ~correct:(fun st -> Run.correct st.Explorer.run);
+    ]
   in
-  let explore ?strategy ?(limits = Budget.unlimited) sut =
-    Explorer.explore ~sut ~properties:[]
-      (Explorer.config ?strategy ~limits ~symmetry:true ~depth:3 ())
+  let explore ?strategy ?engine ?(limits = Budget.unlimited) sut =
+    Explorer.explore ~sut ~properties
+      (Explorer.config ?strategy ?engine ~limits ~symmetry:true ~depth:8 ())
   in
+  let reference = explore (mk_sut ()) in
   Alcotest.(check bool) "default request runs on snapshot" true
-    ((explore machine_sut).Explorer.engine = Explorer.Snapshot);
-  let refused run =
-    match run () with
-    | exception Invalid_argument msg ->
-        Alcotest.(check bool) msg true
-          (String.starts_with
-             ~prefix:"Explorer.explore: symmetry reduction requires the snapshot engine" msg)
-    | _ -> Alcotest.fail "symmetry accepted off the snapshot engine"
-  in
-  refused (fun () -> explore machineless);
-  refused (fun () -> explore ~strategy:Explorer.Bfs machine_sut);
-  refused (fun () -> explore ~limits:(Budget.limits ~max_replay_steps:1000 ()) machine_sut)
+    (reference.Explorer.engine = Explorer.Snapshot);
+  List.iter
+    (fun (label, engine, depth_first, (r : Explorer.report)) ->
+      Alcotest.(check bool) (label ^ ": engine") true (r.Explorer.engine = engine);
+      Alcotest.(check (list string))
+        (label ^ ": verdicts") (violated_names reference) (violated_names r);
+      if depth_first then
+        Alcotest.(check int) (label ^ ": visited") (stats_of reference).Budget.visited
+          (stats_of r).Budget.visited)
+    [
+      ("per-state", Explorer.Per_state, true, explore ~engine:Explorer.Per_state (mk_sut ()));
+      ("bfs", Explorer.Per_state, false, explore ~strategy:Explorer.Bfs (mk_sut ()));
+      ( "replay-capped descent",
+        Explorer.Path,
+        true,
+        explore ~limits:(Budget.limits ~max_replay_steps:1_000_000 ()) (mk_sut ()) );
+    ];
+  match explore (fiber_only mk_sut ()) with
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool) msg true
+        (String.starts_with
+           ~prefix:"Explorer.explore: symmetry reduction needs a sut with a symmetry payload"
+           msg)
+  | _ -> Alcotest.fail "symmetry accepted on a sut without a payload"
 
 let test_snapshot_requires_machine () =
   (* a sut without a machine form must be refused up front *)
@@ -1366,6 +1377,157 @@ let test_snapshot_requires_machine () =
             (Explorer.config ~engine:Explorer.Snapshot ~depth:2 ()));
        false
      with Invalid_argument _ -> true)
+
+(* ------------------------------------------------------------------ *)
+(* (h'') exact state identity: a machine form's state is its payload *)
+
+let kset_sut ~n ~inputs =
+  let problem = Setsync_agreement.Problem.make ~t:1 ~k:1 ~n in
+  let inputs =
+    match inputs with
+    | `Distinct -> Setsync_agreement.Problem.distinct_inputs problem
+    | `Equal v -> Array.make n v
+  in
+  let decisions st = st.Explorer.obs.Systems.decisions in
+  ( Systems.kset_agreement ~problem ~inputs (),
+    [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ] )
+
+let detector_sut ~n =
+  ( Systems.kanti_detector ~params:{ Setsync_detector.Kanti_omega.n; t = 1; k = 1 } (),
+    [
+      Property.anti_omega_stabilized ~k:1
+        ~outputs:(fun st -> st.Explorer.obs.Systems.fd_outputs)
+        ~correct:(fun st -> Run.correct st.Explorer.run);
+    ] )
+
+(* [sut] with its machine form wrapped: the initial state and every
+   machine step add the state they reach — the identity rendering of
+   the full payload plus the halted marks — to [reached]. [shown] is
+   the payload the explorer fingerprints. *)
+let recording ?(shown = Fun.id) reached (sut : _ Explorer.sut) =
+  let fresh ~store =
+    let inst = sut.Explorer.fresh ~store in
+    let m = Option.get inst.Explorer.machine in
+    let payload = Option.get m.Explorer.m_payload in
+    let identity = Array.init sut.Explorer.n Fun.id in
+    let note () =
+      let halted = String.init sut.Explorer.n (fun q -> if m.m_halted q then '1' else '0') in
+      Hashtbl.replace reached (payload ~perm:identity ^ "|h:" ^ halted) ()
+    in
+    note ();
+    let m_step p =
+      m.Explorer.m_step p;
+      note ()
+    in
+    let m_payload = Some (fun ~perm -> shown (payload ~perm)) in
+    { inst with Explorer.machine = Some { m with Explorer.m_step; m_payload } }
+  in
+  { sut with Explorer.fresh }
+
+let reached_set ?shown ?engine ~reductions ~depth (sut, properties) =
+  let reached = Hashtbl.create 1024 in
+  let r =
+    Explorer.explore ~sut:(recording ?shown reached sut) ~properties
+      (Explorer.config ?engine ~prune_fingerprints:reductions ~sleep_sets:reductions ~depth ())
+  in
+  Alcotest.(check bool) "exhaustive" false (stats_of r).Budget.truncated;
+  (List.sort compare (List.of_seq (Hashtbl.to_seq_keys reached)), violated_names r)
+
+(* Pruning is exact when it loses no state: the states reached with
+   fingerprints and sleep sets on (visited, fingerprint-pruned and
+   commutation-pruned ones alike) are the states reached with both off,
+   on the snapshot engine and on per-state replay. A fingerprint that
+   forgets half the payload merges states with different futures, and
+   the check catches it while the verdicts stay equal. *)
+let test_reachable_sets () =
+  let cross_check label mk depth =
+    let full, verdicts = reached_set ~reductions:false ~depth (mk ()) in
+    List.iter
+      (fun engine ->
+        let got, got_verdicts = reached_set ~engine ~reductions:true ~depth (mk ()) in
+        Alcotest.(check (list string)) (label ^ ": verdicts") verdicts got_verdicts;
+        Alcotest.(check int) (label ^ ": states reached") (List.length full) (List.length got);
+        Alcotest.(check bool) (label ^ ": same states") true (full = got))
+      [ Explorer.Snapshot; Explorer.Per_state ]
+  in
+  List.iter
+    (fun (n, depth) ->
+      cross_check (Printf.sprintf "kset n=%d @%d" n depth)
+        (fun () -> kset_sut ~n ~inputs:`Distinct)
+        depth)
+    [ (2, 10); (2, 12); (3, 8); (3, 10) ];
+  List.iter
+    (fun (n, depth) ->
+      cross_check (Printf.sprintf "detector n=%d @%d" n depth) (fun () -> detector_sut ~n) depth)
+    [ (2, 10); (2, 12); (3, 9) ];
+  let half p = String.sub p 0 (String.length p / 2) in
+  let full, verdicts = reached_set ~reductions:false ~depth:10 (kset_sut ~n:2 ~inputs:`Distinct) in
+  let got, got_verdicts =
+    reached_set ~shown:half ~reductions:true ~depth:10 (kset_sut ~n:2 ~inputs:`Distinct)
+  in
+  Alcotest.(check (list string)) "half payload: verdicts" verdicts got_verdicts;
+  Alcotest.(check bool) "half payload: states lost" true (List.length got < List.length full)
+
+let nobody_decided =
+  Property.safety ~name:"nobody decided" (fun st ->
+      if Array.exists Option.is_some st.Explorer.obs.Systems.decisions then
+        Some "a process decided"
+      else None)
+
+(* The Theorem-24 solver (t=1, k=1, distinct inputs) first decides at
+   depth 17 for n=2 and 27 for n=3: with fingerprints on, a check one
+   step deeper reaches a decision, so agreement and validity are
+   checked on states where someone decided, not vacuously. *)
+let test_kset_decides () =
+  List.iter
+    (fun (n, first) ->
+      let sut, properties = kset_sut ~n ~inputs:`Distinct in
+      let r =
+        Explorer.explore ~sut ~properties:(nobody_decided :: properties)
+          (Explorer.config ~depth:(first + 1) ())
+      in
+      let label = Printf.sprintf "n=%d @%d" n (first + 1) in
+      (match List.assoc "nobody decided" r.Explorer.verdicts with
+      | Explorer.Violated { schedule; _ } ->
+          Alcotest.(check int) (label ^ ": first decision") first (Schedule.length schedule)
+      | Explorer.Ok_bounded -> Alcotest.failf "%s: nobody decided" label);
+      Alcotest.(check (list string))
+        (label ^ ": agreement and validity hold") [ "nobody decided" ] (violated_names r))
+    [ (2, 17); (3, 27) ]
+
+(* exact fingerprints visit the same states on every depth-first engine
+   and breadth-first *)
+let test_exact_counts () =
+  let counts label (sut, properties) ~depth ?(symmetry = false) visited configs =
+    List.iter
+      (fun (engine_label, strategy, engine, limits) ->
+        let r =
+          Explorer.explore ~sut ~properties
+            (Explorer.config ?strategy ?engine ?limits ~symmetry ~depth ())
+        in
+        Alcotest.(check int)
+          (Printf.sprintf "%s, %s: visited" label engine_label)
+          visited (stats_of r).Budget.visited;
+        Alcotest.(check (list string)) (label ^ ": verdicts") [] (violated_names r))
+      configs
+  in
+  counts "kset n=3 @12" (kset_sut ~n:3 ~inputs:`Distinct) ~depth:12 533
+    [
+      ("snapshot", None, None, None);
+      ("per-state", None, Some Explorer.Per_state, None);
+      ("bfs", Some Explorer.Bfs, None, None);
+    ];
+  counts "detector n=3 @13" (detector_sut ~n:3) ~depth:13 650 [ ("snapshot", None, None, None) ];
+  counts "kset n=3 @10 equal inputs, symmetry" (kset_sut ~n:3 ~inputs:(`Equal 7)) ~depth:10
+    ~symmetry:true 206
+    [
+      ("snapshot", None, None, None);
+      ("per-state", None, Some Explorer.Per_state, None);
+      ( "replay-capped descent",
+        None,
+        None,
+        Some (Budget.limits ~max_replay_steps:10_000_000 ()) );
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* (i) budget boundary semantics: "budget of k means at most k" *)
@@ -1752,12 +1914,22 @@ let test_evaluate_matches_replay () =
    parallel rows run with fingerprints off, where counts are
    deterministic. On the machine-form systems [Path] resolves to the
    snapshot engine, so the path-replay descent is pinned on the
-   detector's machine-less copy, "detector (fibers)". *)
+   detector's machine-less copy, "detector (fibers)". Every engine
+   steps a machine form where there is one, so the per-state rows of
+   the solver's machine-less copy, "kset (fibers)", are what keeps an
+   exhaustive fiber ≡ machine check on it: their counts equal the
+   machine rows'. With fingerprints on, a machine form's state is its
+   payload: the plain-fingerprint rows visit what the symmetry rows do
+   on these instances, whose admissible renamings are the identity
+   alone. *)
 let golden_stats =
   [
     ( "detector", Explorer.Per_state, 1, true, false,
-      [ 3; 2; 0; 0; 3; 2; 0; 0 ],
-      [ [ 0; 1; 0; 0 ]; [ 1; 2; 2; 0 ] ] );
+      [ 49; 3; 24; 0; 73; 408; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 1; 0 ]; [ 3; 4; 0; 2 ]; [ 4; 6; 1; 2 ];
+        [ 5; 6; 0; 4 ]; [ 6; 8; 1; 4 ]; [ 7; 8; 0; 6 ]; [ 8; 10; 0; 6 ];
+      ] );
     ( "detector", Explorer.Per_state, 1, false, false,
       [ 135; 0; 44; 0; 179; 1138; 0; 0 ],
       [
@@ -1783,8 +1955,11 @@ let golden_stats =
         [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
       ] );
     ( "detector", Explorer.Snapshot, 1, true, false,
-      [ 3; 2; 0; 0; 0; 0; 2; 2 ],
-      [ [ 0; 1; 0; 0 ]; [ 1; 2; 2; 0 ] ] );
+      [ 49; 3; 24; 0; 0; 0; 72; 72 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 1; 0 ]; [ 3; 4; 0; 2 ]; [ 4; 6; 1; 2 ];
+        [ 5; 6; 0; 4 ]; [ 6; 8; 1; 4 ]; [ 7; 8; 0; 6 ]; [ 8; 10; 0; 6 ];
+      ] );
     ( "detector", Explorer.Snapshot, 1, false, false,
       [ 135; 0; 44; 0; 0; 0; 178; 178 ],
       [
@@ -1804,8 +1979,11 @@ let golden_stats =
         [ 5; 6; 0; 4 ]; [ 6; 8; 1; 4 ]; [ 7; 8; 0; 6 ]; [ 8; 10; 0; 6 ];
       ] );
     ( "kset", Explorer.Per_state, 1, true, false,
-      [ 4; 3; 0; 4; 4; 3; 0; 0 ],
-      [ [ 0; 1; 0; 0 ]; [ 1; 3; 3; 0 ] ] );
+      [ 60; 10; 28; 88; 88; 337; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 3; 0 ]; [ 3; 11; 2; 6 ]; [ 4; 17; 5; 8 ];
+        [ 5; 19; 0; 14 ];
+      ] );
     ( "kset", Explorer.Per_state, 1, false, false,
       [ 154; 0; 50; 204; 204; 868; 0; 0 ],
       [
@@ -1818,9 +1996,24 @@ let golden_stats =
         [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
         [ 5; 80; 0; 29 ];
       ] );
+    ( "kset (fibers)", Explorer.Per_state, 1, false, false,
+      [ 154; 0; 50; 204; 204; 868; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
+        [ 5; 80; 0; 29 ];
+      ] );
+    ( "kset (fibers)", Explorer.Per_state, 2, false, false,
+      [ 154; 0; 50; 204; 204; 868; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
+        [ 5; 80; 0; 29 ];
+      ] );
     ( "kset", Explorer.Snapshot, 1, true, false,
-      [ 4; 3; 0; 4; 0; 0; 3; 3 ],
-      [ [ 0; 1; 0; 0 ]; [ 1; 3; 3; 0 ] ] );
+      [ 60; 10; 28; 88; 0; 0; 87; 87 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 3; 0 ]; [ 3; 11; 2; 6 ]; [ 4; 17; 5; 8 ];
+        [ 5; 19; 0; 14 ];
+      ] );
     ( "kset", Explorer.Snapshot, 1, false, false,
       [ 154; 0; 50; 204; 0; 0; 203; 203 ],
       [
@@ -1859,13 +2052,14 @@ let golden_explore system =
   | _ ->
       let problem = Setsync_agreement.Problem.make ~t:1 ~k:1 ~n:3 in
       let inputs = Setsync_agreement.Problem.distinct_inputs problem in
+      let mk_sut () = Systems.kset_agreement ~problem ~inputs () in
+      let mk_sut = if system = "kset" then mk_sut else fiber_only mk_sut in
       let decisions st = st.Explorer.obs.Systems.decisions in
       let properties =
         [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
       in
       fun ~domains config ->
-        Explorer.explore ~domains ~sut:(Systems.kset_agreement ~problem ~inputs ())
-          ~properties
+        Explorer.explore ~domains ~sut:(mk_sut ()) ~properties
           (config ~depth:5 ~fault:[ (2, 2) ])
 
 let test_golden_stats () =
@@ -2138,10 +2332,15 @@ let () =
             test_symmetry_kset;
           Alcotest.test_case "asymmetric fault degenerates group" `Quick
             test_symmetry_respects_fault;
-          Alcotest.test_case "requires snapshot engine" `Quick
-            test_symmetry_requires_snapshot;
+          Alcotest.test_case "any engine, needs a payload" `Quick test_symmetry_any_engine;
           Alcotest.test_case "snapshot requires machine form" `Quick
             test_snapshot_requires_machine;
+        ] );
+      ( "exact identity",
+        [
+          Alcotest.test_case "reduced runs reach every state" `Quick test_reachable_sets;
+          Alcotest.test_case "explored kset checks decide" `Quick test_kset_decides;
+          Alcotest.test_case "same visited on every engine" `Quick test_exact_counts;
         ] );
       ( "budget boundaries",
         [
