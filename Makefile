@@ -62,7 +62,7 @@ obs-check: ## traced explorations, per-state (replay events) and default (snapsh
 	  --require expand,sleep_prune \
 	  --require-counter explorer.states --require-counter explorer.machine_steps
 
-fuzz-smoke: ## fixed-seed fuzz runs: the seeded-bug SUT must be found (exit 2) and its --repro replay must print the same report apart from the time: line, at --len 96 and at --len 384 (a 176-step found prefix, so runs view a tally buffer that keeps growing); the faithful control and the Theorem-24 solver (one live machine instance per hunt) must pass (exit 0)
+fuzz-smoke: ## fixed-seed fuzz runs: the seeded-bug SUT must be found (exit 2) and its --repro replay must print the same report apart from the time: line, at --len 96 and at --len 384 (a 176-step found prefix, so runs view a tally buffer that keeps growing); the faithful control and the Theorem-24 solver (one live machine instance per hunt) must pass (exit 0); a net k-set hunt (fresh instances per run) must pass, print the same report under --repro, and see exactly 10192 distinct states, so novelty keys that depend on the process or merge states fail
 	dune exec bin/setsync_cli.exe -- fuzz --sut seeded-bug --seed 42 --execs 2000 --len 96 \
 	  >/tmp/setsync_ci_fuzz.out; \
 	  status=$$?; cat /tmp/setsync_ci_fuzz.out; \
@@ -100,6 +100,24 @@ fuzz-smoke: ## fixed-seed fuzz runs: the seeded-bug SUT must be found (exit 2) a
 	  echo "fuzz-smoke: long --repro 42 printed a different report"; exit 1; }
 	dune exec bin/setsync_cli.exe -- fuzz --sut fixed -n 3 -t 2 -k 1 --seed 42 --execs 200 \
 	  --len 384
+	dune exec bin/setsync_cli.exe -- fuzz --backend net --sut kset -n 3 -t 1 -k 1 --gst 0 \
+	  --execs 300 --seed 7 >/tmp/setsync_ci_fuzz_net.out; \
+	  status=$$?; cat /tmp/setsync_ci_fuzz_net.out; \
+	  if [ $$status -ne 0 ]; then \
+	    echo "fuzz-smoke: net kset hunt expected exit 0, got $$status"; exit 1; \
+	  fi
+	dune exec bin/setsync_cli.exe -- fuzz --backend net --sut kset -n 3 -t 1 -k 1 --gst 0 \
+	  --execs 300 --repro 7 >/tmp/setsync_ci_fuzz_net_repro.out; \
+	  status=$$?; \
+	  if [ $$status -ne 0 ]; then \
+	    echo "fuzz-smoke: net kset --repro expected exit 0, got $$status"; exit 1; \
+	  fi
+	grep -v '^time:' /tmp/setsync_ci_fuzz_net.out >/tmp/setsync_ci_fuzz_net.cmp
+	grep -v '^time:' /tmp/setsync_ci_fuzz_net_repro.out >/tmp/setsync_ci_fuzz_net_repro.cmp
+	diff /tmp/setsync_ci_fuzz_net.cmp /tmp/setsync_ci_fuzz_net_repro.cmp || { \
+	  echo "fuzz-smoke: net kset --repro 7 printed a different report"; exit 1; }
+	grep -q '10192 distinct digests' /tmp/setsync_ci_fuzz_net.out || { \
+	  echo "fuzz-smoke: net kset hunt no longer sees 10192 distinct digests"; exit 1; }
 
 net-smoke: ## net backend gate: bounded exploration passes, BRS fuzz finds the k-set violation, traced CT run and traced batched/per-op solves validate
 	dune exec bin/setsync_cli.exe -- explore --backend net --check detector \
@@ -139,7 +157,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> its JSONL validates (b
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run), explore --progress prints the run's counts ([Ns] visited ..., frontier peak F) with the movement of the engine that ran from its first line, exact fingerprints visit the pinned count on a kset check, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets and k > t kset requests included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, a net k-set violation prints its reason on one line, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run), explore --progress prints the run's counts ([Ns] visited ..., frontier peak F) with the movement of the engine that ran from its first line, exact fingerprints visit the pinned count on a kset check, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets and k > t kset requests included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -208,6 +226,8 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	expect 124 fuzz --len=0; stderr_has "setsync: --len must be >= 1"; \
 	expect 0 fuzz -n 8 --execs 30 --seed 1; stdout_has "no violation found"; \
 	stderr_has "warning: the hunt saw 1 distinct state: --len 96 is likely too short for n=8"; \
+	expect 2 fuzz --sut kset --backend net -n 3 -t 1 -k 1; \
+	stdout_has '^  reason: 2 distinct values decided (0, 10), at most 1 allowed$$'; \
 	expect 124 explore --backend net -n 1; stderr_has "setsync: Adversary.brs_kset"; \
 	expect 124 solve --backend net --solver paxos -n 2 -t 1 -k 1 --delta 0; \
 	stderr_has "setsync: Adversary.make: delta"; \

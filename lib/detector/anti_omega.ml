@@ -35,7 +35,7 @@ let validate ~n ~t ~k ~crashed ~total_steps ?(margin = 0) ~outputs () =
     if missing <> [] then
       Violated
         (Fmt.str "no sampled output for correct process(es) %a"
-           (Fmt.list ~sep:Fmt.comma Proc.pp)
+           Fmt.(list ~sep:(any ", ") Proc.pp)
            (List.map fst missing))
     else if bad_size then Violated (Fmt.str "some output does not have size n - k = %d" (n - k))
     else begin

@@ -125,29 +125,24 @@ let snapshot_of store (inst : _ instance) =
    form when it has one and fibers otherwise. Every state the explorer
    builds comes from [Mirror.state]. *)
 module Mirror = struct
-  (* A session's memoizing renderer, which renders the instance as it is
-     now, and the session's count of moves that can take the instance
-     back or elsewhere (a new run, a savepoint restore). A state stays
-     current while that count and its tally's step count stand still. *)
-  type memo = { render : unit -> (string * string) list; moves : int ref }
-
   type 'obs m = {
     store : Store.t;
     inst : 'obs instance;
     tally : Run.Tally.t;
     step : Executor.step;  (* the machine form's, or fibers over [inst.body] *)
-    memo : memo option;  (* when a session built [store] *)
+    moves : int ref option;
+        (* when a session built [store]: the session's count of moves
+           that can take the instance back or elsewhere (a new run, a
+           savepoint restore). A state stays current while that count
+           and its tally's step count stand still. *)
   }
 
-  (* [moves]: the count of the session building the mirror, if any *)
   let make ~(sut : 'obs sut) ~fault ?hook ?moves () =
     let tally = Run.Tally.create ~n:sut.n fault in
-    let store, memo =
+    let store =
       match moves with
-      | Some moves ->
-          let store, render = Store.memoized ?hook () in
-          (store, Some { render; moves })
-      | None -> (Store.create ?hook (), None)
+      | Some _ -> Store.memoized ?hook ()
+      | None -> Store.create ?hook ()
     in
     let inst = sut.fresh ~store in
     let step =
@@ -158,7 +153,7 @@ module Mirror = struct
             mi.m_halted p
       | None -> Executor.fibers ~n:sut.n inst.body
     in
-    { store; inst; tally; step; memo }
+    { store; inst; tally; step; moves }
 
   let replay m ?on_step ?stop schedule =
     Executor.replay_with ~n:(Run.Tally.n m.tally) ~schedule ~tally:m.tally
@@ -197,17 +192,15 @@ module Mirror = struct
     let run = Run.Tally.freeze t reason in
     let prefix = Option.value requested ~default:run.Run.taken in
     let snapshot =
-      match m.memo with
+      match m.moves with
       | None -> Lazy.from_val (snapshot_of m.store m.inst)
-      | Some { render; moves } ->
+      | Some moves ->
           (* rendered on demand, from the instance as it is then *)
           let at = !moves and total = Run.Tally.total_steps t in
           lazy
             (if !moves <> at || Run.Tally.total_steps t <> total then
                invalid_arg "Explorer.Session: snapshot of a state the session has moved past";
-             match m.inst.substrate with
-             | None -> render ()
-             | Some s -> render () @ Setsync_runtime.Substrate.snapshot s)
+             snapshot_of m.store m.inst)
     in
     { depth = Schedule.length prefix; prefix; run; snapshot; obs = m.inst.observe () }
 
@@ -392,8 +385,8 @@ let trajectory ~sut ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule 
    tally and steps the machine under the executor's rules. Without
    one, each run builds a fresh instance and steps fibers, exactly as
    [trajectory] and [check_schedule] do. Either way the instance lives
-   in a memoized store, so a state re-renders only the registers whose
-   value changed, and its novelty key folds their cached hashes. *)
+   in a memoized store, so a state's novelty key re-hashes only the
+   registers whose value changed. *)
 module Session = struct
   (* Savepoints along the last schedule a safety check probed, for one
      (fault plan, property). Each is taken right after an executed step
@@ -453,13 +446,13 @@ module Session = struct
       | None -> h
       | Some sub ->
           List.fold_left
-            (fun h e -> mix h (Store.entry_hash e))
+            (fun h e -> mix h (Store.hash e))
             h
             (Setsync_runtime.Substrate.snapshot sub)
     in
     let bits set = Procset.fold (fun p acc -> acc lor (1 lsl p)) set 0 in
     let h = mix (mix h (bits st.run.Run.halted)) (bits (Run.crashed st.run)) in
-    mix h (Store.entry_hash ("obs", s.sut.obs_fingerprint st.obs))
+    mix h (Store.hash st.obs)
 
   (* a savepoint every this many executed steps of a probed run *)
   let savepoint_every = 16

@@ -108,10 +108,12 @@ type 'obs sut = {
           footprints and snapshot values) *)
   obs_fingerprint : 'obs -> string;
       (** the observation's contribution to {!digest} (the fingerprint
-          of a sut without [m_payload]) and to {!Session.key}. Return
-          [""] if the register snapshot already determines the full
-          state; include any process-local state otherwise, or disable
-          fingerprint pruning. *)
+          of a sut without [m_payload]). Return [""] if the register
+          snapshot already determines the full state; include any
+          process-local state otherwise, or disable fingerprint
+          pruning. {!Session.key} hashes the observation itself, so it
+          splits states where [digest] does only when this renders
+          every field of the observation. *)
 }
 
 type 'obs state = {
@@ -369,9 +371,9 @@ val check_schedule :
     fibers, as {!trajectory} and {!check_schedule} do.
 
     Either way the instance lives in a
-    {!Setsync_memory.Store.memoized} store: a state re-renders only the
-    registers whose value changed, and {!Session.key} gives each state
-    an integer novelty key from the cells' cached hashes.
+    {!Setsync_memory.Store.memoized} store, so {!Session.key} gives
+    each state an integer novelty key that re-hashes only the registers
+    whose value changed.
 
     A session is single-domain mutable state: one per domain. *)
 module Session : sig
@@ -395,14 +397,21 @@ module Session : sig
   (** The novelty key of a state of the session's latest run, read
       while the instance is still at that state: inside [on_state], or
       on a trajectory's final state before the next run. It covers what
-      {!digest} reads — the registers ({!Setsync_memory.Store.key}), the
-      substrate snapshot when there is one, the halted and crashed sets
-      of the state's [run], and a hash of [sut.obs_fingerprint] — so two
-      states get equal keys iff they get equal digests, up to 60-bit
-      hash collisions. It costs O(registers) physical comparisons, a
-      render and a hash per register whose value changed, and the
-      observation's fingerprint — no [Buffer] or MD5 over the whole
-      state. *)
+      {!digest} reads, hashing values rather than their renderings
+      ({!Setsync_memory.Store.hash}): the registers
+      ({!Setsync_memory.Store.key}), the substrate snapshot when there
+      is one, the halted and crashed sets of the state's [run], and the
+      observation. Two states get equal keys iff they get equal
+      digests, up to 60-bit hash collisions, when every register's hash
+      tells values apart exactly as its printer does and
+      [sut.obs_fingerprint] renders the whole observation. Register
+      values and the observation must be plain data: no closures and
+      no locally defined exceptions, whose hashes differ between
+      instances and processes (routed {!Setsync_memory.Register.route}
+      payloads carry both, and no fuzzed sut routes). It costs
+      O(registers) physical comparisons, a hash per register whose
+      value changed, and a hash of the observation — nothing is
+      rendered. *)
 
   val check_schedule :
     'obs t ->

@@ -24,7 +24,7 @@ let kset_agreement ~k ~decisions =
         Some
           (Fmt.str "%d distinct values decided (%a), at most %d allowed"
              (List.length values)
-             Fmt.(list ~sep:comma int)
+             Fmt.(list ~sep:(any ", ") int)
              values k))
 
 let validity ~inputs ~decisions =

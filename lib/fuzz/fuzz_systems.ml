@@ -54,37 +54,6 @@ let save_pstate p =
     Array.blit timer 0 p.timer 0 (Array.length timer);
     p.my_hb <- my_hb
 
-(* decimal digits of [v], without [string_of_int]'s format parsing *)
-let rec add_int buf v =
-  if v < 0 then begin
-    if v = min_int then Buffer.add_string buf (string_of_int v)
-    else begin
-      Buffer.add_char buf '-';
-      add_int buf (-v)
-    end
-  end
-  else begin
-    if v >= 10 then add_int buf (v / 10);
-    Buffer.add_char buf (Char.unsafe_chr (48 + (v mod 10)))
-  end
-
-(* The bytes [Fmt.(array ~sep:semi int)] prints for [a] inside a
-   short [Fmt.str]: every break hint prints as a space, except the
-   output's final one, which [Format]'s flush always turns into a
-   newline — the final separator when [a] is printed [last]. *)
-let add_ints ?(last = false) buf a =
-  let k = Array.length a in
-  Array.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string buf (if last && i = k - 1 then ";\n" else "; ");
-      add_int buf v)
-    a
-
-(* Up to this length no break hint but the final one reaches
-   [Format]'s 78-column margin, so [add_ints] writes the same bytes as
-   the [Fmt] rendering; longer observations are printed by [Fmt]. *)
-let one_line = 64
-
 let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
   Kanti_omega.check_params params;
   if initial_timeout < 1 then
@@ -230,25 +199,15 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
         });
     obs_fingerprint =
       (fun obs ->
-        let buf = Buffer.create 64 in
-        add_ints buf obs.chosen;
-        Buffer.add_char buf '|';
-        add_ints buf obs.chosen_acc;
-        Buffer.add_char buf '|';
-        add_ints buf obs.min_acc;
-        Buffer.add_char buf '|';
-        add_ints ~last:true buf obs.iterations;
-        if Buffer.length buf < one_line then Buffer.contents buf
-        else
-          Fmt.str "%a|%a|%a|%a"
-            Fmt.(array ~sep:semi int)
-            obs.chosen
-            Fmt.(array ~sep:semi int)
-            obs.chosen_acc
-            Fmt.(array ~sep:semi int)
-            obs.min_acc
-            Fmt.(array ~sep:semi int)
-            obs.iterations);
+        Fmt.str "%a|%a|%a|%a"
+          Fmt.(array ~sep:semi int)
+          obs.chosen
+          Fmt.(array ~sep:semi int)
+          obs.chosen_acc
+          Fmt.(array ~sep:semi int)
+          obs.min_acc
+          Fmt.(array ~sep:semi int)
+          obs.iterations);
   }
 
 let winner_argmin () =

@@ -46,11 +46,8 @@ val counter_core :
 
     The instance has a machine form ([m_save] covers every process's
     locals, the PCs and the observation arrays; no symmetry payload).
-    [obs_fingerprint] covers the observation only — enough for corpus
-    novelty, not for sound fingerprint pruning — and writes, without
-    [Format], the bytes the [Fmt] rendering
-    ["%a|%a|%a|%a"] of the four arrays with [Fmt.(array ~sep:semi int)]
-    prints (long observations fall back to that rendering). *)
+    [obs_fingerprint] renders the observation only — enough for corpus
+    novelty, not for sound fingerprint pruning. *)
 
 val winner_argmin : unit -> obs Setsync_explore.Explorer.state Setsync_explore.Property.t
 (** Safety: for every process, the chosen set's accusation (at

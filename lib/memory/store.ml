@@ -2,14 +2,13 @@ type view = { view_name : string; render : unit -> string; capture : unit -> uni
 
 type router = { route_for : 'a. 'a Register.t -> 'a Register.route option }
 
-(* A memoized store's cell per register: the value last rendered, the
-   snapshot entry rendered from it, and that entry's hash. *)
+(* A memoized store's cell per register: the register's value hash, the
+   value it last hashed and that value's hash. *)
 type cell =
   | Cell : {
       reg : 'a Register.t;
-      print : 'a -> string;
+      hash_of : 'a -> int;
       mutable seen : 'a;
-      mutable entry : string * string;
       mutable hash : int;
     }
       -> cell
@@ -22,16 +21,18 @@ type t = {
   mutable cells : cell list option;  (* most recent first; [Some] iff memoized *)
 }
 
-(* Two 30-bit seeded hashes of the whole entry, side by side: 60 bits,
-   so distinct entries of one hunt practically never share a hash. *)
-let entry_hash (e : string * string) =
-  Hashtbl.seeded_hash 1 e lor (Hashtbl.seeded_hash 2 e lsl 30)
+(* Two 30-bit seeded structural hashes side by side: 60 bits, so
+   distinct values of one hunt practically never share a hash. Each
+   reaches 256 words: the default 10 would stop inside the n=9 counter
+   core's observation and inside a net inbox of two messages. *)
+let hash v =
+  Hashtbl.seeded_hash_param 256 256 1 v lor (Hashtbl.seeded_hash_param 256 256 2 v lsl 30)
 
 let create ?hook () = { hook; next_id = 0; views = []; router = None; cells = None }
 
 let set_router t r = t.router <- Some r
 
-let register t ?pp ~name init =
+let register t ?pp ?(hash = hash) ~name init =
   let id = t.next_id in
   t.next_id <- id + 1;
   let reg = Register.make ?pp ?hook:t.hook ~name ~id init in
@@ -64,57 +65,41 @@ let register t ?pp ~name init =
   (match t.cells with
   | None -> ()
   | Some cells ->
-      let print v = match pp with Some pp -> Fmt.str "%a" pp v | None -> opaque v in
       let v = Register.peek reg in
-      let entry = (name, print v) in
-      t.cells <- Some (Cell { reg; print; seen = v; entry; hash = entry_hash entry } :: cells));
+      t.cells <- Some (Cell { reg; hash_of = hash; seen = v; hash = hash v } :: cells));
   reg
 
-let array t ?pp ~name len init =
+let array t ?pp ?hash ~name len init =
   Array.init len (fun idx ->
-      register t ?pp ~name:(Printf.sprintf "%s[%d]" name idx) (init idx))
+      register t ?pp ?hash ~name:(Printf.sprintf "%s[%d]" name idx) (init idx))
 
-let matrix t ?pp ~name ~rows ~cols init =
+let matrix t ?pp ?hash ~name ~rows ~cols init =
   Array.init rows (fun r ->
       Array.init cols (fun c ->
-          register t ?pp ~name:(Printf.sprintf "%s[%d][%d]" name r c) (init r c)))
+          register t ?pp ?hash ~name:(Printf.sprintf "%s[%d][%d]" name r c) (init r c)))
 
 let register_count t = t.next_id
 
 let snapshot t = List.rev_map (fun v -> (v.view_name, v.render ())) t.views
 
-(* Re-render a cell only when its register holds a value that is not
-   physically the one it last rendered. *)
-let refresh cells =
-  List.iter
-    (fun (Cell c) ->
-      let v = Register.peek c.reg in
-      if v != c.seen then begin
-        c.seen <- v;
-        c.entry <- (fst c.entry, c.print v);
-        c.hash <- entry_hash c.entry
-      end)
-    cells
+let memoized ?hook () = { (create ?hook ()) with cells = Some [] }
 
-let memoized ?hook () =
-  let t = create ?hook () in
-  t.cells <- Some [];
-  let render () =
-    let cells = Option.value t.cells ~default:[] in
-    refresh cells;
-    List.fold_left (fun acc (Cell c) -> c.entry :: acc) [] cells
-  in
-  (t, render)
-
-(* A polynomial fold of the cells' entry hashes, most recent cell first:
-   the same registers holding the same rendered values give the same
-   key. *)
+(* A polynomial fold of the cells' hashes, most recent cell first; a
+   cell re-hashes only when its register holds a value that is not
+   physically the one it last hashed. *)
 let key t =
   match t.cells with
   | None -> invalid_arg "Store.key: the store is not memoized"
   | Some cells ->
-      refresh cells;
-      List.fold_left (fun acc (Cell c) -> (acc * 0x100000001b3) + c.hash) 0 cells
+      List.fold_left
+        (fun acc (Cell c) ->
+          let v = Register.peek c.reg in
+          if v != c.seen then begin
+            c.seen <- v;
+            c.hash <- c.hash_of v
+          end;
+          (acc * 0x100000001b3) + c.hash)
+        0 cells
 
 let save t =
   let restores = List.rev_map (fun v -> v.capture ()) t.views in

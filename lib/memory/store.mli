@@ -23,17 +23,27 @@ val set_router : t -> router -> unit
     own channel state, so algorithm registers get proxied while the
     substrate's do not. *)
 
-val register : t -> ?pp:'a Fmt.t -> name:string -> 'a -> 'a Register.t
-(** Allocate one named register with an initial value. *)
+val register : t -> ?pp:'a Fmt.t -> ?hash:('a -> int) -> name:string -> 'a -> 'a Register.t
+(** Allocate one named register with an initial value. [hash]
+    (default {!hash}) is the value hash {!key} folds for it: give one
+    when [pp] prints less than the whole value, so keys split values
+    exactly where snapshots do. *)
 
 val array :
-  t -> ?pp:'a Fmt.t -> name:string -> int -> (int -> 'a) -> 'a Register.t array
+  t ->
+  ?pp:'a Fmt.t ->
+  ?hash:('a -> int) ->
+  name:string ->
+  int ->
+  (int -> 'a) ->
+  'a Register.t array
 (** [array t ~name len init] allocates registers [name[0]] …
     [name[len-1]] with [init idx] as initial values. *)
 
 val matrix :
   t ->
   ?pp:'a Fmt.t ->
+  ?hash:('a -> int) ->
   name:string ->
   rows:int ->
   cols:int ->
@@ -52,33 +62,36 @@ val snapshot : t -> (string * string) list
     so two distinct pp-less states never collapse to one placeholder
     string and fingerprints built on snapshots stay discriminating. *)
 
-val memoized : ?hook:Register.hook -> unit -> t * (unit -> (string * string) list)
-(** A fresh store, as {!create} makes, plus a memoizing renderer of its
-    {!snapshot}: the store keeps, per register, the value it last
-    rendered, the entry rendered from it and that entry's
-    {!entry_hash}, and a call re-renders (and re-hashes) only the
-    registers whose value is not {e physically} the one last rendered.
-    It returns the same list as {!snapshot} would, registers allocated
-    after the renderer included. Sound under the invariant {!save}
-    relies on — stored values are immutable, so a physically equal
-    value prints the same. The cells live as long as the store: meant
-    for an instance rendered at many states — a fuzzing session's live
-    instance, or one run's fresh instance — not for stores built per
-    state. *)
+val memoized : ?hook:Register.hook -> unit -> t
+(** A fresh store, as {!create} makes, that keeps per register the
+    value it last hashed and that value's {!hash}, for {!key}. Sound
+    under the invariant {!save} relies on — stored values are
+    immutable, so a physically equal value hashes the same. The cells
+    live as long as the store: meant for an instance keyed at many
+    states — a fuzzing session's live instance, or one run's fresh
+    instance — not for stores built per state. *)
 
 val key : t -> int
 (** The store's novelty key: a polynomial fold of the memoized cells'
-    entry hashes, after re-rendering the registers whose value
-    changed — so O(registers) physical comparisons plus O(changed
-    registers) renders. Equal snapshots of one store (or of two stores
-    whose registers were allocated alike) give equal keys; distinct
-    snapshots give distinct keys unless 60-bit entry hashes collide.
-    Raises [Invalid_argument] on a store made by {!create}. *)
+    hashes, after re-hashing the registers whose value is not
+    {e physically} the one last hashed — so O(registers) physical
+    comparisons plus O(changed registers) hashes, and no rendering.
+    Equal values in one store (or in two stores whose registers were
+    allocated alike) give equal keys; distinct values give distinct
+    keys unless 60-bit hashes collide. Values must be plain data
+    (see {!hash}). Raises [Invalid_argument] on a store made by
+    {!create}. *)
 
-val entry_hash : string * string -> int
-(** The full-width (60-bit) hash of one rendered [(name, value)] entry
-    that {!key} folds, for callers extending a key with entries of
-    their own. *)
+val hash : 'a -> int
+(** The full-width (60-bit) structural hash {!key} takes of a register's
+    value, for callers extending a key with values of their own: two
+    seeded [Hashtbl.seeded_hash_param] calls, each reaching 256 words
+    of the value (meaningful = total = 256): an eight-message net
+    inbox takes about 75. Structurally equal values hash equally in every
+    process only when they are plain data: the hash of a closure mixes
+    its code pointer, which moves between processes, and that of a
+    locally defined exception mixes its run-time id. Values reaching
+    past 256 words hash on their first 256 only. *)
 
 val save : t -> unit -> unit
 (** [save t] captures the current value of every register allocated

@@ -27,8 +27,9 @@ type t = {
       (** run-unique message id (the substrate's send counter at send
           time): the cause id that links a [deliver]/[drop] trace event
           back to its [send]. Lineage metadata only — deliberately kept
-          out of {!pp} so channel snapshots, and hence state
-          fingerprints, never distinguish states by global send count. *)
+          out of {!pp}, and out of the hashes [Net] keys its channels
+          and inboxes by, so state fingerprints and keys never
+          distinguish states by global send count. *)
   src : Proc.t;  (** stamped by the substrate, not the sender *)
   dst : Proc.t;
   seq : int;  (** per-(src,dst) sequence number *)

@@ -79,12 +79,21 @@ let pp_chan ppf q = Fmt.(brackets (list ~sep:comma pp_entry)) ppf q
 
 let pp_inbox ppf q = Fmt.(brackets (list ~sep:comma Msg.pp)) ppf q
 
+(* State keys split channels and inboxes where these printers do: a
+   message id is lineage metadata that [Msg.pp] leaves out. *)
+let anon m = { m with Msg.mid = 0 }
+
+let hash_chan q = Store.hash (List.map (fun (at, m) -> (at, anon m)) q)
+
+let hash_inbox q = Store.hash (List.map anon q)
+
 let create ?obs ~store ~n ~adversary () =
   Proc.check_n n;
   let chans =
-    Store.matrix store ~pp:pp_chan ~name:"Chan" ~rows:n ~cols:n (fun _ _ -> [])
+    Store.matrix store ~pp:pp_chan ~hash:hash_chan ~name:"Chan" ~rows:n ~cols:n
+      (fun _ _ -> [])
   in
-  let inboxes = Store.array store ~pp:pp_inbox ~name:"Inbox" n (fun _ -> []) in
+  let inboxes = Store.array store ~pp:pp_inbox ~hash:hash_inbox ~name:"Inbox" n (fun _ -> []) in
   let clock = Store.register store ~pp:Fmt.int ~name:"NetClock" 0 in
   let meters =
     match obs with

@@ -112,6 +112,17 @@ let test_validator_crashed_excused () =
   | Anti_omega.Satisfied { witness; _ } -> Alcotest.(check int) "witness p3" 2 witness
   | v -> Alcotest.failf "expected satisfied, got %a" Anti_omega.pp_verdict v
 
+(* The reason names the processes on one line *)
+let test_validator_missing_reason () =
+  let h = History.create ~n:3 in
+  note_set h ~proc:0 ~step:0 [ 1; 2 ];
+  match
+    Anti_omega.validate ~n:3 ~t:1 ~k:1 ~crashed:Procset.empty ~total_steps:100 ~outputs:h ()
+  with
+  | Anti_omega.Violated reason ->
+      Alcotest.(check string) "reason" "no sampled output for correct process(es) p2, p3" reason
+  | v -> Alcotest.failf "expected violated, got %a" Anti_omega.pp_verdict v
+
 let test_validator_vacuous () =
   let h = History.create ~n:3 in
   match
@@ -456,6 +467,8 @@ let () =
           Alcotest.test_case "violated" `Quick test_validator_violated;
           Alcotest.test_case "crashed excused" `Quick test_validator_crashed_excused;
           Alcotest.test_case "vacuous" `Quick test_validator_vacuous;
+          Alcotest.test_case "missing outputs: one-line reason" `Quick
+            test_validator_missing_reason;
           Alcotest.test_case "wrong output size" `Quick test_validator_wrong_size;
           Alcotest.test_case "margin" `Quick test_validator_margin;
           Alcotest.test_case "winner validator" `Quick test_winner_validator;

@@ -2239,6 +2239,14 @@ let test_kset_refuses_k_above_t () =
            ~inputs:(Setsync_agreement.Problem.distinct_inputs problem)
            ()))
 
+(* Violation reasons print on one line: [Format] breaks a list printed
+   with [Fmt.comma] at its final separator. *)
+let test_kset_reason_one_line () =
+  let property = Property.kset_agreement ~k:1 ~decisions:Fun.id in
+  Alcotest.(check (option string))
+    "reason" (Some "3 distinct values decided (0, 10, 20), at most 1 allowed")
+    (property.Property.check [| Some 0; Some 10; None; Some 20 |])
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -2388,5 +2396,7 @@ let () =
             test_evaluate_matches_replay;
           Alcotest.test_case "kset_agreement refuses k > t when called" `Quick
             test_kset_refuses_k_above_t;
+          Alcotest.test_case "kset_agreement reason on one line" `Quick
+            test_kset_reason_one_line;
         ] );
     ]

@@ -20,6 +20,10 @@ module Store = Setsync_memory.Store
 module Systems = Setsync_explore.Systems
 module Kanti_omega = Setsync_detector.Kanti_omega
 module Problem = Setsync_agreement.Problem
+module Adversary = Setsync_net.Adversary
+module Net = Setsync_net.Net
+module Msg = Setsync_net.Msg
+module Net_systems = Setsync_net.Net_systems
 
 let schedule = Alcotest.testable Schedule.pp Schedule.equal
 let set = Procset.of_list
@@ -813,10 +817,135 @@ let kset_system () =
     fault = [ (1, 30) ];
   }
 
+(* Blind k-set gossip over the BRS partition: no machine form, so
+   every run builds a fresh instance and the net substrate adds its
+   own entries to the key. *)
+let blind_kset_system ~gst =
+  let inputs = Array.init 3 (fun p -> 10 * p) in
+  let decisions st = st.Explorer.obs.Systems.decisions in
+  {
+    name = Printf.sprintf "blind kset n=3 gst=%d" gst;
+    sut =
+      Net_systems.kset_blind ~inputs
+        ~adversary:(Adversary.brs_kset ~delta:1 ~gst ~n:3 ~k:1)
+        ();
+    properties = [ Property.kset_agreement ~k:1 ~decisions ];
+    fault = [ (1, 12) ];
+  }
+
 let test_session_keys () =
   key_matches_digest (counter_core_system ());
   key_matches_digest (detector_system ());
   key_matches_digest (kset_system ())
+
+let test_session_keys_machine_less () =
+  key_matches_digest (blind_kset_system ~gst:0);
+  key_matches_digest (blind_kset_system ~gst:1_000_000)
+
+(* A key depends on the state alone, never on the instance holding it:
+   a closure or a locally defined exception in a register or the
+   observation would hash differently per instance (and per process).
+   Two sessions, the second sent along other schedules in between, key
+   the same schedules alike. *)
+let keys_across_sessions sys =
+  let n = sys.sut.Explorer.n in
+  let a = Explorer.Session.create ~sut:sys.sut and b = Explorer.Session.create ~sut:sys.sut in
+  let keys session ~fault schedule =
+    let keys = ref [] in
+    let key st = keys := Explorer.Session.key session st :: !keys in
+    key
+      (Explorer.Session.trajectory session ~fault
+         ~on_state:(fun st ->
+           key st;
+           false)
+         schedule);
+    List.rev !keys
+  in
+  let rng = Rng.create ~seed:41 in
+  for i = 1 to 30 do
+    ignore (keys b ~fault:[] (Source.take (Generators.random_fair ~n ~rng ()) (1 + Rng.int rng 60)));
+    let fault = if Rng.bool rng then [] else sys.fault in
+    let schedule = Source.take (Generators.random_fair ~n ~rng ()) (1 + Rng.int rng 120) in
+    Alcotest.(check (list int))
+      (Printf.sprintf "%s: schedule %d" sys.name i)
+      (keys a ~fault schedule) (keys b ~fault schedule)
+  done
+
+let test_keys_across_sessions () =
+  keys_across_sessions (counter_core_system ());
+  keys_across_sessions (kset_system ());
+  keys_across_sessions (blind_kset_system ~gst:1_000_000)
+
+(* p2 sends p1 the values 1..7 and then [last], and pauses; p1 never
+   steps, so its inbox fills up. *)
+let inbox_sut ~last =
+  {
+    Explorer.n = 2;
+    fresh =
+      (fun ~store ->
+        let net = Net.create ~store ~n:2 ~adversary:(Adversary.synchronous ~delta:1) () in
+        let body p () =
+          if p = 1 then
+            for i = 1 to 12 do
+              if i <= 8 then Net.send net ~dst:0 (Msg.Value (if i = 8 then last else i))
+              else Net.pause net
+            done
+        in
+        { Explorer.body; observe = ignore; substrate = Some (Net.substrate net); machine = None });
+    obs_fingerprint = (fun () -> "");
+  }
+
+(* Keys reach the end of every long value: two states that differ only
+   in the last entry of the counter core's [iterations] at n=9, or in
+   the last of eight messages in an inbox, get different keys, as they
+   get different digests. *)
+let test_key_reach () =
+  let params = { Kanti_omega.n = 9; t = 8; k = 1 } in
+  let sut = Fuzz_systems.counter_core ~params () in
+  let session = Explorer.Session.create ~sut in
+  let probed = ref 0 in
+  ignore
+    (Explorer.Session.trajectory session
+       ~on_state:(fun st ->
+         let o = st.Explorer.obs in
+         let iterations = Array.copy o.Fuzz_systems.iterations in
+         iterations.(8) <- iterations.(8) + 1;
+         let other = { st with Explorer.obs = { o with Fuzz_systems.iterations } } in
+         Alcotest.(check bool) "digests differ" true
+           (Explorer.digest ~sut st <> Explorer.digest ~sut other);
+         Alcotest.(check bool)
+           (Printf.sprintf "counter core n=9: keys differ at depth %d" st.Explorer.depth)
+           true
+           (Explorer.Session.key session st <> Explorer.Session.key session other);
+         incr probed;
+         false)
+       (Source.take (Generators.random_fair ~n:9 ~rng:(Rng.create ~seed:4) ()) 200));
+  Alcotest.(check int) "every state probed" 201 !probed;
+  let p2_only = Schedule.of_list ~n:2 (List.init 12 (fun _ -> 1)) in
+  let run last =
+    let sut = inbox_sut ~last in
+    let session = Explorer.Session.create ~sut in
+    let states = ref [] in
+    ignore
+      (Explorer.Session.trajectory session
+         ~on_state:(fun st ->
+           states := (Explorer.Session.key session st, Explorer.digest ~sut st) :: !states;
+           false)
+         p2_only);
+    List.rev !states
+  in
+  let a = run 100 and b = run 200 in
+  List.iteri
+    (fun depth ((ka, da), (kb, db)) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "inbox: keys split as digests do at depth %d" depth)
+        (da = db) (ka = kb);
+      Alcotest.(check bool) (Printf.sprintf "inbox: state %d" depth) (depth < 8) (da = db))
+    (List.combine a b);
+  let st = Explorer.evaluate ~sut:(inbox_sut ~last:0) p2_only in
+  let inbox = List.assoc "Inbox[0]" (Lazy.force st.Explorer.snapshot) in
+  Alcotest.(check int) "eight messages in the inbox" 8
+    (List.length (String.split_on_char '#' inbox) - 1)
 
 let test_session_resume () =
   resume_matches_fresh (counter_core_system ());
@@ -1005,42 +1134,6 @@ let test_counter_core_forms_agree () =
       (true, { Kanti_omega.n = 4; t = 2; k = 2 }, 3, [ (0, 300) ]);
     ]
 
-(* The observation fingerprint is written without [Format], byte for
-   byte what the [Fmt] rendering it replaced prints — long arrays and
-   negative values included. *)
-let test_counter_core_fingerprint_bytes () =
-  let fmt (o : Fuzz_systems.obs) =
-    Fmt.str "%a|%a|%a|%a"
-      Fmt.(array ~sep:semi int)
-      o.Fuzz_systems.chosen
-      Fmt.(array ~sep:semi int)
-      o.Fuzz_systems.chosen_acc
-      Fmt.(array ~sep:semi int)
-      o.Fuzz_systems.min_acc
-      Fmt.(array ~sep:semi int)
-      o.Fuzz_systems.iterations
-  in
-  let sut = Fuzz_systems.counter_core ~params:Fuzz_systems.default_params () in
-  let rng = Random.State.make [| 11 |] in
-  for _ = 1 to 2_000 do
-    let n = 1 + Random.State.int rng 9 in
-    let scale = [| 10; 1_000; 1_000_000; max_int |].(Random.State.int rng 4) in
-    let draw () =
-      Array.init n (fun _ ->
-          let v = Random.State.int rng (min scale (1 lsl 30 - 1)) in
-          if Random.State.int rng 8 = 0 then -v else if scale = max_int then max_int - v else v)
-    in
-    let o =
-      {
-        Fuzz_systems.chosen = draw ();
-        chosen_acc = draw ();
-        min_acc = draw ();
-        iterations = draw ();
-      }
-    in
-    Alcotest.(check string) "fingerprint bytes" (fmt o) (sut.Explorer.obs_fingerprint o)
-  done
-
 (* ------------------------------------------------------------------ *)
 (* Golden hunts, recorded before the hunt session existed: running
    every candidate and ddmin test on one live machine instance changes
@@ -1149,6 +1242,11 @@ let () =
           Alcotest.test_case "figure 2: session = fresh fibers" `Quick test_session_detector;
           Alcotest.test_case "kset: session = fresh fibers" `Quick test_session_kset;
           Alcotest.test_case "keys = digests on three systems" `Quick test_session_keys;
+          Alcotest.test_case "keys = digests without a machine" `Quick
+            test_session_keys_machine_less;
+          Alcotest.test_case "same state, same key across sessions" `Quick
+            test_keys_across_sessions;
+          Alcotest.test_case "keys reach the end of long values" `Quick test_key_reach;
           Alcotest.test_case "resumed checks = fresh checks" `Quick test_session_resume;
           Alcotest.test_case "frozen runs never change" `Quick test_frozen_runs_never_change;
           Alcotest.test_case "words per probed state do not grow with length" `Quick
@@ -1156,8 +1254,6 @@ let () =
           Alcotest.test_case "stale snapshots raise" `Quick test_stale_snapshots_raise;
           Alcotest.test_case "counter core: fiber = machine" `Quick
             test_counter_core_forms_agree;
-          Alcotest.test_case "counter core: Format-free fingerprint bytes" `Quick
-            test_counter_core_fingerprint_bytes;
         ] );
       ( "golden",
         [

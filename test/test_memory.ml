@@ -66,17 +66,35 @@ let test_register_render () =
   Alcotest.(check string) "printed" "42" (Register.render r 42);
   Alcotest.(check string) "placeholder" "<value>" (Register.render bare 3)
 
-(* The memoizing renderer returns exactly [Store.snapshot]'s list after
-   any sequence of writes — printed, pp-less (opaque) and boxed values,
-   physically new but equal values, and registers allocated after the
-   first render — and re-renders only what changed. *)
-let test_store_memoized () =
-  let s, memo = Store.memoized () in
-  let ints = Store.array s ~pp:Fmt.int ~name:"i" 4 (fun i -> i) in
-  let opaque = Store.register s ~name:"o" (Some [ 1; 2 ]) in
-  let pair = Store.register s ~pp:Fmt.(pair ~sep:comma int string) ~name:"p" (0, "a") in
+(* A memoized store's key after any sequence of writes — printed,
+   pp-less and boxed values, physically new but equal values, and
+   registers allocated after the first key — equals the key of a fresh
+   store allocated alike with the same values, and changes with them. *)
+let test_store_key () =
+  let alloc ints opaque pair late =
+    let s = Store.memoized () in
+    let i = Store.array s ~pp:Fmt.int ~name:"i" 4 (Array.get ints) in
+    let o = Store.register s ~name:"o" opaque in
+    let p = Store.register s ~pp:Fmt.(pair ~sep:comma int string) ~name:"p" pair in
+    let l = Option.map (fun v -> Store.register s ~pp:Fmt.string ~name:"late" v) late in
+    (s, i, o, p, l)
+  in
+  let s, ints, opaque, pair, _ = alloc [| 0; 1; 2; 3 |] (Some [ 1; 2 ]) (0, "a") None in
+  let late = ref None in
+  let fresh () =
+    let f, _, _, _, _ =
+      alloc (Array.map Register.peek ints) (Register.peek opaque) (Register.peek pair)
+        (Option.map Register.peek !late)
+    in
+    Store.key f
+  in
+  let keys = Hashtbl.create 64 in
   let same label =
-    Alcotest.(check (list (pair string string))) label (Store.snapshot s) (memo ())
+    let k = Store.key s in
+    Alcotest.(check int) label (fresh ()) k;
+    match Hashtbl.find_opt keys (Store.snapshot s) with
+    | Some seen -> Alcotest.(check int) (label ^ ": snapshot seen before") seen k
+    | None -> Hashtbl.add keys (Store.snapshot s) k
   in
   same "initial";
   let rng = Random.State.make [| 7 |] in
@@ -88,14 +106,14 @@ let test_store_memoized () =
     | _ -> Register.poke ints.(0) (Register.peek ints.(0)));
     same (Printf.sprintf "after write %d" step)
   done;
-  let late = Store.register s ~pp:Fmt.string ~name:"late" "x" in
+  late := Some (Store.register s ~pp:Fmt.string ~name:"late" "x");
   same "late register picked up";
-  Register.write late "y";
-  same "late register re-rendered";
-  (* an unchanged register keeps its entry: the same physical pair *)
-  let entry name l = List.find (fun (n, _) -> n = name) l in
-  Alcotest.(check bool) "unchanged entry is reused" true
-    (entry "i[1]" (memo ()) == entry "i[1]" (memo ()))
+  Register.write (Option.get !late) "y";
+  same "late register re-hashed";
+  (* distinct snapshots got distinct keys *)
+  let distinct = Hashtbl.fold (fun _ k acc -> k :: acc) keys [] in
+  Alcotest.(check int) "one key per snapshot" (Hashtbl.length keys)
+    (List.length (List.sort_uniq Int.compare distinct))
 
 let () =
   Alcotest.run "setsync_memory"
@@ -112,6 +130,6 @@ let () =
           Alcotest.test_case "allocation" `Quick test_store_allocation;
           Alcotest.test_case "array/matrix" `Quick test_store_array_matrix;
           Alcotest.test_case "access hook sees counted ids only" `Quick test_store_access_hook;
-          Alcotest.test_case "memoizing snapshot renderer" `Quick test_store_memoized;
+          Alcotest.test_case "memoized key tracks values" `Quick test_store_key;
         ] );
     ]
