@@ -157,7 +157,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> its JSONL validates (b
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, a net k-set violation prints its reason on one line, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run), explore --progress prints the run's counts ([Ns] visited ..., frontier peak F) with the movement of the engine that ran from its first line, exact fingerprints visit the pinned count on a kset check, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets and k > t kset requests included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs and a short adaptive solve on an unsolvable cell stay pinned
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, a net k-set violation prints its reason on one line, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run), explore --progress prints the run's counts ([Ns] visited ..., frontier peak F) with the movement of the engine that ran from its first line, exact fingerprints visit the pinned count on a kset check, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets and k > t kset requests included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs, a short adaptive solve on an unsolvable cell, a seeded shm fd run with a crash, a trivially solvable solve and a net paxos solve stay pinned
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -262,6 +262,14 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stdout_has "S^2_{2,5} \[adaptive, b=3, 0 crashes\]: predicted=false solved=false"; \
 	stdout_has "termination=UNDECIDED {p1,p2,p3,p4,p5} decided=0"; \
 	stdout_has "witness: {p2,p5} timely wrt {p2,p5} (bound 3)"; \
+	expect 0 fd --seed 3 --crashes 1 --max-steps 20000; \
+	stdout_has '^run:    run\[n=5 steps=20000 reason=step-budget crashed={p3} halted={}\]$$'; \
+	stdout_has '^winnerset:    stable winner {p1,p2} from step 488$$'; \
+	expect 0 solve -t 1 -k 2 -n 4; \
+	stdout_has '^decisions: p1=100 p2=101 p3=100 p4=100$$'; \
+	expect 0 solve --backend net --solver paxos; \
+	stdout_has '^routed: 86 ops in 213 steps (2.48 steps/op)$$'; \
+	stdout_has '^verdict: ok=true,decided=0;1;2;3;4,values=100$$'; \
 	echo "cli-smoke: ok"
 
 ci: ## the full gate: format check, build, tests, E11 smoke + guard, traced-run check, fuzz + net + trace + CLI smokes

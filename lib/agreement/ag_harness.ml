@@ -1,6 +1,7 @@
 module Procset = Setsync_schedule.Procset
 module Store = Setsync_memory.Store
 module Executor = Setsync_runtime.Executor
+module Machine = Setsync_runtime.Machine
 module Run = Setsync_runtime.Run
 module Obs = Setsync_obs.Obs
 module Metrics = Setsync_obs.Metrics
@@ -39,7 +40,7 @@ let starved_of run =
     (Procset.full ~n:run.Run.n)
 
 type solver_bundle = {
-  body : Setsync_schedule.Proc.t -> unit -> unit;
+  step : Machine.step;
   snapshot_decisions : unit -> int option array;
   fd_iterations : unit -> int array option;
   view : Kset_solver.adversary_view;
@@ -53,7 +54,7 @@ let make_bundle ~problem ~inputs ?initial_timeout ?(solver = `Auto) store =
        experiments drive the same Paxos code over shm and net stores *)
     let c = Consensus.create store ~n ~inputs () in
     {
-      body = Consensus.body c;
+      step = Consensus.step c;
       snapshot_decisions = (fun () -> Consensus.decisions c);
       fd_iterations = (fun () -> None);
       view = Kset_solver.empty_adversary_view ~n;
@@ -63,7 +64,7 @@ let make_bundle ~problem ~inputs ?initial_timeout ?(solver = `Auto) store =
   else if Problem.is_trivially_solvable problem then begin
     let solver = Trivial.create store ~problem ~inputs in
     {
-      body = Trivial.body solver;
+      step = Trivial.step solver;
       snapshot_decisions = (fun () -> Trivial.decisions solver);
       fd_iterations = (fun () -> None);
       view = Kset_solver.empty_adversary_view ~n;
@@ -73,7 +74,7 @@ let make_bundle ~problem ~inputs ?initial_timeout ?(solver = `Auto) store =
   else begin
     let solver = Kset_solver.create store ~problem ~inputs ?initial_timeout () in
     {
-      body = Kset_solver.body solver;
+      step = Kset_solver.machine_step (Kset_solver.machine solver);
       snapshot_decisions = (fun () -> Kset_solver.decisions solver);
       fd_iterations = (fun () -> Some (Kset_solver.fd_iterations solver));
       view = Kset_solver.adversary_view solver;
@@ -82,7 +83,7 @@ let make_bundle ~problem ~inputs ?initial_timeout ?(solver = `Auto) store =
   end
 
 let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost ?substrate
-    ?on_step:caller_on_step ?obs bundle =
+    ?on_step:caller_on_step ?obs store bundle =
   let { Problem.n; _ } = problem in
   (* The executor universe may be wider than the problem: processes
      [n..total-1] run [extra_body] (register owners under the net
@@ -92,9 +93,21 @@ let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost
   if total < n then invalid_arg "Ag_harness: total smaller than the problem size";
   if total > n && extra_body = None then
     invalid_arg "Ag_harness: extra processes need an extra_body";
-  let body p =
-    if p < n then bundle.body p
-    else match extra_body with Some f -> f p | None -> assert false
+  (* On a plain store the executor calls the machine step itself. A
+     substrate or a routed store may make one access span several
+     scheduled steps, and extra processes bring fiber bodies of their
+     own: then every process runs as a fiber, the solver's through
+     [Machine.body]. *)
+  let step =
+    match (substrate, extra_body) with
+    | None, None when not (Store.routed store) ->
+        fun p ->
+          bundle.step Machine.direct p;
+          false
+    | _ ->
+        Executor.fibers ~n:total (fun p ->
+            if p < n then Machine.body bundle.step p
+            else match extra_body with Some f -> f p | None -> assert false)
   in
   let clients_only s = Procset.filter (fun p -> p < n) s in
   let decide_steps = Array.make n None in
@@ -117,7 +130,7 @@ let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost
     check 0
   in
   let run =
-    Executor.run ~n:total ~source ~max_steps ~tally ?substrate ?boost ~on_step ~stop ?obs body
+    Executor.run_with ~n:total ~source ~max_steps ~tally ?substrate ?boost ~on_step ~stop ?obs step
   in
   let decisions = bundle.snapshot_decisions () in
   let report =
@@ -168,13 +181,13 @@ let solve ~problem ~inputs ~source ~max_steps ?fault ?initial_timeout ?solver ?s
   let store = match store with Some s -> s | None -> Store.create () in
   let bundle = make_bundle ~problem ~inputs ?initial_timeout ?solver store in
   execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost ?substrate
-    ?on_step ?obs bundle
+    ?on_step ?obs store bundle
 
 let solve_adaptive ~problem ~inputs ~make_source ~max_steps ?fault ?initial_timeout ?obs () =
   let store = Store.create () in
   let bundle = make_bundle ~problem ~inputs ?initial_timeout store in
   let source = make_source ~view:bundle.view in
-  execute ~problem ~inputs ~source ~max_steps ?fault ?obs bundle
+  execute ~problem ~inputs ~source ~max_steps ?fault ?obs store bundle
 
 let ok outcome = Checker.ok outcome.report
 

@@ -3,7 +3,11 @@
     Dispatches to {!Kset_solver} (the Theorem 24 construction) when
     [k <= t] and to {!Trivial} when [t < k] (Corollary 25), runs the
     chosen algorithm under the given schedule source and fault plan,
-    and validates the outcome with {!Checker}. The E4/E5/E7
+    and validates the outcome with {!Checker}. Each algorithm is a
+    machine form ({!Setsync_runtime.Machine.step}): on a plain store
+    the executor steps it directly and spawns no fiber; a [substrate],
+    a routed [store] or an [extra_body] runs every process as a fiber,
+    the solver's through {!Setsync_runtime.Machine.body}. The E4/E5/E7
     experiments, the separation demonstration, and the adversarial
     stress of E8 all go through this entry point. *)
 
@@ -51,11 +55,10 @@ val solve :
     [total], [extra_body], [boost] and [substrate] widen the executor
     universe beyond the problem: processes [n..total-1] run
     [extra_body] (e.g. register owners serving routed requests), the
-    substrate and boost policy are forwarded to
-    {!Setsync_runtime.Executor.run}, and the extra processes are
-    invisible to the checker — they never decide and are excluded from
-    the crashed/starved sets (owners are starved by construction under
-    a clients-only source). The source's universe must be [total].
+    substrate and boost policy are forwarded to the executor, and the
+    extra processes are invisible to the checker — they never decide
+    and are excluded from the crashed/starved sets (owners are starved
+    by construction under a clients-only source). The source's universe must be [total].
 
     [on_step] is invoked once per executed global step, before the
     harness's own decision sampling (e.g. to attribute time per step);

@@ -9,13 +9,13 @@ type t = {
   inputs : int array;
   fd_shared : Kanti_omega.shared;
   fd_params : Kanti_omega.params;
-  initial_timeout : int option;
   instances : Paxos.shared array;  (** one per winnerset rank *)
   dec : int option Setsync_memory.Register.t array;  (** decision gossip *)
   decisions : int option array;  (** local records, index = process *)
-  fd_processes : Kanti_omega.process option array;
+  fds : Kanti_omega.process array;
+  props : Paxos.proposer array array;  (** [proc].(rank) *)
   engagement : (int * int) option array;
-      (** per process: (instance, ballot) while inside Paxos.attempt *)
+      (** per process: (instance, ballot) while inside a Paxos attempt *)
 }
 
 let create store ~problem ~inputs ?initial_timeout () =
@@ -25,21 +25,29 @@ let create store ~problem ~inputs ?initial_timeout () =
     invalid_arg "Kset_solver.create: requires k <= t (use Trivial when t < k)";
   let fd_params = { Kanti_omega.n; t = resilience; k } in
   Kanti_omega.check_params fd_params;
+  (* allocation order fixes register ids: decisions, Paxos, detector *)
+  let dec =
+    Store.array store ~pp:(Fmt.option ~none:(Fmt.any "⊥") Fmt.int) ~name:"Dec" n (fun _ -> None)
+  in
+  let instances =
+    Array.init k (fun r -> Paxos.create_shared store ~n ~name:(Printf.sprintf "Paxos%d" r))
+  in
+  let fd_shared = Kanti_omega.create_shared store fd_params in
   {
     problem;
     inputs;
-    fd_shared = Kanti_omega.create_shared store fd_params;
+    fd_shared;
     fd_params;
-    initial_timeout;
-    instances =
-      Array.init k (fun r -> Paxos.create_shared store ~n ~name:(Printf.sprintf "Paxos%d" r));
-    dec =
-      Store.array store
-        ~pp:(Fmt.option ~none:(Fmt.any "⊥") Fmt.int)
-        ~name:"Dec" n
-        (fun _ -> None);
+    instances;
+    dec;
     decisions = Array.make n None;
-    fd_processes = Array.make n None;
+    (* detector processes and proposers allocate no registers *)
+    fds =
+      Array.init n (fun proc ->
+          Kanti_omega.make_process ?initial_timeout fd_shared fd_params ~proc);
+    props =
+      Array.init n (fun proc ->
+          Array.map (fun inst -> Paxos.make_proposer inst ~proc ~input:inputs.(proc)) instances);
     engagement = Array.make n None;
   }
 
@@ -51,9 +59,7 @@ let create store ~problem ~inputs ?initial_timeout () =
    winnerset; a decided process publishes its decision and then idles
    (stays correct, so schedule contracts involving it keep holding).
    Each step runs the local code since the previous atomic and
-   performs the next one through [acc]: [machine_step] passes
-   [Machine.direct] for the snapshot engine, [body] loops it over
-   [Machine.fiber]. *)
+   performs the next one through [acc]. *)
 
 type spc =
   | S_fd of Kanti_omega.mpc  (** inside a detector iteration *)
@@ -62,17 +68,6 @@ type spc =
       (** attempting instance [r] with the winnerset the rank came from *)
   | S_dec_written  (** published own decision *)
   | S_paused  (** idling decided process *)
-
-let make_fd t proc =
-  let fd =
-    Kanti_omega.make_process ?initial_timeout:t.initial_timeout t.fd_shared t.fd_params ~proc
-  in
-  t.fd_processes.(proc) <- Some fd;
-  fd
-
-let make_proposers t proc =
-  Array.init t.problem.Problem.k (fun r ->
-      Paxos.make_proposer t.instances.(r) ~proc ~input:t.inputs.(proc))
 
 (* adopt or commit a decision: runs in the step that performs the
    decision-register write *)
@@ -85,69 +80,49 @@ let decide (acc : Machine.access) t proc v =
 (* the rank loop from rank [r]: engage the first rank this process
    holds in [w]; falling off the end starts the next detector
    iteration. Always performs this step's atomic. *)
-let rec ranks acc t fd props proc w r =
-  if r >= t.problem.Problem.k then S_fd (Kanti_omega.iterate_start acc fd)
+let rec ranks acc t proc w r =
+  if r >= t.problem.Problem.k then S_fd (Kanti_omega.iterate_start acc t.fds.(proc))
   else if (not (Procset.is_empty w)) && Proc.equal (Procset.nth w r) proc then begin
-    t.engagement.(proc) <- Some (r, Paxos.current_ballot props.(r));
-    match Paxos.attempt_start acc props.(r) with
+    t.engagement.(proc) <- Some (r, Paxos.current_ballot t.props.(proc).(r));
+    match Paxos.attempt_start acc t.props.(proc).(r) with
     | Paxos.M_more pc -> S_paxos (r, w, pc)
     | Paxos.M_decided v -> decide acc t proc v
     | Paxos.M_interfered -> assert false
   end
-  else ranks acc t fd props proc w (r + 1)
+  else ranks acc t proc w (r + 1)
 
-let step (acc : Machine.access) t fd props proc = function
-  | None -> S_fd (Kanti_omega.iterate_start acc fd)
+let step (acc : Machine.access) t proc = function
+  | None -> S_fd (Kanti_omega.iterate_start acc t.fds.(proc))
   | Some (S_fd pc) -> (
-      match Kanti_omega.iterate_resume acc fd pc with
+      match Kanti_omega.iterate_resume acc t.fds.(proc) pc with
       | Some pc' -> S_fd pc'
       | None -> S_dec (0, acc.read t.dec.(0)))
   | Some (S_dec (_, Some v)) -> decide acc t proc v
   | Some (S_dec (q, None)) ->
       if q < t.problem.Problem.n - 1 then S_dec (q + 1, acc.read t.dec.(q + 1))
-      else ranks acc t fd props proc (Kanti_omega.winnerset fd) 0
+      else ranks acc t proc (Kanti_omega.winnerset t.fds.(proc)) 0
   | Some (S_paxos (r, w, pc)) -> (
-      match Paxos.attempt_resume acc props.(r) pc with
+      match Paxos.attempt_resume acc t.props.(proc).(r) pc with
       | Paxos.M_more pc' -> S_paxos (r, w, pc')
       | Paxos.M_interfered ->
           t.engagement.(proc) <- None;
-          ranks acc t fd props proc w (r + 1)
+          ranks acc t proc w (r + 1)
       | Paxos.M_decided v -> decide acc t proc v)
   | Some (S_dec_written | S_paused) ->
       acc.pause ();
       S_paused
 
-let body t proc () =
-  let fd = make_fd t proc in
-  let props = make_proposers t proc in
-  let rec loop pc = loop (Some (step Machine.fiber t fd props proc pc)) in
-  loop None
-
 (* {2 Machine form} *)
 
-type machine = {
-  solver : t;
-  fds : Kanti_omega.process array;
-  props : Paxos.proposer array array;  (** [proc].(rank) *)
-  pcs : spc option array;
-}
+type machine = { solver : t; pcs : spc option array }
 
-let machine t =
-  let n = t.problem.Problem.n in
-  {
-    solver = t;
-    fds = Array.init n (make_fd t);
-    props = Array.init n (make_proposers t);
-    pcs = Array.make n None;
-  }
+let machine t = { solver = t; pcs = Array.make t.problem.Problem.n None }
 
-let machine_step m proc =
-  m.pcs.(proc) <-
-    Some (step Machine.direct m.solver m.fds.(proc) m.props.(proc) proc m.pcs.(proc))
+let machine_step m acc proc = m.pcs.(proc) <- Some (step acc m.solver proc m.pcs.(proc))
 
 let machine_save m =
-  let fd_saves = Array.map Kanti_omega.save_process m.fds in
-  let prop_saves = Array.map (Array.map Paxos.save_proposer) m.props in
+  let fd_saves = Array.map Kanti_omega.save_process m.solver.fds in
+  let prop_saves = Array.map (Array.map Paxos.save_proposer) m.solver.props in
   let pcs = Array.copy m.pcs in
   let decisions = Array.copy m.solver.decisions in
   let engagement = Array.copy m.solver.engagement in
@@ -195,12 +170,12 @@ let sym_payload m ~perm =
     Array.map (function Some (S_fd pc) -> Some pc | _ -> None) m.pcs
   in
   let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Kanti_omega.sym_payload t.fd_shared t.fd_params m.fds kanti_pcs ~perm);
+  Buffer.add_string buf (Kanti_omega.sym_payload t.fd_shared t.fd_params t.fds kanti_pcs ~perm);
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   for r = 0 to k - 1 do
     add "!I%d:%s" r (Paxos.sym_payload_blocks ~perm t.instances.(r));
     for p' = 0 to n - 1 do
-      add "~%s" (Paxos.sym_payload_proposer ~perm m.props.(inv.(p')).(r))
+      add "~%s" (Paxos.sym_payload_proposer ~perm t.props.(inv.(p')).(r))
     done
   done;
   (* Dec registers, local decisions, engagement, solver PCs — renamed
@@ -222,15 +197,9 @@ let sym_payload m ~perm =
 
 let decisions t = Array.copy t.decisions
 
-let fd_iterations t =
-  Array.map
-    (function Some fd -> Kanti_omega.iterations fd | None -> 0)
-    t.fd_processes
+let fd_iterations t = Array.map Kanti_omega.iterations t.fds
 
-let fd_winnerset t proc =
-  match t.fd_processes.(proc) with
-  | Some fd -> Kanti_omega.winnerset fd
-  | None -> Procset.empty
+let fd_winnerset t proc = Kanti_omega.winnerset t.fds.(proc)
 
 type adversary_view = {
   winnersets : unit -> Procset.t array;

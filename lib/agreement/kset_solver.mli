@@ -29,36 +29,29 @@ val create :
 (** Requires [k <= t] (the non-trivial regime; use {!Trivial} when
     [t < k]) and [inputs] of length [n]. *)
 
-val body : t -> Setsync_schedule.Proc.t -> unit -> unit
-(** Process code for the executor: the machine form's per-process step
-    looped over {!Setsync_runtime.Machine.fiber}. It never returns:
-    once the process has decided and published its decision it takes
-    pause steps until the harness stops the run. *)
-
 val decisions : t -> int option array
 (** Snapshot of per-process decisions (local records, readable at any
     point; index = process). *)
 
 (** {2 Machine form} — the solver loop's single definition: a
     per-process step that runs the local code since the previous
-    shared-memory atomic and performs the next one. The snapshot
-    exploration engine steps it with
-    {!Setsync_runtime.Machine.direct}; {!body} loops the same step over
-    {!Setsync_runtime.Machine.fiber}, so both perform the same register
-    operations in the same order by construction. *)
+    shared-memory atomic and performs the next one. Every runner steps
+    it: the harness, the explorer and the fuzzer with
+    {!Setsync_runtime.Machine.direct} on a plain store, and a run over
+    routed registers through its fiber form
+    ({!Setsync_runtime.Machine.body}). *)
 
 type machine
 
 val machine : t -> machine
-(** Build the machine form over the same solver state: detector
-    processes and proposers are created eagerly (they allocate no
-    registers), PCs start unset. Use either {!body} or the machine to
-    drive a given [t], not both. *)
+(** The machine form over the solver's state, PCs unset. Build one
+    machine per [t]. *)
 
-val machine_step : machine -> Setsync_schedule.Proc.t -> unit
+val machine_step : machine -> Setsync_runtime.Machine.step
 (** One step of the given process: the local code since its previous
-    shared-memory atomic plus the next atomic. Decided processes idle
-    (a pause step, with no register operation); no process ever
+    shared-memory atomic plus the next atomic. A process records its
+    decision in the step that publishes it; decided processes then
+    idle (a pause step, with no register operation); no process ever
     halts. *)
 
 val machine_save : machine -> unit -> unit

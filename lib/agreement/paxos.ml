@@ -30,24 +30,19 @@ let make_proposer shared ~proc ~input =
   Proc.check ~n:shared.n proc;
   { shared; proc; input; ballot = proc + 1; decided = None }
 
-type attempt_result = Decided of int | Interfered
-
 (* Smallest ballot of [proc]'s arithmetic class strictly above [floor]. *)
 let next_ballot ~n ~proc ~floor =
   let rec bump b = if b > floor then b else bump (b + n) in
   bump (proc + 1)
 
-let decided p = p.decided
-
 let current_ballot p = p.ballot
 
 (* {2 Machine form}
 
-   One round of the protocol, one register atomic per step, for both
-   engines: PC values name the atomic just performed, carrying its
-   pending result and the attempt's accumulated locals, and the resume
-   function runs the code up to the next atomic, performed through
-   [acc]. [attempt] loops it over [Machine.fiber]. [p.ballot] is only
+   One round of the protocol, one register atomic per step: PC values
+   name the atomic just performed, carrying its pending result and the
+   attempt's accumulated locals, and the resume function runs the code
+   up to the next atomic, performed through [acc]. [p.ballot] is only
    read at attempt start and only written at resolution, so carrying
    [p.ballot] implicitly across a parked attempt is sound. *)
 
@@ -130,14 +125,6 @@ let attempt_resume (acc : Machine.access) p pc =
       if q' < n then M_more (P_phase2 { q = q'; blk = acc.read blocks.(q'); intf; value })
       else if intf > 0 then interfered intf
       else decide value
-
-let attempt p =
-  let rec go = function
-    | M_more pc -> go (attempt_resume Machine.fiber p pc)
-    | M_decided v -> Decided v
-    | M_interfered -> Interfered
-  in
-  go (attempt_start Machine.fiber p)
 
 let save_proposer p =
   let ballot = p.ballot and decided = p.decided in

@@ -28,22 +28,6 @@ type proposer
 
 val make_proposer : shared -> proc:Setsync_schedule.Proc.t -> input:int -> proposer
 
-type attempt_result =
-  | Decided of int  (** this attempt committed; the value is decided *)
-  | Interfered  (** a higher ballot was observed; ballot raised for the
-                    next attempt *)
-
-val attempt : proposer -> attempt_result
-(** Run one full round (prepare, collect, accept, collect) from inside
-    an executor fiber: the machine form below driven over
-    {!Setsync_runtime.Machine.fiber}. Costs [2·(n+1)] steps when
-    uncontended. Safe to call repeatedly and to abandon between
-    calls. *)
-
-val decided : proposer -> int option
-(** Value this proposer knows to be decided (from its own successful
-    attempt). *)
-
 val current_ballot : proposer -> int
 (** The ballot the proposer's next (or in-flight) attempt uses.
     Observer accessor used by the adaptive adversary. *)
@@ -57,10 +41,11 @@ val peek_decision : shared -> int option
 val peek_max_ballot : shared -> int
 
 (** {2 Machine form} — the protocol's single definition, one register
-    atomic per step. The snapshot exploration engine steps it with
-    {!Setsync_runtime.Machine.direct}; {!attempt} is this code looped
-    over {!Setsync_runtime.Machine.fiber}, so both perform the same
-    register operations in the same order by construction. *)
+    atomic per step, which {!Consensus} and {!Kset_solver} embed in
+    their machine steps. An attempt is one full round (prepare,
+    collect, accept, collect): [2·(n+1)] steps when uncontended. It is
+    safe to start attempts repeatedly and to abandon one between
+    steps. *)
 
 type mpc
 (** An in-flight attempt: the atomic just performed plus the

@@ -13,6 +13,11 @@ type t
 val create : Setsync_memory.Store.t -> problem:Problem.t -> inputs:int array -> t
 (** Requires [t < k]. *)
 
-val body : t -> Setsync_schedule.Proc.t -> unit -> unit
+val step : t -> Setsync_runtime.Machine.step
+(** The machine form: a writer ([p <= t]) writes its slot and decides
+    its input in its next step; everyone else scans the slots in turn
+    and decides in the step after the read that finds one filled. A
+    decided process takes pause steps until the harness stops the
+    run. *)
 
 val decisions : t -> int option array

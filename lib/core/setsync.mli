@@ -80,7 +80,7 @@ module Corpus = Setsync_fuzz.Corpus
 module Fuzz = Setsync_fuzz.Fuzz
 module Fuzz_systems = Setsync_fuzz.Fuzz_systems
 
-(* message passing: the Î/GST bridge *)
+(* message passing: the Δ/GST bridge *)
 module Substrate = Setsync_runtime.Substrate
 module Msg = Setsync_net.Msg
 module Adversary = Setsync_net.Adversary

@@ -1,6 +1,7 @@
 module Procset = Setsync_schedule.Procset
 module Store = Setsync_memory.Store
 module Executor = Setsync_runtime.Executor
+module Machine = Setsync_runtime.Machine
 module Run = Setsync_runtime.Run
 module Fault = Setsync_runtime.Fault
 module Obs = Setsync_obs.Obs
@@ -23,10 +24,10 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
   Kanti_omega.check_params params;
   let { Kanti_omega.n; t; k } = params in
   let store = Store.create () in
-  let shared = Kanti_omega.create_shared store params in
-  let processes =
-    Array.init n (fun proc -> Kanti_omega.make_process ?initial_timeout shared params ~proc)
+  let machine =
+    Kanti_omega.machine ?initial_timeout (Kanti_omega.create_shared store params) params
   in
+  let processes = Kanti_omega.processes machine in
   let outputs = History.create ~n in
   let winnersets = History.create ~n in
   (* survivors: processes the fault plan never kills; early stopping
@@ -83,8 +84,11 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
                   (fun p -> Procset.equal (Kanti_omega.winnerset processes.(p)) w0)
                   rest)
   in
-  let body proc () = Kanti_omega.forever processes.(proc) in
-  let run = Executor.run ~n ~source ~max_steps ~tally ?stop ~on_step ?obs body in
+  let step p =
+    Kanti_omega.step machine Machine.direct p;
+    false
+  in
+  let run = Executor.run_with ~n ~source ~max_steps ~tally ?stop ~on_step ?obs step in
   let crashed = Run.crashed run in
   let total_steps = Run.total_steps run in
   let verdict = Anti_omega.validate ~n ~t ~k ~crashed ~total_steps ?margin ~outputs () in

@@ -1,10 +1,10 @@
 (** One-call harness: run Figure 2 standalone and validate it.
 
-    Spawns one {!Kanti_omega} process per process identifier, drives
-    them from a schedule source, samples [fdOutput] and [winnerset]
-    after every step, optionally stops early once the winnersets have
-    been stable for a window, and returns the run together with both
-    validator verdicts. This is what the E2 experiments and the
+    Steps the Figure 2 machine ({!Kanti_omega.machine}) directly — one
+    call per granted step, no fibers — from a schedule source, samples
+    [fdOutput] and [winnerset] after every step, optionally stops early
+    once the winnersets have been stable for a window, and returns the
+    run together with both validator verdicts. This is what the E2 experiments and the
     detector test-suite call. *)
 
 type result = {

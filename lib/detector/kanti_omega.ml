@@ -83,18 +83,14 @@ let winnerset p = p.winnerset
 
 let iterations p = p.iterations
 
-let local_accusation p ~set_index = p.accusation.(set_index)
-
-let local_timeout p ~set_index = p.timeout.(set_index)
-
 (* {2 Machine form}
 
    Figure 2's loop body (lines 2-19), one shared-memory atomic per
    step. Each PC value names the atomic just performed, carrying its
    pending result; the resume function runs the local code that
-   follows it and performs the next atomic through [acc]. The snapshot
-   engine steps it with [Machine.direct]; [forever] loops it over
-   [Machine.fiber], so both engines run this code. *)
+   follows it and performs the next atomic through [acc]: [step] below
+   is the machine every runner steps, and the k-set solver embeds the
+   iteration in its own loop. *)
 
 type mpc =
   | M_cnt of int * int * int  (** read [Counter[a][q]] = v; assignment pending *)
@@ -165,10 +161,6 @@ let forever_step acc p = function
   | None -> iterate_start acc p
   | Some pc -> (
       match iterate_resume acc p pc with Some pc' -> pc' | None -> iterate_start acc p)
-
-let forever p =
-  let rec loop pc = loop (Some (forever_step Machine.fiber p pc)) in
-  loop None
 
 let save_process p =
   let fd_output = p.fd_output
@@ -302,3 +294,32 @@ let sym_payload shared params procs pcs ~perm =
     | Some pc -> add "pc:%s" (pc_string (rename_pc ~set_idx ~perm pc)))
   done;
   Buffer.contents buf
+
+(* {2 The machine} — one process per id and their PCs: what every
+   runner steps *)
+
+type machine = {
+  m_shared : shared;
+  m_params : params;
+  procs : process array;
+  pcs : mpc option array;
+}
+
+let machine ?initial_timeout shared params =
+  let procs =
+    Array.init params.n (fun proc -> make_process ?initial_timeout shared params ~proc)
+  in
+  { m_shared = shared; m_params = params; procs; pcs = Array.make params.n None }
+
+let processes m = m.procs
+
+let step m acc p = m.pcs.(p) <- Some (forever_step acc m.procs.(p) m.pcs.(p))
+
+let save m =
+  let restores = Array.map save_process m.procs in
+  let pcs = Array.copy m.pcs in
+  fun () ->
+    Array.iter (fun r -> r ()) restores;
+    Array.blit pcs 0 m.pcs 0 (Array.length pcs)
+
+let payload m = sym_payload m.m_shared m.m_params m.procs m.pcs

@@ -51,13 +51,8 @@ val make_process :
     higher to shorten warm-up without changing the algorithm's
     self-adjusting behaviour). *)
 
-val forever : process -> unit
-(** [repeat forever] lines 2–19 — the algorithm as written, as process
-    code for an executor fiber: {!forever_step} looped over
-    {!Setsync_runtime.Machine.fiber}. *)
-
 (** {2 Observer accessors} — peek at local state between steps; used by
-    harnesses and the lemma-level tests. *)
+    harnesses and tests. *)
 
 val fd_output : process -> Setsync_schedule.Procset.t
 (** Current [fdOutput] (line 5): [Πn − winnerset], of size [n − k]. *)
@@ -67,19 +62,13 @@ val winnerset : process -> Setsync_schedule.Procset.t
 val iterations : process -> int
 (** Completed loop iterations. *)
 
-val local_accusation : process -> set_index:int -> int
-(** This process's [accusation[A]] (line 3) from its last iteration. *)
-
-val local_timeout : process -> set_index:int -> int
-(** Current [timeout[A]]. *)
-
 (** {2 Machine form} — Figure 2's single definition, one shared-memory
-    atomic per step. The snapshot exploration engine steps it with
-    {!Setsync_runtime.Machine.direct} (one-shot fiber continuations
-    cannot be copied into savepoints); {!forever} derives the fiber
-    form by looping it over {!Setsync_runtime.Machine.fiber}, so both
-    perform the same register operations in the same order by
-    construction. *)
+    atomic per step. {!machine} packages it for every runner: the
+    harness, the explorer and the fuzzer step it with
+    {!Setsync_runtime.Machine.direct}, and a run over routed registers
+    takes its fiber form from {!Setsync_runtime.Machine.body}. The
+    iteration's parts stay exported for the k-set solver, which
+    interleaves them with its own atomics. *)
 
 type mpc
 (** Program counter: the shared-memory atomic just performed, with its
@@ -96,11 +85,6 @@ val iterate_resume : Setsync_runtime.Machine.access -> process -> mpc -> mpc opt
     the step's atomic (start the next iteration, or move on, within
     the same step), as a fiber step spans the code between two
     atomics. *)
-
-val forever_step : Setsync_runtime.Machine.access -> process -> mpc option -> mpc
-(** One step of [repeat forever]: resume [pc] ([None] before the first
-    step) and, when the iteration ends without an atomic, start the
-    next one within the same step. *)
 
 val save_process : process -> unit -> unit
 (** Capture all local variables; the returned thunk restores them. *)
@@ -119,3 +103,25 @@ val sym_payload :
     process [perm p] is given process [p]'s state, with process
     indices, set rows and PC operands renamed as data. Equal payloads
     under some admissible renaming identify symmetric states. *)
+
+type machine
+(** Figure 2 as a whole: one process per id over one [shared], with
+    their PCs. *)
+
+val machine : ?initial_timeout:int -> shared -> params -> machine
+(** {!make_process} for every id, no PC set yet. *)
+
+val processes : machine -> process array
+(** The machine's processes, index = id, for the observer accessors. *)
+
+val step : machine -> Setsync_runtime.Machine.step
+(** One step of [repeat forever] (lines 2–19): resume the process's PC
+    and, when an iteration ends without an atomic, start the next one
+    within the same step. *)
+
+val save : machine -> unit -> unit
+(** Capture every process's locals and PC; the returned thunk restores
+    them. Register state is the store's job. *)
+
+val payload : machine -> perm:int array -> string
+(** {!sym_payload} of the machine's processes and PCs. *)

@@ -2,14 +2,9 @@ module Procset = Setsync_schedule.Procset
 
 type process = Kanti_omega.process
 
-let params ~n ~t = { Kanti_omega.n; t; k = 1 }
-
-let create_shared store ~n ~t = Kanti_omega.create_shared store (params ~n ~t)
-
-let make_process ?initial_timeout shared ~n ~t ~proc =
-  Kanti_omega.make_process ?initial_timeout shared (params ~n ~t) ~proc
-
-let forever = Kanti_omega.forever
+let machine ?initial_timeout store ~n ~t =
+  let params = { Kanti_omega.n; t; k = 1 } in
+  Kanti_omega.machine ?initial_timeout (Kanti_omega.create_shared store params) params
 
 let leader p =
   let w = Kanti_omega.winnerset p in

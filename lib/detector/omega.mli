@@ -10,22 +10,12 @@
     view directly; it is what a consensus protocol (e.g. {!Paxos} in
     the agreement library) would consume. *)
 
-type process
+type process = Kanti_omega.process
 
-val make_process :
-  ?initial_timeout:int ->
-  Kanti_omega.shared ->
-  n:int ->
-  t:int ->
-  proc:Setsync_schedule.Proc.t ->
-  process
-(** The shared state must have been created with
-    [Kanti_omega.create_shared store { n; t; k = 1 }]. *)
-
-val create_shared : Setsync_memory.Store.t -> n:int -> t:int -> Kanti_omega.shared
-
-val forever : process -> unit
-(** {!Kanti_omega.forever}: process code for an executor fiber. *)
+val machine :
+  ?initial_timeout:int -> Setsync_memory.Store.t -> n:int -> t:int -> Kanti_omega.machine
+(** {!Kanti_omega.machine} at [k = 1], its registers allocated in the
+    store. *)
 
 val leader : process -> Setsync_schedule.Proc.t
 (** The process's current leader estimate: the unique member of its

@@ -77,9 +77,9 @@ type minstance = {
     store. Every engine, {!evaluate}, {!trajectory},
     {!check_schedule} and {!Session} step it where it exists; the
     snapshot engine requires it (fiber continuations are one-shot and
-    cannot be copied into savepoints). For Figure 2 and the Theorem-24
-    solver ({!Systems}), [body] is the same step code looped over
-    {!Setsync_runtime.Machine.fiber}. *)
+    cannot be copied into savepoints). For the library's systems
+    ({!Systems}), [body] is {!Setsync_runtime.Machine.body} of the same
+    machine step. *)
 
 type 'obs instance = {
   body : Setsync_schedule.Proc.t -> unit -> unit;  (** process code *)

@@ -1,5 +1,4 @@
 module Procset = Setsync_schedule.Procset
-module Shm = Setsync_runtime.Shm
 module Machine = Setsync_runtime.Machine
 module Kanti_omega = Setsync_detector.Kanti_omega
 module Kset_solver = Setsync_agreement.Kset_solver
@@ -18,25 +17,21 @@ let permutations n =
   List.map Array.of_list (go (List.init n (fun i -> i)))
 
 let pause_procs ~n =
+  let step (acc : Machine.access) _ = acc.pause () in
   {
     Explorer.n;
     fresh =
       (fun ~store:_ ->
         {
-          Explorer.body =
-            (fun _p () ->
-              while true do
-                Shm.pause ()
-              done);
+          Explorer.body = Machine.body step;
           observe = (fun () -> ());
           substrate = None;
           machine =
-            (* a pause step touches no registers, so the machine step
-               is a no-op with an empty footprint — exactly the fiber
-               step's *)
+            (* a pause step touches no registers: an empty footprint,
+               and nothing to save *)
             Some
               {
-                Explorer.m_step = (fun _ -> ());
+                Explorer.m_step = step Machine.direct;
                 m_halted = (fun _ -> false);
                 m_save = (fun () -> fun () -> ());
                 m_payload = Some (fun ~perm:_ -> "");
@@ -59,26 +54,12 @@ let kanti_detector ~params ?initial_timeout () =
     Explorer.n;
     fresh =
       (fun ~store ->
-        let shared = Kanti_omega.create_shared store params in
-        let procs =
-          Array.init n (fun p ->
-              Kanti_omega.make_process ?initial_timeout shared params ~proc:p)
+        let m =
+          Kanti_omega.machine ?initial_timeout (Kanti_omega.create_shared store params) params
         in
-        (* machine form: one PC per process over the same [procs],
-           stepped by the code [forever] loops over fibers *)
-        let pcs = Array.make n None in
-        let m_step p =
-          pcs.(p) <- Some (Kanti_omega.forever_step Machine.direct procs.(p) pcs.(p))
-        in
-        let m_save () =
-          let restores = Array.map Kanti_omega.save_process procs in
-          let saved_pcs = Array.copy pcs in
-          fun () ->
-            Array.iter (fun r -> r ()) restores;
-            Array.blit saved_pcs 0 pcs 0 n
-        in
+        let procs = Kanti_omega.processes m in
         {
-          Explorer.body = (fun p () -> Kanti_omega.forever procs.(p));
+          Explorer.body = Machine.body (Kanti_omega.step m);
           observe =
             (fun () ->
               {
@@ -90,10 +71,10 @@ let kanti_detector ~params ?initial_timeout () =
           machine =
             Some
               {
-                Explorer.m_step;
+                Explorer.m_step = Kanti_omega.step m Machine.direct;
                 m_halted = (fun _ -> false);
-                m_save;
-                m_payload = Some (Kanti_omega.sym_payload shared params procs pcs);
+                m_save = (fun () -> Kanti_omega.save m);
+                m_payload = Some (Kanti_omega.payload m);
                 m_perms = Kanti_omega.sym_perms params;
               };
         });
@@ -120,13 +101,13 @@ let kset_agreement ~problem ~inputs ?initial_timeout () =
         let solver = Kset_solver.create store ~problem ~inputs ?initial_timeout () in
         let machine = Kset_solver.machine solver in
         {
-          Explorer.body = Kset_solver.body solver;
+          Explorer.body = Machine.body (Kset_solver.machine_step machine);
           observe = (fun () -> { decisions = Kset_solver.decisions solver });
           substrate = None;
           machine =
             Some
               {
-                Explorer.m_step = Kset_solver.machine_step machine;
+                Explorer.m_step = Kset_solver.machine_step machine Machine.direct;
                 m_halted = (fun _ -> false);
                 m_save = (fun () -> Kset_solver.machine_save machine);
                 m_payload = Some (Kset_solver.sym_payload machine);

@@ -24,9 +24,10 @@ val kanti_detector :
   ?initial_timeout:int ->
   unit ->
   detector_obs Explorer.sut
-(** The Figure 2 k-anti-Ω detector, one {!Setsync_detector.Kanti_omega}
-    process per fiber. The observation exposes what
-    {!Property.anti_omega_stabilized} needs. Its machine form's payload
+(** The Figure 2 k-anti-Ω detector: the engines step
+    {!Setsync_detector.Kanti_omega.machine}, and [body] is its fiber
+    form ({!Setsync_runtime.Machine.body}). The observation exposes what
+    {!Property.anti_omega_stabilized} needs. The machine's payload
     renders every process-local variable (timers, accusation arrays,
     loop position), so fingerprint pruning over this system is exact. *)
 

@@ -172,11 +172,9 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
             Array.blit min_acc 0 o.min_acc 0 n;
             Array.blit iterations 0 o.iterations 0 n
         in
+        let machine_step acc p = pcs.(p) <- Some (step acc procs.(p) pcs.(p)) in
         {
-          Explorer.body =
-            (fun p () ->
-              let rec loop pc = loop (Some (step Machine.fiber procs.(p) pc)) in
-              loop None);
+          Explorer.body = Machine.body machine_step;
           observe =
             (fun () ->
               {
@@ -189,8 +187,7 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
           machine =
             Some
               {
-                Explorer.m_step =
-                  (fun p -> pcs.(p) <- Some (step Machine.direct procs.(p) pcs.(p)));
+                Explorer.m_step = machine_step Machine.direct;
                 m_halted = (fun _ -> false);
                 m_save;
                 m_payload = None;

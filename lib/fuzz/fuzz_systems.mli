@@ -17,9 +17,9 @@
 
     Like the paper's algorithms, the counter core defines its step code
     once, as a machine form (an explicit PC over
-    {!Setsync_runtime.Machine.access}); its fiber body loops that step
-    over {!Setsync_runtime.Machine.fiber}, so the two forms perform the
-    same register operations in the same order. The machine form is
+    {!Setsync_runtime.Machine.access}); its fiber body is that step's
+    {!Setsync_runtime.Machine.body}, so the two forms perform the same
+    register operations in the same order. The machine form is
     what lets {!Fuzz.run} run a whole hunt on one live instance
     ({!Setsync_explore.Explorer.Session}). *)
 

@@ -32,6 +32,8 @@ let create ?hook () = { hook; next_id = 0; views = []; router = None; cells = No
 
 let set_router t r = t.router <- Some r
 
+let routed t = Option.is_some t.router
+
 let register t ?pp ?(hash = hash) ~name init =
   let id = t.next_id in
   t.next_id <- id + 1;

@@ -23,6 +23,9 @@ val set_router : t -> router -> unit
     own channel state, so algorithm registers get proxied while the
     substrate's do not. *)
 
+val routed : t -> bool
+(** Whether a router is installed. *)
+
 val register : t -> ?pp:'a Fmt.t -> ?hash:('a -> int) -> name:string -> 'a -> 'a Register.t
 (** Allocate one named register with an initial value. [hash]
     (default {!hash}) is the value hash {!key} folds for it: give one

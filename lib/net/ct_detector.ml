@@ -13,7 +13,6 @@ type t = {
   mutable rounds : int;
   mutable cur_start : int;
   mutable completed_start : int;
-  mutable completed_end : int;
   mutable post_gst_end : int option;
 }
 
@@ -33,7 +32,6 @@ let create ?(initial_timeout = 3) ?(backoff = 64) ~net ~clients ~me ~gst_hint ()
     rounds = 0;
     cur_start = 0;
     completed_start = -1;
-    completed_end = -1;
     post_gst_end = None;
   }
 
@@ -73,7 +71,6 @@ let round t =
   elect t;
   t.rounds <- t.rounds + 1;
   t.completed_start <- t.cur_start;
-  t.completed_end <- now;
   if t.post_gst_end = None && t.cur_start >= t.gst_hint then t.post_gst_end <- Some now
 
 let body t () =
@@ -88,7 +85,5 @@ let rounds t = t.rounds
 let suspects t = Array.copy t.suspects
 
 let completed_start t = t.completed_start
-
-let completed_end t = t.completed_end
 
 let post_gst_end t = t.post_gst_end

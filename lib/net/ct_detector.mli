@@ -48,8 +48,6 @@ val completed_start : t -> int
 (** Network clock at which the last completed round started ([-1] if
     none). *)
 
-val completed_end : t -> int
-
 val post_gst_end : t -> int option
 (** Clock at which the first round started at-or-after [gst_hint]
     completed, once any has. *)

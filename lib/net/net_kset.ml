@@ -39,5 +39,3 @@ let body t () =
   done
 
 let decision t = t.decision
-
-let estimate t = t.est

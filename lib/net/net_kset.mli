@@ -28,5 +28,3 @@ val body : t -> unit -> unit
 
 val decision : t -> int option
 (** Observer read. *)
-
-val estimate : t -> int

@@ -7,11 +7,15 @@
     consuming schedule steps; the source receives a [live] predicate so
     crash-aware generators can keep their contracts.
 
-    The loop is parametric in how a process takes its step ({!step}):
-    {!run}/{!replay} resume effect fibers, {!run_with}/{!replay_with}
-    take any {!step} — a machine form's step function followed by its
-    halted test, for instance — under the same skip, stall, all-halted,
-    budget and stop rules. *)
+    The loop is parametric in how a process takes its step ({!step}),
+    under the same skip, stall, all-halted, budget and stop rules
+    either way. Shared-memory runs hand {!run_with}/{!replay_with} a
+    machine form's step called with {!Machine.direct}: no fiber is
+    spawned. {!run}/{!replay} resume effect fibers ({!fibers}); they
+    remain for runs over routed registers (a machine's fiber form,
+    {!Machine.body}) and for the fiber-only algorithms — the net
+    backend's CT detector, blind gossip and register owners, and the
+    BG simulation. *)
 
 type source_factory = live:(Setsync_schedule.Proc.t -> bool) -> Setsync_schedule.Source.t
 (** The executor builds the source with a predicate that is false for

@@ -19,3 +19,10 @@ type access = {
 let direct = { read; write; pause = ignore }
 
 let fiber = { read = Shm.read; write = Shm.write; pause = Shm.pause }
+
+type step = access -> Setsync_schedule.Proc.t -> unit
+
+let body step p () =
+  while true do
+    step fiber p
+  done

@@ -1,18 +1,17 @@
-(** Register access for explicit-PC machine forms of algorithm bodies.
+(** Machine forms: the one way a shared-memory algorithm is written.
 
-    The snapshot exploration engine cannot use fibers: effect
-    continuations are one-shot, so a parked fiber cannot be copied into
-    a savepoint and resumed twice. Algorithms therefore define their
-    step code once, as a defunctionalized {e machine}: an explicit
-    program counter plus a step function that runs the local code since
-    the previous atomic and performs the next one through an {!access}.
-
-    The same step code serves both engines. Given {!direct}, a step
-    returns after its atomic; the machine's own step function is the
-    atomicity boundary. Given {!fiber}, the atomic suspends the calling
-    fiber until its next granted step, so the step function looped
-    over it is the fiber form. Footprints and snapshots coincide
-    across the two by construction. *)
+    The paper's processes are automata: each scheduled step runs local
+    code and then performs one read or write (§2). Each shared-memory
+    algorithm is that automaton written out once, as a {!step} over an
+    explicit program counter, and every runner steps it. On a plain
+    store the caller grants each step itself with {!direct}: the
+    harnesses through {!Executor.run_with}, the explorer and the fuzzer
+    likewise (one-shot fiber continuations could not be copied into the
+    snapshot engine's savepoints). Over routed registers one access
+    spans several scheduled steps, so the step must suspend mid-access:
+    there {!body} runs it as a fiber. The two agree step for step when a
+    step's code after its atomic only sets the PC: a fiber runs that
+    code at the start of its next granted step. *)
 
 val read : 'a Setsync_memory.Register.t -> 'a
 (** Counted, hooked, route-respecting read — {!Shm.read} without the
@@ -30,10 +29,19 @@ type access = {
 (** How a machine step performs its atomic. *)
 
 val direct : access
-(** {!read}, {!write} and a no-op [pause]: for the snapshot engine,
-    which calls the step function once per granted step. *)
+(** {!read}, {!write} and a no-op [pause]: the step returns after its
+    atomic, so each call is one granted step. *)
 
 val fiber : access
 (** {!Shm.read}, {!Shm.write} and {!Shm.pause}: each atomic suspends
     the executor fiber until its next step (registers with a route
     forward through it, as {!Shm} does). *)
+
+type step = access -> Setsync_schedule.Proc.t -> unit
+(** [step acc p]: process [p]'s local code since its previous atomic,
+    then its next atomic through [acc]; advances [p]'s PC. The
+    library's machines never halt. *)
+
+val body : step -> Setsync_schedule.Proc.t -> unit -> unit
+(** The fiber form: process [p] runs [step fiber p] forever. The one
+    derivation of process code from a machine. *)

@@ -50,10 +50,3 @@ let singleton_matrix s =
       Array.iter (fun row -> Array.iter (fun m -> Timeliness.Monitor.feed m proc) row) monitors)
     s;
   Array.map (Array.map (fun m -> Timeliness.Monitor.worst_gap m + 1)) monitors
-
-let pp_curve ppf { lengths; bounds } =
-  Array.iteri
-    (fun idx len ->
-      if idx > 0 then Fmt.sp ppf ();
-      Fmt.pf ppf "%d:%d" len bounds.(idx))
-    lengths

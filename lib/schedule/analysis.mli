@@ -19,5 +19,3 @@ val singleton_matrix : Schedule.t -> int array array
 (** [m.(a).(b)] is the observed bound of singleton [{a}] with respect
     to singleton [{b}] over the whole schedule — the process-timeliness
     matrix of [3]. *)
-
-val pp_curve : curve Fmt.t

@@ -37,9 +37,6 @@ val pick : t -> 'a list -> 'a
 (** Uniform draw from a non-empty list. Raises [Invalid_argument] on an
     empty list. *)
 
-val pick_array : t -> 'a array -> 'a
-(** Uniform draw from a non-empty array. *)
-
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher–Yates shuffle. *)
 

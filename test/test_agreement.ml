@@ -6,7 +6,6 @@
 open Setsync_schedule
 module Problem = Setsync_agreement.Problem
 module Checker = Setsync_agreement.Checker
-module Paxos = Setsync_agreement.Paxos
 module Trivial = Setsync_agreement.Trivial
 module Kset_solver = Setsync_agreement.Kset_solver
 module Ag_harness = Setsync_agreement.Ag_harness
@@ -18,6 +17,24 @@ module Run = Setsync_runtime.Run
 module Adversary = Setsync_net.Adversary
 module Net = Setsync_net.Net
 module Netmem = Setsync_net.Netmem
+
+(* Paxos plus one whole attempt run from fiber code, for tests that
+   call the protocol as a subroutine: its machine form over
+   [Machine.fiber]. *)
+module Paxos = struct
+  include Setsync_agreement.Paxos
+
+  type attempt_result = Decided of int | Interfered
+
+  let attempt p =
+    let fiber = Setsync_runtime.Machine.fiber in
+    let rec go = function
+      | M_more pc -> go (attempt_resume fiber p pc)
+      | M_decided v -> Decided v
+      | M_interfered -> Interfered
+    in
+    go (attempt_start fiber p)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Problem *)

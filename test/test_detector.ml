@@ -295,9 +295,7 @@ let test_lemma10_counter_monotone () =
   let n = 3 and t = 2 and k = 1 in
   let store = Setsync_memory.Store.create () in
   let shared = Kanti_omega.create_shared store (params ~n ~t ~k) in
-  let processes =
-    Array.init n (fun proc -> Kanti_omega.make_process shared (params ~n ~t ~k) ~proc)
-  in
+  let machine = Kanti_omega.machine shared (params ~n ~t ~k) in
   let num_sets = Array.length (Kanti_omega.sets shared) in
   let previous = Array.make_matrix num_sets n 0 in
   let violations = ref 0 in
@@ -311,7 +309,7 @@ let test_lemma10_counter_monotone () =
     done
   in
   let source ~live = Generators.round_robin ~live ~n () in
-  let body proc () = Kanti_omega.forever processes.(proc) in
+  let body = Setsync_runtime.Machine.body (Kanti_omega.step machine) in
   ignore (Setsync_runtime.Executor.run ~n ~source ~max_steps:20_000 ~on_step body);
   Alcotest.(check int) "never decreases" 0 !violations
 
@@ -324,9 +322,7 @@ let test_lemma11_timely_counter_stops () =
   let n = 3 and t = 2 and k = 1 in
   let store = Setsync_memory.Store.create () in
   let shared = Kanti_omega.create_shared store (params ~n ~t ~k) in
-  let processes =
-    Array.init n (fun proc -> Kanti_omega.make_process shared (params ~n ~t ~k) ~proc)
-  in
+  let machine = Kanti_omega.machine shared (params ~n ~t ~k) in
   (* row of the set {p1} in the canonical order *)
   let row =
     let sets = Kanti_omega.sets shared in
@@ -352,7 +348,7 @@ let test_lemma11_timely_counter_stops () =
         end;
         Some x)
   in
-  let body proc () = Kanti_omega.forever processes.(proc) in
+  let body = Setsync_runtime.Machine.body (Kanti_omega.step machine) in
   let halfway_p2 = ref 0 and halfway_p3 = ref 0 in
   let total = 400_000 in
   let on_step ~global ~proc:_ =

@@ -11,6 +11,12 @@ module Machine = Setsync_runtime.Machine
 module Executor = Setsync_runtime.Executor
 module Kanti_omega = Setsync_detector.Kanti_omega
 module Kset_solver = Setsync_agreement.Kset_solver
+module Problem = Setsync_agreement.Problem
+module Ag_harness = Setsync_agreement.Ag_harness
+module Adaptive = Setsync_agreement.Adaptive
+module Fd_harness = Setsync_detector.Fd_harness
+module History = Setsync_detector.History
+module Substrate = Setsync_runtime.Substrate
 module Run = Setsync_runtime.Run
 module Budget = Setsync_explore.Budget
 module Property = Setsync_explore.Property
@@ -1036,13 +1042,13 @@ let kset_lockstep ~label ~problem ~seed ~fault =
       ~fiber_body:(fun store ->
         let s = Kset_solver.create store ~problem ~inputs ~initial_timeout:4 () in
         fiber_solver := Some s;
-        Kset_solver.body s)
+        Machine.body (Kset_solver.machine_step (Kset_solver.machine s)))
       ~machine_step:(fun store ->
         let s = Kset_solver.create store ~problem ~inputs ~initial_timeout:4 () in
         let m = Kset_solver.machine s in
         let taken = ref 0 in
         ( (fun p ->
-            Kset_solver.machine_step m p;
+            Kset_solver.machine_step m Machine.direct p;
             incr taken;
             if !first_decision = None && Array.exists Option.is_some (Kset_solver.decisions s)
             then first_decision := Some !taken),
@@ -1057,20 +1063,90 @@ let kset_lockstep ~label ~problem ~seed ~fault =
         true
         (at + 500 <= steps)
 
+(* The harnesses on a plain store step machine forms directly; their
+   runs must be the fiber derivation's ([Machine.body]) exactly: same
+   schedule taken, decisions, decide steps and output histories. A
+   step whose code after its atomic does more than fix the PC (say, a
+   decision recorded after its write) runs that code a step later as a
+   fiber, and shows up here. *)
+let check_same_agreement ~label (direct : Ag_harness.outcome) (fibers : Run.t) ~decisions
+    ~decide_steps =
+  Alcotest.(check (list int))
+    (label ^ ": schedule taken")
+    (Schedule.to_list fibers.Run.taken)
+    (Schedule.to_list direct.Ag_harness.run.Run.taken);
+  Alcotest.(check (array (option int))) (label ^ ": decisions") decisions direct.decisions;
+  Alcotest.(check (array (option int))) (label ^ ": decide steps") decide_steps direct.decide_steps;
+  Alcotest.(check bool) (label ^ ": a crash was injected") true
+    (not (Procset.is_empty (Run.crashed fibers)));
+  Alcotest.(check bool) (label ^ ": someone decided") true
+    (Array.exists Option.is_some decisions)
+
+(* Ag_harness runs the same machine as fibers when given a substrate *)
+let harness_lockstep ~label ~problem ?solver ~seed ~fault () =
+  let n = problem.Problem.n in
+  let solve ?store ?substrate () =
+    Ag_harness.solve ~problem ~inputs:(Problem.distinct_inputs problem) ?solver ~fault ?store
+      ?substrate ~max_steps:200_000
+      ~source:(fun ~live -> Generators.random_fair ~live ~n ~rng:(Rng.create ~seed) ())
+      ()
+  in
+  let store = Store.create () in
+  let fibers = solve ~store ~substrate:(Substrate.shm ~store) () in
+  check_same_agreement ~label (solve ()) fibers.Ag_harness.run ~decisions:fibers.decisions
+    ~decide_steps:fibers.decide_steps
+
+(* an adaptive run's fiber derivation, by hand: the adversary reads the
+   solver the fibers step *)
+let adaptive_lockstep () =
+  let problem = Problem.make ~t:2 ~k:2 ~n:5 and fault = [ (4, 60) ] and max_steps = 5_000 in
+  let inputs = Problem.distinct_inputs problem in
+  let contract =
+    { Generators.p = Procset.of_list [ 0; 1 ]; q = Procset.of_list [ 0; 1; 2 ]; bound = 3 }
+  in
+  let make_source ~view ~live =
+    Adaptive.source ~live ~n:5 ~contract ~fault_budget:2 ~defeat:2 ~view ()
+  in
+  let direct = Ag_harness.solve_adaptive ~problem ~inputs ~make_source ~max_steps ~fault () in
+  let solver = Kset_solver.create (Store.create ()) ~problem ~inputs () in
+  let body = Machine.body (Kset_solver.machine_step (Kset_solver.machine solver)) in
+  let tally = Run.Tally.create ~n:5 fault in
+  let decide_steps = Array.make 5 None in
+  let on_step ~global ~proc:_ =
+    Array.iteri
+      (fun p d -> if d <> None && decide_steps.(p) = None then decide_steps.(p) <- Some global)
+      (Kset_solver.decisions solver)
+  in
+  let stop () =
+    let d = Kset_solver.decisions solver in
+    List.for_all (fun p -> d.(p) <> None || not (Run.Tally.live tally p)) (Proc.all ~n:5)
+  in
+  let run =
+    Executor.run ~n:5 ~source:(make_source ~view:(Kset_solver.adversary_view solver))
+      ~max_steps ~tally ~on_step ~stop body
+  in
+  check_same_agreement ~label:"adaptive kset n=5 t=2 k=2" direct run
+    ~decisions:(Kset_solver.decisions solver) ~decide_steps
+
 let test_lockstep_kset () =
   kset_lockstep ~label:"kset n=4 t=2 k=2"
     ~problem:(Setsync_agreement.Problem.make ~t:2 ~k:2 ~n:4)
     ~seed:11 ~fault:[ (3, 300); (1, 1_000) ];
   kset_lockstep ~label:"consensus n=3 t=1 k=1"
     ~problem:(Setsync_agreement.Problem.make ~t:1 ~k:1 ~n:3)
-    ~seed:12 ~fault:[ (2, 400) ]
+    ~seed:12 ~fault:[ (2, 400) ];
+  harness_lockstep ~label:"harness kset n=4 t=2 k=2" ~problem:(Problem.make ~t:2 ~k:2 ~n:4)
+    ~seed:11 ~fault:[ (3, 20); (1, 60) ] ();
+  harness_lockstep ~label:"harness paxos n=4" ~problem:(Problem.consensus ~t:2 ~n:4)
+    ~solver:`Paxos ~seed:14 ~fault:[ (2, 5) ] ();
+  (* writer p1 crashes right after writing its slot, before deciding *)
+  harness_lockstep ~label:"harness trivial t=1 k=2 n=4" ~problem:(Problem.make ~t:1 ~k:2 ~n:4)
+    ~seed:15 ~fault:[ (0, 1) ] ();
+  adaptive_lockstep ()
 
 let test_lockstep_kanti () =
   let params = { Kanti_omega.n = 4; t = 2; k = 2 } in
-  let procs store =
-    let shared = Kanti_omega.create_shared store params in
-    Array.init 4 (fun proc -> Kanti_omega.make_process shared params ~proc)
-  in
+  let machine store = Kanti_omega.machine (Kanti_omega.create_shared store params) params in
   let render procs =
     Fmt.str "%a|%a|%a"
       Fmt.(array ~sep:semi Procset.pp)
@@ -1084,14 +1160,52 @@ let test_lockstep_kanti () =
   ignore
     (lockstep ~label:"figure 2 n=4 t=2 k=2" ~n:4 ~seed:13 ~fault:[ (0, 300) ]
        ~fiber_body:(fun store ->
-         fiber_procs := procs store;
-         fun p () -> Kanti_omega.forever !fiber_procs.(p))
+         let m = machine store in
+         fiber_procs := Kanti_omega.processes m;
+         Machine.body (Kanti_omega.step m))
        ~machine_step:(fun store ->
-         let ps = procs store in
-         let pcs = Array.make 4 None in
-         ( (fun p -> pcs.(p) <- Some (Kanti_omega.forever_step Machine.direct ps.(p) pcs.(p))),
-           fun () -> render ps ))
-       ~observe:(fun () -> render !fiber_procs))
+         let m = machine store in
+         (Kanti_omega.step m Machine.direct, fun () -> render (Kanti_omega.processes m)))
+       ~observe:(fun () -> render !fiber_procs));
+  (* Fd_harness against Figure 2's fiber derivation, by hand *)
+  let fault = [ (0, 300) ] and max_steps = 5_000 in
+  let source ~live = Generators.random_fair ~live ~n:4 ~rng:(Rng.create ~seed:13) () in
+  let direct = Fd_harness.run ~params ~source ~max_steps ~fault () in
+  let m = machine (Store.create ()) in
+  let procs = Kanti_omega.processes m in
+  let outputs = History.create ~n:4 and winnersets = History.create ~n:4 in
+  let on_step ~global ~proc =
+    History.note outputs ~proc ~step:global ~equal:Procset.equal
+      (Kanti_omega.fd_output procs.(proc));
+    History.note winnersets ~proc ~step:global ~equal:Procset.equal
+      (Kanti_omega.winnerset procs.(proc))
+  in
+  let run =
+    Executor.run ~n:4 ~source ~max_steps ~fault ~on_step (Machine.body (Kanti_omega.step m))
+  in
+  let label = "fd harness n=4 t=2 k=2" in
+  Alcotest.(check bool) (label ^ ": a crash was injected") true
+    (not (Procset.is_empty (Run.crashed run)));
+  Alcotest.(check (list int))
+    (label ^ ": schedule taken")
+    (Schedule.to_list run.Run.taken)
+    (Schedule.to_list direct.Fd_harness.run.Run.taken);
+  let timeline h proc =
+    List.map (fun (s, v) -> (s, Procset.to_string v)) (History.timeline h ~proc)
+  in
+  for proc = 0 to 3 do
+    let at what = Printf.sprintf "%s: p%d %s" label proc what in
+    Alcotest.(check (list (pair int string)))
+      (at "fdOutput history") (timeline outputs proc)
+      (timeline direct.Fd_harness.outputs proc);
+    Alcotest.(check (list (pair int string)))
+      (at "winnerset history") (timeline winnersets proc)
+      (timeline direct.Fd_harness.winnersets proc)
+  done;
+  Alcotest.(check (array int))
+    (label ^ ": iterations")
+    (Array.map Kanti_omega.iterations procs)
+    direct.Fd_harness.iterations
 
 (* the schedule-sensitive regression (e) must hold under the path-replay
    descent (on the machine-less copy) in both verdict and accounting: a

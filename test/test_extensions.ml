@@ -15,12 +15,29 @@ module Omega = Setsync_detector.Omega
 module Fd_harness = Setsync_detector.Fd_harness
 module Problem = Setsync_agreement.Problem
 module Checker = Setsync_agreement.Checker
-module Paxos = Setsync_agreement.Paxos
 module Ag_harness = Setsync_agreement.Ag_harness
 module Store = Setsync_memory.Store
 module Shm = Setsync_runtime.Shm
 module Executor = Setsync_runtime.Executor
 module Run = Setsync_runtime.Run
+
+(* Paxos plus one whole attempt run from fiber code, for tests that
+   call the protocol as a subroutine: its machine form over
+   [Machine.fiber]. *)
+module Paxos = struct
+  include Setsync_agreement.Paxos
+
+  type attempt_result = Decided of int | Interfered
+
+  let attempt p =
+    let fiber = Setsync_runtime.Machine.fiber in
+    let rec go = function
+      | M_more pc -> go (attempt_resume fiber p pc)
+      | M_decided v -> Decided v
+      | M_interfered -> Interfered
+    in
+    go (attempt_start fiber p)
+end
 
 (* ------------------------------------------------------------------ *)
 (* Wait-free instances: t = n - 1 *)
@@ -87,9 +104,9 @@ let test_wait_free_set_agreement () =
 let test_omega_facade () =
   let n = 3 and t = 1 in
   let store = Store.create () in
-  let shared = Omega.create_shared store ~n ~t in
-  let processes = Array.init n (fun proc -> Omega.make_process shared ~n ~t ~proc) in
-  let body proc () = Omega.forever processes.(proc) in
+  let machine = Omega.machine store ~n ~t in
+  let processes = Kanti_omega.processes machine in
+  let body = Setsync_runtime.Machine.body (Kanti_omega.step machine) in
   let rng = Rng.create ~seed:904 in
   let contract =
     { Generators.p = Procset.singleton 2; q = Procset.of_list [ 0; 1 ]; bound = 3 }

@@ -11,6 +11,7 @@ module Run = Setsync_runtime.Run
 module Executor = Setsync_runtime.Executor
 module Substrate = Setsync_runtime.Substrate
 module Shm = Setsync_runtime.Shm
+module Machine = Setsync_runtime.Machine
 module Msg = Setsync_net.Msg
 module Adversary = Setsync_net.Adversary
 module Net = Setsync_net.Net
@@ -506,7 +507,8 @@ let test_kanti_cross_backend () =
   let last = ref (-1) in
   let store = Store.create ~hook:(fun id -> last := id) () in
   let shared = Kanti_omega.create_shared store params in
-  let procs = Array.init 2 (fun p -> Kanti_omega.make_process shared params ~proc:p) in
+  let machine = Kanti_omega.machine shared params in
+  let procs = Kanti_omega.processes machine in
   (* register ids are allocation indices, the snapshot's order *)
   let names = Array.of_list (List.map fst (Store.snapshot store)) in
   let sched = Schedule.to_list (Source.take (Generators.round_robin ~n:2 ()) shm_len) in
@@ -516,8 +518,8 @@ let test_kanti_cross_backend () =
     touched.(global) <- names.(!last)
   in
   ignore
-    (Executor.replay ~n:2 ~schedule:(Schedule.of_list ~n:2 sched) ~on_step (fun p () ->
-         Kanti_omega.forever procs.(p)));
+    (Executor.replay ~n:2 ~schedule:(Schedule.of_list ~n:2 sched) ~on_step
+       (Machine.body (Kanti_omega.step machine)));
   let shm_obs p = (Kanti_omega.fd_output p, Kanti_omega.winnerset p, Kanti_omega.iterations p) in
   let expect = Array.map shm_obs procs in
   (* net run over routed registers *)
@@ -527,7 +529,8 @@ let test_kanti_cross_backend () =
   let net = Net.create ~store:store2 ~n:total ~adversary:(Adversary.synchronous ~delta:1) () in
   let nm = Netmem.install ~net ~store:store2 ~clients:2 ~owners () in
   let shared2 = Kanti_omega.create_shared store2 params in
-  let procs2 = Array.init 2 (fun p -> Kanti_omega.make_process shared2 params ~proc:p) in
+  let machine2 = Kanti_omega.machine shared2 params in
+  let procs2 = Kanti_omega.processes machine2 in
   let expanded =
     List.concat
       (List.mapi
@@ -542,7 +545,8 @@ let test_kanti_cross_backend () =
       ~schedule:(Schedule.of_list ~n:total expanded)
       ~substrate:(Net.substrate net)
       (fun p () ->
-        if p < 2 then Kanti_omega.forever procs2.(p) else Netmem.owner_body nm p ())
+        if p < 2 then Machine.body (Kanti_omega.step machine2) p ()
+        else Netmem.owner_body nm p ())
   in
   Alcotest.(check int) "3x the steps" (3 * shm_len) (Run.total_steps run);
   Array.iteri
