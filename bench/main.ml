@@ -681,6 +681,44 @@ let e11_decided () =
       ("wall_seconds", Json.Float s.Budget.wall_seconds);
     ]
 
+(* E11g: what the snapshot engine allocates per visited state, on a
+   fingerprint-off k-set check (t=1, k=1, n=3 @12, 25,325 states).
+   Minor words are read after a minor collection, when OCaml 5 brings
+   the counter up to date, and a one-domain run allocates the same
+   words every time. States render their register snapshot only on
+   demand and the spine's savepoints reuse per-depth buffers, so a
+   state costs a few hundred words; an eager render costs about 5,000
+   more. `make ci` puts a ceiling on the words per state
+   (bin/bench_guard.ml). *)
+let e11_words () =
+  let n = 3 and depth = 12 in
+  subsection
+    (Fmt.str "g. minor words per visited state (t=1,k=1,n=%d @%d, snapshot, fp off)" n depth);
+  let problem = Problem.make ~t:1 ~k:1 ~n in
+  let inputs = Problem.distinct_inputs problem in
+  let decisions st = st.Explorer.obs.Explore_systems.decisions in
+  let sut = Explore_systems.kset_agreement ~problem ~inputs () in
+  let properties =
+    [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
+  in
+  let config = Explorer.config ~prune_fingerprints:false ~engine:Explorer.Snapshot ~depth () in
+  Gc.minor ();
+  let before = Gc.minor_words () in
+  let r = Explorer.explore ~sut ~properties config in
+  Gc.minor ();
+  let words = Gc.minor_words () -. before in
+  let visited = r.Explorer.stats.Budget.visited in
+  let per_state = words /. float_of_int (max 1 visited) in
+  Fmt.pr "  visited %d, %.0f minor words, %.1f words per state@." visited words per_state;
+  Results.add "E11g"
+    [
+      ("n", Json.Int n);
+      ("depth", Json.Int depth);
+      ("visited", Json.Int visited);
+      ("minor_words", Json.Float words);
+      ("words_per_state", Json.Float per_state);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* P9: observability overhead — the no-sink discipline, enforced *)
 
@@ -1159,6 +1197,7 @@ let quick () =
   e11_domains ~depth:8 ();
   e11_engines ();
   e11_snapshot ();
+  e11_words ();
   e11_decided ();
   f1_fuzz ();
   n1_net ~quick:true ();
@@ -1184,6 +1223,7 @@ let () =
     e11_domains ();
     e11_engines ();
     e11_snapshot ();
+    e11_words ();
     e11_decided ();
     f1_fuzz ();
     n1_net ();

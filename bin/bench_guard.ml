@@ -21,6 +21,12 @@
    visiting no more than the plain payload fingerprints, which visit no
    more than the fp-off run (measured 206 <= 341 <= 6,480).
 
+   The E11g row caps what the snapshot engine allocates per visited
+   state on a fingerprint-off k-set check (n=3, depth 12): measured
+   about 320 minor words per state, ceiling 1,000. A state that renders
+   its register snapshot eagerly costs about 5,000 words more, so an
+   eager render that comes back trips the ceiling.
+
    The E11h row pins an explored k-set check that reaches decisions:
    the exhaustive n=3 check at depth 30 with exact fingerprints visits
    exactly 24,340 states, some of them with a decision (the solver
@@ -181,6 +187,19 @@ let () =
       | _ -> fail "E11f symmetry: missing visited_sym/visited_plain/visited_full");
       Printf.printf "bench_guard: E11f symmetry ok (%.2fx fewer states, exhaustive)\n"
         reduction);
+  (* E11g row: minor words per visited state on the snapshot engine *)
+  (match List.find_opt (fun row -> str row "section" = Some "E11g") rows with
+  | None -> fail "%s: no E11g row — did bench --quick change?" file
+  | Some row ->
+      let ceiling = 1_000. in
+      (match num row "words_per_state" with
+      | Some w when w <= ceiling ->
+          Printf.printf "bench_guard: E11g ok (%.0f minor words per visited state, ceiling %.0f)\n"
+            w ceiling
+      | Some w ->
+          fail "E11g: %.0f minor words per visited state (ceiling %.0f): is a state rendered eagerly?"
+            w ceiling
+      | None -> fail "E11g: missing words_per_state"));
   (* E11h row: a k-set check deep enough to decide *)
   (match List.find_opt (fun row -> str row "section" = Some "E11h") rows with
   | None -> fail "%s: no E11h row — did bench --quick change?" file

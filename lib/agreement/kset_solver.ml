@@ -2,6 +2,7 @@ module Proc = Setsync_schedule.Proc
 module Procset = Setsync_schedule.Procset
 module Store = Setsync_memory.Store
 module Machine = Setsync_runtime.Machine
+module Savestack = Setsync_memory.Savestack
 module Kanti_omega = Setsync_detector.Kanti_omega
 
 type t = {
@@ -114,24 +115,62 @@ let step (acc : Machine.access) t proc = function
 
 (* {2 Machine form} *)
 
-type machine = { solver : t; pcs : spc option array }
+type machine = {
+  solver : t;
+  pcs : spc option array;
+  points : Savestack.t;  (* [machine_save]'s depths *)
+  (* n per depth *)
+  mutable saved_pcs : spc option array;
+  mutable saved_decisions : int option array;
+  mutable saved_engagement : (int * int) option array;
+}
 
-let machine t = { solver = t; pcs = Array.make t.problem.Problem.n None }
+let machine t =
+  {
+    solver = t;
+    pcs = Array.make t.problem.Problem.n None;
+    points = Savestack.create ();
+    saved_pcs = [||];
+    saved_decisions = [||];
+    saved_engagement = [||];
+  }
 
 let machine_step m acc proc = m.pcs.(proc) <- Some (step acc m.solver proc m.pcs.(proc))
 
-let machine_save m =
-  let fd_saves = Array.map Kanti_omega.save_process m.solver.fds in
-  let prop_saves = Array.map (Array.map Paxos.save_proposer) m.solver.props in
-  let pcs = Array.copy m.pcs in
-  let decisions = Array.copy m.solver.decisions in
-  let engagement = Array.copy m.solver.engagement in
-  fun () ->
-    Array.iter (fun f -> f ()) fd_saves;
-    Array.iter (Array.iter (fun f -> f ())) prop_saves;
-    Array.blit pcs 0 m.pcs 0 (Array.length pcs);
-    Array.blit decisions 0 m.solver.decisions 0 (Array.length decisions);
-    Array.blit engagement 0 m.solver.engagement 0 (Array.length engagement)
+let capture m depth =
+  let t = m.solver in
+  let n = t.problem.Problem.n in
+  for p = 0 to n - 1 do
+    Kanti_omega.capture_process t.fds.(p) depth;
+    for r = 0 to t.problem.Problem.k - 1 do
+      Paxos.capture_proposer t.props.(p).(r) depth
+    done
+  done;
+  let at = depth * n in
+  if at + n > Array.length m.saved_pcs then begin
+    m.saved_pcs <- Savestack.grow m.saved_pcs (at + n) None;
+    m.saved_decisions <- Savestack.grow m.saved_decisions (at + n) None;
+    m.saved_engagement <- Savestack.grow m.saved_engagement (at + n) None
+  end;
+  Array.blit m.pcs 0 m.saved_pcs at n;
+  Array.blit t.decisions 0 m.saved_decisions at n;
+  Array.blit t.engagement 0 m.saved_engagement at n
+
+let restore m depth =
+  let t = m.solver in
+  let n = t.problem.Problem.n in
+  for p = 0 to n - 1 do
+    Kanti_omega.restore_process t.fds.(p) depth;
+    for r = 0 to t.problem.Problem.k - 1 do
+      Paxos.restore_proposer t.props.(p).(r) depth
+    done
+  done;
+  let at = depth * n in
+  Array.blit m.saved_pcs at m.pcs 0 n;
+  Array.blit m.saved_decisions at t.decisions 0 n;
+  Array.blit m.saved_engagement at t.engagement 0 n
+
+let machine_save m = Savestack.save m.points "Kset_solver.machine_save" capture restore m
 
 (* {2 Symmetry} *)
 

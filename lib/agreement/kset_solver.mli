@@ -57,7 +57,13 @@ val machine_step : machine -> Setsync_runtime.Machine.step
 val machine_save : machine -> unit -> unit
 (** Capture all per-process local state (detector locals, proposer
     ballots/decisions, PCs, decision records, engagement); the
-    returned thunk restores it. Register state is the store's job. *)
+    returned thunk restores it. Register state is the store's job.
+    Restores are last-in-first-out ({!Setsync_memory.Savestack}), as
+    for {!Setsync_detector.Kanti_omega.save}: the capture goes to
+    per-depth buffers the machine, its detector processes and its
+    proposers reuse, so a save allocates only the returned closure,
+    and a savepoint whose depth a later save reused raises
+    [Invalid_argument] when restored. *)
 
 val sym_perms : t -> int array list
 (** Admissible process renamings for symmetry reduction: the

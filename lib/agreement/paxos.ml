@@ -24,11 +24,22 @@ type proposer = {
   input : int;
   mutable ballot : int;
   mutable decided : int option;
+  (* [capture_proposer]'s per-depth buffers *)
+  mutable saved_ballot : int array;
+  mutable saved_decided : int option array;
 }
 
 let make_proposer shared ~proc ~input =
   Proc.check ~n:shared.n proc;
-  { shared; proc; input; ballot = proc + 1; decided = None }
+  {
+    shared;
+    proc;
+    input;
+    ballot = proc + 1;
+    decided = None;
+    saved_ballot = [||];
+    saved_decided = [||];
+  }
 
 (* Smallest ballot of [proc]'s arithmetic class strictly above [floor]. *)
 let next_ballot ~n ~proc ~floor =
@@ -126,11 +137,17 @@ let attempt_resume (acc : Machine.access) p pc =
       else if intf > 0 then interfered intf
       else decide value
 
-let save_proposer p =
-  let ballot = p.ballot and decided = p.decided in
-  fun () ->
-    p.ballot <- ballot;
-    p.decided <- decided
+let capture_proposer p depth =
+  if depth >= Array.length p.saved_ballot then begin
+    p.saved_ballot <- Setsync_memory.Savestack.grow p.saved_ballot (depth + 1) 0;
+    p.saved_decided <- Setsync_memory.Savestack.grow p.saved_decided (depth + 1) None
+  end;
+  p.saved_ballot.(depth) <- p.ballot;
+  p.saved_decided.(depth) <- p.decided
+
+let restore_proposer p depth =
+  p.ballot <- p.saved_ballot.(depth);
+  p.decided <- p.saved_decided.(depth)
 
 (* {2 Symmetry} *)
 

@@ -69,8 +69,14 @@ val attempt_resume : Setsync_runtime.Machine.access -> proposer -> mpc -> mres
 (** Run the local code following [pc]'s atomic, then perform the next
     atomic or resolve the attempt. *)
 
-val save_proposer : proposer -> unit -> unit
-(** Capture ballot and decision; the returned thunk restores them. *)
+val capture_proposer : proposer -> int -> unit
+(** [capture_proposer p depth] copies the ballot and decision into
+    [p]'s own buffers at savepoint depth [depth], which the owner's
+    {!Setsync_memory.Savestack} hands out (the k-set solver's
+    [machine_save]). *)
+
+val restore_proposer : proposer -> int -> unit
+(** Restore the ballot and decision captured at [depth]. *)
 
 (** {2 Symmetry helpers} — renderings of proposer/shared state under a
     process renaming, used by the k-set solver's symmetry payload.

@@ -38,7 +38,12 @@ let validate spec =
       (* worst-case phase victim is A ∪ Q with A ⊇ P disjoint from Q∖P *)
       if k + j - i >= n then
         invalid_arg
-          (Printf.sprintf "Scenario: %s adversary would starve everyone in some phase" name)
+          (Printf.sprintf "Scenario: %s adversary would starve everyone in some phase" name);
+      (* its phases starve a whole candidate set of size k, and it may
+         starve at most t processes *)
+      if adversary = Adaptive && t < k then
+        invalid_arg
+          "Scenario: Adaptive adversary needs k <= t (it starves k-sets within a budget of t)"
   | Fair -> ()
 
 type report = {

@@ -47,8 +47,9 @@ type spec = {
 val validate : spec -> unit
 (** Raises [Invalid_argument] on inconsistent parameters (including an
     [Exclusive] adversary with [k >= n], which has no candidate phases
-    to rotate, and [crashes > t], which would make every property
-    vacuous). *)
+    to rotate, an [Adaptive] adversary with [t < k], whose phases would
+    starve more than the [t] processes it may starve, and
+    [crashes > t], which would make every property vacuous). *)
 
 type report = {
   spec : spec;

@@ -3,6 +3,7 @@ module Procset = Setsync_schedule.Procset
 module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
 module Machine = Setsync_runtime.Machine
+module Savestack = Setsync_memory.Savestack
 
 type params = { n : int; t : int; k : int }
 
@@ -53,6 +54,9 @@ type process = {
   accusation : int array;
   cnt : int array array;  (** cnt[A, q] *)
   mutable iterations : int;
+  (* [capture_process]'s per-depth buffers: the sets, and every int *)
+  mutable saved_sets : Procset.t array;
+  mutable saved : int array;
 }
 
 let make_process ?(initial_timeout = 1) shared params ~proc =
@@ -75,6 +79,8 @@ let make_process ?(initial_timeout = 1) shared params ~proc =
     accusation = Array.make num_sets 0;
     cnt = Array.make_matrix num_sets params.n 0;
     iterations = 0;
+    saved_sets = [||];
+    saved = [||];
   }
 
 let fd_output p = p.fd_output
@@ -162,26 +168,51 @@ let forever_step acc p = function
   | Some pc -> (
       match iterate_resume acc p pc with Some pc' -> pc' | None -> iterate_start acc p)
 
-let save_process p =
-  let fd_output = p.fd_output
-  and winnerset = p.winnerset
-  and my_hb = p.my_hb
-  and iterations = p.iterations in
-  let prev_heartbeat = Array.copy p.prev_heartbeat in
-  let timeout = Array.copy p.timeout in
-  let timer = Array.copy p.timer in
-  let accusation = Array.copy p.accusation in
-  let cnt = Array.map Array.copy p.cnt in
-  fun () ->
-    p.fd_output <- fd_output;
-    p.winnerset <- winnerset;
-    p.my_hb <- my_hb;
-    p.iterations <- iterations;
-    Array.blit prev_heartbeat 0 p.prev_heartbeat 0 (Array.length prev_heartbeat);
-    Array.blit timeout 0 p.timeout 0 (Array.length timeout);
-    Array.blit timer 0 p.timer 0 (Array.length timer);
-    Array.blit accusation 0 p.accusation 0 (Array.length accusation);
-    Array.iteri (fun i row -> Array.blit row 0 p.cnt.(i) 0 (Array.length row)) cnt
+(* the ints one capture of [p] takes: my_hb, iterations, then the
+   arrays in field order *)
+let saved_width p = 2 + p.params.n + (num_sets p * (3 + p.params.n))
+
+let capture_process p depth =
+  let w = saved_width p in
+  let at = depth * w in
+  if at + w > Array.length p.saved then p.saved <- Savestack.grow p.saved (at + w) 0;
+  if (2 * depth) + 2 > Array.length p.saved_sets then
+    p.saved_sets <- Savestack.grow p.saved_sets ((2 * depth) + 2) Procset.empty;
+  p.saved_sets.(2 * depth) <- p.fd_output;
+  p.saved_sets.((2 * depth) + 1) <- p.winnerset;
+  let b = p.saved in
+  b.(at) <- p.my_hb;
+  b.(at + 1) <- p.iterations;
+  let n = p.params.n and ns = num_sets p in
+  let at = at + 2 in
+  Array.blit p.prev_heartbeat 0 b at n;
+  let at = at + n in
+  Array.blit p.timeout 0 b at ns;
+  Array.blit p.timer 0 b (at + ns) ns;
+  Array.blit p.accusation 0 b (at + (2 * ns)) ns;
+  let at = at + (3 * ns) in
+  for a = 0 to ns - 1 do
+    Array.blit p.cnt.(a) 0 b (at + (a * n)) n
+  done
+
+let restore_process p depth =
+  let at = depth * saved_width p in
+  p.fd_output <- p.saved_sets.(2 * depth);
+  p.winnerset <- p.saved_sets.((2 * depth) + 1);
+  let b = p.saved in
+  p.my_hb <- b.(at);
+  p.iterations <- b.(at + 1);
+  let n = p.params.n and ns = num_sets p in
+  let at = at + 2 in
+  Array.blit b at p.prev_heartbeat 0 n;
+  let at = at + n in
+  Array.blit b at p.timeout 0 ns;
+  Array.blit b (at + ns) p.timer 0 ns;
+  Array.blit b (at + (2 * ns)) p.accusation 0 ns;
+  let at = at + (3 * ns) in
+  for a = 0 to ns - 1 do
+    Array.blit b (at + (a * n)) p.cnt.(a) 0 n
+  done
 
 (* {2 Symmetry} *)
 
@@ -303,23 +334,44 @@ type machine = {
   m_params : params;
   procs : process array;
   pcs : mpc option array;
+  points : Savestack.t;  (* [save]'s depths *)
+  mutable saved_pcs : mpc option array;  (* n per depth *)
 }
 
 let machine ?initial_timeout shared params =
   let procs =
     Array.init params.n (fun proc -> make_process ?initial_timeout shared params ~proc)
   in
-  { m_shared = shared; m_params = params; procs; pcs = Array.make params.n None }
+  {
+    m_shared = shared;
+    m_params = params;
+    procs;
+    pcs = Array.make params.n None;
+    points = Savestack.create ();
+    saved_pcs = [||];
+  }
 
 let processes m = m.procs
 
 let step m acc p = m.pcs.(p) <- Some (forever_step acc m.procs.(p) m.pcs.(p))
 
-let save m =
-  let restores = Array.map save_process m.procs in
-  let pcs = Array.copy m.pcs in
-  fun () ->
-    Array.iter (fun r -> r ()) restores;
-    Array.blit pcs 0 m.pcs 0 (Array.length pcs)
+let capture m depth =
+  let n = Array.length m.procs in
+  for p = 0 to n - 1 do
+    capture_process m.procs.(p) depth
+  done;
+  let at = depth * n in
+  if at + n > Array.length m.saved_pcs then
+    m.saved_pcs <- Savestack.grow m.saved_pcs (at + n) None;
+  Array.blit m.pcs 0 m.saved_pcs at n
+
+let restore m depth =
+  let n = Array.length m.procs in
+  for p = 0 to n - 1 do
+    restore_process m.procs.(p) depth
+  done;
+  Array.blit m.saved_pcs (depth * n) m.pcs 0 n
+
+let save m = Savestack.save m.points "Kanti_omega.save" capture restore m
 
 let payload m = sym_payload m.m_shared m.m_params m.procs m.pcs

@@ -86,8 +86,15 @@ val iterate_resume : Setsync_runtime.Machine.access -> process -> mpc -> mpc opt
     the same step), as a fiber step spans the code between two
     atomics. *)
 
-val save_process : process -> unit -> unit
-(** Capture all local variables; the returned thunk restores them. *)
+val capture_process : process -> int -> unit
+(** [capture_process p depth] copies all of [p]'s local variables into
+    [p]'s own buffers at savepoint depth [depth], growing them when
+    [depth] is new and reusing them otherwise. The depth comes from
+    the owner's {!Setsync_memory.Savestack}: the machine's {!save}, or
+    the k-set solver's. *)
+
+val restore_process : process -> int -> unit
+(** Restore the local variables captured at [depth]. *)
 
 val sym_perms : params -> int array list
 (** The admissible process renamings for symmetry reduction: all
@@ -121,7 +128,13 @@ val step : machine -> Setsync_runtime.Machine.step
 
 val save : machine -> unit -> unit
 (** Capture every process's locals and PC; the returned thunk restores
-    them. Register state is the store's job. *)
+    them. Register state is the store's job. Restores are
+    last-in-first-out ({!Setsync_memory.Savestack}): the capture goes to
+    per-depth buffers the machine reuses, so a save allocates only the
+    returned closure. A savepoint may be restored any number of times
+    until a later save reuses its depth — the next save after restoring
+    a shallower savepoint does — and raises [Invalid_argument] after
+    that. *)
 
 val payload : machine -> perm:int array -> string
 (** {!sym_payload} of the machine's processes and PCs. *)

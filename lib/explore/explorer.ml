@@ -130,20 +130,18 @@ module Mirror = struct
     inst : 'obs instance;
     tally : Run.Tally.t;
     step : Executor.step;  (* the machine form's, or fibers over [inst.body] *)
-    moves : int ref option;
-        (* when a session built [store]: the session's count of moves
-           that can take the instance back or elsewhere (a new run, a
-           savepoint restore). A state stays current while that count
-           and its tally's step count stand still. *)
+    moves : int ref;
+        (* moves that can take the instance back or elsewhere: savepoint
+           restores, and a session's new runs. A state stays current
+           while this count and its tally's step count stand still. *)
   }
 
-  let make ~(sut : 'obs sut) ~fault ?hook ?moves () =
+  (* [memoized]: the store keeps value hashes for [Store.key] (a
+     session's); [moves]: the count to share (a session's, so that
+     its new runs make earlier states stale) *)
+  let make ~(sut : 'obs sut) ~fault ?hook ?(memoized = false) ?(moves = ref 0) () =
     let tally = Run.Tally.create ~n:sut.n fault in
-    let store =
-      match moves with
-      | Some _ -> Store.memoized ?hook ()
-      | None -> Store.create ?hook ()
-    in
+    let store = if memoized then Store.memoized ?hook () else Store.create ?hook () in
     let inst = sut.fresh ~store in
     let step =
       match inst.machine with
@@ -192,15 +190,12 @@ module Mirror = struct
     let run = Run.Tally.freeze t reason in
     let prefix = Option.value requested ~default:run.Run.taken in
     let snapshot =
-      match m.moves with
-      | None -> Lazy.from_val (snapshot_of m.store m.inst)
-      | Some moves ->
-          (* rendered on demand, from the instance as it is then *)
-          let at = !moves and total = Run.Tally.total_steps t in
-          lazy
-            (if !moves <> at || Run.Tally.total_steps t <> total then
-               invalid_arg "Explorer.Session: snapshot of a state the session has moved past";
-             snapshot_of m.store m.inst)
+      (* rendered on demand, from the instance as it is then *)
+      let at = !(m.moves) and total = Run.Tally.total_steps t in
+      lazy
+        (if !(m.moves) <> at || Run.Tally.total_steps t <> total then
+           invalid_arg "Explorer: snapshot of a state its instance has moved past";
+         snapshot_of m.store m.inst)
     in
     { depth = Schedule.length prefix; prefix; run; snapshot; obs = m.inst.observe () }
 
@@ -211,9 +206,11 @@ module Mirror = struct
 
   (* A savepoint of a machine-form instance and its tally: the
      registers, the machine, the substrate and the run bookkeeping.
-     Returns the restore. *)
+     Returns the restore, which makes every state built before it
+     stale. The store's part, and the library machines' and the
+     tally's, are last-in-first-out ([Store.checkpoint]). *)
   let save m =
-    let restore_store = Store.save m.store in
+    let restore_store = Store.checkpoint m.store in
     let restore_m =
       match m.inst.machine with Some mi -> mi.m_save () | None -> fun () -> ()
     in
@@ -224,6 +221,7 @@ module Mirror = struct
     in
     let restore_tally = Run.Tally.save m.tally in
     fun () ->
+      incr m.moves;
       restore_store ();
       restore_m ();
       restore_sub ();
@@ -415,17 +413,18 @@ module Session = struct
 
   let create ~(sut : 'obs sut) =
     let moves = ref 0 in
-    let m = Mirror.make ~sut ~fault:Fault.no_faults ~moves () in
+    let m = Mirror.make ~sut ~fault:Fault.no_faults ~memoized:true ~moves () in
     let machine = Option.map (fun _ -> (m, Mirror.save m)) m.Mirror.inst.machine in
     { sut; machine; current = m; track = None; moves }
 
   let on_machine s = Option.is_some s.machine
 
   let mirror s ~fault () =
-    incr s.moves;
     let m =
       match s.machine with
-      | None -> Mirror.make ~sut:s.sut ~fault ~moves:s.moves ()
+      | None ->
+          incr s.moves;
+          Mirror.make ~sut:s.sut ~fault ~memoized:true ~moves:s.moves ()
       | Some (m, initial) ->
           initial ();
           { m with Mirror.tally = Run.Tally.create ~n:s.sut.n fault }
@@ -470,7 +469,6 @@ module Session = struct
               (* its first savepoint is the start of a run: the
                  initial instance with the track's fresh tally *)
               let mirror = { m with Mirror.tally = Run.Tally.create ~n:s.sut.n fault } in
-              incr s.moves;
               initial ();
               let tr =
                 {
@@ -501,7 +499,6 @@ module Session = struct
         let start () =
           match tr.points with
           | (consumed, restore) :: _ ->
-              incr s.moves;
               restore ();
               s.current <- tr.mirror;
               (tr.mirror, consumed)
@@ -629,6 +626,10 @@ type 'obs engine = {
   e_tick : unit -> unit;  (* the progress heartbeat: worker 0's, a no-op elsewhere *)
   e_ev : Events.t option;  (* event sink, [None] when tracing is off *)
   e_worker : int;  (* worker id: its deque and event stamp *)
+  e_hook : Setsync_memory.Register.hook;
+  e_footprint : unit -> int list;
+      (* this worker's footprint meter: every instance it builds reports
+         to [e_hook]; [fresh_mirror] clears it for a new instance *)
 }
 
 let emit eng name args =
@@ -637,6 +638,11 @@ let emit eng name args =
   | None -> ()
 
 let push eng item = Parallel.Pool.push eng.e_pool ~worker:eng.e_worker item
+
+(* a mirror of a fresh instance that reports to the worker's meter *)
+let fresh_mirror eng =
+  ignore (eng.e_footprint ());
+  Mirror.make ~sut:eng.e_sut ~fault:eng.e_config.fault ~hook:eng.e_hook ()
 
 let frontier_size eng = Parallel.Pool.frontier_size eng.e_pool + !(eng.e_pending)
 
@@ -772,8 +778,8 @@ let push_children eng rev children =
 (* Per-state engine: replay one prefix from scratch and fold it into
    the exploration. *)
 let process_prefix eng rev_steps =
-  let hook, footprint = footprint_meter () in
-  let m = Mirror.make ~sut:eng.e_sut ~fault:eng.e_config.fault ~hook () in
+  let footprint = eng.e_footprint in
+  let m = fresh_mirror eng in
   (* the footprints of the last two executed steps *)
   let fp_prev = ref [] and fp_last = ref [] in
   let on_step ~global:_ ~proc:_ =
@@ -824,8 +830,8 @@ let process_prefix eng rev_steps =
 let process_descent eng rev_start =
   let sut = eng.e_sut and config = eng.e_config and meter = eng.e_meter in
   let n = sut.n in
-  let hook, footprint = footprint_meter () in
-  let m = Mirror.make ~sut ~fault:config.fault ~hook () in
+  let footprint = eng.e_footprint in
+  let m = fresh_mirror eng in
   (* footprints of the last two executed steps along this path *)
   let fp_prev = ref [] and fp_last = ref [] in
   let cur_rev = ref [] in
@@ -964,7 +970,7 @@ let restore_metered meter ~timed restore =
   Budget.note_restore meter
 
 (* Recursive snapshot DFS below a materialized node, on one live
-   machine instance [m] whose steps [footprint] measures. The node
+   machine instance [m] whose steps the worker's meter measures. The node
    itself is visited here through [visit]; above the split depth its
    children become pool items (each take rebuilds its prefix by machine
    steps), below it each enabled child is gated like a pool take
@@ -972,8 +978,10 @@ let restore_metered meter ~timed restore =
    exactly the budget stays exhaustive), stepped on the live machine,
    possibly commutation-pruned (same arrival rule, with the pruned
    state already materialized for safety checks), recursed into, and
-   undone with a savepoint restore — never a replay. *)
-let rec snapshot_visit eng m ~footprint ~depth ~rev ~arrive_fp =
+   undone by restoring the node's one savepoint — never a replay. The
+   savepoints of a path are last-in-first-out, so the machine, store
+   and tally capture them into per-depth buffers they reuse. *)
+let rec snapshot_visit eng m ~depth ~rev ~arrive_fp =
   let config = eng.e_config and meter = eng.e_meter in
   (* pool items stay shallow prefixes (split depth 2, matching the
      other engines' parallel grain), so below the split each worker
@@ -987,6 +995,8 @@ let rec snapshot_visit eng m ~footprint ~depth ~rev ~arrive_fp =
       let pending = eng.e_pending in
       pending := !pending + List.length children;
       Budget.note_frontier meter (frontier_size eng);
+      (* one savepoint for the node, restored after each child *)
+      let restore = Mirror.save m in
       List.iter
         (fun b ->
           decr pending;
@@ -995,13 +1005,12 @@ let rec snapshot_visit eng m ~footprint ~depth ~rev ~arrive_fp =
           if stopped eng then ()
           else if over eng.e_gauge then truncate_run eng
           else begin
-            let restore = Mirror.save m in
             advance_metered eng m b;
-            let fp_b = footprint () in
+            let fp_b = eng.e_footprint () in
             let rev' = b :: rev in
             if arrival_pruned config rev' ~prev:arrive_fp ~last:fp_b then
               commute_prune eng ~depth:(depth + 1) (fun () -> Mirror.state m)
-            else snapshot_visit eng m ~footprint ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
+            else snapshot_visit eng m ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
             restore_metered meter ~timed:config.telemetry restore
           end)
         children
@@ -1011,19 +1020,18 @@ let rec snapshot_visit eng m ~footprint ~depth ~rev ~arrive_fp =
    replays — keeping the last two footprints for the arrival
    commutation check, then explore below it. *)
 let snapshot_take eng rev_steps =
-  let hook, footprint = footprint_meter () in
-  let m = Mirror.make ~sut:eng.e_sut ~fault:eng.e_config.fault ~hook () in
+  let m = fresh_mirror eng in
   let depth = List.length rev_steps in
   let fp_prev = ref [] and fp_last = ref [] in
   List.iter
     (fun p ->
       advance_metered eng m p;
       fp_prev := !fp_last;
-      fp_last := footprint ())
+      fp_last := eng.e_footprint ())
     (List.rev rev_steps);
   if arrival_pruned eng.e_config rev_steps ~prev:!fp_prev ~last:!fp_last then
     commute_prune eng ~depth (fun () -> Mirror.state m)
-  else snapshot_visit eng m ~footprint ~depth ~rev:rev_steps ~arrive_fp:!fp_last
+  else snapshot_visit eng m ~depth ~rev:rev_steps ~arrive_fp:!fp_last
 
 (* ----------------------------------------------------------- explore *)
 
@@ -1103,6 +1111,7 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
   let fingerprints = Parallel.Shard_tbl.create () in
   let engines =
     Array.init domains (fun wid ->
+        let hook, footprint = footprint_meter () in
         {
           e_sut = sut;
           e_config = config;
@@ -1116,6 +1125,8 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
           e_tick = (if wid = 0 then tick else fun () -> ());
           e_ev = engine_sink obs;
           e_worker = wid;
+          e_hook = hook;
+          e_footprint = footprint;
         })
   in
   let work wid rev_steps =

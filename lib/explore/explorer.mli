@@ -61,7 +61,15 @@ type minstance = {
   m_save : unit -> unit -> unit;
       (** capture all machine-local state (PCs, locals); the returned
           thunk restores it. Register state is restored separately via
-          {!Setsync_memory.Store.save}. *)
+          {!Setsync_memory.Store.checkpoint}. Callers restore
+          savepoints last-in-first-out — the snapshot engine's DFS
+          restores a node's savepoint after each child and drops it
+          when the node is done; a {!Session} track restores its
+          deepest usable savepoint and drops the deeper ones — so an
+          implementation may capture into per-depth buffers it reuses
+          ({!Setsync_memory.Savestack}), as the library's machines do,
+          and raise on a savepoint whose depth a later save reused. Any
+          savepoint may be restored several times in a row. *)
   m_payload : (perm:int array -> string) option;
       (** deterministic rendering of the full machine state — the
           registers and every process's PC and locals — under a process
@@ -121,13 +129,17 @@ type 'obs state = {
   prefix : Setsync_schedule.Schedule.t;  (** the interleaving reaching this state *)
   run : Setsync_runtime.Run.t;  (** replay record (halted, crashed, …) *)
   snapshot : (string * string) list Lazy.t;
-      (** printed register values. The explorer's engines, {!evaluate},
-          {!trajectory} and {!check_schedule} render them eagerly. A
-          {!Session} state renders them when first forced ({!digest}
-          forces it), from the session's live instance: it is valid
-          only while the state is current — inside [on_state], or on a
-          final state before the session's next run — and forcing it
-          later raises [Invalid_argument]. *)
+      (** printed register values, rendered when first forced, from the
+          live instance the state was read from: nothing renders them
+          unless a property or a fingerprint asks ({!digest} forces
+          them; the engines call it, inside the visit, only as the
+          fingerprint of a sut without [m_payload]). Forcing is valid
+          only while the state is current — inside the property check
+          or [on_state] callback that received it, or on a final state
+          whose instance does not move again ({!evaluate}, a
+          {!Session}'s final state before its next run) — and raises
+          [Invalid_argument] once the instance has moved on: a further
+          step, a savepoint restore, or a session's next run. *)
   obs : 'obs;
 }
 
@@ -160,9 +172,10 @@ type engine_kind =
       (** replay-free engine: requires a machine-form sut
           ({!instance.machine}); the DFS moves down by single machine
           steps on one live store and back up by restoring typed
-          savepoints ({!Setsync_memory.Store.save}, [m_save],
-          substrate save) — [stats.replays] and [stats.replay_steps]
-          stay {e zero}. Depth-first only. Machine movement is
+          savepoints ({!Setsync_memory.Store.checkpoint}, [m_save],
+          substrate save, {!Setsync_runtime.Run.Tally.save}) — one per
+          expanded node, restored after each of its children —
+          [stats.replays] and [stats.replay_steps] stay {e zero}. Depth-first only. Machine movement is
           reported via the [explorer.machine_steps] /
           [explorer.restores] metrics. Verdict/visited/pruned
           equivalent to the other engines on machine-form suts (the
@@ -352,16 +365,15 @@ val check_schedule :
     crashes at their executed indices), as {!evaluate} and
     {!trajectory} report it. Both are views that share arrays
     ({!Setsync_schedule.Schedule.prefix},
-    {!Setsync_runtime.Run.Tally.freeze}), so building an interim state
-    costs O(n) words plus its register snapshot, whatever the
-    schedule's length — O(n) words in all on a {!Session}, which
-    renders the snapshot only on demand. *)
+    {!Setsync_runtime.Run.Tally.freeze}), and the register snapshot is
+    rendered only on demand, so building an interim state costs O(n)
+    words whatever the schedule's length. *)
 
 (** Many runs of one sut on one live instance — the fuzzer's hot loop.
 
     When the sut has a machine form ({!instance.machine}), {!Session.create}
     builds one instance and takes its initial savepoint
-    ({!Setsync_memory.Store.save}, [m_save], substrate save). Every run
+    ({!Setsync_memory.Store.checkpoint}, [m_save], substrate save). Every run
     then restores that savepoint, takes a fresh
     {!Setsync_runtime.Run.Tally} and steps the machine, as
     {!trajectory} and {!check_schedule} do on a fresh instance, so runs

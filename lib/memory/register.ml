@@ -40,6 +40,8 @@ let set_route t r = t.route <- Some r
 
 let route t = t.route
 
+let printer t = t.pp
+
 let render t v = match t.pp with Some pp -> Fmt.str "%a" pp v | None -> "<value>"
 
 let reads t = t.reads

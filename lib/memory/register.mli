@@ -65,6 +65,9 @@ val set_route : 'a t -> 'a route -> unit
 
 val route : 'a t -> 'a route option
 
+val printer : 'a t -> 'a Fmt.t option
+(** The printer the register was made with, if any. *)
+
 val render : 'a t -> 'a -> string
 (** Print a value with the register's own printer (the placeholder
     [<value>] when none was supplied). *)

@@ -1,6 +1,8 @@
-type view = { view_name : string; render : unit -> string; capture : unit -> unit -> unit }
-
 type router = { route_for : 'a. 'a Register.t -> 'a Register.route option }
+
+(* One record per register, closure-free: the register and its values
+   at each savepoint depth of [checkpoint]. *)
+type view = View : { reg : 'a Register.t; mutable saved : 'a array } -> view
 
 (* A memoized store's cell per register: the register's value hash, the
    value it last hashed and that value's hash. *)
@@ -16,9 +18,10 @@ type cell =
 type t = {
   hook : Register.hook option;
   mutable next_id : int;
-  mutable views : view list;
+  mutable views : view list;  (* most recent first *)
   mutable router : router option;
   mutable cells : cell list option;  (* most recent first; [Some] iff memoized *)
+  points : Savestack.t;  (* [checkpoint]'s depths *)
 }
 
 (* Two 30-bit seeded structural hashes side by side: 60 bits, so
@@ -28,7 +31,8 @@ type t = {
 let hash v =
   Hashtbl.seeded_hash_param 256 256 1 v lor (Hashtbl.seeded_hash_param 256 256 2 v lsl 30)
 
-let create ?hook () = { hook; next_id = 0; views = []; router = None; cells = None }
+let create ?hook () =
+  { hook; next_id = 0; views = []; router = None; cells = None; points = Savestack.create () }
 
 let set_router t r = t.router <- Some r
 
@@ -44,26 +48,7 @@ let register t ?pp ?(hash = hash) ~name init =
       match r.route_for reg with
       | None -> ()
       | Some route -> Register.set_route reg route));
-  (* Snapshots must be total: a pp-less register still has to render a
-     string that distinguishes distinct values, or fingerprint pruning
-     built on snapshots becomes unsound. Marshal the value and digest
-     the bytes; closures (and other unmarshalable values) fall back to
-     a full-width structural hash. *)
-  let opaque v =
-    match Marshal.to_string v [ Marshal.Closures ] with
-    | bytes -> "#" ^ Digest.to_hex (Digest.string bytes)
-    | exception _ -> Printf.sprintf "#h%x" (Hashtbl.hash_param 256 256 v)
-  in
-  let render () =
-    match pp with
-    | Some pp -> Fmt.str "%a" pp (Register.peek reg)
-    | None -> opaque (Register.peek reg)
-  in
-  let capture () =
-    let v = Register.peek reg in
-    fun () -> Register.poke reg v
-  in
-  t.views <- { view_name = name; render; capture } :: t.views;
+  t.views <- View { reg; saved = [||] } :: t.views;
   (match t.cells with
   | None -> ()
   | Some cells ->
@@ -71,18 +56,34 @@ let register t ?pp ?(hash = hash) ~name init =
       t.cells <- Some (Cell { reg; hash_of = hash; seen = v; hash = hash v } :: cells));
   reg
 
+let index name i = name ^ "[" ^ string_of_int i ^ "]"
+
 let array t ?pp ?hash ~name len init =
-  Array.init len (fun idx ->
-      register t ?pp ?hash ~name:(Printf.sprintf "%s[%d]" name idx) (init idx))
+  Array.init len (fun idx -> register t ?pp ?hash ~name:(index name idx) (init idx))
 
 let matrix t ?pp ?hash ~name ~rows ~cols init =
   Array.init rows (fun r ->
-      Array.init cols (fun c ->
-          register t ?pp ?hash ~name:(Printf.sprintf "%s[%d][%d]" name r c) (init r c)))
+      let row = index name r in
+      Array.init cols (fun c -> register t ?pp ?hash ~name:(index row c) (init r c)))
 
 let register_count t = t.next_id
 
-let snapshot t = List.rev_map (fun v -> (v.view_name, v.render ())) t.views
+(* Snapshots must be total: a pp-less register still has to render a
+   string that distinguishes distinct values, or fingerprint pruning
+   built on snapshots becomes unsound. Marshal the value and digest the
+   bytes; closures (and other unmarshalable values) fall back to a
+   full-width structural hash. *)
+let render (View { reg; _ }) =
+  let v = Register.peek reg in
+  match Register.printer reg with
+  | Some pp -> Fmt.str "%a" pp v
+  | None -> (
+      match Marshal.to_string v [ Marshal.Closures ] with
+      | bytes -> "#" ^ Digest.to_hex (Digest.string bytes)
+      | exception _ -> Printf.sprintf "#h%x" (Hashtbl.hash_param 256 256 v))
+
+let snapshot t =
+  List.rev_map (fun (View { reg; _ } as v) -> (Register.name reg, render v)) t.views
 
 let memoized ?hook () = { (create ?hook ()) with cells = Some [] }
 
@@ -103,6 +104,30 @@ let key t =
           (acc * 0x100000001b3) + c.hash)
         0 cells
 
+type value = Value : 'a Register.t * 'a -> value
+
 let save t =
-  let restores = List.rev_map (fun v -> v.capture ()) t.views in
-  fun () -> List.iter (fun restore -> restore ()) restores
+  let values = List.rev_map (fun (View { reg; _ }) -> Value (reg, Register.peek reg)) t.views in
+  fun () -> List.iter (fun (Value (reg, v)) -> Register.poke reg v) values
+
+let rec capture_views views depth =
+  match views with
+  | [] -> ()
+  | View v :: rest ->
+      let x = Register.peek v.reg in
+      if depth >= Array.length v.saved then v.saved <- Savestack.grow v.saved (depth + 1) x;
+      v.saved.(depth) <- x;
+      capture_views rest depth
+
+let rec restore_views views depth =
+  match views with
+  | [] -> ()
+  | View v :: rest ->
+      Register.poke v.reg v.saved.(depth);
+      restore_views rest depth
+
+let checkpoint t =
+  Savestack.save t.points "Store.checkpoint"
+    (fun t depth -> capture_views t.views depth)
+    (fun t depth -> restore_views t.views depth)
+    t

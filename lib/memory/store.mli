@@ -99,9 +99,24 @@ val hash : 'a -> int
 val save : t -> unit -> unit
 (** [save t] captures the current value of every register allocated
     here and returns a restore thunk that pokes them all back
-    (observer writes: not counted, not hooked, routes bypassed).
-    Register values are captured by reference, which is a deep copy
-    exactly when stored values are immutable data — true for every
-    in-tree system; a register holding mutable state would need its
-    own copying discipline. Read/write counters are cumulative
-    instrumentation and are deliberately not restored. *)
+    (observer writes: not counted, not hooked, routes bypassed). The
+    savepoints of one store may be restored in any order, any number
+    of times; each costs a fresh copy of the register values (a few
+    words per register). Register values are captured by reference,
+    which is a deep copy exactly when stored values are immutable
+    data — true for every in-tree system; a register holding mutable
+    state would need its own copying discipline. Read/write counters
+    are cumulative instrumentation and are deliberately not
+    restored. *)
+
+val checkpoint : t -> unit -> unit
+(** A {!save} whose restores must come last-in-first-out
+    ({!Savestack}): the values go to per-depth buffers kept beside each
+    register, and the store reuses a depth once every savepoint above
+    it is gone, so a depth-first search that saves at every node
+    allocates only the returned closure per save. A checkpoint stays
+    valid, and may be restored any number of times, until a later
+    checkpoint of this store reuses its depth — the next checkpoint
+    after restoring a shallower one does; restoring it after that
+    raises [Invalid_argument]. Its values are referenced by the
+    buffers until their depth is reused. *)

@@ -50,6 +50,11 @@ module Tally = struct
     mutable taken : Proc.t array;
     mutable total : int;
     mutable viewed : int;  (* entries of [taken] some frozen run shows *)
+    points : Setsync_memory.Savestack.t;
+    (* [save]'s captures, one slot per savepoint depth: per slot, the
+       total, then each process's steps, dead and halted flags *)
+    mutable saved : int array;
+    mutable saved_crashes : (Proc.t * int) list array;
   }
 
   let create ~n plan =
@@ -64,9 +69,12 @@ module Tally = struct
       halted = Array.make n false;
       (* processes with a zero budget are dead before the run starts *)
       crashes = List.rev (List.filter_map (fun (p, s) -> if s = 0 then Some (p, 0) else None) plan);
-      taken = Array.make 64 0;
+      taken = [||];
       total = 0;
       viewed = 0;
+      points = Setsync_memory.Savestack.create ();
+      saved = [||];
+      saved_crashes = [||];
     }
 
   let n t = t.n
@@ -97,16 +105,38 @@ module Tally = struct
 
   let halt t p = t.halted.(p) <- true
 
-  let save t =
-    let steps = Array.copy t.steps and dead = Array.copy t.dead in
-    let halted = Array.copy t.halted in
-    let crashes = t.crashes and total = t.total in
-    fun () ->
-      Array.blit steps 0 t.steps 0 t.n;
-      Array.blit dead 0 t.dead 0 t.n;
-      Array.blit halted 0 t.halted 0 t.n;
-      t.crashes <- crashes;
-      t.total <- total
+  let width t = 1 + (3 * t.n)
+
+  let capture t depth =
+    let w = width t in
+    let base = depth * w in
+    if base + w > Array.length t.saved then
+      t.saved <- Setsync_memory.Savestack.grow t.saved (base + w) 0;
+    if depth >= Array.length t.saved_crashes then
+      t.saved_crashes <- Setsync_memory.Savestack.grow t.saved_crashes (depth + 1) [];
+    let b = t.saved in
+    b.(base) <- t.total;
+    for p = 0 to t.n - 1 do
+      let at = base + 1 + (3 * p) in
+      b.(at) <- t.steps.(p);
+      b.(at + 1) <- Bool.to_int t.dead.(p);
+      b.(at + 2) <- Bool.to_int t.halted.(p)
+    done;
+    t.saved_crashes.(depth) <- t.crashes
+
+  let restore t depth =
+    let base = depth * width t in
+    let b = t.saved in
+    t.total <- b.(base);
+    for p = 0 to t.n - 1 do
+      let at = base + 1 + (3 * p) in
+      t.steps.(p) <- b.(at);
+      t.dead.(p) <- b.(at + 1) = 1;
+      t.halted.(p) <- b.(at + 2) = 1
+    done;
+    t.crashes <- t.saved_crashes.(depth)
+
+  let save t = Setsync_memory.Savestack.save t.points "Run.Tally.save" capture restore t
 
   let freeze t reason : run =
     let halted = ref Procset.empty in

@@ -81,7 +81,15 @@ module Tally : sig
   (** Record that the process's code ran to completion. *)
 
   val save : t -> unit -> unit
-  (** Capture the tally; the returned thunk restores it. *)
+  (** Capture the tally; the returned thunk restores it. Restores are
+      last-in-first-out ({!Setsync_memory.Savestack}): the capture goes
+      to a per-depth buffer the tally reuses, so a save allocates only
+      the returned closure. A savepoint may be restored any number of
+      times until a later save reuses its depth — the next save after
+      restoring a shallower savepoint does — and raises
+      [Invalid_argument] after that. The executed steps are not copied:
+      a restore rewinds the total, and the next {!note_step} overwrites
+      the entries past it. *)
 
   val freeze : t -> stop_reason -> run
   (** The run recorded so far, as an immutable record, in O(n) words:

@@ -24,7 +24,7 @@
       state must {e not} be repeated here — it is already covered.
     - [save] — capture the same beyond-the-store state and return a
       restore thunk, the substrate half of a snapshot-engine savepoint
-      (the store half is {!Setsync_memory.Store.save}).
+      (the store half is {!Setsync_memory.Store.checkpoint}).
 
     The default substrate is {!shm}: shared memory straight out of the
     store, no veto, no pre-step work, nothing beyond the store. *)

@@ -8,8 +8,9 @@
     paper's arbitrary tie-breaking order on [Π^k_n] (line 4 of Figure 2
     and Definition 18). *)
 
-type t
-(** An immutable set of processes. *)
+type t [@@immediate]
+(** An immutable set of processes. An immediate value, so storing one
+    costs no write barrier. *)
 
 val empty : t
 

@@ -81,13 +81,14 @@ let fiber_only mk_sut () =
    observation-complete, and now interleavings of the same multiset of
    steps collapse to the same state — the global state is exactly the
    pair of per-process step counts — so fingerprint pruning has
-   something to do. *)
-let double_writer_sut () =
+   something to do. [pp] prints the registers; without [payload] the
+   machine form keys on [digest]. *)
+let double_writer_sut ?(pp = Fmt.int) ?(payload = true) () =
   {
     Explorer.n = 2;
     fresh =
       (fun ~store ->
-        let r = Store.array store ~pp:Fmt.int ~name:"r" 2 (fun _ -> 0) in
+        let r = Store.array store ~pp ~name:"r" 2 (fun _ -> 0) in
         let pcs = Array.make 2 0 in
         {
           Explorer.body =
@@ -115,14 +116,16 @@ let double_writer_sut () =
                    swap group is admissible; the payload renders each
                    (register, pc) pair at its renamed slot *)
                 m_payload =
-                  Some
-                    (fun ~perm ->
-                      let vals = Array.make 2 (0, 0) in
-                      for p = 0 to 1 do
-                        vals.(perm.(p)) <- (Register.peek r.(p), pcs.(p))
-                      done;
-                      Printf.sprintf "%d.%d|%d.%d" (fst vals.(0)) (snd vals.(0))
-                        (fst vals.(1)) (snd vals.(1)));
+                  (if not payload then None
+                   else
+                     Some
+                       (fun ~perm ->
+                         let vals = Array.make 2 (0, 0) in
+                         for p = 0 to 1 do
+                           vals.(perm.(p)) <- (Register.peek r.(p), pcs.(p))
+                         done;
+                         Printf.sprintf "%d.%d|%d.%d" (fst vals.(0)) (snd vals.(0))
+                           (fst vals.(1)) (snd vals.(1))));
                 m_perms = [ [| 0; 1 |]; [| 1; 0 |] ];
               };
         });
@@ -2015,6 +2018,162 @@ let test_evaluate_matches_replay () =
   Alcotest.(check int) "pong" 1 st.Explorer.obs.pong
 
 (* ------------------------------------------------------------------ *)
+(* (l) states render on demand; savepoints are last-in-first-out *)
+
+(* [double_writer_sut] with a register printer that counts its calls
+   and no payload, so a state's only rendering is its snapshot *)
+let counting_writer_sut renders =
+  let pp ppf v =
+    incr renders;
+    Fmt.int ppf v
+  in
+  double_writer_sut ~pp ~payload:false ()
+
+let raises_invalid label f =
+  match f () with
+  | _ -> Alcotest.failf "%s: no Invalid_argument" label
+  | exception Invalid_argument _ -> ()
+
+(* With fingerprints off no engine renders a register: a state's
+   snapshot is built when forced, and only while the state is current.
+   Forced inside the visit it renders the state a fresh replay of its
+   prefix reaches; forced once the snapshot engine has stepped past the
+   state or restored a savepoint, it raises. *)
+let test_render_on_demand () =
+  let renders = ref 0 in
+  let sut = counting_writer_sut renders in
+  let kept = ref [] in
+  let spy =
+    Property.safety ~name:"spy" (fun st ->
+        kept := st :: !kept;
+        None)
+  in
+  let explore label engine ?limits want_engine =
+    renders := 0;
+    kept := [];
+    let r =
+      Explorer.explore ~sut ~properties:[ spy ]
+        (Explorer.config ~prune_fingerprints:false ~engine ?limits ~depth:6 ())
+    in
+    let s = r.Explorer.stats in
+    Alcotest.(check bool) (label ^ ": engine") true (r.Explorer.engine = want_engine);
+    Alcotest.(check (pair int int)) (label ^ ": visited, commute-pruned") (16, 9)
+      (s.Budget.visited, s.Budget.pruned_sleep);
+    Alcotest.(check int) (label ^ ": every state checked") s.Budget.safety_checked
+      (List.length !kept);
+    Alcotest.(check int) (label ^ ": nothing rendered") 0 !renders
+  in
+  explore "per-state" Explorer.Per_state Explorer.Per_state;
+  explore "descent" Explorer.Path
+    ~limits:(Budget.limits ~max_replay_steps:1_000_000 ())
+    Explorer.Path;
+  explore "snapshot" Explorer.Snapshot Explorer.Snapshot;
+  (* every snapshot-engine state was stepped past or restored over:
+     the root and inner states by a child's step, the leaves and the
+     commutation-pruned states by their parent's restore *)
+  List.iter
+    (fun (st : _ Explorer.state) ->
+      raises_invalid
+        (Printf.sprintf "stale state at depth %d" st.Explorer.depth)
+        (fun () -> Explorer.digest ~sut st))
+    !kept;
+  Alcotest.(check int) "a stale state renders nothing" 0 !renders;
+  (* forced inside the visit: the state the prefix reaches *)
+  let live =
+    Property.safety ~name:"live" (fun st ->
+        let fresh = Explorer.evaluate ~sut st.Explorer.prefix in
+        if Lazy.force st.Explorer.snapshot = Lazy.force fresh.Explorer.snapshot then None
+        else Some "snapshot differs from a fresh replay")
+  in
+  let r =
+    Explorer.explore ~sut ~properties:[ live ]
+      (Explorer.config ~prune_fingerprints:false ~engine:Explorer.Snapshot ~depth:6 ())
+  in
+  Alcotest.(check bool) "current states render as a replay does" true
+    (List.assoc "live" r.Explorer.verdicts = Explorer.Ok_bounded);
+  Alcotest.(check bool) "and they did render" true (!renders > 0);
+  (* a state whose instance never moves again stays current *)
+  let final = Explorer.evaluate ~sut (Schedule.of_list ~n:2 [ 0; 1 ]) in
+  Alcotest.(check (list (pair string string)))
+    "an evaluated state renders later"
+    [ ("r[0]", "1"); ("r[1]", "1") ]
+    (Lazy.force final.Explorer.snapshot)
+
+(* Net systems have no payload: their fingerprint is [digest], which
+   forces the snapshot inside the visit. The counts are the ones the
+   eager snapshots gave. *)
+let test_net_digest_counts () =
+  let adversary = Setsync_net.Adversary.gst_drop ~delta:1 ~gst:4 in
+  List.iter
+    (fun (clients, depth, visited, fp_pruned) ->
+      let r =
+        Explorer.explore
+          ~sut:(Setsync_net.Net_systems.ct_leader ~clients ~adversary ())
+          ~properties:[ Setsync_net.Net_systems.ct_stabilized ~delta:1 ]
+          (Explorer.config ~sleep_sets:false ~depth ())
+      in
+      let s = r.Explorer.stats in
+      let label = Printf.sprintf "CT n=%d @%d" clients depth in
+      Alcotest.(check int) (label ^ " visited") visited s.Budget.visited;
+      Alcotest.(check int) (label ^ " fp-pruned") fp_pruned s.Budget.pruned_fingerprint)
+    [ (2, 11, 757, 61); (3, 7, 592, 35) ]
+
+(* One savepoint of a library machine form, with its store, restored
+   several times in a row after different runs; then the stack rule:
+   restoring a shallower savepoint frees the depths above it, and a
+   savepoint whose depth a later save reused raises. *)
+let check_machine_savepoints label (sut : _ Explorer.sut) =
+  let store = Store.create () in
+  let mi = Option.get (sut.Explorer.fresh ~store).Explorer.machine in
+  let n = sut.Explorer.n in
+  let id = Array.init n Fun.id in
+  let payload () = Option.get mi.Explorer.m_payload ~perm:id in
+  let save () =
+    let restore_store = Store.checkpoint store and restore_m = mi.Explorer.m_save () in
+    fun () ->
+      restore_store ();
+      restore_m ()
+  in
+  let run steps salt =
+    for i = 0 to steps - 1 do
+      mi.Explorer.m_step (((i * 7) + salt + (i / n)) mod n)
+    done
+  in
+  run 40 0;
+  let at = payload () in
+  let restore = save () in
+  List.iter
+    (fun (steps, salt) ->
+      run steps salt;
+      Alcotest.(check bool) (Printf.sprintf "%s: %d steps move the state" label steps) true
+        (payload () <> at);
+      restore ();
+      Alcotest.(check string) (Printf.sprintf "%s: restored after %d steps" label steps) at
+        (payload ()))
+    [ (25, 1); (90, 2); (3, 0); (200, 1) ];
+  run 10 1;
+  let deeper = save () in
+  let at_deeper = payload () in
+  run 10 2;
+  deeper ();
+  Alcotest.(check string) (label ^ ": the deeper savepoint") at_deeper (payload ());
+  restore ();
+  Alcotest.(check string) (label ^ ": back to the shallower one") at (payload ());
+  run 5 0;
+  let _reused = save () in
+  raises_invalid (label ^ ": restoring a saved-over depth") deeper;
+  restore ();
+  Alcotest.(check string) (label ^ ": the shallower one still restores") at (payload ())
+
+let test_machine_savepoints () =
+  check_machine_savepoints "figure 2"
+    (Systems.kanti_detector ~params:{ Kanti_omega.n = 3; t = 1; k = 1 } ());
+  let problem = Problem.make ~t:1 ~k:1 ~n:3 in
+  (* long enough for Paxos attempts and decisions to enter the state *)
+  check_machine_savepoints "theorem-24 kset"
+    (Systems.kset_agreement ~problem ~inputs:(Problem.distinct_inputs problem) ())
+
+(* ------------------------------------------------------------------ *)
 (* (k) golden stats: every engine's full counter set, pinned *)
 
 (* The engines share one visit routine, commutation-prune routine and
@@ -2506,6 +2665,11 @@ let () =
           Alcotest.test_case "pp-less snapshot digests distinct" `Quick
             test_store_snapshot_ppless_distinct;
           Alcotest.test_case "store save/restore" `Quick test_store_save_restore;
+          Alcotest.test_case "states render only on demand" `Quick test_render_on_demand;
+          Alcotest.test_case "net fingerprint counts through digest" `Quick
+            test_net_digest_counts;
+          Alcotest.test_case "machine savepoints: repeat restores, saved-over depths raise"
+            `Quick test_machine_savepoints;
           Alcotest.test_case "evaluate replays faithfully" `Quick
             test_evaluate_matches_replay;
           Alcotest.test_case "kset_agreement refuses k > t when called" `Quick

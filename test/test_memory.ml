@@ -60,6 +60,53 @@ let test_store_access_hook () =
     [ Register.id b; Register.id a; Register.id b ]
     (List.rev !seen)
 
+(* Checkpoints are a stack over per-depth buffers: one restores any
+   number of times, including a float register and a register
+   allocated before the first checkpoint only; a shallower restore
+   frees the depths above it and a saved-over checkpoint raises.
+   [Store.save] restores in any order. *)
+let test_store_checkpoints () =
+  let store = Store.create () in
+  let a = Store.register store ~pp:Fmt.int ~name:"a" 1 in
+  let f = Store.register store ~pp:Fmt.float ~name:"f" 0.5 in
+  let values () = (Register.peek a, Register.peek f) in
+  let set x =
+    Register.poke a x;
+    Register.poke f (float_of_int x)
+  in
+  let outer = Store.checkpoint store in
+  List.iter
+    (fun x ->
+      set x;
+      outer ();
+      Alcotest.(check (pair int (float 0.))) "outer restored" (1, 0.5) (values ()))
+    [ 2; 3; 4 ];
+  set 5;
+  let inner = Store.checkpoint store in
+  set 6;
+  inner ();
+  Alcotest.(check (pair int (float 0.))) "inner restored" (5, 5.) (values ());
+  outer ();
+  set 7;
+  let _reused = Store.checkpoint store in
+  (match inner () with
+  | () -> Alcotest.fail "a saved-over checkpoint restored"
+  | exception Invalid_argument _ -> ());
+  outer ();
+  Alcotest.(check (pair int (float 0.))) "outer still restores" (1, 0.5) (values ());
+  let saves =
+    List.map
+      (fun x ->
+        set x;
+        (x, Store.save store))
+      [ 10; 11; 12 ]
+  in
+  List.iter
+    (fun x ->
+      (List.assoc x saves) ();
+      Alcotest.(check int) "any-order save" x (Register.peek a))
+    [ 11; 10; 12; 10 ]
+
 let test_register_render () =
   let r = Register.make ~pp:Fmt.int ~name:"r" ~id:0 0 in
   let bare = Register.make ~name:"s" ~id:1 0 in
@@ -130,6 +177,7 @@ let () =
           Alcotest.test_case "allocation" `Quick test_store_allocation;
           Alcotest.test_case "array/matrix" `Quick test_store_array_matrix;
           Alcotest.test_case "access hook sees counted ids only" `Quick test_store_access_hook;
+          Alcotest.test_case "checkpoints are a stack" `Quick test_store_checkpoints;
           Alcotest.test_case "memoized key tracks values" `Quick test_store_key;
         ] );
     ]

@@ -101,6 +101,44 @@ let test_tally_save_restore () =
   Alcotest.(check bool) "nobody halted" true (Procset.is_empty run.Run.halted);
   Alcotest.(check bool) "p1 live again" true (Run.Tally.live tally 0)
 
+(* Tally savepoints are last-in-first-out: one restores the same
+   record any number of times, a shallower restore frees the depths
+   above it, and a savepoint whose depth a later save reused raises. *)
+let test_tally_savepoint_stack () =
+  let tally = Run.Tally.create ~n:3 [ (2, 3) ] in
+  let record () =
+    let r = Run.Tally.freeze tally Run.Source_exhausted in
+    (Schedule.to_list r.Run.taken, Array.to_list r.Run.steps_of, r.Run.crashes, r.Run.halted)
+  in
+  List.iter (fun p -> ignore (Run.Tally.note_step tally p)) [ 0; 2; 1 ];
+  let at = record () in
+  let restore = Run.Tally.save tally in
+  List.iter
+    (fun steps ->
+      List.iter (fun p -> ignore (Run.Tally.note_step tally p)) steps;
+      Run.Tally.halt tally 1;
+      restore ();
+      Alcotest.(check bool)
+        (Printf.sprintf "restored after %d steps" (List.length steps))
+        true
+        (record () = at);
+      Alcotest.(check bool) "p2 live again" true (Run.Tally.live tally 1))
+    [ [ 2; 2; 0 ]; [ 0; 0; 0; 0; 1 ]; []; [ 2; 2; 2 ] ];
+  ignore (Run.Tally.note_step tally 0);
+  let deeper = Run.Tally.save tally in
+  let at_deeper = record () in
+  ignore (Run.Tally.note_step tally 2);
+  deeper ();
+  Alcotest.(check bool) "the deeper savepoint" true (record () = at_deeper);
+  restore ();
+  ignore (Run.Tally.note_step tally 1);
+  let _reused = Run.Tally.save tally in
+  (match deeper () with
+  | () -> Alcotest.fail "a saved-over savepoint restored"
+  | exception Invalid_argument _ -> ());
+  restore ();
+  Alcotest.(check bool) "the shallower one still restores" true (record () = at)
+
 (* ------------------------------------------------------------------ *)
 (* Executor *)
 
@@ -366,6 +404,7 @@ let () =
           Alcotest.test_case "budgets" `Quick test_fault_budgets;
           Alcotest.test_case "validation" `Quick test_fault_validate;
           Alcotest.test_case "tally save/restore" `Quick test_tally_save_restore;
+          Alcotest.test_case "tally savepoints: a stack" `Quick test_tally_savepoint_stack;
         ] );
       ( "executor",
         [

@@ -26,7 +26,15 @@ let test_validation () =
         (Invalid_argument
            (Printf.sprintf "Scenario: %s adversary would starve everyone in some phase" name))
         (fun () -> Scenario.validate (spec ~i:1 ~j:4 ~seed:1 ~adversary ())))
-    [ (Scenario.Exclusive, "Exclusive"); (Scenario.Adaptive, "Adaptive") ]
+    [ (Scenario.Exclusive, "Exclusive"); (Scenario.Adaptive, "Adaptive") ];
+  (* the adaptive adversary starves k-sets within a budget of t: on a
+     cell with t < k it is refused before the run, not inside it *)
+  Alcotest.check_raises "Adaptive t < k"
+    (Invalid_argument
+       "Scenario: Adaptive adversary needs k <= t (it starves k-sets within a budget of t)")
+    (fun () ->
+      Scenario.validate (spec ~t:1 ~k:2 ~n:4 ~i:1 ~j:2 ~seed:6 ~adversary:Scenario.Adaptive ()));
+  Scenario.validate (spec ~t:1 ~k:2 ~n:4 ~i:1 ~j:2 ~seed:6 ~adversary:Scenario.Exclusive ())
 
 let test_determinism () =
   let run () = Scenario.run_agreement (spec ~i:2 ~j:3 ~seed:42 ~crashes:1 ()) in
