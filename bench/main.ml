@@ -455,17 +455,18 @@ let e11_domains ?(depth = 12) () =
         ])
     [ 1; 2; 4 ]
 
-(* E11e: the replay amortization of the path-replay descent, on the
-   system it still serves: the CT timeout detector over the net
-   substrate, which has no machine form (machine-form systems run on
-   the snapshot engine, E11f). One descent replays a maximal schedule
-   once and visits every interim state from it, so replay steps per
-   visited state drop from O(depth) to amortized O(1). Both engines
+(* E11e: the replay amortization of path replay, on the system it
+   still serves: the CT timeout detector over the net substrate, which
+   has no machine form (machine-form systems run on the snapshot
+   engine, E11f). The depth-first walk steps one live instance into
+   each node's first child and reaches the other children by fresh
+   replays of their prefixes, so replay steps per visited state drop
+   from O(depth) to amortized O(1). Both engines
    explore the same tree (sleep sets off, as for every net check, and
    fingerprints off), a pure function of the instance, so `make ci`
    pins every count exactly (bin/bench_guard.ml). *)
 let e11_engines () =
-  subsection "e. replay amortization: path-replay descent vs per-state engine (net CT, fp off)";
+  subsection "e. replay amortization: path-replay walk vs per-state engine (net CT, fp off)";
   Fmt.pr "  %-18s %-9s %-9s %-9s %-13s %-9s %s@." "instance" "engine" "visited"
     "replays" "replay_steps" "steps/v" "vs state";
   let n = 2 and depth = 12 and delta = 1 and gst = 4 in

@@ -2,12 +2,14 @@
    `make ci` runs `bench --quick` (which writes BENCH_quick.json) and
    then this tool, which fails the build if a pinned row moves.
 
-   The E11e rows pin the path-replay descent on the system it serves,
+   The E11e rows pin path replay — the depth-first walk reaching each
+   sibling by a fresh replay of its prefix — on the system it serves,
    the machine-less CT detector over the net substrate (n=2, delta=1,
    gst=4, depth 12, sleep sets and fingerprints off). The explored
    tree is a pure function of the instance, so every count is pinned
-   exactly: 8,191 visited under both engines, 4,096 descents replaying
-   49,152 steps against 8,191 per-state replays of 90,114 steps.
+   exactly: 8,191 visited under both engines, 4,096 replayed pool
+   items paying 49,152 steps against 8,191 per-state replays of 90,114
+   steps.
    Losing the amortization (one replay per state) trips immediately.
 
    It also pins the E11f snapshot-engine rows: the snapshot engine must

@@ -627,7 +627,8 @@ let explore_cmd =
              domain, in sequential search order; $(b,--bfs) is breadth-first at every \
              domain count). Verdicts \
              are equivalent across domain counts; which counterexample is reported \
-             first, and the visited/pruned split under $(b,--fingerprints), are not.")
+             first, the visited/pruned split under $(b,--fingerprints), the snapshot \
+             engine's machine steps and the frontier peak are not.")
   in
   let engine_conv =
     Arg.enum
@@ -645,11 +646,12 @@ let explore_cmd =
           ~doc:
             "State (re)construction engine: $(b,path) (the default: the snapshot \
              engine where it applies — a machine-form shm system, a depth-first \
-             search and no $(b,--max-replay-steps) — and otherwise amortized path \
-             replay, one replay per depth-first descent, or per-state replay under \
-             $(b,--bfs); the report names the engine that ran), $(b,per-state) \
-             (replay every state's prefix from scratch; the comparison baseline), or \
-             $(b,snapshot) (typed copy/restore along the DFS spine — zero replay \
+             search and no $(b,--max-replay-steps) — and otherwise the same \
+             depth-first walk reaching each sibling by a fresh replay of its prefix, \
+             or per-state replay under $(b,--bfs); the report names the engine that \
+             ran), $(b,per-state) (replay every state's prefix from scratch; the \
+             comparison baseline), or $(b,snapshot) (the depth-first walk reaching \
+             each sibling by a typed restore of its parent's savepoint — zero replay \
              steps; needs a machine-form shm system and a depth-first frontier, so it \
              excludes $(b,--backend net), $(b,--bfs) and $(b,--check timeliness)). \
              Every engine steps a shm system's machine form; fingerprints and \

@@ -78,11 +78,9 @@ val note_safety_check : t -> unit
 val note_replay : t -> steps:int -> unit
 
 val note_replay_steps : t -> int -> unit
-(** Add executed steps without counting a replay. The path-replay
-    descent engine counts one {!note_replay} [~steps:0] per descent and
-    accounts the steps incrementally through this as they execute, so
-    [max_replay_steps] is enforced mid-descent, not only at replay
-    boundaries. *)
+(** Add executed steps without counting a replay: the walk with path
+    replay counts one {!note_replay} [~steps:0] per pool item and each
+    step through this as it executes. *)
 
 val note_depth : t -> int -> unit
 (** Record a visit at the given prefix depth: raises the [max_depth]

@@ -1,7 +1,6 @@
 module Proc = Setsync_schedule.Proc
 module Procset = Setsync_schedule.Procset
 module Schedule = Setsync_schedule.Schedule
-module Source = Setsync_schedule.Source
 module Store = Setsync_memory.Store
 module Fault = Setsync_runtime.Fault
 module Run = Setsync_runtime.Run
@@ -119,8 +118,8 @@ let snapshot_of store (inst : _ instance) =
 
 (* One live instance and the tally of its run: registers and
    observation live in the instance, run bookkeeping (step counts,
-   halts, budget crashes) in the tally the executor — or the snapshot
-   engine's [advance] — moves, so every path can materialize an exact
+   halts, budget crashes) in the tally the executor — or the depth-first
+   walk's [advance] — moves, so every path can materialize an exact
    [state] at any point along its run. The instance steps its machine
    form when it has one and fibers otherwise. Every state the explorer
    builds comes from [Mirror.state]. *)
@@ -164,7 +163,7 @@ module Mirror = struct
       m.step
 
   (* one step of [p] at the tally's next global index, under the
-     executor's rules but outside its loop: the snapshot engine's move *)
+     executor's rules but outside its loop: the depth-first walk's move *)
   let advance m p =
     let t = m.tally in
     (match m.inst.substrate with
@@ -595,15 +594,16 @@ let hit limit count = match limit with Some c -> Atomic.get count >= c | None ->
 let past_deadline g =
   match g.g_deadline with Some d -> Unix.gettimeofday () >= d | None -> false
 
-(* The two halves of [over], for the path-replay engine's mid-descent
-   checks: a visit costs one state and no steps, executing the next
-   step costs steps and no state — checking the wrong cap at either
-   point would truncate a run that completes on exactly its budget. *)
-let over_visit g = hit g.g_limits.Budget.max_states g.g_visited || past_deadline g
-
-let over_steps g = hit g.g_limits.Budget.max_replay_steps g.g_replay_steps || past_deadline g
-
-let over g = over_visit g || over_steps g
+(* Some limit is reached before the next unit of work, which costs
+   [steps] replay steps (default 1, a single step): a unit that would
+   take the step count past its cap is refused whole, so a replay
+   budget of k spends at most k at one domain. *)
+let over ?(steps = 1) g =
+  hit g.g_limits.Budget.max_states g.g_visited
+  || (match g.g_limits.Budget.max_replay_steps with
+     | Some c -> Atomic.get g.g_replay_steps + steps > c
+     | None -> false)
+  || past_deadline g
 
 (* --------------------------------------------------- the shared visit *)
 
@@ -802,101 +802,13 @@ let process_prefix eng rev_steps =
     | [] -> ()
     | children -> push_children eng rev_steps children
 
-(* ------------------------------------------------ path-replay descents *)
-
-(* Amortized engine: one executor run per *descent* — what a [Path]
-   request runs on a system without a machine form or under a
-   replay-step cap (the snapshot engine serves the rest). The
-   replay feeds a fixed prefix, then keeps extending in place — every
-   interim state is visited (properties, fingerprint, frontier
-   bookkeeping) from the single live [Mirror], and the run continues
-   into the first child; the remaining children become frontier items,
-   each costing one fresh replay of its prefix when taken. Replay
-   steps per visited state drop from O(depth) to the amortized cost of
-   the descent paths (see DESIGN.md §8). A descent ends when its last
-   step completes a commutable pair (the same arrival rule as
-   [process_prefix]): the pruned state is already materialized, so it
-   is safety-checked directly. Depth-first only: [Path] under [Bfs]
-   runs per-state.
-
-   Budget: one [note_replay ~steps:0] per descent plus an incremental
-   [note_replay_steps] per executed step, so [max_replay_steps] cuts
-   mid-descent. The boundary contract splits the check by what the next
-   unit of work costs: [over_visit] (states/wall) gates each visit —
-   a visit after exactly the step budget costs no further steps and
-   still happens — while [over_steps] (steps/wall) gates continuing
-   the descent into the next child; a cut with work still pending marks
-   the run truncated and parks the continuation on the frontier. *)
-let process_descent eng rev_start =
-  let sut = eng.e_sut and config = eng.e_config and meter = eng.e_meter in
-  let n = sut.n in
-  let footprint = eng.e_footprint in
-  let m = fresh_mirror eng in
-  (* footprints of the last two executed steps along this path *)
-  let fp_prev = ref [] and fp_last = ref [] in
-  let cur_rev = ref [] in
-  let feed = ref (List.rev rev_start) in
-  let fixed = List.length rev_start in
-  let pending_child = ref None in
-  (* visit the node the replay just reached; decide the continuation *)
-  let visit_here () =
-    pending_child := None;
-    if arrival_pruned config !cur_rev ~prev:!fp_prev ~last:!fp_last then
-      commute_prune eng ~depth:(Run.Tally.total_steps m.tally) (fun () -> Mirror.state m)
-    else if stopped eng then ()
-    else if over_visit eng.e_gauge then Budget.mark_truncated meter
-    else
-      match visit eng m (Mirror.state m) with
-      | [] -> ()
-      | c :: rest ->
-          (* continue the run into the first (ascending) child; the
-             rest become frontier items, pushed descending so the LIFO
-             pool takes them ascending *)
-          List.iter (fun b -> push eng (b :: !cur_rev)) (List.rev rest);
-          (if over_steps eng.e_gauge then begin
-             (* the next step would exceed the budget: park the
-                continuation as a frontier item (pushed last so a
-                LIFO resume would take it first) and end the descent *)
-             Budget.mark_truncated meter;
-             push eng (c :: !cur_rev)
-           end
-           else pending_child := Some c);
-          Budget.note_frontier meter (frontier_size eng)
-  in
-  let on_step ~global ~proc =
-    fp_prev := !fp_last;
-    fp_last := footprint ();
-    cur_rev := proc :: !cur_rev;
-    Budget.note_replay_steps meter 1;
-    Atomic.incr eng.e_gauge.g_replay_steps;
-    if global >= fixed - 1 then visit_here ()
-  in
-  let source ~live:_ =
-    Source.make ~n (fun () ->
-        match !feed with
-        | p :: rest ->
-            feed := rest;
-            Some p
-        | [] ->
-            let c = !pending_child in
-            pending_child := None;
-            c)
-  in
-  if fixed = 0 then visit_here ();
-  ignore
-    (Executor.run_with ~n ~source ~max_steps:max_int ~tally:m.tally
-       ?substrate:m.inst.substrate ~on_step m.step);
-  Budget.note_replay meter ~steps:0;
-  let steps = Run.Tally.total_steps m.tally in
-  emit eng "replay" [ ("depth", Json.Int steps); ("steps", Json.Int steps) ]
-
 (* Check the arguments and resolve the engine; returns the config the
    run uses and the renaming group its fingerprints are minimised over.
    [Path] is the default request: it runs on the snapshot engine
    wherever that engine applies — a machine-form system, a depth-first
-   search and no replay-step cap for it to ignore — on the replay
-   descent under the other depth-first searches, and on per-state
-   replay under [Bfs] (a breadth-first search has no descents to
+   search and no replay-step cap for it to ignore — on the walk with
+   path replay under the other depth-first searches, and on per-state
+   replay under [Bfs] (a breadth-first search has no walk to
    amortize). Symmetry reduction needs a payload to rename; its group
    is the machine's renamings that fix the fault plan (budgets ∘ perm
    = budgets). Machine-form support is probed on a throwaway instance,
@@ -942,23 +854,27 @@ let validate_explore ~sut config =
   in
   (config, perms)
 
-(* ---------------------------------------------- snapshot machinery *)
+(* ------------------------------------------------- the depth-first walk *)
 
-(* Movement metering: every machine step and savepoint restore is
-   counted in the worker's meter — that feeds the live heartbeat, the
-   final search summary and the movement metrics. In telemetry mode
-   ([config.telemetry]) the movement is also wall-timed; the untimed
-   path adds only one counter increment per step, noise against the
-   step itself, so the pinned snapshot benches are unperturbed. *)
+(* One step of [p] on the walk's live instance, metered as the engine's
+   movement: a machine step under [Snapshot] (wall-timed in telemetry
+   mode; the untimed path adds one counter increment per step, noise
+   against the step itself, so the pinned snapshot benches are
+   unperturbed), a replay step under [Path], counted in the shared
+   gauge the step cap reads. *)
 let advance_metered eng m p =
-  let meter = eng.e_meter in
-  if eng.e_config.telemetry then begin
+  let meter = eng.e_meter and snapshot = eng.e_config.engine = Snapshot in
+  if snapshot && eng.e_config.telemetry then begin
     let t0 = Unix.gettimeofday () in
     Mirror.advance m p;
     Budget.note_machine_seconds meter (Unix.gettimeofday () -. t0)
   end
   else Mirror.advance m p;
-  Budget.note_machine_step meter
+  if snapshot then Budget.note_machine_step meter
+  else begin
+    Budget.note_replay_steps meter 1;
+    Atomic.incr eng.e_gauge.g_replay_steps
+  end
 
 let restore_metered meter ~timed restore =
   if timed then begin
@@ -969,27 +885,50 @@ let restore_metered meter ~timed restore =
   else restore ();
   Budget.note_restore meter
 
-(* Recursive snapshot DFS below a materialized node, on one live
-   machine instance [m] whose steps the worker's meter measures. The node
-   itself is visited here through [visit]; above the split depth its
-   children become pool items (each take rebuilds its prefix by machine
-   steps), below it each enabled child is gated like a pool take
-   ([stopped], then [over] — take first, test second, so finishing on
-   exactly the budget stays exhaustive), stepped on the live machine,
-   possibly commutation-pruned (same arrival rule, with the pruned
-   state already materialized for safety checks), recursed into, and
-   undone by restoring the node's one savepoint — never a replay. The
-   savepoints of a path are last-in-first-out, so the machine, store
-   and tally capture them into per-depth buffers they reuse. *)
-let rec snapshot_visit eng m ~depth ~rev ~arrive_fp =
+(* The depth-first walk below a materialized node, on one live instance
+   [m] whose steps the worker's meter measures. The node is visited
+   through [visit]; each child the walk steps into is gated like a pool
+   take ([stopped], then [over] — take first, test second, so finishing
+   on exactly the budget stays exhaustive), stepped on the live
+   instance, possibly commutation-pruned (same arrival rule, with the
+   pruned state already materialized for safety checks) and walked.
+   The two depth-first engines differ only in how the walk reaches the
+   node's other children:
+   - [Path] pushes them as pool items, each rebuilt by a fresh instance
+     that replays its prefix ([take]), and steps into the first child
+     on [m]: every instance, machine form or fibers, walks forward only;
+   - [Snapshot] takes one savepoint of the node and restores it after
+     each child — never a replay. The savepoints of a path are
+     last-in-first-out, so the machine, store and tally capture them
+     into per-depth buffers they reuse. Above a split depth its
+     children become pool items too: depth 2 with several workers, so
+     each worker owns whole subtrees on its private instance; a single
+     worker has no one to share with and walks from the root. *)
+let rec walk eng m ~depth ~rev ~arrive_fp =
   let config = eng.e_config and meter = eng.e_meter in
-  (* pool items stay shallow prefixes (split depth 2, matching the
-     other engines' parallel grain), so below the split each worker
-     owns a whole subtree on its private machine instance; a single
-     worker has no one to share with and recurses from the root *)
+  let step_into b =
+    eng.e_tick ();
+    if stopped eng then false
+    else if over eng.e_gauge then begin
+      truncate_run eng;
+      false
+    end
+    else begin
+      advance_metered eng m b;
+      let fp_b = eng.e_footprint () in
+      let rev' = b :: rev in
+      if arrival_pruned config rev' ~prev:arrive_fp ~last:fp_b then
+        commute_prune eng ~depth:(depth + 1) (fun () -> Mirror.state m)
+      else walk eng m ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
+      true
+    end
+  in
   let split_depth = if Parallel.Pool.workers eng.e_pool > 1 then 2 else 0 in
   match visit eng m (Mirror.state m) with
   | [] -> ()
+  | first :: rest when config.engine <> Snapshot ->
+      push_children eng rev rest;
+      ignore (step_into first)
   | children when depth < split_depth -> push_children eng rev children
   | children ->
       let pending = eng.e_pending in
@@ -1001,25 +940,14 @@ let rec snapshot_visit eng m ~depth ~rev ~arrive_fp =
         (fun b ->
           decr pending;
           Budget.note_frontier meter (frontier_size eng);
-          eng.e_tick ();
-          if stopped eng then ()
-          else if over eng.e_gauge then truncate_run eng
-          else begin
-            advance_metered eng m b;
-            let fp_b = eng.e_footprint () in
-            let rev' = b :: rev in
-            if arrival_pruned config rev' ~prev:arrive_fp ~last:fp_b then
-              commute_prune eng ~depth:(depth + 1) (fun () -> Mirror.state m)
-            else snapshot_visit eng m ~depth:(depth + 1) ~rev:rev' ~arrive_fp:fp_b;
-            restore_metered meter ~timed:config.telemetry restore
-          end)
+          if step_into b then restore_metered meter ~timed:config.telemetry restore)
         children
 
-(* Snapshot engine, one pool item: build a fresh machine instance,
-   materialize the prefix by machine steps — bookkeeping movement, not
-   replays — keeping the last two footprints for the arrival
-   commutation check, then explore below it. *)
-let snapshot_take eng rev_steps =
+(* One pool item of the walk: build a fresh instance, rebuild the prefix
+   by steps — keeping the last two footprints for the arrival
+   commutation check — then walk below it. Under [Path] an item is one
+   replay, whose steps the walk keeps counting as it goes on. *)
+let take eng rev_steps =
   let m = fresh_mirror eng in
   let depth = List.length rev_steps in
   let fp_prev = ref [] and fp_last = ref [] in
@@ -1031,7 +959,12 @@ let snapshot_take eng rev_steps =
     (List.rev rev_steps);
   if arrival_pruned eng.e_config rev_steps ~prev:!fp_prev ~last:!fp_last then
     commute_prune eng ~depth (fun () -> Mirror.state m)
-  else snapshot_visit eng m ~depth ~rev:rev_steps ~arrive_fp:!fp_last
+  else walk eng m ~depth ~rev:rev_steps ~arrive_fp:!fp_last;
+  if eng.e_config.engine <> Snapshot then begin
+    Budget.note_replay eng.e_meter ~steps:0;
+    let steps = Run.Tally.total_steps m.tally in
+    emit eng "replay" [ ("depth", Json.Int steps); ("steps", Json.Int steps) ]
+  end
 
 (* ----------------------------------------------------------- explore *)
 
@@ -1133,13 +1066,14 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
     let eng = engines.(wid) in
     eng.e_tick ();
     (* take first, then test: completing the space on exactly the
-       budget is exhaustive, not truncated *)
-    if over gauge then truncate_run eng
+       budget is exhaustive, not truncated. A replay pays the item's
+       whole prefix up front. *)
+    let steps = if config.engine = Snapshot then 1 else max 1 (List.length rev_steps) in
+    if over ~steps gauge then truncate_run eng
     else
       match config.engine with
-      | Path -> process_descent eng rev_steps
       | Per_state -> process_prefix eng rev_steps
-      | Snapshot -> snapshot_take eng rev_steps
+      | Path | Snapshot -> take eng rev_steps
   in
   Parallel.Pool.push pool ~worker:0 [];
   Budget.note_frontier meters.(0) 1;

@@ -9,17 +9,19 @@
 
     Three engines materialize the states ({!engine_kind}): [Per_state]
     replays every prefix from scratch through the executor
-    ({!Setsync_runtime.Executor.replay_with}); [Path] replays once per
-    depth-first descent and visits every interim state of that replay;
-    [Snapshot] steps a machine-form instance ({!minstance}) down and
-    restores typed savepoints on the way back up, with no replay at
-    all. The default request, [Path], runs on [Snapshot] wherever that
-    engine applies. All three share one core: one live instance, which
-    steps its machine form when it has one and fibers otherwise, and
-    whose run bookkeeping (halts, step counts, budget crashes) is the
-    {!Setsync_runtime.Run.Tally} the executor — or the snapshot
-    engine's single step — advances, so every state is built the same
-    way; one footprint measurement, one fingerprint, one visit routine
+    ({!Setsync_runtime.Executor.replay_with}); [Path] and [Snapshot]
+    are one depth-first walk with two ways to reach a sibling. The walk
+    visits a node, then steps a live instance into its first child; to
+    reach the other children, [Path] hands them to fresh instances that
+    replay their prefixes, and [Snapshot] restores a typed savepoint of
+    the node on a machine-form instance ({!minstance}), with no replay
+    at all. The default request, [Path], runs on [Snapshot] wherever
+    that engine applies. All three share one core: one live instance,
+    which steps its machine form when it has one and fibers otherwise,
+    and whose run bookkeeping (halts, step counts, budget crashes) is
+    the {!Setsync_runtime.Run.Tally} the executor — or the walk's
+    single step — advances, so every state is built the same way; one
+    footprint measurement, one fingerprint, one visit routine
     (counting, property checks, fingerprint gate), one
     commutation-prune routine and one verdict table. Their verdicts
     therefore agree, and so do their visited/pruned counts in a
@@ -156,23 +158,26 @@ type engine_kind =
           sut has a machine form ({!instance.machine}), the search is
           [Dfs] and no [max_replay_steps] cap is set (the snapshot
           engine replays nothing, so the cap would never bind).
-          Otherwise it runs the amortized path-replay engine: one
-          executor run per DFS {e descent} visits every interim state
-          from a single live replay and continues into the first child,
-          so replay steps per visited state are amortized O(1) instead
-          of O(depth); a descent ends on arriving at a commutation-pruned
-          state. Verdicts, visited/pruned counts and the DFS visit order
-          are identical to the per-state engine (the cross-check tests
-          pin this); replay accounting ([stats.replays]/[replay_steps])
-          is what improves. Under [Bfs], at every domain count, it runs
-          the per-state engine instead (a FIFO take order defeats
-          descent amortization). The report's [engine] names the engine
-          that ran. *)
+          Otherwise it runs the depth-first walk with path replay: the
+          walk visits a node, pushes the node's other children as pool
+          items and steps its live instance into the first child, and
+          each pool item is one replay — a fresh instance stepping the
+          item's prefix — after which the walk goes on from there. So
+          replay steps per visited state are amortized O(1) instead of
+          O(depth); a walk ends at a leaf, a fingerprint prune or a
+          commutation-pruned arrival. [stats.replays] counts pool items
+          and [stats.replay_steps] every step, prefix or onward. Verdicts,
+          visited/pruned counts and the DFS visit order are identical to
+          the per-state engine (the cross-check tests pin this); replay
+          accounting is what improves. Under [Bfs], at every domain
+          count, it runs the per-state engine instead (a FIFO take order
+          defeats the walk's amortization). The report's [engine] names
+          the engine that ran. *)
   | Snapshot
       (** replay-free engine: requires a machine-form sut
-          ({!instance.machine}); the DFS moves down by single machine
-          steps on one live store and back up by restoring typed
-          savepoints ({!Setsync_memory.Store.checkpoint}, [m_save],
+          ({!instance.machine}); the same depth-first walk as [Path]
+          moves down by single machine steps on one live store and back
+          up to reach the next sibling by restoring typed savepoints ({!Setsync_memory.Store.checkpoint}, [m_save],
           substrate save, {!Setsync_runtime.Run.Tally.save}) — one per
           expanded node, restored after each of its children —
           [stats.replays] and [stats.replay_steps] stay {e zero}. Depth-first only. Machine movement is
@@ -236,7 +241,7 @@ type report = {
   stats : Budget.stats;
   engine : engine_kind;
       (** the engine that produced the stats: [Path] only when the
-          path-replay descent ran *)
+          walk with path replay ran *)
 }
 (** One verdict per property, in the order given; plus the exploration
     report. *)
@@ -282,23 +287,25 @@ val explore :
 
     [domains] (default 1) is the size of the worker pool that runs
     every exploration: each worker owns a work-stealing deque of
-    prefixes, and replays are independent (every prefix drives a fresh
-    store/fiber instance). One domain is a pool of one worker in
-    the calling domain, taking items in the sequential order: newest
-    first under [Dfs], oldest first under [Bfs] (FIFO at every domain
-    count); the snapshot engine splits the tree into pool items at
-    depth 2 only with more than one worker. More domains are
-    {e verdict-equivalent} to one — the same set of properties is
-    violated — and with fingerprint pruning off the visited, pruned,
-    safety-checked and replay counts are identical; what is {e not}
-    reproducible is which counterexample is found first, the
-    visited/pruned split under fingerprint pruning (see DESIGN.md §8),
-    and the snapshot engine's machine steps (each pool item is rebuilt
-    by machine steps). [stats.frontier_peak] is the largest frontier
-    one worker saw: the pool's items plus its pending snapshot
-    siblings. Budget limits are enforced against global counters and
-    the wall clock, so [max_seconds] expires after ~1× wall time
-    regardless of the domain count; overshoot of the count limits is
+    prefixes, and items are independent (every item drives a fresh
+    store/fiber instance). One domain is a pool of one worker in the
+    calling domain, taking items in the sequential order: newest first
+    under [Dfs], oldest first under [Bfs] (FIFO at every domain count);
+    the snapshot engine splits the tree into pool items at depth 2 only
+    with more than one worker. More domains are {e verdict-equivalent}
+    to one — the same set of properties is violated — and with
+    fingerprint pruning off the visited, pruned, safety-checked and
+    replay counts are identical; what is {e not} reproducible is which
+    counterexample is found first, the visited/pruned split under
+    fingerprint pruning (see DESIGN.md §8), the snapshot engine's
+    machine steps (each pool item is rebuilt by machine steps), and
+    [stats.frontier_peak], the largest frontier one worker saw — the
+    pool's items plus its pending snapshot siblings — read while other
+    workers push and take. Budget limits are enforced against global
+    counters and the wall clock, so [max_seconds] expires after ~1×
+    wall time regardless of the domain count; a replay whose steps
+    would pass [max_replay_steps] is refused before it starts, and
+    under several domains overshoot of the count limits is
     bounded by the number of in-flight items. *)
 
 val evaluate :

@@ -71,7 +71,7 @@ let single_writer_sut () =
   }
 
 (* [mk_sut] without its machine form: the replay engines' copy, on
-   which the default engine runs the path-replay descent *)
+   which the default engine runs the walk with path replay *)
 let fiber_only mk_sut () =
   let sut = mk_sut () in
   { sut with Explorer.fresh = (fun ~store -> { (sut.Explorer.fresh ~store) with machine = None }) }
@@ -788,7 +788,7 @@ let test_parallel_fingerprints () =
 
 (* the observation-sensitive sleep-set regression must hold under
    domains too, on the snapshot engine (the default on the machine
-   form) and on the path-replay descent (the machine-less copy) *)
+   form) and on the walk with path replay (the machine-less copy) *)
 let test_parallel_sleep_safety () =
   List.iter
     (fun (form, mk_sut) ->
@@ -882,10 +882,10 @@ let test_stripe_hash_full_width () =
    verdicts and visit counts (fingerprinting off), strictly cheaper
    replay accounting for the path engine, {e zero} replay accounting
    for the snapshot engine *)
-(* Every engine against the per-state reference: the path-replay
-   descent on the machine-less copy, the default request ([Path]) on
+(* Every engine against the per-state reference: the walk with path
+   replay on the machine-less copy, the default request ([Path]) on
    the machine form, which must run the snapshot engine, and the
-   snapshot engine named explicitly. Returns the per-state, descent and
+   snapshot engine named explicitly. Returns the per-state, path and
    snapshot reports. *)
 let check_engine_equiv ~name ~mk_sut ~properties mk_config =
   let run ?(mk_sut = mk_sut) engine =
@@ -915,9 +915,9 @@ let check_engine_equiv ~name ~mk_sut ~properties mk_config =
       (visit_counts_of state_r.Explorer.stats = visit_counts_of other.Explorer.stats)
   in
   let path_r = run ~mk_sut:(fiber_only mk_sut) Explorer.Path in
-  check_matches "path descent" path_r;
+  check_matches "path walk" path_r;
   Alcotest.(check bool)
-    (Printf.sprintf "%s: the descent ran and pays fewer replay steps" name)
+    (Printf.sprintf "%s: the path walk ran and pays fewer replay steps" name)
     true
     (path_r.Explorer.engine = Explorer.Path
     && path_r.Explorer.stats.Budget.replay_steps > 0
@@ -992,7 +992,7 @@ let test_engine_equiv_kset () =
         (path_r.Explorer.stats.Budget.replay_steps
         < state_r.Explorer.stats.Budget.replay_steps);
       (* every pending safety check runs: on each visited state and on
-         each commutation-pruned one, which the descent reaches before
+         each commutation-pruned one, which the walk reaches before
          discarding it *)
       Alcotest.(check int)
         (name ^ ": safety checks cover visits and prunes")
@@ -1210,9 +1210,9 @@ let test_lockstep_kanti () =
     (Array.map Kanti_omega.iterations procs)
     direct.Fd_harness.iterations
 
-(* the schedule-sensitive regression (e) must hold under the path-replay
-   descent (on the machine-less copy) in both verdict and accounting: a
-   descent reaches each commutation-pruned interleaving before
+(* the schedule-sensitive regression (e) must hold under the walk with
+   path replay (on the machine-less copy) in both verdict and accounting:
+   the walk reaches each commutation-pruned interleaving before
    discarding it, and checks the pending safety property there *)
 let test_engine_sched_sensitive_safety () =
   let report =
@@ -1287,7 +1287,7 @@ let test_engine_snapshot_fault () =
 (* The report names the engine that produced its stats. [Path], the
    default, runs on the snapshot engine for a machine-form system
    searched depth-first without a replay-step cap; otherwise a
-   depth-first search runs the path-replay descent and a breadth-first
+   depth-first search runs the walk with path replay and a breadth-first
    search, at every domain count, the per-state engine — one replay per
    visited state. *)
 let test_engine_label () =
@@ -1311,13 +1311,13 @@ let test_engine_label () =
   let dfs_path = run ~strategy:Explorer.Dfs Explorer.Path in
   check "dfs path on a machine form runs snapshot" Explorer.Snapshot dfs_path;
   Alcotest.(check int) "no replay steps" 0 dfs_path.Explorer.stats.Budget.replay_steps;
-  check "dfs path without a machine form runs the descent" Explorer.Path
+  check "dfs path without a machine form runs path replay" Explorer.Path
     (run ~mk_sut:(fiber_only single_writer_sut) ~strategy:Explorer.Dfs Explorer.Path);
   let capped =
     run ~limits:(Budget.limits ~max_replay_steps:1_000 ()) ~strategy:Explorer.Dfs Explorer.Path
   in
-  check "dfs path under a replay cap runs the descent" Explorer.Path capped;
-  Alcotest.(check bool) "the capped descent replays" true
+  check "dfs path under a replay cap runs path replay" Explorer.Path capped;
+  Alcotest.(check bool) "the capped path walk replays" true
     (capped.Explorer.stats.Budget.replay_steps > 0);
   check "bfs per-state" Explorer.Per_state (run ~strategy:Explorer.Bfs Explorer.Per_state);
   check "snapshot" Explorer.Snapshot (run ~strategy:Explorer.Dfs Explorer.Snapshot);
@@ -1458,7 +1458,7 @@ let test_symmetry_any_engine () =
     [
       ("per-state", Explorer.Per_state, true, explore ~engine:Explorer.Per_state (mk_sut ()));
       ("bfs", Explorer.Per_state, false, explore ~strategy:Explorer.Bfs (mk_sut ()));
-      ( "replay-capped descent",
+      ( "replay-capped path walk",
         Explorer.Path,
         true,
         explore ~limits:(Budget.limits ~max_replay_steps:1_000_000 ()) (mk_sut ()) );
@@ -1640,7 +1640,7 @@ let test_exact_counts () =
     [
       ("snapshot", None, None, None);
       ("per-state", None, Some Explorer.Per_state, None);
-      ( "replay-capped descent",
+      ( "replay-capped path walk",
         None,
         None,
         Some (Budget.limits ~max_replay_steps:10_000_000 ()) );
@@ -1649,7 +1649,7 @@ let test_exact_counts () =
 (* ------------------------------------------------------------------ *)
 (* (i) budget boundary semantics: "budget of k means at most k" *)
 
-(* the descent runs on the machine-less copy: on the machine form an
+(* path replay runs on the machine-less copy: on the machine form an
    uncapped [Path] run resolves to the snapshot engine *)
 let explore_single ~engine ~limits () =
   let mk_sut = if engine = Explorer.Path then fiber_only single_writer_sut else single_writer_sut in
@@ -1684,7 +1684,16 @@ let test_budget_boundaries () =
       (* same contract for the step budget: the unbounded run's total is
          the exact cost of the space under this engine *)
       let total = (run Budget.unlimited).Budget.replay_steps in
+      (* a step cap of k spends at most k: a replay that would overrun
+         it is refused before it starts *)
+      let within cap (s : Budget.stats) =
+        Alcotest.(check bool)
+          (label (Printf.sprintf "cap %d: replay steps %d within it" cap s.Budget.replay_steps))
+          true
+          (s.Budget.replay_steps <= cap)
+      in
       let s = run (Budget.limits ~max_replay_steps:total ()) in
+      within total s;
       Alcotest.(check bool) (label "exact step budget exhaustive") false s.Budget.truncated;
       Alcotest.(check int) (label "exact step budget visits all") 19 s.Budget.visited;
       if path_replay then begin
@@ -1696,15 +1705,22 @@ let test_budget_boundaries () =
           (s.Budget.visited < 19)
       end
       else begin
-        (* the per-state engine only checks between replays, so its
-           overshoot is bounded by one replay — a cap short by more than
-           the deepest replay must truncate *)
+        (* the per-state engine checks between replays — a cap short by
+           more than the deepest replay must truncate *)
         let s = run (Budget.limits ~max_replay_steps:(total - 5) ()) in
         Alcotest.(check bool) (label "cap short by >1 replay truncated") true
           s.Budget.truncated;
         Alcotest.(check bool) (label "cap short by >1 replay visits fewer") true
           (s.Budget.visited < 19)
-      end)
+      end;
+      (* every cap below the total truncates within itself *)
+      List.iter
+        (fun cap ->
+          let s = run (Budget.limits ~max_replay_steps:cap ()) in
+          within cap s;
+          Alcotest.(check bool) (label (Printf.sprintf "cap %d truncated" cap)) true
+            s.Budget.truncated)
+        (List.init total Fun.id))
     [ Explorer.Per_state; Explorer.Path ]
 
 (* the snapshot engine enforces the same visit-budget contract; its
@@ -2064,7 +2080,7 @@ let test_render_on_demand () =
     Alcotest.(check int) (label ^ ": nothing rendered") 0 !renders
   in
   explore "per-state" Explorer.Per_state Explorer.Per_state;
-  explore "descent" Explorer.Path
+  explore "path walk" Explorer.Path
     ~limits:(Budget.limits ~max_replay_steps:1_000_000 ())
     Explorer.Path;
   explore "snapshot" Explorer.Snapshot Explorer.Snapshot;
@@ -2117,6 +2133,45 @@ let test_net_digest_counts () =
       Alcotest.(check int) (label ^ " visited") visited s.Budget.visited;
       Alcotest.(check int) (label ^ " fp-pruned") fp_pruned s.Budget.pruned_fingerprint)
     [ (2, 11, 757, 61); (3, 7, 592, 35) ]
+
+(* The [Path] walk on the machine-less net systems, fingerprints and
+   sleep sets off (as the CLI runs them): one replay per pool item, one
+   replay step per advance. Visited, replays and replay steps are the
+   same at one and two domains; the frontier peak is a racy per-worker
+   maximum under several domains, so it is pinned at one. *)
+let test_net_path_walk () =
+  let module Net_systems = Setsync_net.Net_systems in
+  let module Adversary = Setsync_net.Adversary in
+  let check name ~sut ~properties ~depth (visited, replays, steps, peak) =
+    List.iter
+      (fun domains ->
+        let r =
+          Explorer.explore ~domains ~sut ~properties
+            (Explorer.config ~prune_fingerprints:false ~sleep_sets:false ~depth ())
+        in
+        let s = r.Explorer.stats in
+        let label what = Printf.sprintf "%s @%d, %d domain(s): %s" name depth domains what in
+        Alcotest.(check bool) (label "ran the path walk") true (r.Explorer.engine = Explorer.Path);
+        Alcotest.(check bool) (label "all ok") true
+          (List.for_all (fun (_, v) -> v = Explorer.Ok_bounded) r.Explorer.verdicts);
+        Alcotest.(check bool) (label "exhaustive") false s.Budget.truncated;
+        Alcotest.(check int) (label "visited") visited s.Budget.visited;
+        Alcotest.(check int) (label "replays") replays s.Budget.replays;
+        Alcotest.(check int) (label "replay steps") steps s.Budget.replay_steps;
+        Alcotest.(check int) (label "machine steps") 0 s.Budget.machine_steps;
+        if domains = 1 then Alcotest.(check int) (label "frontier peak") peak s.Budget.frontier_peak)
+      [ 1; 2 ]
+  in
+  check "net CT n=2"
+    ~sut:(Net_systems.ct_leader ~clients:2 ~adversary:(Adversary.gst_drop ~delta:1 ~gst:4) ())
+    ~properties:[ Net_systems.ct_stabilized ~delta:1 ]
+    ~depth:10 (2_047, 1_024, 10_240, 10);
+  let inputs = [| 0; 10 |] in
+  let decisions st = st.Explorer.obs.Systems.decisions in
+  check "blind k-set n=2"
+    ~sut:(Net_systems.kset_blind ~inputs ~adversary:(Adversary.brs_kset ~delta:1 ~gst:4 ~n:2 ~k:1) ())
+    ~properties:[ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
+    ~depth:8 (511, 256, 2_048, 8)
 
 (* One savepoint of a library machine form, with its store, restored
    several times in a row after different runs; then the stack rule:
@@ -2186,7 +2241,7 @@ let test_machine_savepoints () =
    plan [(p3, 2 steps)] so the budget-crash bookkeeping is exercised;
    parallel rows run with fingerprints off, where counts are
    deterministic. On the machine-form systems [Path] resolves to the
-   snapshot engine, so the path-replay descent is pinned on the
+   snapshot engine, so the walk with path replay is pinned on the
    detector's machine-less copy, "detector (fibers)". Every engine
    steps a machine form where there is one, so the per-state rows of
    the solver's machine-less copy, "kset (fibers)", are what keeps an
@@ -2668,6 +2723,8 @@ let () =
           Alcotest.test_case "states render only on demand" `Quick test_render_on_demand;
           Alcotest.test_case "net fingerprint counts through digest" `Quick
             test_net_digest_counts;
+          Alcotest.test_case "path walk on the machine-less net systems" `Quick
+            test_net_path_walk;
           Alcotest.test_case "machine savepoints: repeat restores, saved-over depths raise"
             `Quick test_machine_savepoints;
           Alcotest.test_case "evaluate replays faithfully" `Quick
