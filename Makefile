@@ -38,7 +38,7 @@ bench:
 bench-quick: ## E11 smoke run (small depth, exploration only)
 	dune exec bench/main.exe -- --quick
 
-bench-guard: ## pinned rows: path replay's exact counts on net CT against per-state (E11e), zero-replay snapshot runs against a per-state reference plus the symmetry reduction (E11f), an exhaustive k-set check deep enough to decide (E11h), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
+bench-guard: ## pinned rows: path replay's exact counts on net CT against per-state (E11e), zero-replay snapshot runs against a per-state reference, and a symmetric run that visits what plain fingerprints visit (E11f), an exhaustive k-set check deep enough to decide (E11h), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts (N2)
 	dune exec bin/bench_guard.exe -- BENCH_quick.json
 
 obs-check: ## traced explorations, per-state (replay events) and default (snapshot: machine steps); validate the emitted JSONL (byte-canonical lines)/Chrome/metrics files
@@ -174,15 +174,8 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stderr_has "warning: --fingerprints"; \
 	expect 1 explore --check kset --backend net -n 2 -t 1 -k 1 --depth 2 --engine snapshot; \
 	stderr_has "machine-form"; \
-	expect 0 explore --check kset --depth 2 --symmetry --fingerprints; \
-	expect 0 explore --check kset --depth 2 --symmetry --fingerprints --bfs; \
-	expect 0 explore --check kset --depth 2 --symmetry --fingerprints --max-replay-steps 1000; \
-	expect 1 explore --check kset --backend net -n 2 -t 1 -k 1 --depth 2 --symmetry --fingerprints; \
-	stderr_has "symmetry reduction needs a sut with a symmetry payload"; \
 	expect 0 explore --check kset -n 3 -t 1 -k 1 --depth 12 --fingerprints; \
 	stdout_has "^visited 533 (fp-pruned "; \
-	expect 1 explore --check kset --depth 2 --engine snapshot --symmetry; \
-	stderr_has "add --fingerprints"; \
 	expect 1 explore --check kset --depth 2 --engine snapshot --bfs; \
 	stderr_has "depth-first only"; \
 	expect 1 explore --check timeliness -n 2 --depth 2 --engine snapshot; \
@@ -191,7 +184,6 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stderr_has "never binds"; \
 	expect 1 explore --check timeliness -n 2 --depth 4 --fingerprints; \
 	stderr_has "drop --fingerprints"; \
-	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 6 --engine snapshot --symmetry --fingerprints; \
 	expect 2 explore --check timeliness -n 2 --depth 4 --progress 0 --search-summary -; \
 	stdout_has '"engine":"per_state"'; \
 	expect 0 explore --check kset -n 2 -t 1 -k 1 --depth 4 --bfs --domains 2 --progress 0 --search-summary -; \

@@ -517,16 +517,18 @@ let e11_engines () =
    reference (fingerprints off, so visited counts are
    engine-independent): replay steps drop to exactly zero — state
    reconstruction is typed copy/restore, accounted separately as
-   machine steps and restores. Part two checks a
-   symmetric instance (equal inputs, so the admissible renaming group
-   is non-trivial) at depth 10 with fingerprints keyed by the machine
-   payload, first under the identity alone and then minimised over the
-   renamings: still exhaustive, and the visited-state count drops by a
-   pinned factor against the fp-off baseline. `make ci` pins
-   replay_steps = 0, engine equivalence, a floor on the reduction
-   factor and sym <= plain <= fp-off (bin/bench_guard.ml). *)
+   machine steps and restores. Part two checks the
+   equal-inputs instance at depth 10 with fingerprints keyed by the
+   machine payload, first under the identity alone and then with
+   symmetry reduction on. The solver's only renaming is the identity
+   (its scans run in a fixed order and line 4 breaks ties by set
+   index, so no other renaming maps transitions to transitions), so
+   the symmetric run must visit exactly what plain fingerprints visit.
+   `make ci` pins replay_steps = 0, engine equivalence, exhaustive runs
+   with the same verdicts, and sym = plain <= fp-off
+   (bin/bench_guard.ml). *)
 let e11_snapshot () =
-  subsection "f. snapshot engine: zero replay steps; symmetry reduction (canonical fp)";
+  subsection "f. snapshot engine: zero replay steps; symmetry adds nothing on k-set";
   Fmt.pr "  %-20s %-9s %-9s %-13s %-14s %-9s %s@." "instance" "engine" "visited"
     "replay_steps" "machine_steps" "restores" "note";
   let machine_metrics obs =
@@ -580,7 +582,7 @@ let e11_snapshot () =
           ("equivalent", Json.Bool agree);
         ])
     [ (2, 8); (3, 8) ];
-  (* part two: symmetry on a renaming-symmetric instance *)
+  (* part two: symmetry on the equal-inputs instance *)
   let n = 3 and depth = 10 in
   let problem = Problem.make ~t:1 ~k:1 ~n in
   let inputs = Array.make n 7 in

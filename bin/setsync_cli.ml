@@ -654,19 +654,8 @@ let explore_cmd =
              each sibling by a typed restore of its parent's savepoint — zero replay \
              steps; needs a machine-form shm system and a depth-first frontier, so it \
              excludes $(b,--backend net), $(b,--bfs) and $(b,--check timeliness)). \
-             Every engine steps a shm system's machine form; fingerprints and \
-             $(b,--symmetry) key states the same way on each.")
-  in
-  let symmetry_arg =
-    Arg.(
-      value
-      & flag
-      & info [ "symmetry" ]
-          ~doc:
-            "Process-renaming symmetry reduction: fingerprints are canonicalized over \
-             the system's admissible renamings, so states equal up to renaming are \
-             explored once. Requires $(b,--fingerprints) and a shm system, whose \
-             machine form renders its state under a renaming; runs on every engine.")
+             Every engine steps a shm system's machine form; fingerprints key \
+             states the same way on each.")
   in
   let max_seconds_arg =
     Arg.(
@@ -689,18 +678,13 @@ let explore_cmd =
              and restoring).")
   in
   let run check n t k depth bound seed bfs max_states max_replay_steps max_seconds
-      fingerprints engine symmetry domains backend delta gst trace_out metrics_out
+      fingerprints engine domains backend delta gst trace_out metrics_out
       progress_seconds search_summary =
     at_least "--depth" 0 depth;
     at_least "--domains" 1 domains;
     let strategy = if bfs then Explorer.Bfs else Explorer.Dfs in
     (* flag-compatibility gate: reject inert or impossible combinations
        loudly instead of silently ignoring them *)
-    if symmetry && not fingerprints then begin
-      Fmt.epr "setsync: --symmetry reduces the fingerprint table and does nothing \
-               without it; add --fingerprints@.";
-      exit 1
-    end;
     if engine = Explorer.Snapshot && max_replay_steps <> None then begin
       Fmt.epr "setsync: --max-replay-steps never binds under --engine snapshot (it \
                replays nothing); bound the run with --max-states or --max-seconds@.";
@@ -747,10 +731,9 @@ let explore_cmd =
       | exception Invalid_argument msg when String.starts_with ~prefix:"Explorer.explore:" msg
         ->
           (* the explorer refuses a request it cannot serve
-             (--engine snapshot under --bfs or on --backend net,
-             --symmetry on a system with nothing to rename) before the
-             run starts: an impossible flag combination, reported like
-             the gates above *)
+             (--engine snapshot under --bfs, on --backend net or on
+             --check timeliness) before the run starts: an impossible
+             flag combination, reported like the gates above *)
           Fmt.epr "setsync: %s@." msg;
           exit 1
     in
@@ -783,7 +766,7 @@ let explore_cmd =
           ]
         in
         let config =
-          Explorer.config ~strategy ~prune_fingerprints:fingerprints ~engine ~symmetry
+          Explorer.config ~strategy ~prune_fingerprints:fingerprints ~engine
             ~limits ~depth ()
         in
         Fmt.pr "exploring %a, inputs %a, depth %d@." Problem.pp problem
@@ -813,7 +796,7 @@ let explore_cmd =
         in
         let config =
           Explorer.config ~strategy ~prune_fingerprints:fingerprints ~sleep_sets:false
-            ~engine ~symmetry ~limits ~depth ()
+            ~engine ~limits ~depth ()
         in
         Fmt.pr
           "exploring blind k-set gossip vs %s (n=%d, k=%d, delta=%d, gst=%d), depth %d@."
@@ -833,7 +816,7 @@ let explore_cmd =
           ]
         in
         let config =
-          Explorer.config ~strategy ~prune_fingerprints:fingerprints ~engine ~symmetry
+          Explorer.config ~strategy ~prune_fingerprints:fingerprints ~engine
             ~limits ~depth ()
         in
         Fmt.pr "exploring Figure 2 detector (n=%d, t=%d, k=%d), depth %d@." n t k depth;
@@ -853,7 +836,7 @@ let explore_cmd =
         let properties = [ Net_systems.ct_stabilized ~delta ] in
         let config =
           Explorer.config ~strategy ~prune_fingerprints:fingerprints ~sleep_sets:false
-            ~engine ~symmetry ~limits ~depth ()
+            ~engine ~limits ~depth ()
         in
         Fmt.pr "exploring CT timeout detector (n=%d, delta=%d, gst=%d), depth %d@." n
           delta gst depth;
@@ -939,7 +922,7 @@ let explore_cmd =
     Term.(
       const run $ check_arg $ n_arg $ t_arg $ k_arg $ depth_arg $ bound_arg $ seed_arg
       $ bfs_arg $ max_states_arg $ max_replay_arg $ max_seconds_arg $ fingerprints_arg
-      $ engine_arg $ symmetry_arg $ domains_arg $ backend_arg $ delta_arg
+      $ engine_arg $ domains_arg $ backend_arg $ delta_arg
       $ gst_arg $ trace_out_arg $ metrics_out_arg $ progress_seconds_arg
       $ search_summary_arg)
 

@@ -2,21 +2,24 @@ module Proc = Setsync_schedule.Proc
 module Procset = Setsync_schedule.Procset
 module Store = Setsync_memory.Store
 module Machine = Setsync_runtime.Machine
-module Savestack = Setsync_memory.Savestack
+module Layout = Setsync_memory.Layout
 module Kanti_omega = Setsync_detector.Kanti_omega
 
 type t = {
   problem : Problem.t;
-  inputs : int array;
   fd_shared : Kanti_omega.shared;
   fd_params : Kanti_omega.params;
   instances : Paxos.shared array;  (** one per winnerset rank *)
   dec : int option Setsync_memory.Register.t array;  (** decision gossip *)
-  decisions : int option array;  (** local records, index = process *)
   fds : Kanti_omega.process array;
   props : Paxos.proposer array array;  (** [proc].(rank) *)
-  engagement : (int * int) option array;
-      (** per process: (instance, ballot) while inside a Paxos attempt *)
+  (* per-process locals, index = process; an option is a presence
+     slot (0 or 1) and value slots, zero when absent *)
+  decided : int array;  (** the local decision record: present? *)
+  decision : int array;  (** its value *)
+  engaged : int array;  (** inside a Paxos attempt? *)
+  engaged_rank : int array;  (** the attempt's instance *)
+  engaged_ballot : int array;  (** and its ballot *)
 }
 
 let create store ~problem ~inputs ?initial_timeout () =
@@ -36,12 +39,10 @@ let create store ~problem ~inputs ?initial_timeout () =
   let fd_shared = Kanti_omega.create_shared store fd_params in
   {
     problem;
-    inputs;
     fd_shared;
     fd_params;
     instances;
     dec;
-    decisions = Array.make n None;
     (* detector processes and proposers allocate no registers *)
     fds =
       Array.init n (fun proc ->
@@ -49,7 +50,11 @@ let create store ~problem ~inputs ?initial_timeout () =
     props =
       Array.init n (fun proc ->
           Array.map (fun inst -> Paxos.make_proposer inst ~proc ~input:inputs.(proc)) instances);
-    engagement = Array.make n None;
+    decided = Array.make n 0;
+    decision = Array.make n 0;
+    engaged = Array.make n 0;
+    engaged_rank = Array.make n 0;
+    engaged_ballot = Array.make n 0;
   }
 
 (* {2 Per-process step}
@@ -70,11 +75,19 @@ type spc =
   | S_dec_written  (** published own decision *)
   | S_paused  (** idling decided process *)
 
+let set_engagement t proc ~engaged ~rank ~ballot =
+  t.engaged.(proc) <- engaged;
+  t.engaged_rank.(proc) <- rank;
+  t.engaged_ballot.(proc) <- ballot
+
+let disengage t proc = set_engagement t proc ~engaged:0 ~rank:0 ~ballot:0
+
 (* adopt or commit a decision: runs in the step that performs the
    decision-register write *)
 let decide (acc : Machine.access) t proc v =
-  t.engagement.(proc) <- None;
-  t.decisions.(proc) <- Some v;
+  disengage t proc;
+  t.decided.(proc) <- 1;
+  t.decision.(proc) <- v;
   acc.write t.dec.(proc) (Some v);
   S_dec_written
 
@@ -84,7 +97,7 @@ let decide (acc : Machine.access) t proc v =
 let rec ranks acc t proc w r =
   if r >= t.problem.Problem.k then S_fd (Kanti_omega.iterate_start acc t.fds.(proc))
   else if (not (Procset.is_empty w)) && Proc.equal (Procset.nth w r) proc then begin
-    t.engagement.(proc) <- Some (r, Paxos.current_ballot t.props.(proc).(r));
+    set_engagement t proc ~engaged:1 ~rank:r ~ballot:(Paxos.current_ballot t.props.(proc).(r));
     match Paxos.attempt_start acc t.props.(proc).(r) with
     | Paxos.M_more pc -> S_paxos (r, w, pc)
     | Paxos.M_decided v -> decide acc t proc v
@@ -106,135 +119,69 @@ let step (acc : Machine.access) t proc = function
       match Paxos.attempt_resume acc t.props.(proc).(r) pc with
       | Paxos.M_more pc' -> S_paxos (r, w, pc')
       | Paxos.M_interfered ->
-          t.engagement.(proc) <- None;
+          disengage t proc;
           ranks acc t proc w (r + 1)
       | Paxos.M_decided v -> decide acc t proc v)
   | Some (S_dec_written | S_paused) ->
       acc.pause ();
       S_paused
 
+let encode_spc sink = function
+  | S_fd pc ->
+      Layout.put sink 0;
+      Kanti_omega.encode_pc sink pc
+  | S_dec (q, v) ->
+      Layout.put sink 1;
+      Layout.put sink q;
+      Layout.option Layout.put sink v
+  | S_paxos (r, w, pc) ->
+      Layout.put sink 2;
+      Layout.put sink r;
+      Layout.put sink (Procset.to_bits w);
+      Paxos.encode_pc sink pc
+  | S_dec_written -> Layout.put sink 3
+  | S_paused -> Layout.put sink 4
+
 (* {2 Machine form} *)
 
 type machine = {
   solver : t;
   pcs : spc option array;
-  points : Savestack.t;  (* [machine_save]'s depths *)
-  (* n per depth *)
-  mutable saved_pcs : spc option array;
-  mutable saved_decisions : int option array;
-  mutable saved_engagement : (int * int) option array;
+  layout : Layout.t Lazy.t;
+      (* registers, every local, the PCs: declared on the first save or
+         identity, which a harness run never asks for *)
 }
 
 let machine t =
-  {
-    solver = t;
-    pcs = Array.make t.problem.Problem.n None;
-    points = Savestack.create ();
-    saved_pcs = [||];
-    saved_decisions = [||];
-    saved_engagement = [||];
-  }
+  let pcs = Array.make t.problem.Problem.n None in
+  let layout =
+    lazy
+      (let layout = Layout.create "Kset_solver.machine_save" in
+       Layout.registers layout t.dec (Layout.option Layout.put);
+       Array.iter (Paxos.declare_shared layout) t.instances;
+       Kanti_omega.declare_shared layout t.fd_shared;
+       Array.iter (Kanti_omega.declare layout) t.fds;
+       Array.iter (Array.iter (Paxos.declare layout)) t.props;
+       List.iter (Layout.ints layout)
+         [ t.decided; t.decision; t.engaged; t.engaged_rank; t.engaged_ballot ];
+       Layout.values layout pcs (Layout.option encode_spc);
+       layout)
+  in
+  { solver = t; pcs; layout }
 
 let machine_step m acc proc = m.pcs.(proc) <- Some (step acc m.solver proc m.pcs.(proc))
 
-let capture m depth =
-  let t = m.solver in
-  let n = t.problem.Problem.n in
-  for p = 0 to n - 1 do
-    Kanti_omega.capture_process t.fds.(p) depth;
-    for r = 0 to t.problem.Problem.k - 1 do
-      Paxos.capture_proposer t.props.(p).(r) depth
-    done
+let machine_save m = Layout.save (Lazy.force m.layout)
+
+let identity m = Layout.identity (Lazy.force m.layout)
+
+(* a loop, not [Array.init]: every explored state observes this *)
+let decisions t =
+  let d = Array.make t.problem.Problem.n None in
+  for p = 0 to Array.length d - 1 do
+    if t.decided.(p) = 1 then d.(p) <- Some t.decision.(p)
   done;
-  let at = depth * n in
-  if at + n > Array.length m.saved_pcs then begin
-    m.saved_pcs <- Savestack.grow m.saved_pcs (at + n) None;
-    m.saved_decisions <- Savestack.grow m.saved_decisions (at + n) None;
-    m.saved_engagement <- Savestack.grow m.saved_engagement (at + n) None
-  end;
-  Array.blit m.pcs 0 m.saved_pcs at n;
-  Array.blit t.decisions 0 m.saved_decisions at n;
-  Array.blit t.engagement 0 m.saved_engagement at n
-
-let restore m depth =
-  let t = m.solver in
-  let n = t.problem.Problem.n in
-  for p = 0 to n - 1 do
-    Kanti_omega.restore_process t.fds.(p) depth;
-    for r = 0 to t.problem.Problem.k - 1 do
-      Paxos.restore_proposer t.props.(p).(r) depth
-    done
-  done;
-  let at = depth * n in
-  Array.blit m.saved_pcs at m.pcs 0 n;
-  Array.blit m.saved_decisions at t.decisions 0 n;
-  Array.blit m.saved_engagement at t.engagement 0 n
-
-let machine_save m = Savestack.save m.points "Kset_solver.machine_save" capture restore m
-
-(* {2 Symmetry} *)
-
-let rename_set ~perm s =
-  Procset.fold (fun p acc -> Procset.add perm.(p) acc) s Procset.empty
-
-(* Admissible renamings: the detector's (preserve the canonical first
-   set) intersected with input invariance — renaming may only identify
-   processes with equal proposal values, or validity-relevant state
-   would be conflated. *)
-let sym_perms t =
-  Kanti_omega.sym_perms t.fd_params
-  |> List.filter (fun perm ->
-         let ok = ref true in
-         Array.iteri (fun p q -> if t.inputs.(q) <> t.inputs.(p) then ok := false) perm;
-         !ok)
-
-let spc_string m ~perm = function
-  | S_fd _ -> "F"  (* detail lives in the detector payload *)
-  | S_dec (q, v) ->
-      Printf.sprintf "D%d=%s" perm.(q)
-        (match v with None -> "-" | Some v -> string_of_int v)
-  | S_paxos (r, w, pc) ->
-      Printf.sprintf "P%d;%s;%s" r
-        (Procset.to_string (rename_set ~perm w))
-        (Paxos.sym_payload_pc ~perm m.solver.instances.(r) pc)
-  | S_dec_written -> "W"
-  | S_paused -> "Z"
-
-let sym_payload m ~perm =
-  let t = m.solver in
-  let { Problem.k; n; _ } = t.problem in
-  let inv = Array.make n 0 in
-  Array.iteri (fun p q -> inv.(q) <- p) perm;
-  let kanti_pcs =
-    Array.map (function Some (S_fd pc) -> Some pc | _ -> None) m.pcs
-  in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Kanti_omega.sym_payload t.fd_shared t.fd_params t.fds kanti_pcs ~perm);
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  for r = 0 to k - 1 do
-    add "!I%d:%s" r (Paxos.sym_payload_blocks ~perm t.instances.(r));
-    for p' = 0 to n - 1 do
-      add "~%s" (Paxos.sym_payload_proposer ~perm t.props.(inv.(p')).(r))
-    done
-  done;
-  (* Dec registers, local decisions, engagement, solver PCs — renamed
-     process perm p carries process p's slots; decision values are
-     payload data and stay fixed. *)
-  let str_of_opt = function None -> "-" | Some v -> string_of_int v in
-  for p' = 0 to n - 1 do
-    let p = inv.(p') in
-    add "!d%s;D%s;e%s;pc%s"
-      (str_of_opt (Setsync_memory.Register.peek t.dec.(p)))
-      (str_of_opt t.decisions.(p))
-      (match t.engagement.(p) with
-      | None -> "-"
-      | Some (r, b) ->
-          Printf.sprintf "(%d,%d)" r (Paxos.rename_ballot ~n ~perm b))
-      (match m.pcs.(p) with None -> "-" | Some pc -> spc_string m ~perm pc)
-  done;
-  Buffer.contents buf
-
-let decisions t = Array.copy t.decisions
+  d
 
 let fd_iterations t = Array.map Kanti_omega.iterations t.fds
 
@@ -264,7 +211,10 @@ let adversary_view t =
   in
   {
     winnersets = (fun () -> Array.init n (fun proc -> fd_winnerset t proc));
-    engagement = (fun () -> Array.copy t.engagement);
+    engagement =
+      (fun () ->
+        Array.init n (fun p ->
+            if t.engaged.(p) = 1 then Some (t.engaged_rank.(p), t.engaged_ballot.(p)) else None));
     instance_max_ballot = (fun r -> Paxos.peek_max_ballot t.instances.(r));
     current_argmin;
   }

@@ -56,29 +56,26 @@ val machine_step : machine -> Setsync_runtime.Machine.step
 
 val machine_save : machine -> unit -> unit
 (** Capture all per-process local state (detector locals, proposer
-    ballots/decisions, PCs, decision records, engagement); the
+    ballots and decisions, PCs, decision records, engagement); the
     returned thunk restores it. Register state is the store's job.
-    Restores are last-in-first-out ({!Setsync_memory.Savestack}), as
-    for {!Setsync_detector.Kanti_omega.save}: the capture goes to
-    per-depth buffers the machine, its detector processes and its
-    proposers reuse, so a save allocates only the returned closure,
-    and a savepoint whose depth a later save reused raises
+    Derived from the machine's one declaration of its state
+    ({!Setsync_memory.Layout.save}), like
+    {!Setsync_detector.Kanti_omega.save}: restores are
+    last-in-first-out, a save allocates only the returned closure, and
+    a savepoint whose depth a later save reused raises
     [Invalid_argument] when restored. *)
 
-val sym_perms : t -> int array list
-(** Admissible process renamings for symmetry reduction: the
-    detector's admissible renamings ({!Setsync_detector.Kanti_omega.sym_perms})
-    restricted to those fixing the input assignment pointwise
-    ([inputs ∘ perm = inputs]). Always contains the identity. *)
-
-val sym_payload : machine -> perm:int array -> string
-(** Deterministic rendering of the full machine state under the
-    renaming [perm] (detector payload, Paxos blocks/proposers with
-    owner-renamed ballots, decision registers, engagement, PCs).
-    Equal payloads under some admissible renaming identify symmetric
-    states; rank selection ([Procset.nth]) and argmin tie-breaks are
-    not order-equivariant, so this is a sound-in-practice heuristic
-    validated by the symmetry cross-check tests, not an exact quotient. *)
+val identity : machine -> string
+(** The machine's full state — the decision, Paxos and detector
+    registers, every local and every PC — encoded from the same
+    declaration as {!machine_save}
+    ({!Setsync_memory.Layout.identity}). An optional local is a
+    presence slot plus value slots, so no input value can pass for an
+    absent decision. No process renaming other than the identity maps
+    the solver's transitions onto themselves (the detector scans in a
+    fixed order, Paxos collects in a fixed order, and rank selection
+    reads the winnerset's order), so the state has no renamed
+    forms. *)
 
 val fd_iterations : t -> int array
 (** Completed detector iterations per process (diagnostics). *)

@@ -69,25 +69,17 @@ val attempt_resume : Setsync_runtime.Machine.access -> proposer -> mpc -> mres
 (** Run the local code following [pc]'s atomic, then perform the next
     atomic or resolve the attempt. *)
 
-val capture_proposer : proposer -> int -> unit
-(** [capture_proposer p depth] copies the ballot and decision into
-    [p]'s own buffers at savepoint depth [depth], which the owner's
-    {!Setsync_memory.Savestack} hands out (the k-set solver's
-    [machine_save]). *)
+(** {2 Declared state} — a proposer's locals (its ballot and its
+    decision, as a presence slot and a value slot) are one int array,
+    declared in the owner's {!Setsync_memory.Layout}, which derives the
+    savepoints and the identity (the k-set solver's machine). *)
 
-val restore_proposer : proposer -> int -> unit
-(** Restore the ballot and decision captured at [depth]. *)
+val declare : Setsync_memory.Layout.t -> proposer -> unit
+(** Declare the proposer's locals. *)
 
-(** {2 Symmetry helpers} — renderings of proposer/shared state under a
-    process renaming, used by the k-set solver's symmetry payload.
-    Ballots encode their owner ([p] uses [{r·n + p + 1}]) and are
-    renamed within the residue class; inputs are payload data and stay
-    fixed. *)
+val declare_shared : Setsync_memory.Layout.t -> shared -> unit
+(** Declare the instance's block registers (identity only; the store
+    saves them). *)
 
-val rename_ballot : n:int -> perm:int array -> int -> int
-
-val sym_payload_proposer : perm:int array -> proposer -> string
-
-val sym_payload_blocks : perm:int array -> shared -> string
-
-val sym_payload_pc : perm:int array -> shared -> mpc -> string
+val encode_pc : Setsync_memory.Layout.sink -> mpc -> unit
+(** The PC's int encoding (injective and prefix-free). *)

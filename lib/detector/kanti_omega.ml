@@ -3,7 +3,7 @@ module Procset = Setsync_schedule.Procset
 module Register = Setsync_memory.Register
 module Store = Setsync_memory.Store
 module Machine = Setsync_runtime.Machine
-module Savestack = Setsync_memory.Savestack
+module Layout = Setsync_memory.Layout
 
 type params = { n : int; t : int; k : int }
 
@@ -44,50 +44,58 @@ type process = {
   shared : shared;
   params : params;
   proc : Proc.t;
-  (* local variables of Figure 2 *)
-  mutable fd_output : Procset.t;
-  mutable winnerset : Procset.t;
-  mutable my_hb : int;
+  (* local variables of Figure 2, declared once ([declare]) *)
+  vars : int array;  (** fdOutput, winnerset (as {!Procset.to_bits}), myHb, iterations *)
   prev_heartbeat : int array;
   timeout : int array;  (** per set index *)
   timer : int array;
   accusation : int array;
   cnt : int array array;  (** cnt[A, q] *)
-  mutable iterations : int;
-  (* [capture_process]'s per-depth buffers: the sets, and every int *)
-  mutable saved_sets : Procset.t array;
-  mutable saved : int array;
 }
+
+(* [vars]'s slots *)
+let fd_output_at = 0
+let winnerset_at = 1
+let my_hb_at = 2
+let iterations_at = 3
 
 let make_process ?(initial_timeout = 1) shared params ~proc =
   check_params params;
   Proc.check ~n:params.n proc;
   if initial_timeout < 1 then invalid_arg "Kanti_omega.make_process: timeout must be >= 1";
   let num_sets = Array.length shared.sets in
+  (* line "fdOutput = any set of processes of size n - k": the
+     complement of the first canonical set *)
+  let fd_output = Procset.diff (Procset.full ~n:params.n) shared.sets.(0) in
   {
     shared;
     params;
     proc;
-    (* line "fdOutput = any set of processes of size n - k": the
-       complement of the first canonical set *)
-    fd_output = Procset.diff (Procset.full ~n:params.n) shared.sets.(0);
-    winnerset = Procset.empty;
-    my_hb = 0;
+    vars = [| Procset.to_bits fd_output; Procset.to_bits Procset.empty; 0; 0 |];
     prev_heartbeat = Array.make params.n 0;
     timeout = Array.make num_sets initial_timeout;
     timer = Array.make num_sets initial_timeout;
     accusation = Array.make num_sets 0;
     cnt = Array.make_matrix num_sets params.n 0;
-    iterations = 0;
-    saved_sets = [||];
-    saved = [||];
   }
 
-let fd_output p = p.fd_output
+let fd_output p = Procset.of_bits p.vars.(fd_output_at)
 
-let winnerset p = p.winnerset
+let winnerset p = Procset.of_bits p.vars.(winnerset_at)
 
-let iterations p = p.iterations
+let iterations p = p.vars.(iterations_at)
+
+(* Every local of Figure 2 is identity: [iterations] too, although
+   myHb and the PC determine it, so that the identity reads exactly
+   what a savepoint restores. *)
+let declare layout p =
+  Layout.ints layout p.vars;
+  List.iter (Layout.ints layout) [ p.prev_heartbeat; p.timeout; p.timer; p.accusation ];
+  Array.iter (Layout.ints layout) p.cnt
+
+let declare_shared layout shared =
+  Layout.registers layout shared.heartbeat Layout.put;
+  Array.iter (fun row -> Layout.registers layout row Layout.put) shared.counter
 
 (* {2 Machine form}
 
@@ -114,7 +122,7 @@ let iterate_start (acc : Machine.access) p = M_cnt (0, 0, acc.read p.shared.coun
    [None]: the caller owns this step's atomic. *)
 let rec tick_from (acc : Machine.access) p a0 =
   if a0 >= num_sets p then begin
-    p.iterations <- p.iterations + 1;
+    p.vars.(iterations_at) <- p.vars.(iterations_at) + 1;
     None
   end
   else begin
@@ -143,10 +151,12 @@ let iterate_resume (acc : Machine.access) p pc =
         for a = 1 to ns - 1 do
           if p.accusation.(a) < p.accusation.(!best) then best := a
         done;
-        p.winnerset <- p.shared.sets.(!best);
-        p.fd_output <- Procset.diff (Procset.full ~n) p.winnerset;
-        p.my_hb <- p.my_hb + 1;
-        acc.write p.shared.heartbeat.(p.proc) p.my_hb;
+        let winnerset = p.shared.sets.(!best) in
+        p.vars.(winnerset_at) <- Procset.to_bits winnerset;
+        p.vars.(fd_output_at) <- Procset.to_bits (Procset.diff (Procset.full ~n) winnerset);
+        let my_hb = p.vars.(my_hb_at) + 1 in
+        p.vars.(my_hb_at) <- my_hb;
+        acc.write p.shared.heartbeat.(p.proc) my_hb;
         Some M_hb_written
       end
   | M_hb_written -> Some (M_hb (0, acc.read p.shared.heartbeat.(0)))
@@ -168,210 +178,51 @@ let forever_step acc p = function
   | Some pc -> (
       match iterate_resume acc p pc with Some pc' -> pc' | None -> iterate_start acc p)
 
-(* the ints one capture of [p] takes: my_hb, iterations, then the
-   arrays in field order *)
-let saved_width p = 2 + p.params.n + (num_sets p * (3 + p.params.n))
-
-let capture_process p depth =
-  let w = saved_width p in
-  let at = depth * w in
-  if at + w > Array.length p.saved then p.saved <- Savestack.grow p.saved (at + w) 0;
-  if (2 * depth) + 2 > Array.length p.saved_sets then
-    p.saved_sets <- Savestack.grow p.saved_sets ((2 * depth) + 2) Procset.empty;
-  p.saved_sets.(2 * depth) <- p.fd_output;
-  p.saved_sets.((2 * depth) + 1) <- p.winnerset;
-  let b = p.saved in
-  b.(at) <- p.my_hb;
-  b.(at + 1) <- p.iterations;
-  let n = p.params.n and ns = num_sets p in
-  let at = at + 2 in
-  Array.blit p.prev_heartbeat 0 b at n;
-  let at = at + n in
-  Array.blit p.timeout 0 b at ns;
-  Array.blit p.timer 0 b (at + ns) ns;
-  Array.blit p.accusation 0 b (at + (2 * ns)) ns;
-  let at = at + (3 * ns) in
-  for a = 0 to ns - 1 do
-    Array.blit p.cnt.(a) 0 b (at + (a * n)) n
-  done
-
-let restore_process p depth =
-  let at = depth * saved_width p in
-  p.fd_output <- p.saved_sets.(2 * depth);
-  p.winnerset <- p.saved_sets.((2 * depth) + 1);
-  let b = p.saved in
-  p.my_hb <- b.(at);
-  p.iterations <- b.(at + 1);
-  let n = p.params.n and ns = num_sets p in
-  let at = at + 2 in
-  Array.blit b at p.prev_heartbeat 0 n;
-  let at = at + n in
-  Array.blit b at p.timeout 0 ns;
-  Array.blit b (at + ns) p.timer 0 ns;
-  Array.blit b (at + (2 * ns)) p.accusation 0 ns;
-  let at = at + (3 * ns) in
-  for a = 0 to ns - 1 do
-    Array.blit b (at + (a * n)) p.cnt.(a) 0 n
-  done
-
-(* {2 Symmetry} *)
-
-let rec insert_everywhere x = function
-  | [] -> [ [ x ] ]
-  | y :: ys -> (x :: y :: ys) :: List.map (fun zs -> y :: zs) (insert_everywhere x ys)
-
-let rec permutations = function
-  | [] -> [ [] ]
-  | x :: xs -> List.concat_map (insert_everywhere x) (permutations xs)
-
-(* Admissible renamings: the initial [fd_output] is the complement of
-   sets[0] = {0..k-1} at every process, so a renaming maps initial
-   states to initial states only when it preserves {0..k-1} setwise. *)
-let sym_perms { n; k; _ } =
-  permutations (List.init n Fun.id)
-  |> List.map Array.of_list
-  |> List.filter (fun perm ->
-         let ok = ref true in
-         for p = 0 to k - 1 do
-           if perm.(p) >= k then ok := false
-         done;
-         !ok)
-
-let rename_set ~perm s =
-  Procset.fold (fun p acc -> Procset.add perm.(p) acc) s Procset.empty
-
-let set_index shared s =
-  let rec go a =
-    if a >= Array.length shared.sets then invalid_arg "Kanti_omega: renamed set not canonical"
-    else if Procset.equal shared.sets.(a) s then a
-    else go (a + 1)
-  in
-  go 0
-
-let rename_pc ~set_idx ~perm = function
-  | M_cnt (a, q, v) -> M_cnt (set_idx.(a), perm.(q), v)
-  | M_hb_written -> M_hb_written
-  | M_hb (q, v) -> M_hb (perm.(q), v)
-  | M_cnt_written a -> M_cnt_written set_idx.(a)
-
-let pc_string = function
-  | M_cnt (a, q, v) -> Printf.sprintf "C%d.%d=%d" a q v
-  | M_hb_written -> "HW"
-  | M_hb (q, v) -> Printf.sprintf "H%d=%d" q v
-  | M_cnt_written a -> Printf.sprintf "CW%d" a
-
-let sym_payload shared params procs pcs ~perm =
-  let { n; _ } = params in
-  let ns = Array.length shared.sets in
-  let set_idx = Array.init ns (fun a -> set_index shared (rename_set ~perm shared.sets.(a))) in
-  let inv = Array.make n 0 in
-  Array.iteri (fun p q -> inv.(q) <- p) perm;
-  let buf = Buffer.create 512 in
-  let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  (* shared registers, renamed: Heartbeat'[perm p] = Heartbeat[p],
-     Counter'[set_idx a][perm q] = Counter[a][q] *)
-  let hb = Array.make n 0 in
-  for p = 0 to n - 1 do
-    hb.(perm.(p)) <- Register.peek shared.heartbeat.(p)
-  done;
-  Array.iter (add "h%d,") hb;
-  let cnt = Array.make_matrix ns n 0 in
-  for a = 0 to ns - 1 do
-    for q = 0 to n - 1 do
-      cnt.(set_idx.(a)).(perm.(q)) <- Register.peek shared.counter.(a).(q)
-    done
-  done;
-  Array.iter
-    (fun row ->
-      Array.iter (add "c%d,") row;
-      add "|")
-    cnt;
-  (* per-process local state: renamed process perm p carries p's *)
-  for p' = 0 to n - 1 do
-    let p = procs.(inv.(p')) in
-    add "/p%d:" p';
-    add "f%s;w%s;m%d;i%d;"
-      (Procset.to_string (rename_set ~perm p.fd_output))
-      (Procset.to_string (rename_set ~perm p.winnerset))
-      p.my_hb p.iterations;
-    let prev = Array.make n 0 in
-    for q = 0 to n - 1 do
-      prev.(perm.(q)) <- p.prev_heartbeat.(q)
-    done;
-    Array.iter (add "v%d,") prev;
-    let by_rows src tag =
-      let out = Array.make ns 0 in
-      for a = 0 to ns - 1 do
-        out.(set_idx.(a)) <- src.(a)
-      done;
-      Array.iter (add "%s%d," tag) out
-    in
-    by_rows p.timeout "t";
-    by_rows p.timer "r";
-    by_rows p.accusation "a";
-    let c = Array.make_matrix ns n 0 in
-    for a = 0 to ns - 1 do
-      for q = 0 to n - 1 do
-        c.(set_idx.(a)).(perm.(q)) <- p.cnt.(a).(q)
-      done
-    done;
-    Array.iter
-      (fun row ->
-        Array.iter (add "l%d,") row;
-        add "|")
-      c;
-    (match pcs.(inv.(p')) with
-    | None -> add "pc:-"
-    | Some pc -> add "pc:%s" (pc_string (rename_pc ~set_idx ~perm pc)))
-  done;
-  Buffer.contents buf
+let encode_pc sink = function
+  | M_cnt (a, q, v) ->
+      Layout.put sink 0;
+      Layout.put sink a;
+      Layout.put sink q;
+      Layout.put sink v
+  | M_hb_written -> Layout.put sink 1
+  | M_hb (q, v) ->
+      Layout.put sink 2;
+      Layout.put sink q;
+      Layout.put sink v
+  | M_cnt_written a ->
+      Layout.put sink 3;
+      Layout.put sink a
 
 (* {2 The machine} — one process per id and their PCs: what every
    runner steps *)
 
 type machine = {
-  m_shared : shared;
-  m_params : params;
   procs : process array;
   pcs : mpc option array;
-  points : Savestack.t;  (* [save]'s depths *)
-  mutable saved_pcs : mpc option array;  (* n per depth *)
+  layout : Layout.t Lazy.t;
+      (* registers, every process's locals, the PCs: declared on the
+         first save or identity, which a harness run never asks for *)
 }
 
 let machine ?initial_timeout shared params =
   let procs =
     Array.init params.n (fun proc -> make_process ?initial_timeout shared params ~proc)
   in
-  {
-    m_shared = shared;
-    m_params = params;
-    procs;
-    pcs = Array.make params.n None;
-    points = Savestack.create ();
-    saved_pcs = [||];
-  }
+  let pcs = Array.make params.n None in
+  let layout =
+    lazy
+      (let layout = Layout.create "Kanti_omega.save" in
+       declare_shared layout shared;
+       Array.iter (declare layout) procs;
+       Layout.values layout pcs (Layout.option encode_pc);
+       layout)
+  in
+  { procs; pcs; layout }
 
 let processes m = m.procs
 
 let step m acc p = m.pcs.(p) <- Some (forever_step acc m.procs.(p) m.pcs.(p))
 
-let capture m depth =
-  let n = Array.length m.procs in
-  for p = 0 to n - 1 do
-    capture_process m.procs.(p) depth
-  done;
-  let at = depth * n in
-  if at + n > Array.length m.saved_pcs then
-    m.saved_pcs <- Savestack.grow m.saved_pcs (at + n) None;
-  Array.blit m.pcs 0 m.saved_pcs at n
+let save m = Layout.save (Lazy.force m.layout)
 
-let restore m depth =
-  let n = Array.length m.procs in
-  for p = 0 to n - 1 do
-    restore_process m.procs.(p) depth
-  done;
-  Array.blit m.saved_pcs (depth * n) m.pcs 0 n
-
-let save m = Savestack.save m.points "Kanti_omega.save" capture restore m
-
-let payload m = sym_payload m.m_shared m.m_params m.procs m.pcs
+let identity m = Layout.identity (Lazy.force m.layout)

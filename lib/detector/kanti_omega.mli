@@ -86,30 +86,20 @@ val iterate_resume : Setsync_runtime.Machine.access -> process -> mpc -> mpc opt
     the same step), as a fiber step spans the code between two
     atomics. *)
 
-val capture_process : process -> int -> unit
-(** [capture_process p depth] copies all of [p]'s local variables into
-    [p]'s own buffers at savepoint depth [depth], growing them when
-    [depth] is new and reusing them otherwise. The depth comes from
-    the owner's {!Setsync_memory.Savestack}: the machine's {!save}, or
-    the k-set solver's. *)
+(** {2 Declared state} — Figure 2's locals are int arrays, declared
+    once in an owner's {!Setsync_memory.Layout}: the machine's below,
+    or the k-set solver's, which embeds these processes. Savepoints and
+    the state's identity are derived from that declaration. *)
 
-val restore_process : process -> int -> unit
-(** Restore the local variables captured at [depth]. *)
+val declare : Setsync_memory.Layout.t -> process -> unit
+(** Declare every local variable of the process. *)
 
-val sym_perms : params -> int array list
-(** The admissible process renamings for symmetry reduction: all
-    permutations of [Πn] preserving the canonical first set
-    [{0..k-1}] setwise (the initial [fdOutput] is its complement at
-    every process, so other renamings do not fix the initial state).
-    Always contains the identity. *)
+val declare_shared : Setsync_memory.Layout.t -> shared -> unit
+(** Declare the [Heartbeat] and [Counter] registers (identity only;
+    the store saves them). *)
 
-val sym_payload :
-  shared -> params -> process array -> mpc option array -> perm:int array -> string
-(** Deterministic rendering of the full machine state (shared
-    registers, per-process locals, PCs) under the renaming [perm]:
-    process [perm p] is given process [p]'s state, with process
-    indices, set rows and PC operands renamed as data. Equal payloads
-    under some admissible renaming identify symmetric states. *)
+val encode_pc : Setsync_memory.Layout.sink -> mpc -> unit
+(** The PC's int encoding (injective and prefix-free). *)
 
 type machine
 (** Figure 2 as a whole: one process per id over one [shared], with
@@ -128,13 +118,17 @@ val step : machine -> Setsync_runtime.Machine.step
 
 val save : machine -> unit -> unit
 (** Capture every process's locals and PC; the returned thunk restores
-    them. Register state is the store's job. Restores are
-    last-in-first-out ({!Setsync_memory.Savestack}): the capture goes to
-    per-depth buffers the machine reuses, so a save allocates only the
-    returned closure. A savepoint may be restored any number of times
-    until a later save reuses its depth — the next save after restoring
-    a shallower savepoint does — and raises [Invalid_argument] after
-    that. *)
+    them. Register state is the store's job. Derived from the
+    machine's declaration ({!Setsync_memory.Layout.save}): restores
+    are last-in-first-out, a save allocates only the returned closure,
+    and a savepoint whose depth a later save reused raises
+    [Invalid_argument] when restored. *)
 
-val payload : machine -> perm:int array -> string
-(** {!sym_payload} of the machine's processes and PCs. *)
+val identity : machine -> string
+(** The machine's full state — registers, every process's locals and
+    PC — encoded from the same declaration as {!save}
+    ({!Setsync_memory.Layout.identity}): equal exactly when every
+    declared slot is. The processes scan registers in a fixed order and
+    break ties by the canonical set order (lines 2–4), so no process
+    renaming other than the identity maps the machine's transitions
+    onto themselves: the state has no renamed forms. *)

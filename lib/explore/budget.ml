@@ -260,13 +260,19 @@ let sum ~clock meters =
 let heartbeat ~interval beat =
   if not (interval > 0.) then fun () -> ()
   else
-    let last = ref (now_wall ()) in
+    let last = ref (now_wall ()) and lock = Mutex.create () in
     fun () ->
       let now = now_wall () in
-      if now -. !last >= interval then begin
-        last := now;
-        beat ()
-      end
+      (* the unlocked read only filters; the beat is decided under the
+         lock, which a domain that finds it taken skips *)
+      if now -. !last >= interval && Mutex.try_lock lock then
+        Fun.protect
+          ~finally:(fun () -> Mutex.unlock lock)
+          (fun () ->
+            if now -. !last >= interval then begin
+              last := now;
+              beat ()
+            end)
 
 let pp_movement ppf s =
   match s.movement with

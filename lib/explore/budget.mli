@@ -178,7 +178,8 @@ val heartbeat : interval:float -> (unit -> unit) -> unit -> unit
 (** [heartbeat ~interval beat] is a tick: calling it runs [beat] when
     at least [interval] wall-clock seconds have passed since the last
     beat (or since the tick was made). An [interval <= 0.] never
-    beats. A tick is single-domain state. *)
+    beats. Domains may share a tick: one beat at a time runs, and a
+    domain that finds a beat running skips its own. *)
 
 val stats_to_json : stats -> (string * Setsync_obs.Json.t) list
 (** Every field but [cpu_seconds], in order, as JSON object members

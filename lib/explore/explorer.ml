@@ -623,7 +623,7 @@ type 'obs engine = {
   e_fingerprints : Parallel.Shard_tbl.t;
   e_perms : int array list;  (* the renaming group fingerprints are minimised over *)
   e_pending : int ref;  (* children this worker's snapshot recursion still owes *)
-  e_tick : unit -> unit;  (* the progress heartbeat: worker 0's, a no-op elsewhere *)
+  e_tick : unit -> unit;  (* the progress heartbeat, shared by every worker *)
   e_ev : Events.t option;  (* event sink, [None] when tracing is off *)
   e_worker : int;  (* worker id: its deque and event stamp *)
   e_hook : Setsync_memory.Register.hook;
@@ -1027,8 +1027,9 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
     Parallel.Pool.create ?on_steal ~fifo:(config.strategy = Bfs) ~workers:domains ()
   in
   let verdicts = verdict_table properties in
-  (* Worker 0 beats the heartbeat: the run's stats so far, summed over
-     the live worker meters (racy reads, never used for control) *)
+  (* Every worker ticks the one heartbeat, so it beats while any worker
+     works: the run's stats so far, summed over the live worker meters
+     (racy reads, never used for control) *)
   let tick =
     match (on_progress, engine_sink obs) with
     | None, None -> fun () -> ()
@@ -1055,7 +1056,7 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
           e_fingerprints = fingerprints;
           e_perms = perms;
           e_pending = pending.(wid);
-          e_tick = (if wid = 0 then tick else fun () -> ());
+          e_tick = tick;
           e_ev = engine_sink obs;
           e_worker = wid;
           e_hook = hook;

@@ -77,11 +77,22 @@ type minstance = {
           registers and every process's PC and locals — under a process
           renaming: the state's fingerprint, under the identity or
           minimised over [m_perms] with [symmetry] ([None] = fingerprint
-          by {!digest}, no symmetry support) *)
+          by {!digest}, no symmetry support). The library's machines
+          derive it from their one declaration of their state
+          ({!Setsync_memory.Layout.identity}) and have no renaming but
+          the identity, so theirs ignores [perm]. *)
   m_perms : int array list;
       (** admissible process renamings (must contain the identity);
           the engine further restricts them to renamings fixing the
-          fault plan *)
+          fault plan. A renaming is admissible only when it maps every
+          transition of the system to a transition (renamed state,
+          renamed process, renamed successor), not merely when it
+          fixes the initial state: a process that scans registers in a
+          fixed order or breaks ties by process index tells renamed
+          states apart, and merging them prunes states whose futures
+          differ. The library's algorithms do both, so their group is
+          the identity alone; {!Systems.pause_procs}, which touches no
+          register, admits every renaming. *)
 }
 (** Machine form of a system: explicit-PC step functions over the same
     store. Every engine, {!evaluate}, {!trajectory},
@@ -198,8 +209,12 @@ type config = {
           group ([m_perms] ∩ fault-plan-fixing, computed once per
           exploration) instead of the identity alone, so symmetric
           states merge in the fingerprint table. Needs [m_payload].
-          Soundness matches the payload's fidelity — validated by the
-          symmetry cross-check tests (sym-on/off verdict equality). *)
+          Sound exactly when every renaming in the group maps every
+          transition to a transition (see [m_perms]); one that only
+          fixes the initial state merges states with different futures
+          and can hide a reachable violation. The reachable-class
+          cross-check in the tests compares a symmetric run's renaming
+          classes with the unreduced run's. *)
   limits : Budget.limits;
   fault : Setsync_runtime.Fault.plan;
       (** crash plan applied to every replay (same schedule-space with
@@ -279,7 +294,8 @@ val explore :
 
     [on_progress] receives the run's stats so far, at most once per
     [progress_interval] seconds (default 1.0; <= 0 disables), from
-    worker 0's loop — the CLI prints them with {!Budget.pp_counts}.
+    the loop of whichever worker is due first, never from two at once
+    — the CLI prints them with {!Budget.pp_counts}.
     Heartbeat events follow the same clock. The live stats are
     {!Budget.sum} over the worker meters while the workers run: in
     parallel explorations each count is a racy read, for monitoring

@@ -18,6 +18,9 @@ let permutations n =
 
 let pause_procs ~n =
   let step (acc : Machine.access) _ = acc.pause () in
+  (* one group for every instance: per-state search builds an instance
+     per visited state *)
+  let perms = permutations n in
   {
     Explorer.n;
     fresh =
@@ -35,7 +38,7 @@ let pause_procs ~n =
                 m_halted = (fun _ -> false);
                 m_save = (fun () -> fun () -> ());
                 m_payload = Some (fun ~perm:_ -> "");
-                m_perms = permutations n;
+                m_perms = perms;
               };
         });
     obs_fingerprint = (fun () -> "");
@@ -74,8 +77,8 @@ let kanti_detector ~params ?initial_timeout () =
                 Explorer.m_step = Kanti_omega.step m Machine.direct;
                 m_halted = (fun _ -> false);
                 m_save = (fun () -> Kanti_omega.save m);
-                m_payload = Some (Kanti_omega.payload m);
-                m_perms = Kanti_omega.sym_perms params;
+                m_payload = Some (fun ~perm:_ -> Kanti_omega.identity m);
+                m_perms = [ Array.init n Fun.id ];
               };
         });
     obs_fingerprint =
@@ -110,8 +113,8 @@ let kset_agreement ~problem ~inputs ?initial_timeout () =
                 Explorer.m_step = Kset_solver.machine_step machine Machine.direct;
                 m_halted = (fun _ -> false);
                 m_save = (fun () -> Kset_solver.machine_save machine);
-                m_payload = Some (Kset_solver.sym_payload machine);
-                m_perms = Kset_solver.sym_perms solver;
+                m_payload = Some (fun ~perm:_ -> Kset_solver.identity machine);
+                m_perms = [ Array.init n Fun.id ];
               };
         });
     obs_fingerprint =

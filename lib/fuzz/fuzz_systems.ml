@@ -1,6 +1,7 @@
 module Procset = Setsync_schedule.Procset
 module Store = Setsync_memory.Store
 module Machine = Setsync_runtime.Machine
+module Layout = Setsync_memory.Layout
 module Kanti_omega = Setsync_detector.Kanti_omega
 module Order_stat = Setsync_detector.Order_stat
 module Explorer = Setsync_explore.Explorer
@@ -28,7 +29,6 @@ type pstate = {
   prev_hb : int array;
   timeout : int array;
   timer : int array;
-  mutable my_hb : int;
 }
 
 (* Machine form: each PC value names the atomic just performed,
@@ -40,19 +40,20 @@ type pc =
   | Cnt_written of int  (** accused set [a] in the tick loop *)
   | Hb_written  (** wrote own [Heartbeat]: the iteration is over *)
 
-let save_pstate p =
-  let local_cnt = Array.copy p.local_cnt and cnt = Array.map Array.copy p.cnt in
-  let acc = Array.copy p.acc and prev_hb = Array.copy p.prev_hb in
-  let timeout = Array.copy p.timeout and timer = Array.copy p.timer in
-  let my_hb = p.my_hb in
-  fun () ->
-    Array.blit local_cnt 0 p.local_cnt 0 (Array.length local_cnt);
-    Array.iteri (fun a row -> Array.blit row 0 p.cnt.(a) 0 (Array.length row)) cnt;
-    Array.blit acc 0 p.acc 0 (Array.length acc);
-    Array.blit prev_hb 0 p.prev_hb 0 (Array.length prev_hb);
-    Array.blit timeout 0 p.timeout 0 (Array.length timeout);
-    Array.blit timer 0 p.timer 0 (Array.length timer);
-    p.my_hb <- my_hb
+let encode_pc sink = function
+  | Cnt (a, q, v) ->
+      Layout.put sink 0;
+      Layout.put sink a;
+      Layout.put sink q;
+      Layout.put sink v
+  | Hb (q, v) ->
+      Layout.put sink 1;
+      Layout.put sink q;
+      Layout.put sink v
+  | Cnt_written a ->
+      Layout.put sink 2;
+      Layout.put sink a
+  | Hb_written -> Layout.put sink 3
 
 let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
   Kanti_omega.check_params params;
@@ -88,9 +89,9 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
                 prev_hb = Array.make n 0;
                 timeout = Array.make num_sets initial_timeout;
                 timer = Array.make num_sets initial_timeout;
-                my_hb = 0;
               })
         in
+        let my_hb = Array.make n 0 in
         (* accusation counters from row [a], column [q] on: own column
            from local state, the others read from shared memory (lines
            2-3 of Figure 2); the scan's end runs the selection *)
@@ -126,8 +127,8 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
           else Hb (q, m.read heartbeat.(q))
         and tick m p a =
           if a = num_sets then begin
-            p.my_hb <- p.my_hb + 1;
-            m.write heartbeat.(p.proc) p.my_hb;
+            my_hb.(p.proc) <- my_hb.(p.proc) + 1;
+            m.write heartbeat.(p.proc) my_hb.(p.proc);
             Hb_written
           end
           else if Procset.mem p.proc sets.(a) then tick m p (a + 1)
@@ -159,19 +160,15 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
           | Some (Cnt_written a) -> tick m p (a + 1)
         in
         let pcs = Array.make n None in
-        let m_save () =
-          let restores = Array.map save_pstate procs in
-          let saved_pcs = Array.copy pcs in
-          let chosen = Array.copy o.chosen and chosen_acc = Array.copy o.chosen_acc in
-          let min_acc = Array.copy o.min_acc and iterations = Array.copy o.iterations in
-          fun () ->
-            Array.iter (fun r -> r ()) restores;
-            Array.blit saved_pcs 0 pcs 0 n;
-            Array.blit chosen 0 o.chosen 0 n;
-            Array.blit chosen_acc 0 o.chosen_acc 0 n;
-            Array.blit min_acc 0 o.min_acc 0 n;
-            Array.blit iterations 0 o.iterations 0 n
-        in
+        let layout = Layout.create "Fuzz_systems.counter_core" in
+        Array.iter
+          (fun p ->
+            List.iter (Layout.ints layout) [ p.local_cnt; p.acc; p.prev_hb; p.timeout; p.timer ];
+            Array.iter (Layout.ints layout) p.cnt)
+          procs;
+        List.iter (Layout.ints layout)
+          [ my_hb; o.chosen; o.chosen_acc; o.min_acc; o.iterations ];
+        Layout.values layout pcs (Layout.option encode_pc);
         let machine_step acc p = pcs.(p) <- Some (step acc procs.(p) pcs.(p)) in
         {
           Explorer.body = Machine.body machine_step;
@@ -189,7 +186,7 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
               {
                 Explorer.m_step = machine_step Machine.direct;
                 m_halted = (fun _ -> false);
-                m_save;
+                m_save = (fun () -> Layout.save layout);
                 m_payload = None;
                 m_perms = [ Array.init n Fun.id ];
               };

@@ -44,8 +44,10 @@ val counter_core :
     faithful control — {!winner_argmin} holds on every schedule.
     [initial_timeout] defaults to 1.
 
-    The instance has a machine form ([m_save] covers every process's
-    locals, the PCs and the observation arrays; no symmetry payload).
+    The instance has a machine form. Its locals, PCs and observation
+    arrays are declared once ({!Setsync_memory.Layout}), and [m_save]
+    is derived from that declaration; it has no payload, so explorer
+    fingerprints key it by {!Setsync_explore.Explorer.digest}.
     [obs_fingerprint] renders the observation only — enough for corpus
     novelty, not for sound fingerprint pruning. *)
 

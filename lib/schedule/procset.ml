@@ -42,6 +42,10 @@ let equal = Int.equal
 
 let compare = Int.compare
 
+let to_bits s = s
+
+let of_bits b = b
+
 let min_elt s =
   if s = 0 then raise Not_found;
   (* index of lowest set bit *)

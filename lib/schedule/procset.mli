@@ -45,6 +45,14 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Canonical total order (numeric order of the underlying bitset). *)
 
+val to_bits : t -> int
+(** The underlying bitset: bit [p] is set iff [p] is a member. How a
+    machine keeps a set in an int slot
+    ([Setsync_memory.Layout]). *)
+
+val of_bits : int -> t
+(** The inverse of {!to_bits} (unchecked). *)
+
 val elements : t -> Proc.t list
 (** Ascending list of members. *)
 

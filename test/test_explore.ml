@@ -1352,6 +1352,17 @@ let test_symmetry_respects_fault () =
   Alcotest.(check int) "same visited under asymmetric fault"
     (stats_of off).Budget.visited (stats_of on_).Budget.visited
 
+(* pause_procs's group of n! renamings is built once per sut, not once
+   per instance: per-state search builds an instance per visited state *)
+let test_pause_group_shared () =
+  let sut = Systems.pause_procs ~n:4 in
+  let perms () =
+    (Option.get (sut.Explorer.fresh ~store:(Store.create ())).Explorer.machine).Explorer.m_perms
+  in
+  let a = perms () and b = perms () in
+  Alcotest.(check bool) "two instances share one group" true (a == b);
+  Alcotest.(check int) "all 4! renamings" 24 (List.length a)
+
 (* ------------------------------------------------------------------ *)
 (* (h') symmetry reduction: sound (verdict-equivalent) and effective *)
 
@@ -1407,8 +1418,8 @@ let test_symmetry_detector () =
 
 let test_symmetry_kset () =
   let problem = Setsync_agreement.Problem.make ~t:1 ~k:1 ~n:2 in
-  (* equal inputs: the admissible renaming group is input-preserving,
-     so distinct inputs would degenerate it to the identity *)
+  (* equal inputs, where renamings that fix the initial state exist;
+     the solver's group is still the identity alone *)
   let inputs = [| 7; 7 |] in
   let decisions st = st.Explorer.obs.Systems.decisions in
   let properties =
@@ -1519,17 +1530,29 @@ let detector_sut ~n =
 
 (* [sut] with its machine form wrapped: the initial state and every
    machine step add the state they reach — the identity rendering of
-   the full payload plus the halted marks — to [reached]. [shown] is
-   the payload the explorer fingerprints. *)
-let recording ?(shown = Fun.id) reached (sut : _ Explorer.sut) =
+   the full payload plus the halted marks — to [reached]; with
+   [classes], its renaming class instead: the least such rendering over
+   the sut's group ([m_perms]), the halted marks renamed alike.
+   [shown] is the payload the explorer fingerprints. *)
+let recording ?(shown = Fun.id) ?(classes = false) reached (sut : _ Explorer.sut) =
   let fresh ~store =
     let inst = sut.Explorer.fresh ~store in
     let m = Option.get inst.Explorer.machine in
     let payload = Option.get m.Explorer.m_payload in
-    let identity = Array.init sut.Explorer.n Fun.id in
+    let n = sut.Explorer.n in
+    let identity = Array.init n Fun.id in
+    let perms = if classes then m.Explorer.m_perms else [ identity ] in
+    let key perm =
+      let halted = Bytes.make n '0' in
+      for q = 0 to n - 1 do
+        if m.m_halted q then Bytes.set halted perm.(q) '1'
+      done;
+      payload ~perm ^ "|h:" ^ Bytes.to_string halted
+    in
     let note () =
-      let halted = String.init sut.Explorer.n (fun q -> if m.m_halted q then '1' else '0') in
-      Hashtbl.replace reached (payload ~perm:identity ^ "|h:" ^ halted) ()
+      Hashtbl.replace reached
+        (List.fold_left (fun best perm -> min best (key perm)) (key identity) perms)
+        ()
     in
     note ();
     let m_step p =
@@ -1541,11 +1564,14 @@ let recording ?(shown = Fun.id) reached (sut : _ Explorer.sut) =
   in
   { sut with Explorer.fresh }
 
-let reached_set ?shown ?engine ~reductions ~depth (sut, properties) =
+let reached_set ?shown ?classes ?symmetry ?engine ~reductions ~depth (sut, properties) =
   let reached = Hashtbl.create 1024 in
   let r =
-    Explorer.explore ~sut:(recording ?shown reached sut) ~properties
-      (Explorer.config ?engine ~prune_fingerprints:reductions ~sleep_sets:reductions ~depth ())
+    Explorer.explore
+      ~sut:(recording ?shown ?classes reached sut)
+      ~properties
+      (Explorer.config ?engine ?symmetry ~prune_fingerprints:reductions ~sleep_sets:reductions
+         ~depth ())
   in
   Alcotest.(check bool) "exhaustive" false (stats_of r).Budget.truncated;
   (List.sort compare (List.of_seq (Hashtbl.to_seq_keys reached)), violated_names r)
@@ -1585,32 +1611,57 @@ let test_reachable_sets () =
   Alcotest.(check (list string)) "half payload: verdicts" verdicts got_verdicts;
   Alcotest.(check bool) "half payload: states lost" true (List.length got < List.length full)
 
+(* Symmetry reduction is exact when it loses no renaming class: the
+   classes a symmetric run reaches are the classes the unreduced run
+   reaches — on the double writer, whose swap maps every transition to
+   a transition, and on the k-set solver with equal inputs, where only
+   the identity does. *)
+let test_reachable_classes () =
+  let check label mk depth =
+    let full, verdicts = reached_set ~classes:true ~reductions:false ~depth (mk ()) in
+    let got, got_verdicts =
+      reached_set ~classes:true ~symmetry:true ~reductions:true ~depth (mk ())
+    in
+    Alcotest.(check (list string)) (label ^ ": verdicts") verdicts got_verdicts;
+    Alcotest.(check int) (label ^ ": classes reached") (List.length full) (List.length got);
+    Alcotest.(check bool) (label ^ ": same classes") true (full = got)
+  in
+  check "double writer @6" (fun () -> (double_writer_sut (), [])) 6;
+  check "kset n=3 @8 equal inputs" (fun () -> kset_sut ~n:3 ~inputs:(`Equal 7)) 8
+
 let nobody_decided =
   Property.safety ~name:"nobody decided" (fun st ->
       if Array.exists Option.is_some st.Explorer.obs.Systems.decisions then
         Some "a process decided"
       else None)
 
-(* The Theorem-24 solver (t=1, k=1, distinct inputs) first decides at
-   depth 17 for n=2 and 27 for n=3: with fingerprints on, a check one
-   step deeper reaches a decision, so agreement and validity are
-   checked on states where someone decided, not vacuously. *)
+(* The Theorem-24 solver (t=1, k=1) first decides at depth 17 for n=2
+   and 27 for n=3: with fingerprints on, a check one step deeper
+   reaches a decision, so agreement and validity are checked on states
+   where someone decided, not vacuously. With equal inputs under
+   [~symmetry:true] the decision is found at the same depth: a
+   renaming that fixed the initial state but not the transitions (p2
+   and p3 swapped) once made p1's state after three counter reads
+   fingerprint like its state after two, pruning the solo run, and the
+   check reported nobody deciding within 27 steps. *)
 let test_kset_decides () =
   List.iter
-    (fun (n, first) ->
-      let sut, properties = kset_sut ~n ~inputs:`Distinct in
+    (fun (n, inputs, symmetry, first) ->
+      let sut, properties = kset_sut ~n ~inputs in
       let r =
         Explorer.explore ~sut ~properties:(nobody_decided :: properties)
-          (Explorer.config ~depth:(first + 1) ())
+          (Explorer.config ~symmetry ~depth:(first + 1) ())
       in
-      let label = Printf.sprintf "n=%d @%d" n (first + 1) in
+      let label =
+        Printf.sprintf "n=%d @%d%s" n (first + 1) (if symmetry then ", symmetry" else "")
+      in
       (match List.assoc "nobody decided" r.Explorer.verdicts with
       | Explorer.Violated { schedule; _ } ->
           Alcotest.(check int) (label ^ ": first decision") first (Schedule.length schedule)
       | Explorer.Ok_bounded -> Alcotest.failf "%s: nobody decided" label);
       Alcotest.(check (list string))
         (label ^ ": agreement and validity hold") [ "nobody decided" ] (violated_names r))
-    [ (2, 17); (3, 27) ]
+    [ (2, `Distinct, false, 17); (3, `Distinct, false, 27); (3, `Equal 7, true, 27) ]
 
 (* exact fingerprints visit the same states on every depth-first engine
    and breadth-first *)
@@ -1635,8 +1686,10 @@ let test_exact_counts () =
       ("bfs", Some Explorer.Bfs, None, None);
     ];
   counts "detector n=3 @13" (detector_sut ~n:3) ~depth:13 650 [ ("snapshot", None, None, None) ];
+  (* the solver's only renaming is the identity: symmetry visits what
+     plain fingerprints do *)
   counts "kset n=3 @10 equal inputs, symmetry" (kset_sut ~n:3 ~inputs:(`Equal 7)) ~depth:10
-    ~symmetry:true 206
+    ~symmetry:true 341
     [
       ("snapshot", None, None, None);
       ("per-state", None, Some Explorer.Per_state, None);
@@ -2177,12 +2230,22 @@ let test_net_path_walk () =
    several times in a row after different runs; then the stack rule:
    restoring a shallower savepoint frees the depths above it, and a
    savepoint whose depth a later save reused raises. *)
-let check_machine_savepoints label (sut : _ Explorer.sut) =
+let check_machine_savepoints ?(runs = [ (25, 1); (90, 2); (3, 0); (200, 1) ]) label
+    (sut : _ Explorer.sut) =
   let store = Store.create () in
-  let mi = Option.get (sut.Explorer.fresh ~store).Explorer.machine in
+  let inst = sut.Explorer.fresh ~store in
+  let mi = Option.get inst.Explorer.machine in
   let n = sut.Explorer.n in
   let id = Array.init n Fun.id in
-  let payload () = Option.get mi.Explorer.m_payload ~perm:id in
+  (* the machine's payload; without one, its register snapshot and
+     observation *)
+  let payload () =
+    match mi.Explorer.m_payload with
+    | Some payload -> payload ~perm:id
+    | None ->
+        String.concat ";" (List.map (fun (r, v) -> r ^ "=" ^ v) (Store.snapshot store))
+        ^ "|" ^ sut.Explorer.obs_fingerprint (inst.Explorer.observe ())
+  in
   let save () =
     let restore_store = Store.checkpoint store and restore_m = mi.Explorer.m_save () in
     fun () ->
@@ -2205,7 +2268,7 @@ let check_machine_savepoints label (sut : _ Explorer.sut) =
       restore ();
       Alcotest.(check string) (Printf.sprintf "%s: restored after %d steps" label steps) at
         (payload ()))
-    [ (25, 1); (90, 2); (3, 0); (200, 1) ];
+    runs;
   run 10 1;
   let deeper = save () in
   let at_deeper = payload () in
@@ -2226,7 +2289,12 @@ let test_machine_savepoints () =
   let problem = Problem.make ~t:1 ~k:1 ~n:3 in
   (* long enough for Paxos attempts and decisions to enter the state *)
   check_machine_savepoints "theorem-24 kset"
-    (Systems.kset_agreement ~problem ~inputs:(Problem.distinct_inputs problem) ())
+    (Systems.kset_agreement ~problem ~inputs:(Problem.distinct_inputs problem) ());
+  (* three steps of reads move only the counter core's locals, which
+     its snapshot and observation do not show *)
+  check_machine_savepoints "counter core"
+    ~runs:[ (25, 1); (90, 2); (30, 0); (200, 1) ]
+    (Setsync_fuzz.Fuzz_systems.counter_core ~params:{ Kanti_omega.n = 3; t = 2; k = 1 } ())
 
 (* ------------------------------------------------------------------ *)
 (* (k) golden stats: every engine's full counter set, pinned *)
@@ -2668,6 +2736,8 @@ let () =
             test_symmetry_kset;
           Alcotest.test_case "asymmetric fault degenerates group" `Quick
             test_symmetry_respects_fault;
+          Alcotest.test_case "pause_procs builds its group once" `Quick
+            test_pause_group_shared;
           Alcotest.test_case "any engine, needs a payload" `Quick test_symmetry_any_engine;
           Alcotest.test_case "snapshot requires machine form" `Quick
             test_snapshot_requires_machine;
@@ -2675,6 +2745,8 @@ let () =
       ( "exact identity",
         [
           Alcotest.test_case "reduced runs reach every state" `Quick test_reachable_sets;
+          Alcotest.test_case "symmetric runs reach every renaming class" `Quick
+            test_reachable_classes;
           Alcotest.test_case "explored kset checks decide" `Quick test_kset_decides;
           Alcotest.test_case "same visited on every engine" `Quick test_exact_counts;
         ] );
