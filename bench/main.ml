@@ -462,9 +462,10 @@ let e11_domains ?(depth = 12) () =
    each node's first child and reaches the other children by fresh
    replays of their prefixes, so replay steps per visited state drop
    from O(depth) to amortized O(1). Both engines
-   explore the same tree (sleep sets off, as for every net check, and
-   fingerprints off), a pure function of the instance, so `make ci`
-   pins every count exactly (bin/bench_guard.ml). *)
+   explore the same tree (sleep sets off, which the explorer requires
+   on a net sut, and fingerprints off), a pure function of the
+   instance, so `make ci` pins every count exactly
+   (bin/bench_guard.ml). *)
 let e11_engines () =
   subsection "e. replay amortization: path-replay walk vs per-state engine (net CT, fp off)";
   Fmt.pr "  %-18s %-9s %-9s %-9s %-13s %-9s %s@." "instance" "engine" "visited"
@@ -640,10 +641,10 @@ let e11_snapshot () =
    Theorem-24 solver (t=1, k=1, n=3, distinct inputs) first decides at
    depth 27, so every shallower check meets agreement and validity
    only on states where nobody has decided. With exact fingerprints the
-   exhaustive check at depth 30 is cheap; the row counts the
-   safety-checked states in which some process had decided. `make ci`
-   pins the visited count and requires decisions, an exhaustive run
-   and clean verdicts (bin/bench_guard.ml). *)
+   exhaustive check at depth 30 is cheap (23,134 states); the row
+   counts the safety-checked states in which some process had
+   decided. `make ci` pins the visited count and requires decisions,
+   an exhaustive run and clean verdicts (bin/bench_guard.ml). *)
 let e11_decided () =
   let n = 3 and depth = 30 in
   subsection
@@ -684,8 +685,65 @@ let e11_decided () =
       ("wall_seconds", Json.Float s.Budget.wall_seconds);
     ]
 
+(* E11i (full bench only): the n=4 solver's first decision. Two reads
+   commute, so the fingerprint-off tree stays small enough to search
+   exhaustively one step past it (936,711 states at @40); a safety
+   property that fails once anybody decides yields the shortest such
+   prefix, pinned at 39 steps, as tier-1 pins 17 (n=2) and 27 (n=3). *)
+let e11_first_decision () =
+  let n = 4 and depth = 40 and pinned = 39 in
+  subsection
+    (Fmt.str "i. the solver's first decision (t=1,k=1,n=%d @%d, fp off, pinned at %d)" n depth
+       pinned);
+  let problem = Problem.make ~t:1 ~k:1 ~n in
+  let inputs = Problem.distinct_inputs problem in
+  let decisions st = st.Explorer.obs.Explore_systems.decisions in
+  let nobody_decided =
+    Property.safety ~name:"nobody decided" (fun st ->
+        if Array.exists Option.is_some (decisions st) then Some "a process decided" else None)
+  in
+  let r =
+    Explorer.explore
+      ~sut:(Explore_systems.kset_agreement ~problem ~inputs ())
+      ~properties:
+        [
+          nobody_decided;
+          Property.kset_agreement ~k:1 ~decisions;
+          Property.validity ~inputs ~decisions;
+        ]
+      (Explorer.config ~prune_fingerprints:false ~depth ())
+  in
+  let s = r.Explorer.stats in
+  let first =
+    match List.assoc nobody_decided.Property.name r.Explorer.verdicts with
+    | Explorer.Violated { schedule; _ } -> Some (Schedule.length schedule)
+    | Explorer.Ok_bounded -> None
+  in
+  let safe =
+    List.for_all
+      (fun (name, v) -> name = nobody_decided.Property.name || v = Explorer.Ok_bounded)
+      r.Explorer.verdicts
+  in
+  Fmt.pr "%a@.  first decision at depth %s%s (%a)@." Explorer.pp_report r
+    (match first with Some d -> string_of_int d | None -> "none")
+    (if first = Some pinned && safe && not s.Budget.truncated then ", as pinned"
+     else "  UNEXPECTED")
+    Budget.pp_times s;
+  Results.add "E11i"
+    [
+      ("n", Json.Int n);
+      ("depth", Json.Int depth);
+      ("visited", Json.Int s.Budget.visited);
+      ("first_decision", match first with Some d -> Json.Int d | None -> Json.Null);
+      ("verdicts_ok", Json.Bool safe);
+      ("exhaustive", Json.Bool (not s.Budget.truncated));
+      ("wall_seconds", Json.Float s.Budget.wall_seconds);
+    ]
+
 (* E11g: what the snapshot engine allocates per visited state, on a
-   fingerprint-off k-set check (t=1, k=1, n=3 @12, 25,325 states).
+   fingerprint-off k-set check (t=1, k=1, n=3 @26, 10,925 states: at
+   @12 two reads commute and only 455 states are left, too few to
+   amortize the run's setup).
    Minor words are read after a minor collection, when OCaml 5 brings
    the counter up to date, and a one-domain run allocates the same
    words every time. States render their register snapshot only on
@@ -694,7 +752,7 @@ let e11_decided () =
    more. `make ci` puts a ceiling on the words per state
    (bin/bench_guard.ml). *)
 let e11_words () =
-  let n = 3 and depth = 12 in
+  let n = 3 and depth = 26 in
   subsection
     (Fmt.str "g. minor words per visited state (t=1,k=1,n=%d @%d, snapshot, fp off)" n depth);
   let problem = Problem.make ~t:1 ~k:1 ~n in
@@ -1228,6 +1286,7 @@ let () =
     e11_snapshot ();
     e11_words ();
     e11_decided ();
+    e11_first_decision ();
     f1_fuzz ();
     n1_net ();
     n1_trace_overhead ();

@@ -19,18 +19,20 @@
    replay, and on the equal-inputs instance (n=3, depth 10) the run
    with symmetry reduction must stay exhaustive with the same verdicts
    and visit exactly what the plain payload fingerprints visit, which
-   visit no more than the fp-off run (measured 341 = 341 <= 6,480):
-   the solver's only renaming is the identity.
+   visit no more than the fp-off run (measured 286 = 286 <= 286: two
+   reads commute, so commutation alone already reaches each state
+   once here): the solver's only renaming is the identity.
 
    The E11g row caps what the snapshot engine allocates per visited
-   state on a fingerprint-off k-set check (n=3, depth 12): measured
-   about 320 minor words per state, ceiling 1,000. A state that renders
-   its register snapshot eagerly costs about 5,000 words more, so an
-   eager render that comes back trips the ceiling.
+   state on a fingerprint-off k-set check (n=3, depth 26, 10,925
+   states): measured about 440 minor words per state, ceiling 1,000.
+   A state that renders its register snapshot eagerly costs about
+   5,000 words more, so an eager render that comes back trips the
+   ceiling.
 
    The E11h row pins an explored k-set check that reaches decisions:
    the exhaustive n=3 check at depth 30 with exact fingerprints visits
-   exactly 24,340 states, some of them with a decision (the solver
+   exactly 23,134 states, some of them with a decision (the solver
    first decides at depth 27), and every verdict is ok.
 
    And the net backend's N1 quick row: the round-robin CT run
@@ -197,7 +199,7 @@ let () =
   (match List.find_opt (fun row -> str row "section" = Some "E11h") rows with
   | None -> fail "%s: no E11h row — did bench --quick change?" file
   | Some row ->
-      let want = 24_340 in
+      let want = 23_134 in
       (match int row "visited" with
       | Some v when v = want -> ()
       | Some v -> fail "E11h: visited %d, pinned at %d" v want

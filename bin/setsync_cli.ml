@@ -776,9 +776,8 @@ let explore_cmd =
         finish report (fun r ->
             List.for_all (fun (_, v) -> v = Explorer.Ok_bounded) r.Explorer.verdicts)
     | Check_kset, Backend_net ->
-        (* net replay footprints under-approximate clock reads, so sleep
-           sets stay forced off (see Net's exploration caveat);
-           fingerprints are opt-in and warned about above *)
+        (* the explorer refuses sleep sets on a net sut; fingerprints
+           are opt-in and warned about above *)
         let adversary =
           checked (fun () ->
               Proc.check_n n;
@@ -824,8 +823,8 @@ let explore_cmd =
         finish report (fun r ->
             List.for_all (fun (_, v) -> v = Explorer.Ok_bounded) r.Explorer.verdicts)
     | Check_detector, Backend_net ->
-        (* CT timeout detector stabilization after GST; sleep sets off,
-           as for net kset. Readiness needs depth >= about 7n after GST
+        (* CT timeout detector stabilization after GST. Readiness
+           needs depth >= about 7n after GST
            on round-robin paths — depth 14 covers (n=2, gst=4, delta=1). *)
         let adversary =
           checked (fun () ->

@@ -164,7 +164,7 @@ let machine t =
        Array.iter (Array.iter (Paxos.declare layout)) t.props;
        List.iter (Layout.ints layout)
          [ t.decided; t.decision; t.engaged; t.engaged_rank; t.engaged_ballot ];
-       Layout.values layout pcs (Layout.option encode_spc);
+       Layout.values layout ~name:"pcs" pcs (Layout.option encode_spc);
        layout)
   in
   { solver = t; pcs; layout }
@@ -173,7 +173,7 @@ let machine_step m acc proc = m.pcs.(proc) <- Some (step acc m.solver proc m.pcs
 
 let machine_save m = Layout.save (Lazy.force m.layout)
 
-let identity m = Layout.identity (Lazy.force m.layout)
+let identity ?without m = Layout.identity ?without (Lazy.force m.layout)
 
 (* a loop, not [Array.init]: every explored state observes this *)
 let decisions t =

@@ -65,11 +65,13 @@ val machine_save : machine -> unit -> unit
     a savepoint whose depth a later save reused raises
     [Invalid_argument] when restored. *)
 
-val identity : machine -> string
+val identity : ?without:string -> machine -> string
 (** The machine's full state — the decision, Paxos and detector
     registers, every local and every PC — encoded from the same
     declaration as {!machine_save}
-    ({!Setsync_memory.Layout.identity}). An optional local is a
+    ({!Setsync_memory.Layout.identity}); [without] leaves out the
+    slots of that name (["pcs"], ["Dec"], ["Heartbeat"] ...), a lossy
+    identity for tests. An optional local is a
     presence slot plus value slots, so no input value can pass for an
     absent decision. No process renaming other than the identity maps
     the solver's transitions onto themselves (the detector scans in a

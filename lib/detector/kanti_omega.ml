@@ -214,7 +214,7 @@ let machine ?initial_timeout shared params =
       (let layout = Layout.create "Kanti_omega.save" in
        declare_shared layout shared;
        Array.iter (declare layout) procs;
-       Layout.values layout pcs (Layout.option encode_pc);
+       Layout.values layout ~name:"pcs" pcs (Layout.option encode_pc);
        layout)
   in
   { procs; pcs; layout }

@@ -88,27 +88,61 @@ type report = {
    this is treated as touching an unknown footprint (never commutes). *)
 let meter_capacity = 64
 
-(* register ids are never negative: this one stands for every
-   register *)
-let unknown_register = -1
+(* A step's footprint: one entry per register it accessed, in ascending
+   register order — [2 * id + 1] when the step wrote the register,
+   [2 * id] when it only read it. *)
+type footprint = int array
 
-(* A store access hook and its footprint meter: each call of the meter
-   returns the ids of the registers accessed since the previous call,
-   sorted and deduplicated. The hook allocates nothing. Every engine
-   measures a step's footprint through one of these. *)
+(* the footprint of a step past the meter's capacity: it conflicts with
+   every step (compared physically) *)
+let unknown_footprint : footprint = [| -1 |]
+
+(* The footprint of the [c] accesses in [buf], which it sorts in place:
+   an insertion sort, as a step makes one access or a few. A register's
+   write entry sorts just after its read entries, so the last entry of
+   each register's run is its mode. *)
+let footprint_of buf c =
+  for i = 1 to c - 1 do
+    let x = buf.(i) in
+    let j = ref (i - 1) in
+    while !j >= 0 && buf.(!j) > x do
+      buf.(!j + 1) <- buf.(!j);
+      decr j
+    done;
+    buf.(!j + 1) <- x
+  done;
+  let last i = i = c - 1 || buf.(i) lsr 1 <> buf.(i + 1) lsr 1 in
+  let registers = ref 0 in
+  for i = 0 to c - 1 do
+    if last i then incr registers
+  done;
+  let fp = Array.make !registers 0 and k = ref 0 in
+  for i = 0 to c - 1 do
+    if last i then begin
+      fp.(!k) <- buf.(i);
+      incr k
+    end
+  done;
+  fp
+
+(* A store access hook and its footprint meter: the hook keeps one
+   (register, mode) entry per access in a reused buffer and allocates
+   nothing; each call of the meter returns the footprint of the
+   accesses since the previous call. Every engine measures a step's
+   footprint through one of these. *)
 let footprint_meter () =
   let buf = Array.make meter_capacity 0 and count = ref 0 in
-  let hook id =
+  let hook id (mode : Setsync_memory.Register.mode) =
     let c = !count in
-    if c < meter_capacity then buf.(c) <- id;
+    if c < meter_capacity then
+      buf.(c) <- (id lsl 1) lor (match mode with Read -> 0 | Write -> 1);
     count := c + 1
   in
   ( hook,
     fun () ->
       let c = !count in
       count := 0;
-      if c > meter_capacity then [ unknown_register ]
-      else List.sort_uniq Int.compare (List.init c (Array.get buf)) )
+      if c > meter_capacity then unknown_footprint else footprint_of buf c )
 
 let snapshot_of store (inst : _ instance) =
   Store.snapshot store
@@ -319,10 +353,23 @@ let check_schedule ~sut ~property ?(fault = Fault.no_faults) schedule =
 
 (* -------------------------------------------------------- exploration *)
 
-let disjoint_footprints a b =
-  (not (List.mem unknown_register a))
-  && (not (List.mem unknown_register b))
-  && not (List.exists (fun r -> List.mem r b) a)
+(* Two steps conflict when one of them writes a register the other
+   accesses: a linear merge of their sorted footprints. Steps that only
+   read a common register commute. *)
+let conflicting (a : footprint) (b : footprint) =
+  a == unknown_footprint
+  || b == unknown_footprint
+  ||
+  let rec merge i j =
+    i < Array.length a
+    && j < Array.length b
+    &&
+    let x = a.(i) and y = b.(j) in
+    if x lsr 1 < y lsr 1 then merge (i + 1) j
+    else if x lsr 1 > y lsr 1 then merge i (j + 1)
+    else (x lor y) land 1 = 1 || merge (i + 1) (j + 1)
+  in
+  merge 0 0
 
 let digest ~sut (st : _ state) =
   let buf = Buffer.create 256 in
@@ -627,7 +674,7 @@ type 'obs engine = {
   e_ev : Events.t option;  (* event sink, [None] when tracing is off *)
   e_worker : int;  (* worker id: its deque and event stamp *)
   e_hook : Setsync_memory.Register.hook;
-  e_footprint : unit -> int list;
+  e_footprint : unit -> footprint;
       (* this worker's footprint meter: every instance it builds reports
          to [e_hook]; [fresh_mirror] clears it for a new instance *)
 }
@@ -672,12 +719,11 @@ let record eng ~kind state =
     vt.slots
 
 (* The commutation rule on arrival: a prefix [σ·a·b] whose last two
-   steps ran in descending process order ([b < a]) with disjoint
-   footprints is discarded — its sibling [σ·b·a] reaches the same
-   state. *)
+   steps ran in descending process order ([b < a]) and do not conflict
+   is discarded — its sibling [σ·b·a] reaches the same state. *)
 let arrival_pruned config rev ~prev ~last =
   config.sleep_sets
-  && match rev with b :: a :: _ -> b < a && disjoint_footprints prev last | _ -> false
+  && match rev with b :: a :: _ -> b < a && not (conflicting prev last) | _ -> false
 
 let enabled (run : Run.t) =
   let crashed = Run.crashed run in
@@ -781,7 +827,7 @@ let process_prefix eng rev_steps =
   let footprint = eng.e_footprint in
   let m = fresh_mirror eng in
   (* the footprints of the last two executed steps *)
-  let fp_prev = ref [] and fp_last = ref [] in
+  let fp_prev = ref [||] and fp_last = ref [||] in
   let on_step ~global:_ ~proc:_ =
     fp_prev := !fp_last;
     fp_last := footprint ()
@@ -811,14 +857,24 @@ let process_prefix eng rev_steps =
    replay under [Bfs] (a breadth-first search has no walk to
    amortize). Symmetry reduction needs a payload to rename; its group
    is the machine's renamings that fix the fault plan (budgets ∘ perm
-   = budgets). Machine-form support is probed on a throwaway instance,
-   so errors surface on the calling domain, before any worker
-   spawns. *)
+   = budgets). Commutation needs every step's effect on the state to
+   show in its footprint, which a substrate breaks: the network's
+   clock is poked and peeked, and its adversary's delivery decisions
+   key on sequence counters outside the store, so two steps whose
+   footprints do not conflict need not commute. Machine-form support and the
+   substrate are probed on a throwaway instance, so errors surface on
+   the calling domain, before any worker spawns. *)
 let validate_explore ~sut config =
   if config.depth < 0 then invalid_arg "Explorer.explore: negative depth bound";
   Proc.check_n sut.n;
   Fault.validate ~n:sut.n config.fault;
-  let machine = lazy (sut.fresh ~store:(Store.create ())).machine in
+  let probe = lazy (sut.fresh ~store:(Store.create ())) in
+  if config.sleep_sets && Option.is_some (Lazy.force probe).substrate then
+    invalid_arg
+      "Explorer.explore: commutation (sleep_sets) is unsound on a sut with a substrate: its \
+       clock and delivery decisions live outside the store's footprints; pass \
+       ~sleep_sets:false";
+  let machine = lazy (Lazy.force probe).machine in
   let config =
     match (config.engine, config.strategy) with
     | Path, Dfs
@@ -950,7 +1006,7 @@ let rec walk eng m ~depth ~rev ~arrive_fp =
 let take eng rev_steps =
   let m = fresh_mirror eng in
   let depth = List.length rev_steps in
-  let fp_prev = ref [] and fp_last = ref [] in
+  let fp_prev = ref [||] and fp_last = ref [||] in
   List.iter
     (fun p ->
       advance_metered eng m p;

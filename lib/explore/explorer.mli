@@ -41,13 +41,16 @@
       covers all process-local state not reflected in registers (see
       DESIGN.md §8).
     - {b sleep-set-style commutation}: a prefix [σ·a·b] whose last two
-      steps belong to different processes, touch disjoint register
-      sets (the register ids each step reported to its store's access
-      hook, {!Setsync_memory.Register.hook}), and are ordered
-      [b < a], is discarded — the swapped prefix [σ·b·a] reaches the
-      same state and is generated as a sibling. Sound for state-based
+      steps belong to different processes, make no conflicting access,
+      and are ordered [b < a], is discarded — the swapped prefix
+      [σ·b·a] reaches the same state and is generated as a sibling.
+      Two steps conflict when one writes a register the other reads or
+      writes; two reads of one register commute. A step's accesses are
+      the (register id, mode) pairs it reported to its store's access
+      hook ({!Setsync_memory.Register.hook}). Sound for state-based
       properties; unsound for schedule-sensitive ones
-      ({!Property.set_timely}), which must explore unreduced. *)
+      ({!Property.set_timely}), which must explore unreduced. Refused
+      on a sut with a substrate (see [config.sleep_sets]). *)
 
 type minstance = {
   m_step : Setsync_schedule.Proc.t -> unit;
@@ -202,6 +205,11 @@ type config = {
   strategy : strategy;
   prune_fingerprints : bool;
   sleep_sets : bool;
+      (** the commutation reduction. {!explore} raises
+          [Invalid_argument] when it is on and the sut's instances
+          have a substrate: a network's clock and its adversary's
+          delivery decisions live outside the store, so its footprints
+          under-approximate what a step depends on. *)
   engine : engine_kind;
   symmetry : bool;
       (** process-renaming symmetry reduction, on every engine:
@@ -274,8 +282,8 @@ val explore :
     (stats.truncated), or every property already has a counterexample.
     A request the explorer cannot serve raises [Invalid_argument]
     before any worker starts: the snapshot engine under [Bfs] or on a
-    sut without a machine form, or [symmetry] on a sut without
-    [m_payload].
+    sut without a machine form, [symmetry] on a sut without
+    [m_payload], or [sleep_sets] on a sut with a substrate.
 
     [obs] opts the exploration into observability. Metrics (recorded
     once at the end of the run, from the stats the report prints, so

@@ -168,7 +168,7 @@ let counter_core ?(bug = true) ?(initial_timeout = 1) ~params () =
           procs;
         List.iter (Layout.ints layout)
           [ my_hb; o.chosen; o.chosen_acc; o.min_acc; o.iterations ];
-        Layout.values layout pcs (Layout.option encode_pc);
+        Layout.values layout ~name:"pcs" pcs (Layout.option encode_pc);
         let machine_step acc p = pcs.(p) <- Some (step acc procs.(p) pcs.(p)) in
         {
           Explorer.body = Machine.body machine_step;

@@ -13,7 +13,7 @@ type t = {
   mutable width : int;  (* their total length: one depth's share of [saved] *)
   mutable saved : int array;  (* every int slot, [width] ints a depth *)
   mutable values : value_slot list;
-  encoders : (sink -> unit) Queue.t;  (* the identity *)
+  encoders : (string option * (sink -> unit)) Queue.t;  (* the identity, slot by slot *)
   buf : Buffer.t;
 }
 
@@ -29,7 +29,7 @@ let create who =
     buf = Buffer.create 64;
   }
 
-let encoded t encode = Queue.add encode t.encoders
+let encoded t ?name encode = Queue.add (name, encode) t.encoders
 
 let rec put_unsigned buf u =
   if u >= 0 && u < 0x80 then Buffer.add_char buf (Char.unsafe_chr u)
@@ -56,7 +56,7 @@ let ints t a =
         put buf a.(i)
       done)
 
-let values t a encode =
+let values t ~name a encode =
   let len = Array.length a in
   let saved = ref [||] in
   t.values <-
@@ -70,13 +70,20 @@ let values t a encode =
       restore = (fun depth -> Array.blit !saved (depth * len) a 0 len);
     }
     :: t.values;
-  encoded t (fun buf ->
+  encoded t ~name (fun buf ->
       for i = 0 to len - 1 do
         encode buf a.(i)
       done)
 
+(* a register row is named by its registers' name less the last index *)
+let row_name regs =
+  if Array.length regs = 0 then None
+  else
+    let name = Register.name regs.(0) in
+    Some (match String.rindex_opt name '[' with Some i -> String.sub name 0 i | None -> name)
+
 let registers t regs encode =
-  encoded t (fun buf ->
+  encoded t ?name:(row_name regs) (fun buf ->
       for i = 0 to Array.length regs - 1 do
         encode buf (Register.peek regs.(i))
       done)
@@ -125,8 +132,13 @@ let restore t depth =
 
 let save t = Savestack.save t.points t.who capture restore t
 
-let identity t =
+let identity ?without t =
   let buf = t.buf in
   Buffer.clear buf;
-  Queue.iter (fun encode -> encode buf) t.encoders;
+  (match without with
+  | None -> Queue.iter (fun (_, encode) -> encode buf) t.encoders
+  | Some dropped ->
+      Queue.iter
+        (fun (name, encode) -> if name <> Some dropped then encode buf)
+        t.encoders);
   Buffer.contents buf

@@ -32,16 +32,19 @@ val ints : t -> int array -> unit
 (** Declare an int slot array: saved, restored and part of the
     identity. *)
 
-val values : t -> 'a array -> (sink -> 'a -> unit) -> unit
+val values : t -> name:string -> 'a array -> (sink -> 'a -> unit) -> unit
 (** Declare an array of immutable values, such as PCs: saved and
     restored by value, and part of the identity through the given
     encoding. An encoding must be injective and prefix-free — write a
     tag first and then a fixed number of ints for that tag — so that
-    the identity's concatenation decodes uniquely. *)
+    the identity's concatenation decodes uniquely. [name] names the
+    array for {!identity}'s [without]. *)
 
 val registers : t -> 'a Register.t array -> (sink -> 'a -> unit) -> unit
 (** Declare shared registers: part of the identity (their values, read
-    without counting), never saved here. *)
+    without counting), never saved here. The row is named by its
+    registers' name less the last index ([Counter[2]] for
+    [Counter[2][0]] ...). *)
 
 val put : sink -> int -> unit
 (** Write one int (any int: a zigzag varint, so small values stay
@@ -58,5 +61,9 @@ val save : t -> unit -> unit
     allocates only the returned closure, and restoring a savepoint
     whose depth a later save reused raises [Invalid_argument]. *)
 
-val identity : t -> string
-(** Every declared slot, encoded in declaration order. *)
+val identity : ?without:string -> t -> string
+(** Every declared slot, encoded in declaration order. [without] leaves
+    out the register rows and value arrays of that name: a deliberately
+    lossy identity, which the tests use to show that the explorer's
+    reachable-state cross-check catches a fingerprint that forgets a
+    slot. *)

@@ -1,4 +1,6 @@
-type hook = int -> unit
+type mode = Read | Write
+
+type hook = int -> mode -> unit
 
 type 'a route = { route_read : unit -> 'a; route_write : 'a -> unit }
 
@@ -20,16 +22,16 @@ let name t = t.name
 
 let id t = t.id
 
-let notify t = match t.hook with None -> () | Some hook -> hook t.id
+let notify t mode = match t.hook with None -> () | Some hook -> hook t.id mode
 
 let read t =
   t.reads <- t.reads + 1;
-  notify t;
+  notify t Read;
   t.value
 
 let write t v =
   t.writes <- t.writes + 1;
-  notify t;
+  notify t Write;
   t.value <- v
 
 let peek t = t.value

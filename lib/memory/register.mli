@@ -14,10 +14,14 @@
 
 type 'a t
 
-type hook = int -> unit
-(** Access callback: receives the register's {!id} on every counted
-    {!read} and {!write} (never on {!peek} or {!poke}). It is how the
-    explorer measures which registers a step touched. *)
+type mode = Read | Write  (** The kind of a counted access. *)
+
+type hook = int -> mode -> unit
+(** Access callback: receives the register's {!id} and the access's
+    mode on every counted {!read} ([Read]) and {!write} ([Write]),
+    never on {!peek} or {!poke}. It is how the explorer measures which
+    registers a step touched and whether it wrote them: two steps that
+    only read a register commute. *)
 
 type 'a route = { route_read : unit -> 'a; route_write : 'a -> unit }
 (** An access route that replaces the local cell as the target of the
@@ -34,7 +38,7 @@ type 'a route = { route_read : unit -> 'a; route_write : 'a -> unit }
 val make : ?pp:'a Fmt.t -> ?hook:hook -> name:string -> id:int -> 'a -> 'a t
 (** [make ~name ~id init] creates a register holding [init]. [pp] is
     used by {!render} (defaults to an opaque placeholder); [hook] is
-    called with [id] on every counted access. *)
+    called with [id] and the mode on every counted access. *)
 
 val name : 'a t -> string
 

@@ -10,7 +10,7 @@ type t
 val create : ?hook:Register.hook -> unit -> t
 (** A fresh, empty shared memory. When [hook] is given, every counted
     access to a register allocated here calls it with the register's
-    id (see {!Register.hook}). *)
+    id and whether the access reads or writes (see {!Register.hook}). *)
 
 type router = { route_for : 'a. 'a Register.t -> 'a Register.route option }
 (** Decides, per register, whether step-disciplined access should be

@@ -39,10 +39,11 @@
     message and its channel entry, so it survives a restore.
 
     {b Exploration caveat.} The flush performed in [pre_step] reads
-    channels with observer peeks and process code reads the clock with
-    peeks (timeouts), so replay footprints under-approximate
-    clock-dependent behaviour; run the explorer with sleep-set
-    reduction disabled on this backend (the CLI does). *)
+    channels with observer peeks, process code reads the clock with
+    peeks (timeouts) and the adversary keys its delivery decisions on
+    sequence counters outside the store, so replay footprints
+    under-approximate what a step depends on. The explorer refuses
+    sleep-set reduction on a sut with a substrate. *)
 
 type t
 

@@ -327,6 +327,80 @@ let test_count_footprint_overflow () =
         [ Explorer.Snapshot; Explorer.Per_state ])
     [ (64, 6, 1); (65, 7, 0) ]
 
+(* Never-halting processes that each step access the one register [r]:
+   process p reads it when [modes.(p)] is [`Read] and writes p + 1 into
+   it when [`Write]. *)
+let one_register_sut modes =
+  let n = Array.length modes in
+  {
+    Explorer.n;
+    fresh =
+      (fun ~store ->
+        let r = Store.register store ~pp:Fmt.int ~name:"r" 0 in
+        let step (a : Machine.access) p =
+          match modes.(p) with
+          | `Read -> ignore (a.Machine.read r)
+          | `Write -> a.Machine.write r (p + 1)
+        in
+        {
+          Explorer.body = Machine.body step;
+          observe = (fun () -> ());
+          substrate = None;
+          machine =
+            Some
+              {
+                Explorer.m_step = step Machine.direct;
+                m_halted = (fun _ -> false);
+                m_save = (fun () -> fun () -> ());
+                m_payload = None;
+                m_perms = [ Array.init n Fun.id ];
+              };
+        });
+    obs_fingerprint = (fun () -> "");
+  }
+
+let binomial n k =
+  let rec go acc i = if i > k then acc else go (acc * (n - k + i) / i) (i + 1) in
+  go 1 1
+
+(* The conflict relation, hand-counted with fingerprints off. Two reads
+   of one register commute: with three readers the walk keeps exactly
+   the prefixes whose process numbers never descend, C(i + 2, 2) at
+   depth i, so Σ_{i<=12} C(i + 2, 2) = C(15, 3) = 455 states at depth
+   12. A write conflicts with any access to its register: two writers,
+   or a reader and a writer, of one register prune nothing and visit
+   all 2^5 - 1 = 31 prefixes of length <= 4. *)
+let test_count_conflicts () =
+  List.iter
+    (fun (label, modes, depth, visited, profile) ->
+      List.iter
+        (fun engine ->
+          let s =
+            stats_of
+              (Explorer.explore ~sut:(one_register_sut modes) ~properties:[]
+                 (Explorer.config ~prune_fingerprints:false ~engine ~depth ()))
+          in
+          let label =
+            Fmt.str "%s, %s" label
+              (if engine = Explorer.Snapshot then "snapshot" else "per-state")
+          in
+          Alcotest.(check int) (label ^ ": visited") visited s.Budget.visited;
+          Alcotest.(check (list int))
+            (label ^ ": visited per depth") profile
+            (List.map
+               (fun (r : Budget.depth_row) -> r.Budget.dr_visited)
+               s.Budget.depth_profile))
+        [ Explorer.Snapshot; Explorer.Per_state ])
+    [
+      ( "three readers @12",
+        [| `Read; `Read; `Read |],
+        12,
+        binomial 15 3,
+        List.init 13 (fun i -> binomial (i + 2) 2) );
+      ("double writer @4", [| `Write; `Write |], 4, 31, [ 1; 2; 4; 8; 16 ]);
+      ("reader and writer @4", [| `Read; `Write |], 4, 31, [ 1; 2; 4; 8; 16 ]);
+    ]
+
 (* Double-writer system (3-step processes), depth 4, brute force:
    sequences of length <= 4 with at most 3 steps per process,
    1 + 2 + 4 + 8 + 14 = 29. *)
@@ -1576,12 +1650,83 @@ let reached_set ?shown ?classes ?symmetry ?engine ~reductions ~depth (sut, prope
   Alcotest.(check bool) "exhaustive" false (stats_of r).Budget.truncated;
   (List.sort compare (List.of_seq (Hashtbl.to_seq_keys reached)), violated_names r)
 
+(* Two never-halting processes that write the one register [r] through
+   [Register.poke], which the access hook never sees: each step appends
+   its process to [r] (r := 3r + p + 1), so every order of steps leaves
+   its own value. Their footprints are empty, so commutation wrongly
+   treats them as independent. *)
+let hidden_writers_sut () =
+  {
+    Explorer.n = 2;
+    fresh =
+      (fun ~store ->
+        let r = Store.register store ~pp:Fmt.int ~name:"r" 0 in
+        let step p = Register.poke r ((3 * Register.peek r) + p + 1) in
+        {
+          Explorer.body = (fun p () -> while true do Fiber.atomic (fun () -> step p) done);
+          observe = (fun () -> ());
+          substrate = None;
+          machine =
+            Some
+              {
+                Explorer.m_step = step;
+                m_halted = (fun _ -> false);
+                m_save = (fun () -> fun () -> ());
+                m_payload = Some (fun ~perm:_ -> string_of_int (Register.peek r));
+                m_perms = [ [| 0; 1 |] ];
+              };
+        });
+    obs_fingerprint = (fun () -> "");
+  }
+
+(* The k-set solver (n=2, distinct inputs) explored to depth 10 with
+   both reductions or none, fingerprinting each state by its identity
+   without the slots named [without]; returns the full identities of
+   the states its machine steps into, and the violated properties. *)
+let kset_slots_reached ?without ~reductions () =
+  let problem = Problem.make ~t:1 ~k:1 ~n:2 in
+  let inputs = Problem.distinct_inputs problem in
+  let reached = Hashtbl.create 1024 in
+  let fresh ~store =
+    let solver = Kset_solver.create store ~problem ~inputs () in
+    let machine = Kset_solver.machine solver in
+    let note () = Hashtbl.replace reached (Kset_solver.identity machine) () in
+    note ();
+    {
+      Explorer.body = Machine.body (Kset_solver.machine_step machine);
+      observe = (fun () -> { Systems.decisions = Kset_solver.decisions solver });
+      substrate = None;
+      machine =
+        Some
+          {
+            Explorer.m_step =
+              (fun p ->
+                Kset_solver.machine_step machine Machine.direct p;
+                note ());
+            m_halted = (fun _ -> false);
+            m_save = (fun () -> Kset_solver.machine_save machine);
+            m_payload = Some (fun ~perm:_ -> Kset_solver.identity ?without machine);
+            m_perms = [ [| 0; 1 |] ];
+          };
+    }
+  in
+  let sut = { (fst (kset_sut ~n:2 ~inputs:`Distinct)) with Explorer.fresh } in
+  let r =
+    Explorer.explore ~sut ~properties:(snd (kset_sut ~n:2 ~inputs:`Distinct))
+      (Explorer.config ~prune_fingerprints:reductions ~sleep_sets:reductions ~depth:10 ())
+  in
+  Alcotest.(check bool) "exhaustive" false (stats_of r).Budget.truncated;
+  (List.of_seq (Hashtbl.to_seq_keys reached), violated_names r)
+
 (* Pruning is exact when it loses no state: the states reached with
    fingerprints and sleep sets on (visited, fingerprint-pruned and
    commutation-pruned ones alike) are the states reached with both off,
    on the snapshot engine and on per-state replay. A fingerprint that
-   forgets half the payload merges states with different futures, and
-   the check catches it while the verdicts stay equal. *)
+   forgets half the payload, or the solver's PC array (a whole slot, so
+   the loss does not hang on the encoding order), merges states with
+   different futures, and the check catches it while the verdicts stay
+   equal; commutation over writes the access hook cannot see loses
+   states the same way. *)
 let test_reachable_sets () =
   let cross_check label mk depth =
     let full, verdicts = reached_set ~reductions:false ~depth (mk ()) in
@@ -1609,7 +1754,16 @@ let test_reachable_sets () =
     reached_set ~shown:half ~reductions:true ~depth:10 (kset_sut ~n:2 ~inputs:`Distinct)
   in
   Alcotest.(check (list string)) "half payload: verdicts" verdicts got_verdicts;
-  Alcotest.(check bool) "half payload: states lost" true (List.length got < List.length full)
+  Alcotest.(check bool) "half payload: states lost" true (List.length got < List.length full);
+  let full, _ = kset_slots_reached ~reductions:false () in
+  let kept, _ = kset_slots_reached ~reductions:true () in
+  let got, verdicts = kset_slots_reached ~without:"pcs" ~reductions:true () in
+  Alcotest.(check int) "all slots: states reached" (List.length full) (List.length kept);
+  Alcotest.(check (list string)) "no PC array: verdicts" [] verdicts;
+  Alcotest.(check bool) "no PC array: states lost" true (List.length got < List.length full);
+  let full, _ = reached_set ~reductions:false ~depth:4 (hidden_writers_sut (), []) in
+  let got, _ = reached_set ~reductions:true ~depth:4 (hidden_writers_sut (), []) in
+  Alcotest.(check bool) "hidden writes: states lost" true (List.length got < List.length full)
 
 (* Symmetry reduction is exact when it loses no renaming class: the
    classes a symmetric run reaches are the classes the unreduced run
@@ -1639,21 +1793,25 @@ let nobody_decided =
    and 27 for n=3: with fingerprints on, a check one step deeper
    reaches a decision, so agreement and validity are checked on states
    where someone decided, not vacuously. With equal inputs under
-   [~symmetry:true] the decision is found at the same depth: a
+   [~symmetry:true] the decision is found at the same depth, and so it
+   is with fingerprints off, where only commutation keeps the n=3 tree
+   small enough to reach depth 28 (two reads commute). Under symmetry, a
    renaming that fixed the initial state but not the transitions (p2
    and p3 swapped) once made p1's state after three counter reads
    fingerprint like its state after two, pruning the solo run, and the
    check reported nobody deciding within 27 steps. *)
 let test_kset_decides () =
   List.iter
-    (fun (n, inputs, symmetry, first) ->
+    (fun (n, inputs, symmetry, prune_fingerprints, first) ->
       let sut, properties = kset_sut ~n ~inputs in
       let r =
         Explorer.explore ~sut ~properties:(nobody_decided :: properties)
-          (Explorer.config ~symmetry ~depth:(first + 1) ())
+          (Explorer.config ~symmetry ~prune_fingerprints ~depth:(first + 1) ())
       in
       let label =
-        Printf.sprintf "n=%d @%d%s" n (first + 1) (if symmetry then ", symmetry" else "")
+        Printf.sprintf "n=%d @%d%s%s" n (first + 1)
+          (if symmetry then ", symmetry" else "")
+          (if prune_fingerprints then "" else ", fingerprints off")
       in
       (match List.assoc "nobody decided" r.Explorer.verdicts with
       | Explorer.Violated { schedule; _ } ->
@@ -1661,7 +1819,12 @@ let test_kset_decides () =
       | Explorer.Ok_bounded -> Alcotest.failf "%s: nobody decided" label);
       Alcotest.(check (list string))
         (label ^ ": agreement and validity hold") [ "nobody decided" ] (violated_names r))
-    [ (2, `Distinct, false, 17); (3, `Distinct, false, 27); (3, `Equal 7, true, 27) ]
+    [
+      (2, `Distinct, false, true, 17);
+      (3, `Distinct, false, true, 27);
+      (3, `Equal 7, true, true, 27);
+      (3, `Distinct, false, false, 27);
+    ]
 
 (* exact fingerprints visit the same states on every depth-first engine
    and breadth-first *)
@@ -1679,17 +1842,17 @@ let test_exact_counts () =
         Alcotest.(check (list string)) (label ^ ": verdicts") [] (violated_names r))
       configs
   in
-  counts "kset n=3 @12" (kset_sut ~n:3 ~inputs:`Distinct) ~depth:12 533
+  counts "kset n=3 @12" (kset_sut ~n:3 ~inputs:`Distinct) ~depth:12 455
     [
       ("snapshot", None, None, None);
       ("per-state", None, Some Explorer.Per_state, None);
       ("bfs", Some Explorer.Bfs, None, None);
     ];
-  counts "detector n=3 @13" (detector_sut ~n:3) ~depth:13 650 [ ("snapshot", None, None, None) ];
+  counts "detector n=3 @13" (detector_sut ~n:3) ~depth:13 560 [ ("snapshot", None, None, None) ];
   (* the solver's only renaming is the identity: symmetry visits what
      plain fingerprints do *)
   counts "kset n=3 @10 equal inputs, symmetry" (kset_sut ~n:3 ~inputs:(`Equal 7)) ~depth:10
-    ~symmetry:true 341
+    ~symmetry:true 286
     [
       ("snapshot", None, None, None);
       ("per-state", None, Some Explorer.Per_state, None);
@@ -2187,6 +2350,27 @@ let test_net_digest_counts () =
       Alcotest.(check int) (label ^ " fp-pruned") fp_pruned s.Budget.pruned_fingerprint)
     [ (2, 11, 757, 61); (3, 7, 592, 35) ]
 
+(* Commutation on a net sut is refused before the run: the network's
+   clock and its adversary's delivery decisions live outside the
+   store's footprints. The default config has sleep sets on. *)
+let test_net_sleep_sets_refused () =
+  let sut =
+    Setsync_net.Net_systems.ct_leader ~clients:2
+      ~adversary:(Setsync_net.Adversary.gst_drop ~delta:1 ~gst:4)
+      ()
+  in
+  match Explorer.explore ~sut ~properties:[] (Explorer.config ~depth:4 ()) with
+  | _ -> Alcotest.fail "sleep sets accepted on a net sut"
+  | exception Invalid_argument msg ->
+      Alcotest.(check bool)
+        ("names the cause: " ^ msg)
+        true
+        (String.starts_with
+           ~prefix:
+             "Explorer.explore: commutation (sleep_sets) is unsound on a sut with a \
+              substrate"
+           msg)
+
 (* The [Path] walk on the machine-less net systems, fingerprints and
    sleep sets off (as the CLI runs them): one replay per pool item, one
    replay step per advance. Visited, replays and replay steps are the
@@ -2321,112 +2505,112 @@ let test_machine_savepoints () =
 let golden_stats =
   [
     ( "detector", Explorer.Per_state, 1, true, false,
-      [ 49; 3; 24; 0; 73; 408; 0; 0 ],
+      [ 45; 0; 28; 0; 73; 408; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 1; 0 ]; [ 3; 4; 0; 2 ]; [ 4; 6; 1; 2 ];
-        [ 5; 6; 0; 4 ]; [ 6; 8; 1; 4 ]; [ 7; 8; 0; 6 ]; [ 8; 10; 0; 6 ];
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 3; 0; 1 ]; [ 3; 4; 0; 2 ]; [ 4; 5; 0; 3 ];
+        [ 5; 6; 0; 4 ]; [ 6; 7; 0; 5 ]; [ 7; 8; 0; 6 ]; [ 8; 9; 0; 7 ];
       ] );
     ( "detector", Explorer.Per_state, 1, false, false,
-      [ 135; 0; 44; 0; 179; 1138; 0; 0 ],
+      [ 45; 0; 28; 0; 73; 408; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
-        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 3; 0; 1 ]; [ 3; 4; 0; 2 ]; [ 4; 5; 0; 3 ];
+        [ 5; 6; 0; 4 ]; [ 6; 7; 0; 5 ]; [ 7; 8; 0; 6 ]; [ 8; 9; 0; 7 ];
       ] );
     ( "detector", Explorer.Per_state, 2, false, false,
-      [ 135; 0; 44; 0; 179; 1138; 0; 0 ],
+      [ 45; 0; 28; 0; 73; 408; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
-        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 3; 0; 1 ]; [ 3; 4; 0; 2 ]; [ 4; 5; 0; 3 ];
+        [ 5; 6; 0; 4 ]; [ 6; 7; 0; 5 ]; [ 7; 8; 0; 6 ]; [ 8; 9; 0; 7 ];
       ] );
     ( "detector (fibers)", Explorer.Path, 1, false, false,
-      [ 135; 0; 44; 0; 90; 658; 0; 0 ],
+      [ 45; 0; 28; 0; 37; 240; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
-        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 3; 0; 1 ]; [ 3; 4; 0; 2 ]; [ 4; 5; 0; 3 ];
+        [ 5; 6; 0; 4 ]; [ 6; 7; 0; 5 ]; [ 7; 8; 0; 6 ]; [ 8; 9; 0; 7 ];
       ] );
     ( "detector (fibers)", Explorer.Path, 2, false, false,
-      [ 135; 0; 44; 0; 90; 658; 0; 0 ],
+      [ 45; 0; 28; 0; 37; 240; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
-        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 3; 0; 1 ]; [ 3; 4; 0; 2 ]; [ 4; 5; 0; 3 ];
+        [ 5; 6; 0; 4 ]; [ 6; 7; 0; 5 ]; [ 7; 8; 0; 6 ]; [ 8; 9; 0; 7 ];
       ] );
     ( "detector", Explorer.Snapshot, 1, true, false,
-      [ 49; 3; 24; 0; 0; 0; 72; 72 ],
+      [ 45; 0; 28; 0; 0; 0; 72; 72 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 1; 0 ]; [ 3; 4; 0; 2 ]; [ 4; 6; 1; 2 ];
-        [ 5; 6; 0; 4 ]; [ 6; 8; 1; 4 ]; [ 7; 8; 0; 6 ]; [ 8; 10; 0; 6 ];
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 3; 0; 1 ]; [ 3; 4; 0; 2 ]; [ 4; 5; 0; 3 ];
+        [ 5; 6; 0; 4 ]; [ 6; 7; 0; 5 ]; [ 7; 8; 0; 6 ]; [ 8; 9; 0; 7 ];
       ] );
     ( "detector", Explorer.Snapshot, 1, false, false,
-      [ 135; 0; 44; 0; 0; 0; 178; 178 ],
+      [ 45; 0; 28; 0; 0; 0; 72; 72 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
-        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 3; 0; 1 ]; [ 3; 4; 0; 2 ]; [ 4; 5; 0; 3 ];
+        [ 5; 6; 0; 4 ]; [ 6; 7; 0; 5 ]; [ 7; 8; 0; 6 ]; [ 8; 9; 0; 7 ];
       ] );
     ( "detector", Explorer.Snapshot, 2, false, false,
-      [ 135; 0; 44; 0; 0; 0; 182; 172 ],
+      [ 45; 0; 28; 0; 0; 0; 76; 66 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 6; 0; 2 ]; [ 4; 10; 0; 2 ];
-        [ 5; 14; 0; 6 ]; [ 6; 22; 0; 6 ]; [ 7; 30; 0; 14 ]; [ 8; 46; 0; 14 ];
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 3; 0; 1 ]; [ 3; 4; 0; 2 ]; [ 4; 5; 0; 3 ];
+        [ 5; 6; 0; 4 ]; [ 6; 7; 0; 5 ]; [ 7; 8; 0; 6 ]; [ 8; 9; 0; 7 ];
       ] );
     ( "detector", Explorer.Snapshot, 1, true, true,
-      [ 49; 3; 24; 0; 0; 0; 72; 72 ],
+      [ 45; 0; 28; 0; 0; 0; 72; 72 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 1; 0 ]; [ 3; 4; 0; 2 ]; [ 4; 6; 1; 2 ];
-        [ 5; 6; 0; 4 ]; [ 6; 8; 1; 4 ]; [ 7; 8; 0; 6 ]; [ 8; 10; 0; 6 ];
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 3; 0; 1 ]; [ 3; 4; 0; 2 ]; [ 4; 5; 0; 3 ];
+        [ 5; 6; 0; 4 ]; [ 6; 7; 0; 5 ]; [ 7; 8; 0; 6 ]; [ 8; 9; 0; 7 ];
       ] );
     ( "kset", Explorer.Per_state, 1, true, false,
-      [ 60; 10; 28; 88; 88; 337; 0; 0 ],
+      [ 46; 0; 42; 88; 88; 337; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 3; 0 ]; [ 3; 11; 2; 6 ]; [ 4; 17; 5; 8 ];
-        [ 5; 19; 0; 14 ];
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
+        [ 5; 15; 0; 18 ];
       ] );
     ( "kset", Explorer.Per_state, 1, false, false,
-      [ 154; 0; 50; 204; 204; 868; 0; 0 ],
+      [ 46; 0; 42; 88; 88; 337; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
-        [ 5; 80; 0; 29 ];
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
+        [ 5; 15; 0; 18 ];
       ] );
     ( "kset", Explorer.Per_state, 2, false, false,
-      [ 154; 0; 50; 204; 204; 868; 0; 0 ],
+      [ 46; 0; 42; 88; 88; 337; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
-        [ 5; 80; 0; 29 ];
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
+        [ 5; 15; 0; 18 ];
       ] );
     ( "kset (fibers)", Explorer.Per_state, 1, false, false,
-      [ 154; 0; 50; 204; 204; 868; 0; 0 ],
+      [ 46; 0; 42; 88; 88; 337; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
-        [ 5; 80; 0; 29 ];
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
+        [ 5; 15; 0; 18 ];
       ] );
     ( "kset (fibers)", Explorer.Per_state, 2, false, false,
-      [ 154; 0; 50; 204; 204; 868; 0; 0 ],
+      [ 46; 0; 42; 88; 88; 337; 0; 0 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
-        [ 5; 80; 0; 29 ];
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
+        [ 5; 15; 0; 18 ];
       ] );
     ( "kset", Explorer.Snapshot, 1, true, false,
-      [ 60; 10; 28; 88; 0; 0; 87; 87 ],
+      [ 46; 0; 42; 88; 0; 0; 87; 87 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 3; 0 ]; [ 3; 11; 2; 6 ]; [ 4; 17; 5; 8 ];
-        [ 5; 19; 0; 14 ];
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
+        [ 5; 15; 0; 18 ];
       ] );
     ( "kset", Explorer.Snapshot, 1, false, false,
-      [ 154; 0; 50; 204; 0; 0; 203; 203 ],
+      [ 46; 0; 42; 88; 0; 0; 87; 87 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
-        [ 5; 80; 0; 29 ];
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
+        [ 5; 15; 0; 18 ];
       ] );
     ( "kset", Explorer.Snapshot, 2, false, false,
-      [ 154; 0; 50; 204; 0; 0; 212; 191 ],
+      [ 46; 0; 42; 88; 0; 0; 96; 75 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 0; 0 ]; [ 3; 20; 0; 6 ]; [ 4; 41; 0; 15 ];
-        [ 5; 80; 0; 29 ];
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
+        [ 5; 15; 0; 18 ];
       ] );
     ( "kset", Explorer.Snapshot, 1, true, true,
-      [ 60; 10; 28; 88; 0; 0; 87; 87 ],
+      [ 46; 0; 42; 88; 0; 0; 87; 87 ],
       [
-        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 9; 3; 0 ]; [ 3; 11; 2; 6 ]; [ 4; 17; 5; 8 ];
-        [ 5; 19; 0; 14 ];
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
+        [ 5; 15; 0; 18 ];
       ] );
   ]
 
@@ -2655,6 +2839,8 @@ let () =
           Alcotest.test_case "footprint overflow at 65 accesses" `Quick
             test_count_footprint_overflow;
           Alcotest.test_case "double writer, brute" `Quick test_count_double_brute;
+          Alcotest.test_case "two reads commute, a write conflicts" `Quick
+            test_count_conflicts;
           Alcotest.test_case "double writer, fingerprints" `Quick
             test_count_double_fingerprint;
         ] );
@@ -2797,6 +2983,8 @@ let () =
             test_net_digest_counts;
           Alcotest.test_case "path walk on the machine-less net systems" `Quick
             test_net_path_walk;
+          Alcotest.test_case "sleep sets refused on a net sut" `Quick
+            test_net_sleep_sets_refused;
           Alcotest.test_case "machine savepoints: repeat restores, saved-over depths raise"
             `Quick test_machine_savepoints;
           Alcotest.test_case "evaluate replays faithfully" `Quick

@@ -41,11 +41,11 @@ let test_store_array_matrix () =
   Alcotest.(check string) "matrix name" "m[1][2]" (Register.name m.(1).(2));
   Alcotest.(check int) "register count" 10 (Store.register_count store)
 
-(* The store's hook sees the id of every counted access, and nothing
-   of observer reads and writes or savepoint restores. *)
+(* The store's hook sees the id and mode of every counted access, and
+   nothing of observer reads and writes or savepoint restores. *)
 let test_store_access_hook () =
   let seen = ref [] in
-  let store = Store.create ~hook:(fun id -> seen := id :: !seen) () in
+  let store = Store.create ~hook:(fun id mode -> seen := (id, mode) :: !seen) () in
   let a = Store.register store ~name:"a" 0 in
   let b = Store.register store ~name:"b" 0 in
   let restore = Store.save store in
@@ -58,7 +58,10 @@ let test_store_access_hook () =
   ignore (Store.snapshot store);
   Alcotest.(check (list int)) "counted accesses, in order"
     [ Register.id b; Register.id a; Register.id b ]
-    (List.rev !seen)
+    (List.rev_map fst !seen);
+  Alcotest.(check (list bool)) "their modes: write b, read a, read b"
+    [ true; false; false ]
+    (List.rev_map (fun (_, mode) -> mode = Register.Write) !seen)
 
 (* Checkpoints are a stack over per-depth buffers: one restores any
    number of times, including a float register and a register

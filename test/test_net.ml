@@ -505,7 +505,7 @@ let test_kanti_cross_backend () =
   let shm_len = 40 in
   (* shared-memory run, noting one register access per step *)
   let last = ref (-1) in
-  let store = Store.create ~hook:(fun id -> last := id) () in
+  let store = Store.create ~hook:(fun id _ -> last := id) () in
   let shared = Kanti_omega.create_shared store params in
   let machine = Kanti_omega.machine shared params in
   let procs = Kanti_omega.processes machine in
