@@ -157,7 +157,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> its JSONL validates (b
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, a net k-set violation prints its reason on one line, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run, path replay with its pinned steps on net CT), a replay-capped net run spends at most its step cap, explore --progress prints the run's counts ([Ns] visited ..., frontier peak F) with the movement of the engine that ran from its first line, exact fingerprints visit the pinned count on a kset check, a fingerprint-off kset check one step past the first decision (depth 28, where two reads commute) runs to its pinned count, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets, k > t kset requests and adaptive solves with t < k included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs, a short adaptive solve on an unsolvable cell, a seeded shm fd run with a crash, a trivially solvable solve and a net paxos solve stay pinned
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, a net k-set violation prints its reason on one line, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run, path replay with its pinned steps on net CT), the n=3 net CT tree the explore benchmark walks keeps its pinned visited and replay counts, a replay-capped net run spends at most its step cap, explore --progress prints the run's counts ([Ns] visited ..., frontier peak F) with the movement of the engine that ran from its first line, exact fingerprints visit the pinned count on a kset check, a fingerprint-off kset check one step past the first decision (depth 28, where two reads commute) runs to its pinned count, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets, k > t kset requests and adaptive solves with t < k included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs, a short adaptive solve on an unsolvable cell, a seeded shm fd run with a crash, a trivially solvable solve and a net paxos solve stay pinned
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -195,6 +195,8 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	expect 0 explore --backend net --check detector -n 2 --depth 10 --domains 2 --search-summary -; \
 	stdout_has '"engine":"path"'; \
 	stdout_has '"replay_steps":10240,'; \
+	expect 0 explore --backend net --check detector -n 3 --depth 9; \
+	stdout_has '^visited 29524 (fp-pruned 0, commute-pruned 0, safety-checked 0) replays 19683/177147 steps'; \
 	expect 0 explore --backend net --check detector -n 2 --depth 12 --max-replay-steps 100; \
 	stdout_has '^visited [0-9]* (.*) replays [0-9]*/\([0-9]\|[1-9][0-9]\|100\) steps, .*TRUNCATED'; \
 	expect 0 explore --check kset -n 3 -t 1 -k 1 --depth 7 --progress 0.000001; \

@@ -519,14 +519,16 @@ let e11_engines () =
    engine-independent): replay steps drop to exactly zero — state
    reconstruction is typed copy/restore, accounted separately as
    machine steps and restores. Part two checks the
-   equal-inputs instance at depth 10 with fingerprints keyed by the
+   equal-inputs instance at depth 20 with fingerprints keyed by the
    machine payload, first under the identity alone and then with
    symmetry reduction on. The solver's only renaming is the identity
    (its scans run in a fixed order and line 4 breaks ties by set
    index, so no other renaming maps transitions to transitions), so
    the symmetric run must visit exactly what plain fingerprints visit.
+   Two reads commute, so fingerprints first prune at depth 17: the row
+   runs at depth 20, where they prune 9 and plain < fp-off.
    `make ci` pins replay_steps = 0, engine equivalence, exhaustive runs
-   with the same verdicts, and sym = plain <= fp-off
+   with the same verdicts, and sym = plain < fp-off
    (bin/bench_guard.ml). *)
 let e11_snapshot () =
   subsection "f. snapshot engine: zero replay steps; symmetry adds nothing on k-set";
@@ -584,7 +586,7 @@ let e11_snapshot () =
         ])
     [ (2, 8); (3, 8) ];
   (* part two: symmetry on the equal-inputs instance *)
-  let n = 3 and depth = 10 in
+  let n = 3 and depth = 20 in
   let problem = Problem.make ~t:1 ~k:1 ~n in
   let inputs = Array.make n 7 in
   let sut = Explore_systems.kset_agreement ~problem ~inputs () in

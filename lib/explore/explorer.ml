@@ -129,20 +129,24 @@ let footprint_of buf c =
    (register, mode) entry per access in a reused buffer and allocates
    nothing; each call of the meter returns the footprint of the
    accesses since the previous call. Every engine measures a step's
-   footprint through one of these. *)
-let footprint_meter () =
-  let buf = Array.make meter_capacity 0 and count = ref 0 in
-  let hook id (mode : Setsync_memory.Register.mode) =
-    let c = !count in
-    if c < meter_capacity then
-      buf.(c) <- (id lsl 1) lor (match mode with Read -> 0 | Write -> 1);
-    count := c + 1
-  in
-  ( hook,
-    fun () ->
+   footprint through one of these when commutation is on; with it off
+   nothing reads a footprint, so no hook is installed and the meter
+   returns a constant. *)
+let footprint_meter ~sleep_sets =
+  if not sleep_sets then (None, fun () -> [||])
+  else
+    let buf = Array.make meter_capacity 0 and count = ref 0 in
+    let hook id (mode : Setsync_memory.Register.mode) =
       let c = !count in
-      count := 0;
-      if c > meter_capacity then unknown_footprint else footprint_of buf c )
+      if c < meter_capacity then
+        buf.(c) <- (id lsl 1) lor (match mode with Read -> 0 | Write -> 1);
+      count := c + 1
+    in
+    ( Some hook,
+      fun () ->
+        let c = !count in
+        count := 0;
+        if c > meter_capacity then unknown_footprint else footprint_of buf c )
 
 let snapshot_of store (inst : _ instance) =
   Store.snapshot store
@@ -673,10 +677,11 @@ type 'obs engine = {
   e_tick : unit -> unit;  (* the progress heartbeat, shared by every worker *)
   e_ev : Events.t option;  (* event sink, [None] when tracing is off *)
   e_worker : int;  (* worker id: its deque and event stamp *)
-  e_hook : Setsync_memory.Register.hook;
+  e_hook : Setsync_memory.Register.hook option;
   e_footprint : unit -> footprint;
       (* this worker's footprint meter: every instance it builds reports
-         to [e_hook]; [fresh_mirror] clears it for a new instance *)
+         to [e_hook] ([None] with commutation off); [fresh_mirror]
+         clears it for a new instance *)
 }
 
 let emit eng name args =
@@ -689,7 +694,7 @@ let push eng item = Parallel.Pool.push eng.e_pool ~worker:eng.e_worker item
 (* a mirror of a fresh instance that reports to the worker's meter *)
 let fresh_mirror eng =
   ignore (eng.e_footprint ());
-  Mirror.make ~sut:eng.e_sut ~fault:eng.e_config.fault ~hook:eng.e_hook ()
+  Mirror.make ~sut:eng.e_sut ~fault:eng.e_config.fault ?hook:eng.e_hook ()
 
 let frontier_size eng = Parallel.Pool.frontier_size eng.e_pool + !(eng.e_pending)
 
@@ -1101,7 +1106,7 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
   let fingerprints = Parallel.Shard_tbl.create () in
   let engines =
     Array.init domains (fun wid ->
-        let hook, footprint = footprint_meter () in
+        let hook, footprint = footprint_meter ~sleep_sets:config.sleep_sets in
         {
           e_sut = sut;
           e_config = config;

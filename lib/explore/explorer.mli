@@ -209,7 +209,9 @@ type config = {
           [Invalid_argument] when it is on and the sut's instances
           have a substrate: a network's clock and its adversary's
           delivery decisions live outside the store, so its footprints
-          under-approximate what a step depends on. *)
+          under-approximate what a step depends on. With it off, the
+          instances the explorer builds get no store access hook and
+          no step's footprint is metered. *)
   engine : engine_kind;
   symmetry : bool;
       (** process-renaming symmetry reduction, on every engine:

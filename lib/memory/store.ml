@@ -56,7 +56,23 @@ let register t ?pp ?(hash = hash) ~name init =
       t.cells <- Some (Cell { reg; hash_of = hash; seen = v; hash = hash v } :: cells));
   reg
 
-let index name i = name ^ "[" ^ string_of_int i ^ "]"
+(* the length of "[i]", for [i >= 0] *)
+let rec index_width i = if i < 10 then 3 else 1 + index_width (i / 10)
+
+(* write the digits of [i] and then "[" into [b], leftwards from [pos] *)
+let rec put_digits b pos i =
+  Bytes.set b pos (Char.chr (Char.code '0' + (i mod 10)));
+  if i >= 10 then put_digits b (pos - 1) (i / 10) else Bytes.set b (pos - 1) '['
+
+(* the bytes of [name ^ "[" ^ string_of_int i ^ "]"], written into one
+   exact-length string *)
+let index name i =
+  let len = String.length name in
+  let b = Bytes.create (len + index_width i) in
+  Bytes.blit_string name 0 b 0 len;
+  Bytes.set b (Bytes.length b - 1) ']';
+  put_digits b (Bytes.length b - 2) i;
+  Bytes.unsafe_to_string b
 
 let array t ?pp ?hash ~name len init =
   Array.init len (fun idx -> register t ?pp ?hash ~name:(index name idx) (init idx))

@@ -41,7 +41,10 @@ val array :
   (int -> 'a) ->
   'a Register.t array
 (** [array t ~name len init] allocates registers [name[0]] …
-    [name[len-1]] with [init idx] as initial values. *)
+    [name[len-1]] with [init idx] as initial values. Each name is
+    byte for byte [name ^ "[" ^ string_of_int idx ^ "]"] (what
+    routed-register owners, {!Layout} and snapshots key on), written
+    straight into one string of its exact length. *)
 
 val matrix :
   t ->
@@ -52,7 +55,8 @@ val matrix :
   cols:int ->
   (int -> int -> 'a) ->
   'a Register.t array array
-(** Two-dimensional bank, [name[r][c]]. *)
+(** Two-dimensional bank, [name[r][c]], each name written as
+    {!array} writes its own (byte-identical to the concatenation). *)
 
 val register_count : t -> int
 

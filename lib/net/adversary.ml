@@ -22,45 +22,47 @@ type verdict = {
   pre_gst : bool;
 }
 
-(* Where a message sent [now] lands, before FIFO clamping. Pre-GST the
-   adversary is unconstrained except that nothing outlives GST + Δ:
-   even a pre-GST send must arrive within Δ of GST (DLS semantics —
-   the bound holds for all messages in flight at GST). [gst = max_int]
-   encodes "GST never happens": skip the cap instead of overflowing.
+(* Where a message sent [now] lands, before FIFO clamping, given the
+   adversary's [action]; [-1] for a drop. Pre-GST the adversary is
+   unconstrained except that nothing outlives GST + Δ: even a pre-GST
+   send must arrive within Δ of GST (DLS semantics — the bound holds
+   for all messages in flight at GST). [gst = max_int] encodes "GST
+   never happens": skip the cap instead of overflowing. After GST
+   every message is delivered within Δ, drops included. *)
+let land_at t ~now = function
+  | Drop -> if now >= t.gst then now + t.delta else -1
+  | Deliver d ->
+      let r = max 1 d in
+      if now >= t.gst then now + min r t.delta
+      else if t.gst > max_int - t.delta - 1 then now + r
+      else min (now + r) (t.gst + t.delta)
 
-   [due_explained] additionally attributes the outcome: what the
-   adversary asked for ([requested], already floored at 1), how many
-   ticks the model refused to grant ([denied], the Δ-clamp after GST or
-   the gst+Δ cap before it), and whether a post-GST drop was overridden
-   into a Δ delivery ([forced]). Invariant when [due_at = Some at]:
+let due_tick t ~now ~src ~dst ~seq = land_at t ~now (t.decide ~now ~src ~dst ~seq)
+
+let due t ~now ~src ~dst ~seq =
+  match due_tick t ~now ~src ~dst ~seq with -1 -> None | at -> Some at
+
+(* [due] plus the outcome's attribution: what the adversary asked for
+   ([requested], already floored at 1), how many ticks the model
+   refused to grant ([denied], the Δ-clamp after GST or the gst+Δ cap
+   before it), and whether a post-GST drop was overridden into a Δ
+   delivery ([forced]). Invariant when [due_at = Some at]:
    [at - now = (if forced then delta else requested - denied)]. *)
 let due_explained t ~now ~src ~dst ~seq =
-  let delay d = max 1 d in
-  if now >= t.gst then
-    (* after GST every message is delivered within Δ, drops included *)
-    match t.decide ~now ~src ~dst ~seq with
-    | Drop ->
-        {
-          due_at = Some (now + t.delta);
-          requested = None;
-          denied = 0;
-          forced = true;
-          pre_gst = false;
-        }
-    | Deliver d ->
-        let r = delay d in
-        let s = min r t.delta in
-        { due_at = Some (now + s); requested = Some r; denied = r - s; forced = false; pre_gst = false }
-  else
-    match t.decide ~now ~src ~dst ~seq with
-    | Drop -> { due_at = None; requested = None; denied = 0; forced = false; pre_gst = true }
-    | Deliver d ->
-        let r = delay d in
-        let at = now + r in
-        let at = if t.gst > max_int - t.delta - 1 then at else min at (t.gst + t.delta) in
-        { due_at = Some at; requested = Some r; denied = now + r - at; forced = false; pre_gst = true }
-
-let due t ~now ~src ~dst ~seq = (due_explained t ~now ~src ~dst ~seq).due_at
+  let action = t.decide ~now ~src ~dst ~seq in
+  let at = land_at t ~now action and pre_gst = now < t.gst in
+  match action with
+  | Drop ->
+      {
+        due_at = (if at < 0 then None else Some at);
+        requested = None;
+        denied = 0;
+        forced = not pre_gst;
+        pre_gst;
+      }
+  | Deliver d ->
+      let r = max 1 d in
+      { due_at = Some at; requested = Some r; denied = now + r - at; forced = false; pre_gst }
 
 let synchronous ~delta =
   make ~name:"synchronous" ~delta ~gst:0 (fun ~now:_ ~src:_ ~dst:_ ~seq:_ -> Deliver 1)

@@ -47,8 +47,13 @@ val due :
   t -> now:int -> src:Setsync_schedule.Proc.t -> dst:Setsync_schedule.Proc.t -> seq:int -> int option
 (** Delivery tick for a message sent at [now], with the Δ/GST contract
     applied on top of [decide]; [None] means dropped (only possible
-    before GST). Exposed for tests; {!Net.send} applies it plus the
-    FIFO clamp. *)
+    before GST). Exposed for tests; {!Net.send} applies the same
+    rule ({!due_tick}) plus the FIFO clamp. *)
+
+val due_tick :
+  t -> now:int -> src:Setsync_schedule.Proc.t -> dst:Setsync_schedule.Proc.t -> seq:int -> int
+(** {!due} without the option: [-1] for a drop. What {!Net} asks per
+    send, allocating nothing. *)
 
 type verdict = {
   due_at : int option;  (** as returned by {!due} *)

@@ -63,7 +63,7 @@ type t = {
   mutable delivered : int;
   mutable dropped : int;
   mutable in_flight : int;
-  current : Proc.t option ref;
+  mutable current : int;  (* the stepping process, [-1] before the first step *)
   meters : meters option;
   ev : Events.t option;
   (* per-granted-step hook, run at the end of [pre_step] after the
@@ -129,7 +129,7 @@ let create ?obs ~store ~n ~adversary () =
     delivered = 0;
     dropped = 0;
     in_flight = 0;
-    current = ref None;
+    current = -1;
     meters;
     ev;
     step_hook = None;
@@ -142,9 +142,8 @@ let adversary t = t.adversary
 let now t = Register.peek t.clock
 
 let current t =
-  match !(t.current) with
-  | Some p -> p
-  | None -> invalid_arg "Net: no process is stepping (primitive used outside a run?)"
+  if t.current < 0 then invalid_arg "Net: no process is stepping (primitive used outside a run?)";
+  t.current
 
 let key_args m =
   [
@@ -183,8 +182,8 @@ let enqueue t ~src ~dst payload =
         ~args:(key_args m @ [ ("step", Json.Int now) ])
         ~cat:"net" "send"
   | None -> ());
-  match Adversary.due t.adversary ~now ~src ~dst ~seq with
-  | None ->
+  match Adversary.due_tick t.adversary ~now ~src ~dst ~seq with
+  | -1 ->
       t.dropped <- t.dropped + 1;
       (match t.meters with Some ms -> Metrics.incr ms.dropped_c | None -> ());
       (match t.ev with
@@ -193,7 +192,7 @@ let enqueue t ~src ~dst payload =
             ~args:(key_args m @ [ ("step", Json.Int now); ("pre_gst", Json.Bool true) ])
             ~cat:"net" "drop"
       | None -> ())
-  | Some at0 ->
+  | at0 ->
       let q = Register.peek t.chans.(src).(dst) in
       let id = (src * t.n) + dst in
       (* FIFO: never overtake the message already at the tail *)
@@ -324,7 +323,7 @@ let flush t ~clock =
 
 let pre_step t ~global ~proc =
   Register.poke t.clock global;
-  t.current := Some proc;
+  t.current <- proc;
   if (not t.gst_passed) && global >= t.adversary.Adversary.gst then begin
     t.gst_passed <- true;
     match t.ev with

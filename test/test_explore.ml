@@ -2501,7 +2501,13 @@ let test_machine_savepoints () =
    machine rows'. With fingerprints on, a machine form's state is its
    payload: the plain-fingerprint rows visit what the symmetry rows do
    on these instances, whose admissible renamings are the identity
-   alone. *)
+   alone. Two reads commute, so those instances are too shallow for
+   fingerprints to prune: "kset (equal inputs)" (n=3, every input 7,
+   depth 20, no crash plan) is deep enough to, and pins the gate. The
+   "ct (net)" rows (CT over the network, n=2, depth 8) run the
+   commutation-off path: a sut with a substrate refuses sleep sets, so
+   no footprint is metered, and with fingerprints on its states key on
+   their [digest]. *)
 let golden_stats =
   [
     ( "detector", Explorer.Per_state, 1, true, false,
@@ -2612,6 +2618,57 @@ let golden_stats =
         [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 9; 0; 8 ]; [ 4; 12; 0; 13 ];
         [ 5; 15; 0; 18 ];
       ] );
+    ( "ct (net)", Explorer.Path, 1, false, false,
+      [ 511; 0; 0; 0; 256; 2048; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 8; 0; 0 ]; [ 4; 16; 0; 0 ];
+        [ 5; 32; 0; 0 ]; [ 6; 64; 0; 0 ]; [ 7; 128; 0; 0 ]; [ 8; 256; 0; 0 ];
+      ] );
+    ( "ct (net)", Explorer.Path, 2, false, false,
+      [ 511; 0; 0; 0; 256; 2048; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 8; 0; 0 ]; [ 4; 16; 0; 0 ];
+        [ 5; 32; 0; 0 ]; [ 6; 64; 0; 0 ]; [ 7; 128; 0; 0 ]; [ 8; 256; 0; 0 ];
+      ] );
+    ( "ct (net)", Explorer.Per_state, 1, false, false,
+      [ 511; 0; 0; 0; 511; 3586; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 0; 0 ]; [ 3; 8; 0; 0 ]; [ 4; 16; 0; 0 ];
+        [ 5; 32; 0; 0 ]; [ 6; 64; 0; 0 ]; [ 7; 128; 0; 0 ]; [ 8; 256; 0; 0 ];
+      ] );
+    ( "ct (net)", Explorer.Path, 1, true, false,
+      [ 139; 8; 0; 0; 70; 528; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 2; 0; 0 ]; [ 2; 4; 1; 0 ]; [ 3; 6; 3; 0 ]; [ 4; 6; 1; 0 ];
+        [ 5; 10; 2; 0 ]; [ 6; 16; 0; 0 ]; [ 7; 32; 1; 0 ]; [ 8; 62; 0; 0 ];
+      ] );
+    ( "kset (equal inputs)", Explorer.Snapshot, 1, false, false,
+      [ 2116; 0; 3039; 5155; 0; 0; 5154; 5154 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 10; 0; 8 ]; [ 4; 15; 0; 15 ];
+        [ 5; 21; 0; 24 ]; [ 6; 28; 0; 35 ]; [ 7; 36; 0; 48 ]; [ 8; 45; 0; 63 ];
+        [ 9; 55; 0; 80 ]; [ 10; 66; 0; 99 ]; [ 11; 78; 0; 120 ]; [ 12; 91; 0; 143 ];
+        [ 13; 105; 0; 168 ]; [ 14; 120; 0; 195 ]; [ 15; 138; 0; 222 ]; [ 16; 162; 0; 252 ];
+        [ 17; 195; 0; 291 ]; [ 18; 240; 0; 345 ]; [ 19; 303; 0; 417 ]; [ 20; 398; 0; 511 ];
+      ] );
+    ( "kset (equal inputs)", Explorer.Snapshot, 1, true, false,
+      [ 2079; 9; 3016; 5095; 0; 0; 5094; 5094 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 10; 0; 8 ]; [ 4; 15; 0; 15 ];
+        [ 5; 21; 0; 24 ]; [ 6; 28; 0; 35 ]; [ 7; 36; 0; 48 ]; [ 8; 45; 0; 63 ];
+        [ 9; 55; 0; 80 ]; [ 10; 66; 0; 99 ]; [ 11; 78; 0; 120 ]; [ 12; 91; 0; 143 ];
+        [ 13; 105; 0; 168 ]; [ 14; 120; 0; 195 ]; [ 15; 138; 0; 222 ]; [ 16; 162; 0; 252 ];
+        [ 17; 195; 1; 291 ]; [ 18; 238; 3; 344 ]; [ 19; 294; 5; 411 ]; [ 20; 372; 0; 495 ];
+      ] );
+    ( "kset (equal inputs)", Explorer.Per_state, 1, true, false,
+      [ 2079; 9; 3016; 5095; 5095; 79557; 0; 0 ],
+      [
+        [ 0; 1; 0; 0 ]; [ 1; 3; 0; 0 ]; [ 2; 6; 0; 3 ]; [ 3; 10; 0; 8 ]; [ 4; 15; 0; 15 ];
+        [ 5; 21; 0; 24 ]; [ 6; 28; 0; 35 ]; [ 7; 36; 0; 48 ]; [ 8; 45; 0; 63 ];
+        [ 9; 55; 0; 80 ]; [ 10; 66; 0; 99 ]; [ 11; 78; 0; 120 ]; [ 12; 91; 0; 143 ];
+        [ 13; 105; 0; 168 ]; [ 14; 120; 0; 195 ]; [ 15; 138; 0; 222 ]; [ 16; 162; 0; 252 ];
+        [ 17; 195; 1; 291 ]; [ 18; 238; 3; 344 ]; [ 19; 294; 5; 411 ]; [ 20; 372; 0; 495 ];
+      ] );
   ]
 
 let golden_explore system =
@@ -2629,6 +2686,25 @@ let golden_explore system =
       in
       fun ~domains config ->
         Explorer.explore ~domains ~sut:(mk_sut ()) ~properties (config ~depth:8 ~fault:[])
+  | "ct (net)" ->
+      let adversary = Setsync_net.Adversary.gst_drop ~delta:1 ~gst:4 in
+      let properties = [ Setsync_net.Net_systems.ct_stabilized ~delta:1 ] in
+      fun ~domains config ->
+        Explorer.explore ~domains
+          ~sut:(Setsync_net.Net_systems.ct_leader ~clients:2 ~adversary ())
+          ~properties
+          { (config ~depth:8 ~fault:[]) with Explorer.sleep_sets = false }
+  | "kset (equal inputs)" ->
+      let problem = Setsync_agreement.Problem.make ~t:1 ~k:1 ~n:3 in
+      let inputs = Array.make 3 7 in
+      let decisions st = st.Explorer.obs.Systems.decisions in
+      let properties =
+        [ Property.kset_agreement ~k:1 ~decisions; Property.validity ~inputs ~decisions ]
+      in
+      fun ~domains config ->
+        Explorer.explore ~domains
+          ~sut:(Systems.kset_agreement ~problem ~inputs ())
+          ~properties (config ~depth:20 ~fault:[])
   | _ ->
       let problem = Setsync_agreement.Problem.make ~t:1 ~k:1 ~n:3 in
       let inputs = Setsync_agreement.Problem.distinct_inputs problem in

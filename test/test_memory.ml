@@ -39,7 +39,16 @@ let test_store_array_matrix () =
   let m = Store.matrix store ~name:"m" ~rows:2 ~cols:3 (fun r c -> (r * 10) + c) in
   Alcotest.(check int) "matrix value" 12 (Register.peek m.(1).(2));
   Alcotest.(check string) "matrix name" "m[1][2]" (Register.name m.(1).(2));
-  Alcotest.(check int) "register count" 10 (Store.register_count store)
+  Alcotest.(check int) "register count" 10 (Store.register_count store);
+  (* names are written digit by digit into one string: multi-digit
+     indices, in either position, byte for byte *)
+  let wide = Store.array store ~name:"v" 11 (fun _ -> 0) in
+  Alcotest.(check string) "two-digit index" "v[10]" (Register.name wide.(10));
+  let big = Store.matrix store ~name:"m" ~rows:13 ~cols:11 (fun _ _ -> 0) in
+  Alcotest.(check string) "two-digit row" "m[12][3]" (Register.name big.(12).(3));
+  Alcotest.(check string) "last one-digit column" "m[0][9]" (Register.name big.(0).(9));
+  Alcotest.(check string) "two-digit row and column" "m[10][10]"
+    (Register.name big.(10).(10))
 
 (* The store's hook sees the id and mode of every counted access, and
    nothing of observer reads and writes or savepoint restores. *)
