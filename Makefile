@@ -157,7 +157,7 @@ trace-smoke: ## causal-tracing gate: traced net CT run -> its JSONL validates (b
 	dune exec bin/setsync_cli.exe -- trace-report /tmp/setsync_ci_tracereport.jsonl \
 	  --require-stabilized --json /tmp/setsync_ci_tracereport.json
 
-cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, a net k-set violation prints its reason on one line, the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run, path replay with its pinned steps on net CT), the n=3 net CT tree the explore benchmark walks keeps its pinned visited and replay counts, a replay-capped net run spends at most its step cap, explore --progress prints the run's counts ([Ns] visited ..., frontier peak F) with the movement of the engine that ran from its first line, exact fingerprints visit the pinned count on a kset check, a fingerprint-off kset check one step past the first decision (depth 28, where two reads commute) runs to its pinned count, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets, k > t kset requests and adaptive solves with t < k included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs, a short adaptive solve on an unsolvable cell, a seeded shm fd run with a crash, a trivially solvable solve and a net paxos solve stay pinned
+cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudly (exit 1 + stderr), honored approximations warn, a fuzz hunt too short to leave its first state warns, a net k-set violation prints its reason on one line, three seeded fuzz hunts shrink to their pinned lengths in their pinned ddmin test counts (a machine session's track, and fresh net instances), the search summary names the engine that ran (at two domains too: per-state under --bfs, snapshot on a depth-first shm run, path replay with its pinned steps on net CT), the n=3 net CT tree the explore benchmark walks keeps its pinned visited and replay counts, a replay-capped net run spends at most its step cap, explore --progress prints the run's counts ([Ns] visited ..., frontier peak F) with the movement of the engine that ran from its first line, exact fingerprints visit the pinned count on a kset check, a fingerprint-off kset check one step past the first decision (depth 28, where two reads commute) runs to its pinned count, unwritable output paths (--trace-out, --metrics-out, --search-summary, trace-report --json) and bad flag values, negative budgets, k > t kset requests and adaptive solves with t < k included, fail before the run (exit 124 + stderr); the Definition-1 numbers of seeded figure1/analyze runs, a short adaptive solve on an unsolvable cell, a seeded shm fd run with a crash, a trivially solvable solve and a net paxos solve stay pinned
 	@set -e; \
 	run() { dune exec bin/setsync_cli.exe -- "$$@" >/tmp/setsync_ci_cli.out 2>/tmp/setsync_ci_cli.err; }; \
 	expect() { want=$$1; shift; \
@@ -230,6 +230,12 @@ cli-smoke: ## CLI gate: impossible or inert explore flag combinations fail loudl
 	stderr_has "warning: the hunt saw 1 distinct state: --len 96 is likely too short for n=8"; \
 	expect 2 fuzz --sut kset --backend net -n 3 -t 1 -k 1; \
 	stdout_has '^  reason: 2 distinct values decided (0, 10), at most 1 allowed$$'; \
+	expect 2 fuzz --sut seeded-bug -n 3 -t 2 -k 1 --seed 2 --execs 2000 --len 96; \
+	stdout_has '^  shrunk (18 steps, 445 ddmin tests): '; \
+	expect 2 fuzz --sut seeded-bug --seed 42 --execs 2000 --len 384; \
+	stdout_has '^  shrunk (8 steps, 586 ddmin tests): '; \
+	expect 2 fuzz --backend net --sut kset -n 2 -t 1 -k 1 --execs 50 --len 10 --seed 7; \
+	stdout_has '^  shrunk (10 steps, 49 ddmin tests): '; \
 	expect 124 explore --backend net -n 1; stderr_has "setsync: Adversary.brs_kset"; \
 	expect 124 solve --backend net --solver paxos -n 2 -t 1 -k 1 --delta 0; \
 	stderr_has "setsync: Adversary.make: delta"; \

@@ -191,8 +191,6 @@ let solve_adaptive ~problem ~inputs ~make_source ~max_steps ?fault ?initial_time
 
 let ok outcome = Checker.ok outcome.report
 
-let starved outcome = starved_of outcome.run
-
 let last_decide_step outcome =
   Array.fold_left
     (fun acc s -> match s with Some s -> Some (max (Option.value acc ~default:0) s) | None -> acc)

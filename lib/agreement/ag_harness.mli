@@ -92,8 +92,4 @@ val ok : outcome -> bool
 val last_decide_step : outcome -> int option
 (** Largest decide step, i.e. the protocol's completion time. *)
 
-val starved : outcome -> Setsync_schedule.Procset.t
-(** Non-crashed processes with no step in the run's final tenth (at
-    least 1000 steps) — faulty in the infinite-schedule reading. *)
-
 val pp : outcome Fmt.t

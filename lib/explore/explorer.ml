@@ -1,6 +1,7 @@
 module Proc = Setsync_schedule.Proc
 module Procset = Setsync_schedule.Procset
 module Schedule = Setsync_schedule.Schedule
+module Source = Setsync_schedule.Source
 module Store = Setsync_memory.Store
 module Fault = Setsync_runtime.Fault
 module Run = Setsync_runtime.Run
@@ -190,25 +191,22 @@ module Mirror = struct
     in
     { store; inst; tally; step; moves }
 
+  (* a replay of the entries [source] yields, from [m]'s start *)
+  let run m source =
+    Executor.run_with ~n:(Run.Tally.n m.tally) ~source:(fun ~live:_ -> source)
+      ~max_steps:max_int ~tally:m.tally ?substrate:m.inst.substrate m.step
+
   let replay m ?on_step ?stop schedule =
     Executor.replay_with ~n:(Run.Tally.n m.tally) ~schedule ~tally:m.tally
       ?substrate:m.inst.substrate ?on_step ?stop m.step
 
-  (* continue the run [m]'s tally records with the entries of
-     [schedule]: [m] is a machine instance back at a savepoint *)
-  let resume m ?on_step ?stop schedule =
-    Executor.resume_with ~n:(Run.Tally.n m.tally) ~schedule ~tally:m.tally ?on_step ?stop
-      m.step
+  (* continue the run [m]'s tally records with the entries [source]
+     yields: [m] is a machine instance back at a savepoint *)
+  let resume m source = Executor.resume_with ~n:(Run.Tally.n m.tally) ~source ~tally:m.tally m.step
 
   (* one step of [p] at the tally's next global index, under the
      executor's rules but outside its loop: the depth-first walk's move *)
-  let advance m p =
-    let t = m.tally in
-    (match m.inst.substrate with
-    | Some s -> Setsync_runtime.Substrate.pre_step s ~global:(Run.Tally.total_steps t) ~proc:p
-    | None -> ());
-    if m.step p then Run.Tally.halt t p;
-    ignore (Run.Tally.note_step t p)
+  let advance m p = ignore (Executor.grant ?substrate:m.inst.substrate m.tally m.step p)
 
   (* [requested]: the schedule whose replay reached this point (skipped
      entries included), when it is not simply the executed steps;
@@ -270,90 +268,54 @@ let evaluate ~sut ?(fault = Fault.no_faults) schedule =
 
 (* ------------------------------------------- counterexample re-check *)
 
-(* Safety re-verification used to replay every prefix 0..len from
-   scratch — O(len²) steps per call, which made ddmin shrinking
-   O(len²) replays per candidate. Instead: one replay with an on-step
-   probe over a [Mirror]. The probe is skip-aware: an entry naming a
-   process that is no longer live (crashed or halted — neither ever
-   revives) is skipped by the executor and leaves the state unchanged,
-   so after each check the probe moves its schedule pointer past such
-   entries, checking the unchanged state at each skipped prefix
-   boundary, and stays exact through arbitrary skips. The per-prefix
-   scan remains as a defensive fallback for a residual misalignment
-   (a skip the tally cannot predict, e.g. a substrate veto). *)
-let check_safety_scan ~mirror ~property schedule =
+(* The verdict of [property] on [schedule], in one run of [m] from the
+   state after the schedule's first [from] entries (the start of a run,
+   or a savepoint taken right after an executed step): a safety
+   property is checked on the state after every prefix, a stabilization
+   property on the state after the whole schedule. The run pulls the
+   schedule from a counting source, and when the executor pulls entry
+   [i], executed or skipped, [m] is at the prefix-[i] state; a
+   violation ends the source. A run that ends before pulling every
+   entry (every process halted, or a stall) stays at its last state,
+   which is then, with the run's stop reason, the state after each
+   prefix it did not reach: a replay of that prefix alone stops at the
+   same point. [on_exec m consumed] runs once after each executed step,
+   before any later check: at the next pull, or at the end of the run. *)
+let probe m ~from ?(on_exec = fun _ _ -> ()) ~property schedule =
   let len = Schedule.length schedule in
-  let rec scan d =
-    if d > len then None
-    else
-      let prefix = Schedule.prefix schedule d in
-      match property.Property.check (Mirror.final (mirror ()) prefix) with
-      | Some reason -> Some reason
-      | None -> scan (d + 1)
-  in
-  scan 0
-
-(* [start ()]: a mirror at the state after the schedule's first
-   [from] entries — the start of a run, or a savepoint taken right
-   after an executed step — and [from]; [on_exec m consumed] runs after
-   each executed step the probe follows, before that state is
-   checked. *)
-let check_safety_probe ~start ?(on_exec = fun _ _ -> ()) ~property schedule =
-  let len = Schedule.length schedule in
-  let m, from = start () in
+  let every_prefix = property.Property.kind = Property.Safety in
   let violation = ref None in
-  let exact = ref true in
-  (* schedule entries accounted for so far, executed or skipped; the
-     interim state after them is the prefix-[consumed] state *)
-  let consumed = ref from in
-  let check () =
-    match
-      property.Property.check (Mirror.state ~requested:(Schedule.prefix schedule !consumed) m)
-    with
-    | Some r -> violation := Some r
-    | None -> ()
+  let check ?reason i =
+    if every_prefix || i = len then
+      violation :=
+        property.Property.check (Mirror.state ?reason ~requested:(Schedule.prefix schedule i) m)
   in
-  let check_and_skip () =
-    check ();
-    while
-      !violation = None && !consumed < len
-      && not (Run.Tally.live m.Mirror.tally (Schedule.get schedule !consumed))
-    do
-      incr consumed;
-      check ()
-    done
+  (* the next prefix to check, and the executed steps [on_exec] has seen *)
+  let next = ref from and executed = ref (Run.Tally.total_steps m.Mirror.tally) in
+  let note_exec () =
+    let total = Run.Tally.total_steps m.Mirror.tally in
+    if total > !executed then begin
+      executed := total;
+      on_exec m !next
+    end
   in
-  check_and_skip ();
-  if !violation = None && !consumed < len then begin
-    let on_step ~global:_ ~proc =
-      if !exact && !violation = None then
-        if !consumed < len && Schedule.get schedule !consumed = proc then begin
-          incr consumed;
-          on_exec m !consumed;
-          check_and_skip ()
-        end
-        else exact := false
-    in
-    let stop () = (not !exact) || !violation <> None in
-    if from = 0 then ignore (Mirror.replay m ~on_step ~stop schedule)
-    else
-      ignore
-        (Mirror.resume m ~on_step ~stop (Schedule.sub schedule ~pos:from ~len:(len - from)))
-  end;
-  (!exact && (!consumed = len || !violation <> None), !violation)
-
-(* [mirror ()]: a mirror at the start of a run; [start] and [on_exec]:
-   where the safety probe starts, as in [check_safety_probe] *)
-let check_on ~mirror ?(start = fun () -> (mirror (), 0)) ?on_exec ~property schedule =
-  match property.Property.kind with
-  | Property.Stabilization -> property.Property.check (Mirror.final (mirror ()) schedule)
-  | Property.Safety -> (
-      match check_safety_probe ~start ?on_exec ~property schedule with
-      | true, result -> result
-      | false, _ -> check_safety_scan ~mirror ~property schedule)
+  let source =
+    Source.make ~n:(Schedule.n schedule) (fun () ->
+        let i = !next in
+        note_exec ();
+        check i;
+        next := i + 1;
+        if !violation <> None || i = len then None else Some (Schedule.get schedule i))
+  in
+  let run = if from = 0 then Mirror.run m source else Mirror.resume m source in
+  note_exec ();
+  for i = !next to len do
+    if !violation = None then check ~reason:run.Run.reason i
+  done;
+  !violation
 
 let check_schedule ~sut ~property ?(fault = Fault.no_faults) schedule =
-  check_on ~mirror:(fun () -> Mirror.make ~sut ~fault ()) ~property schedule
+  probe (Mirror.make ~sut ~fault ()) ~from:0 ~property schedule
 
 (* -------------------------------------------------------- exploration *)
 
@@ -398,13 +360,11 @@ let digest ~sut (st : _ state) =
 
 (* Single-replay probe over the *executed* step sequence: invoke
    [on_state] on the interim state after every [stride]-th executed
-   step (and on the initial and final states). Unlike
-   [check_safety_probe] this never falls back to a per-prefix scan:
-   interim states are built from the executor's own tally, so they
-   stay exact even when the replay skips scheduled
-   steps (a mutated schedule naming a crashed/halted process) — the
-   interim prefixes are then prefixes of the executed subsequence, not
-   of the requested schedule. That is the right notion for fuzzing:
+   step (and on the initial and final states). Unlike [probe], whose
+   prefixes are the requested schedule's, the interim prefixes here
+   are prefixes of the executed subsequence when the replay skips
+   scheduled steps (a mutated schedule naming a crashed/halted
+   process). That is the right notion for fuzzing:
    the executed sequence is itself a replayable schedule that rebuilds
    the same states, which is what candidate counterexamples and
    shrinking need. *)
@@ -436,11 +396,11 @@ let trajectory ~sut ?(fault = Fault.no_faults) ?(stride = 1) ~on_state schedule 
    in a memoized store, so a state's novelty key re-hashes only the
    registers whose value changed. *)
 module Session = struct
-  (* Savepoints along the last schedule a safety check probed, for one
-     (fault plan, property). Each is taken right after an executed step
-     the probe followed, when every earlier state probed clean, and
-     restores the instance and the track's own tally — whose executed
-     steps only runs of this track write — to that point. *)
+  (* Savepoints along the last schedule a check probed, for one (fault
+     plan, property). Each is taken right after an executed step the
+     probe ran, when every earlier state it had to check probed clean,
+     and restores the instance and the track's own tally — whose
+     executed steps only runs of this track write — to that point. *)
   type 'obs track = {
     fault : Fault.plan;
     property : 'obs state Property.t;
@@ -506,9 +466,11 @@ module Session = struct
   (* a savepoint every this many executed steps of a probed run *)
   let savepoint_every = 16
 
-  (* the track for ([fault], [property]) with its savepoints restored
-     to the deepest one inside [schedule]'s common prefix with the last
-     schedule it checked; [None] without a substrate-free machine *)
+  (* The track for ([fault], [property]), restored to its deepest
+     savepoint inside [schedule]'s common prefix with the last schedule
+     it checked: the probe's mirror, the entries that savepoint
+     consumed, and the probe's [on_exec], which saves along the way.
+     [None] without a substrate-free machine. *)
   let track_for s ~fault ~property schedule =
     match s.machine with
     | Some (m, initial) when Option.is_none m.Mirror.inst.substrate ->
@@ -546,29 +508,25 @@ module Session = struct
         in
         tr.points <- deepest tr.points;
         tr.schedule <- schedule;
-        let start () =
+        let consumed =
           match tr.points with
           | (consumed, restore) :: _ ->
               restore ();
-              s.current <- tr.mirror;
-              (tr.mirror, consumed)
+              consumed
           | [] -> assert false
         in
+        s.current <- tr.mirror;
         let on_exec (m : _ Mirror.m) consumed =
           if Run.Tally.total_steps m.Mirror.tally mod savepoint_every = 0 then
             tr.points <- (consumed, Mirror.save m) :: tr.points
         in
-        Some (start, on_exec)
+        Some (tr.mirror, consumed, on_exec)
     | Some _ | None -> None
 
   let check_schedule s ~property ?(fault = Fault.no_faults) schedule =
-    let mirror = mirror s ~fault in
-    match property.Property.kind with
-    | Property.Safety -> (
-        match track_for s ~fault ~property schedule with
-        | Some (start, on_exec) -> check_on ~mirror ~start ~on_exec ~property schedule
-        | None -> check_on ~mirror ~property schedule)
-    | Property.Stabilization -> check_on ~mirror ~property schedule
+    match track_for s ~fault ~property schedule with
+    | Some (m, from, on_exec) -> probe m ~from ~on_exec ~property schedule
+    | None -> probe (mirror s ~fault ()) ~from:0 ~property schedule
 end
 
 (* ------------------------------------------------------ verdict table *)

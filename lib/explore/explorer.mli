@@ -384,15 +384,20 @@ val check_schedule :
     stabilization property at its final state. This is the predicate
     handed to {!Shrink}.
 
-    Safety checking costs a {e single} replay: an on-step probe
-    evaluates the property at every prefix boundary against the live
-    instance, so ddmin shrinking is O(len) rather than O(len²) replays
-    per candidate. The probe is skip-aware: scheduled steps the replay
-    skips (a schedule naming a crashed or halted process — routine for
-    hand-written, mutated, or shrunk schedules) leave the state
-    unchanged, so the probe advances past them, still checking the
-    state at every skipped prefix boundary, and stays a single exact
-    replay; a per-prefix scan remains only as a defensive fallback.
+    Either costs a {e single} replay on one fresh instance, so ddmin
+    shrinking is O(len) rather than O(len²) replayed steps per
+    candidate. The replay pulls the schedule from a counting source
+    ({!Setsync_schedule.Source.make}); when the executor pulls entry
+    [i] — which it then executes, or skips because the entry names a
+    crashed or halted process or the substrate vetoes it — the instance
+    is at the state after the schedule's first [i] entries, and the
+    property is checked there. A violation ends the source. A run that
+    ends before pulling every entry (every process halted, or a stall)
+    never moves again: its last state, with the run's stop reason, is
+    checked once for each prefix it did not reach, which is where a
+    replay of that prefix alone ends. Each checked state is exactly
+    the one {!evaluate} gives for its prefix.
+
     Each interim state's [prefix] is the requested schedule's prefix;
     its [run] is the replay's tally at that point (executed steps, and
     crashes at their executed indices), as {!evaluate} and
@@ -466,17 +471,19 @@ module Session : sig
     string option
   (** {!Explorer.check_schedule} on the session, with the same verdict.
 
-      A safety check on a machine form without a substrate resumes
-      instead of replaying from step 0. The session keeps savepoints
-      (store, [m_save], tally) every few executed steps along the last
-      schedule it probed, for the last (fault plan, property) pair it
-      checked. Each is taken right after an executed step the probe
-      followed, so every earlier state of that schedule probed clean
-      and the executor's skip and stall accounting restarts exactly
-      there ({!Setsync_runtime.Executor.resume_with}). A later schedule
-      restores the deepest savepoint inside its common prefix with the
-      last one and probes only the rest — ddmin's candidates share long
-      prefixes. The scan fallback is unchanged. *)
+      A check, of a safety or a stabilization property, on a machine
+      form without a substrate resumes instead of replaying from step
+      0. The session keeps savepoints (store, [m_save], tally) every
+      few executed steps along the last schedule it probed, for the
+      last (fault plan, property) pair it checked. Each is taken right
+      after an executed step of the probe's run, so every earlier state
+      of that schedule the property had to pass probed clean, and the
+      executor's skip and stall accounting restarts exactly there
+      ({!Setsync_runtime.Executor.resume_with}, reading the counting
+      source from the savepoint's entry on). A later schedule restores
+      the deepest savepoint inside its common prefix with the last one
+      and probes only the rest — ddmin's candidates share long
+      prefixes. *)
 end
 
 val pp_verdict : verdict Fmt.t

@@ -110,9 +110,7 @@ val execs_per_s : report -> float
 (** Executions per wall-clock second of the report's stats ([0.] before
     any time has passed). *)
 
-val pp_violation : violation Fmt.t
-(** The violation block the CLI prints — stable across runs of the
-    same seed and configuration, which is what [fuzz --repro] asserts
-    byte-for-byte. *)
-
 val pp_report : report Fmt.t
+(** The report the CLI prints. Its violation block is stable across
+    runs of the same seed and configuration, which is what
+    [fuzz --repro] asserts byte-for-byte. *)

@@ -39,10 +39,7 @@ let land_at t ~now = function
 
 let due_tick t ~now ~src ~dst ~seq = land_at t ~now (t.decide ~now ~src ~dst ~seq)
 
-let due t ~now ~src ~dst ~seq =
-  match due_tick t ~now ~src ~dst ~seq with -1 -> None | at -> Some at
-
-(* [due] plus the outcome's attribution: what the adversary asked for
+(* [due_tick] plus the outcome's attribution: what the adversary asked for
    ([requested], already floored at 1), how many ticks the model
    refused to grant ([denied], the Δ-clamp after GST or the gst+Δ cap
    before it), and whether a post-GST drop was overridden into a Δ

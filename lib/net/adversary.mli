@@ -43,20 +43,15 @@ val make :
 (** Raises [Invalid_argument] unless [delta >= 1] and [gst >= 0]. The
     decision function must be pure (see {!t}). *)
 
-val due :
-  t -> now:int -> src:Setsync_schedule.Proc.t -> dst:Setsync_schedule.Proc.t -> seq:int -> int option
-(** Delivery tick for a message sent at [now], with the Δ/GST contract
-    applied on top of [decide]; [None] means dropped (only possible
-    before GST). Exposed for tests; {!Net.send} applies the same
-    rule ({!due_tick}) plus the FIFO clamp. *)
-
 val due_tick :
   t -> now:int -> src:Setsync_schedule.Proc.t -> dst:Setsync_schedule.Proc.t -> seq:int -> int
-(** {!due} without the option: [-1] for a drop. What {!Net} asks per
-    send, allocating nothing. *)
+(** Delivery tick for a message sent at [now], with the Δ/GST contract
+    applied on top of [decide]; [-1] means dropped (only possible
+    before GST). {!Net.send} applies it plus the FIFO clamp, and
+    allocates nothing for it. *)
 
 type verdict = {
-  due_at : int option;  (** as returned by {!due} *)
+  due_at : int option;  (** {!due_tick}, with [None] for a drop *)
   requested : int option;
       (** adversary-chosen delay, floored at 1; [None] when [decide]
           said [Drop] *)
@@ -74,7 +69,7 @@ val due_explained :
   dst:Setsync_schedule.Proc.t ->
   seq:int ->
   verdict
-(** {!due} plus latency attribution: when [due_at = Some at],
+(** {!due_tick} plus latency attribution: when [due_at = Some at],
     [at - now] equals [delta] for forced deliveries and
     [requested - denied] otherwise. The substrate uses this to
     decompose each realized delay into adversary-chosen vs.

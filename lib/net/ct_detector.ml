@@ -82,8 +82,6 @@ let leader t = t.leader
 
 let rounds t = t.rounds
 
-let suspects t = Array.copy t.suspects
-
 let completed_start t = t.completed_start
 
 let post_gst_end t = t.post_gst_end

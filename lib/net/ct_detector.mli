@@ -30,9 +30,6 @@ val create :
 (** [initial_timeout] defaults to 3 clock ticks; [backoff] (added on
     each refuted suspicion) defaults to 64, an over-horizon value. *)
 
-val round : t -> unit
-(** One heartbeat round ([clients] scheduled steps). *)
-
 val body : t -> unit -> unit
 (** Round forever — the process body for {!Setsync_runtime.Executor.run}. *)
 
@@ -41,8 +38,6 @@ val leader : t -> Setsync_schedule.Proc.t
 
 val rounds : t -> int
 (** Completed rounds. *)
-
-val suspects : t -> bool array
 
 val completed_start : t -> int
 (** Network clock at which the last completed round started ([-1] if

@@ -37,7 +37,7 @@ type t = {
   clock : int Register.t;
   (* Per-pair sequence counters live outside the store but are NOT
      derivable from it: dropped messages bump the counter without ever
-     touching a channel register, and [Adversary.due] keys drop
+     touching a channel register, and [Adversary.due_tick] keys drop
      decisions on [seq], so two states with equal registers and
      different counters can have different futures. The substrate's
      [snapshot]/[save] expose and capture them (and the GST latch)
@@ -137,21 +137,14 @@ let create ?obs ~store ~n ~adversary () =
 
 let n t = t.n
 
-let adversary t = t.adversary
-
 let now t = Register.peek t.clock
 
 let current t =
   if t.current < 0 then invalid_arg "Net: no process is stepping (primitive used outside a run?)";
   t.current
 
-let key_args m =
-  [
-    ("mid", Json.Int m.Msg.mid);
-    ("src", Json.Int m.Msg.src);
-    ("dst", Json.Int m.Msg.dst);
-    ("seq", Json.Int m.Msg.seq);
-  ]
+let key_args ~mid ~src ~dst ~seq =
+  [ ("mid", Json.Int mid); ("src", Json.Int src); ("dst", Json.Int dst); ("seq", Json.Int seq) ]
 
 (* Insert channel [id], just become nonempty, into [live], keeping
    the ascending order the flush visits channels in. *)
@@ -166,20 +159,20 @@ let add_live t id =
 
 (* Enqueue or drop one message; runs inside the sender's atomic action.
    Nothing about the delay's make-up is stored: delivery re-derives it
-   (see [attribute]). *)
+   (see [attribute]). The message record is built only for a message
+   that is enqueued: a dropped one lives on in its events alone. *)
 let enqueue t ~src ~dst payload =
   Proc.check ~n:t.n dst;
   let now = Register.peek t.clock in
   let seq = t.seqs.(src).(dst) in
   t.seqs.(src).(dst) <- seq + 1;
   let mid = t.sent in
-  let m = { Msg.mid; src; dst; seq; sent_at = now; payload } in
   t.sent <- t.sent + 1;
   (match t.meters with Some ms -> Metrics.incr ms.sent_c | None -> ());
   (match t.ev with
   | Some sink ->
       Events.emit sink ~proc:src
-        ~args:(key_args m @ [ ("step", Json.Int now) ])
+        ~args:(key_args ~mid ~src ~dst ~seq @ [ ("step", Json.Int now) ])
         ~cat:"net" "send"
   | None -> ());
   match Adversary.due_tick t.adversary ~now ~src ~dst ~seq with
@@ -189,7 +182,9 @@ let enqueue t ~src ~dst payload =
       (match t.ev with
       | Some sink ->
           Events.emit sink ~proc:src
-            ~args:(key_args m @ [ ("step", Json.Int now); ("pre_gst", Json.Bool true) ])
+            ~args:
+              (key_args ~mid ~src ~dst ~seq
+              @ [ ("step", Json.Int now); ("pre_gst", Json.Bool true) ])
             ~cat:"net" "drop"
       | None -> ())
   | at0 ->
@@ -205,6 +200,7 @@ let enqueue t ~src ~dst payload =
         | _ -> max at0 t.tail_due.(id)
       in
       t.tail_due.(id) <- at;
+      let m = { Msg.mid; src; dst; seq; sent_at = now; payload } in
       Register.write t.chans.(src).(dst) (q @ [ (at, m) ]);
       t.in_flight <- t.in_flight + 1;
       (match t.ev with
@@ -260,7 +256,7 @@ let book_delivery t ~clock ~dst ((_, m) as entry) =
     match t.ev with
     | Some sink ->
         let args =
-          key_args m
+          key_args ~mid:m.Msg.mid ~src:m.Msg.src ~dst:m.Msg.dst ~seq:m.Msg.seq
           @ [
               ("step", Json.Int clock);
               ("sent", Json.Int m.Msg.sent_at);
@@ -348,7 +344,7 @@ module Net_substrate = struct
   (* Channels, inboxes and the clock are store registers, so the run's
      own snapshot covers those — but the per-pair sequence counters and
      the GST latch live outside the store and do change behaviour
-     ([Adversary.due ~seq] decides drops; the latch gates the gst
+     ([Adversary.due_tick ~seq] decides drops; the latch gates the gst
      event), so they are the substrate's contribution to a state.
      The running tallies stay out: they are stats-only and including
      them would make every state fingerprint-distinct. *)

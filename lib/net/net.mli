@@ -76,8 +76,6 @@ val substrate : t -> Setsync_runtime.Substrate.t
 
 val n : t -> int
 
-val adversary : t -> Adversary.t
-
 val now : t -> int
 (** Current network clock (observer read; for harnesses and tests). *)
 

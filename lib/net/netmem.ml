@@ -259,12 +259,6 @@ let install ?(mode = Per_op) ?resend_after ?max_wait ~net ~store ~clients ~owner
     Net.set_step_hook net (Some (fun ~global:_ ~proc -> pump t proc));
   t
 
-let clients t = t.clients
-
-let owners t = t.owners
-
-let mode t = t.mode
-
 let ops_completed t = t.completed
 
 let serve t m =

@@ -25,7 +25,7 @@
     into [p, owner, p] accordingly. [Batched] runs the round protocol:
     writes are stashed and return in zero steps, a per-step pump
     transmits stashed ops and absorbs replies, owners answer their
-    whole inbox in one {!serve_batch} step, and {!round_policy}
+    whole inbox in one serve step, and {!round_policy}
     (install as {!Setsync_runtime.Executor.run}'s [boost]) grants
     owners serve turns while the next client is parked — dropping
     amortized cost toward one step per op (DESIGN.md §10 states the
@@ -97,33 +97,22 @@ val install :
     is given and below 1: at 0 every pump would retransmit every
     unanswered request, one resend per granted step. *)
 
-val clients : t -> int
-
-val owners : t -> int
-
-val mode : t -> mode
-
 val ops_completed : t -> int
 (** Routed ops retired so far (reads returned, writes acked) — the
     denominator of the amortized steps-per-op metric bench §N2 pins. *)
-
-val owner_of : t -> rid:int -> Setsync_schedule.Proc.t
 
 val owner_of_name : t -> string -> Setsync_schedule.Proc.t option
 (** Owner of the register with that name, if one was routed — how
     emulation schedules map a register access to the serving process. *)
 
 val owner_body : t -> Setsync_schedule.Proc.t -> unit -> unit
-(** Process body for owners: serve requests forever, one
-    {!serve_batch} round per granted step. *)
+(** Process body for owners: serve requests forever. Each granted
+    step drains the owner's inbox and answers {e every} pending request
+    in a single atomic action — the whole round's turnaround in one
+    serve step. *)
 
 val serve : t -> Msg.t -> (Setsync_schedule.Proc.t * Msg.payload) list
 (** The owner's per-message handler (exposed for custom bodies). *)
-
-val serve_batch : t -> unit
-(** One step: drain the owner's inbox and answer {e every} pending
-    request in a single atomic action — the whole round's turnaround
-    in one serve step. *)
 
 val round_policy : t -> global:int -> next:Setsync_schedule.Proc.t -> Setsync_schedule.Proc.t option
 (** The round policy, shaped for {!Setsync_runtime.Executor.run}'s

@@ -36,8 +36,8 @@
     and copies no words (bar one shared chunk when the oldest record
     starts mid-chunk), so the ring holds its live words plus at most
     one partly filled chunk. The float ring doubles. {!events} decodes
-    the retained events back into {!event} records. {!write_jsonl} and
-    {!write_chrome} stream straight from the rings through one reused
+    the retained events back into {!event} records. {!save_jsonl} and
+    {!save_chrome} stream straight from the rings through one reused
     buffer: per write they build one literal for each (name, category,
     phase) record head and one ["key":] literal for each arg key, and
     write digits straight into the buffer. They write exactly the bytes
@@ -120,14 +120,13 @@ val event_to_chrome : event -> Json.t
 (** One Chrome trace-event object; [ts] in microseconds, [tid] is the
     worker id (else the process id), [pid] fixed at 1. *)
 
-val write_jsonl : t -> out_channel -> unit
-(** One event per line, oldest first: the concatenation of
-    [Json.to_string (event_to_json e) ^ "\n"] over {!events}. *)
-
-val write_chrome : t -> out_channel -> unit
-(** A complete JSON array loadable by chrome://tracing / Perfetto:
-    ["["], then [Json.to_string (event_to_chrome e)] over {!events}
-    separated by [",\n"], then ["]\n"]. *)
-
 val save_jsonl : t -> string -> unit
+(** Write the file: one event per line, oldest first, the
+    concatenation of [Json.to_string (event_to_json e) ^ "\n"] over
+    {!events}. *)
+
 val save_chrome : t -> string -> unit
+(** Write the file: a complete JSON array loadable by
+    chrome://tracing / Perfetto, ["["], then
+    [Json.to_string (event_to_chrome e)] over {!events} separated by
+    [",\n"], then ["]\n"]. *)

@@ -200,5 +200,3 @@ let to_json t =
       ("gauges", Json.Obj gauges);
       ("histograms", Json.Obj histograms);
     ]
-
-let pp ppf t = Json.pp ppf (to_json t)

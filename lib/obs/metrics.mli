@@ -79,5 +79,3 @@ val to_json : t -> Json.t
 (** [{"counters": {...}, "gauges": {...}, "histograms": {...}}] in
     registration order; histogram buckets are emitted sparsely (only
     non-empty buckets, with their [ge]/[lt] bounds). *)
-
-val pp : t Fmt.t

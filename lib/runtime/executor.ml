@@ -24,6 +24,13 @@ let fibers ~n body =
     | Fiber.Finished -> true
     | Fiber.Already_done -> assert false
 
+let grant ?substrate tally step p =
+  (match substrate with
+  | Some s -> Substrate.pre_step s ~global:(Run.Tally.total_steps tally) ~proc:p
+  | None -> ());
+  if step p then Run.Tally.halt tally p;
+  Run.Tally.note_step tally p
+
 (* [resume]: [tally] records a run under way, restored right after one
    of its executed steps, and the loop continues that run *)
 let drive ~resume ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step ?stop ?obs
@@ -68,10 +75,8 @@ let drive ~resume ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step
   in
   let execute p =
     let global = executed () in
-    (match substrate with Some s -> Substrate.pre_step s ~global ~proc:p | None -> ());
-    if step p then Run.Tally.halt tally p;
+    let died = grant ?substrate tally step p in
     skips := 0;
-    let died = Run.Tally.note_step tally p in
     (match meters with
     | Some (steps_c, crashes_c) ->
         Metrics.incr steps_c;
@@ -147,9 +152,8 @@ let replay_with ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs step =
   let source ~live:_ = Source.of_schedule schedule in
   run_with ~n ~source ~max_steps:max_int ?fault ?tally ?substrate ?on_step ?stop ?obs step
 
-let resume_with ~n ~schedule ~tally ?on_step ?stop step =
-  let source ~live:_ = Source.of_schedule schedule in
-  drive ~resume:true ~n ~source ~max_steps:max_int ~tally ?on_step ?stop step
+let resume_with ~n ~source ~tally step =
+  drive ~resume:true ~n ~source:(fun ~live:_ -> source) ~max_steps:max_int ~tally step
 
 let replay ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs body =
   replay_with ~n ~schedule ?fault ?tally ?substrate ?on_step ?stop ?obs (fibers ~n body)

@@ -41,6 +41,16 @@ val fibers : n:int -> (Setsync_schedule.Proc.t -> unit -> unit) -> step
 (** Spawn one effect fiber per process on [body p]; each step resumes
     it. A returning body reports its halt in the step that returns. *)
 
+val grant :
+  ?substrate:Substrate.t -> Run.Tally.t -> step -> Setsync_schedule.Proc.t -> bool
+(** [grant ?substrate tally step p] is the executor's one granted step
+    of [p], at [tally]'s next global index: the substrate's [pre_step],
+    [step p], the halt it reports, and the step count in [tally] — which
+    injects the fault plan's crash when [p]'s budget runs out. Returns
+    [true] iff that crash happened. Every run loop grants through it,
+    and so does a caller that steps a run outside the loop (the
+    explorer's depth-first walk), under the same rule. *)
+
 val run_with :
   n:int ->
   source:source_factory ->
@@ -111,23 +121,16 @@ val replay_with :
 (** {!replay} over an arbitrary {!step}. *)
 
 val resume_with :
-  n:int ->
-  schedule:Setsync_schedule.Schedule.t ->
-  tally:Run.Tally.t ->
-  ?on_step:(global:int -> proc:Setsync_schedule.Proc.t -> unit) ->
-  ?stop:(unit -> bool) ->
-  step ->
-  Run.t
-(** {!replay_with} continuing the run [tally] records: [tally] was
-    restored ({!Run.Tally.save}) right after one of its executed steps,
-    [step] drives processes restored to that same point (a machine
-    form and its store back at a savepoint taken there), and
-    [schedule] holds the entries after that step. The loop's skip and
-    stall accounting starts afresh, exactly as it does after any
-    executed step, and [on_step] sees global indices continuing the
-    tally's, so the run is step for step the one a replay of the whole
-    schedule would make. No substrate: a substrate's hidden state is
-    not part of the savepoint. *)
+  n:int -> source:Setsync_schedule.Source.t -> tally:Run.Tally.t -> step -> Run.t
+(** A run with no step budget that continues the run [tally] records:
+    [tally] was restored ({!Run.Tally.save}) right after one of its
+    executed steps (or is fresh), [step] drives processes restored to
+    that same point (a machine form and its store back at a savepoint
+    taken there), and [source] yields the entries after that step. The
+    loop's skip and stall accounting starts afresh, exactly as it does
+    after any executed step, so the run is step for step the one a
+    replay of the whole schedule would make. No substrate: a
+    substrate's hidden state is not part of the savepoint. *)
 
 val replay :
   n:int ->
@@ -142,9 +145,9 @@ val replay :
   Run.t
 (** Deterministic replay of a fixed finite schedule (steps naming
     crashed or finished processes are skipped). [fault], [tally], [stop]
-    and [obs] as in {!run} (the explorer's incremental safety probe
-    reads the tally to build interim states and uses [stop] to cut a
-    replay at the first violation).
+    and [obs] as in {!run} (the explorer's trajectory probe reads the
+    tally to build interim states and uses [stop] to cut a replay
+    short).
 
     Domain safety: a replay touches no global mutable state — fibers
     and the tally are allocated per call (or owned by the caller) — so

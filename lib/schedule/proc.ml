@@ -19,8 +19,6 @@ let all ~n =
 
 let equal = Int.equal
 
-let compare = Int.compare
-
 let to_string p = Printf.sprintf "p%d" (p + 1)
 
 let pp ppf p = Fmt.string ppf (to_string p)

@@ -25,8 +25,6 @@ val all : n:int -> t list
 
 val equal : t -> t -> bool
 
-val compare : t -> t -> int
-
 val pp : t Fmt.t
 (** Renders as the paper's "p<i+1>". *)
 

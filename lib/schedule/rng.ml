@@ -2,8 +2,6 @@ type t = { mutable state : int64 }
 
 let create ~seed = { state = Int64.of_int seed }
 
-let copy t = { state = t.state }
-
 (* splitmix64: fast, well-distributed, trivially seedable; more than
    enough statistical quality for schedule generation. *)
 let next_int64 t =

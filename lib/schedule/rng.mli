@@ -11,9 +11,6 @@ val create : seed:int -> t
 (** [create ~seed] makes a fresh generator. Equal seeds give equal
     streams. *)
 
-val copy : t -> t
-(** Independent copy continuing from the current state. *)
-
 val next_int64 : t -> int64
 (** Next raw 64-bit output. *)
 

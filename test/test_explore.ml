@@ -2105,6 +2105,90 @@ let test_check_schedule_skips () =
         1 !count)
     schedules
 
+(* A substrate that vetoes process [p] while the next global step
+   index is in [from, until): the entries that name [p] there are
+   skipped, as a partitioned process's would be. Its step counter is
+   state beyond the store, so it is in the snapshot and the savepoint. *)
+let veto_substrate ~p ~from ~until =
+  let module V = struct
+    type t = { mutable next : int }
+
+    let name _ = "veto"
+
+    let live t q = q <> p || t.next < from || t.next >= until
+
+    let pre_step t ~global ~proc:_ = t.next <- global + 1
+
+    let snapshot t = [ ("veto.next", string_of_int t.next) ]
+
+    let save t =
+      let next = t.next in
+      fun () -> t.next <- next
+  end in
+  Substrate.S ((module V), { V.next = 0 })
+
+(* the pipe system with p2 (the copier) vetoed for global steps 2..5 *)
+let vetoed_pipe_sut () =
+  let sut = pipe_sut () in
+  {
+    sut with
+    Explorer.fresh =
+      (fun ~store ->
+        {
+          (sut.Explorer.fresh ~store) with
+          Explorer.substrate = Some (veto_substrate ~p:1 ~from:2 ~until:6);
+        });
+  }
+
+(* A veto the tally cannot see skips entries of a live process. The
+   probe follows the executor's pulls, so its verdict and every probed
+   state are the per-prefix scan's, in one instance. *)
+let test_check_schedule_substrate_veto () =
+  let vetoed = Schedule.of_list ~n:2 [ 0; 1; 1; 0; 1; 1 ] in
+  Alcotest.(check (option string)) "without the veto it violates" (Some "pong too large")
+    (Explorer.check_schedule ~sut:(pipe_sut ()) ~property:(pong_below 2) vetoed);
+  Alcotest.(check (option string)) "the veto skips the copy" None
+    (Explorer.check_schedule ~sut:(vetoed_pipe_sut ()) ~property:(pong_below 2) vetoed);
+  let rng = Rng.create ~seed:4 in
+  let schedules =
+    vetoed
+    :: Schedule.of_list ~n:2 [ 0; 1; 1; 1; 1; 0; 0; 1; 1; 1; 0; 1; 1 ]
+    :: List.init 40 (fun i -> Source.take (Generators.random_fair ~n:2 ~rng ()) (i mod 20))
+  in
+  let record (st : _ Explorer.state) =
+    let r = st.Explorer.run in
+    Fmt.str "%d %a %a %s" st.Explorer.depth
+      Fmt.(list ~sep:nop int)
+      (Schedule.to_list r.Run.taken) Run.pp_reason r.Run.reason
+      ((vetoed_pipe_sut ()).Explorer.obs_fingerprint st.Explorer.obs)
+  in
+  List.iter
+    (fun s ->
+      let label = String.concat "" (List.map string_of_int (Schedule.to_list s)) in
+      List.iter
+        (fun property ->
+          let sut, count = counting_sut (vetoed_pipe_sut ()) in
+          Alcotest.(check (option string))
+            (Printf.sprintf "%s: verdict = per-prefix scan (%s)" property.Property.name label)
+            (reference_check ~sut:(vetoed_pipe_sut ()) ~property s)
+            (Explorer.check_schedule ~sut ~property s);
+          Alcotest.(check int) (Printf.sprintf "one instance (%s)" label) 1 !count)
+        [ pong_below 2; pong_le_ping ];
+      let probed = ref [] in
+      let capture =
+        Property.safety ~name:"capture" (fun st ->
+            probed := record st :: !probed;
+            None)
+      in
+      ignore (Explorer.check_schedule ~sut:(vetoed_pipe_sut ()) ~property:capture s);
+      Alcotest.(check (list string))
+        (Printf.sprintf "probed states = evaluate (%s)" label)
+        (List.init
+           (Schedule.length s + 1)
+           (fun d -> record (Explorer.evaluate ~sut:(vetoed_pipe_sut ()) (Schedule.prefix s d))))
+        (List.rev !probed))
+    schedules
+
 (* ------------------------------------------------------------------ *)
 (* one run record: probe, trajectory, evaluate and the executor agree *)
 
@@ -3045,6 +3129,8 @@ let () =
         [
           Alcotest.test_case "single replay across skipped steps" `Quick
             test_check_schedule_skips;
+          Alcotest.test_case "single replay across substrate vetoes" `Quick
+            test_check_schedule_substrate_veto;
           Alcotest.test_case "probe, trajectory, evaluate and executor share one record" `Quick
             test_one_run_record;
         ] );

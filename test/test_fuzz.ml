@@ -957,6 +957,155 @@ let test_session_detector () = session_checks (detector_system ())
 
 let test_session_kset () = session_checks (kset_system ())
 
+(* p1 crashes at its third step; the schedule then names only p1, so
+   the replay skips more than 64n entries in a row and stalls, and
+   never pulls the [tail] entries after them *)
+let stall_schedule ~n ~tail =
+  Schedule.of_list ~n ([ 0; 1; 2; 1; 1 ] @ List.init ((64 * n) + 8) (fun _ -> 1) @ tail)
+
+(* A run that ends before pulling every entry stays at its last state,
+   which is then the state after every later prefix, with the run's
+   stop reason: [check_schedule] checks it there in the one instance it
+   built, and each probed state is the one a fresh replay of its prefix
+   ends in. *)
+let test_stall_one_instance () =
+  let sys = counter_core_system () in
+  let n = sys.sut.Explorer.n in
+  let count = ref 0 in
+  let sut =
+    {
+      sys.sut with
+      Explorer.fresh =
+        (fun ~store ->
+          incr count;
+          sys.sut.Explorer.fresh ~store);
+    }
+  in
+  let fault = [ (1, 3) ] in
+  let stall = stall_schedule ~n ~tail:[ 0; 2; 0 ] in
+  Alcotest.(check bool) "the run stalls" true
+    ((Explorer.evaluate ~sut:sys.sut ~fault stall).Explorer.run.Run.reason = Run.Stalled);
+  let line (st : _ Explorer.state) =
+    Printf.sprintf "%d %s" st.Explorer.depth (run_line st.Explorer.run)
+  in
+  let probed = ref [] in
+  let spy =
+    Property.safety ~name:"spy" (fun st ->
+        probed := line st :: !probed;
+        None)
+  in
+  Alcotest.(check (option string)) "clean" None
+    (Explorer.check_schedule ~sut ~property:spy ~fault stall);
+  Alcotest.(check int) "one instance" 1 !count;
+  Alcotest.(check (list string)) "every prefix, as a fresh replay of it ends"
+    (List.init
+       (Schedule.length stall + 1)
+       (fun d -> line (Explorer.evaluate ~sut:sys.sut ~fault (Schedule.prefix stall d))))
+    (List.rev !probed);
+  List.iter
+    (fun property ->
+      count := 0;
+      let want =
+        let rec scan d =
+          if d > Schedule.length stall then None
+          else
+            match
+              property.Property.check
+                (Explorer.evaluate ~sut:sys.sut ~fault (Schedule.prefix stall d))
+            with
+            | Some r -> Some r
+            | None -> scan (d + 1)
+        in
+        scan 0
+      in
+      Alcotest.(check (option string))
+        (property.Property.name ^ ": verdict = per-prefix scan")
+        want
+        (Explorer.check_schedule ~sut ~property ~fault stall);
+      Alcotest.(check int) (property.Property.name ^ ": one instance") 1 !count)
+    sys.properties
+
+(* A session checks a stabilization property as it checks a safety
+   one: it resumes from the deepest savepoint its track holds inside
+   the schedule's common prefix with the last one, and gets a fresh
+   check's verdict. The property reports the final state it sees (run
+   record and digest), so the two are compared state for state, on
+   schedules that share prefixes, the stall among them. *)
+let test_session_stabilization () =
+  let sys = counter_core_system () in
+  let n = sys.sut.Explorer.n in
+  let steps = ref 0 in
+  let sut =
+    {
+      sys.sut with
+      Explorer.fresh =
+        (fun ~store ->
+          let inst = sys.sut.Explorer.fresh ~store in
+          {
+            inst with
+            Explorer.machine =
+              Option.map
+                (fun mi ->
+                  {
+                    mi with
+                    Explorer.m_step =
+                      (fun p ->
+                        incr steps;
+                        mi.Explorer.m_step p);
+                  })
+                inst.Explorer.machine;
+          });
+    }
+  in
+  let final_state =
+    Property.stabilization ~name:"final state" (fun (st : _ Explorer.state) ->
+        Some
+          (Printf.sprintf "%d %s %s" st.Explorer.depth
+             (Digest.to_hex (Explorer.digest ~sut st))
+             (run_line st.Explorer.run)))
+  in
+  let session = Explorer.Session.create ~sut in
+  (* the session's machine steps for the check *)
+  let same label ?(property = final_state) ~fault s =
+    let fresh = Explorer.check_schedule ~sut ~property ~fault s in
+    let before = !steps in
+    let live = Explorer.Session.check_schedule session ~property ~fault s in
+    Alcotest.(check (option string)) label fresh live;
+    !steps - before
+  in
+  let base = Source.take (Generators.random_fair ~n ~rng:(Rng.create ~seed:8) ()) 200 in
+  let l = to_list base in
+  let twin = Schedule.of_list ~n (List.filteri (fun i _ -> i < 190) l @ [ 0; 0; 1; 1; 2; 2 ]) in
+  List.iter
+    (fun fault ->
+      ignore (same "base" ~fault base);
+      (* the track saves every 16 executed steps: the twin steps less
+         than 16 of the 190 entries it shares, then its own 6 *)
+      let resumed = same "twin" ~fault twin in
+      Alcotest.(check bool)
+        (Printf.sprintf "the twin resumes inside its shared prefix (%d steps)" resumed)
+        true
+        (resumed < 16 + 6);
+      List.iter
+        (fun len ->
+          ignore (same (Printf.sprintf "prefix %d" len) ~fault (Schedule.prefix base len)))
+        [ 199; 150; 64; 1; 0 ];
+      ignore (same "safety in between" ~property:(List.hd sys.properties) ~fault twin);
+      ignore
+        (same "deleted middle" ~fault
+           (Schedule.of_list ~n (List.filteri (fun i _ -> i < 40 || i >= 90) l))))
+    [ sys.fault; [] ];
+  let fault = [ (1, 3) ] in
+  List.iter
+    (fun (label, s) -> ignore (same label ~fault s))
+    [
+      ("stall", stall_schedule ~n ~tail:[]);
+      ("stall with a tail", stall_schedule ~n ~tail:[ 0; 2; 0 ]);
+      ("stall, cut short", Schedule.prefix (stall_schedule ~n ~tail:[]) 100);
+      ("before the stall", Schedule.prefix (stall_schedule ~n ~tail:[]) 5);
+      ("stall again", stall_schedule ~n ~tail:[ 2 ]);
+    ]
+
 (* A state's run views its tally's executed-steps buffer, and its
    prefix views the probed schedule. Savepoint restores rewind the
    tally under those views; the frozen runs must not see the steps
@@ -1248,6 +1397,10 @@ let () =
             test_keys_across_sessions;
           Alcotest.test_case "keys reach the end of long values" `Quick test_key_reach;
           Alcotest.test_case "resumed checks = fresh checks" `Quick test_session_resume;
+          Alcotest.test_case "a stalled check builds one instance" `Quick
+            test_stall_one_instance;
+          Alcotest.test_case "resumed stabilization checks = fresh checks" `Quick
+            test_session_stabilization;
           Alcotest.test_case "frozen runs never change" `Quick test_frozen_runs_never_change;
           Alcotest.test_case "words per probed state do not grow with length" `Quick
             test_words_per_probed_state;

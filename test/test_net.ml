@@ -35,30 +35,31 @@ module Net_agreement = Setsync_net.Net_agreement
 (* ------------------------------------------------------ adversaries *)
 
 let test_adversary_due () =
+  (* [due_tick] is the delivery tick, [-1] for a drop *)
   (* pre-GST: drops allowed, deliveries capped at gst + delta *)
   let a =
     Adversary.make ~delta:2 ~gst:5 (fun ~now:_ ~src:_ ~dst:_ ~seq:_ -> Adversary.Deliver 50)
   in
-  Alcotest.(check (option int)) "pre-GST capped" (Some 7) (Adversary.due a ~now:0 ~src:0 ~dst:1 ~seq:0);
+  Alcotest.(check int) "pre-GST capped" 7 (Adversary.due_tick a ~now:0 ~src:0 ~dst:1 ~seq:0);
   (* post-GST: within delta, drops overridden *)
   let d = Adversary.gst_drop ~delta:2 ~gst:5 in
-  Alcotest.(check (option int)) "pre-GST dropped" None (Adversary.due d ~now:4 ~src:0 ~dst:1 ~seq:0);
-  Alcotest.(check (option int)) "post-GST synchronous" (Some 6)
-    (Adversary.due d ~now:5 ~src:0 ~dst:1 ~seq:0);
+  Alcotest.(check int) "pre-GST dropped" (-1) (Adversary.due_tick d ~now:4 ~src:0 ~dst:1 ~seq:0);
+  Alcotest.(check int) "post-GST synchronous" 6
+    (Adversary.due_tick d ~now:5 ~src:0 ~dst:1 ~seq:0);
   let always_drop =
     Adversary.make ~delta:2 ~gst:5 (fun ~now:_ ~src:_ ~dst:_ ~seq:_ -> Adversary.Drop)
   in
-  Alcotest.(check (option int)) "post-GST drop overridden" (Some 7)
-    (Adversary.due always_drop ~now:5 ~src:0 ~dst:1 ~seq:0);
+  Alcotest.(check int) "post-GST drop overridden" 7
+    (Adversary.due_tick always_drop ~now:5 ~src:0 ~dst:1 ~seq:0);
   let a2 =
     Adversary.make ~delta:3 ~gst:0 (fun ~now:_ ~src:_ ~dst:_ ~seq:_ -> Adversary.Deliver 50)
   in
-  Alcotest.(check (option int)) "post-GST capped at delta" (Some 13)
-    (Adversary.due a2 ~now:10 ~src:0 ~dst:1 ~seq:0);
+  Alcotest.(check int) "post-GST capped at delta" 13
+    (Adversary.due_tick a2 ~now:10 ~src:0 ~dst:1 ~seq:0);
   (* GST-never: no overflow, pre-GST forever *)
   let nv = Adversary.never ~delta:1 in
-  Alcotest.(check (option int)) "never delivers" None
-    (Adversary.due nv ~now:(max_int - 1) ~src:0 ~dst:1 ~seq:0)
+  Alcotest.(check int) "never delivers" (-1)
+    (Adversary.due_tick nv ~now:(max_int - 1) ~src:0 ~dst:1 ~seq:0)
 
 (* ------------------------------------------------------- delivery *)
 
@@ -918,12 +919,12 @@ let test_crash_brs_shape () =
   (* groups are p mod (k+1): {0,3} {1,4} {2} — same-group traffic
      flows pre-GST, cross-group is silenced, everything flows post-GST
      within delta *)
-  let due ~now ~src ~dst = Adversary.due c.Adversary.adversary ~now ~src ~dst ~seq:0 in
-  Alcotest.(check bool) "same group delivers pre-GST" true (due ~now:0 ~src:0 ~dst:3 <> None);
-  Alcotest.(check (option int)) "cross group dropped pre-GST" None (due ~now:0 ~src:0 ~dst:1);
+  let due ~now ~src ~dst = Adversary.due_tick c.Adversary.adversary ~now ~src ~dst ~seq:0 in
+  Alcotest.(check bool) "same group delivers pre-GST" true (due ~now:0 ~src:0 ~dst:3 >= 0);
+  Alcotest.(check int) "cross group dropped pre-GST" (-1) (due ~now:0 ~src:0 ~dst:1);
   (match due ~now:10 ~src:0 ~dst:1 with
-  | Some at -> Alcotest.(check bool) "post-GST within delta" true (at <= 12)
-  | None -> Alcotest.fail "cross-group message dropped after GST");
+  | -1 -> Alcotest.fail "cross-group message dropped after GST"
+  | at -> Alcotest.(check bool) "post-GST within delta" true (at <= 12));
   Alcotest.check_raises "k out of range"
     (Invalid_argument "Adversary.crash_brs: need 1 <= k < total") (fun () ->
       ignore (Adversary.crash_brs ~delta:1 ~gst:1 ~total:3 ~k:3 ~crashes:[]));
