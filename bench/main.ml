@@ -1056,6 +1056,15 @@ let n2_microbench ~mode ~batch ~iters =
   in
   (Run.total_steps run, Netmem.ops_completed nm)
 
+(* [solve ()]'s result and the minor words it allocated per granted
+   step, set-up included. bin/bench_guard.ml caps the k-set crash_brs
+   n=7 row's counts on both backends. *)
+let words_per_step solve steps_of =
+  let w0 = Gc.minor_words () in
+  let r = solve () in
+  let w = Gc.minor_words () -. w0 in
+  (r, w /. float_of_int (max 1 (steps_of r)))
+
 let n2_round_batching ?(quick = false) () =
   section "N2. Round-batched Netmem: steps per routed op; agreement over net vs shm";
   subsection "a. microbench: 1 client, 1 owner, C writes + 1 read per iteration";
@@ -1081,8 +1090,8 @@ let n2_round_batching ?(quick = false) () =
       ("batched", Netmem.Batched, 4);
     ];
   subsection "b. agreement end-to-end over net, verdicts vs shm";
-  Fmt.pr "  %-7s %-10s %-3s %-40s %-7s %-7s %s@." "solver" "adversary" "n" "net verdict"
-    "equal" "ops" "steps";
+  Fmt.pr "  %-7s %-10s %-3s %-40s %-7s %-7s %-8s %-10s %s@." "solver" "adversary" "n"
+    "net verdict" "equal" "ops" "steps" "w/st net" "w/st shm";
   let sizes = if quick then [ 7 ] else [ 5; 7; 9 ] in
   List.iter
     (fun n ->
@@ -1105,20 +1114,26 @@ let n2_round_batching ?(quick = false) () =
           List.iter
             (fun (adv_label, combined, resend_after) ->
               let max_steps = 500_000 in
-              let r =
-                Net_agreement.solve ~solver ?resend_after ~problem ~inputs ~combined
-                  ~max_steps ()
+              let r, net_wps =
+                words_per_step
+                  (fun () ->
+                    Net_agreement.solve ~solver ?resend_after ~problem ~inputs ~combined
+                      ~max_steps ())
+                  (fun r -> Run.total_steps r.Net_agreement.outcome.Ag_harness.run)
               in
-              let shm =
-                Net_agreement.solve_shm ~solver ~problem ~inputs
-                  ~fault:combined.Adversary.fault ~max_steps ()
+              let shm, shm_wps =
+                words_per_step
+                  (fun () ->
+                    Net_agreement.solve_shm ~solver ~problem ~inputs
+                      ~fault:combined.Adversary.fault ~max_steps ())
+                  (fun o -> Run.total_steps o.Ag_harness.run)
               in
               let vn = Net_agreement.verdict ~values r.Net_agreement.outcome in
               let vs = Net_agreement.verdict ~values shm in
               let equal = vn = vs in
               let steps = Run.total_steps r.Net_agreement.outcome.Ag_harness.run in
-              Fmt.pr "  %-7s %-10s %-3d %-40s %-7b %-7d %d@." solver_label adv_label n vn
-                equal r.Net_agreement.ops steps;
+              Fmt.pr "  %-7s %-10s %-3d %-40s %-7b %-7d %-8d %-10.1f %.1f@." solver_label
+                adv_label n vn equal r.Net_agreement.ops steps net_wps shm_wps;
               Results.add "N2"
                 [
                   ("kind", Json.String "agreement");
@@ -1131,6 +1146,8 @@ let n2_round_batching ?(quick = false) () =
                   ("net_ok", Json.Bool (Ag_harness.ok r.Net_agreement.outcome));
                   ("ops", Json.Int r.Net_agreement.ops);
                   ("steps", Json.Int steps);
+                  ("net_words_per_step", Json.Float net_wps);
+                  ("shm_words_per_step", Json.Float shm_wps);
                 ])
             scenarios)
         [

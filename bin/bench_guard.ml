@@ -66,6 +66,16 @@
    The F1 row pins the seeded fuzz hunt's search exactly: found, the
    exec that found it, the shrunk length, execs and replay steps.
 
+   The N2 agreement rows record the minor words each solve allocates
+   per granted step, set-up included. The count is a pure function of
+   the seeded run, so unlike a wall-clock ratio it cannot flake. The
+   k-set crash_brs n=7 row is capped: at most 110 words per step over
+   the net (measured 86.9; 179.4 before decision polls stopped copying
+   and the Net/Netmem hot paths stopped rebuilding lists) and at most
+   45 on shared memory (measured 32.2; 67.5 before). A per-step
+   decision snapshot that comes back costs the shm run about 35 words
+   a step and trips the shm ceiling.
+
    Usage: bench_guard BENCH_quick.json *)
 
 module Json = Setsync_obs.Json
@@ -399,4 +409,30 @@ let () =
             (Option.value (str row "net_verdict") ~default:"")
             (Option.value (str row "shm_verdict") ~default:""));
       Printf.printf "bench_guard: N2 %s ok (verdict matches shm)\n" label)
-    ag
+    ag;
+  (* N2 allocation ceilings on the k-set crash_brs n=7 row *)
+  let kset_brs =
+    List.find_opt
+      (fun row ->
+        str row "solver" = Some "kset"
+        && str row "adversary" = Some "crash_brs"
+        && int row "n" = Some 7)
+      ag
+  in
+  match kset_brs with
+  | None -> fail "%s: no N2 kset/crash_brs n=7 agreement row — did bench --quick change?" file
+  | Some row ->
+      List.iter
+        (fun (field, backend, ceiling) ->
+          match num row field with
+          | None -> fail "N2 kset/crash_brs n=7: missing %s" field
+          | Some v when v <= 0. -> fail "N2 kset/crash_brs n=7: %s is %.1f — inert?" field v
+          | Some v when v > ceiling ->
+              fail "N2 kset/crash_brs n=7: %.1f minor words per step on %s exceeds the %.0f \
+                    ceiling"
+                v backend ceiling
+          | Some v ->
+              Printf.printf
+                "bench_guard: N2 kset/crash_brs n=7 %s ok (%.1f minor words/step, ceiling %.0f)\n"
+                backend v ceiling)
+        [ ("net_words_per_step", "net", 110.); ("shm_words_per_step", "shm", 45.) ]

@@ -41,7 +41,8 @@ let starved_of run =
 
 type solver_bundle = {
   step : Machine.step;
-  snapshot_decisions : unit -> int option array;
+  decided : int -> bool;  (** polled every granted step: allocates nothing *)
+  snapshot_decisions : unit -> int option array;  (** taken once, at the end of the run *)
   fd_iterations : unit -> int array option;
   view : Kset_solver.adversary_view;
   used_trivial : bool;
@@ -55,6 +56,7 @@ let make_bundle ~problem ~inputs ?initial_timeout ?(solver = `Auto) store =
     let c = Consensus.create store ~n ~inputs () in
     {
       step = Consensus.step c;
+      decided = Consensus.decided c;
       snapshot_decisions = (fun () -> Consensus.decisions c);
       fd_iterations = (fun () -> None);
       view = Kset_solver.empty_adversary_view ~n;
@@ -65,6 +67,7 @@ let make_bundle ~problem ~inputs ?initial_timeout ?(solver = `Auto) store =
     let solver = Trivial.create store ~problem ~inputs in
     {
       step = Trivial.step solver;
+      decided = Trivial.decided solver;
       snapshot_decisions = (fun () -> Trivial.decisions solver);
       fd_iterations = (fun () -> None);
       view = Kset_solver.empty_adversary_view ~n;
@@ -75,6 +78,7 @@ let make_bundle ~problem ~inputs ?initial_timeout ?(solver = `Auto) store =
     let solver = Kset_solver.create store ~problem ~inputs ?initial_timeout () in
     {
       step = Kset_solver.machine_step (Kset_solver.machine solver);
+      decided = Kset_solver.decided solver;
       snapshot_decisions = (fun () -> Kset_solver.decisions solver);
       fd_iterations = (fun () -> Some (Kset_solver.fd_iterations solver));
       view = Kset_solver.adversary_view solver;
@@ -118,17 +122,16 @@ let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost
   let on_step ~global ~proc =
     (match caller_on_step with Some f -> f ~global ~proc | None -> ());
     (* record the first step at which each decision became visible *)
-    let now = bundle.snapshot_decisions () in
-    Array.iteri
-      (fun p d -> if d <> None && decide_steps.(p) = None then decide_steps.(p) <- Some global)
-      now
+    for p = 0 to n - 1 do
+      match decide_steps.(p) with
+      | None -> if bundle.decided p then decide_steps.(p) <- Some global
+      | Some _ -> ()
+    done
   in
-  let stop () =
-    let now = bundle.snapshot_decisions () in
-    let settled p = now.(p) <> None || not (Run.Tally.live tally p) in
-    let rec check p = p >= n || (settled p && check (p + 1)) in
-    check 0
+  let rec settled_from p =
+    p >= n || ((bundle.decided p || not (Run.Tally.live tally p)) && settled_from (p + 1))
   in
+  let stop () = settled_from 0 in
   let run =
     Executor.run_with ~n:total ~source ~max_steps ~tally ?substrate ?boost ~on_step ~stop ?obs step
   in

@@ -34,3 +34,7 @@ val step : t -> Setsync_runtime.Machine.step
 val decisions : t -> int option array
 (** Snapshot of per-process decisions (local records, readable at any
     point of the run). *)
+
+val decided : t -> Setsync_schedule.Proc.t -> bool
+(** Whether the process has recorded a decision; allocates nothing,
+    so a harness can poll it every step. *)

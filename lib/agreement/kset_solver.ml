@@ -183,6 +183,8 @@ let decisions t =
   done;
   d
 
+let decided t p = t.decided.(p) = 1
+
 let fd_iterations t = Array.map Kanti_omega.iterations t.fds
 
 let fd_winnerset t proc = Kanti_omega.winnerset t.fds.(proc)

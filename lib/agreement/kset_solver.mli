@@ -33,6 +33,10 @@ val decisions : t -> int option array
 (** Snapshot of per-process decisions (local records, readable at any
     point; index = process). *)
 
+val decided : t -> Setsync_schedule.Proc.t -> bool
+(** Whether the process has recorded a decision; allocates nothing,
+    so a harness can poll it every step. *)
+
 (** {2 Machine form} — the solver loop's single definition: a
     per-process step that runs the local code since the previous
     shared-memory atomic and performs the next one. Every runner steps

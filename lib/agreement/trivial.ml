@@ -54,3 +54,5 @@ let resume (acc : Machine.access) t proc =
 let step t acc proc = t.pcs.(proc) <- Some (resume acc t proc t.pcs.(proc))
 
 let decisions t = Array.copy t.decisions
+
+let decided t p = Option.is_some t.decisions.(p)

@@ -21,3 +21,7 @@ val step : t -> Setsync_runtime.Machine.step
     run. *)
 
 val decisions : t -> int option array
+
+val decided : t -> Setsync_schedule.Proc.t -> bool
+(** Whether the process has recorded a decision; allocates nothing,
+    so a harness can poll it every step. *)

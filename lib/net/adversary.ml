@@ -69,12 +69,14 @@ let gst_drop ~delta ~gst =
       if now < gst then Drop else Deliver 1)
 
 let partition ~delta ~gst ~groups =
-  let group = Hashtbl.create 16 in
-  List.iteri (fun g ps -> List.iter (fun p -> Hashtbl.replace group p g) ps) groups;
+  (* [group.(p)]: the last group naming [p]; [-1] for none *)
+  let size = List.fold_left (List.fold_left (fun m p -> max m (p + 1))) 0 groups in
+  let group = Array.make size (-1) in
+  List.iteri (fun g ps -> List.iter (fun p -> if p >= 0 then group.(p) <- g) ps) groups;
+  let group_of p = if p >= 0 && p < size then group.(p) else -1 in
   let same_group src dst =
-    match (Hashtbl.find_opt group src, Hashtbl.find_opt group dst) with
-    | Some a, Some b -> a = b
-    | _ -> false
+    let a = group_of src in
+    a >= 0 && a = group_of dst
   in
   make ~name:"partition" ~delta ~gst (fun ~now ~src ~dst ~seq:_ ->
       if now < gst && not (same_group src dst) then Drop else Deliver 1)

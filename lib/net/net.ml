@@ -235,52 +235,65 @@ let attribute t (at, m) =
       (adv, forced, at - at0, v.Adversary.denied, v.Adversary.pre_gst)
 
 (* Book one delivered channel entry [(at, m)]: tallies, meters and
-   events. *)
+   events. Called only when meters or events are on. *)
 let book_delivery t ~clock ~dst ((_, m) as entry) =
   t.delivered <- t.delivered + 1;
   t.in_flight <- t.in_flight - 1;
-  if t.meters <> None || t.ev <> None then begin
-    let delay = clock - m.Msg.sent_at in
-    let adv, forced, fifo, denied, pre_gst = attribute t entry in
-    (match t.meters with
-    | Some ms ->
-        Metrics.incr ms.delivered_c;
-        Metrics.observe ms.delay_h (float_of_int delay);
-        Metrics.observe ms.adv_h (float_of_int adv);
-        Metrics.observe ms.forced_h (float_of_int forced);
-        Metrics.observe ms.fifo_h (float_of_int fifo);
-        if pre_gst then
-          Metrics.observe ms.excess_h
-            (float_of_int (max 0 (delay - t.adversary.Adversary.delta)))
-    | None -> ());
-    match t.ev with
-    | Some sink ->
-        let args =
-          key_args ~mid:m.Msg.mid ~src:m.Msg.src ~dst:m.Msg.dst ~seq:m.Msg.seq
-          @ [
-              ("step", Json.Int clock);
-              ("sent", Json.Int m.Msg.sent_at);
-              ("delay", Json.Int delay);
-              ("adv", Json.Int adv);
-              ("forced", Json.Int forced);
-              ("fifo", Json.Int fifo);
-              ("denied", Json.Int denied);
-              ("pre_gst", Json.Bool pre_gst);
-            ]
-        in
-        Events.emit sink ~proc:dst ~args ~cat:"net" "deliver";
-        Events.emit sink ~proc:dst ~id:m.Msg.mid ~phase:Events.Async_end ~cat:"net" "inflight"
-    | None -> ()
-  end
+  let delay = clock - m.Msg.sent_at in
+  let adv, forced, fifo, denied, pre_gst = attribute t entry in
+  (match t.meters with
+  | Some ms ->
+      Metrics.incr ms.delivered_c;
+      Metrics.observe ms.delay_h (float_of_int delay);
+      Metrics.observe ms.adv_h (float_of_int adv);
+      Metrics.observe ms.forced_h (float_of_int forced);
+      Metrics.observe ms.fifo_h (float_of_int fifo);
+      if pre_gst then
+        Metrics.observe ms.excess_h
+          (float_of_int (max 0 (delay - t.adversary.Adversary.delta)))
+  | None -> ());
+  match t.ev with
+  | Some sink ->
+      let args =
+        key_args ~mid:m.Msg.mid ~src:m.Msg.src ~dst:m.Msg.dst ~seq:m.Msg.seq
+        @ [
+            ("step", Json.Int clock);
+            ("sent", Json.Int m.Msg.sent_at);
+            ("delay", Json.Int delay);
+            ("adv", Json.Int adv);
+            ("forced", Json.Int forced);
+            ("fifo", Json.Int fifo);
+            ("denied", Json.Int denied);
+            ("pre_gst", Json.Bool pre_gst);
+          ]
+      in
+      Events.emit sink ~proc:dst ~args ~cat:"net" "deliver";
+      Events.emit sink ~proc:dst ~id:m.Msg.mid ~phase:Events.Async_end ~cat:"net" "inflight"
+  | None -> ()
 
-(* Split a channel into its due entries and the rest. FIFO keeps due
-   ticks monotone along a channel, so the due part is a prefix. *)
-let split_due clock q =
-  let rec go acc = function
-    | (at, _) as e :: rest when at <= clock -> go (e :: acc) rest
-    | rest -> (List.rev acc, rest)
-  in
-  go [] q
+(* The length of a channel's due prefix: FIFO keeps due ticks
+   monotone along a channel, so the due entries come first. *)
+let rec due_count clock k = function
+  | (at, _) :: rest when at <= clock -> due_count clock (k + 1) rest
+  | _ -> k
+
+let rec drop k q = if k = 0 then q else match q with _ :: rest -> drop (k - 1) rest | [] -> []
+
+(* [inbox] followed by the messages of [q]'s first [k] entries. *)
+let[@tail_mod_cons] rec append_due inbox q k =
+  match inbox with
+  | m :: rest -> m :: append_due rest q k
+  | [] -> (
+      if k = 0 then []
+      else match q with (_, m) :: rest -> m :: append_due [] rest (k - 1) | [] -> [])
+
+let rec book_prefix t ~clock ~dst q k =
+  if k > 0 then
+    match q with
+    | entry :: rest ->
+        book_delivery t ~clock ~dst entry;
+        book_prefix t ~clock ~dst rest (k - 1)
+    | [] -> ()
 
 (* Move every due message to its inbox. Reads are observer [peek]s
    (cheap, uncounted); the writes that change behaviour go through
@@ -288,20 +301,27 @@ let split_due clock q =
    [pre_step], before the granted process's atomic action — a message
    due at tick [g] is readable by a recv executed at global step [g].
    Before [next_due] nothing is due; after it only the live channels
-   are visited, in (src, dst) order, and those left empty drop out. *)
+   are visited, in (src, dst) order, and those left empty drop out.
+   Deliveries are booked one by one only when meters or events need
+   them; otherwise the tallies move by the count. *)
 let flush t ~clock =
   if clock >= t.next_due then begin
     let kept = ref 0 and next_due = ref max_int in
+    let itemized = Option.is_some t.meters || Option.is_some t.ev in
     for i = 0 to t.n_live - 1 do
       let id = t.live.(i) in
       let src = id / t.n and dst = id mod t.n in
       let q = Register.peek t.chans.(src).(dst) in
-      let due, rest = split_due clock q in
-      if due <> [] then begin
+      let due = due_count clock 0 q in
+      let rest = drop due q in
+      if due > 0 then begin
         Register.write t.chans.(src).(dst) rest;
-        let inbox = Register.peek t.inboxes.(dst) in
-        Register.write t.inboxes.(dst) (inbox @ List.map snd due);
-        List.iter (book_delivery t ~clock ~dst) due
+        Register.write t.inboxes.(dst) (append_due (Register.peek t.inboxes.(dst)) q due);
+        if itemized then book_prefix t ~clock ~dst q due
+        else begin
+          t.delivered <- t.delivered + due;
+          t.in_flight <- t.in_flight - due
+        end
       end;
       match rest with
       | [] -> ()
@@ -408,13 +428,22 @@ let recv t = Fiber.atomic (fun () -> drain_now t (current t))
 
 let pause _t = Fiber.atomic (fun () -> ())
 
+let rec send_replies t ~src = function
+  | [] -> ()
+  | (dst, payload) :: rest ->
+      enqueue t ~src ~dst payload;
+      send_replies t ~src rest
+
+let rec serve_all t ~handle ~src = function
+  | [] -> ()
+  | m :: rest ->
+      send_replies t ~src (handle m);
+      serve_all t ~handle ~src rest
+
 let step_serve t ~handle =
   Fiber.atomic (fun () ->
       let p = current t in
-      List.iter
-        (fun m ->
-          List.iter (fun (dst, payload) -> enqueue t ~src:p ~dst payload) (handle m))
-        (drain_now t p))
+      serve_all t ~handle ~src:p (drain_now t p))
 
 let push_back_now t p msgs =
   if msgs <> [] then Register.write t.inboxes.(p) (msgs @ Register.peek t.inboxes.(p))

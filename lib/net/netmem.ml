@@ -67,64 +67,74 @@ let fresh_op t =
 
 (* ------------------------------------------------------ client pump *)
 
+let rec all_to owner = function [] -> true | s :: rest -> s.owner = owner && all_to owner rest
+
 (* Transmit stashed ops in program order. An op may only go out while
    every unacked predecessor targets the same owner: per-channel FIFO
    then serializes same-owner ops at the server, and the barrier stops
    a later op from being applied before an earlier one bound elsewhere
    — all the sequential consistency a single client's program needs,
    since processes share state only through these registers. *)
-let flush_ready t st ~src =
-  let rec go () =
-    match st.outq with
-    | [] -> ()
-    | o :: rest ->
-        if List.for_all (fun s -> s.owner = o.owner) st.sent then begin
-          o.last_send <- Net.now t.net;
-          Net.send_now t.net ~src ~dst:o.owner o.request;
-          st.outq <- rest;
-          st.sent <- st.sent @ [ o ];
-          go ()
-        end
-  in
-  go ()
+let rec flush_ready t st ~src =
+  match st.outq with
+  | o :: rest when all_to o.owner st.sent ->
+      o.last_send <- Net.now t.net;
+      Net.send_now t.net ~src ~dst:o.owner o.request;
+      st.outq <- rest;
+      st.sent <- st.sent @ [ o ];
+      flush_ready t st ~src
+  | _ -> ()
 
-(* Classify one drained inbox: replies matching an in-flight op retire
-   it (a batched write completes on the spot; read values and per-op
-   write acks park in [got] for the wait loop); replies matching
-   nothing are dead retransmission duplicates and are dropped;
-   everything else — heartbeats, native values — is returned for
-   push-back so the fiber still sees it. *)
-let absorb t st msgs =
-  List.filter
-    (fun m ->
-      let retire op value =
-        match List.find_opt (fun s -> s.op = op) st.sent with
-        | Some o ->
-            st.sent <- List.filter (fun s -> s.op <> op) st.sent;
-            (match (o.request, t.mode) with
-            | Msg.Write_req _, Batched -> t.completed <- t.completed + 1
-            | _ -> st.got <- (op, value) :: st.got);
-            false
-        | None -> false (* stale duplicate *)
-      in
+(* The in-flight op tagged [op]; tags are unique within [sent]. *)
+let rec find_sent op = function
+  | [] -> raise_notrace Not_found
+  | s :: rest -> if s.op = op then s else find_sent op rest
+
+let[@tail_mod_cons] rec remove_sent op = function
+  | [] -> []
+  | s :: rest -> if s.op = op then rest else s :: remove_sent op rest
+
+(* A reply retires the in-flight op it matches: a batched write
+   completes on the spot; read values and per-op write acks park in
+   [got] for the wait loop. A reply matching nothing is a dead
+   retransmission duplicate and is dropped. *)
+let retire t st op value =
+  match find_sent op st.sent with
+  | o -> (
+      st.sent <- remove_sent op st.sent;
+      match (o.request, t.mode) with
+      | Msg.Write_req _, Batched -> t.completed <- t.completed + 1
+      | _ -> st.got <- (op, value) :: st.got)
+  | exception Not_found -> ()
+
+(* Classify one drained inbox in arrival order: replies are retired
+   (or dropped as stale); everything else — heartbeats, native values
+   — is returned for push-back so the fiber still sees it. *)
+let[@tail_mod_cons] rec absorb t st = function
+  | [] -> []
+  | m :: rest -> (
       match m.Msg.payload with
-      | Msg.Read_reply { op; v; _ } -> retire op (Some v)
-      | Msg.Write_ack { op; _ } -> retire op None
-      | Msg.Hb | Msg.Value _ | Msg.Read_req _ | Msg.Write_req _ -> true)
-    msgs
+      | Msg.Read_reply { op; v; _ } ->
+          retire t st op (Some v);
+          absorb t st rest
+      | Msg.Write_ack { op; _ } ->
+          retire t st op None;
+          absorb t st rest
+      | Msg.Hb | Msg.Value _ | Msg.Read_req _ | Msg.Write_req _ -> m :: absorb t st rest)
+
+let rec resend_overdue t ~src ~now r = function
+  | [] -> ()
+  | o :: rest ->
+      if now - o.last_send >= r then begin
+        o.last_send <- now;
+        Net.send_now t.net ~src ~dst:o.owner o.request
+      end;
+      resend_overdue t ~src ~now r rest
 
 let resend t st ~src =
-  match t.resend_after with
-  | None -> ()
-  | Some r ->
-      let now = Net.now t.net in
-      List.iter
-        (fun o ->
-          if now - o.last_send >= r then begin
-            o.last_send <- now;
-            Net.send_now t.net ~src ~dst:o.owner o.request
-          end)
-        st.sent
+  match (t.resend_after, st.sent) with
+  | None, _ | _, [] -> ()
+  | Some r, sent -> resend_overdue t ~src ~now:(Net.now t.net) r sent
 
 (* The pump: one full client turn, run inside whatever granted step is
    executing (batched mode's pre-step hook, or a wait-loop atomic in
@@ -159,6 +169,17 @@ let issue t o =
           t.cstates.(p).sent <- t.cstates.(p).sent @ [ o ]);
       o.last_send <- Net.now t.net
 
+(* Replies parked in [got], by op tag; a tag appears at most once. *)
+let rec got_reply op = function
+  | [] -> raise_notrace Not_found
+  | (o, v) :: rest -> if o = op then v else got_reply op rest
+
+let rec got_mem op = function [] -> false | (o, _) :: rest -> o = op || got_mem op rest
+
+let[@tail_mod_cons] rec without_got op = function
+  | [] -> []
+  | ((o, _) as r) :: rest -> if o = op then rest else r :: without_got op rest
+
 (* The one reply wait loop: each spin is one atomic that pumps, so
    replies flushed this very step are absorbed. The success check runs
    BETWEEN atomics: in batched mode the substrate's pre-step hook
@@ -166,32 +187,34 @@ let issue t o =
    already parked in [got] when the resumed code looks — consuming
    reply k and stashing op k+1 then share one granted step, the hinge
    that takes C=1 from 1.5 to ~1.0 steps/op (DESIGN.md §10). *)
+let rec await_spins t o spin spins =
+  let st = t.cstates.(Net.current t.net) in
+  match got_reply o.op st.got with
+  | v ->
+      st.got <- without_got o.op st.got;
+      st.blocked <- false;
+      t.completed <- t.completed + 1;
+      v
+  | exception Not_found ->
+      (match t.max_wait with
+      | Some w when spins >= w ->
+          (* give the op up: withdrawn, it is neither resent nor
+             holds the owner-change barrier for the client's next op *)
+          st.outq <- List.filter (fun s -> s.op <> o.op) st.outq;
+          st.sent <- List.filter (fun s -> s.op <> o.op) st.sent;
+          st.blocked <- false;
+          raise (Unserved { rid = o.p_rid; op = o.op })
+      | _ -> ());
+      Fiber.atomic spin;
+      await_spins t o spin (spins + 1)
+
 let await t o =
-  let rec go spins =
-    let st = t.cstates.(Net.current t.net) in
-    match List.assoc_opt o.op st.got with
-    | Some v ->
-        st.got <- List.remove_assoc o.op st.got;
-        st.blocked <- false;
-        t.completed <- t.completed + 1;
-        v
-    | None ->
-        (match t.max_wait with
-        | Some w when spins >= w ->
-            (* give the op up: withdrawn, it is neither resent nor
-               holds the owner-change barrier for the client's next op *)
-            st.outq <- List.filter (fun s -> s.op <> o.op) st.outq;
-            st.sent <- List.filter (fun s -> s.op <> o.op) st.sent;
-            st.blocked <- false;
-            raise (Unserved { rid = o.p_rid; op = o.op })
-        | _ -> ());
-        Fiber.atomic (fun () ->
-            let p = Net.current t.net in
-            pump t p;
-            t.cstates.(p).blocked <- not (List.mem_assoc o.op t.cstates.(p).got));
-        go (spins + 1)
+  let spin () =
+    let p = Net.current t.net in
+    pump t p;
+    t.cstates.(p).blocked <- not (got_mem o.op t.cstates.(p).got)
   in
-  go 0
+  await_spins t o spin 0
 
 (* ---------------------------------------------------------- routing *)
 
@@ -213,17 +236,16 @@ let route_for : type a. t -> a Register.t -> a Register.route option =
       h_show = show;
     };
   let owner = owner_of t ~rid in
-  let pending request =
-    let op = fresh_op t in
-    { op; p_rid = rid; owner; request = request op; last_send = 0 }
-  in
   let route_read () =
-    let o = pending (fun op -> Msg.Read_req { rid; op }) in
+    let op = fresh_op t in
+    let o = { op; p_rid = rid; owner; request = Msg.Read_req { rid; op }; last_send = 0 } in
     issue t o;
     match await t o with Some (M.V v) -> v | _ -> assert false
   in
   let route_write v =
-    let o = pending (fun op -> Msg.Write_req { rid; op; v = M.V v; show }) in
+    let op = fresh_op t in
+    let request = Msg.Write_req { rid; op; v = M.V v; show } in
+    let o = { op; p_rid = rid; owner; request; last_send = 0 } in
     issue t o;
     if t.mode = Per_op then match await t o with None -> () | Some _ -> assert false
   in

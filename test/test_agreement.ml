@@ -17,6 +17,7 @@ module Run = Setsync_runtime.Run
 module Adversary = Setsync_net.Adversary
 module Net = Setsync_net.Net
 module Netmem = Setsync_net.Netmem
+module Net_agreement = Setsync_net.Net_agreement
 
 (* Paxos plus one whole attempt run from fiber code, for tests that
    call the protocol as a subroutine: its machine form over
@@ -422,6 +423,90 @@ let test_decide_steps_recorded () =
       | _ -> Alcotest.fail "decide step iff decision")
     outcome.Ag_harness.decide_steps
 
+(* Golden decide steps: seeded runs through every solver the harness
+   dispatches to, on shm and over batched Netmem, pinning each
+   process's first-visible decide step, the run length and why it
+   stopped, as recorded before the harness polled decisions per
+   process instead of snapshotting them every step. A poll that sees a
+   decision one step late, or a stop test that fires one step early,
+   moves these. *)
+let test_decide_step_goldens () =
+  let adaptive () =
+    let problem = Problem.make ~t:2 ~k:2 ~n:5 in
+    let contract =
+      { Generators.p = Procset.of_list [ 0; 1 ]; q = Procset.of_list [ 0; 1; 2; 3 ]; bound = 3 }
+    in
+    let make_source ~view ~live =
+      Adaptive.source ~live ~n:5 ~contract ~fault_budget:2 ~defeat:2 ~view ()
+    in
+    Ag_harness.solve_adaptive ~problem ~inputs:(Problem.distinct_inputs problem) ~make_source
+      ~max_steps:400_000 ~fault:[ (0, 60) ] ()
+  in
+  let shm ?solver problem ~seed ~fault =
+    let n = problem.Problem.n in
+    let rng = Rng.create ~seed in
+    let source ~live = Generators.random_fair ~live ~n ~rng () in
+    Ag_harness.solve ~problem ~inputs:(Problem.distinct_inputs problem) ~source
+      ~max_steps:100_000 ~fault ?solver ()
+  in
+  let net ?solver problem ~crashes =
+    let combined =
+      Adversary.crash_brs ~delta:2 ~gst:60 ~total:(problem.Problem.n + 1) ~k:problem.Problem.k
+        ~crashes
+    in
+    (Net_agreement.solve ?solver ~resend_after:8 ~problem
+       ~inputs:(Problem.distinct_inputs problem) ~combined ~max_steps:200_000 ())
+      .Net_agreement.outcome
+  in
+  List.iter
+    (fun (label, solve, decide_steps, total, reason) ->
+      let o = solve () in
+      Alcotest.(check (array (option int))) (label ^ ": decide steps") decide_steps
+        o.Ag_harness.decide_steps;
+      Alcotest.(check int) (label ^ ": total steps") total (Run.total_steps o.Ag_harness.run);
+      Alcotest.(check string) (label ^ ": stop reason") reason
+        (Fmt.str "%a" Run.pp_reason o.Ag_harness.run.Run.reason);
+      Alcotest.(check bool) (label ^ ": ok") true (Ag_harness.ok o))
+    [
+      ( "shm kset",
+        (fun () -> solve_kset ~t:2 ~k:2 ~n:4 ~seed:79 ~fault:[] ~p:[ 0; 1 ] ~q:[ 2; 3 ] ~bound:3),
+        [| Some 239; Some 85; Some 330; Some 250 |],
+        331,
+        "stopped-early" );
+      ( "shm kset with crashes",
+        (fun () ->
+          solve_kset ~t:2 ~k:2 ~n:5 ~seed:81 ~fault:[ (1, 60); (4, 200) ] ~p:[ 2; 3 ]
+            ~q:[ 0; 2; 3 ] ~bound:3),
+        [| Some 768; None; Some 778; Some 806; None |],
+        807,
+        "stopped-early" );
+      ( "shm paxos",
+        (fun () -> shm ~solver:`Paxos (Problem.consensus ~t:1 ~n:4) ~seed:5 ~fault:[ (3, 7) ]),
+        [| Some 39; Some 56; Some 65; None |],
+        66,
+        "stopped-early" );
+      ( "trivial",
+        (fun () -> shm (Problem.make ~t:1 ~k:2 ~n:4) ~seed:6 ~fault:[ (0, 0) ]),
+        [| None; Some 2; Some 9; Some 10 |],
+        11,
+        "stopped-early" );
+      ( "adaptive",
+        adaptive,
+        [| None; Some 462; Some 556; Some 557; Some 559 |],
+        560,
+        "stopped-early" );
+      ( "net kset",
+        (fun () -> net (Problem.make ~t:2 ~k:2 ~n:5) ~crashes:[ (4, 5) ]),
+        [| Some 617; Some 618; Some 829; Some 890; None |],
+        891,
+        "stopped-early" );
+      ( "net paxos",
+        (fun () -> net ~solver:`Paxos (Problem.consensus ~t:2 ~n:5) ~crashes:[ (3, 2) ]),
+        [| Some 163; Some 193; Some 194; None; Some 191 |],
+        195,
+        "stopped-early" );
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* Ag_harness.solve ?on_step: an observer, not a participant *)
 
@@ -701,6 +786,7 @@ let () =
           Alcotest.test_case "validation" `Quick test_kset_create_validation;
           Alcotest.test_case "consensus (k=1)" `Quick test_kset_consensus;
           Alcotest.test_case "decide steps" `Quick test_decide_steps_recorded;
+          Alcotest.test_case "decide-step goldens" `Quick test_decide_step_goldens;
         ] );
       ( "harness on_step",
         [

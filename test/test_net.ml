@@ -1191,6 +1191,59 @@ let test_deliver_after_restore_attributed () =
     [ [ "1"; "0"; "0"; "0"; "false" ]; [ "1"; "0"; "0"; "0"; "false" ] ]
     (List.map decomposition delivers)
 
+(* One flush delivers every due message: after [pre_step], the inbox
+   holds its old messages, then the due ones channel by channel in
+   (src, dst) order, each channel's in FIFO order; a channel keeps only
+   its undue suffix; the tallies move by the count delivered, whether
+   deliveries are booked one by one (a memory event sink) or counted
+   (no obs); and the deliver events come out in inbox order. Message
+   1->2 is sent before the 0->2 ones, so channel order and send order
+   disagree. *)
+let test_flush_order () =
+  (* seq 2 on channel 0->2 is held for 5 ticks; everything else takes 1 *)
+  let adversary =
+    Adversary.make ~delta:10 ~gst:0 (fun ~now:_ ~src ~dst:_ ~seq ->
+        if src = 0 && seq = 2 then Adversary.Deliver 5 else Adversary.Deliver 1)
+  in
+  let flush_once obs =
+    let store = Store.create () in
+    let net = Net.create ?obs ~store ~n:3 ~adversary () in
+    let s = Net.substrate net in
+    let reg name = List.assoc name (Store.snapshot store) in
+    Substrate.pre_step s ~global:0 ~proc:2;
+    Net.send_now net ~src:1 ~dst:2 (Msg.Value 100);
+    Substrate.pre_step s ~global:1 ~proc:2;
+    Alcotest.(check string) "old inbox" "[p2->p3#0@0:val:100]" (reg "Inbox[2]");
+    Net.send_now net ~src:1 ~dst:2 (Msg.Value 4);
+    List.iter (fun v -> Net.send_now net ~src:0 ~dst:2 (Msg.Value v)) [ 1; 2; 3 ];
+    let before = Net.stats net in
+    Substrate.pre_step s ~global:2 ~proc:0;
+    let after = Net.stats net in
+    Alcotest.(check string) "inbox: old, then channel 0->2, then channel 1->2"
+      "[p2->p3#0@0:val:100, p1->p3#0@1:val:1, p1->p3#1@1:val:2, p2->p3#1@1:val:4]"
+      (reg "Inbox[2]");
+    Alcotest.(check string) "channel keeps its undue suffix" "[6>p1->p3#2@1:val:3]"
+      (reg "Chan[0][2]");
+    Alcotest.(check string) "drained channel" "[]" (reg "Chan[1][2]");
+    Alcotest.(check int) "delivered moves by 3" (before.Net.delivered + 3) after.Net.delivered;
+    Alcotest.(check int) "in flight moves by 3" (before.Net.in_flight - 3) after.Net.in_flight
+  in
+  flush_once None;
+  let events = Events.memory ~capacity:256 () in
+  flush_once (Some (Obs.create ~events ()));
+  let mid (e : Events.event) =
+    match List.assoc_opt "mid" e.args with
+    | Some (Json.Int m) -> m
+    | _ -> Alcotest.fail "deliver event without a mid"
+  in
+  let delivers =
+    List.filter (fun (e : Events.event) -> e.cat = "net" && e.name = "deliver")
+      (Events.events events)
+  in
+  (* mids are send order: 100 is 0, 4 is 1, then 1, 2, 3 are 2, 3, 4 *)
+  Alcotest.(check (list int)) "deliver events in inbox order" [ 0; 2; 3; 1 ]
+    (List.map mid delivers)
+
 let test_net_metrics () =
   let obs = Obs.create () in
   let adversary = Adversary.gst_drop ~delta:1 ~gst:4 in
@@ -1215,6 +1268,8 @@ let () =
           Alcotest.test_case "pre-GST drop" `Quick test_pre_gst_drop;
           Alcotest.test_case "pre-GST delay capped at gst+delta" `Quick test_pre_gst_delay_capped;
           Alcotest.test_case "FIFO: no overtaking" `Quick test_fifo_no_overtaking;
+          Alcotest.test_case "flush order: old inbox, channel order, FIFO" `Quick
+            test_flush_order;
           Alcotest.test_case "authenticated src" `Quick test_authenticated_src;
         ] );
       ( "indexed flush",
