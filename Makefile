@@ -38,7 +38,7 @@ bench:
 bench-quick: ## E11 smoke run (small depth, exploration only)
 	dune exec bench/main.exe -- --quick
 
-bench-guard: ## pinned rows: path replay's exact counts on net CT against per-state (E11e), zero-replay snapshot runs against a per-state reference, and a symmetric run that visits what plain fingerprints visit (E11f), an exhaustive k-set check deep enough to decide (E11h), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9), round-batching cost + net-vs-shm verdicts + minor words per granted step on the kset crash_brs n=7 row, ceiling 110 on net and 45 on shm (N2)
+bench-guard: ## pinned rows: path replay's exact counts on net CT against per-state (E11e), zero-replay snapshot runs against a per-state reference, and a symmetric run that visits what plain fingerprints visit (E11f), an exhaustive k-set check deep enough to decide (E11h), the seeded fuzz hunt's exact search counts (F1), net stabilization (N1), tracing overhead (N1t, P9) + the nop tier's minor words per step and the full trace's minor words per event beyond it (N1t), the adaptive adversary's minor words per granted step on an unsolvable cell (E7w), round-batching cost + net-vs-shm verdicts + minor words per granted step on the kset crash_brs n=7 row, ceiling 110 on net and 45 on shm (N2)
 	dune exec bin/bench_guard.exe -- BENCH_quick.json
 
 obs-check: ## traced explorations, per-state (replay events) and default (snapshot: machine steps); validate the emitted JSONL (byte-canonical lines)/Chrome/metrics files

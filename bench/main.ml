@@ -782,6 +782,43 @@ let e11_words () =
       ("words_per_state", Json.Float per_state);
     ]
 
+(* E7w: what the adaptive adversary allocates per granted step, on the
+   unsolvable cell (t=2,k=2,n=5) in S^2_{2,5} that runs to its 400k-step
+   cap (`solve -t 2 -k 2 -n 5 -i 2 -j 2 --adversary adaptive
+   --max-steps=400000`). Its source polls the solver at every pull;
+   a count of the seeded run, so `make ci` caps it like N2's rows
+   (bin/bench_guard.ml). *)
+let e7_adaptive_words () =
+  section "E7w. Adaptive adversary: minor words per granted step (t=2,k=2,n=5, i=2,j=2)";
+  let spec =
+    {
+      Scenario.t = 2;
+      k = 2;
+      n = 5;
+      i = 2;
+      j = 2;
+      bound = 3;
+      seed = 1;
+      crashes = 0;
+      adversary = Scenario.Adaptive;
+      max_steps = 400_000;
+    }
+  in
+  let w0 = Gc.minor_words () in
+  let r = Scenario.run_agreement spec in
+  let words = Gc.minor_words () -. w0 in
+  let steps = Run.total_steps r.Scenario.outcome.Ag_harness.run in
+  let per_step = words /. float_of_int (max 1 steps) in
+  Fmt.pr "  %d steps (solved=%b), %.0f minor words, %.1f words per step@." steps r.Scenario.solved
+    words per_step;
+  Results.add "E7w"
+    [
+      ("steps", Json.Int steps);
+      ("solved", Json.Bool r.Scenario.solved);
+      ("minor_words", Json.Float words);
+      ("words_per_step", Json.Float per_step);
+    ]
+
 (* ------------------------------------------------------------------ *)
 (* P9: observability overhead — the no-sink discipline, enforced *)
 
@@ -952,7 +989,11 @@ let n1_net ?(quick = false) () =
    memory-sink trace (send/deliver/inflight events with lineage args).
    Each instrumented tier runs in alternated pairs with the plain one,
    as in P9. bin/bench_guard.ml pins the overhead of both instrumented
-   tiers. *)
+   tiers, and two counts of the seeded run, which host load cannot
+   move: the minor words the nop tier allocates per step beyond the
+   untraced run (the delay attribution), and the minor words the full
+   trace allocates per emitted event beyond the nop tier (emission and
+   the ring alone). *)
 let n1_trace_overhead ?(quick = false) () =
   section "N1t. Net tracing overhead: CT run, plain vs nop-sink obs vs full trace";
   let n = 2 and delta = 1 and gst = 4 in
@@ -982,12 +1023,34 @@ let n1_trace_overhead ?(quick = false) () =
   let traced = rate "obs ctx, memory sink (full lineage)" (List.map snd traced_timed) in
   let nop_overhead = median_overhead timed in
   let traced_overhead = median_overhead traced_timed in
+  (* each tier's minor words beyond the tier below it: the nop tier's
+     per step over the untraced run, the full trace's per event it
+     records over the nop tier *)
+  let minor_words obs =
+    let w0 = Gc.minor_words () in
+    ignore (run_once obs ());
+    Gc.minor_words () -. w0
+  in
+  let plain_words = minor_words None in
+  let nop_words = minor_words (Some (Obs.create ())) in
+  let sink = Events.memory () in
+  let traced_words = minor_words (Some (Obs.create ~events:sink ())) in
+  let events = Events.recorded sink in
+  let nop_words_per_step = (nop_words -. plain_words) /. float_of_int max_steps in
+  let words_per_event = (traced_words -. nop_words) /. float_of_int (max 1 events) in
+  let events_per_step = float_of_int events /. float_of_int max_steps in
   Fmt.pr "  nop-sink overhead vs no obs: %.2f%% (median of %d alternated pairs; guard \
           ceiling 30%%)@."
     (nop_overhead *. 100.) pairs;
   Fmt.pr "  full-trace overhead vs no obs: %.2f%% (median of %d alternated pairs; guard \
           ceiling 82%%)@."
     (traced_overhead *. 100.) traced_pairs;
+  Fmt.pr "  nop-sink tier: %.2f minor words per step beyond the untraced run (guard \
+          ceiling 30)@."
+    nop_words_per_step;
+  Fmt.pr "  full trace: %.2f events per step, %.2f minor words per event beyond the \
+          nop-sink tier (guard ceiling 2)@."
+    events_per_step words_per_event;
   Results.add "N1t"
     [
       ("steps", Json.Int max_steps);
@@ -998,6 +1061,9 @@ let n1_trace_overhead ?(quick = false) () =
       ("traced_steps_per_s", Json.Float traced);
       ("nop_overhead_fraction", Json.Float nop_overhead);
       ("traced_overhead_fraction", Json.Float traced_overhead);
+      ("nop_words_per_step", Json.Float nop_words_per_step);
+      ("events_per_step", Json.Float events_per_step);
+      ("words_per_event", Json.Float words_per_event);
     ]
 
 (* N2: round-batched Netmem — amortized steps per routed register op,
@@ -1283,6 +1349,7 @@ let quick () =
   n1_net ~quick:true ();
   n1_trace_overhead ~quick:true ();
   n2_round_batching ~quick:true ();
+  e7_adaptive_words ();
   p9_obs_overhead ();
   Results.write "BENCH_quick.json";
   Fmt.pr "@.done.@."
@@ -1298,6 +1365,7 @@ let () =
     e5_theorem26_possible ();
     e6_bg_simulation ();
     e7_e8_boundary ();
+    e7_adaptive_words ();
     e10_separation ();
     e11_explore ();
     e11_domains ();

@@ -56,8 +56,26 @@
    3.1-4.3x slowdown), ceiling 82% (5.6x). The record-per-event ring
    it replaced lost 85-88% (6.6-8.7x), so the ceiling trips if
    emission goes back to keeping heap blocks per event. ROADMAP item
-   4's target for this tier is <= 30%; the remaining cost is the
-   per-event clock read, lock and encoding.
+   4's target for this tier is <= 30%. No emission reads a clock (an
+   event's [ts] is the logical step); what remains is the sink's lock
+   and the encoding, and on the nop tier the delay attribution.
+
+   Both N1t ceilings are wall-clock ratios, which host load can push
+   past them. The row also reports two minor-word counts, pure
+   functions of the seeded run, each gated on its own. The nop tier
+   allocates 24.0 words per step beyond the untraced run, all of it
+   the delay attribution paid per delivery; ceiling 30, so the
+   attribution may shrink (ROADMAP item 4) but not grow. The full
+   trace allocates 0.0 words per event beyond the nop tier, so
+   emission and the ring allocate nothing; ceiling 2. When every event
+   built a [Json.t] arg list and boxed its float timestamp it read
+   37.7, and a runtime.step emitted through [emit] again reads 6.7.
+
+   The E7w row caps the minor words the adaptive adversary's run
+   allocates per granted step on the unsolvable (t=2,k=2,n=5) cell
+   in S^2_{2,5}, run to its 400,000-step cap: measured 30.4 (607.5
+   when every pull rebuilt the live list, copied the engagement twice
+   and sorted a fresh copy of each set's counter row), ceiling 60.
 
    The P9 row pins the same nop-sink tier on the shared-memory
    executor, as the median overhead of alternated run pairs (ceiling
@@ -294,6 +312,18 @@ let () =
           (nop_overhead *. 100.)
           (max_nop_overhead *. 100.);
       if field "traced_steps_per_s" <= 0. then fail "N1t: full-trace tier did not run";
+      let max_words_per_event = 2. and max_nop_words_per_step = 30. in
+      if field "events_per_step" <= 0. then fail "N1t: the full trace recorded no events";
+      if field "nop_words_per_step" > max_nop_words_per_step then
+        fail
+          "N1t: the nop-sink tier allocates %.1f minor words per step beyond the untraced \
+           run (ceiling %.0f) — does the delay attribution allocate more?"
+          (field "nop_words_per_step") max_nop_words_per_step;
+      if field "words_per_event" > max_words_per_event then
+        fail
+          "N1t: the full trace allocates %.1f minor words per event beyond the nop-sink tier \
+           (ceiling %.0f) — does emission build arg lists or box values again?"
+          (field "words_per_event") max_words_per_event;
       if traced_overhead > max_traced_overhead then
         fail
           "N1t: full memory-sink trace costs %.1f%% vs the untraced run (ceiling %.0f%%) — \
@@ -302,11 +332,31 @@ let () =
           (max_traced_overhead *. 100.);
       Printf.printf
         "bench_guard: N1t ok (nop-sink overhead %.1f%%, ceiling %.0f%%; full trace %.1f%%, \
-         ceiling %.0f%%)\n"
+         ceiling %.0f%%; nop tier %.1f minor words per step, ceiling %.0f; %.2f events per \
+         step, %.1f minor words per event, ceiling %.0f)\n"
         (nop_overhead *. 100.)
         (max_nop_overhead *. 100.)
         (traced_overhead *. 100.)
-        (max_traced_overhead *. 100.));
+        (max_traced_overhead *. 100.)
+        (field "nop_words_per_step") max_nop_words_per_step (field "events_per_step")
+        (field "words_per_event") max_words_per_event);
+  (* E7w row: the adaptive adversary's allocation per granted step *)
+  (match List.find_opt (fun row -> str row "section" = Some "E7w") rows with
+  | None -> fail "%s: no E7w row — did bench --quick change?" file
+  | Some row -> (
+      let ceiling = 60. in
+      if int row "steps" <> Some 400_000 then
+        fail "E7w: the unsolvable adaptive cell no longer runs to its 400000-step cap";
+      match num row "words_per_step" with
+      | None -> fail "E7w: missing words_per_step"
+      | Some v when v <= 0. -> fail "E7w: words_per_step is %.1f — inert?" v
+      | Some v when v > ceiling ->
+          fail
+            "E7w: the adaptive run allocates %.1f minor words per step (ceiling %.0f) — does \
+             a pull copy solver state again?"
+            v ceiling
+      | Some v ->
+          Printf.printf "bench_guard: E7w ok (%.1f minor words/step, ceiling %.0f)\n" v ceiling));
   (* P9 row: the executor's nop-sink obs tier on a pause loop, where
      the per-step counter writes are the whole cost. The bench reports
      the median overhead of alternated no-obs/nop run pairs; ten quick

@@ -27,7 +27,10 @@
    adv + forced + fifo attribution telescoping to the delay), per-pair
    delivered seqs strictly increase (no duplicate or reordered FIFO
    slot), inflight spans pair begin/end by mid, no message both
-   delivers and drops, and the gst marker is emitted at most once.
+   delivers and drops, and the gst marker is emitted at most once. It
+   also checks the logical clock over every line of the trace: [ts] is
+   an int that never decreases, and it equals [global] on a
+   runtime.step and [step] on a net send/drop/deliver.
    Exit 0 iff every given file parses and every requirement holds. *)
 
 module Json = Setsync_obs.Json
@@ -156,11 +159,36 @@ let check_net f =
   and drops = ref 0
   and gsts = ref 0 in
   let lines = String.split_on_char '\n' (read_file f) in
+  let last_ts = ref min_int in
+  (* [ts] is the executor's global step: monotone over the file, and
+     the step the event names *)
+  let check_clock ~what j =
+    let ts =
+      match Json.member "ts" j with
+      | Some (Json.Int ts) -> ts
+      | Some _ -> fail "%s: ts is not an int: %s" what (Json.to_string j)
+      | None -> fail "%s: missing ts" what
+    in
+    if ts < !last_ts then fail "%s: ts %d after ts %d" what ts !last_ts;
+    last_ts := ts;
+    let stamped key =
+      match Json.member "args" j with
+      | Some args ->
+          let v = int_arg ~what args key in
+          if v <> ts then fail "%s: ts %d but %s %d: %s" what ts key v (Json.to_string j)
+      | None -> fail "%s: no args" what
+    in
+    match (str_field ~what j "cat", str_field ~what j "name") with
+    | "runtime", "step" -> stamped "global"
+    | "net", ("send" | "drop" | "deliver") -> stamped "step"
+    | _ -> ()
+  in
   List.iteri
     (fun i line ->
       if String.trim line <> "" then begin
         let what = Printf.sprintf "%s line %d" what0 (i + 1) in
         let j = parse ~what f line in
+        check_clock ~what j;
         if str_field ~what j "cat" = "net" then begin
           let name = str_field ~what j "name" in
           let args () =

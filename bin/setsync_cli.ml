@@ -166,7 +166,10 @@ let trace_out_arg =
         ~doc:
           "Record a structured event trace and write it to $(docv) as JSONL (one event \
            per line), plus a Chrome trace-event file next to it (FILE.jsonl becomes \
-           FILE.chrome.json; load it in chrome://tracing or Perfetto).")
+           FILE.chrome.json; load it in chrome://tracing or Perfetto). An event's ts is \
+           a logical clock, not a time: the global step of the run (the visited-state \
+           count for explore, the exec index for fuzz), which the Chrome file shows as \
+           microseconds. A run's begin and end events carry wall_s, the seconds since the trace began.")
 
 let metrics_out_arg =
   Arg.(

@@ -49,11 +49,12 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
      eventual winner's counter stays bounded even under starvation
      (enough processes stop accusing it), so it keeps the argmin and
      stabilizes; on unsolvable cells starving the argmin always grows
-     its counter, so the target rotates forever. *)
-  let current_target = ref candidates.(0) in
+     its counter, so the target rotates forever. The target's victims
+     are computed when it changes. *)
+  let target_victims = ref (victim_of candidates.(0)) in
   let refresh_target () =
     let a = view.current_argmin () in
-    if Procset.cardinal a = defeat then current_target := a
+    if Procset.cardinal a = defeat then target_victims := victim_of a
   in
   (* start inside a phase targeting the canonical first set: the
      initial winnerset of every process is exactly that set, and
@@ -65,10 +66,11 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
   in
   let monitor = Timeliness.Monitor.create ~p ~q () in
   let cursor = ref 0 in
+  let picks = Array.init n Option.some in
   let emit x =
     Timeliness.Monitor.feed monitor x;
     Generators.Phase_clock.tick clock;
-    Some x
+    picks.(x)
   in
   (* the cursor also rotates fallback picks through their pool *)
   let emit_cycling pool =
@@ -77,9 +79,8 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
     cursor := (!cursor + 1) mod n;
     emit x
   in
-  let phase_victims () =
-    Generators.Phase_clock.starved clock (fun _ -> victim_of !current_target)
-  in
+  let of_phase _ = !target_victims in
+  let phase_victims () = Generators.Phase_clock.starved clock of_phase in
   (* Freeze exactly the processes whose in-flight attempt has landed
      its prepare and currently holds its instance's maximum ballot —
      the only attempts that could complete. A pre-write attempt
@@ -90,13 +91,11 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
      may also run. Every freeze is therefore transient as long as
      leadership keeps moving, respecting the fault budget. *)
   let frozen () =
-    let engagement = view.engagement () in
     let acc = ref Procset.empty in
     for proc = 0 to n - 1 do
-      match engagement.(proc) with
-      | Some (instance, ballot) ->
-          if view.instance_max_ballot instance = ballot then acc := Procset.add proc !acc
-      | None -> ()
+      let instance = view.engaged_instance proc in
+      if instance >= 0 && view.instance_max_ballot instance = view.engaged_ballot proc then
+        acc := Procset.add proc !acc
     done;
     !acc
   in
@@ -107,23 +106,23 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
      proposer itself through its (winning) attempt. The exemption is
      moot when the releaser is the frozen proposer. *)
   let releasers frozen_now =
-    let engagement = view.engagement () in
     let argmin = view.current_argmin () in
     let acc = ref Procset.empty in
     for proc = 0 to n - 1 do
-      match engagement.(proc) with
-      | Some (instance, _) when Procset.mem proc frozen_now ->
-          if instance < Procset.cardinal argmin then begin
-            let releaser = Procset.nth argmin instance in
-            if releaser <> proc then acc := Procset.add releaser !acc
-          end
-      | Some _ | None -> ()
+      let instance = view.engaged_instance proc in
+      if instance >= 0 && Procset.mem proc frozen_now && instance < Procset.cardinal argmin
+      then begin
+        let releaser = Procset.nth argmin instance in
+        if releaser <> proc then acc := Procset.add releaser !acc
+      end
     done;
     !acc
   in
+  (* the live processes, ascending; built only off the common path *)
+  let live_now () = List.filter live (Proc.all ~n) in
+  let rec any_live p = p < n && (live p || any_live (p + 1)) in
   Source.make ~n (fun () ->
-      let live_now = List.filter live (Proc.all ~n) in
-      if live_now = [] then None
+      if not (any_live 0) then None
       else if Timeliness.Monitor.critical monitor ~bound then begin
         (* Contract enforcement first, as always — in phase-long
            single-member stints (the Figure 1 pattern), so no proper
@@ -156,7 +155,7 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
           else
             List.filter
               (fun x -> (not (Procset.mem x q)) && not (Procset.mem x frozen_now))
-              live_now
+              (live_now ())
         in
         match (best, unfrozen, outside_q, members) with
         | (_ :: _ as pool), _, _, _ | [], (_ :: _ as pool), _, _ ->
@@ -185,6 +184,7 @@ let source ?(live = Generators.all_live) ?(phase0 = 32) ?(growth = 16) ~n ~contr
                correct processes forever, so degrade to round-robin over
                the live processes outside the frozen set, else anybody. *)
             let frozen_now = frozen () in
+            let live_now = live_now () in
             emit_cycling
               (match List.filter (fun x -> not (Procset.mem x frozen_now)) live_now with
               | [] -> live_now

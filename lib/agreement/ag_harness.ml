@@ -167,7 +167,7 @@ let execute ~problem ~inputs ~source ~max_steps ?fault ?total ?extra_body ?boost
                        (match decisions.(p) with
                        | Some v -> [ ("value", Json.Int v) ]
                        | None -> []))
-                    ~cat:"agreement" "decide"
+                    ~ts:(Run.total_steps run) ~cat:"agreement" "decide"
               | None -> ()))
         decide_steps);
   {

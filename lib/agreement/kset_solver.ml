@@ -191,7 +191,8 @@ let fd_winnerset t proc = Kanti_omega.winnerset t.fds.(proc)
 
 type adversary_view = {
   winnersets : unit -> Procset.t array;
-  engagement : unit -> (int * int) option array;
+  engaged_instance : int -> int;
+  engaged_ballot : int -> int;
   instance_max_ballot : int -> int;
   current_argmin : unit -> Procset.t;
 }
@@ -199,11 +200,16 @@ type adversary_view = {
 let adversary_view t =
   let { Problem.n; _ } = t.problem in
   let sets = Kanti_omega.sets t.fd_shared in
+  (* one reused row: an adversary polls the argmin at every pull *)
+  let row = Array.make n 0 in
+  let accusation a =
+    Kanti_omega.accusation_counter t.fd_shared t.fd_params ~row ~set_index:a
+  in
   let current_argmin () =
     let best = ref 0 in
-    let best_acc = ref (Kanti_omega.accusation_counter t.fd_shared t.fd_params ~set_index:0) in
+    let best_acc = ref (accusation 0) in
     for a = 1 to Array.length sets - 1 do
-      let acc = Kanti_omega.accusation_counter t.fd_shared t.fd_params ~set_index:a in
+      let acc = accusation a in
       if acc < !best_acc then begin
         best := a;
         best_acc := acc
@@ -213,10 +219,8 @@ let adversary_view t =
   in
   {
     winnersets = (fun () -> Array.init n (fun proc -> fd_winnerset t proc));
-    engagement =
-      (fun () ->
-        Array.init n (fun p ->
-            if t.engaged.(p) = 1 then Some (t.engaged_rank.(p), t.engaged_ballot.(p)) else None));
+    engaged_instance = (fun p -> if t.engaged.(p) = 1 then t.engaged_rank.(p) else -1);
+    engaged_ballot = (fun p -> t.engaged_ballot.(p));
     instance_max_ballot = (fun r -> Paxos.peek_max_ballot t.instances.(r));
     current_argmin;
   }
@@ -224,7 +228,8 @@ let adversary_view t =
 let empty_adversary_view ~n =
   {
     winnersets = (fun () -> Array.make n Procset.empty);
-    engagement = (fun () -> Array.make n None);
+    engaged_instance = (fun _ -> -1);
+    engaged_ballot = (fun _ -> 0);
     instance_max_ballot = (fun _ -> 0);
     current_argmin = (fun () -> Procset.empty);
   }

@@ -98,9 +98,12 @@ val fd_winnerset : t -> Setsync_schedule.Proc.t -> Setsync_schedule.Procset.t
 type adversary_view = {
   winnersets : unit -> Setsync_schedule.Procset.t array;
       (** each process's current local winnerset *)
-  engagement : unit -> (int * int) option array;
-      (** per process: [(instance, ballot)] of an in-flight Paxos
-          attempt, if currently inside one *)
+  engaged_instance : int -> int;
+      (** the instance of the process's in-flight Paxos attempt, [-1]
+          if it is not inside one; polled, nothing allocated *)
+  engaged_ballot : int -> int;
+      (** that attempt's ballot (meaningful while [engaged_instance]
+          is not [-1]) *)
   instance_max_ballot : int -> int;
       (** highest ballot visible in the given instance's blocks *)
   current_argmin : unit -> Setsync_schedule.Procset.t;

@@ -51,7 +51,7 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
             Events.emit sink ~proc
               ~args:
                 [ ("step", Json.Int global); ("output", Json.String (Fmt.str "%a" Procset.pp out)) ]
-              ~cat:"detector" "fd_output_change")
+              ~ts:global ~cat:"detector" "fd_output_change")
     | None -> ());
     History.note outputs ~proc ~step:global ~equal:Procset.equal out;
     History.note winnersets ~proc ~step:global ~equal:Procset.equal w
@@ -110,7 +110,7 @@ let run ~params ~source ~max_steps ?(fault = Fault.no_faults) ?initial_timeout
                   ("stable_from", Json.Int stable_from);
                   ("winner", Json.String (Fmt.str "%a" Procset.pp winner));
                 ]
-              ~cat:"detector" "stabilization_detected"
+              ~ts:total_steps ~cat:"detector" "stabilization_detected"
       | Anti_omega.Winner_vacuous _ | Anti_omega.Winner_unstable _ -> ())
   | None -> ());
   {

@@ -36,9 +36,14 @@ let peek_counter shared ~set_index ~proc = Register.peek shared.counter.(set_ind
 
 let peek_heartbeat shared ~proc = Register.peek shared.heartbeat.(proc)
 
-let accusation_counter shared params ~set_index =
-  let row = Array.map Register.peek shared.counter.(set_index) in
-  Order_stat.kth_smallest row (params.t + 1)
+let accusation_counter shared params ~row ~set_index =
+  let counters = shared.counter.(set_index) in
+  if Array.length row <> Array.length counters then
+    invalid_arg "Kanti_omega.accusation_counter: row length must be n";
+  for q = 0 to Array.length row - 1 do
+    row.(q) <- Register.peek counters.(q)
+  done;
+  Order_stat.select_in_place row (params.t + 1)
 
 type process = {
   shared : shared;

@@ -36,10 +36,12 @@ val peek_counter : shared -> set_index:int -> proc:Setsync_schedule.Proc.t -> in
 
 val peek_heartbeat : shared -> proc:Setsync_schedule.Proc.t -> int
 
-val accusation_counter : shared -> params -> set_index:int -> int
+val accusation_counter : shared -> params -> row:int array -> set_index:int -> int
 (** Observer computation of the pseudo-variable [counter(A)]
     (Definition 13): the [(t+1)]-st smallest entry of the current
-    [Counter[A, *]]. *)
+    [Counter[A, *]]. [row], of length [n], is the caller's scratch: the
+    row is read into it and sorted there, so a poll allocates nothing.
+    Raises [Invalid_argument] if [row]'s length is not [n]. *)
 
 type process
 (** Per-process instance (local state of Figure 2). *)

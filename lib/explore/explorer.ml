@@ -644,7 +644,10 @@ type 'obs engine = {
 
 let emit eng name args =
   match eng.e_ev with
-  | Some sink -> Events.emit sink ~worker:eng.e_worker ~args ~cat:"explorer" name
+  | Some sink ->
+      Events.emit sink ~worker:eng.e_worker ~args
+        ~ts:(Atomic.get eng.e_gauge.g_visited)
+        ~cat:"explorer" name
   | None -> ()
 
 let push eng item = Parallel.Pool.push eng.e_pool ~worker:eng.e_worker item
@@ -1039,7 +1042,7 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
             | Some s ->
                 Events.emit s ~worker:thief
                   ~args:[ ("victim", Json.Int victim) ]
-                  ~cat:"explorer" "steal"
+                  ~ts:(Atomic.get gauge.g_visited) ~cat:"explorer" "steal"
             | None -> ())
   in
   let pool =
@@ -1058,7 +1061,8 @@ let explore ?(domains = 1) ?obs ?on_progress ?(progress_interval = 1.0) ~sut ~pr
             Option.iter (fun f -> f s) on_progress;
             Option.iter
               (fun sink ->
-                Events.emit sink ~args:(Budget.stats_to_json s) ~cat:"explorer" "heartbeat")
+                Events.emit sink ~args:(Budget.stats_to_json s) ~ts:s.Budget.visited
+                  ~cat:"explorer" "heartbeat")
               sink)
   in
   let fingerprints = Parallel.Shard_tbl.create () in

@@ -100,7 +100,7 @@ let run ?obs ?on_progress ?(progress_interval = 1.0) ?(live = Generators.all_liv
     match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None
   in
   let emit name args =
-    match sink with Some s -> Events.emit s ~args ~cat:"fuzz" name | None -> ()
+    match sink with Some s -> Events.emit s ~args ~ts:!execs ~cat:"fuzz" name | None -> ()
   in
   (* the hunt's report as it stands: live in the heartbeat, final at
      the end *)

@@ -65,13 +65,44 @@ type t = {
   mutable in_flight : int;
   mutable current : int;  (* the stepping process, [-1] before the first step *)
   meters : meters option;
-  ev : Events.t option;
+  ev : (Events.t * int array) option;  (* the sink, and the values of the event being traced *)
   (* per-granted-step hook, run at the end of [pre_step] after the
      flush: the round-batched register layer ({!Netmem}) installs its
      pump here so stashed operations move at the owning process's own
      grant, never at another's. *)
   mutable step_hook : (global:int -> proc:Proc.t -> unit) option;
 }
+
+(* The per-message events, declared once. Every shape but the inflight
+   pair keys a message by its lineage: [mid], its [(src, dst, seq)]
+   FIFO slot, and the [step] of the event. *)
+let lineage = List.map (fun k -> (k, Events.Int_key)) [ "mid"; "src"; "dst"; "seq"; "step" ]
+
+let send_shape = Events.shape ~cat:"net" "send" lineage
+
+let drop_shape = Events.shape ~cat:"net" "drop" (lineage @ [ ("pre_gst", Events.Bool_key) ])
+
+let deliver_shape =
+  Events.shape ~cat:"net" "deliver"
+    (lineage
+    @ List.map
+        (fun k -> (k, Events.Int_key))
+        [ "sent"; "delay"; "adv"; "forced"; "fifo"; "denied" ]
+    @ [ ("pre_gst", Events.Bool_key) ])
+
+let inflight_begin =
+  Events.shape ~phase:Events.Async_begin ~id:true ~cat:"net" "inflight" [ ("due", Events.Int_key) ]
+
+let inflight_end = Events.shape ~phase:Events.Async_end ~id:true ~cat:"net" "inflight" []
+
+(* [vals]' first six slots: the event's proc, then [lineage] *)
+let put_lineage vals ~proc ~mid ~src ~dst ~seq ~step =
+  vals.(0) <- proc;
+  vals.(1) <- mid;
+  vals.(2) <- src;
+  vals.(3) <- dst;
+  vals.(4) <- seq;
+  vals.(5) <- step
 
 let pp_entry ppf (at, m) = Fmt.pf ppf "%d>%a" at Msg.pp m
 
@@ -112,7 +143,11 @@ let create ?obs ~store ~n ~adversary () =
             excess_h = Metrics.histogram o.Obs.metrics "net.delay_pregst_excess";
           }
   in
-  let ev = match obs with Some o when Obs.events_on o -> Some o.Obs.events | _ -> None in
+  let ev =
+    match obs with
+    | Some o when Obs.events_on o -> Some (o.Obs.events, Array.make (Events.arity deliver_shape) 0)
+    | _ -> None
+  in
   {
     n;
     adversary;
@@ -143,9 +178,6 @@ let current t =
   if t.current < 0 then invalid_arg "Net: no process is stepping (primitive used outside a run?)";
   t.current
 
-let key_args ~mid ~src ~dst ~seq =
-  [ ("mid", Json.Int mid); ("src", Json.Int src); ("dst", Json.Int dst); ("seq", Json.Int seq) ]
-
 (* Insert channel [id], just become nonempty, into [live], keeping
    the ascending order the flush visits channels in. *)
 let add_live t id =
@@ -170,22 +202,19 @@ let enqueue t ~src ~dst payload =
   t.sent <- t.sent + 1;
   (match t.meters with Some ms -> Metrics.incr ms.sent_c | None -> ());
   (match t.ev with
-  | Some sink ->
-      Events.emit sink ~proc:src
-        ~args:(key_args ~mid ~src ~dst ~seq @ [ ("step", Json.Int now) ])
-        ~cat:"net" "send"
+  | Some (sink, vals) ->
+      put_lineage vals ~proc:src ~mid ~src ~dst ~seq ~step:now;
+      Events.emit_shape sink send_shape ~ts:now vals
   | None -> ());
   match Adversary.due_tick t.adversary ~now ~src ~dst ~seq with
   | -1 ->
       t.dropped <- t.dropped + 1;
       (match t.meters with Some ms -> Metrics.incr ms.dropped_c | None -> ());
       (match t.ev with
-      | Some sink ->
-          Events.emit sink ~proc:src
-            ~args:
-              (key_args ~mid ~src ~dst ~seq
-              @ [ ("step", Json.Int now); ("pre_gst", Json.Bool true) ])
-            ~cat:"net" "drop"
+      | Some (sink, vals) ->
+          put_lineage vals ~proc:src ~mid ~src ~dst ~seq ~step:now;
+          vals.(6) <- 1;
+          Events.emit_shape sink drop_shape ~ts:now vals
       | None -> ())
   | at0 ->
       let q = Register.peek t.chans.(src).(dst) in
@@ -204,10 +233,11 @@ let enqueue t ~src ~dst payload =
       Register.write t.chans.(src).(dst) (q @ [ (at, m) ]);
       t.in_flight <- t.in_flight + 1;
       (match t.ev with
-      | Some sink ->
-          Events.emit sink ~proc:src ~id:mid ~phase:Events.Async_begin
-            ~args:[ ("due", Json.Int at) ]
-            ~cat:"net" "inflight"
+      | Some (sink, vals) ->
+          vals.(0) <- src;
+          vals.(1) <- mid;
+          vals.(2) <- at;
+          Events.emit_shape sink inflight_begin ~ts:now vals
       | None -> ());
       (match t.meters with
       | Some ms -> Metrics.set ms.in_flight_g (float_of_int t.in_flight)
@@ -253,22 +283,19 @@ let book_delivery t ~clock ~dst ((_, m) as entry) =
           (float_of_int (max 0 (delay - t.adversary.Adversary.delta)))
   | None -> ());
   match t.ev with
-  | Some sink ->
-      let args =
-        key_args ~mid:m.Msg.mid ~src:m.Msg.src ~dst:m.Msg.dst ~seq:m.Msg.seq
-        @ [
-            ("step", Json.Int clock);
-            ("sent", Json.Int m.Msg.sent_at);
-            ("delay", Json.Int delay);
-            ("adv", Json.Int adv);
-            ("forced", Json.Int forced);
-            ("fifo", Json.Int fifo);
-            ("denied", Json.Int denied);
-            ("pre_gst", Json.Bool pre_gst);
-          ]
-      in
-      Events.emit sink ~proc:dst ~args ~cat:"net" "deliver";
-      Events.emit sink ~proc:dst ~id:m.Msg.mid ~phase:Events.Async_end ~cat:"net" "inflight"
+  | Some (sink, vals) ->
+      put_lineage vals ~proc:dst ~mid:m.Msg.mid ~src:m.Msg.src ~dst:m.Msg.dst ~seq:m.Msg.seq
+        ~step:clock;
+      vals.(6) <- m.Msg.sent_at;
+      vals.(7) <- delay;
+      vals.(8) <- adv;
+      vals.(9) <- forced;
+      vals.(10) <- fifo;
+      vals.(11) <- denied;
+      vals.(12) <- Bool.to_int pre_gst;
+      Events.emit_shape sink deliver_shape ~ts:clock vals;
+      (* its first two values, [dst] and [mid], are the span end's fields *)
+      Events.emit_shape sink inflight_end ~ts:clock vals
   | None -> ()
 
 (* The length of a channel's due prefix: FIFO keeps due ticks
@@ -343,8 +370,8 @@ let pre_step t ~global ~proc =
   if (not t.gst_passed) && global >= t.adversary.Adversary.gst then begin
     t.gst_passed <- true;
     match t.ev with
-    | Some sink ->
-        Events.emit sink ~args:[ ("step", Json.Int global) ] ~cat:"net" "gst"
+    | Some (sink, _) ->
+        Events.emit sink ~args:[ ("step", Json.Int global) ] ~ts:global ~cat:"net" "gst"
     | None -> ()
   end;
   flush t ~clock:global;

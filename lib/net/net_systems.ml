@@ -181,7 +181,7 @@ let run_ct ?obs ?initial_timeout ?backoff ~clients ~adversary ~max_steps () =
       Events.emit o.Setsync_obs.Obs.events
         ~proc:(Setsync_schedule.Schedule.get run.Run.taken s)
         ~args:[ ("step", Json.Int s); ("leader", Json.Int expected) ]
-        ~cat:"detector" "ct_stabilized"
+        ~ts:steps ~cat:"detector" "ct_stabilized"
   | _ -> ());
   {
     steps;

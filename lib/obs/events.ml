@@ -1,7 +1,8 @@
-(* Structured event tracing: typed events with timestamps, process and
-   worker ids, and span begin/end pairs, collected by a sink and
-   serialized to JSONL or to the Chrome trace-event format
-   (chrome://tracing / Perfetto).
+(* Structured event tracing: typed events stamped with the emitter's
+   logical clock, process and worker ids, and span begin/end pairs,
+   collected by a sink and serialized to JSONL or to the Chrome
+   trace-event format (chrome://tracing / Perfetto). No emission reads
+   a clock: the caller passes its own step count as [ts].
 
    The [Nop] sink is the default everywhere: call sites guard emission
    with [enabled], so an un-traced run pays one branch per potential
@@ -13,8 +14,11 @@
    rings of unboxed words — an int ring and a [Float.Array] — so a
    recorded event is invisible to the GC: nothing to promote out of
    the minor heap, nothing to mark. Names, categories, arg keys and
-   string values are interned once per sink. [events] decodes the
-   records back; the writers stream straight from the rings.
+   string values are interned once per sink. A [shape] declares an
+   event's name, category, phase, fields and int/bool keys once, and
+   [emit_shape] records it from the caller's ints with no interning
+   or allocation. [events] decodes the records back; the writers
+   stream straight from the rings.
 
    The int ring is a table of fixed [chunk_words]-word chunks indexed
    by absolute position: word [pos] is at [pos land chunk_mask] in the
@@ -22,26 +26,38 @@
    allocated when the tail first enters its slot; growth doubles the
    table and moves chunk pointers, never words — except when the head
    and the tail share a chunk, whose tail part is copied once. The
-   float ring (a timestamp per event, plus [Float] args: an order of
-   magnitude fewer slots) simply doubles.
+   float ring (the [Float] args, none on the per-step paths) simply
+   doubles.
 
    Encoding of one event, in the int ring:
      (name_id lsl 3) lor phase
      (cat_id lsl 3) lor presence      presence bits: 1 proc, 2 worker, 4 id
      nargs
+     ts
      proc? worker? id?                only the present ones
      nargs keyed values
-   and in the float ring: the timestamp, then every [Float] arg in
-   encoding order. A value is a tag word [(key_id lsl 3) lor tag]
+   and in the float ring every [Float] arg, in encoding order. A value
+   is a tag word [(key_id lsl 3) lor tag]
    (key 0 inside lists, unused) followed by its payload: nothing for
    [Null]/[Bool] (the tag carries the boolean), one word for [Int] and
    for [String] (its interned id), a float-ring slot for [Float], and
-   for [List]/[Obj] a length word then that many values. *)
+   for [List]/[Obj] a length word then that many values.
+
+   A shaped event ([emit_shape]) keeps in the ring only what varies:
+     (shape_index lsl 3) lor shaped
+     ts
+     proc id?
+     one word per key: the Int, or 0/1 for a Bool
+   Its other words (the two header words, the arg count and one tag
+   word per key) are the shape's template, built once per sink in
+   [shaped]. Readers take them from there, so a shaped record reads
+   back as the record [emit] writes for the same event, in about half
+   the words ([net.deliver]: 15 against 28). *)
 
 type phase = Instant | Begin | End | Async_begin | Async_end
 
 type event = {
-  ts : float;  (* seconds since the sink was created *)
+  ts : int;  (* the emitter's logical clock *)
   name : string;
   cat : string;
   phase : phase;
@@ -71,11 +87,27 @@ let unset = String.make 1 '\000'
 (* A read position in both rings, advanced as a record is consumed *)
 type cursor = { mutable wp : int; mutable fp : int }
 
+(* A declared event shape: every shaped event carries a [proc], then
+   an [id] if [s_id], then one Int or Bool arg per key *)
+type key_kind = Int_key | Bool_key
+
+type shape = {
+  s_index : int;  (* declaration order: its encoding's slot in a sink *)
+  s_name : string;
+  s_cat : string;
+  s_phase : phase;
+  s_id : bool;
+  s_keys : (string * key_kind) array;
+}
+
 type mem = {
   capacity : int;
-  epoch : float;
+  epoch : float;  (* creation time, for [elapsed] only *)
   mu : Mutex.t;
   names : names;
+  mutable shaped : int array array;
+      (* shape index -> its header and tag words in this sink; [||]
+         until the shape is first emitted here *)
   mutable next : int;  (* total events accepted; the ring keeps the last [capacity] *)
   (* Both rings are indexed by absolute position; the live words are
      [head.wp, w_tail), the live floats [head.fp, f_tail). *)
@@ -117,6 +149,7 @@ let memory ?(capacity = default_capacity) () =
           seen = Array.make cache_slots unset;
           seen_id = Array.make cache_slots 0;
         };
+      shaped = [||];
       next = 0;
       chunks = [| no_chunk |];
       w_chunk = no_chunk;
@@ -128,6 +161,8 @@ let memory ?(capacity = default_capacity) () =
     }
 
 let enabled = function Nop -> false | Mem _ -> true
+
+let elapsed = function Nop -> 0. | Mem m -> Unix.gettimeofday () -. m.epoch
 
 (* ------------------------------------------------------- encoding *)
 
@@ -150,8 +185,8 @@ let intern_slow tab s =
    slots of its pair. A miss moves the pair's first string to the
    second slot and takes the first, so the two most recently missed
    strings of a pair stay cached: ["mid"] and ["forced"], ["dst"] and
-   ["pre_gst"], and ["step"] and ["pidx"] each share a pair, and every
-   net delivery or runtime step interns both. *)
+   ["pre_gst"], and ["step"] and ["pidx"] each share a pair. Shaped
+   events intern their strings once per sink, not per emission. *)
 let intern tab s =
   let len = String.length s in
   let pair =
@@ -300,6 +335,25 @@ let next_float m c =
   c.fp <- c.fp + 1;
   f
 
+(* the low bits of a shaped record's first word; phases use 0..4 *)
+let shaped = 7
+
+(* the template of a generic record, whose tags are in the ring *)
+let generic : int array = [||]
+
+(* The template of the record whose first word is [w0] *)
+let template m w0 = if w0 land 7 = shaped then Array.unsafe_get m.shaped (w0 lsr 3) else generic
+
+(* A record's [k]-th arg tag: the next ring word, or the template's tag
+   with a Bool's 0/1 added ([t_false] + 1 = [t_true]) *)
+let next_tag m c tpl k =
+  if tpl == generic then next_word m c
+  else
+    let tag = Array.unsafe_get tpl (3 + k) in
+    if tag land 7 = t_int then tag else tag + next_word m c
+
+let field_words presence = (presence land 1) + ((presence lsr 1) land 1) + (presence lsr 2)
+
 let rec skip_value m c =
   let tag = next_word m c land 7 in
   if tag = t_int || tag = t_string then c.wp <- c.wp + 1
@@ -312,21 +366,22 @@ let rec skip_value m c =
 (* Evict the oldest record by moving [head] past it *)
 let drop_oldest m =
   let c = m.head in
-  c.wp <- c.wp + 1;
-  let presence = next_word m c land 7 in
-  let nargs = next_word m c in
-  (* one word per optional field present *)
-  c.wp <- c.wp + (presence land 1) + ((presence lsr 1) land 1) + (presence lsr 2);
-  c.fp <- c.fp + 1;
-  for _ = 1 to nargs do
-    skip_value m c
-  done
+  let tpl = template m (next_word m c) in
+  if tpl == generic then begin
+    let presence = next_word m c land 7 in
+    let nargs = next_word m c in
+    (* the timestamp, and one word per optional field present *)
+    c.wp <- c.wp + 1 + field_words presence;
+    for _ = 1 to nargs do
+      skip_value m c
+    done
+  end
+  else c.wp <- c.wp + 1 + field_words (tpl.(1) land 7) + tpl.(2)
 
-let emit t ?proc ?worker ?id ?(args = []) ?(phase = Instant) ~cat name =
+let emit t ?proc ?worker ?id ?(args = []) ?(phase = Instant) ~ts ~cat name =
   match t with
   | Nop -> ()
   | Mem m ->
-      let ts = Unix.gettimeofday () -. m.epoch in
       Mutex.lock m.mu;
       if m.next >= m.capacity then drop_oldest m;
       let presence =
@@ -337,21 +392,108 @@ let emit t ?proc ?worker ?id ?(args = []) ?(phase = Instant) ~cat name =
       push_word m ((intern m.names name lsl 3) lor phase_code phase);
       push_word m ((intern m.names cat lsl 3) lor presence);
       push_word m (List.length args);
+      push_word m ts;
       (match proc with Some p -> push_word m p | None -> ());
       (match worker with Some w -> push_word m w | None -> ());
       (match id with Some i -> push_word m i | None -> ());
-      push_float m ts;
       push_fields m args;
       m.next <- m.next + 1;
       Mutex.unlock m.mu
 
-let span t ?proc ?worker ?(args = []) ~cat name f =
+(* ------------------------------------------------------ shapes *)
+
+let declared = ref []
+
+let shape ?(phase = Instant) ?(id = false) ~cat name keys =
+  let s =
+    {
+      s_index = List.length !declared;
+      s_name = name;
+      s_cat = cat;
+      s_phase = phase;
+      s_id = id;
+      s_keys = Array.of_list keys;
+    }
+  in
+  declared := s :: !declared;
+  s
+
+let shapes () = List.rev !declared
+
+let fields s = if s.s_id then 2 else 1
+
+let arity s = fields s + Array.length s.s_keys
+
+(* The shape's template in this sink: the words [emit] would write for
+   its name, category and phase, its fields and arg count, then one tag
+   word per key ([t_int], or [t_false] that a true value turns into
+   [t_true]) *)
+let shape_words m s =
+  let i = s.s_index in
+  if i < Array.length m.shaped && Array.length m.shaped.(i) > 0 then m.shaped.(i)
+  else begin
+    let nkeys = Array.length s.s_keys in
+    let words = Array.make (3 + nkeys) 0 in
+    words.(0) <- (intern m.names s.s_name lsl 3) lor phase_code s.s_phase;
+    words.(1) <- (intern m.names s.s_cat lsl 3) lor has_proc lor if s.s_id then has_id else 0;
+    words.(2) <- nkeys;
+    Array.iteri
+      (fun k (key, kind) ->
+        words.(3 + k) <-
+          (intern m.names key lsl 3) lor match kind with Int_key -> t_int | Bool_key -> t_false)
+      s.s_keys;
+    let known = m.shaped in
+    if i >= Array.length known then
+      m.shaped <- Array.init (i + 1) (fun j -> if j < Array.length known then known.(j) else [||]);
+    m.shaped.(i) <- words;
+    words
+  end
+
+let check_arity s vals =
+  if Array.length vals < arity s then
+    invalid_arg
+      (Printf.sprintf "Events.emit_shape: %s.%s takes %d values, got %d" s.s_cat s.s_name
+         (arity s) (Array.length vals))
+
+let emit_shape t s ~ts vals =
   match t with
-  | Nop -> f ()
-  | Mem _ ->
-      emit t ?proc ?worker ~args ~phase:Begin ~cat name;
-      let finally () = emit t ?proc ?worker ~phase:End ~cat name in
-      Fun.protect ~finally f
+  | Nop -> ()
+  | Mem m ->
+      check_arity s vals;
+      Mutex.lock m.mu;
+      let tpl = shape_words m s in
+      if m.next >= m.capacity then drop_oldest m;
+      push_word m ((s.s_index lsl 3) lor shaped);
+      push_word m ts;
+      let fields = fields s in
+      for i = 0 to fields - 1 do
+        push_word m (Array.unsafe_get vals i)
+      done;
+      for k = 0 to Array.length s.s_keys - 1 do
+        let v = Array.unsafe_get vals (fields + k) in
+        push_word m (if Array.unsafe_get tpl (3 + k) land 7 = t_int || v = 0 then v else 1)
+      done;
+      m.next <- m.next + 1;
+      Mutex.unlock m.mu
+
+let shape_event s ~ts vals =
+  check_arity s vals;
+  let fields = fields s in
+  {
+    ts;
+    name = s.s_name;
+    cat = s.s_cat;
+    phase = s.s_phase;
+    proc = Some vals.(0);
+    worker = None;
+    id = (if s.s_id then Some vals.(1) else None);
+    args =
+      List.mapi
+        (fun k (key, kind) ->
+          let v = vals.(fields + k) in
+          (key, match kind with Int_key -> Json.Int v | Bool_key -> Json.Bool (v <> 0)))
+        (Array.to_list s.s_keys);
+  }
 
 let recorded = function Nop -> 0 | Mem m -> m.next
 
@@ -376,10 +518,10 @@ let rec read_value m c tagword =
   end
   else Json.Obj (read_fields m c (next_word m c))
 
-and read_fields m c n =
+and read_fields ?(tpl = generic) m c n =
   let acc = ref [] in
-  for _ = 1 to n do
-    let tagword = next_word m c in
+  for k = 0 to n - 1 do
+    let tagword = next_tag m c tpl k in
     let key = m.names.strs.(tagword lsr 3) in
     acc := (key, read_value m c tagword) :: !acc
   done;
@@ -399,14 +541,17 @@ let events t =
       let acc = ref [] in
       for _ = 1 to n do
         let w0 = next_word m c in
-        let w1 = next_word m c in
-        let nargs = next_word m c in
+        let tpl = template m w0 in
+        let is_shaped = tpl != generic in
+        let w0 = if is_shaped then tpl.(0) else w0 in
+        let w1 = if is_shaped then tpl.(1) else next_word m c in
+        let nargs = if is_shaped then tpl.(2) else next_word m c in
+        let ts = next_word m c in
         let opt bit = if w1 land bit <> 0 then Some (next_word m c) else None in
         let proc = opt has_proc in
         let worker = opt has_worker in
         let id = opt has_id in
-        let ts = next_float m c in
-        let args = read_fields m c nargs in
+        let args = read_fields ~tpl m c nargs in
         acc :=
           {
             ts;
@@ -441,7 +586,7 @@ let phase_of_string = function
 
 let event_to_json e =
   Json.Obj
-    (("ts", Json.Float e.ts)
+    (("ts", Json.Int e.ts)
      :: ("name", Json.String e.name)
      :: ("cat", Json.String e.cat)
      :: ("ph", Json.String (phase_string e.phase))
@@ -453,7 +598,8 @@ let event_to_json e =
 let event_of_json j =
   let str field = Option.bind (Json.member field j) Json.to_str in
   let int field = Option.bind (Json.member field j) Json.to_int in
-  match (Option.bind (Json.member "ts" j) Json.to_float, str "name", str "cat", str "ph") with
+  let ts = match Json.member "ts" j with Some (Json.Int ts) -> Some ts | _ -> None in
+  match (ts, str "name", str "cat", str "ph") with
   | Some ts, Some name, Some cat, Some ph -> (
       match phase_of_string ph with
       | None -> Error (Printf.sprintf "unknown event phase %S" ph)
@@ -472,12 +618,13 @@ let event_of_json j =
               id = int "id";
               args;
             })
-  | _ -> Error "event missing one of ts/name/cat/ph"
+  | _ -> Error "event missing one of ts (an int)/name/cat/ph"
 
-(* Chrome trace-event format: an array of {name, cat, ph, ts (µs),
-   pid, tid, args}. We map the worker id (else the process id) to the
-   Chrome thread id, so chrome://tracing lays spans out one row per
-   worker/process. Instants carry scope "t" (thread-local). *)
+(* Chrome trace-event format: an array of {name, cat, ph, ts, pid, tid,
+   args}, the logical step written as Chrome's µs [ts]. We map the
+   worker id (else the process id) to the Chrome thread id, so
+   chrome://tracing lays spans out one row per worker/process.
+   Instants carry scope "t" (thread-local). *)
 let event_to_chrome e =
   let tid = match (e.worker, e.proc) with Some w, _ -> w | None, Some p -> p | None, None -> 0 in
   let args =
@@ -489,7 +636,7 @@ let event_to_chrome e =
     (("name", Json.String e.name)
      :: ("cat", Json.String e.cat)
      :: ("ph", Json.String (phase_string e.phase))
-     :: ("ts", Json.Float (e.ts *. 1e6))
+     :: ("ts", Json.Int e.ts)
      :: ("pid", Json.Int 1)
      :: ("tid", Json.Int tid)
      :: ((match e.phase with
@@ -566,17 +713,17 @@ let rec write_value w tagword =
   end
   else begin
     Buffer.add_char buf '{';
-    write_fields w ~first:true (next_word w.m w.c);
+    write_fields w ~tpl:generic ~first:true (next_word w.m w.c);
     Buffer.add_char buf '}'
   end
 
-(* [n] keyed values as object members, comma-separated; [first]: no
-   member precedes them *)
-and write_fields w ~first n =
-  for i = 1 to n do
-    let tagword = next_word w.m w.c in
+(* [n] keyed values as object members, comma-separated, their tags
+   from [tpl]; [first]: no member precedes them *)
+and write_fields w ~tpl ~first n =
+  for k = 0 to n - 1 do
+    let tagword = next_tag w.m w.c tpl k in
     let key = key_literal w (tagword lsr 3) in
-    if first && i = 1 then Buffer.add_substring w.buf key 1 (String.length key - 1)
+    if first && k = 0 then Buffer.add_substring w.buf key 1 (String.length key - 1)
     else Buffer.add_string w.buf key;
     write_value w tagword
   done
@@ -590,20 +737,23 @@ let add_member buf key v =
 let write_record w =
   let m = w.m and c = w.c and buf = w.buf in
   let w0 = next_word m c in
-  let w1 = next_word m c in
-  let nargs = next_word m c in
+  let tpl = template m w0 in
+  let is_shaped = tpl != generic in
+  let w0 = if is_shaped then tpl.(0) else w0 in
+  let w1 = if is_shaped then tpl.(1) else next_word m c in
+  let nargs = if is_shaped then tpl.(2) else next_word m c in
+  let ts = next_word m c in
   let head = head_literal w w0 w1 in
-  let ts = next_float m c in
   if not w.chrome then begin
     Buffer.add_string buf "{\"ts\":";
-    Json.add_float buf ts;
+    Json.add_int buf ts;
     Buffer.add_string buf head;
     if has w1 has_proc then add_member buf ",\"proc\":" (next_word m c);
     if has w1 has_worker then add_member buf ",\"worker\":" (next_word m c);
     if has w1 has_id then add_member buf ",\"id\":" (next_word m c);
     if nargs > 0 then begin
       Buffer.add_string buf ",\"args\":{";
-      write_fields w ~first:true nargs;
+      write_fields w ~tpl ~first:true nargs;
       Buffer.add_char buf '}'
     end;
     Buffer.add_string buf "}\n"
@@ -613,7 +763,7 @@ let write_record w =
     let worker = if has w1 has_worker then next_word m c else 0 in
     let id = if has w1 has_id then next_word m c else 0 in
     Buffer.add_string buf head;
-    Json.add_float buf (ts *. 1e6);
+    Json.add_int buf ts;
     add_member buf ",\"pid\":1,\"tid\":" (if has w1 has_worker then worker else proc);
     (match phase_of_code (w0 land 7) with
     | Instant -> Buffer.add_string buf ",\"s\":\"t\""
@@ -625,7 +775,7 @@ let write_record w =
       if has w1 has_proc then add_member buf "\"proc\":" proc;
       if has w1 has_worker then
         add_member buf (if has w1 has_proc then ",\"worker\":" else "\"worker\":") worker;
-      write_fields w ~first:(ids = 0) nargs;
+      write_fields w ~tpl ~first:(ids = 0) nargs;
       Buffer.add_char buf '}'
     end;
     Buffer.add_char buf '}'

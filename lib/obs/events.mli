@@ -2,9 +2,13 @@
 
     Typed events — a name, a category (the emitting layer), an
     [Instant]/[Begin]/[End] phase, optional process and worker ids,
-    and JSON args — timestamped against the sink's creation time.
-    [Begin]/[End] pairs form spans that Chrome's trace viewer renders
-    as nested bars per worker.
+    and JSON args — stamped with the emitter's logical clock, an int
+    the caller passes as [ts]: the executor's global step for runtime,
+    net, detector and agreement events, the visited-state count for
+    explorer events, the exec index for fuzz events. No emission reads
+    a clock; a run samples wall time itself (the [wall_s] arg of
+    [runtime.run], from {!elapsed}). [Begin]/[End] pairs form spans
+    that Chrome's trace viewer renders as nested bars per worker.
 
     The {!nop} sink is the universal default: {!enabled} is [false],
     {!emit} returns immediately. Instrumented code guards each emission
@@ -20,14 +24,22 @@
     reference to the caller's args list or option boxes. Per event the
     int ring gets three header words (interned name and phase, interned
     category and which of [proc]/[worker]/[id] are present, arg count),
-    one word per optional field present, and per arg a tag word (interned
-    key and value kind) plus one payload word for an [Int] or an
-    (interned) [String]; [List]/[Obj] args add a length word and nest.
-    The float ring gets the timestamp and every [Float] arg. A
-    [runtime.step] event is 8 int words and 1 float; a [net.deliver]
-    with its 12 args is 27 and 1 — against 30–110 heap words as a
-    record, which the GC had to promote and mark. Names, categories,
-    keys and string values are interned once per sink.
+    the timestamp, one word per optional field present, and per arg a
+    tag word (interned key and value kind) plus one payload word for an
+    [Int] or an (interned) [String]; [List]/[Obj] args add a length
+    word and nest. The float ring gets every [Float] arg. Names,
+    categories, keys and string values are interned once per sink.
+
+    The per-step events are declared once each as a {!shape}, and
+    {!emit_shape} writes them from plain ints: no [Json.t] list, no
+    option box, no per-key interning. The ring keeps only what varies:
+    a word naming the shape, the timestamp, the fields and one word per
+    key; the header and tag words are the shape's, kept once per sink,
+    and every reader takes them from there, so a shaped event reads
+    back exactly as the {!emit} call of {!shape_event} does. A
+    [runtime.step] is 5 int words shaped, 9 through {!emit}; a
+    [net.deliver] with its 12 args 15 and 28 — against 30–110 heap
+    words as a record, which the GC had to promote and mark.
 
     Both rings start empty and grow on demand, never beyond what
     [capacity] events need, so a fresh sink costs O(1) words. The int
@@ -50,7 +62,7 @@ type phase = Instant | Begin | End | Async_begin | Async_end
     to Chrome phases ["b"]/["e"]. *)
 
 type event = {
-  ts : float;  (** seconds since the sink was created *)
+  ts : int;  (** the emitter's logical clock (see above) *)
   name : string;  (** event kind, e.g. ["step"], ["expand"], ["steal"] *)
   cat : string;  (** emitting layer: ["runtime"], ["detector"], ["explorer"], … *)
   phase : phase;
@@ -74,6 +86,10 @@ val memory : ?capacity:int -> unit -> t
 
 val enabled : t -> bool
 
+val elapsed : t -> float
+(** Seconds since the sink was created ([0.] for {!nop}): one wall-clock
+    read, for a caller that samples wall time into an arg. *)
+
 val emit :
   t ->
   ?proc:int ->
@@ -81,21 +97,42 @@ val emit :
   ?id:int ->
   ?args:(string * Json.t) list ->
   ?phase:phase ->
+  ts:int ->
   cat:string ->
   string ->
   unit
 
-val span :
-  t ->
-  ?proc:int ->
-  ?worker:int ->
-  ?args:(string * Json.t) list ->
-  cat:string ->
-  string ->
-  (unit -> 'a) ->
-  'a
-(** [span t ~cat name f] brackets [f ()] in a [Begin]/[End] pair
-    (exception-safe); [args] go on the [Begin] event. *)
+(** {2 Shapes} *)
+
+type key_kind = Int_key | Bool_key
+
+type shape
+(** An event kind declared once: name, category, phase, whether it
+    carries an [id], and its keys with their kinds. Every shaped event
+    carries a [proc]. *)
+
+val shape :
+  ?phase:phase -> ?id:bool -> cat:string -> string -> (string * key_kind) list -> shape
+(** Declare a shape (default phase [Instant], no [id]) and add it to
+    {!shapes}. Declare shapes at module initialisation, not per run. *)
+
+val shapes : unit -> shape list
+(** Every shape declared so far, in declaration order. *)
+
+val arity : shape -> int
+(** The number of ints {!emit_shape} takes: the [proc], the [id] if
+    the shape has one, then one per key. *)
+
+val emit_shape : t -> shape -> ts:int -> int array -> unit
+(** [emit_shape t s ~ts vals] records [shape_event s ~ts vals] with no
+    allocation: {!events} and the writers give what they give for the
+    {!emit} of that event, which it replaces. A [Bool_key]
+    value is [false] iff it is [0]. Values past the first {!arity} are
+    ignored, so one buffer can serve several shapes. Raises
+    [Invalid_argument] if [vals] has fewer than {!arity} elements. *)
+
+val shape_event : shape -> ts:int -> int array -> event
+(** The event {!emit_shape} records. *)
 
 val recorded : t -> int
 (** Total events accepted since creation (not capped). *)

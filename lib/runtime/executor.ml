@@ -15,6 +15,12 @@ let max_consecutive_skips n = 64 * n
 
 type step = Proc.t -> bool
 
+(* [pidx] is p's own step index: the local program-order edge of the
+   happens-before DAG is (p, pidx-1) -> (p, pidx), explicit in the
+   trace so Analyze never has to reconstruct it. *)
+let step_shape =
+  Events.shape ~cat:"runtime" "step" [ ("global", Events.Int_key); ("pidx", Events.Int_key) ]
+
 let fibers ~n body =
   Proc.check_n n;
   let fibers = Array.init n (fun p -> Fiber.spawn (body p)) in
@@ -58,7 +64,12 @@ let drive ~resume ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step
           ( Metrics.counter o.Obs.metrics "runtime.steps",
             Metrics.counter o.Obs.metrics "runtime.crashes" )
   in
-  let ev = match obs with Some o when Obs.events_on o -> Some o.Obs.events | Some _ | None -> None in
+  (* the sink, and the [step_shape] values of the step being traced *)
+  let ev =
+    match obs with
+    | Some o when Obs.events_on o -> Some (o.Obs.events, Array.make (Events.arity step_shape) 0)
+    | Some _ | None -> None
+  in
   let substrate_live =
     match substrate with None -> fun _ -> true | Some s -> Substrate.live s
   in
@@ -83,22 +94,26 @@ let drive ~resume ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step
         if died then Metrics.incr crashes_c
     | None -> ());
     (match ev with
-    | Some sink ->
-        (* [pidx] is p's own step index: the local program-order edge of
-           the happens-before DAG is (p, pidx-1) -> (p, pidx), explicit
-           in the trace so Analyze never has to reconstruct it. *)
-        Events.emit sink ~proc:p
-          ~args:[ ("global", Json.Int global); ("pidx", Json.Int (Run.Tally.steps tally p - 1)) ]
-          ~cat:"runtime" "step";
+    | Some (sink, vals) ->
+        vals.(0) <- p;
+        vals.(1) <- global;
+        vals.(2) <- Run.Tally.steps tally p - 1;
+        Events.emit_shape sink step_shape ~ts:global vals;
         if died then
-          Events.emit sink ~proc:p ~args:[ ("step", Json.Int global) ] ~cat:"runtime" "crash"
+          Events.emit sink ~proc:p ~args:[ ("step", Json.Int global) ] ~ts:global ~cat:"runtime"
+            "crash"
     | None -> ());
     (match on_step with Some f -> f ~global ~proc:p | None -> ());
     match stop with Some f when f () -> finish Run.Stopped_early | Some _ | None -> ()
   in
+  (* the run's span carries the one wall-clock sample a run takes at
+     each end *)
+  let wall sink = ("wall_s", Json.Float (Events.elapsed sink)) in
   (match ev with
-  | Some sink ->
-      Events.emit sink ~phase:Events.Begin ~args:[ ("n", Json.Int n) ] ~cat:"runtime" "run"
+  | Some (sink, _) ->
+      Events.emit sink ~phase:Events.Begin
+        ~args:[ ("n", Json.Int n); wall sink ]
+        ~ts:(executed ()) ~cat:"runtime" "run"
   | None -> ());
   while !reason = None do
     if executed () >= max_steps then finish Run.Step_budget
@@ -134,9 +149,10 @@ let drive ~resume ~n ~source ~max_steps ?fault ?tally ?substrate ?boost ?on_step
           end
   done;
   (match ev with
-  | Some sink ->
-      Events.emit sink ~phase:Events.End ~args:[ ("steps", Json.Int (executed ())) ] ~cat:"runtime"
-        "run"
+  | Some (sink, _) ->
+      Events.emit sink ~phase:Events.End
+        ~args:[ ("steps", Json.Int (executed ())); wall sink ]
+        ~ts:(executed ()) ~cat:"runtime" "run"
   | None -> ());
   Run.Tally.freeze tally (match !reason with Some r -> r | None -> assert false)
 

@@ -19,16 +19,16 @@ let mk ?proc ?worker ?id ?(args = []) ~phase ~cat ~ts name : Events.event =
 
 let sample_events =
   [
-    mk ~phase:Events.Instant ~cat:"runtime" ~ts:0.25 ~proc:1
+    mk ~phase:Events.Instant ~cat:"runtime" ~ts:3 ~proc:1
       ~args:[ ("global", Json.Int 3); ("pidx", Json.Int 1) ]
       "step";
-    mk ~phase:Events.Begin ~cat:"explorer" ~ts:0.5 ~worker:2 "replay";
-    mk ~phase:Events.End ~cat:"explorer" ~ts:0.75 ~worker:2 "replay";
-    mk ~phase:Events.Async_begin ~cat:"net" ~ts:1.5 ~proc:0 ~id:7
+    mk ~phase:Events.Begin ~cat:"explorer" ~ts:4 ~worker:2 "replay";
+    mk ~phase:Events.End ~cat:"explorer" ~ts:4 ~worker:2 "replay";
+    mk ~phase:Events.Async_begin ~cat:"net" ~ts:5 ~proc:0 ~id:7
       ~args:[ ("due", Json.Int 5) ]
       "inflight";
-    mk ~phase:Events.Async_end ~cat:"net" ~ts:2.25 ~proc:1 ~id:7 "inflight";
-    mk ~phase:Events.Instant ~cat:"net" ~ts:3.0 ~proc:0
+    mk ~phase:Events.Async_end ~cat:"net" ~ts:8 ~proc:1 ~id:7 "inflight";
+    mk ~phase:Events.Instant ~cat:"net" ~ts:9 ~proc:0
       ~args:
         [
           ("mid", Json.Int 4);
@@ -48,7 +48,7 @@ let check_event_eq label (a : Events.event) (b : Events.event) =
   Alcotest.(check (option int)) (label ^ " proc") a.proc b.proc;
   Alcotest.(check (option int)) (label ^ " worker") a.worker b.worker;
   Alcotest.(check (option int)) (label ^ " id") a.id b.id;
-  Alcotest.(check (float 1e-9)) (label ^ " ts") a.ts b.ts;
+  Alcotest.(check int) (label ^ " ts") a.ts b.ts;
   Alcotest.(check string)
     (label ^ " args")
     (Json.to_string (Json.Obj a.args))
@@ -89,7 +89,7 @@ let test_load_jsonl_roundtrip () =
   List.iter
     (fun (e : Events.event) ->
       Events.emit sink ?proc:e.proc ?worker:e.worker ?id:e.id ~args:e.args
-        ~phase:e.phase ~cat:e.cat e.name)
+        ~phase:e.phase ~ts:e.ts ~cat:e.cat e.name)
     sample_events;
   let f = Filename.temp_file "setsync_analyze" ".jsonl" in
   Fun.protect
@@ -101,11 +101,7 @@ let test_load_jsonl_roundtrip () =
       | Ok evs ->
           Alcotest.(check int) "count" (List.length sample_events) (List.length evs);
           List.iter2
-            (fun (a : Events.event) (b : Events.event) ->
-              (* ts is re-stamped by the sink; everything else survives *)
-              Alcotest.(check string) "name" a.name b.name;
-              Alcotest.(check (option int)) "id" a.id b.id;
-              Alcotest.(check bool) "phase" true (a.phase = b.phase))
+            (fun (a : Events.event) (b : Events.event) -> check_event_eq a.name a b)
             sample_events evs)
 
 (* ------------------------------- hand-built 3-process causal DAG *)
@@ -154,16 +150,16 @@ let deliver ~ts ~mid ~src ~dst ~seq ~step ~sent ~adv ~forced ~fifo =
 
 let dag_events =
   [
-    step ~ts:0.0 0 ~global:0 ~pidx:0;
-    send ~ts:0.0 ~mid:0 ~src:0 ~dst:1 ~seq:0 ~step:0;
-    step ~ts:0.1 1 ~global:1 ~pidx:0;
-    deliver ~ts:0.1 ~mid:0 ~src:0 ~dst:1 ~seq:0 ~step:1 ~sent:0 ~adv:1 ~forced:0
+    step ~ts:0 0 ~global:0 ~pidx:0;
+    send ~ts:0 ~mid:0 ~src:0 ~dst:1 ~seq:0 ~step:0;
+    step ~ts:1 1 ~global:1 ~pidx:0;
+    deliver ~ts:1 ~mid:0 ~src:0 ~dst:1 ~seq:0 ~step:1 ~sent:0 ~adv:1 ~forced:0
       ~fifo:0;
-    step ~ts:0.2 1 ~global:2 ~pidx:1;
-    send ~ts:0.2 ~mid:1 ~src:1 ~dst:2 ~seq:0 ~step:2;
+    step ~ts:2 1 ~global:2 ~pidx:1;
+    send ~ts:2 ~mid:1 ~src:1 ~dst:2 ~seq:0 ~step:2;
     (* a dropped message keeps its lineage without joining the path *)
-    send ~ts:0.2 ~mid:2 ~src:0 ~dst:2 ~seq:0 ~step:2;
-    mk ~phase:Events.Instant ~cat:"net" ~ts:0.25 ~proc:0
+    send ~ts:2 ~mid:2 ~src:0 ~dst:2 ~seq:0 ~step:2;
+    mk ~phase:Events.Instant ~cat:"net" ~ts:2 ~proc:0
       ~args:
         [
           ("mid", Json.Int 2);
@@ -174,11 +170,11 @@ let dag_events =
           ("pre_gst", Json.Bool true);
         ]
       "drop";
-    step ~ts:0.3 2 ~global:3 ~pidx:0;
-    deliver ~ts:0.3 ~mid:1 ~src:1 ~dst:2 ~seq:0 ~step:3 ~sent:2 ~adv:1 ~forced:0
+    step ~ts:3 2 ~global:3 ~pidx:0;
+    deliver ~ts:3 ~mid:1 ~src:1 ~dst:2 ~seq:0 ~step:3 ~sent:2 ~adv:1 ~forced:0
       ~fifo:0;
-    step ~ts:0.4 2 ~global:4 ~pidx:1;
-    mk ~phase:Events.Instant ~cat:"detector" ~ts:0.4 ~proc:2
+    step ~ts:4 2 ~global:4 ~pidx:1;
+    mk ~phase:Events.Instant ~cat:"detector" ~ts:4 ~proc:2
       ~args:[ ("step", Json.Int 4); ("leader", Json.Int 0) ]
       "ct_stabilized";
   ]
@@ -218,8 +214,8 @@ let test_dag_critical_path () =
 let test_dag_rejects_orphan_deliver () =
   let orphan =
     [
-      step ~ts:0.0 0 ~global:0 ~pidx:0;
-      deliver ~ts:0.1 ~mid:9 ~src:0 ~dst:1 ~seq:0 ~step:1 ~sent:0 ~adv:1 ~forced:0
+      step ~ts:0 0 ~global:0 ~pidx:0;
+      deliver ~ts:1 ~mid:9 ~src:0 ~dst:1 ~seq:0 ~step:1 ~sent:0 ~adv:1 ~forced:0
         ~fifo:0;
     ]
   in

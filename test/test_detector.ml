@@ -38,7 +38,10 @@ let prop_kth_smallest_sorted =
       let a = Array.of_list l in
       let sorted = List.sort Int.compare l in
       let k = 1 + (List.length l / 2) in
-      Order_stat.kth_smallest a k = List.nth sorted (k - 1))
+      Order_stat.kth_smallest a k = List.nth sorted (k - 1)
+      (* the in-place selection agrees, and leaves the array sorted *)
+      && Order_stat.select_in_place a k = List.nth sorted (k - 1)
+      && Array.to_list a = sorted)
 
 (* ------------------------------------------------------------------ *)
 (* History *)
@@ -313,6 +316,35 @@ let test_lemma10_counter_monotone () =
   ignore (Setsync_runtime.Executor.run ~n ~source ~max_steps:20_000 ~on_step body);
   Alcotest.(check int) "never decreases" 0 !violations
 
+(* Definition 13's counter(A), read into one reused scratch row, is the
+   (t+1)-st smallest entry of Counter[A, *] for every set. The random
+   schedule leaves some row whose t-th and (t+1)-st entries differ, so
+   an off-by-one rank fails too. *)
+let test_accusation_counter_scratch_row () =
+  let n = 4 and t = 2 and k = 2 in
+  let store = Setsync_memory.Store.create () in
+  let shared = Kanti_omega.create_shared store (params ~n ~t ~k) in
+  let machine = Kanti_omega.machine shared (params ~n ~t ~k) in
+  let rng = Rng.create ~seed:7 in
+  let source ~live = Generators.random_fair ~live ~n ~rng () in
+  let body = Setsync_runtime.Machine.body (Kanti_omega.step machine) in
+  ignore (Setsync_runtime.Executor.run ~n ~source ~max_steps:5_000 body);
+  let row = Array.make n 0 in
+  let discriminating = ref false in
+  Array.iteri
+    (fun a _ ->
+      let counters =
+        Array.init n (fun q -> Kanti_omega.peek_counter shared ~set_index:a ~proc:q)
+      in
+      if Order_stat.kth_smallest counters t <> Order_stat.kth_smallest counters (t + 1) then
+        discriminating := true;
+      Alcotest.(check int)
+        (Printf.sprintf "set %d" a)
+        (Order_stat.kth_smallest counters (t + 1))
+        (Kanti_omega.accusation_counter shared (params ~n ~t ~k) ~row ~set_index:a))
+    (Kanti_omega.sets shared);
+  Alcotest.(check bool) "some row tells rank t from t+1" true !discriminating
+
 (* Lemma 11, directly: if A is timely w.r.t. B then for every b in B,
    Counter[A, b] eventually stops changing — while processes outside B
    that observe A untimely keep accusing. Schedule: p1 and p2 alternate
@@ -479,6 +511,8 @@ let () =
           Alcotest.test_case "winner defeats tie-break" `Quick test_winner_defeats_tiebreak;
           Alcotest.test_case "Lemma 12: dead set accused" `Quick test_lemma12_crashed_set_accused;
           Alcotest.test_case "Lemma 10: counters monotone" `Quick test_lemma10_counter_monotone;
+          Alcotest.test_case "accusation counter on a scratch row" `Quick
+            test_accusation_counter_scratch_row;
           Alcotest.test_case "Lemma 11: timely counters stop" `Quick test_lemma11_timely_counter_stops;
           Alcotest.test_case "synchronous convergence" `Quick test_synchronous_schedule_converges;
           Alcotest.test_case "Omega special case" `Quick test_omega_special_case;

@@ -111,7 +111,7 @@ let test_numbers () =
 let test_event_unknown_fields () =
   let j =
     ok
-      {|{"ts":1.5,"name":"step","cat":"runtime","ph":"i","proc":3,
+      {|{"ts":3,"name":"step","cat":"runtime","ph":"i","proc":3,
          "future_field":{"deeply":["ignored"]},"another":null}|}
   in
   match Events.event_of_json j with
@@ -128,12 +128,15 @@ let test_event_missing_fields () =
     | Error _ -> ()
   in
   err {|{"name":"step","cat":"runtime","ph":"i"}|};
-  err {|{"ts":1.0,"cat":"runtime","ph":"i"}|};
-  err {|{"ts":1.0,"name":"step","ph":"i"}|};
-  err {|{"ts":1.0,"name":"step","cat":"runtime"}|};
-  err {|{"ts":1.0,"name":"step","cat":"runtime","ph":"Z"}|};
+  err {|{"ts":1,"cat":"runtime","ph":"i"}|};
+  err {|{"ts":1,"name":"step","ph":"i"}|};
+  err {|{"ts":1,"name":"step","cat":"runtime"}|};
+  err {|{"ts":1,"name":"step","cat":"runtime","ph":"Z"}|};
+  (* [ts] is a logical step: an int, never a float *)
+  err {|{"ts":1.5,"name":"step","cat":"runtime","ph":"i"}|};
+  err {|{"ts":1.0,"name":"step","cat":"runtime","ph":"i"}|};
   (* wrong-typed args degrade to no args, not an error *)
-  match Events.event_of_json (ok {|{"ts":1.0,"name":"s","cat":"c","ph":"i","args":7}|}) with
+  match Events.event_of_json (ok {|{"ts":1,"name":"s","cat":"c","ph":"i","args":7}|}) with
   | Ok e -> Alcotest.(check int) "args dropped" 0 (List.length e.Events.args)
   | Error e -> Alcotest.failf "wrong-typed args must be tolerated: %s" e
 
@@ -172,7 +175,7 @@ let test_value_roundtrip_fuzz seed () =
 let gen_event rng =
   let opt f = if Rng.bool rng then Some (f ()) else None in
   {
-    Events.ts = Float.abs (gen_float rng);
+    Events.ts = Rng.int rng 1_000_000;
     name = (match gen_string rng with "" -> "e" | s -> s);
     cat = "fuzz";
     phase =

@@ -110,7 +110,7 @@ let test_event_ring () =
   Alcotest.(check bool) "enabled" true (Events.enabled t);
   Alcotest.(check bool) "nop disabled" false (Events.enabled Events.nop);
   for i = 1 to 10 do
-    Events.emit t ~args:[ ("i", Json.Int i) ] ~cat:"test" "e"
+    Events.emit t ~args:[ ("i", Json.Int i) ] ~ts:i ~cat:"test" "e"
   done;
   Alcotest.(check int) "recorded uncapped" 10 (Events.recorded t);
   Alcotest.(check int) "dropped" 6 (Events.dropped t);
@@ -122,17 +122,13 @@ let test_event_ring () =
        (fun e ->
          match e.Events.args with [ ("i", Json.Int i) ] -> string_of_int i | _ -> "?")
        evs);
-  Alcotest.(check bool) "timestamps monotone" true
-    (let rec mono = function
-       | a :: (b :: _ as rest) -> a.Events.ts <= b.Events.ts && mono rest
-       | _ -> true
-     in
-     mono evs)
+  Alcotest.(check (list int)) "timestamps as emitted" [ 7; 8; 9; 10 ]
+    (List.map (fun e -> e.Events.ts) evs)
 
 let test_event_span_and_chrome () =
   let t = Events.memory () in
-  let r = Events.span t ~worker:3 ~cat:"test" "work" (fun () -> 17) in
-  Alcotest.(check int) "span result" 17 r;
+  Events.emit t ~worker:3 ~phase:Events.Begin ~ts:5 ~cat:"test" "work";
+  Events.emit t ~worker:3 ~phase:Events.End ~ts:17 ~cat:"test" "work";
   (match Events.events t with
   | [ b; e ] ->
       Alcotest.(check bool) "begin/end phases" true
@@ -143,19 +139,21 @@ let test_event_span_and_chrome () =
     (fun cj ->
       Alcotest.(check bool) "chrome fields" true
         (Json.member "ph" cj <> None
-        && Json.member "ts" cj <> None
         && Json.member "pid" cj = Some (Json.Int 1)
         && Json.member "tid" cj = Some (Json.Int 3)))
     chrome;
   match chrome with
-  | [ b; _ ] ->
-      Alcotest.(check bool) "B phase" true (Json.member "ph" b = Some (Json.String "B"))
+  | [ b; e ] ->
+      Alcotest.(check bool) "B phase" true (Json.member "ph" b = Some (Json.String "B"));
+      (* one logical step is one Chrome microsecond *)
+      Alcotest.(check bool) "step as the µs ts" true
+        (Json.member "ts" b = Some (Json.Int 5) && Json.member "ts" e = Some (Json.Int 17))
   | _ -> Alcotest.fail "two chrome events"
 
 let test_jsonl_lines_parse () =
   let t = Events.memory () in
-  Events.emit t ~proc:1 ~args:[ ("x", Json.Float 0.5) ] ~cat:"c" "a";
-  Events.emit t ~cat:"c" "b";
+  Events.emit t ~proc:1 ~args:[ ("x", Json.Float 0.5) ] ~ts:0 ~cat:"c" "a";
+  Events.emit t ~ts:1 ~cat:"c" "b";
   let file = Filename.temp_file "setsync_obs" ".jsonl" in
   Events.save_jsonl t file;
   let lines =
@@ -280,18 +278,16 @@ let test_writers_byte_identical () =
   in
   let nspec = List.length specimens in
   let capacity = 7 in
-  let c0 = Unix.gettimeofday () in
   let t = Events.memory ~capacity () in
-  let c1 = Unix.gettimeofday () in
   let total = (2 * nspec) + 3 in
   let emitted =
     List.init total (fun i ->
         let proc, worker, id, phase, args = List.nth specimens (i mod nspec) in
         let name = Fmt.str "ev%d" (i mod 5) and cat = if i mod 2 = 0 then "c\\at" else "cat" in
-        let before = Unix.gettimeofday () in
-        Events.emit t ?proc ?worker ?id ~args ~phase ~cat name;
-        let after = Unix.gettimeofday () in
-        (name, cat, phase, proc, worker, id, args, before, after))
+        (* the emitter's clock: any int, written as given *)
+        let ts = if i = total - 1 then max_int else (i * 1_000_003) - 5 in
+        Events.emit t ?proc ?worker ?id ~args ~phase ~ts ~cat name;
+        (name, cat, phase, proc, worker, id, args, ts))
   in
   Alcotest.(check int) "recorded" total (Events.recorded t);
   Alcotest.(check int) "dropped" (total - capacity) (Events.dropped t);
@@ -299,7 +295,7 @@ let test_writers_byte_identical () =
   let decoded = Events.events t in
   Alcotest.(check int) "retained" capacity (List.length decoded);
   List.iter2
-    (fun e (name, cat, phase, proc, worker, id, args, before, after) ->
+    (fun e (name, cat, phase, proc, worker, id, args, ts) ->
       Alcotest.(check string) "name" name e.Events.name;
       Alcotest.(check string) "cat" cat e.Events.cat;
       Alcotest.(check bool) "phase" true (e.Events.phase = phase);
@@ -307,10 +303,7 @@ let test_writers_byte_identical () =
       Alcotest.(check (option int)) "worker" worker e.Events.worker;
       Alcotest.(check (option int)) "id" id e.Events.id;
       Alcotest.(check bool) "args bit-identical" true (json_identical (Json.Obj args) (Json.Obj e.Events.args));
-      (* the clock read lies between the bracketing reads; the
-         subtractions are exact, so the bound is too *)
-      Alcotest.(check bool) "ts within its bracket" true
-        (e.Events.ts >= before -. c1 && e.Events.ts <= after -. c0))
+      Alcotest.(check int) "ts is the emitter's logical clock" ts e.Events.ts)
     decoded kept;
   let jsonl =
     String.concat "" (List.map (fun e -> Json.to_string (Events.event_to_json e) ^ "\n") decoded)
@@ -342,7 +335,8 @@ let test_ring_growth () =
     | _ -> [ ("i", Json.Int i); ("l", Json.List [ Json.Float 0.25; Json.Int (-i) ]) ]
   in
   for i = 1 to 2500 do
-    Events.emit t ?proc:(if i mod 2 = 0 then Some (i mod 7) else None) ~args:(args i) ~cat:"g" "e"
+    Events.emit t ?proc:(if i mod 2 = 0 then Some (i mod 7) else None) ~args:(args i) ~ts:i
+      ~cat:"g" "e"
   done;
   Alcotest.(check int) "recorded" 2500 (Events.recorded t);
   Alcotest.(check int) "dropped" 1500 (Events.dropped t);
@@ -369,9 +363,10 @@ let test_ring_growth () =
   Alcotest.(check bool) (Fmt.str "memory () allocated %.0f words" allocated) true (allocated < 1024.);
   Alcotest.(check int) "nothing recorded" 0 (Events.recorded sink)
 
-(* Words one event takes in the int ring: three header words, one per
-   optional field present, and per arg a tag word plus its payload
-   (Events' encoding; a float's payload is in the float ring). *)
+(* Words one event takes in the int ring: three header words, the
+   timestamp, one per optional field present, and per arg a tag word
+   plus its payload (Events' encoding; a float's payload is in the
+   float ring). *)
 let rec value_words = function
   | Json.Null | Json.Bool _ | Json.Float _ -> 1
   | Json.Int _ | Json.String _ -> 2
@@ -379,14 +374,15 @@ let rec value_words = function
   | Json.Obj kvs -> 2 + List.fold_left (fun a (_, v) -> a + value_words v) 0 kvs
 
 (* After 100k events the sink holds the encoded words, at most one
-   partly filled chunk and the chunk table, the float ring, and what a
-   one-event sink holds besides (names, bookkeeping, its first chunk) —
-   no slack from doubling the word ring. *)
+   partly filled chunk and the chunk table, and what a one-event sink
+   holds besides (names, bookkeeping, its first chunk) — no slack from
+   doubling the word ring, and no float ring: the events have no float
+   arg, and timestamps are ints. *)
 let test_ring_footprint () =
   let emit t i =
     Events.emit t ~proc:(i land 7)
       ~args:[ ("global", Json.Int i); ("pidx", Json.Int (i / 8)) ]
-      ~cat:"runtime" "step"
+      ~ts:i ~cat:"runtime" "step"
   in
   let footprint t = Obj.reachable_words (Obj.repr t) in
   let one = Events.memory () in
@@ -396,12 +392,11 @@ let test_ring_footprint () =
   for i = 1 to n do
     emit t i
   done;
-  let encoded = n * (3 + 1 + value_words (Json.Int 0) + value_words (Json.Int 0)) in
+  let encoded = n * (3 + 1 + 1 + value_words (Json.Int 0) + value_words (Json.Int 0)) in
   let chunks = (encoded + 4095) / 4096 in
-  (* a power-of-two table, at most twice the chunks; a doubling float
-     ring of one timestamp per event, at most twice that *)
-  let table = (2 * chunks) + 1 and floats = (2 * n) + 1 in
-  let bound = footprint one + encoded + table + floats in
+  (* a power-of-two table, at most twice the chunks *)
+  let table = (2 * chunks) + 1 in
+  let bound = footprint one + encoded + table in
   let words = footprint t in
   Alcotest.(check bool)
     (Fmt.str "%d words held, bound %d" words bound)
@@ -448,7 +443,8 @@ let random_stream rs ~capacity =
   in
   let opt f = if Random.State.bool rs then Some (f ()) else None in
   let event ~nargs ~budget =
-    ( (if Random.State.bool rs then pick [ "step"; "deliver"; "e\"v" ] else str ()),
+    ( Random.State.bits rs - Random.State.bits rs,
+      (if Random.State.bool rs then pick [ "step"; "deliver"; "e\"v" ] else str ()),
       pick [ "runtime"; "net"; "c\\at" ],
       pick Events.[ Instant; Begin; End; Async_begin; Async_end ],
       opt (fun () -> Random.State.int rs 20 - 2),
@@ -474,8 +470,8 @@ let prop_chunked_ring =
       let evs = random_stream (Random.State.make [| seed |]) ~capacity in
       let t = Events.memory ~capacity () in
       List.iter
-        (fun (name, cat, phase, proc, worker, id, args) ->
-          Events.emit t ?proc ?worker ?id ~args ~phase ~cat name)
+        (fun (ts, name, cat, phase, proc, worker, id, args) ->
+          Events.emit t ?proc ?worker ?id ~args ~phase ~ts ~cat name)
         evs;
       let total = List.length evs in
       let kept = List.filteri (fun i _ -> i >= total - capacity) evs in
@@ -483,8 +479,8 @@ let prop_chunked_ring =
       List.length decoded = capacity
       && Events.dropped t = total - capacity
       && List.for_all2
-           (fun e (name, cat, phase, proc, worker, id, args) ->
-             e.Events.name = name && e.Events.cat = cat && e.Events.phase = phase
+           (fun e (ts, name, cat, phase, proc, worker, id, args) ->
+             e.Events.ts = ts && e.Events.name = name && e.Events.cat = cat && e.Events.phase = phase
              && e.Events.proc = proc && e.Events.worker = worker && e.Events.id = id
              && json_identical (Json.Obj args) (Json.Obj e.Events.args))
            decoded kept
@@ -496,6 +492,91 @@ let prop_chunked_ring =
            ^ String.concat ",\n"
                (List.map (fun e -> Json.to_string (Events.event_to_chrome e)) decoded)
            ^ "]\n")
+
+(* Every shape the library declares: a shaped emission and the same
+   event sent through [emit ~args] decode to equal events and write the
+   same JSONL and Chrome bytes, on rings small enough to evict. A
+   generic event with a float arg follows every shaped one, so eviction
+   walks records of both kinds. *)
+let test_shapes_match_emit () =
+  let shapes = Events.shapes () in
+  let kind s =
+    let e = Events.shape_event s ~ts:0 (Array.make (Events.arity s) 0) in
+    let ph =
+      match e.Events.phase with
+      | Events.Instant -> "i"
+      | Events.Async_begin -> "b"
+      | Events.Async_end -> "e"
+      | Events.Begin | Events.End -> "?"
+    in
+    Fmt.str "%s.%s/%s" e.Events.cat e.Events.name ph
+  in
+  Alcotest.(check (list string))
+    "the per-step shapes"
+    [ "net.deliver/i"; "net.drop/i"; "net.inflight/b"; "net.inflight/e"; "net.send/i"; "runtime.step/i" ]
+    (List.sort compare (List.map kind shapes));
+  let rs = Random.State.make [| 41 |] in
+  let value () =
+    match Random.State.int rs 4 with
+    | 0 -> 0
+    | 1 -> 1
+    | 2 -> -1
+    | _ -> Random.State.bits rs - Random.State.bits rs
+  in
+  List.iter
+    (fun capacity ->
+      let shaped = Events.memory ~capacity () and generic = Events.memory ~capacity () in
+      let expected = ref [] in
+      for i = 0 to (5 * List.length shapes) - 1 do
+        let s = List.nth shapes (i mod List.length shapes) in
+        (* one spare slot: values past the arity are ignored *)
+        let vals = Array.init (Events.arity s + 1) (fun _ -> value ()) in
+        let e = Events.shape_event s ~ts:i vals in
+        Events.emit_shape shaped s ~ts:i vals;
+        Events.emit generic ?proc:e.Events.proc ?worker:e.Events.worker ?id:e.Events.id
+          ~args:e.Events.args ~phase:e.Events.phase ~ts:e.Events.ts ~cat:e.Events.cat
+          e.Events.name;
+        let filler = [ ("x", Json.Float (float_of_int i /. 3.)) ] in
+        List.iter
+          (fun t -> Events.emit t ~worker:1 ~args:filler ~ts:i ~cat:"test" "filler")
+          [ shaped; generic ];
+        expected := e :: !expected
+      done;
+      let label = Fmt.str "capacity %d" capacity in
+      let decoded = Events.events shaped in
+      Alcotest.(check bool) (label ^ ": equal events") true (decoded = Events.events generic);
+      Alcotest.(check int) (label ^ ": retained") (min capacity (10 * List.length shapes))
+        (List.length decoded);
+      let kept = List.rev (List.filteri (fun i _ -> i < capacity / 2) !expected) in
+      Alcotest.(check bool) (label ^ ": the shaped events as declared") true
+        (List.filter (fun e -> e.Events.name <> "filler") decoded = kept);
+      Alcotest.(check string) (label ^ ": jsonl bytes")
+        (file_contents Events.save_jsonl generic)
+        (file_contents Events.save_jsonl shaped);
+      Alcotest.(check string) (label ^ ": chrome bytes")
+        (file_contents Events.save_chrome generic)
+        (file_contents Events.save_chrome shaped))
+    [ 6; 7; 1000 ];
+  (* once a sink has seen a shape, emitting it allocates nothing *)
+  let t = Events.memory () in
+  let s = List.hd shapes in
+  let vals = Array.make (Events.arity s) 3 in
+  Events.emit_shape t s ~ts:0 vals;
+  Gc.minor ();
+  let w0 = Gc.minor_words () in
+  for i = 1 to 1000 do
+    Events.emit_shape t s ~ts:i vals
+  done;
+  let words = Gc.minor_words () -. w0 in
+  Alcotest.(check bool) (Fmt.str "1000 shaped emissions allocated %.0f minor words" words) true
+    (words < 64.);
+  Alcotest.check_raises "short values refused"
+    (Invalid_argument
+       (Fmt.str "Events.emit_shape: %s takes %d values, got 0"
+          (let e = Events.shape_event s ~ts:0 vals in
+           e.Events.cat ^ "." ^ e.Events.name)
+          (Events.arity s)))
+    (fun () -> Events.emit_shape t s ~ts:0 [||])
 
 (* ------------------------------------------- instrumentation contracts *)
 
@@ -513,6 +594,39 @@ let test_executor_step_counter () =
   let names = List.map (fun e -> e.Events.name) (Events.events obs.Obs.events) in
   Alcotest.(check bool) "step events emitted" true (List.mem "step" names);
   Alcotest.(check bool) "run span emitted" true (List.mem "run" names)
+
+(* A traced net run stamps every event with the executor's global step:
+   [ts] never decreases, equals [global] on a step and [step] on a
+   message event, and the run's span samples wall time once per end. *)
+let test_logical_timestamps () =
+  let events = Events.memory () in
+  let obs = Obs.create ~events () in
+  let adversary = Adversary.gst_drop ~delta:1 ~gst:4 in
+  let r = Net_systems.run_ct ~obs ~clients:2 ~adversary ~max_steps:60 () in
+  let evs = Events.events events in
+  let arg k (e : Events.event) = List.assoc_opt k e.Events.args in
+  ignore
+    (List.fold_left
+       (fun prev (e : Events.event) ->
+         let what = Fmt.str "%s.%s at %d" e.Events.cat e.Events.name e.Events.ts in
+         if e.Events.ts < prev then Alcotest.failf "%s: ts decreased from %d" what prev;
+         (match (e.Events.cat, e.Events.name) with
+         | "runtime", "step" ->
+             Alcotest.(check bool) (what ^ ": ts = global") true
+               (arg "global" e = Some (Json.Int e.Events.ts))
+         | "net", ("send" | "drop" | "deliver") ->
+             Alcotest.(check bool) (what ^ ": ts = step") true
+               (arg "step" e = Some (Json.Int e.Events.ts))
+         | "runtime", "run" ->
+             Alcotest.(check bool) (what ^ ": wall_s sampled") true
+               (match arg "wall_s" e with Some (Json.Float w) -> w >= 0. | _ -> false)
+         | _ -> ());
+         e.Events.ts)
+       0 evs);
+  match List.rev evs with
+  | last :: _ ->
+      Alcotest.(check int) "the run ends at its step count" r.Net_systems.steps last.Events.ts
+  | [] -> Alcotest.fail "no events"
 
 let test_detector_stabilization_histogram () =
   let obs = Obs.create ~events:(Events.memory ()) () in
@@ -635,10 +749,12 @@ let () =
           Alcotest.test_case "ring grows on demand, then wraps" `Quick test_ring_growth;
           Alcotest.test_case "ring footprint: no doubling slack" `Quick test_ring_footprint;
           QCheck_alcotest.to_alcotest prop_chunked_ring;
+          Alcotest.test_case "shaped emission = emit ~args" `Quick test_shapes_match_emit;
         ] );
       ( "instrumentation",
         [
           Alcotest.test_case "executor step counter" `Quick test_executor_step_counter;
+          Alcotest.test_case "ts is the logical step" `Quick test_logical_timestamps;
           Alcotest.test_case "detector stabilization histogram" `Quick
             test_detector_stabilization_histogram;
           Alcotest.test_case "agreement decision latency" `Quick
